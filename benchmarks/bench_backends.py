@@ -26,8 +26,8 @@ Workloads per dataset:
 Output: a fixed-width table (also written to
 ``benchmarks/out/bench_backends.txt``) with per-backend wall times and
 the indexed-over-steered speedup, plus the machine-readable
-``BENCH_backends.json`` trajectory artefact (same envelope as
-``bench_query_serving.py``; override the path with ``--json``).
+``BENCH_backends.json`` trajectory artefact (override the path with
+``--json``).
 """
 
 from __future__ import annotations

@@ -22,6 +22,9 @@ ancestor(s) of some hit nodes, plus distances".  This module makes
   tree is exactly the subgraph where input chains can converge); only
   the emission *order* differs, and every consumer re-ranks.
 
+* :class:`VectorBackend` — the indexed backend with its batched
+  operations as NumPy whole-array passes (:mod:`repro.kernels`).
+
 Choosing: for one ad-hoc query the steered walk wins — no index
 build, and you get the paper's join-count trace for free.  For query
 *volumes* (servers, benchmarks, ranking thousands of hit pairs) the
@@ -32,16 +35,30 @@ The seam is threaded everywhere structural queries happen: the module
 functions (``meet2``, ``meet_sets``, ``meet_general``, ``graph_meet``,
 ``bounded_meet2``, ``distance``) accept ``backend=``, the
 :class:`~repro.core.engine.NearestConceptEngine` takes
-``backend="steered"|"indexed"`` and exposes the batched
+``backend="steered"|"indexed"|"vector"`` and exposes the batched
 ``meet_many`` / ``nearest_concepts_batch`` APIs, and the CLI exposes
 ``--backend``.
+
+What follows a roll-up — drop the shard's stand-in root, the
+``meet_X`` restriction, the all-terms filter, the ``within`` bound and
+the §4 top-k — is :func:`select_meets`, the one routine the engine, the
+shard service and the query processor all rank through.  A backend
+hands it a ``Sequence[TaggedMeet]``: a plain list gets its §4 keys
+from :func:`rank_keys` when a caller ranks or bounds on them, a
+:class:`TaggedBatch` arrives with the keys and its flat pair columns
+already computed array-wise, and only :func:`select_meets` knows the
+difference.
 """
 
 from __future__ import annotations
 
+import heapq
+import warnings
 from bisect import bisect_right
 from typing import (
+    AbstractSet,
     Dict,
+    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -50,7 +67,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Set,
+    TYPE_CHECKING,
     Tuple,
     Union,
     runtime_checkable,
@@ -69,6 +86,9 @@ from .meet_general import (
 from .meet_pair import PairMeet, meet2_traced
 from .meet_sets import SetMeet, _common_pid, meet_sets
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..fulltext.index import Hits
+
 __all__ = [
     "MeetBackend",
     "SteeredBackend",
@@ -76,6 +96,10 @@ __all__ = [
     "VectorBackend",
     "BACKEND_NAMES",
     "BackendSpec",
+    "TaggedBatch",
+    "rank_keys",
+    "select_meets",
+    "meet_oids",
     "resolve_backend",
     "snapshot_default_backend",
 ]
@@ -138,9 +162,22 @@ class MeetBackend(Protocol):
 
     def meet_tagged(
         self, tagged: Iterable[Tuple[Token, int]]
-    ) -> List[TaggedMeet]:
+    ) -> Sequence[TaggedMeet]:
         """Roll-up over (token, OID) pairs; meets cover ≥ 2 tokens."""
         ...
+
+    def meet_term_hits(
+        self, term_hits: Iterable[Tuple[Token, Hits]]
+    ) -> Sequence[TaggedMeet]:
+        """:meth:`meet_tagged` over whole per-term full-text hits."""
+        ...
+
+
+def _meet_term_hits_as_pairs(self, term_hits):
+    """The python backends' ``meet_term_hits``: flatten, then roll up."""
+    return self.meet_tagged(
+        [(term, oid) for term, hits in term_hits for oid in hits.oids()]
+    )
 
 
 class SteeredBackend:
@@ -190,6 +227,8 @@ class SteeredBackend:
         self, tagged: Iterable[Tuple[Token, int]]
     ) -> List[TaggedMeet]:
         return meet_tagged(self.store, tagged)
+
+    meet_term_hits = _meet_term_hits_as_pairs
 
 
 class IndexedBackend:
@@ -327,33 +366,7 @@ class IndexedBackend:
                 single[above] = -1
         return meets
 
-    # The per-OID-set roll-up this class shipped with originally; kept
-    # as the differential-test oracle and the serving benchmark's
-    # emulated pre-optimization baseline.
-    def _meet_tagged_sets(
-        self, tagged: Iterable[Tuple[Token, int]]
-    ) -> List[TaggedMeet]:
-        by_oid: Dict[int, Set[Tuple[Token, int]]] = {}
-        for token, oid in tagged:
-            by_oid.setdefault(oid, set()).add((token, oid))
-        if not by_oid:
-            return []
-        order, parent = self.index.auxiliary_tree(by_oid)
-        accumulated: Dict[int, Set[Tuple[Token, int]]] = {
-            oid: set(tokens) for oid, tokens in by_oid.items()
-        }
-        meets: List[TaggedMeet] = []
-        for oid in reversed(order):
-            tokens = accumulated.get(oid)
-            if not tokens:
-                continue
-            if len(tokens) >= 2:
-                meets.append(TaggedMeet(oid=oid, tokens=frozenset(tokens)))
-                continue
-            above = parent[oid]
-            if above is not None:
-                accumulated.setdefault(above, set()).update(tokens)
-        return meets
+    meet_term_hits = _meet_term_hits_as_pairs
 
     def meet_general(
         self, relations: Mapping[Hashable, Iterable[int]]
@@ -410,13 +423,13 @@ class IndexedBackend:
 
 
 class _TermPairs:
-    """Pair table of the column fast path: index → ``(term, OID)``.
+    """Pair table of a term-hits roll-up: index → ``(term, OID)``.
 
     Stands in for the python pair list :meth:`VectorBackend.meet_tagged`
     interns: pair ``i`` lives in the column whose offset range covers
     ``i``.  Built O(#terms); each lookup is one bisect plus one array
     read, so only the pairs a consumer actually touches (the winners'
-    token sets) ever become python objects.
+    token sets, a shard's residue) ever become python objects.
     """
 
     __slots__ = ("_terms", "_columns", "_offsets")
@@ -443,63 +456,189 @@ class TaggedBatch:
     The vector roll-up's result, kept in flat-array form: indexing
     materializes one real :class:`TaggedMeet` (so any element compares
     equal to the python backends' output), while :attr:`rank_keys`
-    carries the engine's §4 sort key per meet, computed array-wise by
-    :meth:`VectorBackend._rank_key_rows`.  A top-k consumer therefore
-    ranks on the keys and only ever touches the winners — the losers'
+    carries the §4 sort key per meet, computed array-wise by
+    :meth:`VectorBackend._rank_key_rows`.  :func:`select_meets` filters
+    and ranks on :attr:`oids`, :attr:`rank_keys` and the pair columns,
+    so a top-k consumer only ever touches the winners — the losers'
     token frozensets are never built.
     """
 
     __slots__ = (
-        "_pairs", "_order", "_emitted", "_group_pairs", "_starts",
+        "_pairs", "_pair_count", "oids", "_group_pairs", "_starts",
         "_ends", "rank_keys",
     )
 
-    def __init__(self, pairs, order, emitted, group_pairs, starts, ends,
-                 rank_keys):
+    def __init__(self, pairs, pair_count, oids=(), group_pairs=(),
+                 starts=(), ends=(), rank_keys=()):
         self._pairs = pairs
-        self._order = order
-        self._emitted = emitted
+        self._pair_count = pair_count
+        #: The meet OID per emitted group, in emission order.
+        self.oids: Sequence[int] = oids
         self._group_pairs = group_pairs
         self._starts = starts
         self._ends = ends
         #: ``(joins, spread, -depth, oid)`` per meet — exactly
-        #: :meth:`NearestConceptEngine._rank_keys`, index-aligned.
-        self.rank_keys: List[Tuple[int, int, int, int]] = rank_keys
-
-    @classmethod
-    def empty(cls) -> "TaggedBatch":
-        return cls([], [], [], [], [], [], [])
+        #: :func:`rank_keys`, index-aligned.
+        self.rank_keys: Sequence[Tuple[int, int, int, int]] = rank_keys
 
     def __len__(self) -> int:
-        return len(self._emitted)
-
-    def __bool__(self) -> bool:
-        return len(self._emitted) > 0
+        return len(self.oids)
 
     def __iter__(self) -> Iterator[TaggedMeet]:
-        for position in range(len(self._emitted)):
+        for position in range(len(self.oids)):
             yield self[position]
 
-    def __getitem__(self, position):
-        if isinstance(position, slice):
-            return [
-                self[index]
-                for index in range(*position.indices(len(self._emitted)))
-            ]
-        if position < 0:
-            position += len(self._emitted)
-        if not 0 <= position < len(self._emitted):
-            raise IndexError(position)
+    def __eq__(self, other):
+        if isinstance(other, (list, TaggedBatch)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def _pairs_of(self, position: int) -> List[int]:
+        return self._group_pairs[
+            self._starts[position]:self._ends[position]
+        ].tolist()
+
+    def __getitem__(self, position: int) -> TaggedMeet:
         pairs = self._pairs
         return TaggedMeet(
-            oid=int(self._order[self._emitted[position]]),
+            oid=self.oids[position],
             tokens=frozenset(
-                pairs[index]
-                for index in self._group_pairs[
-                    self._starts[position]:self._ends[position]
-                ].tolist()
+                pairs[index] for index in self._pairs_of(position)
             ),
         )
+
+    def tags(self, position: int) -> FrozenSet[Token]:
+        """``self[position].tags`` without building the meet."""
+        pairs = self._pairs
+        return frozenset(
+            pairs[index][0] for index in self._pairs_of(position)
+        )
+
+    def uncovered(self, kept: List[int]) -> List[Tuple[Token, int]]:
+        """The input pairs no meet at the ``kept`` positions covers.
+
+        One boolean mask over the flat pair column; only the uncovered
+        pairs become python objects.
+        """
+        import numpy as np
+
+        covered = np.zeros(self._pair_count, dtype=bool)
+        if len(kept):
+            keep = np.zeros(len(self.oids), dtype=bool)
+            keep[kept] = True
+            lengths = np.subtract(self._ends, self._starts)
+            covered[self._group_pairs[np.repeat(keep, lengths)]] = True
+        pairs = self._pairs
+        return [pairs[index] for index in np.nonzero(~covered)[0].tolist()]
+
+
+def rank_keys(
+    store: MonetXML, results: Iterable[TaggedMeet]
+) -> List[Tuple[int, int, int, int]]:
+    """The §4 sort key ``(joins, spread, -depth, oid)`` of each meet.
+
+    Equal to :meth:`NearestConcept.sort_key` of the annotated meet,
+    without the annotation: summary depths and the live spread between
+    the outermost origins.  The python counterpart (and test oracle) of
+    :meth:`VectorBackend._rank_key_rows`.
+    """
+    pid_of = store.pid_of
+    depth_of_pid = store.summary.depth
+    spread_of = store.live_distance
+    keys = []
+    for result in results:
+        origins = result.origins
+        meet_depth = depth_of_pid(pid_of(result.oid))
+        joins = -meet_depth * len(origins)
+        for oid in origins:
+            joins += depth_of_pid(pid_of(oid))
+        keys.append(
+            (
+                joins,
+                spread_of(min(origins), max(origins)),
+                -meet_depth,
+                result.oid,
+            )
+        )
+    return keys
+
+
+def meet_oids(results: Sequence[TaggedMeet]) -> List[int]:
+    """The meet OID per result, without materializing a batch's meets."""
+    if isinstance(results, TaggedBatch):
+        return results.oids
+    return [result.oid for result in results]
+
+
+def select_meets(
+    store: MonetXML,
+    results: Sequence[TaggedMeet],
+    *,
+    pairs: Iterable[Tuple[Token, int]] = (),
+    drop_oid: Optional[int] = None,
+    excluded: AbstractSet[int] = frozenset(),
+    wanted: Optional[AbstractSet[Token]] = None,
+    within: Optional[int] = None,
+    limit: Optional[int] = None,
+    ranked: bool = True,
+) -> Tuple[List[int], Optional[List[Tuple[Token, int]]]]:
+    """Filter and rank one roll-up result: ``(chosen indexes, residue)``.
+
+    The pipeline's last two stages — the §4 ``meet_X`` restriction and
+    join-count ranking — for the engine, the shard service and the
+    query processor alike.  In order:
+
+    1. The meet at ``drop_oid`` (a shard's stand-in root) goes, and the
+       **residue** — the input pairs no remaining meet covers, i.e.
+       what the monolithic roll-up would deliver to the document root —
+       is taken before any further filtering (``None`` without
+       ``drop_oid``).  ``pairs``, the roll-up's input, is consumed only
+       when ``results`` is not a :class:`TaggedBatch`.
+    2. Meets on an ``excluded`` pid go, then meets whose tags do not
+       cover ``wanted``, then meets with more than ``within`` joins.
+    3. With ``ranked`` the survivors come back in §4 order, cut to
+       ``limit`` (a strict total order, so top-k selection equals
+       sort-then-truncate); without it, in emission order.
+
+    Keys are read off a :class:`TaggedBatch` and computed by
+    :func:`rank_keys` otherwise — over the survivors, and only when
+    ``within`` or ``ranked`` needs them.
+    """
+    batch = isinstance(results, TaggedBatch)
+    oids = meet_oids(results)
+    kept: Sequence[int] = range(len(oids))
+    residue = None
+    if drop_oid is not None:
+        kept = [i for i in kept if oids[i] != drop_oid]
+        if batch:
+            residue = results.uncovered(kept)
+        else:
+            covered = set().union(*(results[i].tokens for i in kept))
+            residue = [
+                pair for pair in dict.fromkeys(pairs) if pair not in covered
+            ]
+    if excluded:
+        pid_of = store.pid_of
+        kept = [i for i in kept if pid_of(oids[i]) not in excluded]
+    if wanted is not None:
+        tags = results.tags if batch else (lambda i: results[i].tags)
+        kept = [i for i in kept if tags(i) >= wanted]
+    if within is not None or ranked:
+        if batch:
+            keys = results.rank_keys
+        else:
+            keys = dict(
+                zip(kept, rank_keys(store, (results[i] for i in kept)))
+            )
+        if within is not None:
+            kept = [i for i in kept if keys[i][0] <= within]
+        if ranked and limit is not None and limit < len(kept):
+            kept = heapq.nsmallest(limit, kept, key=keys.__getitem__)
+        elif ranked:
+            kept = sorted(kept, key=keys.__getitem__)
+    return list(kept), residue
 
 
 class VectorBackend(IndexedBackend):
@@ -511,8 +650,8 @@ class VectorBackend(IndexedBackend):
     Fig. 4/5 roll-ups) runs as whole-array passes over zero-copy
     ``int64`` views of the index columns (:mod:`repro.kernels`)
     instead of python-level per-element loops.  Only instantiate via
-    :func:`resolve_backend`, which silently degrades a ``"vector"``
-    request to :class:`IndexedBackend` when NumPy is missing; scalar
+    :func:`resolve_backend`, which degrades a ``"vector"`` request to
+    :class:`IndexedBackend` (with a warning) when NumPy is missing; scalar
     operations (``meet``, ``distance``) inherit the O(1) python
     kernels, which beat a one-element array round-trip.
     """
@@ -552,34 +691,31 @@ class VectorBackend(IndexedBackend):
 
     def meet_tagged(
         self, tagged: Iterable[Tuple[Token, int]]
-    ) -> List[TaggedMeet]:
+    ) -> "TaggedBatch":
         """Fig. 5 as level-wise array passes over the auxiliary tree.
 
         The (token, OID) pairs are interned exactly like the python
         roll-up; from there propagation is
         :func:`repro.kernels.rollup.rollup_tagged`.
         """
+        import numpy as np
+
         pairs: List[Tuple[Token, int]] = list(dict.fromkeys(
             (token, oid) for token, oid in tagged
         ))
         if not pairs:
-            return []
-        import numpy as np
-
+            return TaggedBatch((), 0)
         pair_oids = np.fromiter(
             (oid for _, oid in pairs), dtype=np.int64, count=len(pairs)
         )
-        return list(self._materialize_tagged(pairs, pair_oids))
+        return self._roll_up(pairs, pair_oids)
 
     def meet_term_hits(self, term_hits) -> "TaggedBatch":
-        """The engine's batched fast path: (term, Hits) straight in.
+        """:meth:`meet_tagged` with whole postings columns as input.
 
         Each term contributes its cached distinct-OID column
-        (:meth:`repro.fulltext.index.Hits.oid_column`).  The result is
-        a :class:`TaggedBatch`: a lazy ``Sequence[TaggedMeet]`` whose
-        ranking keys are already computed array-wise — consumers that
-        only rank and keep the top-k never pay for materializing the
-        losers' token frozensets.
+        (:meth:`repro.fulltext.index.Hits.oid_column`) — no python pair
+        list is ever built.
         """
         import numpy as np
 
@@ -591,11 +727,11 @@ class VectorBackend(IndexedBackend):
                 terms.append(term)
                 columns.append(column)
         if not columns:
-            return TaggedBatch.empty()
+            return TaggedBatch((), 0)
         pair_oids = columns[0] if len(columns) == 1 else np.concatenate(columns)
-        return self._materialize_tagged(_TermPairs(terms, columns), pair_oids)
+        return self._roll_up(_TermPairs(terms, columns), pair_oids)
 
-    def _materialize_tagged(self, pairs, pair_oids) -> "TaggedBatch":
+    def _roll_up(self, pairs, pair_oids) -> "TaggedBatch":
         import numpy as np
 
         from ..kernels.rollup import rollup_tagged
@@ -604,13 +740,13 @@ class VectorBackend(IndexedBackend):
             self.kernels, pair_oids
         )
         if not len(emitted):
-            return TaggedBatch.empty()
+            return TaggedBatch(pairs, len(pair_oids))
         keys = self._rank_key_rows(order, emitted, pair_oids, group_pairs,
                                    boundaries)
         return TaggedBatch(
             pairs,
-            order,
-            emitted.tolist(),
+            len(pair_oids),
+            order[emitted].tolist(),
             group_pairs,
             np.concatenate(([0], boundaries)).tolist(),
             np.concatenate((boundaries, [len(group_pairs)])).tolist(),
@@ -621,7 +757,7 @@ class VectorBackend(IndexedBackend):
                        boundaries) -> List[Tuple[int, int, int, int]]:
         """The engine's §4 sort keys for every emitted meet, array-wise.
 
-        Byte-identical to :meth:`NearestConceptEngine._rank_keys` —
+        Byte-identical to :func:`rank_keys` —
         ``(joins, spread, -depth, oid)`` with summary depths and
         live-node spreads — but computed with five whole-array passes
         while the roll-up's flat arrays are still in hand, instead of
@@ -783,15 +919,22 @@ def snapshot_default_backend() -> str:
     return "vector" if kernels.available() else "indexed"
 
 
+#: Set once the vector → indexed degradation has been reported.
+_degradation_warned = False
+
+
 def resolve_backend(store: MonetXML, spec: BackendSpec = None) -> "MeetBackend":
     """Normalize a backend spec: name, instance, or ``None`` (steered).
 
-    ``"vector"`` degrades silently to :class:`IndexedBackend` when
-    NumPy is not importable — the kernels are an optional extra, and
-    both backends are answer-identical.  An instance is returned
+    ``"vector"`` degrades to :class:`IndexedBackend` when NumPy is not
+    importable or ``REPRO_KERNELS`` forces the python tier — the
+    kernels are an optional extra, and both backends are
+    answer-identical — with one :class:`RuntimeWarning` per process
+    naming the requested and the served tier.  An instance is returned
     as-is when it is bound to ``store``; binding it to a different
     store is almost certainly a bug and raises.
     """
+    global _degradation_warned
     if spec is None:
         return SteeredBackend(store)
     if isinstance(spec, str):
@@ -804,6 +947,14 @@ def resolve_backend(store: MonetXML, spec: BackendSpec = None) -> "MeetBackend":
 
             if kernels.available():
                 return VectorBackend(store)
+            if not _degradation_warned:
+                _degradation_warned = True
+                warnings.warn(
+                    "meet backend 'vector' requested but the NumPy kernels "
+                    "are unavailable; serving 'indexed' on the python tier",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
             return IndexedBackend(store)
         raise ValueError(
             f"unknown meet backend {spec!r}; expected one of {BACKEND_NAMES}"

@@ -37,9 +37,7 @@ backend-independent because join counts are recomputed from depths.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -56,7 +54,12 @@ from ..fulltext.index import FullTextIndex, Hits
 from ..fulltext.search import SearchEngine
 from ..monet.engine import MonetXML
 from ..monet.reassembly import object_text, reassemble_subtree
-from .backends import BackendSpec, MeetBackend, resolve_backend
+from .backends import (
+    BackendSpec,
+    MeetBackend,
+    resolve_backend,
+    select_meets,
+)
 from .meet_general import GeneralMeet, TaggedMeet
 from .meet_pair import PairMeet
 from .meet_sets import SetMeet
@@ -69,9 +72,6 @@ from .result_cache import (
 )
 
 __all__ = ["NearestConcept", "NearestConceptEngine"]
-
-#: Key extractor for the (sort_key, result) ranking pairs.
-_key_of = itemgetter(0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,107 +277,24 @@ class NearestConceptEngine:
             if cached is not None:
                 return list(cached)
 
-        batched = getattr(self.backend, "meet_term_hits", None)
-        if batched is not None:
-            # Vector fast path: hand each term's cached distinct-OID
-            # column to the backend whole — no python pair list.
-            # Duplicate terms dedupe here exactly as duplicate
-            # (term, OID) pairs dedupe inside meet_tagged.
-            results = batched(
-                (term, self.term_hits(term))
-                for term in dict.fromkeys(terms)
-            )
-        else:
-            tagged: List[Tuple[str, int]] = []
-            for term in terms:
-                for oid in self.term_hits(term).oids():
-                    tagged.append((term, oid))
-            results = self.backend.meet_tagged(tagged)
-        # A TaggedBatch arrives with the §4 sort keys already computed
-        # array-wise; filters below keep the two sequences aligned.
-        keys = getattr(results, "rank_keys", None)
-        if excluded:
-            pid_of = self.store.pid_of
-            if keys is not None:
-                kept = [
-                    i for i, key in enumerate(keys)
-                    if pid_of(key[3]) not in excluded  # key[3] == oid
-                ]
-                results = [results[i] for i in kept]
-                keys = [keys[i] for i in kept]
-            else:
-                results = [
-                    r for r in results if pid_of(r.oid) not in excluded
-                ]
-        if require_all_terms:
-            wanted = set(terms)
-            if keys is not None:
-                kept = [
-                    i for i, r in enumerate(results)
-                    if set(r.tags) >= wanted
-                ]
-                results = [results[i] for i in kept]
-                keys = [keys[i] for i in kept]
-            else:
-                results = [r for r in results if set(r.tags) >= wanted]
-
-        if limit is not None and len(results) > limit:
-            # Serving fast path: rank on the cheap key ingredients and
-            # fully annotate (paths, sorted term tuples) only the top-k.
-            # sort_key is a strict total order (the OID tiebreak), so
-            # the selection equals sort-then-truncate exactly.
-            if keys is not None:
-                candidates: Iterable[int] = range(len(results))
-                if within is not None:
-                    candidates = [
-                        i for i in candidates if keys[i][0] <= within
-                    ]
-                top = heapq.nsmallest(limit, candidates,
-                                      key=keys.__getitem__)
-                concepts = [self._annotate(results[i]) for i in top]
-            else:
-                keyed = self._rank_keys(results)
-                if within is not None:
-                    keyed = [(k, r) for k, r in keyed if k[0] <= within]
-                winners = heapq.nsmallest(limit, keyed, key=_key_of)
-                concepts = [self._annotate(result) for _, result in winners]
-        else:
-            concepts = [self._annotate(result) for result in results]
-            concepts.sort(key=NearestConcept.sort_key)
-            if within is not None:
-                concepts = [c for c in concepts if c.joins <= within]
-            if limit is not None:
-                concepts = concepts[:limit]
+        # Duplicate terms dedupe here exactly as duplicate (term, OID)
+        # pairs dedupe inside the roll-up.
+        results = self.backend.meet_term_hits(
+            (term, self.term_hits(term)) for term in dict.fromkeys(terms)
+        )
+        chosen, _ = select_meets(
+            self.store,
+            results,
+            excluded=excluded,
+            wanted=set(terms) if require_all_terms else None,
+            within=within,
+            limit=limit,
+        )
+        # Only the winners are annotated (paths, sorted term tuples).
+        concepts = [self._annotate(results[i]) for i in chosen]
         if cache is not None:
             cache.put(key, tuple(concepts))
         return concepts
-
-    def _rank_keys(
-        self, results: List[TaggedMeet]
-    ) -> List[Tuple[Tuple[int, int, int, int], TaggedMeet]]:
-        """(sort_key, result) pairs computed without full annotation."""
-        pid_of = self.store.pid_of
-        depth_of_pid = self.store.summary.depth
-        spread_of = self.store.live_distance
-        keyed = []
-        for result in results:
-            origins = result.origins
-            meet_depth = depth_of_pid(pid_of(result.oid))
-            joins = -meet_depth * len(origins)
-            for oid in origins:
-                joins += depth_of_pid(pid_of(oid))
-            keyed.append(
-                (
-                    (
-                        joins,
-                        spread_of(min(origins), max(origins)),
-                        -meet_depth,
-                        result.oid,
-                    ),
-                    result,
-                )
-            )
-        return keyed
 
     def nearest_concepts_batch(
         self,

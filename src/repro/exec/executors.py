@@ -36,10 +36,11 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from ..datamodel.errors import ReproError
 from ..obs.metrics import Counter
@@ -139,6 +140,9 @@ class SerialExecutor:
 # ---------------------------------------------------------------------------
 
 _WORKER_SERVICES: List[ShardService] = []
+
+#: How long pool start-up waits for every worker to answer a ping.
+_WARM_UP_SECONDS = 30.0
 
 
 def _worker_init(
@@ -258,15 +262,22 @@ class ParallelExecutor:
                     self._respawns.inc()
                 self._spawned_once = True
                 # One submit per worker slot forces the pool to spawn
-                # its full complement immediately.
-                futures = [
-                    self._pool.submit(
-                        _worker_call, index % self.shard_count, "ping", {}
-                    )
-                    for index in range(self.workers)
-                ]
-                for future in futures:
-                    self._harvest(future.result())
+                # its full complement immediately.  The first worker
+                # up can drain every ping while the others still load
+                # their bundles, so ping until each has answered once.
+                warm: Set[int] = set()
+                give_up = time.monotonic() + _WARM_UP_SECONDS
+                while len(warm) < self.workers and time.monotonic() < give_up:
+                    if warm:
+                        time.sleep(0.01)  # leave the CPU to the loaders
+                    futures = [
+                        self._pool.submit(
+                            _worker_call, index % self.shard_count, "ping", {}
+                        )
+                        for index in range(self.workers)
+                    ]
+                    for future in futures:
+                        warm.add(self._harvest(future.result())["pid"])
             return self._pool
 
     def _discard_pool(

@@ -14,11 +14,16 @@ recomputes an equivalent entry under a race.
 
 The contract with the coordinator (:mod:`repro.exec.coordinator`):
 
-* the shard's stand-in root never appears in a response — meets at it
-  are dissolved back into the **residue** (the input pairs no local
-  meet absorbed), binding sets drop it, and per-variable *root flags*
-  report what the coordinator needs to decide the true root's
-  membership globally;
+* the shard's stand-in root never appears in a response — a meet at
+  it is dropped (the coordinator re-derives the one true root meet
+  globally) and the **residue**, the input pairs no kept meet covers,
+  is exactly the pending set the monolithic roll-up would deliver to
+  the document root; binding sets drop it, and per-variable *root
+  flags* report what the coordinator needs to decide the true root's
+  membership globally.  Both, and every filter and the §4 ranking
+  after them, are :func:`repro.core.backends.select_meets` — the same
+  routine the monolithic engine ranks through, so a shard turns only
+  its winners and its residue pairs into python objects;
 * full-text terms arrive with a coordinator-chosen **mode** (``token``
   / ``multi`` / ``scan``): the index-vs-scan fallback of
   :meth:`repro.fulltext.search.SearchEngine.find` depends on whether
@@ -29,13 +34,12 @@ The contract with the coordinator (:mod:`repro.exec.coordinator`):
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .. import kernels
+from ..core.backends import meet_oids, select_meets
 from ..core.engine import NearestConceptEngine
 from ..core.restrictions import resolve_pids
 from ..datamodel.document import CDATA_LABEL, STRING_ATTRIBUTE
@@ -62,13 +66,10 @@ from ..query.planner import plan_query
 
 __all__ = [
     "ShardService",
-    "dissolve_stand_in_root",
     "term_mode",
     "hits_for_mode",
     "item_variable",
 ]
-
-_key_of = itemgetter(0)
 
 
 def term_mode(term: str, case_sensitive: bool) -> str:
@@ -109,33 +110,6 @@ def item_variable(item, plan) -> Optional[str]:
     if isinstance(item, PathVarItem):
         return plan.path_variable_owner[item.name]
     return None
-
-
-def dissolve_stand_in_root(store, tagged, results):
-    """Split a shard-local roll-up into (kept meets, residue).
-
-    The correctness-critical heart of the sharding scheme, shared by
-    the nearest pipeline and ``meet(...)`` query items: meets at the
-    shard's stand-in root are dropped (the coordinator re-derives the
-    one true root meet globally), and the residue — every input pair
-    no *kept* meet absorbed, with its depth — is exactly the pending
-    set the monolithic roll-up would deliver to the document root.
-    """
-    root = store.root_oid
-    covered: Set[Tuple[object, int]] = set()
-    kept = []
-    for result in results:
-        if result.oid == root:
-            continue
-        covered.update(result.tokens)
-        kept.append(result)
-    depth_of = store.depth_of
-    residue = sorted(
-        (token, oid, depth_of(oid))
-        for token, oid in set(tagged)
-        if (token, oid) not in covered
-    )
-    return kept, residue
 
 
 def _text_head(store: MonetXML, oid: int, width: int) -> str:
@@ -276,45 +250,30 @@ class ShardService:
         scan_terms = set(params.get("scan_terms", ()))
         exclude_pids = set(params.get("exclude_pids", ()))
         require_all = bool(params.get("require_all_terms", False))
-        within = params.get("within")
-        limit = params.get("limit")
-        wanted = {term for term, _ in terms}
 
         hits, index_counts = self._resolve_hits(terms, scan_terms)
-        tagged: List[Tuple[str, int]] = []
-        for term, found in hits.items():
-            for oid in found.oids():
-                tagged.append((term, oid))
-
         store = self.store
         engine = self.engine
-        batched = getattr(engine.backend, "meet_term_hits", None)
-        if batched is not None:
-            # Column fast path: hand the backend whole postings columns
-            # instead of the flattened pair list.  ``tagged`` is still
-            # needed below — the residue is defined over input pairs.
-            results = batched(hits.items())
-        else:
-            results = engine.backend.meet_tagged(tagged)
-        local, residue = dissolve_stand_in_root(store, tagged, results)
-
-        if exclude_pids:
-            pid_of = store.pid_of
-            local = [r for r in local if pid_of(r.oid) not in exclude_pids]
-        if require_all:
-            local = [r for r in local if set(r.tags) >= wanted]
-        keyed = engine._rank_keys(local)
-        if within is not None:
-            keyed = [(key, r) for key, r in keyed if key[0] <= within]
-        if limit is not None:
-            keyed = heapq.nsmallest(limit, keyed, key=_key_of)
-        else:
-            keyed.sort(key=_key_of)
+        results = engine.backend.meet_term_hits(hits.items())
+        chosen, residue = select_meets(
+            store,
+            results,
+            pairs=(
+                (term, oid)
+                for term, found in hits.items()
+                for oid in found.oids()
+            ),
+            drop_oid=store.root_oid,
+            excluded=exclude_pids,
+            wanted={term for term, _ in terms} if require_all else None,
+            within=params.get("within"),
+            limit=params.get("limit"),
+        )
 
         meets = []
         pid_of = store.pid_of
-        for _key, result in keyed:
-            concept = engine._annotate(result)
+        for index in chosen:
+            concept = engine._annotate(results[index])
             meets.append(
                 {
                     "oid": concept.oid,
@@ -328,9 +287,14 @@ class ShardService:
             )
         return {
             "meets": meets,
-            "residue": residue,
+            "residue": self._residue(residue),
             "index_counts": index_counts,
         }
+
+    def _residue(self, pairs) -> List[Tuple[object, int, int]]:
+        """Residue pairs on the wire: sorted ``(token, OID, depth)``."""
+        depth_of = self.store.depth_of
+        return sorted((token, oid, depth_of(oid)) for token, oid in pairs)
 
     # -- presentation ----------------------------------------------------
     def _op_snippets(self, params: Dict[str, object]) -> Dict[str, object]:
@@ -526,29 +490,24 @@ class ShardService:
             for variable in item.variables
             for oid in minimal[variable]
         ]
-        results = self.engine.backend.meet_tagged(tagged)
-        local, residue = dissolve_stand_in_root(store, tagged, results)
-        depth_of = store.depth_of
         excluded = resolve_pids(store, item.exclude_paths)
         root_pid = store.pid_of(root)
         if item.exclude_root:
             excluded.add(root_pid)
-        cells: List[int] = []
-        pid_of = store.pid_of
-        for meet in local:
-            if pid_of(meet.oid) in excluded:
-                continue
-            if item.within is not None:
-                meet_depth = depth_of(meet.oid)
-                joins = sum(
-                    depth_of(oid) - meet_depth for oid in meet.origins
-                )
-                if joins > item.within:
-                    continue
-            cells.append(meet.oid)
+        results = self.engine.backend.meet_tagged(tagged)
+        chosen, residue = select_meets(
+            store,
+            results,
+            pairs=tagged,
+            drop_oid=root,
+            excluded=excluded,
+            within=item.within,
+            ranked=False,
+        )
+        oids = meet_oids(results)
         return {
-            "meets": sorted(cells),
-            "residue": residue,
+            "meets": sorted(oids[index] for index in chosen),
+            "residue": self._residue(residue),
             "root_excluded": root_pid in excluded,
         }
 

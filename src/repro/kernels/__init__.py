@@ -13,17 +13,17 @@ with whole-array passes:
 * :mod:`repro.kernels.rollup` — the Fig. 4/5 roll-ups as level-wise
   array passes over the auxiliary tree;
 * :mod:`repro.kernels.postings` — sorted-array postings intersection /
-  union / grouping for the full-text index;
-* :mod:`repro.kernels.native` — a build stub for a cffi/Cython tier
-  behind the same seam (not compiled by default).
+  union / grouping for the full-text index.
 
 NumPy is an *optional* extra (``pip install repro-meet[native]``).
 Nothing in this package's import requires it: :func:`available` probes
 for it once, every consumer checks the probe before importing a kernel
-module, and an import failure silently degrades to the pure-python
-implementations.  Setting ``REPRO_KERNELS=python`` in the environment
-forces the pure-python tier even when NumPy is importable — the knob
-the no-numpy CI leg and A/B benchmarks use.
+module, and an import failure degrades to the pure-python
+implementations (:func:`repro.core.backends.resolve_backend` warns once
+per process when that turns a ``vector`` request into ``indexed``).
+Setting ``REPRO_KERNELS=python`` in the environment forces the
+pure-python tier even when NumPy is importable — the knob the no-numpy
+CI leg and A/B benchmarks use.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ __all__ = [
     "KERNEL_TIERS",
 ]
 
-#: The kernel tiers a process can run in.  ``native`` is reserved for
-#: the compiled (cffi/Cython) tier stubbed in :mod:`.native`.
-KERNEL_TIERS = ("python", "vector", "native")
+#: The kernel tiers a process can run in.
+KERNEL_TIERS = ("python", "vector")
 
 #: Environment values of ``REPRO_KERNELS`` that force pure python.
 _FORCE_PYTHON = {"python", "off", "0", "disabled"}
@@ -102,7 +101,7 @@ def active_tier(backend_name: Optional[str]) -> str:
 
     A collection runs vectorized only when its resolved backend is the
     vector one *and* the kernels are importable; every other backend —
-    including a ``vector`` request that silently degraded — serves
+    including a ``vector`` request that degraded — serves
     from the pure-python tier.
     """
     return "vector" if backend_name == "vector" and available() else "python"

@@ -25,8 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..core.backends import BackendSpec, MeetBackend, resolve_backend
-from ..core.meet_general import meet_tagged
+from ..core.backends import (
+    BackendSpec,
+    MeetBackend,
+    meet_oids,
+    resolve_backend,
+    select_meets,
+)
 from ..core.restrictions import resolve_pids
 from ..core.result_cache import (
     CacheSpec,
@@ -555,26 +560,19 @@ class QueryProcessor:
             bound = self._bound_nodes(plan, variable)
             for oid in self._minimal(bound):
                 tagged.append((variable, oid))
-        meets = meet_tagged(self.store, tagged, backend=self.backend)
-
         excluded = resolve_pids(self.store, item.exclude_paths)
         if item.exclude_root:
             excluded.add(self.store.pid_of(self.store.root_oid))
-        cells: List[Cell] = []
-        for meet in meets:
-            if self.store.pid_of(meet.oid) in excluded:
-                continue
-            if item.within is not None:
-                meet_depth = self.store.depth_of(meet.oid)
-                joins = sum(
-                    self.store.depth_of(oid) - meet_depth
-                    for oid in meet.origins
-                )
-                if joins > item.within:
-                    continue
-            cells.append(meet.oid)
-        cells.sort()
-        return cells
+        results = self.backend.meet_tagged(tagged)
+        chosen, _ = select_meets(
+            self.store,
+            results,
+            excluded=excluded,
+            within=item.within,
+            ranked=False,
+        )
+        oids = meet_oids(results)
+        return sorted(oids[index] for index in chosen)
 
     def _distance_cells(self, plan: Plan, item: DistanceItem) -> List[Cell]:
         left = self._minimal(self._bound_nodes(plan, item.left))

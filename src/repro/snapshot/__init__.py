@@ -19,8 +19,9 @@ start is O(bytes) instead of O(rebuild):
   bundle per shard plus a recorded layout, so sharded collections
   warm-start rebuild-free too (serially or behind a worker pool).
 
-See ``benchmarks/bench_cold_start.py`` for the parse-and-rebuild vs
-snapshot-load comparison across the bundled datasets.
+``benchmarks/serving/run.py`` reports the build and load costs on every
+workload (``setup_s``, ``snapshot.build_s``, ``snapshot.open_ms``,
+``bundle_bytes_per_xml_byte``).
 """
 
 from .catalog import Catalog

@@ -345,7 +345,7 @@ class TestEnvelopeSurface:
         stats = db.stats()
         assert stats["origin"].startswith("snapshot")
         assert stats["backend"] == snapshot_default_backend()
-        assert stats["kernel_tier"] in ("python", "vector", "native")
+        assert stats["kernel_tier"] in ("python", "vector")
         assert stats["cache"]["maxsize"] == 8
         describe = db.describe()
         assert describe["node_count"] == 19

@@ -6,6 +6,7 @@ may differ.
 """
 
 from collections import Counter
+from typing import Dict, Set, Tuple
 
 import pytest
 
@@ -19,7 +20,7 @@ from repro.core.backends import (
 from repro.core.engine import NearestConceptEngine
 from repro.core.graph_meet import graph_distance, graph_meet, graph_shortest_path
 from repro.core.lca_index import clear_lca_index_cache, get_lca_index
-from repro.core.meet_general import group_by_pid
+from repro.core.meet_general import TaggedMeet, group_by_pid
 from repro.core.restrictions import bounded_meet2
 from repro.datamodel.errors import ModelError
 from repro.datasets import plays_document, random_document
@@ -53,6 +54,31 @@ def _all_stores(request):
 
 def _backends(store):
     return SteeredBackend(store), IndexedBackend(store)
+
+
+def _meet_tagged_sets(indexed, tagged):
+    """The per-OID-set roll-up the indexed backend shipped with
+    originally — the reference its array/bitmask propagation is held
+    to (same auxiliary tree, one python ``set`` per node)."""
+    by_oid: Dict[int, Set[Tuple[object, int]]] = {}
+    for token, oid in tagged:
+        by_oid.setdefault(oid, set()).add((token, oid))
+    if not by_oid:
+        return []
+    order, parent = indexed.index.auxiliary_tree(by_oid)
+    accumulated = {oid: set(tokens) for oid, tokens in by_oid.items()}
+    meets = []
+    for oid in reversed(order):
+        tokens = accumulated.get(oid)
+        if not tokens:
+            continue
+        if len(tokens) >= 2:
+            meets.append(TaggedMeet(oid=oid, tokens=frozenset(tokens)))
+            continue
+        above = parent[oid]
+        if above is not None:
+            accumulated.setdefault(above, set()).update(tokens)
+    return meets
 
 
 class TestPairwise:
@@ -144,7 +170,7 @@ class TestRollUps:
             # Same OID under several tokens exercises the "Bob Byte" case.
             tagged += [("t0", oid) for oid in oids[:10]]
             via_bitmask = indexed.meet_tagged(tagged)
-            via_sets = indexed._meet_tagged_sets(tagged)
+            via_sets = _meet_tagged_sets(indexed, tagged)
             via_steered = steered.meet_tagged(tagged)
             assert set(via_bitmask) == set(via_sets) == set(via_steered)
             # The two indexed roll-ups share the emission order too.
@@ -244,11 +270,34 @@ class TestResolution:
         assert resolve_backend(figure1_store, "steered").name == "steered"
         assert resolve_backend(figure1_store, "indexed").name == "indexed"
         # "vector" resolves to the vector backend when NumPy is
-        # importable and silently degrades to indexed otherwise.
+        # importable and degrades (loudly) to indexed otherwise.
         assert resolve_backend(figure1_store, "vector").name in (
             "vector",
             "indexed",
         )
+
+    def test_vector_degradation_warns_once_per_process(
+        self, figure1_store, monkeypatch
+    ):
+        import warnings
+
+        from repro.core import backends
+
+        monkeypatch.setenv("REPRO_KERNELS", "python")
+        monkeypatch.setattr(backends, "_degradation_warned", False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # Choosing indexed unasked is not a degradation: quiet.
+            assert backends.snapshot_default_backend() == "indexed"
+            assert not caught
+            served = [
+                resolve_backend(figure1_store, "vector").name for _ in range(3)
+            ]
+        assert served == ["indexed"] * 3
+        (warning,) = caught
+        assert issubclass(warning.category, RuntimeWarning)
+        assert "'vector'" in str(warning.message)
+        assert "'indexed'" in str(warning.message)
 
     def test_instance_passthrough(self, figure1_store):
         backend = IndexedBackend(figure1_store)

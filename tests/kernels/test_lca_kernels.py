@@ -149,10 +149,3 @@ class TestTierProbe:
         assert kernels.active_tier("indexed") == "python"
         assert kernels.active_tier("steered") == "python"
         assert kernels.active_tier(None) == "python"
-
-    def test_native_stub(self):
-        from repro.kernels import native
-
-        assert native.load() is None
-        with pytest.raises(NotImplementedError):
-            native.build()

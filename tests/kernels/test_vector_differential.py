@@ -12,7 +12,7 @@ over the deserialized columns).
 
 import pytest
 
-from repro.core.backends import resolve_backend
+from repro.core.backends import rank_keys, resolve_backend
 from repro.core.engine import NearestConceptEngine
 from repro.core.lca_index import (
     clear_lca_index_cache,
@@ -123,9 +123,7 @@ def test_ranking_keys_identical(tmp_path, dataset):
                 for oid in engine.term_hits(term).oids()
             ]
             results = engine.backend.meet_tagged(tagged)
-            keyed[name] = sorted(
-                key for key, _result in engine._rank_keys(results)
-            )
+            keyed[name] = sorted(rank_keys(store, results))
         for name in REFERENCE_BACKENDS:
             assert keyed["vector"] == keyed[name], (
                 f"{dataset}: ranking keys diverged from {name} on {terms}"
@@ -138,8 +136,8 @@ def test_batch_rank_keys_match_engine(tmp_path, dataset):
 
     ``meet_term_hits`` returns a lazy batch whose ``rank_keys`` were
     computed array-wise (summary depths, live spreads, reduceat
-    joins); they must equal :meth:`NearestConceptEngine._rank_keys`
-    element-for-element and index-aligned, and each lazily
+    joins); they must equal the one python key function
+    (:func:`repro.core.backends.rank_keys`) element-for-element and index-aligned, and each lazily
     materialized element must equal the eager ``meet_tagged`` output.
     """
     source, model = write_source(tmp_path, dataset)
@@ -151,9 +149,7 @@ def test_batch_rank_keys_match_engine(tmp_path, dataset):
             (term, engine.term_hits(term)) for term in dict.fromkeys(terms)
         )
         results = list(batch)
-        assert batch.rank_keys == [
-            key for key, _result in engine._rank_keys(results)
-        ]
+        assert batch.rank_keys == rank_keys(store, results)
         tagged = [
             (term, oid)
             for term in dict.fromkeys(terms)
