@@ -73,7 +73,7 @@ from ..datamodel.errors import (
 from ..exec.deadline import Deadline, DeadlineExceededError, deadline_scope
 from ..exec.executors import ExecutorError
 from ..obs.logs import log_event
-from ..obs.metrics import Counter, Histogram, MetricsRegistry
+from ..obs.metrics import CallbackGauge, Counter, Histogram, MetricsRegistry
 from ..obs.trace import Trace, new_trace_id, trace_scope
 from .admission import AdmissionController, OverloadedError
 from .database import Database
@@ -493,6 +493,24 @@ class _BodyTooLarge(Exception):
         )
 
 
+def _index_patches() -> Dict[str, int]:
+    """Journal roll-forwards per derived index, this process.
+
+    Writes only ever apply in the serving process (worker pools serve
+    read-only shard bundles), so unlike ``index_builds`` there is no
+    worker share to merge.
+    """
+    from ..core.lca_index import lca_index_cache_info
+    from ..fulltext.index import fulltext_index_cache_info
+    from ..valueindex import value_index_cache_info
+
+    return {
+        "lca": lca_index_cache_info().patches,
+        "fulltext": fulltext_index_cache_info().patches,
+        "valueindex": value_index_cache_info().patches,
+    }
+
+
 class ReproServer:
     """Serve one or more databases over HTTP from the current process.
 
@@ -564,6 +582,18 @@ class ReproServer:
         self._thread: Optional[threading.Thread] = None
         for metric in self.admission.metric_objects():
             self.metrics.register(metric)
+        self.metrics.register(
+            CallbackGauge(
+                "repro_index_patches",
+                "Derived-index roll-forwards through the mutation journal "
+                "(a live write maintains an index instead of rebuilding it).",
+                ("index",),
+                lambda: [
+                    ({"index": index}, float(count))
+                    for index, count in _index_patches().items()
+                ],
+            )
+        )
         # Component metrics are per-collection — constant `collection`
         # labels keep one family per name.  Databases may share a
         # result cache or an executor; each shared object is
@@ -779,6 +809,7 @@ class ReproServer:
                 "fulltext": fulltext_builds,
                 "valueindex": valueindex_builds,
             },
+            "index_patches": _index_patches(),
             "admission": self.admission.snapshot(),
             "metrics": self.metrics.snapshot(),
         }

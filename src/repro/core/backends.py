@@ -235,9 +235,12 @@ class IndexedBackend:
     """Euler-RMQ-indexed meets: O(1) pairs, auxiliary-tree roll-ups.
 
     The underlying :class:`~repro.core.lca_index.LcaIndex` is fetched
-    through the generation-keyed cache on every operation, so a store
-    that was invalidated (:meth:`MonetXML.invalidate_caches`) or
-    rebuilt transparently gets a fresh index.
+    through the per-store cache on every operation, which keeps one
+    index per store current: after a live write it is rolled forward
+    from the mutation journal (the tour and sparse table grow at the
+    tail), and only a store the journal cannot bridge — a new store
+    object, a bare :meth:`MonetXML.invalidate_caches` — gets a newly
+    built one.
     """
 
     name = "indexed"

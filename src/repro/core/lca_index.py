@@ -15,8 +15,26 @@ tour depths gives O(1) LCA and O(1) depth-based distance
 after O(n log n) preprocessing.  :class:`~repro.core.backends.IndexedBackend`
 builds one :class:`LcaIndex` per store and reuses it across every
 pairwise, set-wise and n-ary meet; :func:`get_lca_index` caches the
-index per store, keyed on the store's ``generation`` so a rebuilt or
-invalidated store transparently gets a fresh index.
+index per store and *maintains* it across live writes the way the
+full-text and value indexes are maintained: a stale generation is
+bridged with the store's mutation journal
+(:func:`repro.monet.mutate.journal_chain`) instead of a rebuild.
+
+That works because the tour is append-only under the write path.
+``put_document`` hangs one contiguous pre-order OID run under the root
+as its last child, so the tour only grows at its tail (the new
+sub-tree's tour, then the root again), every sparse-table cell
+``[k][i]`` already filled stays valid, and a put adds O(Δ) cells per
+level — O(Δ log n) in all.  A delete only drops the span's
+``first``/``last`` entries: the tombstoned document stays in the tour,
+where no live pair's range minimum can land (a range between two live
+nodes that crosses a dead sub-tree also crosses the root entries
+around it, which are shallower), and its OIDs raise
+:class:`~repro.datamodel.errors.UnknownOIDError` like any unknown OID.
+The full build is the same routine run once over the whole store from
+an empty index; it is what a store without a bridging journal chain
+gets (evicted journal, bare ``invalidate_caches()``, a compacted — i.e.
+new — store).
 
 Beyond plain LCA the index exposes the Euler order itself
 (:meth:`LcaIndex.euler_position`) and an O(1) interval ancestor test
@@ -27,12 +45,13 @@ hit sets without touching the full instance tree.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
-from weakref import WeakKeyDictionary
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..datamodel.errors import UnknownOIDError
-from ..monet.engine import MonetXML
+from ..monet.engine import DerivedCache, MonetXML
+from ..monet.mutate import MutationRecord, journal_chain
 
 __all__ = [
     "LcaIndex",
@@ -55,9 +74,6 @@ class LcaIndex:
 
     def __init__(self, store: MonetXML):
         self.store = store
-        #: Store generation this index was built against; a mismatch
-        #: with ``store.generation`` means the index is stale.
-        self.generation = getattr(store, "generation", 0)
         self._tour: List[int] = []          # node OID per Euler step
         self._tour_depth: List[int] = []    # depth per Euler step
         self._first: Dict[int, int] = {}    # OID → first tour position
@@ -66,56 +82,153 @@ class LcaIndex:
         # lazily for the vector kernels (snapshot loads carry them in).
         self._first_column = None
         self._last_column = None
-        self._build_tour()
-        self._build_sparse_table()
+        self._log: List[int] = [0, 0]       # floor(log2(i)) per length i
+        # table[k][i] = position of min depth in tour[i : i + 2**k];
+        # row 0 is position→position, for which ``range`` is an O(1)
+        # stand-in with identical indexing behaviour.
+        self._table: List[Sequence[int]] = [range(0)]
+        self._vector_kernels = None         # see repro.kernels.lca
+        self._append_run(store.first_oid, store.last_oid)
+        #: Store generation this index answers for; a mismatch with
+        #: ``store.generation`` means the index is stale.  Published
+        #: last, here and in :meth:`roll_forward`.
+        self.generation = getattr(store, "generation", 0)
 
-    # -- preprocessing ----------------------------------------------------
-    def _build_tour(self) -> None:
+    # -- preprocessing & maintenance ------------------------------------
+    def _append_run(self, low: int, high: int) -> None:
+        """Append the Euler tour of the OID run ``[low, high]`` and fill
+        the sparse-table cells the longer tour adds.
+
+        The run is either the whole store (the build: the tour is empty
+        and opens with the root) or one freshly put document, whose top
+        node hangs under the root as its last child — so the tour,
+        which always ends on the root, continues with the sub-tree's
+        tour and the root again.  Tombstoned nodes have no parent
+        pointer and are never reached.
+        """
         store = self.store
         root = store.root_oid
-        # Iterative Euler tour: (oid, depth, child cursor) frames; a
-        # parent is re-appended every time a child frame returns.
-        stack: List[List[int]] = [[root, 1, 0]]
-        children_cache: Dict[int, List[int]] = {}
-        while stack:
-            frame = stack[-1]
-            oid, depth, cursor = frame
-            if cursor == 0:
-                self._first.setdefault(oid, len(self._tour))
-            self._last[oid] = len(self._tour)
-            self._tour.append(oid)
-            self._tour_depth.append(depth)
-            children = children_cache.get(oid)
-            if children is None:
-                children = store.children_of(oid)
-                children_cache[oid] = children
-            if cursor < len(children):
-                frame[2] += 1
-                stack.append([children[cursor], depth + 1, 0])
-            else:
-                stack.pop()
+        base = store.first_oid
+        _, parents, ranks = store.dense_columns()
+        children: Dict[int, List[int]] = {}
+        for oid, parent in enumerate(
+            parents[low - base : high - base + 1], low
+        ):
+            if parent is not None:
+                children.setdefault(parent, []).append(oid)
+        for siblings in children.values():
+            if len(siblings) > 1:
+                siblings.sort(key=lambda oid: ranks[oid - base])
 
-    def _build_sparse_table(self) -> None:
+        tour = self._tour
         depths = self._tour_depth
-        length = len(depths)
-        log = [0] * (length + 1)
-        for i in range(2, length + 1):
-            log[i] = log[i // 2] + 1
-        self._log = log
-        # table[k][i] = position of min depth in tour[i : i + 2**k]
-        table: List[List[int]] = [list(range(length))]
+        first = self._first
+        last = self._last
+        if not tour:
+            first[root] = last[root] = 0
+            tour.append(root)
+            depths.append(1)
+        for top in children.get(root, ()):
+            # Iterative Euler tour: (oid, depth, child cursor) frames; a
+            # parent is re-appended every time a child frame returns.
+            stack: List[List[int]] = [[top, 2, 0]]
+            while stack:
+                frame = stack[-1]
+                oid, depth, cursor = frame
+                if cursor == 0:
+                    first[oid] = len(tour)
+                last[oid] = len(tour)
+                tour.append(oid)
+                depths.append(depth)
+                below = children.get(oid, ())
+                if cursor < len(below):
+                    frame[2] += 1
+                    stack.append([below[cursor], depth + 1, 0])
+                else:
+                    stack.pop()
+            last[root] = len(tour)
+            tour.append(root)
+            depths.append(1)
+
+        length = len(tour)
+        log = self._log
+        for i in range(len(log), length + 1):
+            log.append(log[i // 2] + 1)
+        table = self._table
+        table[0] = range(length)
         k = 1
         while (1 << k) <= length:
-            previous = table[k - 1]
+            if k == len(table):
+                table.append([])
+            row = table[k]
             span = 1 << (k - 1)
-            row = [0] * (length - (1 << k) + 1)
-            for i in range(len(row)):
-                left = previous[i]
-                right = previous[i + span]
-                row[i] = left if depths[left] <= depths[right] else right
-            table.append(row)
+            start, stop = len(row), length - (1 << k) + 1
+            previous = table[k - 1]
+            row.extend([
+                left if depths[left] <= depths[right] else right
+                for left, right in zip(
+                    previous[start:stop], previous[start + span : stop + span]
+                )
+            ])
             k += 1
-        self._table = table
+
+    def _ensure_growable(self) -> None:
+        """Turn read-only snapshot columns into plain lists, once.
+
+        :meth:`from_arrays` binds ``memoryview`` casts over the mmap'd
+        bundle; the first write pays one conversion to growable form,
+        like ``_ensure_mutable`` does for the store itself.
+        """
+
+        def growable(column):
+            return column if isinstance(column, list) else list(column)
+
+        self._tour = growable(self._tour)
+        self._tour_depth = growable(self._tour_depth)
+        self._log = growable(self._log)
+        self._table[1:] = map(growable, self._table[1:])
+        if self._first_column is not None:
+            self._first_column = growable(self._first_column)
+            self._last_column = growable(self._last_column)
+
+    def roll_forward(self, chain: Iterable[MutationRecord]) -> None:
+        """Apply journalled mutations (oldest first) in place.
+
+        A put appends its span's tour (:meth:`_append_run`); a put whose
+        span a later delete of the same chain already tombstoned adds
+        nothing, exactly like a build over the current store.  A delete
+        drops the span's ``first``/``last`` entries.  The memoised dense
+        columns and an attached :class:`~repro.kernels.lca.LcaKernels`
+        follow at the tail.  The caller publishes ``generation``.
+        """
+        self._ensure_growable()
+        store = self.store
+        base = store.first_oid
+        root_slot = store.root_oid - base
+        first, last = self._first, self._last
+        first_column, last_column = self._first_column, self._last_column
+        dropped: List[Tuple[int, int]] = []
+        for record in chain:
+            low, high = record.span
+            if record.kind == "put":
+                if store.is_live(low):
+                    self._append_run(low, high)
+                if first_column is not None:
+                    span = range(low, high + 1)
+                    first_column.extend(first.get(oid, -1) for oid in span)
+                    last_column.extend(last.get(oid, -1) for oid in span)
+                    last_column[root_slot] = last[store.root_oid]
+            else:
+                for oid in range(low, high + 1):
+                    first.pop(oid, None)
+                    last.pop(oid, None)
+                if first_column is not None:
+                    dead = [-1] * (high - low + 1)
+                    first_column[low - base : high - base + 1] = dead
+                    last_column[low - base : high - base + 1] = dead
+                dropped.append((low, high))
+        if self._vector_kernels is not None:
+            self._vector_kernels.follow(dropped)
 
     # -- O(1) queries ---------------------------------------------------
     def euler_position(self, oid: int) -> int:
@@ -283,22 +396,17 @@ class LcaIndex:
         columns with ``-1`` marking OIDs absent from the tour
         (tombstones); snapshot-loaded indexes return the deserialized
         columns as-is (zero-copy for the kernels' buffer views), while
-        freshly built indexes densify their dicts once and memoize.
+        freshly built indexes densify their dicts once and memoize;
+        :meth:`roll_forward` keeps the memo patched at the tail.
         Unlike :meth:`to_arrays` this never assumes a compacted store.
         """
         if self._first_column is None:
-            from array import array
-
             base = self.store.first_oid
-            count = self.store.node_count
+            oids = range(base, base + self.store.node_count)
             first_of = self._first.get
             last_of = self._last.get
-            self._first_column = array(
-                "q", (first_of(base + i, -1) for i in range(count))
-            )
-            self._last_column = array(
-                "q", (last_of(base + i, -1) for i in range(count))
-            )
+            self._first_column = [first_of(oid, -1) for oid in oids]
+            self._last_column = [last_of(oid, -1) for oid in oids]
         return {
             "base": self.store.first_oid,
             "tour": self._tour,
@@ -354,6 +462,7 @@ class LcaIndex:
         self = cls.__new__(cls)
         self.store = store
         self.generation = getattr(store, "generation", 0)
+        self._vector_kernels = None
         self._tour = tour
         self._tour_depth = depth
         base = store.first_oid
@@ -388,37 +497,64 @@ class LcaIndex:
 
 @dataclass(frozen=True)
 class LcaIndexCacheInfo:
-    """Counters of the per-store index cache (for tests and benches)."""
+    """Counters of the per-store index cache (for tests and benches).
+
+    ``builds`` counts full constructions only; ``patches`` counts
+    roll-forwards through the mutation journal.
+    """
 
     builds: int
     hits: int
     currsize: int
+    patches: int = 0
 
 
-_cache: "WeakKeyDictionary[MonetXML, LcaIndex]" = WeakKeyDictionary()
+_cache = DerivedCache("lca_index")  # store → LcaIndex
 _builds = 0
 _hits = 0
+_patches = 0
+#: Serializes roll-forwards and builds: readers share the ``Database``
+#: read lock, so several can find the same index stale after one write.
+_maintenance_lock = threading.Lock()
 
 
 def get_lca_index(store: MonetXML) -> LcaIndex:
-    """The cached :class:`LcaIndex` of a store, (re)built on demand.
+    """The cached :class:`LcaIndex` of a store, maintained on demand.
 
-    The cache is keyed on the store object (weakly, so dropped stores
-    free their index) *and* its ``generation``: calling
-    :meth:`repro.monet.engine.MonetXML.invalidate_caches` — or loading
-    / transforming a fresh store object — yields a fresh index, which
-    is what keeps the index transparently correct when a store is
-    rebuilt.
+    The index is kept on the store object (a dropped store takes its
+    index with it) under the store's ``generation``.  When the store's
+    mutation journal bridges the cached index's generation to the
+    current one, the same index object is rolled forward in place
+    (:meth:`LcaIndex.roll_forward`); otherwise — a fresh store object,
+    a bare :meth:`~repro.monet.engine.MonetXML.invalidate_caches`, a
+    journal evicted past its limit — a new index is built.
     """
-    global _builds, _hits
+    global _builds, _hits, _patches
     cached = _cache.get(store)
     if cached is not None and cached.generation == getattr(store, "generation", 0):
         _hits += 1
         return cached
-    index = LcaIndex(store)
-    _cache[store] = index
-    _builds += 1
-    return index
+    with _maintenance_lock:
+        cached = _cache.get(store)
+        generation = getattr(store, "generation", 0)
+        if cached is not None and cached.generation == generation:
+            _hits += 1
+            return cached
+        chain = None if cached is None else journal_chain(store, cached.generation)
+        if chain is not None:
+            try:
+                cached.roll_forward(chain)
+            except BaseException:
+                # Half applied: never serve it, never patch it again.
+                del _cache[store]
+                raise
+            cached.generation = generation  # published last
+            _patches += 1
+            return cached
+        index = LcaIndex(store)
+        _cache[store] = index
+        _builds += 1
+        return index
 
 
 def seed_lca_index(store: MonetXML, index: LcaIndex) -> None:
@@ -438,11 +574,14 @@ def seed_lca_index(store: MonetXML, index: LcaIndex) -> None:
 
 def clear_lca_index_cache() -> None:
     """Drop every cached index and reset the counters (test isolation)."""
-    global _builds, _hits
+    global _builds, _hits, _patches
     _cache.clear()
     _builds = 0
     _hits = 0
+    _patches = 0
 
 
 def lca_index_cache_info() -> LcaIndexCacheInfo:
-    return LcaIndexCacheInfo(builds=_builds, hits=_hits, currsize=len(_cache))
+    return LcaIndexCacheInfo(
+        builds=_builds, hits=_hits, currsize=len(_cache), patches=_patches
+    )

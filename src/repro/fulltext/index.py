@@ -39,10 +39,10 @@ from typing import (
     Set,
     Tuple,
 )
-from weakref import WeakKeyDictionary
 
 from .. import kernels as _kernels
-from ..monet.engine import MonetXML
+from ..monet.engine import DerivedCache, MonetXML
+from ..monet.mutate import journal_chain
 from .tokenizer import normalize, tokenize
 
 __all__ = [
@@ -596,9 +596,7 @@ class FullTextIndexCacheInfo:
     patches: int = 0
 
 
-_cache: "WeakKeyDictionary[MonetXML, Dict[bool, FullTextIndex]]" = (
-    WeakKeyDictionary()
-)
+_cache = DerivedCache("fulltext_index")  # store → {case mode: FullTextIndex}
 _builds = 0
 _hits = 0
 _patches = 0
@@ -609,40 +607,15 @@ _patches = 0
 REBUILD_DENSITY = 0.25
 
 
-def _journal_chain(store: MonetXML, generation: int):
-    """Mutation records bridging ``generation`` → the store's current one.
-
-    ``None`` when no contiguous chain exists (journal evicted, store
-    without a journal, or a gap) — the caller must rebuild.
-    """
-    current = getattr(store, "generation", 0)
-    if generation == current:
-        return []
-    chain = []
-    expected = generation
-    for record in getattr(store, "journal", ()):
-        from_generation = getattr(record, "from_generation", None)
-        if from_generation is None:
-            return None
-        if not chain and from_generation != expected:
-            continue
-        if chain and from_generation != expected:
-            return None
-        chain.append(record)
-        expected = record.to_generation
-    if not chain or expected != current:
-        return None
-    return chain
-
-
 def get_fulltext_index(
     store: MonetXML, case_sensitive: bool = False
 ) -> FullTextIndex:
     """The cached :class:`FullTextIndex` of a store, (re)built on demand.
 
-    Keyed on the store object (weakly), its ``generation`` and the case
-    mode: every engine / processor serving the same store shares one
-    index, and :meth:`~repro.monet.engine.MonetXML.invalidate_caches`
+    Kept on the store object (it dies with it) under its ``generation``
+    and the case mode: every engine / processor serving the same store
+    shares one index, and
+    :meth:`~repro.monet.engine.MonetXML.invalidate_caches`
     transparently yields a fresh one on next use.  When the store's
     mutation journal bridges the cached index's generation to the
     current one and tombstone density is below :data:`REBUILD_DENSITY`,
@@ -658,7 +631,7 @@ def get_fulltext_index(
         _hits += 1
         return cached
     if cached is not None and getattr(store, "dead_fraction", 1.0) <= REBUILD_DENSITY:
-        chain = _journal_chain(store, cached.generation)
+        chain = journal_chain(store, cached.generation)
         if chain is not None:
             index = cached.patched(chain)
             per_store[case_sensitive] = index

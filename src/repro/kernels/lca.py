@@ -52,9 +52,9 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 def _as_int64(column) -> np.ndarray:
     """A zero-copy ``int64`` view of a flat column where possible.
 
-    ``array('q')`` columns and mmap'd snapshot memoryviews go through
-    the buffer protocol; python lists (freshly built indexes) and
-    ``range`` (sparse-table row 0) fall back to a one-time copy.
+    Mmap'd snapshot memoryviews go through the buffer protocol;
+    python lists (built or rolled-forward indexes) and ``range``
+    (sparse-table row 0) fall back to a copy.
     """
     if isinstance(column, np.ndarray):
         return column if column.dtype == _INT64 else column.astype(_INT64)
@@ -62,6 +62,28 @@ def _as_int64(column) -> np.ndarray:
         return np.frombuffer(column, dtype=_INT64)
     except (TypeError, ValueError, BufferError):
         return np.asarray(column, dtype=_INT64)
+
+
+def _regrown(view: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``view`` regrown to ``shape``: old cells kept, new cells unset.
+
+    The result is a corner view of an owned backing array allocated
+    with half as much room again along the last axis, so a run of tail
+    appends copies the old cells O(1) times amortized.  A read-only
+    view over an mmap'd snapshot (or any array without spare room)
+    pays its one copy here.
+    """
+    backing = view.base
+    if not (
+        isinstance(backing, np.ndarray)
+        and backing.flags.writeable
+        and all(have >= want for have, want in zip(backing.shape, shape))
+    ):
+        backing = np.zeros(
+            (*shape[:-1], shape[-1] + shape[-1] // 2), dtype=_INT64
+        )
+        backing[tuple(slice(used) for used in view.shape)] = view
+    return backing[tuple(slice(want) for want in shape)]
 
 
 def tree_depths(parent_index: np.ndarray) -> np.ndarray:
@@ -86,10 +108,11 @@ def tree_depths(parent_index: np.ndarray) -> np.ndarray:
 class LcaKernels:
     """Vector views + batch kernels bound to one :class:`LcaIndex`.
 
-    Instances are cached per index (:func:`get_kernels`), and indexes
-    are themselves generation-cached per store, so the view binding —
-    and the one-time densification of a freshly built index's
-    first/last dicts — amortizes over every query of a generation.
+    Instances are cached per index (:func:`get_kernels`), and an index
+    lives across writes (:meth:`LcaIndex.roll_forward`), so the view
+    binding — and the one-time densification of a freshly built
+    index's first/last dicts — is paid once per store; after a write
+    :meth:`follow` extends the arrays at the tail.
     """
 
     __slots__ = (
@@ -121,6 +144,37 @@ class LcaKernels:
         table = np.zeros((max(len(rows), 1), width), dtype=_INT64)
         for exponent, row in enumerate(rows):
             table[exponent, : len(row)] = row
+        self.table = table
+
+    def follow(self, dropped: Iterable[Tuple[int, int]]) -> None:
+        """Catch up with an index that was just rolled forward.
+
+        The index only ever appends — tour steps, log entries, dense
+        first/last slots and the cells each sparse-table row gains at
+        its end — so every array is regrown in place and only its tail
+        is read out of the index's columns: O(Δ log n) conversions per
+        write, no pass over the old cells.  ``dropped`` names the OID
+        spans deletes tombstoned; the root's ``last`` is the one old
+        slot a put moves.
+        """
+        columns = self.index.kernel_columns()
+        for name in ("tour", "depth", "log", "first", "last"):
+            old = getattr(self, name)
+            column = columns[name]
+            grown = _regrown(old, (len(column),))
+            grown[len(old):] = column[len(old):]
+            setattr(self, name, grown)
+        for low, high in dropped:
+            self.first[low - self.base : high - self.base + 1] = -1
+            self.last[low - self.base : high - self.base + 1] = -1
+        root = int(self.tour[0]) - self.base
+        self.last[root] = columns["last"][root]
+        rows = columns["table"]
+        old_width = self.table.shape[1]
+        table = _regrown(self.table, (len(rows), len(self.tour)))
+        for exponent, row in enumerate(rows):
+            start = max(old_width - (1 << exponent) + 1, 0)
+            table[exponent, start : len(row)] = row[start:]
         self.table = table
 
     # -- primitives ------------------------------------------------------
@@ -214,7 +268,7 @@ class LcaKernels:
 
 def get_kernels(index) -> LcaKernels:
     """The memoized :class:`LcaKernels` of an index (built on first use)."""
-    kernels = getattr(index, "_vector_kernels", None)
+    kernels = index._vector_kernels
     if kernels is None:
         kernels = LcaKernels(index)
         index._vector_kernels = kernels

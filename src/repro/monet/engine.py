@@ -23,13 +23,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Tuple
+from weakref import WeakSet
 
 from ..datamodel.errors import ModelError, UnknownOIDError
 from ..datamodel.paths import Path
 from .bat import BAT
 from .pathsummary import PathSummary
 
-__all__ = ["MonetXML"]
+__all__ = ["MonetXML", "DerivedCache"]
 
 
 class MonetXML:
@@ -42,8 +43,11 @@ class MonetXML:
     Every instance carries a process-unique, monotonically increasing
     ``generation`` token.  Derived structures built outside the store
     (most importantly the Euler-RMQ index of
-    :mod:`repro.core.lca_index`) cache themselves keyed on it;
-    :meth:`invalidate_caches` bumps the token so they rebuild lazily.
+    :mod:`repro.core.lca_index`) cache themselves keyed on it.  The
+    write path (:mod:`repro.monet.mutate`) bumps the token *and*
+    journals the mutation, so those structures roll forward; a bare
+    :meth:`invalidate_caches` bumps it without a journal record, so
+    they rebuild lazily.
     """
 
     _generations = count(1)
@@ -84,6 +88,10 @@ class MonetXML:
         #: Recent mutations, newest last (see repro.monet.mutate); index
         #: maintainers roll forward from it instead of rebuilding.
         self.journal: List[object] = []
+        #: Structures derived from this store that point back at it (the
+        #: LCA, full-text and value indexes), by :class:`DerivedCache`
+        #: name: owned here so that they die with the store.
+        self.derived: Dict[str, object] = {}
 
     # -- size -----------------------------------------------------------
     @property
@@ -324,8 +332,11 @@ class MonetXML:
         """Drop lazily built structures after an in-place rebuild.
 
         Clears the reverse-edge and children adjacency caches and bumps
-        ``generation`` so generation-keyed external caches (the LCA
-        index of the ``indexed`` meet backend) rebuild on next use.
+        ``generation``.  Generation-keyed external caches (the LCA
+        index of the ``indexed`` meet backend, the full-text and value
+        indexes) rebuild on next use — unless the caller also journals
+        a :class:`~repro.monet.mutate.MutationRecord`, as every live
+        write does, in which case they roll forward from it.
         """
         self._reverse_edges.clear()
         self._children_index = None
@@ -382,3 +393,46 @@ class MonetXML:
                     )
         if self.parent_of(self.root_oid) is not None:
             raise ModelError("root OID has a parent")
+
+
+class DerivedCache:
+    """A per-store cache whose entries live on the stores themselves.
+
+    A derived index holds its store, so a ``WeakKeyDictionary`` cannot
+    cache it: the value would keep its own weak key alive and a store,
+    once indexed, would never be freed — a serving process would retire
+    one whole store, indexes included, with every compaction.  Here the
+    entry sits in ``store.derived``: store and entry form an ordinary
+    cycle that the collector frees once the last outside reference to
+    the store is gone, and the cache only remembers (weakly) which
+    stores to visit for :meth:`values` and :meth:`clear`.  Objects
+    without a ``derived`` dict (the coordinator's summary-only
+    stand-in) have no entry.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._stores: "WeakSet[MonetXML]" = WeakSet()
+
+    def get(self, store, default=None):
+        derived = getattr(store, "derived", None)
+        return default if derived is None else derived.get(self._name, default)
+
+    def __setitem__(self, store, entry) -> None:
+        store.derived[self._name] = entry
+        self._stores.add(store)
+
+    def __delitem__(self, store) -> None:
+        del store.derived[self._name]
+        self._stores.discard(store)
+
+    def values(self) -> List[object]:
+        return [store.derived[self._name] for store in list(self._stores)]
+
+    def __len__(self) -> int:
+        return len(self._stores)
+
+    def clear(self) -> None:
+        for store in list(self._stores):
+            del store.derived[self._name]
+        self._stores.clear()

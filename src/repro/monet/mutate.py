@@ -17,11 +17,18 @@ module makes it a *collection* you can mutate while it serves queries:
   would assign, which is what shard slicing and snapshot writing
   require (both assume a dense pre-order store).
 
-Every mutation bumps the store ``generation`` (invalidating the
-generation-keyed LCA/full-text/result caches precisely) and appends a
-:class:`MutationRecord` to ``store.journal`` so the full-text index can
-roll forward incrementally instead of rebuilding (see
-:func:`repro.fulltext.index.get_fulltext_index`).
+Every mutation bumps the store ``generation`` (dropping the
+generation-keyed result caches precisely) and appends a
+:class:`MutationRecord` to ``store.journal``.  The derived indexes are
+*maintained* from that journal, never rebuilt by a write: on their next
+use the LCA, full-text and value indexes each bridge their generation
+to the store's with :func:`journal_chain` and roll forward — the Euler
+tour and its sparse table grow at the tail
+(:func:`repro.core.lca_index.get_lca_index`), postings and typed
+columns are appended and pruned by OID span
+(:func:`repro.fulltext.index.get_fulltext_index`,
+:func:`repro.valueindex.index.get_value_index`).  Only a consumer whose
+generation the journal no longer reaches rebuilds.
 
 The pre-order invariant maintained throughout: live OIDs ascend in
 document order.  New documents append at the tail; a replace re-appends
@@ -48,6 +55,7 @@ from .engine import MonetXML
 __all__ = [
     "MutationRecord",
     "JOURNAL_LIMIT",
+    "journal_chain",
     "ensure_document_registry",
     "put_document",
     "delete_document",
@@ -80,6 +88,34 @@ class MutationRecord:
     to_generation: int
     added_strings: Tuple[Tuple[int, int, str], ...] = field(default=())
     removed_associations: int = 0
+
+
+def journal_chain(
+    store: MonetXML, generation: int
+) -> Optional[List[MutationRecord]]:
+    """Mutation records bridging ``generation`` → the store's current one.
+
+    ``None`` when no contiguous chain exists (journal evicted, store
+    without a journal, or a gap) — the caller must rebuild.
+    """
+    current = getattr(store, "generation", 0)
+    if generation == current:
+        return []
+    chain = []
+    expected = generation
+    for record in getattr(store, "journal", ()):
+        from_generation = getattr(record, "from_generation", None)
+        if from_generation is None:
+            return None
+        if not chain and from_generation != expected:
+            continue
+        if chain and from_generation != expected:
+            return None
+        chain.append(record)
+        expected = record.to_generation
+    if not chain or expected != current:
+        return None
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +207,11 @@ def put_document(store: MonetXML, name: str, xml: str) -> MutationRecord:
     root_pid = store.pid_of(root_oid)
     root_path = store.summary.path(root_pid)
     summary = store.summary
-    live_tops = store.children_of(root_oid)
-    fragment.rank = (
-        max(store.rank_of(top) for top in live_tops) + 1 if live_tops else 0
+    # The registry holds exactly the live top-level documents, so the
+    # next rank comes from it — not from the O(n) children adjacency,
+    # which the previous write has just invalidated.
+    fragment.rank = max(
+        (store.rank_of(low) + 1 for low, _ in registry.values()), default=0
     )
 
     first_new = store.last_oid + 1

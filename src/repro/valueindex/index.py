@@ -33,9 +33,9 @@ from typing import (
     Set,
     Tuple,
 )
-from weakref import WeakKeyDictionary
 
-from ..monet.engine import MonetXML
+from ..monet.engine import DerivedCache, MonetXML
+from ..monet.mutate import journal_chain
 
 __all__ = [
     "ValueIndex",
@@ -455,7 +455,7 @@ class ValueIndexCacheInfo:
     patches: int = 0
 
 
-_cache: "WeakKeyDictionary[MonetXML, ValueIndex]" = WeakKeyDictionary()
+_cache = DerivedCache("value_index")  # store → ValueIndex
 _builds = 0
 _hits = 0
 _patches = 0
@@ -466,39 +466,14 @@ _patches = 0
 REBUILD_DENSITY = 0.25
 
 
-def _journal_chain(store: MonetXML, generation: int):
-    """Mutation records bridging ``generation`` → the store's current one.
-
-    ``None`` when no contiguous chain exists (journal evicted, store
-    without a journal, or a gap) — the caller must rebuild.
-    """
-    current = getattr(store, "generation", 0)
-    if generation == current:
-        return []
-    chain = []
-    expected = generation
-    for record in getattr(store, "journal", ()):
-        from_generation = getattr(record, "from_generation", None)
-        if from_generation is None:
-            return None
-        if not chain and from_generation != expected:
-            continue
-        if chain and from_generation != expected:
-            return None
-        chain.append(record)
-        expected = record.to_generation
-    if not chain or expected != current:
-        return None
-    return chain
-
-
 def get_value_index(
     store: MonetXML, declared: Sequence[str] = ()
 ) -> ValueIndex:
     """The cached :class:`ValueIndex` of a store, (re)built on demand.
 
-    Keyed on the store object (weakly) and its ``generation``: every
-    engine / processor serving the same store shares one index, and
+    Kept on the store object (it dies with it) under its
+    ``generation``: every engine / processor serving the same store
+    shares one index, and
     :meth:`~repro.monet.engine.MonetXML.invalidate_caches`
     transparently yields a fresh one on next use.  When the store's
     mutation journal bridges the cached index's generation to the
@@ -514,7 +489,7 @@ def get_value_index(
         _hits += 1
         return cached
     if cached is not None and getattr(store, "dead_fraction", 1.0) <= REBUILD_DENSITY:
-        chain = _journal_chain(store, cached.generation)
+        chain = journal_chain(store, cached.generation)
         if chain is not None:
             index = cached.patched(chain)
             _cache[store] = index

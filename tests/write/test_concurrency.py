@@ -10,13 +10,23 @@ answers as it goes; readers check membership.
 """
 
 import json
+import sys
 import threading
 import urllib.request
 
+from repro import kernels
 from repro.api import Database, DatabaseOptions, NearestRequest, ReproServer
+from repro.core.engine import NearestConceptEngine
+from repro.core.lca_index import lca_index_cache_info
 from repro.snapshot import Catalog
 
-from .harness import DATASETS, write_source
+from .harness import (
+    DATASETS,
+    live_nearest,
+    open_live,
+    oracle_nearest,
+    write_source,
+)
 
 READERS = 8
 REQUESTS_PER_READER = 25
@@ -171,3 +181,69 @@ def test_readers_never_see_torn_answers(tmp_path):
         )
         final = _canonical(db)
         assert json.loads(final)["nearest"] == body["answers"]
+
+
+def test_first_readers_after_a_write_share_one_roll_forward(tmp_path):
+    """Eight readers released together on the first read after a write.
+
+    They all find the LCA index one generation behind under the shared
+    read lock; exactly one of them may roll it forward, the rest must
+    wait for the published generation, and every answer must equal the
+    rebuild-from-scratch oracle.
+    """
+    source, model = write_source(tmp_path, "dblp")
+    backend = "vector" if kernels.available() else "indexed"
+    db = open_live(source, backend=backend)
+    terms, options = DATASETS["dblp"]["terms"][0], {"limit": 10}
+    fragments = DATASETS["dblp"]["fragments"]
+    live_nearest(db, terms, options)  # index built and bound
+    before = lca_index_cache_info()
+
+    writes = [
+        ("put", "doc-a", fragments[0]),
+        ("replace", "doc-a", fragments[1]),
+        ("put", "doc-b", fragments[2]),
+        ("delete", "doc-a", None),
+        ("replace", "doc-b", fragments[0]),
+    ]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # make the threads interleave for real
+    try:
+        for op, name, xml in writes:
+            if op == "delete":
+                db.delete(name)
+                model.delete(name)
+            else:
+                getattr(db, op)(name, xml)
+                getattr(model, op)(name, xml)
+            expected = oracle_nearest(
+                # The steered walk needs no index: the counters below
+                # then belong to the database under test alone.
+                NearestConceptEngine(model.oracle_store(), backend="steered"),
+                terms,
+                options,
+            )
+            barrier = threading.Barrier(READERS)
+            answers, failures = [], []
+
+            def reader():
+                try:
+                    barrier.wait(timeout=30)
+                    answers.append(live_nearest(db, terms, options))
+                except Exception as exc:  # pragma: no cover - reporting
+                    failures.append(repr(exc))
+
+            threads = [threading.Thread(target=reader) for _ in range(READERS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures[:3]
+            assert answers == [expected] * READERS, f"after {op} {name}"
+    finally:
+        sys.setswitchinterval(switch_interval)
+        db.close()
+    after = lca_index_cache_info()
+    assert after.builds == before.builds
+    assert after.patches == before.patches + len(writes)
