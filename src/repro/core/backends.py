@@ -43,11 +43,12 @@ What follows a roll-up — drop the shard's stand-in root, the
 ``meet_X`` restriction, the all-terms filter, the ``within`` bound and
 the §4 top-k — is :func:`select_meets`, the one routine the engine, the
 shard service and the query processor all rank through.  A backend
-hands it a ``Sequence[TaggedMeet]``: a plain list gets its §4 keys
-from :func:`rank_keys` when a caller ranks or bounds on them, a
-:class:`TaggedBatch` arrives with the keys and its flat pair columns
-already computed array-wise, and only :func:`select_meets` knows the
-difference.
+hands it a ``Sequence[TaggedMeet]``: a plain list is filtered element
+by element with §4 keys from :func:`rank_keys`; a :class:`TaggedBatch`
+keeps the candidates as columns — meet OIDs, a flat pair column, an
+``(n, 4)`` key matrix — and is filtered by masks and cut by a
+partition, so only the winners ever become :class:`TaggedMeet`
+objects.  Only :func:`select_meets` knows the difference.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from bisect import bisect_right
 from typing import (
     AbstractSet,
     Dict,
-    FrozenSet,
     Hashable,
     Iterable,
     Iterator,
@@ -425,6 +425,24 @@ class IndexedBackend:
         return meets
 
 
+class _PairList(list):
+    """Pair table of a ``meet_tagged`` roll-up: the interned pair list."""
+
+    __slots__ = ()
+
+    def token_slots(self):
+        """``(token → slot, slot per pair)``, slots in first-seen order."""
+        import numpy as np
+
+        slot_of: Dict[Token, int] = {}
+        slots = np.fromiter(
+            (slot_of.setdefault(token, len(slot_of)) for token, _ in self),
+            dtype=np.int64,
+            count=len(self),
+        )
+        return slot_of, slots
+
+
 class _TermPairs:
     """Pair table of a term-hits roll-up: index → ``(term, OID)``.
 
@@ -452,37 +470,53 @@ class _TermPairs:
             int(self._columns[slot][index - self._offsets[slot]]),
         )
 
+    def token_slots(self):
+        """``(term → slot, slot per pair)``: one run per term column."""
+        import numpy as np
+
+        return (
+            {term: slot for slot, term in enumerate(self._terms)},
+            np.repeat(
+                np.arange(len(self._terms)), np.diff(self._offsets)
+            ),
+        )
+
 
 class TaggedBatch:
-    """A lazy ``Sequence[TaggedMeet]`` with precomputed ranking keys.
+    """A lazy ``Sequence[TaggedMeet]`` that stays in columns.
 
-    The vector roll-up's result, kept in flat-array form: indexing
-    materializes one real :class:`TaggedMeet` (so any element compares
-    equal to the python backends' output), while :attr:`rank_keys`
-    carries the §4 sort key per meet, computed array-wise by
-    :meth:`VectorBackend._rank_key_rows`.  :func:`select_meets` filters
-    and ranks on :attr:`oids`, :attr:`rank_keys` and the pair columns,
-    so a top-k consumer only ever touches the winners — the losers'
-    token frozensets are never built.
+    The vector roll-up's result in flat-array form: :attr:`oids` is the
+    meet OID per emitted group, and one flat pair-index column cut by
+    group bounds says which input pairs each meet covers.  Filtering,
+    the §4 keys and the top-k (:meth:`select`, reached through
+    :func:`select_meets`) are masks and sorts over those columns, so
+    the candidates a request ranks are never python objects; indexing
+    materializes one real :class:`TaggedMeet` (equal to the python
+    backends' element), which a top-k consumer does for the winners
+    only.
     """
 
     __slots__ = (
-        "_pairs", "_pair_count", "oids", "_group_pairs", "_starts",
-        "_ends", "rank_keys",
+        "_backend", "_pairs", "_pair_oids", "oids", "_group_pairs",
+        "_bounds", "_rank_keys",
     )
 
-    def __init__(self, pairs, pair_count, oids=(), group_pairs=(),
-                 starts=(), ends=(), rank_keys=()):
+    def __init__(self, backend, pairs, pair_oids, oids=None,
+                 group_pairs=None, bounds=None):
+        import numpy as np
+
+        if oids is None:
+            oids = group_pairs = np.empty(0, dtype=np.int64)
+            bounds = np.zeros(1, dtype=np.int64)
+        self._backend = backend
         self._pairs = pairs
-        self._pair_count = pair_count
+        self._pair_oids = pair_oids
         #: The meet OID per emitted group, in emission order.
-        self.oids: Sequence[int] = oids
+        self.oids = oids
+        # Group ``i`` covers the pairs group_pairs[bounds[i]:bounds[i+1]].
         self._group_pairs = group_pairs
-        self._starts = starts
-        self._ends = ends
-        #: ``(joins, spread, -depth, oid)`` per meet — exactly
-        #: :func:`rank_keys`, index-aligned.
-        self.rank_keys: Sequence[Tuple[int, int, int, int]] = rank_keys
+        self._bounds = bounds
+        self._rank_keys = None
 
     def __len__(self) -> int:
         return len(self.oids)
@@ -498,43 +532,153 @@ class TaggedBatch:
 
     __hash__ = None
 
-    def _pairs_of(self, position: int) -> List[int]:
-        return self._group_pairs[
-            self._starts[position]:self._ends[position]
-        ].tolist()
-
     def __getitem__(self, position: int) -> TaggedMeet:
         pairs = self._pairs
+        covered = self._group_pairs[
+            self._bounds[position]:self._bounds[position + 1]
+        ]
         return TaggedMeet(
-            oid=self.oids[position],
-            tokens=frozenset(
-                pairs[index] for index in self._pairs_of(position)
-            ),
+            oid=int(self.oids[position]),
+            tokens=frozenset(pairs[index] for index in covered.tolist()),
         )
 
-    def tags(self, position: int) -> FrozenSet[Token]:
-        """``self[position].tags`` without building the meet."""
-        pairs = self._pairs
-        return frozenset(
-            pairs[index][0] for index in self._pairs_of(position)
-        )
+    @property
+    def rank_keys(self):
+        """``(joins, spread, -depth, oid)`` per meet, an ``(n, 4)`` matrix.
 
-    def uncovered(self, kept: List[int]) -> List[Tuple[Token, int]]:
-        """The input pairs no meet at the ``kept`` positions covers.
+        Row for row :func:`rank_keys` of the materialized meets, but
+        computed with whole-array passes over the roll-up's columns —
+        on first use, so a caller that neither ranks nor bounds on the
+        join count never pays for it.
+        """
+        keys = self._rank_keys
+        if keys is None:
+            keys = self._rank_keys = self._compute_rank_keys()
+        return keys
+
+    def _compute_rank_keys(self):
+        import numpy as np
+
+        from ..kernels.lca import sorted_unique
+
+        group_count = len(self.oids)
+        rows = np.empty((group_count, 4), dtype=np.int64)
+        if not group_count:
+            return rows
+        kernels = self._backend.kernels
+        base = kernels.base
+        # Distinct origin OIDs per meet: one combined (group, OID) key,
+        # uniqued — groups stay contiguous and the origins inside a
+        # group come out sorted ascending.
+        group_of = np.repeat(
+            np.arange(group_count, dtype=np.int64), np.diff(self._bounds)
+        )
+        span = np.int64(len(kernels.first))
+        origin_keys = sorted_unique(
+            group_of * span + (self._pair_oids[self._group_pairs] - base)
+        )
+        origin_slots = origin_keys % span  # OID - base
+        starts = np.concatenate(
+            ([0], np.flatnonzero(np.diff(origin_keys // span)) + 1)
+        )
+        ends = np.concatenate((starts[1:], [len(origin_keys)]))
+
+        # A node's depth is its tour depth — the length of its path,
+        # which is what the summary stores per pid.
+        depth, first = kernels.depth, kernels.first
+        meet_depths = depth[first[self.oids - base]]
+        origin_depths = depth[first[origin_slots]]
+        joins = np.add.reduceat(origin_depths, starts)
+        joins -= meet_depths * (ends - starts)
+
+        # Spread = live distance between the outermost origins (§4),
+        # which sit at the group edges.  With tombstones, the dead
+        # nodes below each endpoint are subtracted via the store's
+        # prefix table (live_position), read fresh: a delete adds
+        # tombstones without touching any column cached here.
+        lows = origin_slots[starts] + base
+        highs = origin_slots[ends - 1] + base
+        tomb_starts, dead_prefix = self._backend.store.tombstone_table()
+        if tomb_starts:
+            tomb = np.asarray(tomb_starts, dtype=np.int64)
+            dead = np.asarray(dead_prefix, dtype=np.int64)
+            highs = highs - dead[np.searchsorted(tomb, highs, side="right")]
+            lows = lows - dead[np.searchsorted(tomb, lows, side="right")]
+
+        rows[:, 0] = joins
+        rows[:, 1] = highs - lows
+        rows[:, 2] = -meet_depths
+        rows[:, 3] = self.oids
+        return rows
+
+    def uncovered(self, keep) -> List[Tuple[Token, int]]:
+        """The input pairs no meet under the ``keep`` mask covers.
 
         One boolean mask over the flat pair column; only the uncovered
         pairs become python objects.
         """
         import numpy as np
 
-        covered = np.zeros(self._pair_count, dtype=bool)
-        if len(kept):
-            keep = np.zeros(len(self.oids), dtype=bool)
-            keep[kept] = True
-            lengths = np.subtract(self._ends, self._starts)
-            covered[self._group_pairs[np.repeat(keep, lengths)]] = True
+        covered = np.zeros(len(self._pair_oids), dtype=bool)
+        covered[
+            self._group_pairs[np.repeat(keep, np.diff(self._bounds))]
+        ] = True
         pairs = self._pairs
-        return [pairs[index] for index in np.nonzero(~covered)[0].tolist()]
+        return [pairs[index] for index in np.flatnonzero(~covered).tolist()]
+
+    def _covers(self, wanted: AbstractSet[Token]):
+        """Mask of the meets whose tags include every ``wanted`` token."""
+        import numpy as np
+
+        slot_of, pair_slots = self._pairs.token_slots()
+        covers = np.ones(len(self.oids), dtype=bool)
+        group_slots = pair_slots[self._group_pairs]
+        starts = self._bounds[:-1]
+        for token in wanted:
+            slot = slot_of.get(token)
+            if slot is None:
+                covers[:] = False
+                break
+            covers &= np.logical_or.reduceat(group_slots == slot, starts)
+        return covers
+
+    def select(self, *, drop_oid, excluded, wanted, within, limit, ranked):
+        """:func:`select_meets` over the columns: masks, then top-k.
+
+        The winners come from ``np.partition`` on the join count plus
+        an exact ``np.lexsort`` of the rows tied with or better than
+        the cut; the key ends in the OID, a strict total order, so that
+        equals sorting everything and truncating.
+        """
+        import numpy as np
+
+        keep = np.ones(len(self.oids), dtype=bool)
+        residue = None
+        if drop_oid is not None:
+            keep = self.oids != drop_oid
+            residue = self.uncovered(keep)
+        if excluded and len(keep):  # an empty batch never binds the index
+            kernels = self._backend.kernels
+            pids = kernels.pids()[self.oids - kernels.base]
+            keep &= ~np.isin(
+                pids, np.fromiter(excluded, np.int64, len(excluded))
+            )
+        if wanted is not None:
+            keep &= self._covers(wanted)
+        if within is not None:
+            keep &= self.rank_keys[:, 0] <= within
+        chosen = np.flatnonzero(keep)
+        if ranked:
+            if limit is not None and limit < len(chosen):
+                if limit <= 0:
+                    return [], residue
+                joins = self.rank_keys[chosen, 0]
+                cut = np.partition(joins, limit - 1)[limit - 1]
+                chosen = chosen[joins <= cut]
+            # lexsort's last key is the primary one: joins first.
+            order = np.lexsort(self.rank_keys[chosen].T[::-1])
+            chosen = chosen[order[:limit]]
+        return chosen.tolist(), residue
 
 
 def rank_keys(
@@ -545,7 +689,7 @@ def rank_keys(
     Equal to :meth:`NearestConcept.sort_key` of the annotated meet,
     without the annotation: summary depths and the live spread between
     the outermost origins.  The python counterpart (and test oracle) of
-    :meth:`VectorBackend._rank_key_rows`.
+    :attr:`TaggedBatch.rank_keys`.
     """
     pid_of = store.pid_of
     depth_of_pid = store.summary.depth
@@ -571,7 +715,7 @@ def rank_keys(
 def meet_oids(results: Sequence[TaggedMeet]) -> List[int]:
     """The meet OID per result, without materializing a batch's meets."""
     if isinstance(results, TaggedBatch):
-        return results.oids
+        return results.oids.tolist()
     return [result.oid for result in results]
 
 
@@ -605,36 +749,33 @@ def select_meets(
        ``limit`` (a strict total order, so top-k selection equals
        sort-then-truncate); without it, in emission order.
 
-    Keys are read off a :class:`TaggedBatch` and computed by
-    :func:`rank_keys` otherwise — over the survivors, and only when
-    ``within`` or ``ranked`` needs them.
+    One branch per input kind.  A :class:`TaggedBatch` (the vector
+    backend) does all of this on its columns (:meth:`TaggedBatch.select`)
+    and no candidate becomes a python object.  A list (the python
+    backends, and the oracle the batch is tested against) is filtered
+    element-wise, with keys from :func:`rank_keys` — over the
+    survivors, and only when ``within`` or ``ranked`` needs them.
     """
-    batch = isinstance(results, TaggedBatch)
-    oids = meet_oids(results)
-    kept: Sequence[int] = range(len(oids))
+    if isinstance(results, TaggedBatch):
+        return results.select(
+            drop_oid=drop_oid, excluded=excluded, wanted=wanted,
+            within=within, limit=limit, ranked=ranked,
+        )
+    kept: Sequence[int] = range(len(results))
     residue = None
     if drop_oid is not None:
-        kept = [i for i in kept if oids[i] != drop_oid]
-        if batch:
-            residue = results.uncovered(kept)
-        else:
-            covered = set().union(*(results[i].tokens for i in kept))
-            residue = [
-                pair for pair in dict.fromkeys(pairs) if pair not in covered
-            ]
+        kept = [i for i in kept if results[i].oid != drop_oid]
+        covered = set().union(*(results[i].tokens for i in kept))
+        residue = [
+            pair for pair in dict.fromkeys(pairs) if pair not in covered
+        ]
     if excluded:
         pid_of = store.pid_of
-        kept = [i for i in kept if pid_of(oids[i]) not in excluded]
+        kept = [i for i in kept if pid_of(results[i].oid) not in excluded]
     if wanted is not None:
-        tags = results.tags if batch else (lambda i: results[i].tags)
-        kept = [i for i in kept if tags(i) >= wanted]
+        kept = [i for i in kept if results[i].tags >= wanted]
     if within is not None or ranked:
-        if batch:
-            keys = results.rank_keys
-        else:
-            keys = dict(
-                zip(kept, rank_keys(store, (results[i] for i in kept)))
-            )
+        keys = dict(zip(kept, rank_keys(store, (results[i] for i in kept))))
         if within is not None:
             kept = [i for i in kept if keys[i][0] <= within]
         if ranked and limit is not None and limit < len(kept):
@@ -703,11 +844,9 @@ class VectorBackend(IndexedBackend):
         """
         import numpy as np
 
-        pairs: List[Tuple[Token, int]] = list(dict.fromkeys(
+        pairs = _PairList(dict.fromkeys(
             (token, oid) for token, oid in tagged
         ))
-        if not pairs:
-            return TaggedBatch((), 0)
         pair_oids = np.fromiter(
             (oid for _, oid in pairs), dtype=np.int64, count=len(pairs)
         )
@@ -729,9 +868,9 @@ class VectorBackend(IndexedBackend):
             if len(column):
                 terms.append(term)
                 columns.append(column)
-        if not columns:
-            return TaggedBatch((), 0)
-        pair_oids = columns[0] if len(columns) == 1 else np.concatenate(columns)
+        pair_oids = (
+            np.concatenate(columns) if columns else np.empty(0, np.int64)
+        )
         return self._roll_up(_TermPairs(terms, columns), pair_oids)
 
     def _roll_up(self, pairs, pair_oids) -> "TaggedBatch":
@@ -739,114 +878,20 @@ class VectorBackend(IndexedBackend):
 
         from ..kernels.rollup import rollup_tagged
 
-        order, emitted, group_pairs, boundaries = rollup_tagged(
-            self.kernels, pair_oids
-        )
-        if not len(emitted):
-            return TaggedBatch(pairs, len(pair_oids))
-        keys = self._rank_key_rows(order, emitted, pair_oids, group_pairs,
-                                   boundaries)
-        return TaggedBatch(
-            pairs,
-            len(pair_oids),
-            order[emitted].tolist(),
-            group_pairs,
-            np.concatenate(([0], boundaries)).tolist(),
-            np.concatenate((boundaries, [len(group_pairs)])).tolist(),
-            keys,
-        )
-
-    def _rank_key_rows(self, order, emitted, pair_oids, group_pairs,
-                       boundaries) -> List[Tuple[int, int, int, int]]:
-        """The engine's §4 sort keys for every emitted meet, array-wise.
-
-        Byte-identical to :func:`rank_keys` —
-        ``(joins, spread, -depth, oid)`` with summary depths and
-        live-node spreads — but computed with five whole-array passes
-        while the roll-up's flat arrays are still in hand, instead of
-        one python loop per meet over its origin frozenset.
-        """
-        import numpy as np
-
-        from ..kernels.lca import sorted_unique
-
-        store = self.store
-        first = store.first_oid
-        pid_column, depth_by_pid = self._rank_columns()
-
-        # Distinct origin OIDs per emitted meet: one combined
-        # (group, OID) key, uniqued — groups stay contiguous and the
-        # origins inside a group come out sorted ascending.
-        group_count = len(emitted)
-        lengths = np.diff(
-            np.concatenate(([0], boundaries, [len(group_pairs)]))
-        )
-        group_of = np.repeat(
-            np.arange(group_count, dtype=np.int64), lengths
-        )
-        span = np.int64(store.node_count)
-        origin_keys = sorted_unique(
-            group_of * span + (pair_oids[group_pairs] - first)
-        )
-        origin_groups = origin_keys // span
-        origin_oids = origin_keys % span  # still OID - first_oid
-        starts = np.concatenate(
-            ([0], np.nonzero(np.diff(origin_groups))[0] + 1)
-        )
-        counts = np.diff(np.concatenate((starts, [len(origin_keys)])))
-
-        meet_oids = order[emitted]
-        meet_depths = depth_by_pid[pid_column[meet_oids - first]]
-        origin_depths = depth_by_pid[pid_column[origin_oids]]
-        joins = np.add.reduceat(origin_depths, starts) - meet_depths * counts
-
-        # Spread = live distance between the outermost origins (§4);
-        # origins are sorted within a group, so they sit at the group
-        # edges.  With tombstones, dead nodes below each endpoint are
-        # subtracted via the store's prefix table (live_position).
-        lows = origin_oids[starts] + first
-        highs = origin_oids[starts + counts - 1] + first
-        tomb_starts, dead_prefix = store.tombstone_table()
-        if tomb_starts:
-            tomb = np.asarray(tomb_starts, dtype=np.int64)
-            dead = np.asarray(dead_prefix, dtype=np.int64)
-            spreads = (
-                highs - dead[np.searchsorted(tomb, highs, side="right")]
-            ) - (lows - dead[np.searchsorted(tomb, lows, side="right")])
-        else:
-            spreads = highs - lows
-
-        rows = np.empty((group_count, 4), dtype=np.int64)
-        rows[:, 0] = joins
-        rows[:, 1] = spreads
-        rows[:, 2] = -meet_depths
-        rows[:, 3] = meet_oids
-        return list(map(tuple, rows.tolist()))
-
-    def _rank_columns(self):
-        """(pid column, depth-by-pid) as int64 arrays, generation-keyed.
-
-        The store's dense pid column is a plain python list; copying it
-        into an array once per generation keeps the per-query key pass
-        free of per-element conversions.  Tombstones are *not* cached
-        here — deletes may add them without touching these columns —
-        so :meth:`_rank_key_rows` reads the prefix table fresh.
-        """
-        import numpy as np
-
-        store = self.store
-        cached = getattr(self, "_rank_columns_cache", None)
-        if cached is not None and cached[0] == store.generation:
-            return cached[1], cached[2]
-        pid_column = np.asarray(store.dense_columns()[0], dtype=np.int64)
-        summary = store.summary
-        depth_by_pid = np.fromiter(
-            (summary.depth(pid) for pid in range(len(summary))),
-            dtype=np.int64,
-            count=len(summary),
-        )
-        self._rank_columns_cache = (store.generation, pid_column, depth_by_pid)
-        return pid_column, depth_by_pid
+        if len(pair_oids):
+            order, emitted, group_pairs, boundaries = rollup_tagged(
+                self.kernels, pair_oids
+            )
+            if len(emitted):
+                return TaggedBatch(
+                    self,
+                    pairs,
+                    pair_oids,
+                    order[emitted],
+                    group_pairs,
+                    np.concatenate(([0], boundaries, [len(group_pairs)])),
+                )
+        return TaggedBatch(self, pairs, pair_oids)
 
     def meet_sets(
         self, left: Iterable[int], right: Iterable[int]

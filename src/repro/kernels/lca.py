@@ -22,7 +22,7 @@ Two vectorization facts carry the module:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,6 +124,7 @@ class LcaKernels:
         "last",
         "log",
         "table",
+        "_pids",
     )
 
     def __init__(self, index):
@@ -145,6 +146,23 @@ class LcaKernels:
         for exponent, row in enumerate(rows):
             table[exponent, : len(row)] = row
         self.table = table
+        self._pids = np.empty(0, dtype=_INT64)
+
+    def pids(self) -> np.ndarray:
+        """The store's dense OID → pid column as an array.
+
+        The store keeps it as a python list that a put extends and
+        nothing else changes (a delete only adds tombstones; a
+        compaction makes a new store, hence new kernels), so the copy
+        made on first use is caught up at the tail.
+        """
+        column = self.index.store.dense_columns()[0]
+        known = len(self._pids)
+        if known < len(column):
+            grown = _regrown(self._pids, (len(column),))
+            grown[known:] = column[known:]
+            self._pids = grown
+        return self._pids
 
     def follow(self, dropped: Iterable[Tuple[int, int]]) -> None:
         """Catch up with an index that was just rolled forward.
@@ -237,7 +255,7 @@ class LcaKernels:
 
     # -- auxiliary (virtual) tree ---------------------------------------
     def auxiliary_tree(
-        self, oids: np.ndarray
+        self, oids: np.ndarray, firsts: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized :meth:`LcaIndex.auxiliary_tree_arrays`.
 
@@ -247,8 +265,12 @@ class LcaKernels:
         *position* (−1 at the root).  Candidate-set closure under LCA
         makes ``parent(c_i) = lca(c_{i-1}, c_i)``, so parents come
         from one more batched RMQ instead of a python stack walk.
+        A caller that already holds ``first_positions(oids)`` passes
+        it as ``firsts``.
         """
-        input_firsts = sorted_unique(self.first_positions(oids))
+        if firsts is None:
+            firsts = self.first_positions(oids)
+        input_firsts = sorted_unique(firsts)
         if len(input_firsts) > 1:
             neighbour_pos = self.rmq_positions(input_firsts[:-1], input_firsts[1:])
             neighbour_firsts = self.first[self.tour[neighbour_pos] - self.base]

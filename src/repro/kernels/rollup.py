@@ -5,8 +5,12 @@ The pure-python roll-ups (:meth:`IndexedBackend.meet_tagged`,
 pre-order, one node at a time.  Both walks are really level-wise
 dataflow on the auxiliary tree — a node's state depends only on its
 (strictly deeper) auxiliary children — so they vectorize as a handful
-of whole-array passes per auxiliary *level* (tree depth, not node
-count, bounds the python-level loop):
+of whole-array passes per *level* (tree depth, not node count, bounds
+the python-level loop).  The levels are the candidates' *document*
+depths, read off the Euler tour with one gather: an auxiliary child is
+strictly deeper in the document than its auxiliary parent, so a
+deepest-first pass over them visits children before parents without
+ever computing depths inside the auxiliary tree.
 
 * tagged roll-up (Fig. 5): a node accumulating ≥ 2 (token, OID) pairs
   emits and stops propagating, so everything travelling upward is a
@@ -29,17 +33,34 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .lca import LcaKernels, tree_depths
+from .lca import LcaKernels
 
 __all__ = ["rollup_tagged", "rollup_sets"]
 
 _INT64 = np.int64
 
 
-def _levels(depth: np.ndarray):
-    """Positions grouped by depth: (sorted positions, sorted depths)."""
-    by_depth = np.argsort(depth, kind="stable")
-    return by_depth, depth[by_depth]
+def _depth_key(depth: np.ndarray) -> np.ndarray:
+    """``depth`` as the narrowest sort key that holds it.
+
+    NumPy's stable ``argsort`` is a radix sort on 16-bit integers and a
+    merge sort on wider ones (over ten times slower on the few thousand
+    candidates of a request); the order is the same either way.
+    """
+    if depth.max(initial=0) < 1 << 15:
+        return depth.astype(np.int16)
+    return depth
+
+
+def _levels(depth: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Positions grouped by depth, shallowest level first.
+
+    Returns ``(by_depth, bounds)``: level ``k`` is
+    ``by_depth[bounds[k]:bounds[k + 1]]``.
+    """
+    by_depth = np.argsort(_depth_key(depth), kind="stable")
+    cuts = np.flatnonzero(np.diff(depth[by_depth])) + 1
+    return by_depth, [0, *cuts.tolist(), len(depth)]
 
 
 def rollup_tagged(
@@ -56,11 +77,12 @@ def rollup_tagged(
     — flat + boundaries instead of ``np.split`` so no per-group
     subarray is ever created.
     """
-    order, order_firsts, parent_index = kernels.auxiliary_tree(pair_oids)
-    size = len(order)
-    pair_positions = np.searchsorted(
-        order_firsts, kernels.first_positions(pair_oids)
+    pair_firsts = kernels.first_positions(pair_oids)
+    order, order_firsts, parent_index = kernels.auxiliary_tree(
+        pair_oids, pair_firsts
     )
+    size = len(order)
+    pair_positions = np.searchsorted(order_firsts, pair_firsts)
     own_count = np.bincount(pair_positions, minlength=size)
     count = own_count.astype(_INT64)
     # The lone pending pair per position; positions holding ≥ 2 own
@@ -71,12 +93,11 @@ def rollup_tagged(
     contribution_targets: List[np.ndarray] = [pair_positions]
     contribution_pairs: List[np.ndarray] = [np.arange(len(pair_oids))]
 
-    depth = tree_depths(parent_index)
-    by_depth, sorted_depths = _levels(depth)
-    for level in range(int(depth.max(initial=0)), 0, -1):
-        lo = np.searchsorted(sorted_depths, level, "left")
-        hi = np.searchsorted(sorted_depths, level, "right")
-        positions = by_depth[lo:hi]
+    # The shallowest level is the auxiliary root alone (every other
+    # candidate lies strictly below it): nothing to send to.
+    by_depth, bounds = _levels(kernels.depth[order_firsts])
+    for level in range(len(bounds) - 2, 0, -1):
+        positions = by_depth[bounds[level]:bounds[level + 1]]
         # Exactly the nodes whose accumulated pair is a singleton
         # propagate (emitted nodes stop; empty nodes have nothing).
         senders = positions[count[positions] == 1]
@@ -125,22 +146,20 @@ def rollup_sets(
     split per position by the boundary offsets — within a position the
     indexes ascend, i.e. the python walk's bit order.
     """
-    order, order_firsts, parent_index = kernels.auxiliary_tree(inputs)
-    size = len(order)
-    input_positions = np.searchsorted(
-        order_firsts, kernels.first_positions(inputs)
+    input_firsts = kernels.first_positions(inputs)
+    order, order_firsts, parent_index = kernels.auxiliary_tree(
+        inputs, input_firsts
     )
+    size = len(order)
+    input_positions = np.searchsorted(order_firsts, input_firsts)
     left_count = np.bincount(input_positions[in_left], minlength=size)
     right_count = np.bincount(input_positions[in_right], minlength=size)
 
-    depth = tree_depths(parent_index)
-    by_depth, sorted_depths = _levels(depth)
-    max_level = int(depth.max(initial=0))
-    # Bottom-up: non-emitting nodes forward both side counts upward.
-    for level in range(max_level, 0, -1):
-        lo = np.searchsorted(sorted_depths, level, "left")
-        hi = np.searchsorted(sorted_depths, level, "right")
-        positions = by_depth[lo:hi]
+    by_depth, bounds = _levels(kernels.depth[order_firsts])
+    # Bottom-up: non-emitting nodes forward both side counts upward
+    # (level 0 is the auxiliary root alone, which has no parent).
+    for level in range(len(bounds) - 2, 0, -1):
+        positions = by_depth[bounds[level]:bounds[level + 1]]
         lefts = left_count[positions]
         rights = right_count[positions]
         forwarding = positions[
@@ -156,10 +175,8 @@ def rollup_sets(
     # Top-down: every position's nearest emitting ancestor-or-self —
     # exactly where an input's origin bit comes to rest.
     nearest_emitter = np.full(size, -1, dtype=_INT64)
-    for level in range(0, max_level + 1):
-        lo = np.searchsorted(sorted_depths, level, "left")
-        hi = np.searchsorted(sorted_depths, level, "right")
-        positions = by_depth[lo:hi]
+    for level in range(len(bounds) - 1):
+        positions = by_depth[bounds[level]:bounds[level + 1]]
         parents = parent_index[positions]
         inherited = np.where(parents >= 0, nearest_emitter[parents], -1)
         nearest_emitter[positions] = np.where(

@@ -14,6 +14,8 @@ OID → pid column; this class supplies the pid side.
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..datamodel.errors import UnknownPathError
@@ -52,9 +54,13 @@ class PathSummary:
         self._pids[path] = pid
         self._parents.append(parent_pid)
         self._depths.append(len(path))
+        self._adopt(parent_pid, pid)
+        return pid
+
+    def _adopt(self, parent_pid: int, pid: int) -> None:
+        """Record the newly interned ``pid`` as a child of its parent."""
         self._children.append([])
         self._children[parent_pid].append(pid)
-        return pid
 
     def pid(self, path: Path) -> int:
         """The pid of an already-interned path.
@@ -152,7 +158,7 @@ class PathSummary:
                     order.append(pid)
                 continue
             stack.append((pid, True))
-            for child in reversed(self._children[pid]):
+            for child in reversed(self.children(pid)):
                 stack.append((child, False))
         return order
 
@@ -179,6 +185,13 @@ class ColumnarPathSummary(PathSummary):
     prefixes), and the first *path-keyed* operation (``pid()``,
     ``intern()``, ``in``) pays a one-off full materialization of the
     path → pid dictionary.
+
+    Children are two flat columns (per-pid offsets into one child-pid
+    column, both in pid order) rather than a list per pid: a summary
+    of 100k paths then adds two objects to what the cyclic collector
+    walks on every full pass, not 100k.  Pids interned after the load
+    are larger than every loaded pid, so they go to a small overflow
+    dict and still come out last.
     """
 
     def __init__(
@@ -197,7 +210,7 @@ class ColumnarPathSummary(PathSummary):
         attr_flags: List[bool] = [False]
         attr_flags.extend(bool(kind) for kind in kinds)
         depths = [0] * count
-        children: List[List[int]] = [[] for _ in range(count)]
+        child_counts = [0] * count
         for pid in range(1, count):
             parent = parent_column[pid]
             if not 0 <= parent < pid:
@@ -205,12 +218,19 @@ class ColumnarPathSummary(PathSummary):
                     f"summary parent {parent} out of order at pid {pid}"
                 )
             depths[pid] = depths[parent] + 1
-            children[parent].append(pid)
+            child_counts[parent] += 1
         self._parents = parent_column
         self._labels = label_column
         self._attr_flags = attr_flags
         self._depths = depths
-        self._children = children
+        # The children of ``pid`` are
+        # _child_pids[_child_offsets[pid]:_child_offsets[pid + 1]]; the
+        # stable sort by parent keeps every run in pid order.
+        self._child_offsets = array("q", accumulate(child_counts, initial=0))
+        self._child_pids = array(
+            "q", sorted(range(1, count), key=parent_column.__getitem__)
+        )
+        self._late_children: Dict[int, List[int]] = {}
         empty = Path()
         self._paths = [empty] + [None] * (count - 1)  # type: ignore[list-item]
         self._pids = {empty: 0}
@@ -249,6 +269,17 @@ class ColumnarPathSummary(PathSummary):
         for pid in range(self._indexed_upto, count):
             pids[self.path(pid)] = pid
         self._indexed_upto = count
+
+    # -- children -------------------------------------------------------
+    def children(self, pid: int) -> Tuple[int, ...]:
+        late = self._late_children.get(pid, ())
+        offsets = self._child_offsets
+        if pid + 1 >= len(offsets):  # interned after the load
+            return tuple(late)
+        return (*self._child_pids[offsets[pid]:offsets[pid + 1]], *late)
+
+    def _adopt(self, parent_pid: int, pid: int) -> None:
+        self._late_children.setdefault(parent_pid, []).append(pid)
 
     # -- overrides touching lazy state ----------------------------------
     def label(self, pid: int) -> str:

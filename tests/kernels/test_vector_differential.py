@@ -132,13 +132,14 @@ def test_ranking_keys_identical(tmp_path, dataset):
 
 @pytest.mark.parametrize("dataset", list(DATASETS))
 def test_batch_rank_keys_match_engine(tmp_path, dataset):
-    """The TaggedBatch's precomputed keys == the engine's python keys.
+    """The TaggedBatch's key matrix == the engine's python keys.
 
-    ``meet_term_hits`` returns a lazy batch whose ``rank_keys`` were
-    computed array-wise (summary depths, live spreads, reduceat
-    joins); they must equal the one python key function
-    (:func:`repro.core.backends.rank_keys`) element-for-element and index-aligned, and each lazily
-    materialized element must equal the eager ``meet_tagged`` output.
+    ``meet_term_hits`` returns a lazy batch whose ``rank_keys`` is an
+    ``(n, 4)`` matrix computed array-wise (tour depths, live spreads,
+    reduceat joins); its rows must equal the one python key function
+    (:func:`repro.core.backends.rank_keys`) row for row and
+    index-aligned, and each lazily materialized element must equal the
+    eager ``meet_tagged`` output.
     """
     source, model = write_source(tmp_path, dataset)
     store = model.oracle_store()
@@ -149,7 +150,10 @@ def test_batch_rank_keys_match_engine(tmp_path, dataset):
             (term, engine.term_hits(term)) for term in dict.fromkeys(terms)
         )
         results = list(batch)
-        assert batch.rank_keys == rank_keys(store, results)
+        assert batch.rank_keys.shape == (len(results), 4)
+        assert batch.rank_keys.tolist() == [
+            list(key) for key in rank_keys(store, results)
+        ]
         tagged = [
             (term, oid)
             for term in dict.fromkeys(terms)

@@ -124,3 +124,46 @@ class TestTraversals:
         order = summary.pids_by_depth_desc()
         depths = [summary.depth(pid) for pid in order]
         assert depths == sorted(depths, reverse=True)
+
+
+class TestColumnarChildren:
+    """The snapshot loader's summary answers children from flat columns."""
+
+    @staticmethod
+    def columnar(summary):
+        from repro.monet.pathsummary import ColumnarPathSummary
+
+        pids = list(summary.pids())
+        return ColumnarPathSummary(
+            [summary.parent(pid) for pid in pids],
+            [summary.label(pid) for pid in pids],
+            [int(summary.is_attribute(pid)) for pid in pids],
+        )
+
+    def test_children_and_postorder_match_the_interned_summary(self, summary):
+        columnar = self.columnar(summary)
+        for pid in range(len(summary)):
+            assert columnar.children(pid) == summary.children(pid)
+        assert columnar.postorder() == summary.postorder()
+
+    def test_paths_interned_after_the_load_come_last_in_pid_order(self, summary):
+        columnar = self.columnar(summary)
+        late = ("bib/article/title", "bib/book/title", "bib/book@key", "bib/zine")
+        for text in late:
+            assert columnar.intern(Path.parse(text)) == summary.intern(
+                Path.parse(text)
+            )
+        assert len(columnar) == len(summary)
+        for pid in range(len(summary)):
+            children = columnar.children(pid)
+            assert children == summary.children(pid)
+            assert list(children) == sorted(children)
+        assert columnar.postorder() == summary.postorder()
+
+    def test_no_list_per_pid(self, summary):
+        """Two flat columns and an overflow dict, whatever the path count."""
+        columnar = self.columnar(summary)
+        assert not hasattr(columnar, "_children")
+        assert len(columnar._child_pids) == len(summary) - 1
+        assert len(columnar._child_offsets) == len(summary) + 1
+        assert columnar._late_children == {}
