@@ -1,4 +1,4 @@
-"""Euler-tour + sparse-table RMQ LCA (the classic offline-preprocessing
+"""Euler-tour + (sampled) sparse-table RMQ LCA (the classic offline-preprocessing
 answer to the LCA problem the paper cites as refs. [4, 5]).
 
 Historically this lived here as a baseline-only oracle.  It has been

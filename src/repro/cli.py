@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also read every bundle and report payload bytes per "
         "section group (core columns, lca, fulltext, value-index, "
-        "deltas)",
+        "deltas) and per section, integer columns with their item width",
     )
 
     snap_drop = snap_sub.add_parser("drop", help="remove a catalog collection")
@@ -1001,23 +1001,27 @@ _SECTION_GROUPS = {
 }
 
 
-def _section_breakdown(paths: Sequence[FsPath]) -> Dict[str, int]:
-    """Payload bytes per section group, summed across shard bundles.
+def _section_breakdown(paths: Sequence[FsPath]) -> Dict[str, list]:
+    """``[group, payload bytes, item type]`` per section, in file order,
+    summed across shard bundles.
 
     Groups follow the section-name prefixes (``lca/``, ``ft/``,
     ``vx/``, ``delta/``); everything unprefixed — the dense columns,
-    string tables, path summary and meta — counts as ``core``.
+    string tables, path summary and meta — counts as ``core``.  The
+    item type is ``int32``/``int64`` for an integer column, else empty.
     """
+    from .snapshot.codec import item_widths
     from .snapshot.format import SnapshotReader
 
-    totals: Dict[str, int] = {}
+    rows: Dict[str, list] = {}
     for path in paths:
         reader = SnapshotReader.open(path, tolerate_torn_tail=True)
+        widths = item_widths(reader)
         for section, length in reader.section_sizes().items():
             group = _SECTION_GROUPS.get(section.split("/", 1)[0], "core")
-            totals[group] = totals.get(group, 0) + length
-    order = ["core", "lca", "fulltext", "value-index", "deltas"]
-    return {group: totals[group] for group in order if group in totals}
+            kind = f"int{8 * widths[section]}" if section in widths else ""
+            rows.setdefault(section, [group, 0, kind])[1] += length
+    return rows
 
 
 def _snapshot_ls(args) -> int:
@@ -1050,13 +1054,14 @@ def _snapshot_ls(args) -> int:
                 paths = catalog.shard_files(name)
             else:
                 paths = [catalog.bundle_path(name)]
-            breakdown = _section_breakdown(
-                [path for path in paths if path.exists()]
-            )
-            detail = "  ".join(
-                f"{group}={size}" for group, size in breakdown.items()
-            )
+            rows = _section_breakdown([path for path in paths if path.exists()])
+            totals: Dict[str, int] = {}
+            for group, size, _ in rows.values():
+                totals[group] = totals.get(group, 0) + size
+            detail = "  ".join(f"{group}={size}" for group, size in totals.items())
             print(f"    sections: {detail or '-'}")
+            for section, (_, size, kind) in rows.items():
+                print(f"      {section:<18} {size:>10}  {kind}".rstrip())
     return 0
 
 

@@ -11,7 +11,7 @@ ancestor(s) of some hit nodes, plus distances".  This module makes
   distance, so traces stay meaningful.  This is the default and the
   reference semantics.
 
-* :class:`IndexedBackend` — a per-store Euler-tour + sparse-table
+* :class:`IndexedBackend` — a per-store Euler-tour range-minimum
   index (:mod:`repro.core.lca_index`) built once and cached, giving
   O(1) pairwise meets and distances.  Set-wise and n-ary meets run the
   *same bottom-up roll-up contract* as Figs. 4/5, but over the
@@ -28,7 +28,7 @@ ancestor(s) of some hit nodes, plus distances".  This module makes
 Choosing: for one ad-hoc query the steered walk wins — no index
 build, and you get the paper's join-count trace for free.  For query
 *volumes* (servers, benchmarks, ranking thousands of hit pairs) the
-indexed backend amortizes one O(n log n) build into O(1) queries; see
+indexed backend amortizes one O(n) build into O(1) queries; see
 ``benchmarks/bench_backends.py`` for the crossover.
 
 The seam is threaded everywhere structural queries happen: the module
@@ -237,8 +237,8 @@ class IndexedBackend:
     The underlying :class:`~repro.core.lca_index.LcaIndex` is fetched
     through the per-store cache on every operation, which keeps one
     index per store current: after a live write it is rolled forward
-    from the mutation journal (the tour and sparse table grow at the
-    tail), and only a store the journal cannot bridge — a new store
+    from the mutation journal (the tour and its derived table grow at
+    the tail), and only a store the journal cannot bridge — a new store
     object, a bare :meth:`MonetXML.invalidate_caches` — gets a newly
     built one.
     """
@@ -588,7 +588,7 @@ class TaggedBatch:
         depth, first = kernels.depth, kernels.first
         meet_depths = depth[first[self.oids - base]]
         origin_depths = depth[first[origin_slots]]
-        joins = np.add.reduceat(origin_depths, starts)
+        joins = np.add.reduceat(origin_depths, starts, dtype=np.int64)
         joins -= meet_depths * (ends - starts)
 
         # Spread = live distance between the outermost origins (§4),
@@ -792,7 +792,7 @@ class VectorBackend(IndexedBackend):
     :class:`IndexedBackend` — the differential suite holds them
     byte-identical — but every batched operation (``meet_many``, the
     Fig. 4/5 roll-ups) runs as whole-array passes over zero-copy
-    ``int64`` views of the index columns (:mod:`repro.kernels`)
+    views of the index columns (:mod:`repro.kernels`)
     instead of python-level per-element loops.  Only instantiate via
     :func:`resolve_backend`, which degrades a ``"vector"`` request to
     :class:`IndexedBackend` (with a warning) when NumPy is missing; scalar

@@ -1,5 +1,5 @@
-"""Precomputed Euler-tour + sparse-table LCA index (the backend seam's
-fast path).
+"""Precomputed Euler-tour + sampled-sparse-table LCA index (the backend
+seam's fast path).
 
 The paper's ``meet₂`` (Fig. 3) deliberately avoids preprocessing: its
 per-query cost *is* the distance, which doubles as the §4 ranking
@@ -7,29 +7,41 @@ signal, and nothing beyond the Monet transform is needed.  That trade
 is right for one ad-hoc query — and wrong for a server answering
 thousands of nearest-concept queries against one loaded store.  This
 module provides the classic offline answer the paper cites as refs.
-[4, 5]: an Euler tour of the instance tree plus a sparse table over
-tour depths gives O(1) LCA and O(1) depth-based distance
+[4, 5]: an Euler tour of the instance tree plus a range-minimum
+structure over tour depths gives O(1) LCA and O(1) depth-based distance
 
     d(o₁, o₂) = depth(o₁) + depth(o₂) − 2·depth(lca)
 
-after O(n log n) preprocessing.  :class:`~repro.core.backends.IndexedBackend`
-builds one :class:`LcaIndex` per store and reuses it across every
-pairwise, set-wise and n-ary meet; :func:`get_lca_index` caches the
-index per store and *maintains* it across live writes the way the
-full-text and value indexes are maintained: a stale generation is
-bridged with the store's mutation journal
-(:func:`repro.monet.mutate.journal_chain`) instead of a rebuild.
+after O(n) preprocessing.  The index *is* four flat ``int32`` columns —
+the tour, its depths and the dense first/last tour position per OID —
+and they are all a snapshot bundle stores.  The range-minimum structure
+is derived from the depth column and never persisted: a **sampled
+sparse table** that keeps levels 0‥4 (windows of 1‥16 tour steps) for
+every position as one-byte offsets, and the levels from 4 up only at
+every 16th position.  A range shorter than 32 steps is the textbook
+two-window query on the dense levels; a longer one is its two 16-step
+end windows plus the textbook query over the 16-aligned interior on the
+sampled levels — about 6 bytes per tour step where the full table took
+8·log₂(tour).
+
+:class:`~repro.core.backends.IndexedBackend` builds one
+:class:`LcaIndex` per store and reuses it across every pairwise,
+set-wise and n-ary meet; :func:`get_lca_index` caches the index per
+store and *maintains* it across live writes the way the full-text and
+value indexes are maintained: a stale generation is bridged with the
+store's mutation journal (:func:`repro.monet.mutate.journal_chain`)
+instead of a rebuild.
 
 That works because the tour is append-only under the write path.
 ``put_document`` hangs one contiguous pre-order OID run under the root
 as its last child, so the tour only grows at its tail (the new
-sub-tree's tour, then the root again), every sparse-table cell
-``[k][i]`` already filled stays valid, and a put adds O(Δ) cells per
-level — O(Δ log n) in all.  A delete only drops the span's
-``first``/``last`` entries: the tombstoned document stays in the tour,
-where no live pair's range minimum can land (a range between two live
-nodes that crosses a dead sub-tree also crosses the root entries
-around it, which are shallower), and its OIDs raise
+sub-tree's tour, then the root again), every table cell already filled
+stays valid (a cell covers a window that *starts* at its position), and
+a put adds O(Δ) cells.  A delete only blanks the span's ``first``/
+``last`` slots: the tombstoned document stays in the tour, where no
+live pair's range minimum can land (a range between two live nodes that
+crosses a dead sub-tree also crosses the root entries around it, which
+are shallower), and its OIDs raise
 :class:`~repro.datamodel.errors.UnknownOIDError` like any unknown OID.
 The full build is the same routine run once over the whole store from
 an empty index; it is what a store without a bridging journal chain
@@ -46,6 +58,7 @@ hit sets without touching the full instance tree.
 from __future__ import annotations
 
 import threading
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,55 +73,61 @@ __all__ = [
     "clear_lca_index_cache",
     "lca_index_cache_info",
     "LcaIndexCacheInfo",
+    "BLOCK",
+    "DENSE_LEVELS",
 ]
+
+#: Tour positions between two samples of the upper table levels.
+BLOCK = 16
+#: Table levels kept for every tour position: windows of 1‥``BLOCK``.
+DENSE_LEVELS = 5
 
 
 class LcaIndex:
     """O(1)-query LCA/distance index over one store.
 
-    Preprocessing is O(n log n) time and space (Euler tour of length
-    2n−1 plus its sparse table).  All queries after that are O(1):
-    ``lca``, ``distance``, ``depth``, ``euler_position``,
-    ``is_ancestor``.
+    Preprocessing is O(n) time and space: the Euler tour of length
+    2n−1, its depths, and a first/last tour position per OID (``-1``
+    for a tombstone).  All queries after that are O(1): ``lca``,
+    ``distance``, ``depth``, ``euler_position``, ``is_ancestor``.  The
+    sampled table behind them is derived from the depths on the first
+    scalar query — the vector tier (:mod:`repro.kernels.lca`) derives
+    its own over the same columns and never asks for this one.
     """
 
     def __init__(self, store: MonetXML):
-        self.store = store
-        self._tour: List[int] = []          # node OID per Euler step
-        self._tour_depth: List[int] = []    # depth per Euler step
-        self._first: Dict[int, int] = {}    # OID → first tour position
-        self._last: Dict[int, int] = {}     # OID → last tour position
-        # Dense (oid − first_oid)-indexed first/last columns, built
-        # lazily for the vector kernels (snapshot loads carry them in).
-        self._first_column = None
-        self._last_column = None
-        self._log: List[int] = [0, 0]       # floor(log2(i)) per length i
-        # table[k][i] = position of min depth in tour[i : i + 2**k];
-        # row 0 is position→position, for which ``range`` is an O(1)
-        # stand-in with identical indexing behaviour.
-        self._table: List[Sequence[int]] = [range(0)]
-        self._vector_kernels = None         # see repro.kernels.lca
+        self._bind(store, array("i"), array("i"), array("i"), array("i"))
         self._append_run(store.first_oid, store.last_oid)
+
+    def _bind(self, store: MonetXML, tour, depth, first, last) -> None:
+        self.store = store
+        self._base = store.first_oid
+        self._tour = tour       # node OID per Euler step
+        self._depth = depth     # depth per Euler step
+        self._first = first     # OID − base → first tour position
+        self._last = last       # OID − base → last tour position
+        self._table = None      # (near, far) rows, see _extend_table
+        self._vector_kernels = None  # see repro.kernels.lca
         #: Store generation this index answers for; a mismatch with
-        #: ``store.generation`` means the index is stale.  Published
-        #: last, here and in :meth:`roll_forward`.
+        #: ``store.generation`` means the index is stale.
+        #: :meth:`roll_forward`'s caller publishes it last.
         self.generation = getattr(store, "generation", 0)
 
     # -- preprocessing & maintenance ------------------------------------
     def _append_run(self, low: int, high: int) -> None:
-        """Append the Euler tour of the OID run ``[low, high]`` and fill
-        the sparse-table cells the longer tour adds.
+        """Append the Euler tour of the OID run ``[low, high]``.
 
         The run is either the whole store (the build: the tour is empty
         and opens with the root) or one freshly put document, whose top
         node hangs under the root as its last child — so the tour,
         which always ends on the root, continues with the sub-tree's
         tour and the root again.  Tombstoned nodes have no parent
-        pointer and are never reached.
+        pointer and are never reached: a put that a later record
+        already deleted only gains its blank ``first``/``last`` slots.
         """
         store = self.store
         root = store.root_oid
-        base = store.first_oid
+        base = self._base
         _, parents, ranks = store.dense_columns()
         children: Dict[int, List[int]] = {}
         for oid, parent in enumerate(
@@ -121,11 +140,14 @@ class LcaIndex:
                 siblings.sort(key=lambda oid: ranks[oid - base])
 
         tour = self._tour
-        depths = self._tour_depth
+        depths = self._depth
         first = self._first
         last = self._last
+        blank = array(first.typecode, [-1]) * (high - base + 1 - len(first))
+        first.extend(blank)
+        last.extend(blank)
         if not tour:
-            first[root] = last[root] = 0
+            first[root - base] = last[root - base] = 0
             tour.append(root)
             depths.append(1)
         for top in children.get(root, ()):
@@ -136,8 +158,8 @@ class LcaIndex:
                 frame = stack[-1]
                 oid, depth, cursor = frame
                 if cursor == 0:
-                    first[oid] = len(tour)
-                last[oid] = len(tour)
+                    first[oid - base] = len(tour)
+                last[oid - base] = len(tour)
                 tour.append(oid)
                 depths.append(depth)
                 below = children.get(oid, ())
@@ -146,149 +168,174 @@ class LcaIndex:
                     stack.append([below[cursor], depth + 1, 0])
                 else:
                     stack.pop()
-            last[root] = len(tour)
+            last[root - base] = len(tour)
             tour.append(root)
             depths.append(1)
 
-        length = len(tour)
-        log = self._log
-        for i in range(len(log), length + 1):
-            log.append(log[i // 2] + 1)
-        table = self._table
-        table[0] = range(length)
-        k = 1
-        while (1 << k) <= length:
-            if k == len(table):
-                table.append([])
-            row = table[k]
-            span = 1 << (k - 1)
-            start, stop = len(row), length - (1 << k) + 1
-            previous = table[k - 1]
-            row.extend([
-                left if depths[left] <= depths[right] else right
-                for left, right in zip(
-                    previous[start:stop], previous[start + span : stop + span]
-                )
-            ])
-            k += 1
+    def _extend_table(self, near: List[array], far: List[array]) -> None:
+        """Fill the table cells a longer depth column adds.
 
-    def _ensure_growable(self) -> None:
-        """Turn read-only snapshot columns into plain lists, once.
-
-        :meth:`from_arrays` binds ``memoryview`` casts over the mmap'd
-        bundle; the first write pays one conversion to growable form,
-        like ``_ensure_mutable`` does for the store itself.
+        ``near[k][i]`` is the offset from ``i`` of the leftmost minimum
+        of ``depth[i : i + 2**k]`` (one byte; ``k < DENSE_LEVELS``);
+        ``far[r][j]`` is the position of the leftmost minimum of the
+        ``2**r`` blocks starting at ``j * BLOCK``.  Every row is filled
+        from its own length to the last window that fits — from empty
+        rows that is the whole derivation, after a put it is the tail.
         """
+        depth = self._depth
+        length = len(depth)
+        near[0].frombytes(bytes(length - len(near[0])))
+        for level in range(1, DENSE_LEVELS):
+            half = 1 << (level - 1)
+            row, below = near[level], near[level - 1]
+            start, stop = len(row), length - 2 * half + 1
+            row.extend(
+                left if depth[i + left] <= depth[i + half + right]
+                else half + right
+                for i, left, right in zip(
+                    range(start, stop),
+                    below[start:stop],
+                    below[start + half : stop + half],
+                )
+            )
+        top = near[-1]
+        rank = 0
+        while BLOCK << rank <= length:
+            if rank == len(far):
+                far.append(array("i"))
+            row = far[rank]
+            start, stop = len(row), length // BLOCK - (1 << rank) + 1
+            if rank == 0:
+                row.extend(
+                    i + top[i]
+                    for i in range(start * BLOCK, stop * BLOCK, BLOCK)
+                )
+            else:
+                half = 1 << (rank - 1)
+                below = far[rank - 1]
+                row.extend(
+                    left if depth[left] <= depth[right] else right
+                    for left, right in zip(
+                        below[start:stop], below[start + half : stop + half]
+                    )
+                )
+            rank += 1
 
-        def growable(column):
-            return column if isinstance(column, list) else list(column)
-
-        self._tour = growable(self._tour)
-        self._tour_depth = growable(self._tour_depth)
-        self._log = growable(self._log)
-        self._table[1:] = map(growable, self._table[1:])
-        if self._first_column is not None:
-            self._first_column = growable(self._first_column)
-            self._last_column = growable(self._last_column)
+    def _rmq(self, low: int, high: int) -> int:
+        """Leftmost position of the minimum depth in ``tour[low..high]``."""
+        table = self._table
+        if table is None:
+            # Derived into fresh rows and published whole: concurrent
+            # readers may both derive, none sees a half-filled table.
+            table = [array("B") for _ in range(DENSE_LEVELS)], []
+            self._extend_table(*table)
+            self._table = table
+        near, far = table
+        depth = self._depth
+        level = (high - low + 1).bit_length() - 1
+        if level < DENSE_LEVELS:
+            row = near[level]
+            start = high - (1 << level) + 1
+            left, right = low + row[low], start + row[start]
+            return left if depth[left] <= depth[right] else right
+        # Two end windows around the block-aligned interior, left to
+        # right: each candidate is the leftmost minimum of its window
+        # and the windows before it cover a prefix of the range, so a
+        # later one only wins when strictly shallower.
+        top = near[-1]
+        head = (low + BLOCK - 1) // BLOCK
+        tail = (high + 1) // BLOCK
+        rank = (tail - head).bit_length() - 1
+        start = high - BLOCK + 1
+        best = low + top[low]
+        for position in (
+            far[rank][head],
+            far[rank][tail - (1 << rank)],
+            start + top[start],
+        ):
+            if depth[position] < depth[best]:
+                best = position
+        return best
 
     def roll_forward(self, chain: Iterable[MutationRecord]) -> None:
         """Apply journalled mutations (oldest first) in place.
 
-        A put appends its span's tour (:meth:`_append_run`); a put whose
-        span a later delete of the same chain already tombstoned adds
-        nothing, exactly like a build over the current store.  A delete
-        drops the span's ``first``/``last`` entries.  The memoised dense
-        columns and an attached :class:`~repro.kernels.lca.LcaKernels`
-        follow at the tail.  The caller publishes ``generation``.
+        A put appends its span's tour (:meth:`_append_run`), a delete
+        blanks the span's ``first``/``last`` slots.  The derived table
+        and an attached :class:`~repro.kernels.lca.LcaKernels` follow at
+        the tail.  The caller publishes ``generation``.  Read-only
+        snapshot columns (``memoryview`` casts over the mmap'd bundle)
+        become owned arrays on the first write, like ``_ensure_mutable``
+        does for the store itself.
         """
-        self._ensure_growable()
-        store = self.store
-        base = store.first_oid
-        root_slot = store.root_oid - base
-        first, last = self._first, self._last
-        first_column, last_column = self._first_column, self._last_column
+        if not isinstance(self._tour, array):
+            self._tour, self._depth, self._first, self._last = (
+                array(column.format, column.tobytes())
+                for column in self.columns().values()
+            )
+        base = self._base
         dropped: List[Tuple[int, int]] = []
         for record in chain:
             low, high = record.span
             if record.kind == "put":
-                if store.is_live(low):
-                    self._append_run(low, high)
-                if first_column is not None:
-                    span = range(low, high + 1)
-                    first_column.extend(first.get(oid, -1) for oid in span)
-                    last_column.extend(last.get(oid, -1) for oid in span)
-                    last_column[root_slot] = last[store.root_oid]
+                self._append_run(low, high)
             else:
-                for oid in range(low, high + 1):
-                    first.pop(oid, None)
-                    last.pop(oid, None)
-                if first_column is not None:
-                    dead = [-1] * (high - low + 1)
-                    first_column[low - base : high - base + 1] = dead
-                    last_column[low - base : high - base + 1] = dead
+                blank = array(self._first.typecode, [-1]) * (high - low + 1)
+                self._first[low - base : high - base + 1] = blank
+                self._last[low - base : high - base + 1] = blank
                 dropped.append((low, high))
+        if self._table is not None:
+            self._extend_table(*self._table)
         if self._vector_kernels is not None:
             self._vector_kernels.follow(dropped)
 
     # -- O(1) queries ---------------------------------------------------
     def euler_position(self, oid: int) -> int:
         """First Euler-tour position of a node (its pre-order slot)."""
-        try:
-            return self._first[oid]
-        except KeyError:
-            raise UnknownOIDError(oid) from None
+        slot = oid - self._base
+        if 0 <= slot < len(self._first):
+            position = self._first[slot]
+            if position >= 0:
+                return position
+        raise UnknownOIDError(oid)
 
     def depth(self, oid: int) -> int:
         """Tree depth of a node (root = 1), read off the tour."""
-        return self._tour_depth[self.euler_position(oid)]
+        return self._depth[self.euler_position(oid)]
 
     def lca(self, oid1: int, oid2: int) -> int:
         """The lowest common ancestor (= ``meet₂``'s answer), O(1)."""
-        try:
-            first1 = self._first[oid1]
-            first2 = self._first[oid2]
-        except KeyError as exc:
-            raise UnknownOIDError(int(str(exc.args[0]))) from None
-        low, high = min(first1, first2), max(first1, first2)
-        k = self._log[high - low + 1]
-        left = self._table[k][low]
-        right = self._table[k][high - (1 << k) + 1]
-        position = (
-            left if self._tour_depth[left] <= self._tour_depth[right] else right
-        )
-        return self._tour[position]
+        return self.lca_with_distance(oid1, oid2)[0]
 
     def distance(self, oid1: int, oid2: int) -> int:
         """Tree distance d(o₁,o₂) via depths and the O(1) LCA.
 
         Equals the join count of the paper's traced Fig. 3 walk.
         """
-        meet = self.lca(oid1, oid2)
-        position1 = self._first[oid1]
-        position2 = self._first[oid2]
-        return (
-            self._tour_depth[position1]
-            + self._tour_depth[position2]
-            - 2 * self._tour_depth[self._first[meet]]
-        )
+        return self.lca_with_distance(oid1, oid2)[1]
 
     def lca_with_distance(self, oid1: int, oid2: int) -> Tuple[int, int]:
         """(lca, distance) in one pass — the batched hot path."""
-        meet = self.lca(oid1, oid2)
-        distance = (
-            self._tour_depth[self._first[oid1]]
-            + self._tour_depth[self._first[oid2]]
-            - 2 * self._tour_depth[self._first[meet]]
+        first1 = self.euler_position(oid1)
+        first2 = self.euler_position(oid2)
+        meet = self._rmq(min(first1, first2), max(first1, first2))
+        depth = self._depth
+        return (
+            self._tour[meet],
+            depth[first1] + depth[first2] - 2 * depth[meet],
         )
-        return meet, distance
 
     def is_ancestor(self, ancestor_oid: int, descendant_oid: int) -> bool:
         """Reflexive ancestor test via Euler interval containment, O(1)."""
         first = self.euler_position(ancestor_oid)
-        return first <= self.euler_position(descendant_oid) <= self._last[ancestor_oid]
+        return (
+            first
+            <= self.euler_position(descendant_oid)
+            <= self._last[ancestor_oid - self._base]
+        )
 
     def lca_many(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
-        """Batched LCA — one vectorized sparse-table pass when NumPy is
+        """Batched LCA — one vectorized table pass when NumPy is
         importable (:mod:`repro.kernels`), else a python loop over the
         O(1) scalar kernel.  Answers are identical either way."""
         from .. import kernels
@@ -312,31 +359,11 @@ class LcaIndex:
         to it emit the same meets as the full instance tree.  Cost is
         O(m log m) for m inputs, independent of tree size and depth.
         """
-        first = self._first
-        last = self._last
-        lca = self.lca
-        try:
-            ordered = sorted(set(oids), key=first.__getitem__)
-        except KeyError as exc:
-            raise UnknownOIDError(int(str(exc.args[0]))) from None
-        candidates = set(ordered)
-        for left_oid, right_oid in zip(ordered, ordered[1:]):
-            candidates.add(lca(left_oid, right_oid))
-        order = sorted(candidates, key=first.__getitem__)
-        parent: Dict[int, Optional[int]] = {}
-        stack: List[int] = []
-        stack_last: List[int] = []
-        for oid in order:
-            position = first[oid]
-            # The stack holds the ancestor chain of the previous node
-            # (in pre-order); pop entries whose Euler interval ended.
-            while stack and stack_last[-1] < position:
-                stack.pop()
-                stack_last.pop()
-            parent[oid] = stack[-1] if stack else None
-            stack.append(oid)
-            stack_last.append(last[oid])
-        return order, parent
+        order, parent_index = self.auxiliary_tree_arrays(oids)
+        return order, {
+            oid: None if parent < 0 else order[parent]
+            for oid, parent in zip(order, parent_index)
+        }
 
     def auxiliary_tree_arrays(
         self, oids: Iterable[int]
@@ -349,135 +376,64 @@ class LcaIndex:
         Parent links as positions let the Fig. 4/5 roll-ups propagate
         over flat parallel arrays instead of per-OID dict look-ups.
         """
+        # A node is its first tour position from here on: sorting the
+        # positions is the pre-order, and the range minimum between two
+        # neighbours lands on (an occurrence of) their LCA.
+        ordered = sorted(set(map(self.euler_position, oids)))
+        tour = self._tour
         first = self._first
         last = self._last
-        try:
-            ordered = sorted(set(oids), key=first.__getitem__)
-        except KeyError as exc:
-            raise UnknownOIDError(int(str(exc.args[0]))) from None
-        # Inlined range-minimum LCA over Euler-order neighbours: their
-        # first positions are already the sort keys, so the kernel runs
-        # straight off the sparse table without re-resolving OIDs.
-        log = self._log
-        table = self._table
-        depths = self._tour_depth
-        tour = self._tour
+        base = self._base
+        rmq = self._rmq
         candidates = set(ordered)
-        add_candidate = candidates.add
-        low = -1
-        for oid in ordered:
-            high = first[oid]
-            if low >= 0:
-                k = log[high - low + 1]
-                left = table[k][low]
-                right = table[k][high - (1 << k) + 1]
-                position = left if depths[left] <= depths[right] else right
-                add_candidate(tour[position])
-            low = high
-        order = sorted(candidates, key=first.__getitem__)
-        parent_index: List[int] = [-1] * len(order)
+        candidates.update(
+            first[tour[rmq(low, high)] - base]
+            for low, high in zip(ordered, ordered[1:])
+        )
+        order: List[int] = []
+        parent_index: List[int] = []
         stack: List[int] = []          # positions in ``order``
         stack_last: List[int] = []     # matching Euler interval ends
-        for position, oid in enumerate(order):
-            euler = first[oid]
+        for euler in sorted(candidates):
+            # The stack holds the ancestor chain of the previous node
+            # (in pre-order); pop entries whose Euler interval ended.
             while stack and stack_last[-1] < euler:
                 stack.pop()
                 stack_last.pop()
-            parent_index[position] = stack[-1] if stack else -1
-            stack.append(position)
-            stack_last.append(last[oid])
+            parent_index.append(stack[-1] if stack else -1)
+            stack.append(len(order))
+            stack_last.append(last[tour[euler] - base])
+            order.append(tour[euler])
         return order, parent_index
 
-    # -- flat columns (the vector kernels' contract) --------------------
-    def kernel_columns(self) -> Dict[str, object]:
-        """The raw index state as flat columns for the batch kernels.
+    # -- flat columns (the kernels' and the snapshot store's contract) --
+    def columns(self) -> Dict[str, Sequence[int]]:
+        """The index state: four flat int columns.
 
-        ``first``/``last`` are dense ``(oid − first_oid)``-indexed
-        columns with ``-1`` marking OIDs absent from the tour
-        (tombstones); snapshot-loaded indexes return the deserialized
-        columns as-is (zero-copy for the kernels' buffer views), while
-        freshly built indexes densify their dicts once and memoize;
-        :meth:`roll_forward` keeps the memo patched at the tail.
-        Unlike :meth:`to_arrays` this never assumes a compacted store.
+        ``first``/``last`` are dense, indexed by ``oid − first_oid``,
+        with ``-1`` marking OIDs absent from the tour (tombstones).
+        The columns are handed out without a copy (``array``s of a
+        built or rolled-forward index, ``memoryview`` casts of a
+        snapshot-loaded one); together with the store they reconstruct
+        an equivalent index via :meth:`from_arrays` with no tour walk.
         """
-        if self._first_column is None:
-            base = self.store.first_oid
-            oids = range(base, base + self.store.node_count)
-            first_of = self._first.get
-            last_of = self._last.get
-            self._first_column = [first_of(oid, -1) for oid in oids]
-            self._last_column = [last_of(oid, -1) for oid in oids]
-        return {
-            "base": self.store.first_oid,
-            "tour": self._tour,
-            "depth": self._tour_depth,
-            "first": self._first_column,
-            "last": self._last_column,
-            "log": self._log,
-            "table": self._table,
-        }
-
-    # -- persistence (the snapshot store's contract) --------------------
-    def to_arrays(self) -> Dict[str, object]:
-        """The raw index state as flat int columns, for serialization.
-
-        ``first``/``last`` are emitted in dense OID order (position =
-        ``oid - store.first_oid``), ``table_rows`` are the sparse-table
-        rows above row 0 (row 0 is the identity and is regenerated on
-        load).  Together with the store the columns reconstruct an
-        equivalent index via :meth:`from_arrays` with zero tour or
-        table rebuilding.
-        """
-        store = self.store
-        base = store.first_oid
-        count = store.node_count
         return {
             "tour": self._tour,
-            "depth": self._tour_depth,
-            "first": [self._first[base + i] for i in range(count)],
-            "last": [self._last[base + i] for i in range(count)],
-            "log": self._log,
-            "table_rows": self._table[1:],
+            "depth": self._depth,
+            "first": self._first,
+            "last": self._last,
         }
 
     @classmethod
-    def from_arrays(
-        cls,
-        store: MonetXML,
-        *,
-        tour,
-        depth,
-        first,
-        last,
-        log,
-        table_rows,
-    ) -> "LcaIndex":
-        """Rebind deserialized columns as a ready index — O(columns).
+    def from_arrays(cls, store: MonetXML, *, tour, depth, first, last) -> "LcaIndex":
+        """Rebind deserialized columns as a ready index — O(1).
 
-        No Euler tour is walked and no sparse table is computed: the
-        columns (any int sequences, e.g. zero-copy memoryview casts)
-        are used as-is.  Only the dense ``first``/``last`` columns are
-        lifted back into the OID-keyed dicts the query kernels expect.
+        No Euler tour is walked and nothing is copied: the columns
+        (any int sequences, e.g. zero-copy memoryview casts, 4 or 8
+        bytes per item) are used as-is.
         """
         self = cls.__new__(cls)
-        self.store = store
-        self.generation = getattr(store, "generation", 0)
-        self._vector_kernels = None
-        self._tour = tour
-        self._tour_depth = depth
-        base = store.first_oid
-        oids = range(base, base + store.node_count)
-        self._first = dict(zip(oids, first))
-        self._last = dict(zip(oids, last))
-        # Keep the dense columns as loaded: the vector kernels view
-        # them zero-copy (they may be memoryview casts over an mmap'd
-        # snapshot) instead of re-densifying the dicts above.
-        self._first_column = first
-        self._last_column = last
-        self._log = log
-        # Row 0 of the sparse table is position→position; ``range`` is
-        # an O(1) stand-in with identical indexing behaviour.
-        self._table = [range(len(tour)), *table_rows]
+        self._bind(store, tour, depth, first, last)
         return self
 
     @property
@@ -486,7 +442,7 @@ class LcaIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<LcaIndex nodes={len(self._first)} tour={len(self._tour)} "
+            f"<LcaIndex slots={len(self._first)} tour={len(self._tour)} "
             f"generation={self.generation}>"
         )
 

@@ -1,18 +1,21 @@
 """Batched Euler-RMQ LCA and auxiliary-tree kernels (NumPy tier).
 
 This module is only imported once :func:`repro.kernels.available` has
-confirmed NumPy; it binds zero-copy ``int64`` views over an
-:class:`~repro.core.lca_index.LcaIndex`'s flat columns (the Euler
-tour, its depths, the dense first/last columns and the sparse-table
-rows) and answers *batches* of LCA/distance queries and whole
-auxiliary-tree constructions without a python-level loop per element.
+confirmed NumPy; it binds zero-copy views over an
+:class:`~repro.core.lca_index.LcaIndex`'s four flat columns, derives
+the sampled sparse table of :mod:`repro.core.lca_index` from the depth
+column with whole-array passes, and answers *batches* of LCA/distance
+queries and whole auxiliary-tree constructions without a python-level
+loop per element.
 
 Two vectorization facts carry the module:
 
-* the sparse-table RMQ groups naturally by the block exponent ``k``:
-  a batch of (low, high) ranges decomposes into at most ``log₂ tour``
-  groups, each answered by two fancy-indexed row gathers and one
-  elementwise depth compare;
+* a range-minimum batch needs no grouping by window size: every range
+  reads two windows of its own level off the dense table rows (its
+  16-step end windows when it spans 32 tour steps or more), and the
+  long ranges — a minority, Euler-order neighbours are close — add the
+  two sampled windows over their block-aligned interior: flat ``take``
+  gathers and elementwise depth compares throughout;
 * for a candidate set closed under pairwise LCA and sorted in
   pre-order, the auxiliary-tree parent of ``c_i`` is exactly
   ``lca(c_{i-1}, c_i)`` — so the stack walk of
@@ -22,21 +25,32 @@ Two vectorization facts carry the module:
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from ..core.lca_index import BLOCK, DENSE_LEVELS
 from ..datamodel.errors import UnknownOIDError
 
-__all__ = ["LcaKernels", "get_kernels", "sorted_unique", "tree_depths"]
+__all__ = ["LcaKernels", "get_kernels", "sorted_unique"]
 
 _INT64 = np.int64
+
+#: Per range length − 1, clipped to 2·BLOCK − 1 (= "long"): the dense
+#: table level whose two windows cover the range (or are its ends) …
+_LEVELS = (
+    np.minimum(np.frexp(np.arange(1, 2 * BLOCK + 1))[1], DENSE_LEVELS) - 1
+).astype(np.intp)
+#: … and the start of the right one, relative to the range's end.
+_BACK = 1 - (1 << _LEVELS)
+_SHIFT = BLOCK.bit_length() - 1
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique`` by sort + neighbour compare.
 
-    For the small-to-medium int64 batches the kernels see, sorting
+    For the small-to-medium integer batches the kernels see, sorting
     beats NumPy's hash-table unique kernel by several times — and the
     callers all want the sorted order anyway.
     """
@@ -49,29 +63,23 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _as_int64(column) -> np.ndarray:
-    """A zero-copy ``int64`` view of a flat column where possible.
-
-    Mmap'd snapshot memoryviews go through the buffer protocol;
-    python lists (built or rolled-forward indexes) and ``range``
-    (sparse-table row 0) fall back to a copy.
-    """
-    if isinstance(column, np.ndarray):
-        return column if column.dtype == _INT64 else column.astype(_INT64)
-    try:
-        return np.frombuffer(column, dtype=_INT64)
-    except (TypeError, ValueError, BufferError):
-        return np.asarray(column, dtype=_INT64)
+def _bound(column) -> np.ndarray:
+    """An index column as an array of its own item width: a snapshot
+    ``memoryview`` is viewed in place (the pages stay the mmap's), an
+    ``array`` the index owns is copied — a view would pin its buffer
+    against the index's next append."""
+    view = np.asarray(column)
+    return view.copy() if isinstance(column, array) else view
 
 
 def _regrown(view: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """``view`` regrown to ``shape``: old cells kept, new cells unset.
 
-    The result is a corner view of an owned backing array allocated
-    with half as much room again along the last axis, so a run of tail
-    appends copies the old cells O(1) times amortized.  A read-only
-    view over an mmap'd snapshot (or any array without spare room)
-    pays its one copy here.
+    The result is a corner view of an owned, contiguous backing array
+    (its ``.base``) allocated with half as much room again along the
+    last axis, so a run of tail appends copies the old cells O(1) times
+    amortized.  A read-only view over an mmap'd snapshot (or any array
+    without spare room) pays its one copy here.
     """
     backing = view.base
     if not (
@@ -80,29 +88,10 @@ def _regrown(view: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
         and all(have >= want for have, want in zip(backing.shape, shape))
     ):
         backing = np.zeros(
-            (*shape[:-1], shape[-1] + shape[-1] // 2), dtype=_INT64
+            (*shape[:-1], shape[-1] + shape[-1] // 2), dtype=view.dtype
         )
         backing[tuple(slice(used) for used in view.shape)] = view
     return backing[tuple(slice(want) for want in shape)]
-
-
-def tree_depths(parent_index: np.ndarray) -> np.ndarray:
-    """Depth of every node given parent *positions* (−1 at roots).
-
-    Pointer doubling: roots self-loop contributing zero, so after
-    O(log depth) rounds of ``depth += depth[jump]; jump = jump[jump]``
-    every chain has collapsed.  Whole-array gathers only — no
-    sequential python walk.
-    """
-    size = len(parent_index)
-    depth = (parent_index >= 0).astype(_INT64)
-    jump = np.where(parent_index >= 0, parent_index, np.arange(size))
-    while True:
-        advanced = depth + depth[jump]
-        if np.array_equal(advanced, depth):
-            return depth
-        depth = advanced
-        jump = jump[jump]
 
 
 class LcaKernels:
@@ -110,42 +99,23 @@ class LcaKernels:
 
     Instances are cached per index (:func:`get_kernels`), and an index
     lives across writes (:meth:`LcaIndex.roll_forward`), so the view
-    binding — and the one-time densification of a freshly built
-    index's first/last dicts — is paid once per store; after a write
-    :meth:`follow` extends the arrays at the tail.
+    binding and the table derivation are paid once per store; after a
+    write :meth:`follow` extends the arrays at the tail.
     """
 
     __slots__ = (
-        "index",
-        "base",
-        "tour",
-        "depth",
-        "first",
-        "last",
-        "log",
-        "table",
-        "_pids",
+        "index", "base", "tour", "depth", "first", "last",
+        "near", "far", "_near_rows", "_pids",
     )
 
     def __init__(self, index):
-        columns = index.kernel_columns()
         self.index = index
-        self.base = int(columns["base"])
-        self.tour = _as_int64(columns["tour"])
-        self.depth = _as_int64(columns["depth"])
-        self.first = _as_int64(columns["first"])
-        self.last = _as_int64(columns["last"])
-        self.log = _as_int64(columns["log"])
-        # The sparse-table rows consolidated into one (log, tour)
-        # matrix (row k right-padded; the pad is never gathered), so a
-        # whole RMQ batch is two 2-D fancy indexes with no python loop
-        # over exponents.
-        rows = [_as_int64(row) for row in columns["table"]]
-        width = len(rows[0]) if rows else 0
-        table = np.zeros((max(len(rows), 1), width), dtype=_INT64)
-        for exponent, row in enumerate(rows):
-            table[exponent, : len(row)] = row
-        self.table = table
+        self.base = int(index.store.first_oid)
+        for name, column in index.columns().items():
+            setattr(self, name, _bound(column))
+        self.near = np.empty((DENSE_LEVELS, 0), dtype=np.uint8)
+        self.far = np.empty((0, 0), dtype=np.int32)
+        self._extend_table(0)
         self._pids = np.empty(0, dtype=_INT64)
 
     def pids(self) -> np.ndarray:
@@ -164,21 +134,64 @@ class LcaKernels:
             self._pids = grown
         return self._pids
 
+    def _extend_table(self, old: int) -> None:
+        """Fill the table cells a depth column grown from ``old`` adds.
+
+        The layout of :meth:`LcaIndex._extend_table` as two matrices:
+        ``near[k, i]`` (one byte) and ``far[r, j]``, rows right-padded.
+        A row's cells from the last window that fitted the old column to
+        the last that fits now come from the row below, one pass each.
+        """
+        depth = self.depth
+        length = len(depth)
+        blocks = length // BLOCK
+        self.near = near = _regrown(self.near, (DENSE_LEVELS, length))
+        self.far = far = _regrown(
+            self.far, (blocks.bit_length(), max(blocks, 1))
+        )
+        for level in range(1, DENSE_LEVELS):
+            half = 1 << (level - 1)
+            start, stop = max(old - 2 * half + 1, 0), length - 2 * half + 1
+            if start >= stop:
+                continue
+            left = near[level - 1, start:stop]
+            right = near[level - 1, start + half : stop + half] + half
+            here = np.arange(start, stop)
+            near[level, start:stop] = np.where(
+                depth[here + left] <= depth[here + right], left, right
+            )
+        for rank in range(len(far)):
+            span = 1 << rank
+            start, stop = max(old // BLOCK - span + 1, 0), blocks - span + 1
+            if start >= stop:
+                continue
+            if rank == 0:
+                here = np.arange(start * BLOCK, stop * BLOCK, BLOCK)
+                far[0, start:stop] = here + near[-1, here]
+            else:
+                half = span // 2
+                left = far[rank - 1, start:stop]
+                right = far[rank - 1, start + half : stop + half]
+                far[rank, start:stop] = np.where(
+                    depth[left] <= depth[right], left, right
+                )
+        # Flat offset of each level's row in the near backing array.
+        self._near_rows = _LEVELS * near.base.shape[1]
+
     def follow(self, dropped: Iterable[Tuple[int, int]]) -> None:
         """Catch up with an index that was just rolled forward.
 
-        The index only ever appends — tour steps, log entries, dense
-        first/last slots and the cells each sparse-table row gains at
-        its end — so every array is regrown in place and only its tail
-        is read out of the index's columns: O(Δ log n) conversions per
-        write, no pass over the old cells.  ``dropped`` names the OID
-        spans deletes tombstoned; the root's ``last`` is the one old
-        slot a put moves.
+        The index only ever appends — tour steps, dense first/last
+        slots and the table cells of the windows that now fit — so
+        every array is regrown in place and only its tail is read out
+        of the index's columns: O(Δ) conversions per write, no pass
+        over the old cells.  ``dropped`` names the OID spans deletes
+        tombstoned; the root's ``last`` is the one old slot a put moves.
         """
-        columns = self.index.kernel_columns()
-        for name in ("tour", "depth", "log", "first", "last"):
+        columns = self.index.columns()
+        old_length = len(self.tour)
+        for name, column in columns.items():
             old = getattr(self, name)
-            column = columns[name]
             grown = _regrown(old, (len(column),))
             grown[len(old):] = column[len(old):]
             setattr(self, name, grown)
@@ -187,13 +200,7 @@ class LcaKernels:
             self.last[low - self.base : high - self.base + 1] = -1
         root = int(self.tour[0]) - self.base
         self.last[root] = columns["last"][root]
-        rows = columns["table"]
-        old_width = self.table.shape[1]
-        table = _regrown(self.table, (len(rows), len(self.tour)))
-        for exponent, row in enumerate(rows):
-            start = max(old_width - (1 << exponent) + 1, 0)
-            table[exponent, start : len(row)] = row[start:]
-        self.table = table
+        self._extend_table(old_length)
 
     # -- primitives ------------------------------------------------------
     def first_positions(self, oids: np.ndarray) -> np.ndarray:
@@ -217,18 +224,36 @@ class LcaKernels:
     def rmq_positions(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Position of the min-depth tour entry in each ``[low, high]``.
 
-        Each query reads its sparse-table exponent ``k`` and gathers
-        the two covering blocks straight out of the consolidated table
-        matrix; ties break to the left entry exactly like the scalar
-        RMQ.
+        Leftmost on ties, exactly like :meth:`LcaIndex._rmq`: the
+        candidates are compared left to right and a later window only
+        wins when strictly shallower.
         """
-        exponents = self.log[high - low + 1]
         depth = self.depth
-        left = self.table[exponents, low]
-        right = self.table[
-            exponents, high - (np.int64(1) << exponents) + 1
-        ]
-        return np.where(depth[left] <= depth[right], left, right)
+        near = self.near.base.reshape(-1)
+        clipped = np.minimum(high - low, 2 * BLOCK - 1)
+        rows = self._near_rows.take(clipped)
+        start = high + _BACK.take(clipped)
+        left = low + near.take(rows + low)
+        right = start + near.take(rows + start)
+        long = np.flatnonzero(clipped == 2 * BLOCK - 1)
+        if len(long):
+            head = (low.take(long) + (BLOCK - 1)) >> _SHIFT
+            tail = (high.take(long) + 1) >> _SHIFT
+            rank = (np.frexp(tail - head)[1] - 1).astype(np.intp)
+            far = self.far.base.reshape(-1)
+            rows = rank * self.far.base.shape[1]
+            inner_left = far.take(rows + head)
+            inner_right = far.take(rows + tail - (1 << rank))
+            inner = np.where(
+                depth.take(inner_left) <= depth.take(inner_right),
+                inner_left,
+                inner_right,
+            )
+            outer = left.take(long)
+            left[long] = np.where(
+                depth.take(outer) <= depth.take(inner), outer, inner
+            )
+        return np.where(depth.take(left) <= depth.take(right), left, right)
 
     # -- batched LCA -----------------------------------------------------
     def lca_many(

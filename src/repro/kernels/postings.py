@@ -22,8 +22,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .lca import _as_int64
-
 __all__ = ["intersect_columns", "union_columns", "group_boundaries"]
 
 _INT64 = np.int64
@@ -43,7 +41,12 @@ def _stride(columns: Sequence[Tuple[np.ndarray, np.ndarray]]) -> int:
 def _as_column_pairs(
     columns,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    return [(_as_int64(pids), _as_int64(oids)) for pids, oids in columns]
+    # Zero-copy through the buffer protocol for ``array('q')`` columns
+    # and mmap'd snapshot memoryviews; python lists are copied.
+    return [
+        (np.asarray(pids, dtype=_INT64), np.asarray(oids, dtype=_INT64))
+        for pids, oids in columns
+    ]
 
 
 def intersect_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
@@ -87,7 +90,7 @@ def union_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
 
 def group_boundaries(sorted_pids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(distinct pids, group start offsets) of a sorted pid column."""
-    pids = _as_int64(sorted_pids)
+    pids = np.asarray(sorted_pids, dtype=_INT64)
     if not len(pids):
         return _EMPTY, _EMPTY
     starts = np.concatenate(([0], np.nonzero(np.diff(pids))[0] + 1))

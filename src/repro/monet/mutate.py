@@ -23,7 +23,7 @@ generation-keyed result caches precisely) and appends a
 *maintained* from that journal, never rebuilt by a write: on their next
 use the LCA, full-text and value indexes each bridge their generation
 to the store's with :func:`journal_chain` and roll forward — the Euler
-tour and its sparse table grow at the tail
+tour and its range-minimum table grow at the tail
 (:func:`repro.core.lca_index.get_lca_index`), postings and typed
 columns are appended and pruned by OID span
 (:func:`repro.fulltext.index.get_fulltext_index`,

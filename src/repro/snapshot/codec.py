@@ -5,7 +5,10 @@ relations, the path summary, the Euler-RMQ LCA machinery and the
 full-text term columns all live in dense integer/string columns, so
 persisting them is one ``tobytes()`` per column and loading is one
 checksum pass plus column rebinds — no XML parse, no Euler tour, no
-tokenization.  Section layout (all framed by
+tokenization.  A column is stored only when reading it back beats
+deriving it: the LCA index's range-minimum table is a few whole-array
+passes over ``lca/depth`` at bind time, so the bundle carries the
+index's four O(n) columns and no table.  Section layout (all framed by
 :mod:`repro.snapshot.format`):
 
 ======================  ==================================================
@@ -16,7 +19,10 @@ tokenization.  Section layout (all framed by
 ``store/oid_rank``      dense OID→rank column
 ``edges|ranks/*``       per-family: pid list, run lengths, head, tail
 ``strings/*``           pid list, run lengths, OID column, packed values
-``lca/*``               Euler tour, depths, first/last, log, sparse table
+``lca/*``               Euler tour, depths, first/last position per OID,
+                        ``meta["lca_item_width"]`` (4) bytes per item;
+                        a bundle without the field holds int64 columns
+                        and a stored table that is no longer read
 ``ft/*``                term dictionary, run lengths, pid/oid columns
 ``vx/*``                typed value index: pid list, run lengths, OID
                         column, packed values (only when declared)
@@ -38,6 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .. import kernels
 from ..core.lca_index import LcaIndex, get_lca_index, seed_lca_index
 from ..datamodel.errors import StorageError
 from ..fulltext.index import (
@@ -52,7 +59,10 @@ from ..valueindex import ValueIndex, get_value_index, seed_value_index
 from .deltas import apply_delta_ops, read_delta_ops
 from .format import SnapshotReader, SnapshotWriter
 
-__all__ = ["Snapshot", "write_snapshot", "read_snapshot"]
+__all__ = ["Snapshot", "write_snapshot", "read_snapshot", "item_widths"]
+
+#: Bytes per item of the ``lca/*`` columns this build writes.
+_LCA_ITEM_WIDTH = 4
 
 
 @dataclass
@@ -138,9 +148,6 @@ def write_snapshot(
         if _writer_byteorder is None
         else SnapshotWriter(_byteorder=_writer_byteorder)
     )
-    arrays = lca.to_arrays()
-    table_rows: Sequence[Sequence[int]] = arrays["table_rows"]  # type: ignore[assignment]
-
     terms: List[str] = []
     term_lengths: List[int] = []
     term_pids: List[int] = []
@@ -157,7 +164,7 @@ def write_snapshot(
         "first_oid": store.first_oid,
         "path_count": len(summary) - 1,
         "tour_length": lca.tour_length,
-        "table_row_count": len(table_rows),
+        "lca_item_width": _LCA_ITEM_WIDTH,
         "case_sensitive": case_sensitive,
         "indexed_associations": fulltext.indexed_associations,
         "vocabulary_size": fulltext.vocabulary_size,
@@ -225,18 +232,8 @@ def write_snapshot(
     writer.add_array("strings/oids", string_oids)
     writer.add_strings("strings/values", string_values)
 
-    writer.add_array("lca/tour", arrays["tour"])
-    writer.add_array("lca/depth", arrays["depth"])
-    writer.add_array("lca/first", arrays["first"])
-    writer.add_array("lca/last", arrays["last"])
-    writer.add_array("lca/log", arrays["log"])
-    writer.add_array("lca/table_lens", (len(row) for row in table_rows))
-    # Accumulate straight into the typed column: the sparse table is
-    # O(n log n) entries, far too many to box as a Python int list.
-    flat_table = array("q")
-    for row in table_rows:
-        flat_table.extend(row)
-    writer.add_array("lca/table", flat_table)
+    for name, column in lca.columns().items():
+        writer.add_array(f"lca/{name}", column, _LCA_ITEM_WIDTH)
 
     writer.add_strings("ft/terms", terms)
     writer.add_array("ft/lens", term_lengths)
@@ -465,35 +462,52 @@ def _restore_registry(store: MonetXML, meta: Dict[str, object]) -> None:
 def _rebuild_lca_index(
     reader: SnapshotReader, store: MonetXML, meta: Dict[str, object]
 ) -> LcaIndex:
-    tour = reader.array("lca/tour")
-    depth = reader.array("lca/depth")
-    first = reader.array("lca/first")
-    last = reader.array("lca/last")
-    log = reader.array("lca/log")
-    if len(tour) != len(depth):
-        raise StorageError("LCA tour and depth columns disagree in length")
-    if len(first) != store.node_count or len(last) != store.node_count:
-        raise StorageError("LCA first/last columns disagree with the node count")
-    if len(log) != len(tour) + 1:
-        raise StorageError("LCA log column disagrees with the tour length")
-    if _meta_int(meta, "tour_length", len(tour)) != len(tour):
-        raise StorageError("LCA tour length disagrees with the meta section")
-    lengths = reader.tolist("lca/table_lens")
-    table_rows = _slice_runs(reader.array("lca/table"), lengths, "lca/table")
-    expected_rows = log[len(tour)] if len(tour) else 0
-    if len(table_rows) != expected_rows:
-        raise StorageError(
-            f"LCA sparse table has {len(table_rows)} rows, expected {expected_rows}"
-        )
-    return LcaIndex.from_arrays(
-        store,
-        tour=tour,
-        depth=depth,
-        first=first,
-        last=last,
-        log=log,
-        table_rows=table_rows,
+    """Bind the four ``lca/*`` columns as the store's index.
+
+    Every later pass gathers through these columns unchecked, so what
+    would send a gather outside its column is refused here, by section.
+    """
+    width = _meta_int(meta, "lca_item_width", 8)
+    if width not in (4, 8):
+        raise StorageError(f"snapshot meta field 'lca_item_width' is {width}")
+    columns = {
+        name: reader.array(f"lca/{name}", width)
+        for name in ("tour", "depth", "first", "last")
+    }
+    tour, depth, first, last = columns.values()
+    count, length, base = store.node_count, len(tour), store.first_oid
+
+    def refuse(*checks) -> None:
+        for section, sound, fault in checks:
+            if not sound:
+                raise StorageError(f"section {section!r} holds {fault}")
+
+    refuse(
+        ("lca/tour", length == _meta_int(meta, "tour_length", length) > 0,
+         "a tour of another length than the meta section's"),
+        ("lca/depth", len(depth) == length, "not one depth per tour step"),
+        ("lca/first", len(first) == count, "not one position per node"),
+        ("lca/last", len(last) == count, "not one position per node"),
     )
+    if kernels.available():
+        np = kernels.numpy()
+        tour, depth, first, last = map(np.asarray, columns.values())
+        in_span = ((tour >= base) & (tour < base + count)).all()
+        unit_steps = (np.abs(np.diff(depth)) == 1).all()
+        ordered = ((first >= 0) & (first <= last)).all()
+        bounded = (last < length).all()
+    else:
+        in_span = all(base <= oid < base + count for oid in tour)
+        unit_steps = all(abs(a - b) == 1 for a, b in zip(depth, depth[1:]))
+        ordered = all(0 <= a <= b for a, b in zip(first, last))
+        bounded = all(position < length for position in last)
+    refuse(
+        ("lca/tour", in_span, "an OID outside the store's span"),
+        ("lca/depth", unit_steps, "a step between neighbours that is not 1"),
+        ("lca/first", ordered, "a position below 0 or above its 'lca/last'"),
+        ("lca/last", bounded, "a position past the end of the tour"),
+    )
+    return LcaIndex.from_arrays(store, **columns)
 
 
 def _rebuild_fulltext_index(
@@ -542,6 +556,21 @@ def _rebuild_value_index(
         zip(pids, oid_runs, value_runs),
         declared=declared,
     )
+
+
+def item_widths(reader: SnapshotReader) -> Dict[str, int]:
+    """Bytes per item of every integer-column section of a bundle (the
+    module docstring's layout table as code: the container does not
+    type its payloads; string tables and JSON have no entry)."""
+    meta = reader.json("meta")
+    lca_width = meta.get("lca_item_width", 8) if isinstance(meta, dict) else 8
+    return {
+        name: lca_width if name.startswith("lca/") else 8
+        for name in reader.section_names()
+        if "/" in name
+        and not name.startswith("delta/")
+        and name.rpartition("/")[2] not in ("labels", "values", "terms")
+    }
 
 
 def read_snapshot(

@@ -7,8 +7,9 @@ an opaque byte payload with its own CRC-32 checksum::
     section  := name_len u16 | crc32 u32 | payload_len u64
               | name (utf-8) | padding to 8-byte file offset | payload
 
-Sections carry raw column buffers (``array('q').tobytes()``), packed
-string tables (offset column + UTF-8 blob) or small JSON metadata.
+Sections carry raw integer column buffers (``array.tobytes()``; int64
+unless writer and reader agree on int32), packed string tables (offset
+column + UTF-8 blob) or small JSON metadata.
 Reads are O(bytes): integer columns come back as zero-copy
 ``memoryview`` casts over the file buffer (optionally ``mmap``-backed),
 so opening a snapshot costs one checksum pass and no per-value Python
@@ -61,6 +62,8 @@ _SECTION_HEADER = struct.Struct("<HIQ")
 _LITTLE, _BIG = 0, 1
 _NATIVE_ORDER = _LITTLE if sys.byteorder == "little" else _BIG
 _ALIGNMENT = 8
+#: ``array`` typecode per integer item width in bytes.
+_TYPECODES = {4: "i", 8: "q"}
 
 
 def _pad_to(offset: int) -> int:
@@ -106,11 +109,14 @@ class SnapshotWriter:
         self._names.add(name)
         self._sections.append((name, memoryview(payload).cast("B")))
 
-    def add_array(self, name: str, values: Union[array, Sequence[int], Iterable[int]]) -> None:
-        """Add one int64 column (anything iterable of ints)."""
-        column = values if isinstance(values, array) and values.typecode == "q" else array("q", values)
+    def add_array(self, name: str, values: Iterable[int], width: int = 8) -> None:
+        """Add one integer column of ``width``-byte items (4 or 8)."""
+        typecode = _TYPECODES[width]
+        column = values
+        if not (isinstance(column, array) and column.typecode == typecode):
+            column = array(typecode, column)
         if self._byteorder != _NATIVE_ORDER:
-            column = array("q", column)
+            column = array(typecode, column)
             column.byteswap()
         # The memoryview keeps the column alive until the write.
         self.add_bytes(name, memoryview(column))
@@ -327,22 +333,23 @@ class SnapshotReader:
     def raw(self, name: str) -> memoryview:
         return self._payload(name)
 
-    def array(self, name: str) -> Sequence[int]:
-        """One int64 column, zero-copy on matching byte order.
+    def array(self, name: str, width: int = 8) -> Sequence[int]:
+        """One ``width``-byte integer column, zero-copy on matching byte order.
 
         Returns a ``memoryview`` cast (native order) or a byteswapped
-        ``array('q')`` copy (cross-endian file); both index, slice,
-        iterate and ``tolist()`` identically.
+        ``array`` copy (cross-endian file); both index, slice, iterate
+        and ``tolist()`` identically.
         """
         payload = self._payload(name)
-        if len(payload) % 8:
+        if len(payload) % width:
             raise StorageError(
-                f"section {name!r} of {self._source} is not an int64 column "
-                f"({len(payload)} bytes)"
+                f"section {name!r} of {self._source} is not an "
+                f"int{8 * width} column ({len(payload)} bytes)"
             )
+        typecode = _TYPECODES[width]
         if self._byteorder == _NATIVE_ORDER:
-            return payload.cast("q")
-        column = array("q")
+            return payload.cast(typecode)
+        column = array(typecode)
         column.frombytes(payload)
         column.byteswap()
         return column

@@ -42,6 +42,22 @@ class TestSnapshotCommands:
         out = capsys.readouterr().out
         assert "bib: 19 nodes" in out
 
+    def test_ls_sections_lists_item_widths(self, built, capsys):
+        assert main(["snapshot", "ls", "--catalog", built, "--sections"]) == 0
+        lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+        groups = next(line for line in lines if line[0] == "sections:")
+        assert [cell.split("=")[0] for cell in groups[1:]] == [
+            "core", "lca", "fulltext"
+        ]
+        listed = {line[0]: line[1:] for line in lines if "/" in line[0]}
+        tour = 4 * (2 * 19 - 1)
+        assert listed["lca/tour"] == [str(tour), "int32"]
+        assert listed["lca/first"] == [str(4 * 19), "int32"]
+        assert listed["store/oid_pid"] == [str(8 * 19), "int64"]
+        assert len(listed["summary/labels"]) == 1  # a string table: bytes only
+        lca = sum(int(cells[0]) for name, cells in listed.items() if name.startswith("lca/"))
+        assert f"lca={lca}" in groups
+
     def test_ls_empty(self, tmp_path, capsys):
         catalog = tmp_path / "empty-cat"
         catalog.mkdir()

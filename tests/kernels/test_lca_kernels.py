@@ -5,8 +5,7 @@ must agree with the scalar Euler-RMQ kernel pair by pair, and the
 vectorized auxiliary tree must reproduce the stack-walk construction
 of :meth:`LcaIndex.auxiliary_tree_arrays` exactly (same candidate
 order, same parent positions).  Unit tests cover the tier probe, the
-env kill-switch, the unknown-OID contract and the pointer-doubling
-depth kernel.
+env kill-switch and the unknown-OID contract.
 """
 
 import random
@@ -25,7 +24,7 @@ from ..property.strategies import stores
 
 np = pytest.importorskip("numpy")
 
-from repro.kernels.lca import LcaKernels, get_kernels, tree_depths  # noqa: E402
+from repro.kernels.lca import LcaKernels, get_kernels  # noqa: E402
 
 
 @st.composite
@@ -101,36 +100,6 @@ class TestLcaMany:
             index.lca(a, b) for a, b in pairs
         ]
         assert get_kernels(index) is get_kernels(index)
-
-
-class TestTreeDepths:
-    def test_chain_and_star(self):
-        chain = np.asarray([-1, 0, 1, 2, 3], dtype=np.int64)
-        assert tree_depths(chain).tolist() == [0, 1, 2, 3, 4]
-        star = np.asarray([-1, 0, 0, 0], dtype=np.int64)
-        assert tree_depths(star).tolist() == [0, 1, 1, 1]
-        forest = np.asarray([-1, -1, 0, 1], dtype=np.int64)
-        assert tree_depths(forest).tolist() == [0, 0, 1, 1]
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=60))
-    def test_random_parent_vectors(self, raw):
-        # Node i attaches to a previous node or is a root: always a
-        # valid forest, like the document strategy's parent vectors.
-        parents = np.asarray(
-            [-1]
-            + [
-                value % (index + 2) - 1
-                for index, value in enumerate(raw[1:])
-            ],
-            dtype=np.int64,
-        )
-        depth = tree_depths(parents)
-        for position, parent in enumerate(parents.tolist()):
-            if parent < 0:
-                assert depth[position] == 0
-            else:
-                assert depth[position] == depth[parent] + 1
 
 
 class TestTierProbe:

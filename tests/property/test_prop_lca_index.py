@@ -10,6 +10,10 @@ Invariants:
   the meets of the schema-driven Fig. 5 roll-up;
 * the generation-keyed cache returns one index per store until the
   store is invalidated;
+* the sampled table's range minimum is the leftmost minimum of a brute
+  force scan on ±1 walks, at every level boundary, and a table extended
+  after appends equals one derived from scratch cell for cell (the
+  NumPy tier's twin of these two lives in ``tests/kernels``);
 * an index rolled forward through the mutation journal answers exactly
   like one built from scratch over the mutated store, on both kernel
   tiers, and never rebuilds while the journal bridges its generation.
@@ -49,6 +53,9 @@ from .strategies import (
     stores_with_oid_pairs,
     stores_with_oid_sets,
     tree_documents,
+    walk_index,
+    walks_in_pieces,
+    walks_with_ranges,
 )
 
 
@@ -115,6 +122,35 @@ def test_cache_one_build_per_generation(store):
 
 
 # ---------------------------------------------------------------------------
+# The sampled table (python tier)
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(walks_with_ranges())
+def test_range_minimum_is_the_leftmost_minimum(case):
+    walk, ranges = case
+    index = walk_index(walk)
+    for low, high in ranges:
+        window = walk[low : high + 1]
+        assert index._rmq(low, high) == low + window.index(min(window))
+
+
+@settings(max_examples=100, deadline=None)
+@given(walks_in_pieces())
+def test_extended_table_equals_a_derived_one(case):
+    walk, lengths = case
+    index = walk_index(walk[: lengths[0]])
+    index._rmq(0, 0)  # derive
+    for old, new in zip(lengths, lengths[1:]):
+        index._tour.extend([0] * (new - old))
+        index._depth.extend(walk[old:new])
+        index._extend_table(*index._table)
+    fresh = walk_index(walk)
+    fresh._rmq(0, 0)
+    assert index._table == fresh._table
+
+
+# ---------------------------------------------------------------------------
 # Rolled forward ≡ built from scratch
 # ---------------------------------------------------------------------------
 
@@ -153,8 +189,9 @@ def assert_agrees_with_fresh_build(store, rng, samples=12):
     assert order.tolist() == expected_order.tolist()
     assert parents.tolist() == expected_parents.tolist()
     slots = np.asarray(live) - vector.base
-    assert vector.first[slots].tolist() == [cached._first[oid] for oid in live]
-    assert vector.last[slots].tolist() == [cached._last[oid] for oid in live]
+    columns = cached.columns()
+    assert vector.first[slots].tolist() == [columns["first"][s] for s in slots]
+    assert vector.last[slots].tolist() == [columns["last"][s] for s in slots]
     for oid in dead:
         with pytest.raises(UnknownOIDError):
             vector.first_positions(np.asarray([oid]))
@@ -251,7 +288,8 @@ def test_mmapped_snapshot_index_rolls_forward(library_store, tmp_path):
     store = read_snapshot(path, use_mmap=True).store
     rng = random.Random(3)
     index = get_lca_index(store)
-    assert isinstance(index.kernel_columns()["tour"], memoryview)
+    for column in index.columns().values():  # int32 views over the mapping
+        assert isinstance(column, memoryview) and column.format == "i"
     if kernels.available():
         index.lca_many([(store.root_oid, store.root_oid)])  # views over the mmap
     delete_document(store, "seed-0000")
