@@ -122,7 +122,7 @@ class LcaIndex:
         node hangs under the root as its last child — so the tour,
         which always ends on the root, continues with the sub-tree's
         tour and the root again.  Tombstoned nodes have no parent
-        pointer and are never reached: a put that a later record
+        pointer (``-1``) and are never reached: a put that a later record
         already deleted only gains its blank ``first``/``last`` slots.
         """
         store = self.store
@@ -133,7 +133,7 @@ class LcaIndex:
         for oid, parent in enumerate(
             parents[low - base : high - base + 1], low
         ):
-            if parent is not None:
+            if parent >= 0:
                 children.setdefault(parent, []).append(oid)
         for siblings in children.values():
             if len(siblings) > 1:

@@ -25,22 +25,24 @@ run of whole top-level subtrees) plus a **stand-in root** at OID
 ``start_k - 1`` so the dense columns stay gap-free.  For shard 0 the
 stand-in *is* the true document root (pre-order puts the first child
 at ``root_oid + 1``), and shard 0 alone carries the root's attribute
-associations and rank row; the other stand-ins own no associations, so
-they can never appear in a hit or an answer — shard services drop
-their local root from every result and the coordinator re-derives the
-one true root globally.  All shards share the complete path summary,
-so pids, paths, labels and depths are globally consistent.
+associations, so the other stand-ins can never appear in a hit or an
+answer — shard services drop their local root from every result and
+the coordinator re-derives the one true root globally.  Every stand-in
+carries the root's rank row (nothing searches ranks), so a shard's
+``ranks`` are its dense columns regrouped by pid, like any store's.
+All shards share the complete path summary, so pids, paths, labels and
+depths are globally consistent.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..datamodel.errors import ReproError
 from ..monet.bat import BAT
-from ..monet.engine import MonetXML
+from ..monet.engine import MonetXML, int32_column
 
 __all__ = ["ShardingError", "ShardPlan", "compute_shard_plan", "slice_store"]
 
@@ -152,12 +154,11 @@ def _subtree_spans(store: MonetXML) -> List[Tuple[int, int]]:
     # One pass over the dense parent column: inside each span every
     # non-head node's parent must lie in [head, oid) — by induction the
     # span is then exactly one subtree.
-    _parent_col = store.dense_columns()[1]
+    parent_col = store.dense_columns()[1]
     first = store.first_oid
     for start, end in spans:
         for oid in range(start + 1, end):
-            parent = _parent_col[oid - first]
-            if parent is None or not start <= parent < oid:
+            if not start <= parent_col[oid - first] < oid:
                 raise ShardingError(
                     f"store OIDs are not in document pre-order near OID "
                     f"{oid}; cannot shard this store"
@@ -238,25 +239,28 @@ def slice_store(store: MonetXML, plan: ShardPlan) -> List[MonetXML]:
     stand_ins = [lo - 1 for lo in starts]  # shard 0's IS the true root
 
     def _bucket(
-        relations, routing_side: int, rewrite_root_head: bool
+        relations, routing_side: int, every_shard: bool = False
     ) -> List[Dict[int, BAT]]:
         """One pass per relation, rows bucketed by owning shard.
 
         ``routing_side`` picks the column that decides the shard (the
-        child for edges, the owner for strings/ranks); rows owned by
-        the true root go to shard 0 (its stand-in is the real root).
+        child for edges, the owner for strings/ranks).  Rows owned by
+        the true root go to shard 0 (its stand-in is the real root), or
+        to ``every_shard``; a root head becomes the shard's stand-in.
         """
         buckets: List[Dict[int, List[Tuple]]] = [{} for _ in range(count)]
+        everywhere = range(count)
         for pid, relation in relations.items():
             for row in zip(relation.heads, relation.tails):
                 oid = row[routing_side]
-                if oid == root:
-                    shard = 0
+                if oid != root:
+                    owners = (bisect_right(starts, oid) - 1,)
                 else:
-                    shard = bisect_right(starts, oid) - 1
-                if rewrite_root_head and row[0] == root:
-                    row = (stand_ins[shard], row[1])
-                buckets[shard].setdefault(pid, []).append(row)
+                    owners = everywhere if every_shard else (0,)
+                for shard in owners:
+                    buckets[shard].setdefault(pid, []).append(
+                        (stand_ins[shard], row[1]) if row[0] == root else row
+                    )
         return [
             {
                 pid: BAT(rows, name=relations[pid].name)
@@ -265,21 +269,22 @@ def slice_store(store: MonetXML, plan: ShardPlan) -> List[MonetXML]:
             for bucket in buckets
         ]
 
-    edge_parts = _bucket(store.edges, routing_side=1, rewrite_root_head=True)
-    # The true root's associations (attributes, rank) route to shard 0
-    # only; duplicating them would duplicate hits.
-    string_parts = _bucket(store.strings, routing_side=0, rewrite_root_head=False)
-    rank_parts = _bucket(store.ranks, routing_side=0, rewrite_root_head=False)
+    edge_parts = _bucket(store.edges, routing_side=1)
+    # The true root's attributes route to shard 0 only: duplicating
+    # them would duplicate hits.  Its rank row is every stand-in's.
+    string_parts = _bucket(store.strings, routing_side=0)
+    rank_parts = _bucket(store.ranks, routing_side=0, every_shard=True)
 
     shards: List[MonetXML] = []
     for shard_id, (lo, hi) in enumerate(zip(plan.starts, plan.ends)):
         stand_in = stand_ins[shard_id]
-        pids = [root_pid] + list(pid_col[lo - first : hi - first])
-        parents: List[Optional[int]] = [None] + [
+        span = slice(lo - first, hi - first)
+        pids = int32_column([root_pid]) + int32_column(pid_col[span])
+        parents = int32_column([-1]) + int32_column(
             stand_in if parent == root else parent
-            for parent in parent_col[lo - first : hi - first]
-        ]
-        ranks = [root_rank] + list(rank_col[lo - first : hi - first])
+            for parent in parent_col[span]
+        )
+        ranks = int32_column([root_rank]) + int32_column(rank_col[span])
         shards.append(
             MonetXML(
                 summary=store.summary,

@@ -11,13 +11,16 @@ and its OID.  Postings grouped by pid are precisely the typed input
 relations R₁ … Rₙ that the general meet algorithm of Fig. 5 consumes.
 
 Storage is allocation-light: each term's postings live in two parallel
-``array('q')`` columns (pids, oids) behind an interned term
-dictionary, with the by-pid grouping and the distinct-OID set
-precomputed at build time.  :class:`Posting` and :class:`Hits` remain
-the public face, but a :class:`Hits` is now a thin *view* over the
-shared columns — ``oids()`` and ``by_pid()`` answer from the
-prebuilt structures and individual :class:`Posting` objects are only
-materialized when somebody actually iterates ``hits.postings``.
+integer columns (pids, oids) behind an interned term dictionary —
+``array('q')`` for a built index, int32 snapshot views for a loaded
+one.  The roll-ups of a term (by-pid grouping, distinct-OID set,
+sorted distinct-OID column) are derived on first use and memoized on
+the term.  :class:`Posting` and :class:`Hits` remain the public face,
+but a :class:`Hits` is a thin *view* over the shared columns: each
+roll-up is built only when a caller asks for it (the vector tier asks
+for the OID column alone), and individual :class:`Posting` objects
+are only materialized when somebody actually iterates
+``hits.postings``.
 """
 
 from __future__ import annotations
@@ -72,25 +75,23 @@ _EMPTY_COLUMN = array("q")
 def _unique_oid_column(oids: Sequence[int]):
     """Distinct OIDs of a column, ascending, as one flat column.
 
-    NumPy tier: a zero-copy buffer view plus ``np.unique``; python
-    tier: a sorted set.  Both return ``array('q')`` — iterating the
-    column must yield plain python ints (``np.int64`` is *not* an
-    ``int`` subclass and would fail downstream OID validation).
+    NumPy tier: ``np.unique`` over the column viewed at its own item
+    width (an int32 snapshot section or an ``array('q')`` alike);
+    python tier: a sorted set.  Both return ``array('q')`` — the
+    kernels consume it as int64 without a copy, and iterating it must
+    yield plain python ints (``np.int64`` is *not* an ``int`` subclass
+    and would fail downstream OID validation).
     """
     if _kernels.available():
         np = _kernels.numpy()
-        try:
-            column = np.frombuffer(oids, dtype=np.int64)
-        except (TypeError, ValueError, BufferError):
-            column = np.asarray(oids, dtype=np.int64)
-        return _as_q_column(np.unique(column))
+        return _as_q_column(np.unique(np.asarray(oids)))
     return array("q", sorted(set(oids)))
 
 
 def _as_q_column(np_column) -> array:
-    """An ``array('q')`` copy of an int64 NumPy column (one memcpy)."""
+    """An ``array('q')`` copy of an integer NumPy column."""
     out = array("q")
-    out.frombytes(np_column.tobytes())
+    out.frombytes(np_column.astype("int64", copy=False).tobytes())
     return out
 
 
@@ -98,16 +99,19 @@ class Hits:
     """Result of one term search; groups postings for the meet operator.
 
     A view over two parallel (pid, oid) columns.  ``postings`` (the
-    historical list-of-:class:`Posting` API), ``oids()`` and
-    ``by_pid()`` are all memoized on the instance: a term's hits are
-    consumed at least once per query, often several times, and none of
-    those consumers should pay a rebuild.
+    historical list-of-:class:`Posting` API), ``oids()``,
+    ``oid_column()`` and ``by_pid()`` are all built on first call and
+    memoized on the instance: a term's hits are consumed at least once
+    per query, often several times, and none of those consumers should
+    pay a rebuild.  Hits of an index term (``entry``) share the term's
+    memoized roll-ups across queries instead.
     """
 
     __slots__ = (
         "term",
         "_pids",
         "_oids",
+        "_entry",
         "_postings",
         "_grouped",
         "_oid_set",
@@ -120,16 +124,17 @@ class Hits:
         postings: Optional[Iterable[Posting]] = None,
         *,
         columns: Optional[Tuple[Sequence[int], Sequence[int]]] = None,
-        grouped: Optional[Mapping[int, Sequence[int]]] = None,
-        oid_set: Optional[FrozenSet[int]] = None,
-        oid_column: Optional[Sequence[int]] = None,
+        entry: Optional["_TermPostings"] = None,
     ):
         self.term = term
+        self._entry = entry
         self._postings: Optional[List[Posting]] = None
-        self._grouped = grouped
-        self._oid_set = oid_set
-        self._oid_column = oid_column
-        if columns is not None:
+        self._grouped: Optional[Mapping[int, Sequence[int]]] = None
+        self._oid_set: Optional[FrozenSet[int]] = None
+        self._oid_column: Optional[Sequence[int]] = None
+        if entry is not None:
+            self._pids, self._oids = entry.pids, entry.oids
+        elif columns is not None:
             self._pids, self._oids = columns
         else:
             materialized = list(postings) if postings is not None else []
@@ -149,7 +154,10 @@ class Hits:
     def oids(self) -> AbstractSet[int]:
         """The distinct OIDs hit (memoized; do not mutate the result)."""
         if self._oid_set is None:
-            self._oid_set = frozenset(self._oids)
+            entry = self._entry
+            self._oid_set = (
+                frozenset(self._oids) if entry is None else entry.oid_set
+            )
         return self._oid_set
 
     @property
@@ -171,23 +179,28 @@ class Hits:
         ``oids()`` frozenset.
         """
         if self._oid_column is None:
-            self._oid_column = _unique_oid_column(self._oids)
+            entry = self._entry
+            self._oid_column = (
+                _unique_oid_column(self._oids)
+                if entry is None
+                else entry.unique_oids
+            )
         return self._oid_column
 
     def by_pid(self) -> Mapping[int, Sequence[int]]:
         """pid → OID sequence: the typed relations handed to meet (Fig. 5).
 
-        Memoized on the instance; index-backed hits share the grouping
-        precomputed at index build time, so the mapping is returned
-        read-only (callers needing to regroup should copy).
+        Memoized on the instance; index-backed hits share the term's
+        grouping, so the mapping is returned read-only (callers needing
+        to regroup should copy).
         """
         if self._grouped is None:
-            grouped: Dict[int, List[int]] = {}
-            for pid, oid in zip(self._pids, self._oids):
-                grouped.setdefault(pid, []).append(oid)
-            self._grouped = grouped
-        if not isinstance(self._grouped, MappingProxyType):
-            self._grouped = MappingProxyType(self._grouped)
+            entry = self._entry
+            self._grouped = (
+                _grouped(self._pids, self._oids)
+                if entry is None
+                else entry.grouped
+            )
         return self._grouped
 
     def __len__(self) -> int:
@@ -205,13 +218,25 @@ class Hits:
         return f"Hits(term={self.term!r}, postings={len(self._oids)})"
 
 
+def _grouped(
+    pids: Sequence[int], oids: Sequence[int]
+) -> Mapping[int, Sequence[int]]:
+    """pid → ``array('q')`` of OIDs, read-only (the view is shared)."""
+    built: Dict[int, array] = {}
+    for pid, oid in zip(pids, oids):
+        column = built.get(pid)
+        if column is None:
+            built[pid] = column = array("q")
+        column.append(oid)
+    return MappingProxyType(built)
+
+
 class _TermPostings:
     """Frozen per-term columns: parallel pid/oid arrays plus roll-ups.
 
-    Index builds precompute the by-pid grouping and the distinct-OID
-    set eagerly (queries always consume them); snapshot loads wrap the
-    deserialized columns via :meth:`from_frozen` and derive the
-    roll-ups lazily on first use, keeping warm starts O(bytes).
+    The roll-ups derive on first use and are memoized on the term, so
+    an index (built or loaded) holds only what its queries asked for:
+    the vector tier reads ``unique_oids`` alone.
     """
 
     __slots__ = ("pids", "oids", "_grouped", "_oid_set", "_unique_oids")
@@ -222,22 +247,6 @@ class _TermPostings:
         self._grouped: Optional[Mapping[int, Sequence[int]]] = None
         self._oid_set: Optional[FrozenSet[int]] = None
         self._unique_oids: Optional[Sequence[int]] = None
-        # Touch the properties so build-time postings stay precomputed.
-        self.grouped
-        self.oid_set
-
-    @classmethod
-    def from_frozen(
-        cls, pids: Sequence[int], oids: Sequence[int]
-    ) -> "_TermPostings":
-        """Wrap already-built columns without materializing roll-ups."""
-        self = cls.__new__(cls)
-        self.pids = pids
-        self.oids = oids
-        self._grouped = None
-        self._oid_set = None
-        self._unique_oids = None
-        return self
 
     @property
     def unique_oids(self) -> Sequence[int]:
@@ -255,15 +264,7 @@ class _TermPostings:
     def grouped(self) -> Mapping[int, Sequence[int]]:
         cached = self._grouped
         if cached is None:
-            built: Dict[int, array] = {}
-            for pid, oid in zip(self.pids, self.oids):
-                column = built.get(pid)
-                if column is None:
-                    built[pid] = column = array("q")
-                column.append(oid)
-            # Read-only view: this grouping is shared by every Hits
-            # view of the term (and, via the cache, by every engine).
-            cached = self._grouped = MappingProxyType(built)
+            cached = self._grouped = _grouped(self.pids, self.oids)
         return cached
 
     @property
@@ -368,7 +369,7 @@ class FullTextIndex:
         self.generation = getattr(store, "generation", 0)
         self._indexed_associations = indexed_associations
         self._terms = {
-            sys.intern(term): _TermPostings.from_frozen(pids, oids)
+            sys.intern(term): _TermPostings(pids, oids)
             for term, pids, oids in term_columns
         }
         return self
@@ -466,26 +467,14 @@ class FullTextIndex:
     def search(self, term: str) -> Hits:
         """All associations whose string contains ``term`` as a token.
 
-        A dictionary look-up plus one :class:`Hits` view — no posting
-        copies, no per-posting allocation.
+        A dictionary look-up plus one :class:`Hits` view over the term —
+        no posting copies, no per-posting allocation, and no roll-up
+        its consumer does not ask for.
         """
-        token = normalize(term, self.case_sensitive)
-        entry = self._terms.get(token)
+        entry = self._terms.get(normalize(term, self.case_sensitive))
         if entry is None:
-            return Hits(
-                term=term,
-                columns=(_EMPTY_COLUMN, _EMPTY_COLUMN),
-                grouped={},
-                oid_set=frozenset(),
-                oid_column=_EMPTY_COLUMN,
-            )
-        return Hits(
-            term=term,
-            columns=(entry.pids, entry.oids),
-            grouped=entry.grouped,
-            oid_set=entry.oid_set,
-            oid_column=entry.unique_oids,
-        )
+            return Hits(term=term, columns=(_EMPTY_COLUMN, _EMPTY_COLUMN))
+        return Hits(term=term, entry=entry)
 
     def search_prefix(self, prefix: str) -> Hits:
         """All associations with a token starting with ``prefix``.

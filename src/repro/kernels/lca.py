@@ -116,15 +116,15 @@ class LcaKernels:
         self.near = np.empty((DENSE_LEVELS, 0), dtype=np.uint8)
         self.far = np.empty((0, 0), dtype=np.int32)
         self._extend_table(0)
-        self._pids = np.empty(0, dtype=_INT64)
+        self._pids = np.empty(0, dtype=np.int32)
 
     def pids(self) -> np.ndarray:
-        """The store's dense OID → pid column as an array.
+        """The store's dense OID → pid column as an int32 array.
 
-        The store keeps it as a python list that a put extends and
-        nothing else changes (a delete only adds tombstones; a
-        compaction makes a new store, hence new kernels), so the copy
-        made on first use is caught up at the tail.
+        A put extends the store's column and nothing else changes it (a
+        delete only adds tombstones; a compaction makes a new store,
+        hence new kernels), so the copy made on first use is caught up
+        at the tail — a view would pin the column against that append.
         """
         column = self.index.store.dense_columns()[0]
         known = len(self._pids)

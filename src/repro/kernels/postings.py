@@ -1,10 +1,12 @@
 """Vectorized postings set algebra for the full-text index (NumPy tier).
 
-Postings are parallel (pid, oid) ``array('q')`` columns.  The python
-implementations of conjunctive / disjunctive search materialize python
-tuple sets per term; here the same operations run over a combined
-``pid * stride + oid`` key column (the stride exceeds every OID, so
-key order *is* lexicographic (pid, oid) order and the decode is exact):
+Postings are parallel (pid, oid) integer columns — ``array('q')`` in a
+built index, int32 snapshot sections in a loaded one — bound here at
+their own width.  The python implementations of conjunctive /
+disjunctive search materialize python tuple sets per term; here the
+same operations run over a combined int64 ``pid * stride + oid`` key
+column (the stride exceeds every OID, so key order *is* lexicographic
+(pid, oid) order and the decode is exact):
 
 * :func:`intersect_columns` — sorted-array intersection
   (``np.intersect1d`` over per-term unique keys), emitting (pid, oid)
@@ -41,12 +43,14 @@ def _stride(columns: Sequence[Tuple[np.ndarray, np.ndarray]]) -> int:
 def _as_column_pairs(
     columns,
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    # Zero-copy through the buffer protocol for ``array('q')`` columns
-    # and mmap'd snapshot memoryviews; python lists are copied.
-    return [
-        (np.asarray(pids, dtype=_INT64), np.asarray(oids, dtype=_INT64))
-        for pids, oids in columns
-    ]
+    # Zero-copy through the buffer protocol, at each column's own item
+    # width (``array('q')``, int32 snapshot views).
+    return [(np.asarray(pids), np.asarray(oids)) for pids, oids in columns]
+
+
+def _keys(pids: np.ndarray, oids: np.ndarray, stride: int) -> np.ndarray:
+    """The combined key column, int64 whatever the columns' width."""
+    return pids.astype(_INT64, copy=False) * stride + oids
 
 
 def intersect_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
@@ -60,12 +64,12 @@ def intersect_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
     if not pairs:
         return _EMPTY, _EMPTY
     stride = _stride(pairs)
-    keys = np.unique(pairs[0][0] * stride + pairs[0][1])
+    keys = np.unique(_keys(*pairs[0], stride))
     for pids, oids in pairs[1:]:
         if not len(keys):
             break
         keys = np.intersect1d(
-            keys, np.unique(pids * stride + oids), assume_unique=True
+            keys, np.unique(_keys(pids, oids, stride)), assume_unique=True
         )
     return keys // stride, keys % stride
 
@@ -83,14 +87,16 @@ def union_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
     stride = _stride(pairs)
     all_pids = np.concatenate([pids for pids, _ in pairs])
     all_oids = np.concatenate([oids for _, oids in pairs])
-    _, first_seen = np.unique(all_pids * stride + all_oids, return_index=True)
+    _, first_seen = np.unique(
+        _keys(all_pids, all_oids, stride), return_index=True
+    )
     order = np.sort(first_seen)
     return all_pids[order], all_oids[order]
 
 
 def group_boundaries(sorted_pids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(distinct pids, group start offsets) of a sorted pid column."""
-    pids = np.asarray(sorted_pids, dtype=_INT64)
+    pids = np.asarray(sorted_pids)
     if not len(pids):
         return _EMPTY, _EMPTY
     starts = np.concatenate(([0], np.nonzero(np.diff(pids))[0] + 1))

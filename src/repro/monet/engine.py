@@ -15,14 +15,27 @@ associations of one type (= one path) live in one binary relation:
 On top of the relations the store keeps three dense OID-indexed
 columns — pid, parent OID and rank — so that ``parent(o)`` and π(o)
 are the O(1) "hash look-ups" the paper's Fig. 3 assumes (justified in
-the paper via functional-join techniques, ref. [8]).
+the paper via functional-join techniques, ref. [8]).  The columns are
+flat ``int32`` buffers with ``-1`` for "no parent"; ``edges`` and
+``ranks`` carry exactly their information regrouped by pid, which is
+why a snapshot stores only the columns (:mod:`repro.snapshot.codec`).
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from itertools import count
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 from weakref import WeakSet
 
 from ..datamodel.errors import ModelError, UnknownOIDError
@@ -30,7 +43,20 @@ from ..datamodel.paths import Path
 from .bat import BAT
 from .pathsummary import PathSummary
 
-__all__ = ["MonetXML", "DerivedCache"]
+__all__ = ["MonetXML", "DerivedCache", "int32_column"]
+
+
+def int32_column(values: Iterable[int] = ()) -> array:
+    """An owned ``array('i')`` of ``values`` — the dense-column type.
+
+    An int32 buffer (a snapshot view) is copied with one memcpy,
+    anything else item by item.
+    """
+    if isinstance(values, memoryview) and values.format == "i":
+        column = array("i")
+        column.frombytes(values.cast("B"))
+        return column
+    return array("i", values)
 
 
 class MonetXML:
@@ -38,7 +64,10 @@ class MonetXML:
 
     Instances are built by :func:`repro.monet.transform.monet_transform`
     or :func:`repro.monet.storage.load`; direct construction takes
-    pre-computed columns and relations.
+    pre-computed columns and relations.  The dense columns are
+    ``array('i')`` for a store built in memory and read-only int32
+    snapshot views for a loaded one, which the first write copies
+    (:mod:`repro.monet.mutate`).
 
     Every instance carries a process-unique, monotonically increasing
     ``generation`` token.  Derived structures built outside the store
@@ -57,12 +86,12 @@ class MonetXML:
         summary: PathSummary,
         root_oid: int,
         first_oid: int,
-        oid_pid: List[int],
-        oid_parent: List[Optional[int]],
-        oid_rank: List[int],
-        edges: Dict[int, BAT],
-        strings: Dict[int, BAT],
-        ranks: Dict[int, BAT],
+        oid_pid: Sequence[int],
+        oid_parent: Sequence[int],
+        oid_rank: Sequence[int],
+        edges: Mapping[int, BAT],
+        strings: Mapping[int, BAT],
+        ranks: Mapping[int, BAT],
     ):
         self.summary = summary
         self.root_oid = root_oid
@@ -131,9 +160,10 @@ class MonetXML:
     def parent_of(self, oid: int) -> Optional[int]:
         """The parent OID — the Fig. 3 ``parent(o)`` hash look-up.
 
-        Returns ``None`` for the document root.
+        Returns ``None`` for the document root (``-1`` in the column).
         """
-        return self._oid_parent[self._index(oid)]
+        parent = self._oid_parent[self._index(oid)]
+        return None if parent < 0 else parent
 
     def rank_of(self, oid: int) -> int:
         return self._oid_rank[self._index(oid)]
@@ -145,6 +175,7 @@ class MonetXML:
     def dense_columns(self):
         """The (pid, parent, rank) columns, indexed by ``oid - first_oid``.
 
+        Flat int32 buffers, ``-1`` where a node has no parent.
         Read-only by contract — the columns are handed out without a
         copy so whole-range consumers (the shard slicer of
         :mod:`repro.exec.sharding`) stay O(range), not O(range) Python
@@ -160,9 +191,6 @@ class MonetXML:
     def string_relation(self, pid: int) -> BAT:
         """(oid, string) BAT of the attribute path ``pid`` (may be empty)."""
         return self.strings.get(pid, BAT(name=str(self.summary.path(pid))))
-
-    def rank_relation(self, pid: int) -> BAT:
-        return self.ranks.get(pid, BAT(name=str(self.summary.path(pid))))
 
     def parent_relation(self, pid: int) -> BAT:
         """(child, parent) BAT for path ``pid`` — cached reverse of edges.
@@ -208,7 +236,7 @@ class MonetXML:
         if self._children_index is None:
             index: Dict[int, List[int]] = {}
             for position, parent in enumerate(self._oid_parent):
-                if parent is not None:
+                if parent >= 0:
                     index.setdefault(parent, []).append(position + self.first_oid)
             for children in index.values():
                 children.sort(key=self.rank_of)

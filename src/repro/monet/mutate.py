@@ -38,6 +38,7 @@ serializes documents in collection order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -50,7 +51,7 @@ from ..datamodel.errors import (
 from ..datamodel.node import CDATA_ATTRIBUTE, Node
 from ..datamodel.parser import parse_fragment
 from .bat import BAT
-from .engine import MonetXML
+from .engine import MonetXML, int32_column
 
 __all__ = [
     "MutationRecord",
@@ -154,21 +155,17 @@ def _ensure_mutable(store: MonetXML) -> None:
     """Convert zero-copy snapshot views into plain mutable structures.
 
     Snapshot-loaded stores hold lazily materialized read-only relation
-    families and memoryview-backed dense columns; the first mutation
-    pays one conversion to plain dicts/lists.
+    families and read-only int32 views as dense columns; the first
+    mutation pays one conversion to plain dicts and ``array('i')``s.
     """
-    if not isinstance(store.edges, dict):
-        store.edges = dict(store.edges.items())
-    if not isinstance(store.strings, dict):
-        store.strings = dict(store.strings.items())
-    if not isinstance(store.ranks, dict):
-        store.ranks = dict(store.ranks.items())
-    if not isinstance(store._oid_pid, list):
-        store._oid_pid = list(store._oid_pid)
-    if not isinstance(store._oid_parent, list):
-        store._oid_parent = list(store._oid_parent)
-    if not isinstance(store._oid_rank, list):
-        store._oid_rank = list(store._oid_rank)
+    for family in ("edges", "strings", "ranks"):
+        relations = getattr(store, family)
+        if not isinstance(relations, dict):
+            setattr(store, family, dict(relations.items()))
+    for name in ("_oid_pid", "_oid_parent", "_oid_rank"):
+        column = getattr(store, name)
+        if not (isinstance(column, array) and column.typecode == "i"):
+            setattr(store, name, int32_column(column))
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +276,9 @@ def delete_document(store: MonetXML, name: str) -> MutationRecord:
     _ensure_mutable(store)
     low, high = span
 
-    element_pids = set()
-    for position in range(low - store.first_oid, high - store.first_oid + 1):
-        element_pids.add(store._oid_pid[position])
-        store._oid_parent[position] = None
+    start, stop = low - store.first_oid, high - store.first_oid + 1
+    element_pids = set(store._oid_pid[start:stop])
+    store._oid_parent[start:stop] = int32_column([-1]) * (stop - start)
 
     def outside(oid: int) -> bool:
         return not low <= oid <= high
@@ -388,15 +384,29 @@ def compact_store(store: MonetXML) -> Tuple[MonetXML, Optional[Dict[int, int]]]:
         ensure_document_registry(store)
         return store, None
     first = store.first_oid
-    live = list(store.iter_live_oids())
+    # The live slots are the runs between the tombstone ranges, so the
+    # dense columns compact by slices.
+    tombstones = store.tombstone_ranges()
+    runs = list(zip(
+        [0] + [high + 1 - first for _, high in tombstones],
+        [low - first for low, _ in tombstones] + [store.node_count],
+    ))
+    live = [first + slot for start, stop in runs for slot in range(start, stop)]
     mapping = {old: first + position for position, old in enumerate(live)}
 
-    oid_pid = [store._oid_pid[old - first] for old in live]
-    oid_rank = [store._oid_rank[old - first] for old in live]
-    oid_parent: List[Optional[int]] = []
-    for old in live:
-        parent = store._oid_parent[old - first]
-        oid_parent.append(None if parent is None else mapping[parent])
+    def compacted_column(column) -> array:
+        kept = int32_column()
+        for start, stop in runs:
+            kept += column[start:stop]
+        return kept
+
+    pids, parents, ranks = store.dense_columns()
+    oid_pid = compacted_column(pids)
+    oid_rank = compacted_column(ranks)
+    oid_parent = int32_column([
+        -1 if parent < 0 else mapping[parent]
+        for parent in compacted_column(parents)
+    ])
 
     def remap(relation: BAT, *, heads_only: bool) -> BAT:
         heads = [mapping[h] for h in relation.heads]

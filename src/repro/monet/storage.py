@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ..datamodel.errors import ReproError, StorageError
 from ..datamodel.paths import Path
 from .bat import BAT
-from .engine import MonetXML
+from .engine import MonetXML, int32_column
 from .pathsummary import PathSummary
 
 __all__ = ["save", "load", "dumps", "loads"]
@@ -134,9 +134,9 @@ def loads(text: str) -> MonetXML:
         )
     if node_count < 0:
         raise StorageError(f"corrupt image: negative node_count {node_count}")
-    oid_pid: List[int] = [0] * node_count
-    oid_parent: List[Optional[int]] = [None] * node_count
-    oid_rank: List[int] = [0] * node_count
+    oid_pid = int32_column([0]) * node_count
+    oid_parent = int32_column([-1]) * node_count
+    oid_rank = int32_column([0]) * node_count
     try:
         for pid, relation in ranks.items():
             for oid, rank in relation:
@@ -168,6 +168,10 @@ def loads(text: str) -> MonetXML:
         raise
     except TypeError as exc:
         raise StorageError(f"corrupt image: non-numeric OID ({exc})") from exc
+    except OverflowError as exc:
+        raise StorageError(
+            f"corrupt image: value out of int32 range ({exc})"
+        ) from exc
 
     store = MonetXML(
         summary=summary,

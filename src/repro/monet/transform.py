@@ -15,11 +15,11 @@ rank) that give the O(1) ``parent``/π look-ups of §3.2.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..datamodel.document import Document
 from .bat import BAT
-from .engine import MonetXML
+from .engine import MonetXML, int32_column
 from .pathsummary import PathSummary
 
 __all__ = ["monet_transform"]
@@ -34,9 +34,9 @@ def monet_transform(document: Document) -> MonetXML:
     node_count = document.node_count
     first_oid = document.first_oid
 
-    oid_pid: List[int] = [0] * node_count
-    oid_parent: List[Optional[int]] = [None] * node_count
-    oid_rank: List[int] = [0] * node_count
+    oid_pid = int32_column([0]) * node_count
+    oid_parent = int32_column([-1]) * node_count
+    oid_rank = int32_column([0]) * node_count
 
     edge_buns: Dict[int, List[Tuple[int, int]]] = {}
     string_buns: Dict[int, List[Tuple[int, str]]] = {}

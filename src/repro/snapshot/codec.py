@@ -7,26 +7,34 @@ persisting them is one ``tobytes()`` per column and loading is one
 checksum pass plus column rebinds — no XML parse, no Euler tour, no
 tokenization.  A column is stored only when reading it back beats
 deriving it: the LCA index's range-minimum table is a few whole-array
-passes over ``lca/depth`` at bind time, so the bundle carries the
-index's four O(n) columns and no table.  Section layout (all framed by
-:mod:`repro.snapshot.format`):
+passes over ``lca/depth`` at bind time, and the ``edges`` and ``ranks``
+relation families are the three dense ``store/*`` columns regrouped by
+pid (one stable sort, on first access), so the bundle carries neither.
+Section layout (all framed by :mod:`repro.snapshot.format`):
 
 ======================  ==================================================
-``meta``                JSON: counts, root/first OID, case mode, extras
-``summary/paths``       packed path strings in pid order
+``meta``                JSON: counts, root/first OID, case mode, item
+                        widths, extras
+``summary/parents``     parent pid per pid
+``summary/kinds``       1 for an attribute step, 0 for an element step
+``summary/labels``      packed step labels in pid order
 ``store/oid_pid``       dense OID→pid column
-``store/oid_parent``    dense OID→parent column (``-1`` at the root)
+``store/oid_parent``    dense OID→parent column (``-1`` at the root;
+                        every other parent lies below its child)
 ``store/oid_rank``      dense OID→rank column
-``edges|ranks/*``       per-family: pid list, run lengths, head, tail
 ``strings/*``           pid list, run lengths, OID column, packed values
-``lca/*``               Euler tour, depths, first/last position per OID,
-                        ``meta["lca_item_width"]`` (4) bytes per item;
-                        a bundle without the field holds int64 columns
-                        and a stored table that is no longer read
+``lca/*``               Euler tour, depths, first/last position per OID
 ``ft/*``                term dictionary, run lengths, pid/oid columns
 ``vx/*``                typed value index: pid list, run lengths, OID
                         column, packed values (only when declared)
 ======================  ==================================================
+
+Integer sections hold ``meta["item_width"]`` (4) bytes per item, the
+``lca/*`` ones ``meta["lca_item_width"]`` (4).  A bundle without the
+first field is read at 8 bytes per item outside ``lca/*``; one without
+the second at 8 inside it, and it also holds a stored range-minimum
+table.  Older bundles' ``edges/*``, ``ranks/*`` and ``lca/table|log|
+table_lens`` sections are never read: there is one read path.
 
 :func:`read_snapshot` returns a :class:`Snapshot` whose store has the
 per-store generation-keyed caches **pre-seeded**
@@ -38,11 +46,22 @@ first query with zero index constructions.
 
 from __future__ import annotations
 
+import operator
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .. import kernels
 from ..core.lca_index import LcaIndex, get_lca_index, seed_lca_index
@@ -61,8 +80,10 @@ from .format import SnapshotReader, SnapshotWriter
 
 __all__ = ["Snapshot", "write_snapshot", "read_snapshot", "item_widths"]
 
-#: Bytes per item of the ``lca/*`` columns this build writes.
-_LCA_ITEM_WIDTH = 4
+#: Bytes per item of every integer section this build writes.
+_ITEM_WIDTH = 4
+#: The dense columns, in the order of ``MonetXML.dense_columns()``.
+_STORE_SECTIONS = ("store/oid_pid", "store/oid_parent", "store/oid_rank")
 
 
 @dataclass
@@ -92,28 +113,68 @@ class Snapshot:
 
 
 # ---------------------------------------------------------------------------
-# Writing.
+# Dense-column soundness (shared by the writer and the reader).
 # ---------------------------------------------------------------------------
 
-def _add_relation_family(
-    writer: SnapshotWriter, name: str, relations: Dict[int, BAT]
-) -> None:
-    """Serialize one int×int relation family as four flat columns."""
-    pids: List[int] = []
-    lengths: List[int] = []
-    heads: List[int] = []
-    tails: List[int] = []
-    for pid in sorted(relations):
-        relation = relations[pid]
-        pids.append(pid)
-        lengths.append(len(relation))
-        heads.extend(relation.heads)
-        tails.extend(relation.tails)
-    writer.add_array(f"{name}/pids", pids)
-    writer.add_array(f"{name}/lens", lengths)
-    writer.add_array(f"{name}/heads", heads)
-    writer.add_array(f"{name}/tails", tails)
+def _refuse(*checks: Tuple[str, bool, str]) -> None:
+    """Raise a :class:`StorageError` naming the first unsound section."""
+    for section, sound, fault in checks:
+        if not sound:
+            raise StorageError(f"section {section!r} holds {fault}")
 
+
+def _check_dense_columns(
+    columns: Sequence[Sequence[int]],
+    node_count: int,
+    root_index: int,
+    first_oid: int,
+    path_count: int,
+    vectorized: bool,
+) -> None:
+    """Refuse dense columns that would send a gather astray.
+
+    The ``edges``/``ranks`` families are gathers through these columns
+    (:class:`_DenseRegrouping`), so every pid must name a path, the
+    root's parent must be ``-1`` and every other parent an earlier OID
+    of the store — pre-order, which also makes the root the first OID.
+    ``vectorized`` runs the checks as NumPy passes.
+    """
+    _refuse(*(
+        (section, len(column) == node_count,
+         "a column whose length is not the node count")
+        for section, column in zip(_STORE_SECTIONS, columns)
+    ))
+    if not 0 <= root_index < node_count:
+        raise StorageError("snapshot root OID does not denote a node")
+    pids, parents, _ = columns
+    _refuse(("store/oid_parent", parents[root_index] == -1,
+             "a root whose parent is not -1"))
+    if vectorized:
+        np = kernels.numpy()
+        pids, parents = np.asarray(pids), np.asarray(parents)
+        pids_known = ((pids >= 1) & (pids <= path_count)).all()
+        below = (parents >= first_oid) & (
+            parents < np.arange(first_oid, first_oid + node_count)
+        )
+        below[root_index] = True
+        parents_below = below.all()
+    else:
+        pids_known = all(1 <= pid <= path_count for pid in pids)
+        parents_below = all(
+            first_oid <= parent < first_oid + slot
+            for slot, parent in enumerate(parents)
+            if slot != root_index
+        )
+    _refuse(
+        ("store/oid_pid", pids_known, f"a pid outside [1, {path_count}]"),
+        ("store/oid_parent", parents_below,
+         "a parent outside the store's span or not below its child"),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Writing.
+# ---------------------------------------------------------------------------
 
 def write_snapshot(
     store: MonetXML,
@@ -164,7 +225,8 @@ def write_snapshot(
         "first_oid": store.first_oid,
         "path_count": len(summary) - 1,
         "tour_length": lca.tour_length,
-        "lca_item_width": _LCA_ITEM_WIDTH,
+        "item_width": _ITEM_WIDTH,
+        "lca_item_width": _ITEM_WIDTH,
         "case_sensitive": case_sensitive,
         "indexed_associations": fulltext.indexed_associations,
         "vocabulary_size": fulltext.vocabulary_size,
@@ -188,14 +250,17 @@ def write_snapshot(
         meta.update(extra_meta)
     writer.add_json("meta", meta)
 
+    def add_column(name: str, values) -> None:
+        writer.add_array(name, values, _ITEM_WIDTH)
+
     # Columnar path summary: parent pid, step kind and label per pid.
     # (Not path strings — re-parsing them costs O(total path depth)
     # with per-prefix interning, which dominates load on path-heavy
     # stores; one parent-pointer step per path is O(paths).)
-    writer.add_array(
+    add_column(
         "summary/parents", (summary.parent(pid) for pid in summary.pids())
     )
-    writer.add_array(
+    add_column(
         "summary/kinds",
         (1 if summary.is_attribute(pid) else 0 for pid in summary.pids()),
     )
@@ -203,19 +268,21 @@ def write_snapshot(
         "summary/labels", (summary.label(pid) for pid in summary.pids())
     )
 
-    root_index = store.root_oid - store.first_oid
-    parents = [
-        -1 if parent is None else parent
-        for parent in (store.parent_of(oid) for oid in store.iter_oids())
-    ]
-    if parents[root_index] != -1:
-        raise StorageError("store root has a parent; refusing to snapshot")
-    writer.add_array("store/oid_pid", (store.pid_of(oid) for oid in store.iter_oids()))
-    writer.add_array("store/oid_parent", parents)
-    writer.add_array("store/oid_rank", (store.rank_of(oid) for oid in store.iter_oids()))
-
-    _add_relation_family(writer, "edges", store.edges)
-    _add_relation_family(writer, "ranks", store.ranks)
+    # The dense columns are the whole of ``edges`` and ``ranks`` too; a
+    # store the reader would refuse is refused here, the same way —
+    # in python: ``snapshot build`` need not import NumPy, and the
+    # import costs more than the loops (40 vs 12 ms at 84k nodes).
+    columns = store.dense_columns()
+    _check_dense_columns(
+        columns,
+        store.node_count,
+        store.root_oid - store.first_oid,
+        store.first_oid,
+        len(summary) - 1,
+        vectorized=False,
+    )
+    for name, column in zip(_STORE_SECTIONS, columns):
+        add_column(name, column)
 
     string_pids: List[int] = []
     string_lengths: List[int] = []
@@ -223,36 +290,38 @@ def write_snapshot(
     string_values: List[str] = []
     for pid in sorted(store.strings):
         relation = store.strings[pid]
+        if not relation:
+            continue  # a loaded family has no empty runs either
         string_pids.append(pid)
         string_lengths.append(len(relation))
         string_oids.extend(relation.heads)
         string_values.extend(relation.tails)
-    writer.add_array("strings/pids", string_pids)
-    writer.add_array("strings/lens", string_lengths)
-    writer.add_array("strings/oids", string_oids)
+    add_column("strings/pids", string_pids)
+    add_column("strings/lens", string_lengths)
+    add_column("strings/oids", string_oids)
     writer.add_strings("strings/values", string_values)
 
     for name, column in lca.columns().items():
-        writer.add_array(f"lca/{name}", column, _LCA_ITEM_WIDTH)
+        add_column(f"lca/{name}", column)
 
     writer.add_strings("ft/terms", terms)
-    writer.add_array("ft/lens", term_lengths)
-    writer.add_array("ft/pids", term_pids)
-    writer.add_array("ft/oids", term_oids)
+    add_column("ft/lens", term_lengths)
+    add_column("ft/pids", term_pids)
+    add_column("ft/oids", term_oids)
 
     if value_index is not None:
         vx_pids: List[int] = []
         vx_lengths: List[int] = []
-        vx_oids = array("q")
+        vx_oids: List[int] = []
         vx_values: List[str] = []
         for pid, oids, values in value_index.iter_path_columns():
             vx_pids.append(pid)
             vx_lengths.append(len(oids))
             vx_oids.extend(oids)
             vx_values.extend(values)
-        writer.add_array("vx/pids", vx_pids)
-        writer.add_array("vx/lens", vx_lengths)
-        writer.add_array("vx/oids", vx_oids)
+        add_column("vx/pids", vx_pids)
+        add_column("vx/lens", vx_lengths)
+        add_column("vx/oids", vx_oids)
         writer.add_strings("vx/values", vx_values)
 
     return writer.write(path)
@@ -289,64 +358,222 @@ def _slice_runs(
     return runs
 
 
-class _LazyRelationFamily(Mapping):
-    """pid → BAT over flat head/tail columns, materialized on access.
+def _item_width(meta: Dict[str, object], key: str = "item_width") -> int:
+    """Bytes per item of a group of integer sections (8 when unrecorded)."""
+    width = _meta_int(meta, key, 8)
+    if width not in (4, 8):
+        raise StorageError(f"snapshot meta field {key!r} is {width}")
+    return width
 
-    A loaded store carries one relation per path — often hundreds of
-    thousands of tiny BATs — but a query touches only the handful its
-    hit paths name.  This mapping keeps the family as two flat columns
-    plus a pid → (start, stop) index and builds (then memoizes) each
-    BAT on first access, so loading costs O(relations) dict inserts
-    instead of O(relations) object graphs.  Read-only by design, like
-    the eager dicts it replaces.
+
+class _Runs(NamedTuple):
+    """One relation family as pid-grouped flat columns.
+
+    The relation of ``pid`` is ``heads[offsets[pid]:offsets[pid + 1]]``
+    beside the same slice of ``tails``; ``pids`` lists, ascending, the
+    pids whose run is not empty — the family's keys.
     """
 
-    __slots__ = ("_spans", "_heads", "_tails", "_cache")
+    pids: Sequence[int]
+    offsets: Sequence[int]
+    heads: Sequence
+    tails: Sequence
+
+
+def _runs(counts: Sequence[int], heads: Sequence, tails: Sequence) -> _Runs:
+    """The runs of pid-grouped columns holding ``counts[pid]`` rows per
+    pid (a list on the python tier, an array on the vector tier)."""
+    if isinstance(counts, list):
+        return _Runs(
+            array("i", (pid for pid, count in enumerate(counts) if count)),
+            array("q", accumulate(counts, initial=0)),
+            heads,
+            tails,
+        )
+    import numpy as np
+
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return _Runs(np.flatnonzero(counts), offsets, heads, tails)
+
+
+def _stored_runs(
+    pids: Sequence[int],
+    lengths: Sequence[int],
+    heads: Sequence,
+    tails: Sequence,
+    section: str,
+    path_count: int,
+) -> _Runs:
+    """The runs of a stored family, refused unless every slice through
+    them stays inside its columns: pids ascending inside
+    ``[1, path_count]``, lengths ≥ 0 adding up to the columns."""
+    _refuse((f"{section}/lens", len(lengths) == len(pids),
+             "not one run length per pid"))
+    vector = kernels.available()
+    if vector:
+        np = kernels.numpy()
+        pids, lengths = np.asarray(pids), np.asarray(lengths)
+        ascending = (pids[1:] > pids[:-1]).all() and (
+            (pids >= 1) & (pids <= path_count)
+        ).all()
+        total = int(lengths.sum()) if (lengths >= 0).all() else -1
+    else:
+        ascending = all(a < b for a, b in zip(pids, pids[1:])) and all(
+            1 <= pid <= path_count for pid in pids
+        )
+        total = sum(lengths) if all(length >= 0 for length in lengths) else -1
+    _refuse(
+        (f"{section}/pids", ascending,
+         f"a pid outside [1, {path_count}] or out of order"),
+        (f"{section}/lens", total == len(heads) == len(tails),
+         "run lengths that do not add up to its columns"),
+    )
+    if vector:
+        counts = np.zeros(path_count + 1, dtype=np.int64)
+        counts[pids] = lengths
+    else:
+        counts = [0] * (path_count + 1)
+        for pid, length in zip(pids, lengths):
+            counts[pid] = length
+    return _runs(counts, heads, tails)
+
+
+def _shifted(order, base: int):
+    """``order + base`` — OIDs — on either tier, as int64 (a leaf's OID
+    sits in no int32 column, so nothing bounds it to int32)."""
+    if isinstance(order, array):
+        return array("q", (slot + base for slot in order))
+    return order + base
+
+
+def _taken(column: Sequence[int], order):
+    """``column[order]`` on either tier."""
+    if isinstance(order, array):
+        return array("q", map(column.__getitem__, order))
+    import numpy as np
+
+    return np.asarray(column)[order]
+
+
+class _DenseRegrouping:
+    """The ``edges`` and ``ranks`` families of a loaded store, derived.
+
+    Both are the dense columns regrouped by pid (Def. 4's relations,
+    one per path), rows in OID order — exactly what a store built in
+    memory holds.  One stable pid order of the OID slots serves both:
+    ``ranks`` is ``(order + first_oid, rank[order])`` and ``edges`` is
+    ``(parent[order], order + first_oid)`` without the root.  It is
+    computed on the first access of either family (a bincount and a
+    stable argsort on the vector tier, a stable ``sorted`` otherwise)
+    over columns :func:`_check_dense_columns` has passed.
+    """
 
     def __init__(
         self,
-        pids: Sequence[int],
-        lengths: Sequence[int],
-        heads: Sequence[int],
-        tails: Sequence,
-        section: str,
-        summary: PathSummary,
+        columns: Sequence[Sequence[int]],
+        first_oid: int,
+        root_index: int,
+        path_count: int,
     ):
-        if len(pids) != len(lengths):
-            raise StorageError(
-                f"section {section!r} pid/length columns disagree"
-            )
-        path_count = len(summary)
-        spans: Dict[int, Tuple[int, int]] = {}
-        position = 0
-        for pid, length in zip(pids, lengths):
-            if not 0 < pid < path_count:
-                raise StorageError(
-                    f"section {section!r} references unknown pid {pid}"
+        self._columns = columns
+        self._first_oid = first_oid
+        self._root_index = root_index
+        self._path_count = path_count
+        self._order = None
+
+    def _ordered(self):
+        """(rows per pid, OID slots in stable pid order)."""
+        if self._order is None:
+            pids = self._columns[0]
+            if kernels.available():
+                np = kernels.numpy()
+                pids = np.asarray(pids)
+                counts = np.bincount(pids, minlength=self._path_count + 1)
+                order = np.argsort(pids, kind="stable")
+            else:
+                counts = [0] * (self._path_count + 1)
+                for pid in pids:
+                    counts[pid] += 1
+                order = array(
+                    "i", sorted(range(len(pids)), key=pids.__getitem__)
                 )
-            if pid in spans:
-                raise StorageError(
-                    f"section {section!r} repeats pid {pid}"
-                )
-            spans[pid] = (position, position + length)
-            position += length
-        if position != len(heads) or position != len(tails):
-            raise StorageError(
-                f"section {section!r} length disagrees with its run lengths "
-                f"({position} != {len(heads)}/{len(tails)})"
-            )
-        self._spans = spans
-        self._heads = heads
-        self._tails = tails
+            self._order = counts, order
+        return self._order
+
+    def ranks(self) -> _Runs:
+        counts, order = self._ordered()
+        return _runs(
+            counts,
+            _shifted(order, self._first_oid),
+            _taken(self._columns[2], order),
+        )
+
+    def edges(self) -> _Runs:
+        counts, order = self._ordered()
+        root = self._root_index
+        counts = counts.copy()
+        counts[self._columns[0][root]] -= 1
+        if isinstance(order, array):
+            order = array("i", (slot for slot in order if slot != root))
+        else:
+            order = order[order != root]
+        return _runs(
+            counts,
+            _taken(self._columns[1], order),
+            _shifted(order, self._first_oid),
+        )
+
+
+class _LazyRelationFamily(Mapping):
+    """pid → BAT over pid-grouped flat columns, materialized on access.
+
+    A loaded store carries one relation per path — tens of thousands of
+    tiny BATs — but a query touches only the handful its hit paths
+    name.  The family is its :class:`_Runs` — a per-pid offsets column
+    over two flat columns, no per-pid object — obtained from ``runs``
+    on first use (deriving ``edges``/``ranks`` costs a sort, and the
+    nearest-concept path never asks), and each BAT is built, then
+    memoized, on first access.  Read-only by design, like the dicts of
+    a store built in memory.
+    """
+
+    __slots__ = ("_derive", "_runs", "_cache")
+
+    def __init__(self, runs: Callable[[], _Runs]):
+        self._derive = runs
+        self._runs: Optional[_Runs] = None
         self._cache: Dict[int, BAT] = {}
+
+    def _bound(self) -> _Runs:
+        runs = self._runs
+        if runs is None:
+            # Racing first readers may both derive; each publishes a
+            # whole _Runs, so none sees a half-built one.
+            runs = self._runs = self._derive()
+        return runs
+
+    def _span(self, pid: object) -> Optional[Tuple[int, int]]:
+        offsets = self._bound().offsets
+        try:
+            pid = operator.index(pid)
+        except TypeError:
+            return None
+        if not 0 < pid < len(offsets) - 1:
+            return None
+        start, stop = int(offsets[pid]), int(offsets[pid + 1])
+        return (start, stop) if start < stop else None
 
     def __getitem__(self, pid: int) -> BAT:
         cached = self._cache.get(pid)
         if cached is not None:
             return cached
-        start, stop = self._spans[pid]  # KeyError is the Mapping contract
-        heads = self._heads[start:stop]
-        tails = self._tails[start:stop]
+        span = self._span(pid)
+        if span is None:
+            raise KeyError(pid)  # the Mapping contract
+        runs = self._bound()
+        heads = runs.heads[span[0] : span[1]]
+        tails = runs.tails[span[0] : span[1]]
         relation = BAT.from_columns(
             heads.tolist() if hasattr(heads, "tolist") else list(heads),
             tails.tolist() if hasattr(tails, "tolist") else list(tails),
@@ -356,43 +583,31 @@ class _LazyRelationFamily(Mapping):
         return relation
 
     def __iter__(self):
-        return iter(self._spans)
+        return iter(self._bound().pids.tolist())
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._bound().pids)
 
     def __contains__(self, pid: object) -> bool:
-        return pid in self._spans
+        return self._span(pid) is not None
 
 
-def _rebuild_summary(reader: SnapshotReader) -> PathSummary:
+def _rebuild_summary(reader: SnapshotReader, width: int) -> PathSummary:
     # Parents must precede children — the invariant that makes a single
     # forward pass reproduce the original pid assignment.
     try:
         return ColumnarPathSummary(
-            reader.array("summary/parents"),
+            reader.array("summary/parents", width),
             reader.strings("summary/labels"),
-            reader.array("summary/kinds"),
+            reader.array("summary/kinds", width),
         )
     except ValueError as exc:
         raise StorageError(f"corrupt path summary: {exc}") from exc
 
 
-def _rebuild_relation_family(
-    reader: SnapshotReader, name: str, summary: PathSummary
-) -> Mapping:
-    return _LazyRelationFamily(
-        reader.array(f"{name}/pids"),
-        reader.array(f"{name}/lens"),
-        reader.array(f"{name}/heads"),
-        reader.array(f"{name}/tails"),
-        name,
-        summary,
-    )
-
-
 def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
-    summary = _rebuild_summary(reader)
+    width = _item_width(meta)
+    summary = _rebuild_summary(reader, width)
     try:
         node_count = int(meta["node_count"])  # type: ignore[index]
         root_oid = int(meta["root_oid"])  # type: ignore[index]
@@ -400,30 +615,23 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
     except (KeyError, TypeError, ValueError) as exc:
         raise StorageError(f"snapshot meta section is incomplete: {exc}") from exc
 
-    oid_pid = reader.tolist("store/oid_pid")
-    oid_parent: List[Optional[int]] = reader.tolist("store/oid_parent")
-    oid_rank = reader.tolist("store/oid_rank")
-    if not (len(oid_pid) == len(oid_parent) == len(oid_rank) == node_count):
-        raise StorageError(
-            "store columns disagree with the recorded node count "
-            f"({len(oid_pid)}/{len(oid_parent)}/{len(oid_rank)} != {node_count})"
-        )
+    path_count = len(summary) - 1
     root_index = root_oid - first_oid
-    if not 0 <= root_index < node_count or oid_parent[root_index] != -1:
-        raise StorageError("snapshot root OID does not denote a parentless node")
-    oid_parent[root_index] = None
-
-    edges = _rebuild_relation_family(reader, "edges", summary)
-    ranks = _rebuild_relation_family(reader, "ranks", summary)
-    strings = _LazyRelationFamily(
-        reader.array("strings/pids"),
-        reader.array("strings/lens"),
-        reader.array("strings/oids"),
+    columns = tuple(reader.array(section, width) for section in _STORE_SECTIONS)
+    _check_dense_columns(
+        columns, node_count, root_index, first_oid, path_count,
+        vectorized=kernels.available(),
+    )
+    regrouped = _DenseRegrouping(columns, first_oid, root_index, path_count)
+    strings = _stored_runs(
+        reader.array("strings/pids", width),
+        reader.array("strings/lens", width),
+        reader.array("strings/oids", width),
         reader.strings("strings/values"),
         "strings",
-        summary,
+        path_count,
     )
-
+    oid_pid, oid_parent, oid_rank = columns
     return MonetXML(
         summary=summary,
         root_oid=root_oid,
@@ -431,9 +639,9 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
         oid_pid=oid_pid,
         oid_parent=oid_parent,
         oid_rank=oid_rank,
-        edges=edges,
-        strings=strings,
-        ranks=ranks,
+        edges=_LazyRelationFamily(regrouped.edges),
+        strings=_LazyRelationFamily(lambda: strings),
+        ranks=_LazyRelationFamily(regrouped.ranks),
     )
 
 
@@ -467,22 +675,14 @@ def _rebuild_lca_index(
     Every later pass gathers through these columns unchecked, so what
     would send a gather outside its column is refused here, by section.
     """
-    width = _meta_int(meta, "lca_item_width", 8)
-    if width not in (4, 8):
-        raise StorageError(f"snapshot meta field 'lca_item_width' is {width}")
+    width = _item_width(meta, "lca_item_width")
     columns = {
         name: reader.array(f"lca/{name}", width)
         for name in ("tour", "depth", "first", "last")
     }
     tour, depth, first, last = columns.values()
     count, length, base = store.node_count, len(tour), store.first_oid
-
-    def refuse(*checks) -> None:
-        for section, sound, fault in checks:
-            if not sound:
-                raise StorageError(f"section {section!r} holds {fault}")
-
-    refuse(
+    _refuse(
         ("lca/tour", length == _meta_int(meta, "tour_length", length) > 0,
          "a tour of another length than the meta section's"),
         ("lca/depth", len(depth) == length, "not one depth per tour step"),
@@ -501,7 +701,7 @@ def _rebuild_lca_index(
         unit_steps = all(abs(a - b) == 1 for a, b in zip(depth, depth[1:]))
         ordered = all(0 <= a <= b for a, b in zip(first, last))
         bounded = all(position < length for position in last)
-    refuse(
+    _refuse(
         ("lca/tour", in_span, "an OID outside the store's span"),
         ("lca/depth", unit_steps, "a step between neighbours that is not 1"),
         ("lca/first", ordered, "a position below 0 or above its 'lca/last'"),
@@ -513,12 +713,13 @@ def _rebuild_lca_index(
 def _rebuild_fulltext_index(
     reader: SnapshotReader, store: MonetXML, meta: Dict[str, object]
 ) -> FullTextIndex:
+    width = _item_width(meta)
     terms = reader.strings("ft/terms")
-    lengths = reader.tolist("ft/lens")
+    lengths = reader.array("ft/lens", width)
     if len(terms) != len(lengths):
         raise StorageError("full-text term and length columns disagree")
-    pid_runs = _slice_runs(reader.array("ft/pids"), lengths, "ft/pids")
-    oid_runs = _slice_runs(reader.array("ft/oids"), lengths, "ft/oids")
+    pid_runs = _slice_runs(reader.array("ft/pids", width), lengths, "ft/pids")
+    oid_runs = _slice_runs(reader.array("ft/oids", width), lengths, "ft/oids")
     return FullTextIndex.from_term_columns(
         store,
         zip(terms, pid_runs, oid_runs),
@@ -538,11 +739,12 @@ def _rebuild_value_index(
     """
     if "vx/pids" not in reader:
         return None
-    pids = reader.tolist("vx/pids")
-    lengths = reader.tolist("vx/lens")
+    width = _item_width(meta)
+    pids = reader.array("vx/pids", width)
+    lengths = reader.array("vx/lens", width)
     if len(pids) != len(lengths):
         raise StorageError("value-index pid and length columns disagree")
-    oid_runs = _slice_runs(reader.array("vx/oids"), lengths, "vx/oids")
+    oid_runs = _slice_runs(reader.array("vx/oids", width), lengths, "vx/oids")
     value_runs = _slice_runs(reader.strings("vx/values"), lengths, "vx/values")
     declared = meta.get("value_indexes", [])
     if not isinstance(declared, list) or not all(
@@ -563,9 +765,11 @@ def item_widths(reader: SnapshotReader) -> Dict[str, int]:
     module docstring's layout table as code: the container does not
     type its payloads; string tables and JSON have no entry)."""
     meta = reader.json("meta")
-    lca_width = meta.get("lca_item_width", 8) if isinstance(meta, dict) else 8
+    fields = meta if isinstance(meta, dict) else {}
+    width = fields.get("item_width", 8)
+    lca_width = fields.get("lca_item_width", 8)
     return {
-        name: lca_width if name.startswith("lca/") else 8
+        name: lca_width if name.startswith("lca/") else width
         for name in reader.section_names()
         if "/" in name
         and not name.startswith("delta/")

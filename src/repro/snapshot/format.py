@@ -7,9 +7,11 @@ an opaque byte payload with its own CRC-32 checksum::
     section  := name_len u16 | crc32 u32 | payload_len u64
               | name (utf-8) | padding to 8-byte file offset | payload
 
-Sections carry raw integer column buffers (``array.tobytes()``; int64
-unless writer and reader agree on int32), packed string tables (offset
-column + UTF-8 blob) or small JSON metadata.
+Sections carry raw integer column buffers (``array.tobytes()``, 4 or 8
+bytes per item: the container does not type its payloads, so the
+bundle's meta section records the width — see
+:mod:`repro.snapshot.codec`), packed string tables (offset column +
+UTF-8 blob) or small JSON metadata.
 Reads are O(bytes): integer columns come back as zero-copy
 ``memoryview`` casts over the file buffer (optionally ``mmap``-backed),
 so opening a snapshot costs one checksum pass and no per-value Python

@@ -20,7 +20,7 @@ from ..datamodel.errors import StorageError
 from ..exec.sharding import ShardPlan, compute_shard_plan, slice_store
 from ..monet.engine import MonetXML
 from ..monet.pathsummary import PathSummary
-from .codec import _rebuild_summary, write_snapshot
+from .codec import _item_width, _rebuild_summary, write_snapshot
 from .format import SnapshotReader
 
 __all__ = [
@@ -101,7 +101,7 @@ def read_snapshot_header(
     meta = reader.json("meta")
     if not isinstance(meta, dict):
         raise StorageError("snapshot meta section is not a JSON object")
-    return meta, _rebuild_summary(reader)
+    return meta, _rebuild_summary(reader, _item_width(meta))
 
 
 def layout_from_meta(meta: Dict[str, object]) -> ShardPlan:

@@ -1,9 +1,11 @@
 """Unit tests for the inverted index over string associations."""
 
+from array import array
+
 import pytest
 
 from repro.datasets.figure1 import FIGURE1_OIDS as O
-from repro.fulltext.index import FullTextIndex
+from repro.fulltext.index import FullTextIndex, _unique_oid_column
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,23 @@ class TestSearch:
         assert hits.by_pid() is hits.by_pid()
         with pytest.raises(TypeError):
             hits.by_pid()[999] = [1]
+
+    def test_roll_ups_are_built_on_first_call_only(self, figure1_store):
+        index = FullTextIndex(figure1_store)
+        entry = index._terms["1999"]
+        hits = index.search("1999")
+        assert list(hits.oid_column()) == sorted(hits.oids())
+        assert entry._grouped is None  # nobody asked for the grouping
+        assert index.search("1999").by_pid() is hits.by_pid() is entry.grouped
+
+
+@pytest.mark.parametrize("tier", ["vector", "python"])
+def test_unique_oid_column_binds_int32_columns(monkeypatch, tier):
+    if tier == "python":
+        monkeypatch.setenv("REPRO_KERNELS", "python")
+    column = _unique_oid_column(memoryview(array("i", [5, 3, 5, 7])))
+    assert list(column) == [3, 5, 7]
+    assert all(type(oid) is int for oid in column)
 
 
 class TestCompoundSearch:

@@ -53,7 +53,11 @@ class TestSnapshotCommands:
         tour = 4 * (2 * 19 - 1)
         assert listed["lca/tour"] == [str(tour), "int32"]
         assert listed["lca/first"] == [str(4 * 19), "int32"]
-        assert listed["store/oid_pid"] == [str(8 * 19), "int64"]
+        assert listed["store/oid_pid"] == [str(4 * 19), "int32"]
+        assert not any(name.startswith(("edges/", "ranks/")) for name in listed)
+        assert {
+            cells[1] for name, cells in listed.items() if len(cells) == 2
+        } == {"int32"}
         assert len(listed["summary/labels"]) == 1  # a string table: bytes only
         lca = sum(int(cells[0]) for name, cells in listed.items() if name.startswith("lca/"))
         assert f"lca={lca}" in groups

@@ -60,6 +60,28 @@ class TestPostingsAlgebra:
             (7, 70),
         ]
 
+    def test_int32_columns_bind_at_their_width(self):
+        # Snapshot sections are int32 views; keys must still be int64
+        # (pid * stride overflows int32 for OIDs past 2**31 / pids).
+        big = 2**30
+        pairs_a = [(3, big + 1), (1, 7), (3, big)]
+        pairs_b = [(3, big), (2, 9), (1, 7)]
+
+        def int32(pairs):
+            return tuple(
+                memoryview(array("i", column))
+                for column in ([p for p, _ in pairs], [o for _, o in pairs])
+            )
+
+        for kernel in (intersect_columns, union_columns):
+            wide = kernel([_cols(pairs_a), _cols(pairs_b)])
+            narrow = kernel([int32(pairs_a), int32(pairs_b)])
+            assert [column.tolist() for column in narrow] == [
+                column.tolist() for column in wide
+            ]
+        uniques, starts = group_boundaries(memoryview(array("i", [1, 1, 4])))
+        assert (uniques.tolist(), starts.tolist()) == ([1, 4], [0, 2])
+
     def test_group_boundaries(self):
         sorted_pids = np.asarray([1, 1, 4, 4, 4, 9], dtype=np.int64)
         uniques, starts = group_boundaries(sorted_pids)

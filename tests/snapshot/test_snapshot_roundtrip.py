@@ -203,8 +203,12 @@ class TestBundleErrors:
             read_snapshot(path)
 
     def test_flipped_byte_is_a_checksum_failure(self, bundle, tmp_path):
+        from repro.snapshot.format import SnapshotReader
+
+        # A byte in the middle of a payload (a header byte fails framing).
+        start, length = SnapshotReader.open(bundle)._sections["strings/values"]
         data = bytearray(bundle.read_bytes())
-        data[len(data) // 2] ^= 0x40
+        data[start + length // 2] ^= 0x40
         corrupt = tmp_path / "corrupt.snap"
         corrupt.write_bytes(bytes(data))
         with pytest.raises(StorageError, match="checksum failure"):
