@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Bench: ``SteeredBackend`` vs ``IndexedBackend`` across workloads.
+"""Bench: ``SteeredBackend`` vs ``VectorBackend`` across workloads.
 
 Runnable directly (CI smoke: ``python benchmarks/bench_backends.py
 --quick``); no pytest required.  Two datasets bracket the trade-off:
@@ -8,7 +8,8 @@ Runnable directly (CI smoke: ``python benchmarks/bench_backends.py
   random tree (tens of thousands of nodes, ~100k distinct paths).
   Per-query steered walks pay O(depth) per hit and the schema roll-up
   scans the huge path summary per query; the Euler-RMQ index answers
-  in O(1) per pair / O(m log m) per roll-up.  **Indexed wins.**
+  in O(1) per pair, and the NumPy kernels batch the pairs and the
+  roll-ups.  **Vector wins.**
 * **dblp** — the paper's §5 corpus scaled up: wide but shallow
   (depth ≈ 6) with a ~70-entry path summary.  This is the regime the
   paper designed for: steered walks are already near-optimal, so the
@@ -25,14 +26,16 @@ Workloads per dataset:
 
 Output: a fixed-width table (also written to
 ``benchmarks/out/bench_backends.txt``) with per-backend wall times and
-the indexed-over-steered speedup, plus the machine-readable
+the vector-over-steered speedup, plus the machine-readable
 ``BENCH_backends.json`` trajectory artefact (override the path with
-``--json``).
+``--json``), which records the machine's ``cpu_count`` and the NumPy
+version beside the run configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -41,8 +44,10 @@ from typing import Callable, List, Sequence, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy
+
 from repro.bench.report import render_table, write_json_report
-from repro.core.backends import IndexedBackend, SteeredBackend
+from repro.core.backends import SteeredBackend, VectorBackend
 from repro.core.engine import NearestConceptEngine
 from repro.core.lca_index import LcaIndex, clear_lca_index_cache
 from repro.datasets import DblpConfig, dblp_document
@@ -87,29 +92,29 @@ def bench_dataset(
         {
             "dataset": name,
             "workload": "build",
-            "indexed_seconds": round(build, 6),
+            "vector_seconds": round(build, 6),
         }
     )
 
     clear_lca_index_cache()
     steered = SteeredBackend(store)
-    indexed = IndexedBackend(store)
-    indexed.index  # build once outside the timed region (cached after)
+    vector = VectorBackend(store)
+    vector.kernels  # index + kernels once, outside the timed region
 
     steered_time = _best_of(lambda: steered.meet_many(pairs), repeat)
-    indexed_time = _best_of(lambda: indexed.meet_many(pairs), repeat)
+    vector_time = _best_of(lambda: vector.meet_many(pairs), repeat)
     rows.append(
         {
             "dataset": name,
             "workload": f"meet_many[{pair_count}]",
             "steered_seconds": round(steered_time, 6),
-            "indexed_seconds": round(indexed_time, 6),
-            "speedup": round(steered_time / indexed_time, 2),
+            "vector_seconds": round(vector_time, 6),
+            "speedup": round(steered_time / vector_time, 2),
         }
     )
 
     batch_times = {}
-    for backend_name in ("steered", "indexed"):
+    for backend_name in ("steered", "vector"):
         engine = NearestConceptEngine(
             store, case_sensitive=case_sensitive, backend=backend_name
         )
@@ -122,8 +127,8 @@ def bench_dataset(
             "dataset": name,
             "workload": f"nc_batch[{len(queries)}]",
             "steered_seconds": round(batch_times["steered"], 6),
-            "indexed_seconds": round(batch_times["indexed"], 6),
-            "speedup": round(batch_times["steered"] / batch_times["indexed"], 2),
+            "vector_seconds": round(batch_times["vector"], 6),
+            "speedup": round(batch_times["steered"] / batch_times["vector"], 2),
         }
     )
     return rows
@@ -186,18 +191,18 @@ def main(argv=None) -> int:
         return "-" if value is None else fmt.format(value)
 
     table = render_table(
-        ["dataset", "workload", "steered[s]", "indexed[s]", "speedup"],
+        ["dataset", "workload", "steered[s]", "vector[s]", "speedup"],
         [
             [
                 row["dataset"],
                 row["workload"],
                 _cell(row, "steered_seconds", "{:.3f}"),
-                _cell(row, "indexed_seconds", "{:.3f}"),
+                _cell(row, "vector_seconds", "{:.3f}"),
                 _cell(row, "speedup", "{:.2f}x"),
             ]
             for row in rows
         ],
-        title="meet backends: steered walks vs Euler-RMQ index",
+        title="meet backends: steered walks vs NumPy kernels on the Euler-RMQ index",
     )
     print(table)
     OUT_PATH.parent.mkdir(exist_ok=True)
@@ -211,6 +216,8 @@ def main(argv=None) -> int:
             "pairs": args.pairs,
             "queries": args.queries,
             "repeat": args.repeat,
+            "cpu_count": os.cpu_count(),
+            "numpy": numpy.__version__,
         },
         rows,
     )

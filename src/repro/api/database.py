@@ -60,8 +60,7 @@ from contextlib import contextmanager
 from pathlib import Path as FsPath
 from typing import Dict, List, Optional, Tuple, Union
 
-from .. import kernels
-from ..core.backends import snapshot_default_backend
+from ..core.backends import SNAPSHOT_DEFAULT_BACKEND, kernel_tier
 from ..core.engine import NearestConceptEngine
 from ..core.result_cache import ResultCache, resolve_result_cache
 from ..datamodel.errors import (
@@ -337,7 +336,7 @@ class Database:
             if options.case_sensitive is None
             else bool(options.case_sensitive)
         )
-        backend_name = options.backend or snapshot_default_backend()
+        backend_name = options.backend or SNAPSHOT_DEFAULT_BACKEND
 
         def _check_layout(meta: Dict[str, object], path) -> None:
             # A crash mid-rebuild can leave bundles of one generation
@@ -673,7 +672,7 @@ class Database:
     def warm_up(self) -> None:
         """Force every derived index to exist before traffic arrives.
 
-        Touching the full-text index and (on the indexed backend) the
+        Touching the full-text index and (on the vector backend) the
         LCA index through their generation-keyed caches here is what
         lets a multi-threaded server guarantee zero index rebuilds
         once it starts answering.  A sharded database pings every
@@ -747,7 +746,7 @@ class Database:
                 "sample with value 1 names the tier in use).",
                 ("tier",),
                 lambda: [
-                    ({"tier": kernels.active_tier(self.backend_name)}, 1.0)
+                    ({"tier": kernel_tier(self.backend_name)}, 1.0)
                 ],
             )
             self._metric_objects = [
@@ -798,7 +797,7 @@ class Database:
             "source": self.source,
             "node_count": self.node_count,
             "backend": self.backend_name,
-            "kernel_tier": kernels.active_tier(self.backend_name),
+            "kernel_tier": kernel_tier(self.backend_name),
             "case_sensitive": self.case_sensitive,
         }
         if self._value_indexes:
@@ -832,7 +831,7 @@ class Database:
         stats: Dict[str, object] = {
             "origin": self.origin,
             "backend": self.backend_name,
-            "kernel_tier": kernels.active_tier(self.backend_name),
+            "kernel_tier": kernel_tier(self.backend_name),
             "case_sensitive": self.case_sensitive,
             "generation": self.generation,
             "node_count": self.node_count,

@@ -7,7 +7,7 @@ every caller had to re-derive the snapshot-serving defaults by hand.
 :class:`DatabaseOptions` is the one immutable bag for all of them:
 
 * ``backend`` / ``case_sensitive`` default to ``None`` = "follow the
-  source" — an opened snapshot bundle supplies ``indexed`` (its LCA
+  source" — an opened snapshot bundle supplies ``vector`` (its LCA
   index is already loaded) and the bundle's case mode, anything else
   falls back to ``steered`` and case-insensitive, exactly the CLI's
   historical behaviour;
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional, Union
 
-from ..core.backends import BACKEND_NAMES
+from ..core.backends import BACKEND_NAMES, SNAPSHOT_DEFAULT_BACKEND
 from ..core.result_cache import CacheSpec
 
 __all__ = ["DatabaseOptions"]
@@ -139,10 +139,9 @@ class DatabaseOptions:
         """``(case_sensitive, backend)`` honouring snapshot defaults.
 
         ``None`` means "not chosen": serving from a snapshot bundle
-        then inherits the bundle's case mode and the fastest backend
-        that consumes the bundle's seeded LCA index without a rebuild
-        — ``vector`` when the NumPy kernels are importable, else
-        ``indexed`` — keeping the warm start rebuild-free.
+        then inherits the bundle's case mode and the ``vector``
+        backend, which consumes the bundle's seeded LCA index without a
+        rebuild — keeping the warm start rebuild-free.
         """
         case_sensitive = self.case_sensitive
         backend = self.backend
@@ -150,7 +149,5 @@ class DatabaseOptions:
             if case_sensitive is None:
                 case_sensitive = snapshot.fulltext_index.case_sensitive
             if backend is None:
-                from ..core.backends import snapshot_default_backend
-
-                backend = snapshot_default_backend()
+                backend = SNAPSHOT_DEFAULT_BACKEND
         return bool(case_sensitive), backend or "steered"

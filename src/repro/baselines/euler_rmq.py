@@ -3,7 +3,7 @@ answer to the LCA problem the paper cites as refs. [4, 5]).
 
 Historically this lived here as a baseline-only oracle.  It has been
 promoted to :mod:`repro.core.lca_index` — where it powers the
-``indexed`` meet backend (:class:`repro.core.backends.IndexedBackend`)
+``vector`` meet backend (:class:`repro.core.backends.VectorBackend`)
 with O(1) LCA *and* O(1) depth-based distance — and this module keeps
 the original name as a thin alias so the ablation benches and oracle
 tests keep reading as "the indexed baseline the paper chose not to

@@ -4,7 +4,7 @@ Usage (also via ``python -m repro``)::
 
     repro describe  doc.xml
     repro search    doc.xml Bit 1999 --exclude-root --limit 5
-    repro search    doc.xml Bit 1999 --backend indexed
+    repro search    doc.xml Bit 1999 --backend vector
     repro query     doc.xml "select meet($a,$b) from # $a, # $b \\
                              where $a contains 'Bit' and $b contains '1999'"
     repro shred     doc.xml store.json      # persist the Monet image
@@ -32,11 +32,12 @@ CLI only names the source and renders the result; ``--stats`` reports
 which load path was taken.
 
 ``--backend`` picks the meet execution strategy (``steered`` — the
-paper's per-query parent walks, the default — or ``indexed`` — the
-precomputed Euler-RMQ LCA index; see :mod:`repro.core.backends`).
-When serving from a snapshot the defaults follow the bundle instead:
-``indexed`` (its index is already loaded) and the bundle's case mode,
-so the warm start stays rebuild-free.
+paper's per-query parent walks, the default — or ``vector`` — NumPy
+kernels over the precomputed Euler-RMQ LCA index; see
+:mod:`repro.core.backends`).  When serving from a snapshot the
+defaults follow the bundle instead: ``vector`` (its index is already
+loaded) and the bundle's case mode, so the warm start stays
+rebuild-free.
 ``--cache N`` enables the generation-keyed result cache with capacity
 N, and ``--stats`` reports timing and cache counters on stderr (see
 :mod:`repro.core.result_cache`).
@@ -491,9 +492,9 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
 
     Both default to ``None`` so :meth:`DatabaseOptions.effective` can
     tell "not given" from an explicit choice: serving from a snapshot
-    bundle then inherits the bundle's case mode and the fastest
-    rebuild-free backend (``vector`` when NumPy is importable, else
-    ``indexed`` — both consume the index the bundle already carries).
+    bundle then inherits the bundle's case mode and the rebuild-free
+    ``vector`` backend, which consumes the index the bundle already
+    carries.
     """
     command.add_argument(
         "--case-sensitive",
@@ -506,8 +507,8 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="meet execution strategy (default: steered; with --snapshot "
-        "or a .snap source, vector when NumPy is available else indexed)",
+        help="meet execution strategy (default: steered; with --snapshot, "
+        "a .snap source or a shard-worker bundle, vector)",
     )
 
 
@@ -770,14 +771,11 @@ def _command_serve(args) -> int:
         slow_query_ms=args.slow_query_ms,
     )
     server.warm_up()
-    from . import kernels
-
     log_event(
         logging.getLogger("repro.serve"),
         logging.INFO,
         "kernels ready",
-        tier=kernels.tier(),
-        numpy=kernels.available(),
+        tier="vector",
     )
     for name in server.names():
         database = server.databases[name]

@@ -9,15 +9,15 @@
 * :class:`NearestConceptEngine` — the end-to-end query pipeline.
 * :mod:`~repro.core.backends` — pluggable meet execution:
   :class:`SteeredBackend` (the paper's walks) vs
-  :class:`IndexedBackend` (precomputed Euler-RMQ
+  :class:`VectorBackend` (NumPy kernels over a precomputed Euler-RMQ
   :class:`~repro.core.lca_index.LcaIndex`).
 """
 
 from .backends import (
     BACKEND_NAMES,
-    IndexedBackend,
     MeetBackend,
     SteeredBackend,
+    VectorBackend,
     resolve_backend,
 )
 from .crossdoc import CrossMatch, distinctive_terms, find_elsewhere
@@ -62,10 +62,10 @@ __all__ = [
     "BACKEND_NAMES",
     "CrossMatch",
     "GeneralMeet",
-    "IndexedBackend",
     "LcaIndex",
     "MeetBackend",
     "SteeredBackend",
+    "VectorBackend",
     "GraphMeet",
     "IRRanker",
     "IRWeights",

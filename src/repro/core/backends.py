@@ -2,40 +2,37 @@
 
 Every operator of the paper reduces to "find the lowest common
 ancestor(s) of some hit nodes, plus distances".  This module makes
-*how* that happens a pluggable choice:
+*how* that happens a pluggable choice between two backends:
 
 * :class:`SteeredBackend` — the paper, verbatim: per-query
   ``parent()`` walks steered by the ⪯ prefix order on π (Fig. 3), the
   set-wise relational loop (Fig. 4) and the schema-driven bottom-up
   roll-up (Fig. 5).  Zero preprocessing; the join count *is* the
   distance, so traces stay meaningful.  This is the default and the
-  reference semantics.
+  reference semantics every differential suite compares against.
 
-* :class:`IndexedBackend` — a per-store Euler-tour range-minimum
-  index (:mod:`repro.core.lca_index`) built once and cached, giving
-  O(1) pairwise meets and distances.  Set-wise and n-ary meets run the
-  *same bottom-up roll-up contract* as Figs. 4/5, but over the
-  **auxiliary (virtual) tree** spanned by the hit nodes and the LCAs
-  of Euler-order neighbours — O(m log m) in the number of hits m,
-  independent of tree depth and of the path-summary size.  Answer
-  sets are provably identical to the steered operators (the auxiliary
-  tree is exactly the subgraph where input chains can converge); only
-  the emission *order* differs, and every consumer re-ranks.
-
-* :class:`VectorBackend` — the indexed backend with its batched
-  operations as NumPy whole-array passes (:mod:`repro.kernels`).
+* :class:`VectorBackend` — a per-store Euler-tour range-minimum index
+  (:mod:`repro.core.lca_index`) built once and cached, with every
+  batched operation as NumPy whole-array passes (:mod:`repro.kernels`).
+  Set-wise and n-ary meets run the *same bottom-up roll-up contract*
+  as Figs. 4/5, but over the **auxiliary (virtual) tree** spanned by
+  the hit nodes and the LCAs of Euler-order neighbours — independent
+  of tree depth and of the path-summary size.  Answer sets are
+  identical to the steered operators (the auxiliary tree is exactly
+  the subgraph where input chains can converge); only the emission
+  *order* differs, and every consumer re-ranks.
 
 Choosing: for one ad-hoc query the steered walk wins — no index
 build, and you get the paper's join-count trace for free.  For query
 *volumes* (servers, benchmarks, ranking thousands of hit pairs) the
-indexed backend amortizes one O(n) build into O(1) queries; see
+vector backend amortizes one O(n) build into O(1) queries; see
 ``benchmarks/bench_backends.py`` for the crossover.
 
 The seam is threaded everywhere structural queries happen: the module
 functions (``meet2``, ``meet_sets``, ``meet_general``, ``graph_meet``,
 ``bounded_meet2``, ``distance``) accept ``backend=``, the
 :class:`~repro.core.engine.NearestConceptEngine` takes
-``backend="steered"|"indexed"|"vector"`` and exposes the batched
+``backend="steered"|"vector"`` and exposes the batched
 ``meet_many`` / ``nearest_concepts_batch`` APIs, and the CLI exposes
 ``--backend``.
 
@@ -43,18 +40,18 @@ What follows a roll-up — drop the shard's stand-in root, the
 ``meet_X`` restriction, the all-terms filter, the ``within`` bound and
 the §4 top-k — is :func:`select_meets`, the one routine the engine, the
 shard service and the query processor all rank through.  A backend
-hands it a ``Sequence[TaggedMeet]``: a plain list is filtered element
-by element with §4 keys from :func:`rank_keys`; a :class:`TaggedBatch`
-keeps the candidates as columns — meet OIDs, a flat pair column, an
-``(n, 4)`` key matrix — and is filtered by masks and cut by a
-partition, so only the winners ever become :class:`TaggedMeet`
-objects.  Only :func:`select_meets` knows the difference.
+hands it a ``Sequence[TaggedMeet]``: a plain list (the steered walks)
+is filtered element by element with §4 keys from :func:`rank_keys`; a
+:class:`TaggedBatch` keeps the candidates as columns — meet OIDs, a
+flat pair column, an ``(n, 4)`` key matrix — and is filtered by masks
+and cut by a partition, so only the winners ever become
+:class:`TaggedMeet` objects.  Only :func:`select_meets` knows the
+difference.
 """
 
 from __future__ import annotations
 
 import heapq
-import warnings
 from bisect import bisect_right
 from typing import (
     AbstractSet,
@@ -73,6 +70,10 @@ from typing import (
     runtime_checkable,
 )
 
+import numpy as np
+
+from ..kernels import rollup
+from ..kernels.lca import get_kernels, sorted_unique
 from ..monet.engine import MonetXML
 from .lca_index import LcaIndex, get_lca_index
 from .meet_general import (
@@ -92,30 +93,26 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "MeetBackend",
     "SteeredBackend",
-    "IndexedBackend",
     "VectorBackend",
     "BACKEND_NAMES",
+    "SNAPSHOT_DEFAULT_BACKEND",
     "BackendSpec",
     "TaggedBatch",
     "rank_keys",
     "select_meets",
     "meet_oids",
     "resolve_backend",
-    "snapshot_default_backend",
+    "kernel_tier",
 ]
 
 #: CLI / engine spellings of the built-in backends.
-BACKEND_NAMES: Tuple[str, ...] = ("steered", "indexed", "vector")
+BACKEND_NAMES: Tuple[str, ...] = ("steered", "vector")
+
+#: What snapshot serving defaults to: it answers from the bundle's
+#: seeded LCA index without a rebuild.
+SNAPSHOT_DEFAULT_BACKEND = "vector"
 
 BackendSpec = Union[str, "MeetBackend", None]
-
-
-def _decode_bits(mask: int, items: Sequence) -> Iterator:
-    """The items whose interned bit is set, in bit (= intern) order."""
-    while mask:
-        low = mask & -mask
-        yield items[low.bit_length() - 1]
-        mask ^= low
 
 
 @runtime_checkable
@@ -173,13 +170,6 @@ class MeetBackend(Protocol):
         ...
 
 
-def _meet_term_hits_as_pairs(self, term_hits):
-    """The python backends' ``meet_term_hits``: flatten, then roll up."""
-    return self.meet_tagged(
-        [(term, oid) for term, hits in term_hits for oid in hits.oids()]
-    )
-
-
 class SteeredBackend:
     """The paper's path-steered walks — no preprocessing, traceable.
 
@@ -228,201 +218,11 @@ class SteeredBackend:
     ) -> List[TaggedMeet]:
         return meet_tagged(self.store, tagged)
 
-    meet_term_hits = _meet_term_hits_as_pairs
-
-
-class IndexedBackend:
-    """Euler-RMQ-indexed meets: O(1) pairs, auxiliary-tree roll-ups.
-
-    The underlying :class:`~repro.core.lca_index.LcaIndex` is fetched
-    through the per-store cache on every operation, which keeps one
-    index per store current: after a live write it is rolled forward
-    from the mutation journal (the tour and its derived table grow at
-    the tail), and only a store the journal cannot bridge — a new store
-    object, a bare :meth:`MonetXML.invalidate_caches` — gets a newly
-    built one.
-    """
-
-    name = "indexed"
-
-    def __init__(self, store: MonetXML):
-        self.store = store
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<IndexedBackend {self.store!r}>"
-
-    @property
-    def index(self) -> LcaIndex:
-        return get_lca_index(self.store)
-
-    # -- pairwise --------------------------------------------------------
-    # Equal OIDs short-circuit before any index look-up, mirroring the
-    # steered walks (which answer o == o without touching the store).
-    def meet(self, oid1: int, oid2: int) -> PairMeet:
-        if oid1 == oid2:
-            return PairMeet(oid1, 0)
-        meet, distance = self.index.lca_with_distance(oid1, oid2)
-        return PairMeet(meet, distance)
-
-    def meet_within(self, oid1: int, oid2: int, k: int) -> Optional[PairMeet]:
-        if k < 0:
-            return None
-        if oid1 == oid2:
-            return PairMeet(oid1, 0)
-        meet, distance = self.index.lca_with_distance(oid1, oid2)
-        if distance > k:
-            return None
-        return PairMeet(meet, distance)
-
-    def meet_many(
-        self, pairs: Iterable[Tuple[int, int]]
-    ) -> List[PairMeet]:
-        lca_with_distance = self.index.lca_with_distance
-        return [
-            PairMeet(oid1, 0)
-            if oid1 == oid2
-            else PairMeet(*lca_with_distance(oid1, oid2))
-            for oid1, oid2 in pairs
-        ]
-
-    def distance(self, oid1: int, oid2: int) -> int:
-        return self.index.distance(oid1, oid2)
-
-    # -- auxiliary-tree roll-up ------------------------------------------
-    def meet_tagged(
-        self, tagged: Iterable[Tuple[Token, int]]
-    ) -> List[TaggedMeet]:
-        """Fig. 5's propagation over flat arrays with interned token-sets.
-
-        Every distinct (token, OID) input pair is interned to an integer
-        index; the roll-up then runs over the auxiliary tree in array
-        form (:meth:`~repro.core.lca_index.LcaIndex.auxiliary_tree_arrays`)
-        propagating plain ints instead of per-OID ``set`` objects.
-
-        The key structural fact: a node accumulating ≥ 2 pairs is
-        emitted as a meet and *stops propagating* (minimality, Fig. 5),
-        so everything that travels upward is a **singleton** — one
-        integer slot per auxiliary node suffices, and each propagation
-        step is O(1).  (A width-``m`` bitmask would make each step
-        O(m/64): a Python int's cost follows its highest set bit, not
-        its popcount.)  Multi-pair token sets exist only at emission
-        nodes, exactly where the output must materialize them anyway.
-        """
-        pair_index: Dict[Tuple[Token, int], int] = {}
-        pairs: List[Tuple[Token, int]] = []
-        by_oid: Dict[int, Union[int, List[int]]] = {}
-        for token, oid in tagged:
-            pair = (token, oid)
-            index = pair_index.get(pair)
-            if index is None:
-                pair_index[pair] = index = len(pairs)
-                pairs.append(pair)
-                current = by_oid.get(oid)
-                if current is None:
-                    by_oid[oid] = index
-                elif isinstance(current, list):
-                    current.append(index)
-                else:
-                    by_oid[oid] = [current, index]
-        if not by_oid:
-            return []
-        order, parent_index = self.index.auxiliary_tree_arrays(by_oid)
-        single: List[int] = [-1] * len(order)  # the lone pending pair
-        multi: Dict[int, List[int]] = {}       # ≥ 2 pending pairs (meets)
-        for position, oid in enumerate(order):
-            entry = by_oid.get(oid)
-            if entry is None:
-                continue
-            if isinstance(entry, list):
-                multi[position] = entry
-            else:
-                single[position] = entry
-        # Reverse pre-order visits every auxiliary node after all of
-        # its auxiliary descendants — the roll-up order of Fig. 5.
-        meets: List[TaggedMeet] = []
-        for position in range(len(order) - 1, -1, -1):
-            accumulated = multi.get(position)
-            if accumulated is not None:
-                # Emitted meets do not propagate (minimality, Fig. 5).
-                meets.append(
-                    TaggedMeet(
-                        oid=order[position],
-                        tokens=frozenset(pairs[i] for i in accumulated),
-                    )
-                )
-                continue
-            index = single[position]
-            if index < 0:
-                continue
-            above = parent_index[position]
-            if above < 0:
-                continue
-            pending = single[above]
-            if pending < 0:
-                grown = multi.get(above)
-                if grown is not None:
-                    grown.append(index)
-                else:
-                    single[above] = index
-            else:
-                multi[above] = [pending, index]
-                single[above] = -1
-        return meets
-
-    meet_term_hits = _meet_term_hits_as_pairs
-
-    def meet_general(
-        self, relations: Mapping[Hashable, Iterable[int]]
-    ) -> List[GeneralMeet]:
-        return [
-            GeneralMeet(oid=meet.oid, origins=meet.origins)
-            for meet in self.meet_tagged(_as_oid_tokens(relations))
-        ]
-
-    def meet_sets(
-        self, left: Iterable[int], right: Iterable[int]
-    ) -> List[SetMeet]:
-        """Fig. 4 over the auxiliary tree, with one bit per input OID.
-
-        Two parallel mask arrays (left-origin bits, right-origin bits)
-        replace the per-node pair-of-sets; a node is a meet exactly
-        when both masks are non-zero, and the origin tuples are decoded
-        only for emitted meets.
-        """
-        left_set, right_set = set(left), set(right)
-        # Same homogeneity contract (and error message) as Fig. 4.
-        _common_pid(self.store, left_set, "left")
-        _common_pid(self.store, right_set, "right")
-        if not left_set or not right_set:
-            return []
-        inputs = sorted(left_set | right_set)
-        oid_bit = {oid: 1 << position for position, oid in enumerate(inputs)}
-        order, parent_index = self.index.auxiliary_tree_arrays(inputs)
-        left_masks = [0] * len(order)
-        right_masks = [0] * len(order)
-        position_of = {oid: position for position, oid in enumerate(order)}
-        for oid in left_set:
-            left_masks[position_of[oid]] = oid_bit[oid]
-        for oid in right_set:
-            right_masks[position_of[oid]] = oid_bit[oid]
-        meets: List[SetMeet] = []
-        for position in range(len(order) - 1, -1, -1):
-            lefts = left_masks[position]
-            rights = right_masks[position]
-            if lefts and rights:
-                meets.append(
-                    SetMeet(
-                        oid=order[position],
-                        left_origins=tuple(_decode_bits(lefts, inputs)),
-                        right_origins=tuple(_decode_bits(rights, inputs)),
-                    )
-                )
-                continue
-            above = parent_index[position]
-            if above >= 0 and (lefts or rights):
-                left_masks[above] |= lefts
-                right_masks[above] |= rights
-        return meets
+    def meet_term_hits(self, term_hits) -> List[TaggedMeet]:
+        """Flatten the hits to (term, OID) pairs, then roll up."""
+        return self.meet_tagged(
+            [(term, oid) for term, hits in term_hits for oid in hits.oids()]
+        )
 
 
 class _PairList(list):
@@ -432,8 +232,6 @@ class _PairList(list):
 
     def token_slots(self):
         """``(token → slot, slot per pair)``, slots in first-seen order."""
-        import numpy as np
-
         slot_of: Dict[Token, int] = {}
         slots = np.fromiter(
             (slot_of.setdefault(token, len(slot_of)) for token, _ in self),
@@ -472,8 +270,6 @@ class _TermPairs:
 
     def token_slots(self):
         """``(term → slot, slot per pair)``: one run per term column."""
-        import numpy as np
-
         return (
             {term: slot for slot, term in enumerate(self._terms)},
             np.repeat(
@@ -491,8 +287,8 @@ class TaggedBatch:
     the §4 keys and the top-k (:meth:`select`, reached through
     :func:`select_meets`) are masks and sorts over those columns, so
     the candidates a request ranks are never python objects; indexing
-    materializes one real :class:`TaggedMeet` (equal to the python
-    backends' element), which a top-k consumer does for the winners
+    materializes one real :class:`TaggedMeet` (equal to the steered
+    backend's element), which a top-k consumer does for the winners
     only.
     """
 
@@ -503,8 +299,6 @@ class TaggedBatch:
 
     def __init__(self, backend, pairs, pair_oids, oids=None,
                  group_pairs=None, bounds=None):
-        import numpy as np
-
         if oids is None:
             oids = group_pairs = np.empty(0, dtype=np.int64)
             bounds = np.zeros(1, dtype=np.int64)
@@ -557,10 +351,6 @@ class TaggedBatch:
         return keys
 
     def _compute_rank_keys(self):
-        import numpy as np
-
-        from ..kernels.lca import sorted_unique
-
         group_count = len(self.oids)
         rows = np.empty((group_count, 4), dtype=np.int64)
         if not group_count:
@@ -617,8 +407,6 @@ class TaggedBatch:
         One boolean mask over the flat pair column; only the uncovered
         pairs become python objects.
         """
-        import numpy as np
-
         covered = np.zeros(len(self._pair_oids), dtype=bool)
         covered[
             self._group_pairs[np.repeat(keep, np.diff(self._bounds))]
@@ -628,8 +416,6 @@ class TaggedBatch:
 
     def _covers(self, wanted: AbstractSet[Token]):
         """Mask of the meets whose tags include every ``wanted`` token."""
-        import numpy as np
-
         slot_of, pair_slots = self._pairs.token_slots()
         covers = np.ones(len(self.oids), dtype=bool)
         group_slots = pair_slots[self._group_pairs]
@@ -650,8 +436,6 @@ class TaggedBatch:
         the cut; the key ends in the OID, a strict total order, so that
         equals sorting everything and truncating.
         """
-        import numpy as np
-
         keep = np.ones(len(self.oids), dtype=bool)
         residue = None
         if drop_oid is not None:
@@ -785,35 +569,60 @@ def select_meets(
     return list(kept), residue
 
 
-class VectorBackend(IndexedBackend):
-    """NumPy batch kernels over the same Euler-RMQ columns.
+class VectorBackend:
+    """Euler-RMQ-indexed meets as NumPy batch kernels.
 
-    Identical answer sets, ranking keys and emission order as
-    :class:`IndexedBackend` — the differential suite holds them
-    byte-identical — but every batched operation (``meet_many``, the
-    Fig. 4/5 roll-ups) runs as whole-array passes over zero-copy
-    views of the index columns (:mod:`repro.kernels`)
-    instead of python-level per-element loops.  Only instantiate via
-    :func:`resolve_backend`, which degrades a ``"vector"`` request to
-    :class:`IndexedBackend` (with a warning) when NumPy is missing; scalar
-    operations (``meet``, ``distance``) inherit the O(1) python
-    kernels, which beat a one-element array round-trip.
+    Pairwise meets and distances are O(1) over the per-store
+    :class:`~repro.core.lca_index.LcaIndex`; the batched operations
+    (``meet_many``, the Fig. 4/5 roll-ups) run as whole-array passes
+    over zero-copy views of the index columns (:mod:`repro.kernels`)
+    instead of python-level per-element loops.
+
+    The index is fetched through the per-store cache on every
+    operation, which keeps one index per store current: after a live
+    write it is rolled forward from the mutation journal (the tour and
+    its derived table grow at the tail), and only a store the journal
+    cannot bridge — a new store object, a bare
+    :meth:`MonetXML.invalidate_caches` — gets a newly built one.
     """
 
     name = "vector"
 
+    def __init__(self, store: MonetXML):
+        self.store = store
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<VectorBackend {self.store!r}>"
+
+    @property
+    def index(self) -> LcaIndex:
+        return get_lca_index(self.store)
+
     @property
     def kernels(self):
         """The memoized batch kernels of the current-generation index."""
-        from ..kernels.lca import get_kernels
-
         return get_kernels(self.index)
+
+    # -- pairwise --------------------------------------------------------
+    # Equal OIDs short-circuit before any index look-up, mirroring the
+    # steered walks (which answer o == o without touching the store).
+    def meet(self, oid1: int, oid2: int) -> PairMeet:
+        if oid1 == oid2:
+            return PairMeet(oid1, 0)
+        return PairMeet(*self.index.lca_with_distance(oid1, oid2))
+
+    def meet_within(self, oid1: int, oid2: int, k: int) -> Optional[PairMeet]:
+        if k < 0:
+            return None
+        meet = self.meet(oid1, oid2)
+        return None if meet.joins > k else meet
+
+    def distance(self, oid1: int, oid2: int) -> int:
+        return self.index.distance(oid1, oid2)
 
     def meet_many(
         self, pairs: Iterable[Tuple[int, int]]
     ) -> List[PairMeet]:
-        import numpy as np
-
         materialized = list(pairs)
         if not materialized:
             return []
@@ -821,8 +630,7 @@ class VectorBackend(IndexedBackend):
         left, right = table[:, 0], table[:, 1]
         meets = left.copy()
         distances = np.zeros(len(meets), dtype=np.int64)
-        # Equal pairs answer without index validation, like the
-        # scalar short-circuit in IndexedBackend.meet_many.
+        # Equal pairs answer without index validation, like meet().
         unequal = left != right
         if unequal.any():
             meets[unequal], distances[unequal] = self.kernels.lca_many(
@@ -838,12 +646,10 @@ class VectorBackend(IndexedBackend):
     ) -> "TaggedBatch":
         """Fig. 5 as level-wise array passes over the auxiliary tree.
 
-        The (token, OID) pairs are interned exactly like the python
-        roll-up; from there propagation is
+        Every distinct (token, OID) input pair is interned to an index;
+        from there propagation is
         :func:`repro.kernels.rollup.rollup_tagged`.
         """
-        import numpy as np
-
         pairs = _PairList(dict.fromkeys(
             (token, oid) for token, oid in tagged
         ))
@@ -859,8 +665,6 @@ class VectorBackend(IndexedBackend):
         (:meth:`repro.fulltext.index.Hits.oid_column`) — no python pair
         list is ever built.
         """
-        import numpy as np
-
         terms: List[Token] = []
         columns: List[np.ndarray] = []
         for term, hits in term_hits:
@@ -874,12 +678,8 @@ class VectorBackend(IndexedBackend):
         return self._roll_up(_TermPairs(terms, columns), pair_oids)
 
     def _roll_up(self, pairs, pair_oids) -> "TaggedBatch":
-        import numpy as np
-
-        from ..kernels.rollup import rollup_tagged
-
         if len(pair_oids):
-            order, emitted, group_pairs, boundaries = rollup_tagged(
+            order, emitted, group_pairs, boundaries = rollup.rollup_tagged(
                 self.kernels, pair_oids
             )
             if len(emitted):
@@ -893,13 +693,19 @@ class VectorBackend(IndexedBackend):
                 )
         return TaggedBatch(self, pairs, pair_oids)
 
+    def meet_general(
+        self, relations: Mapping[Hashable, Iterable[int]]
+    ) -> List[GeneralMeet]:
+        return [
+            GeneralMeet(oid=meet.oid, origins=meet.origins)
+            for meet in self.meet_tagged(_as_oid_tokens(relations))
+        ]
+
     def meet_sets(
         self, left: Iterable[int], right: Iterable[int]
     ) -> List[SetMeet]:
-        import numpy as np
-
-        from ..kernels.rollup import rollup_sets
-
+        """Fig. 4 over the auxiliary tree: a node is a meet exactly when
+        both sides reach it (:func:`repro.kernels.rollup.rollup_sets`)."""
         left_set, right_set = set(left), set(right)
         # Same homogeneity contract (and error message) as Fig. 4.
         _common_pid(self.store, left_set, "left")
@@ -919,7 +725,7 @@ class VectorBackend(IndexedBackend):
             inputs,
             np.fromiter(right_set, dtype=np.int64, count=len(right_set)),
         )
-        order, emitted, origin_indexes, boundaries = rollup_sets(
+        order, emitted, origin_indexes, boundaries = rollup.rollup_sets(
             self.kernels, inputs, in_left, in_right
         )
         order_list = order.tolist()
@@ -954,56 +760,24 @@ class VectorBackend(IndexedBackend):
         return meets
 
 
-def snapshot_default_backend() -> str:
-    """The backend snapshot serving defaults to.
-
-    ``vector`` when the NumPy kernels are importable, else ``indexed``
-    — both answer from the bundle's seeded LCA index without a
-    rebuild, and the vector tier is answer-identical, so preferring it
-    whenever it can run is free.
-    """
-    from .. import kernels
-
-    return "vector" if kernels.available() else "indexed"
-
-
-#: Set once the vector → indexed degradation has been reported.
-_degradation_warned = False
+def kernel_tier(backend_name: Optional[str]) -> str:
+    """The kernel tier a backend serves from, as ``/v1/stats`` reports
+    it: the NumPy kernels for ``vector``, python walks otherwise."""
+    return "vector" if backend_name == "vector" else "python"
 
 
 def resolve_backend(store: MonetXML, spec: BackendSpec = None) -> "MeetBackend":
     """Normalize a backend spec: name, instance, or ``None`` (steered).
 
-    ``"vector"`` degrades to :class:`IndexedBackend` when NumPy is not
-    importable or ``REPRO_KERNELS`` forces the python tier — the
-    kernels are an optional extra, and both backends are
-    answer-identical — with one :class:`RuntimeWarning` per process
-    naming the requested and the served tier.  An instance is returned
-    as-is when it is bound to ``store``; binding it to a different
-    store is almost certainly a bug and raises.
+    An instance is returned as-is when it is bound to ``store``;
+    binding it to a different store is almost certainly a bug and
+    raises.
     """
-    global _degradation_warned
-    if spec is None:
+    if spec is None or spec == "steered":
         return SteeredBackend(store)
+    if spec == "vector":
+        return VectorBackend(store)
     if isinstance(spec, str):
-        if spec == "steered":
-            return SteeredBackend(store)
-        if spec == "indexed":
-            return IndexedBackend(store)
-        if spec == "vector":
-            from .. import kernels
-
-            if kernels.available():
-                return VectorBackend(store)
-            if not _degradation_warned:
-                _degradation_warned = True
-                warnings.warn(
-                    "meet backend 'vector' requested but the NumPy kernels "
-                    "are unavailable; serving 'indexed' on the python tier",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return IndexedBackend(store)
         raise ValueError(
             f"unknown meet backend {spec!r}; expected one of {BACKEND_NAMES}"
         )

@@ -43,7 +43,7 @@ def distance(
 ) -> int:
     """Tree distance in edges — the paper's d(o₁, o₂) (§4).
 
-    The steered default *counts joins walked*; an indexed backend
+    The steered default *counts joins walked*; the vector backend
     reads the same number off depths and the O(1) LCA.
     """
     if backend is not None:

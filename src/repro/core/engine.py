@@ -26,9 +26,10 @@ distance-bounded) under one roof.
 
 Execution is delegated to a pluggable :class:`~repro.core.backends.MeetBackend`:
 ``backend="steered"`` (default) runs the paper's path-steered walks
-with their join-count traces; ``backend="indexed"`` answers every meet
+with their join-count traces; ``backend="vector"`` answers every meet
 from a per-store Euler-RMQ index (built once, cached on the store's
-generation) — the right choice for query volumes, and what the
+generation) with NumPy batch kernels — the right choice for query
+volumes, and what the
 batched entry points (:meth:`NearestConceptEngine.meet_many`,
 :meth:`NearestConceptEngine.nearest_concepts_batch`) are designed
 around.  Both backends return identical answer sets; ranking is
@@ -55,6 +56,7 @@ from ..fulltext.search import SearchEngine
 from ..monet.engine import MonetXML
 from ..monet.reassembly import object_text, reassemble_subtree
 from .backends import (
+    SNAPSHOT_DEFAULT_BACKEND,
     BackendSpec,
     MeetBackend,
     resolve_backend,
@@ -114,7 +116,7 @@ class NearestConceptEngine:
         fewer than ``broaden_below`` hits are expanded with synonyms.
 
         ``backend`` selects the meet execution strategy: ``"steered"``
-        (default), ``"indexed"``, or a ready
+        (default), ``"vector"``, or a ready
         :class:`~repro.core.backends.MeetBackend` instance.
 
         ``cache`` enables the serving-layer result cache: ``True``
@@ -144,14 +146,11 @@ class NearestConceptEngine:
         loader has already seeded the generation-keyed LCA and
         full-text caches, so this engine's first query performs zero
         index constructions.  Defaults follow the bundle (the
-        ``vector`` backend when NumPy is importable, else ``indexed``
-        — either way the seeded index is already paid for — and the
-        bundled case mode); any keyword accepted by the constructor
-        overrides.
+        ``vector`` backend — the seeded index is already paid for —
+        and the bundled case mode); any keyword accepted by the
+        constructor overrides.
         """
-        from .backends import snapshot_default_backend
-
-        options.setdefault("backend", snapshot_default_backend())
+        options.setdefault("backend", SNAPSHOT_DEFAULT_BACKEND)
         options.setdefault(
             "case_sensitive", snapshot.fulltext_index.case_sensitive
         )
@@ -182,7 +181,7 @@ class NearestConceptEngine:
     ) -> List[PairMeet]:
         """Batched pairwise meets — one backend, many pairs.
 
-        On the indexed backend the Euler-RMQ index is built (or
+        On the vector backend the Euler-RMQ index is built (or
         fetched from cache) once and every pair is answered in O(1);
         the steered backend degrades gracefully to a loop of Fig. 3
         walks.
@@ -305,7 +304,7 @@ class NearestConceptEngine:
 
         ``options`` are forwarded to :meth:`nearest_concepts`.  The
         point of the batched entry is amortization: the full-text
-        index, the search engine and (on the indexed backend) the
+        index, the search engine and (on the vector backend) the
         Euler-RMQ LCA index are all built once and shared by every
         query, so evaluating thousands of hit-pair roll-ups costs one
         preprocessing pass instead of thousands of parent re-walks.

@@ -1,5 +1,4 @@
-"""Precomputed Euler-tour + sampled-sparse-table LCA index (the backend
-seam's fast path).
+"""Precomputed Euler-tour LCA index (the ``vector`` backend's columns).
 
 The paper's ``meet₂`` (Fig. 3) deliberately avoids preprocessing: its
 per-query cost *is* the distance, which doubles as the §4 ranking
@@ -15,22 +14,17 @@ structure over tour depths gives O(1) LCA and O(1) depth-based distance
 after O(n) preprocessing.  The index *is* four flat ``int32`` columns —
 the tour, its depths and the dense first/last tour position per OID —
 and they are all a snapshot bundle stores.  The range-minimum structure
-is derived from the depth column and never persisted: a **sampled
-sparse table** that keeps levels 0‥4 (windows of 1‥16 tour steps) for
-every position as one-byte offsets, and the levels from 4 up only at
-every 16th position.  A range shorter than 32 steps is the textbook
-two-window query on the dense levels; a longer one is its two 16-step
-end windows plus the textbook query over the 16-aligned interior on the
-sampled levels — about 6 bytes per tour step where the full table took
-8·log₂(tour).
+(a sampled sparse table) is derived from the depth column by
+:class:`~repro.kernels.lca.LcaKernels` when they bind, and never
+persisted; the scalar queries here read that same table.
 
-:class:`~repro.core.backends.IndexedBackend` builds one
-:class:`LcaIndex` per store and reuses it across every pairwise,
-set-wise and n-ary meet; :func:`get_lca_index` caches the index per
-store and *maintains* it across live writes the way the full-text and
-value indexes are maintained: a stale generation is bridged with the
-store's mutation journal (:func:`repro.monet.mutate.journal_chain`)
-instead of a rebuild.
+:class:`~repro.core.backends.VectorBackend` reuses one
+:class:`LcaIndex` per store across every pairwise, set-wise and n-ary
+meet; :func:`get_lca_index` caches the index per store and *maintains*
+it across live writes the way the full-text and value indexes are
+maintained: a stale generation is bridged with the store's mutation
+journal (:func:`repro.monet.mutate.journal_chain`) instead of a
+rebuild.
 
 That works because the tour is append-only under the write path.
 ``put_document`` hangs one contiguous pre-order OID run under the root
@@ -50,9 +44,7 @@ new — store).
 
 Beyond plain LCA the index exposes the Euler order itself
 (:meth:`LcaIndex.euler_position`) and an O(1) interval ancestor test
-(:meth:`LcaIndex.is_ancestor`) — the two primitives the indexed
-general-meet roll-up needs to build auxiliary ("virtual") trees over
-hit sets without touching the full instance tree.
+(:meth:`LcaIndex.is_ancestor`).
 """
 
 from __future__ import annotations
@@ -60,9 +52,12 @@ from __future__ import annotations
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
+
+import numpy as np
 
 from ..datamodel.errors import UnknownOIDError
+from ..kernels.lca import get_kernels
 from ..monet.engine import DerivedCache, MonetXML
 from ..monet.mutate import MutationRecord, journal_chain
 
@@ -73,14 +68,7 @@ __all__ = [
     "clear_lca_index_cache",
     "lca_index_cache_info",
     "LcaIndexCacheInfo",
-    "BLOCK",
-    "DENSE_LEVELS",
 ]
-
-#: Tour positions between two samples of the upper table levels.
-BLOCK = 16
-#: Table levels kept for every tour position: windows of 1‥``BLOCK``.
-DENSE_LEVELS = 5
 
 
 class LcaIndex:
@@ -90,9 +78,8 @@ class LcaIndex:
     2n−1, its depths, and a first/last tour position per OID (``-1``
     for a tombstone).  All queries after that are O(1): ``lca``,
     ``distance``, ``depth``, ``euler_position``, ``is_ancestor``.  The
-    sampled table behind them is derived from the depths on the first
-    scalar query — the vector tier (:mod:`repro.kernels.lca`) derives
-    its own over the same columns and never asks for this one.
+    range-minimum table behind ``lca`` is the one its
+    :class:`~repro.kernels.lca.LcaKernels` derive when they bind.
     """
 
     def __init__(self, store: MonetXML):
@@ -106,7 +93,6 @@ class LcaIndex:
         self._depth = depth     # depth per Euler step
         self._first = first     # OID − base → first tour position
         self._last = last       # OID − base → last tour position
-        self._table = None      # (near, far) rows, see _extend_table
         self._vector_kernels = None  # see repro.kernels.lca
         #: Store generation this index answers for; a mismatch with
         #: ``store.generation`` means the index is stale.
@@ -172,101 +158,16 @@ class LcaIndex:
             tour.append(root)
             depths.append(1)
 
-    def _extend_table(self, near: List[array], far: List[array]) -> None:
-        """Fill the table cells a longer depth column adds.
-
-        ``near[k][i]`` is the offset from ``i`` of the leftmost minimum
-        of ``depth[i : i + 2**k]`` (one byte; ``k < DENSE_LEVELS``);
-        ``far[r][j]`` is the position of the leftmost minimum of the
-        ``2**r`` blocks starting at ``j * BLOCK``.  Every row is filled
-        from its own length to the last window that fits — from empty
-        rows that is the whole derivation, after a put it is the tail.
-        """
-        depth = self._depth
-        length = len(depth)
-        near[0].frombytes(bytes(length - len(near[0])))
-        for level in range(1, DENSE_LEVELS):
-            half = 1 << (level - 1)
-            row, below = near[level], near[level - 1]
-            start, stop = len(row), length - 2 * half + 1
-            row.extend(
-                left if depth[i + left] <= depth[i + half + right]
-                else half + right
-                for i, left, right in zip(
-                    range(start, stop),
-                    below[start:stop],
-                    below[start + half : stop + half],
-                )
-            )
-        top = near[-1]
-        rank = 0
-        while BLOCK << rank <= length:
-            if rank == len(far):
-                far.append(array("i"))
-            row = far[rank]
-            start, stop = len(row), length // BLOCK - (1 << rank) + 1
-            if rank == 0:
-                row.extend(
-                    i + top[i]
-                    for i in range(start * BLOCK, stop * BLOCK, BLOCK)
-                )
-            else:
-                half = 1 << (rank - 1)
-                below = far[rank - 1]
-                row.extend(
-                    left if depth[left] <= depth[right] else right
-                    for left, right in zip(
-                        below[start:stop], below[start + half : stop + half]
-                    )
-                )
-            rank += 1
-
-    def _rmq(self, low: int, high: int) -> int:
-        """Leftmost position of the minimum depth in ``tour[low..high]``."""
-        table = self._table
-        if table is None:
-            # Derived into fresh rows and published whole: concurrent
-            # readers may both derive, none sees a half-filled table.
-            table = [array("B") for _ in range(DENSE_LEVELS)], []
-            self._extend_table(*table)
-            self._table = table
-        near, far = table
-        depth = self._depth
-        level = (high - low + 1).bit_length() - 1
-        if level < DENSE_LEVELS:
-            row = near[level]
-            start = high - (1 << level) + 1
-            left, right = low + row[low], start + row[start]
-            return left if depth[left] <= depth[right] else right
-        # Two end windows around the block-aligned interior, left to
-        # right: each candidate is the leftmost minimum of its window
-        # and the windows before it cover a prefix of the range, so a
-        # later one only wins when strictly shallower.
-        top = near[-1]
-        head = (low + BLOCK - 1) // BLOCK
-        tail = (high + 1) // BLOCK
-        rank = (tail - head).bit_length() - 1
-        start = high - BLOCK + 1
-        best = low + top[low]
-        for position in (
-            far[rank][head],
-            far[rank][tail - (1 << rank)],
-            start + top[start],
-        ):
-            if depth[position] < depth[best]:
-                best = position
-        return best
-
     def roll_forward(self, chain: Iterable[MutationRecord]) -> None:
         """Apply journalled mutations (oldest first) in place.
 
         A put appends its span's tour (:meth:`_append_run`), a delete
-        blanks the span's ``first``/``last`` slots.  The derived table
-        and an attached :class:`~repro.kernels.lca.LcaKernels` follow at
-        the tail.  The caller publishes ``generation``.  Read-only
-        snapshot columns (``memoryview`` casts over the mmap'd bundle)
-        become owned arrays on the first write, like ``_ensure_mutable``
-        does for the store itself.
+        blanks the span's ``first``/``last`` slots.  Attached
+        :class:`~repro.kernels.lca.LcaKernels` (and their derived table)
+        follow at the tail.  The caller publishes ``generation``.
+        Read-only snapshot columns (``memoryview`` casts over the mmap'd
+        bundle) become owned arrays on the first write, like
+        ``_ensure_mutable`` does for the store itself.
         """
         if not isinstance(self._tour, array):
             self._tour, self._depth, self._first, self._last = (
@@ -284,8 +185,6 @@ class LcaIndex:
                 self._first[low - base : high - base + 1] = blank
                 self._last[low - base : high - base + 1] = blank
                 dropped.append((low, high))
-        if self._table is not None:
-            self._extend_table(*self._table)
         if self._vector_kernels is not None:
             self._vector_kernels.follow(dropped)
 
@@ -315,15 +214,11 @@ class LcaIndex:
         return self.lca_with_distance(oid1, oid2)[1]
 
     def lca_with_distance(self, oid1: int, oid2: int) -> Tuple[int, int]:
-        """(lca, distance) in one pass — the batched hot path."""
-        first1 = self.euler_position(oid1)
-        first2 = self.euler_position(oid2)
-        meet = self._rmq(min(first1, first2), max(first1, first2))
-        depth = self._depth
-        return (
-            self._tour[meet],
-            depth[first1] + depth[first2] - 2 * depth[meet],
+        """(lca, distance) in one pass: a one-pair kernel batch."""
+        meets, distances = get_kernels(self).lca_many(
+            np.array([oid1]), np.array([oid2])
         )
+        return int(meets[0]), int(distances[0])
 
     def is_ancestor(self, ancestor_oid: int, descendant_oid: int) -> bool:
         """Reflexive ancestor test via Euler interval containment, O(1)."""
@@ -333,78 +228,6 @@ class LcaIndex:
             <= self.euler_position(descendant_oid)
             <= self._last[ancestor_oid - self._base]
         )
-
-    def lca_many(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
-        """Batched LCA — one vectorized table pass when NumPy is
-        importable (:mod:`repro.kernels`), else a python loop over the
-        O(1) scalar kernel.  Answers are identical either way."""
-        from .. import kernels
-
-        if kernels.available():
-            from ..kernels.lca import get_kernels
-
-            return get_kernels(self).lca_pairs(pairs)
-        return [self.lca(oid1, oid2) for oid1, oid2 in pairs]
-
-    def auxiliary_tree(
-        self, oids: Iterable[int]
-    ) -> Tuple[List[int], Dict[int, Optional[int]]]:
-        """The virtual tree spanned by ``oids`` and their mutual LCAs.
-
-        Returns ``(order, parent)``: the candidate nodes in Euler
-        (pre-)order and the compressed parent map.  Candidates are the
-        inputs plus the LCAs of Euler-order neighbours; that set is
-        closed under LCA and is exactly where ≥ 2 input ancestor
-        chains can first converge, so the Fig. 4/5 roll-ups restricted
-        to it emit the same meets as the full instance tree.  Cost is
-        O(m log m) for m inputs, independent of tree size and depth.
-        """
-        order, parent_index = self.auxiliary_tree_arrays(oids)
-        return order, {
-            oid: None if parent < 0 else order[parent]
-            for oid, parent in zip(order, parent_index)
-        }
-
-    def auxiliary_tree_arrays(
-        self, oids: Iterable[int]
-    ) -> Tuple[List[int], List[int]]:
-        """:meth:`auxiliary_tree` in array form — the roll-up hot path.
-
-        Returns ``(order, parent_index)``: the candidate OIDs in Euler
-        (pre-)order and, for each position, the *position* of its
-        auxiliary parent in ``order`` (``-1`` at the virtual root).
-        Parent links as positions let the Fig. 4/5 roll-ups propagate
-        over flat parallel arrays instead of per-OID dict look-ups.
-        """
-        # A node is its first tour position from here on: sorting the
-        # positions is the pre-order, and the range minimum between two
-        # neighbours lands on (an occurrence of) their LCA.
-        ordered = sorted(set(map(self.euler_position, oids)))
-        tour = self._tour
-        first = self._first
-        last = self._last
-        base = self._base
-        rmq = self._rmq
-        candidates = set(ordered)
-        candidates.update(
-            first[tour[rmq(low, high)] - base]
-            for low, high in zip(ordered, ordered[1:])
-        )
-        order: List[int] = []
-        parent_index: List[int] = []
-        stack: List[int] = []          # positions in ``order``
-        stack_last: List[int] = []     # matching Euler interval ends
-        for euler in sorted(candidates):
-            # The stack holds the ancestor chain of the previous node
-            # (in pre-order); pop entries whose Euler interval ended.
-            while stack and stack_last[-1] < euler:
-                stack.pop()
-                stack_last.pop()
-            parent_index.append(stack[-1] if stack else -1)
-            stack.append(len(order))
-            stack_last.append(last[tour[euler] - base])
-            order.append(tour[euler])
-        return order, parent_index
 
     # -- flat columns (the kernels' and the snapshot store's contract) --
     def columns(self) -> Dict[str, Sequence[int]]:

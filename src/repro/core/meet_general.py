@@ -31,8 +31,8 @@ Three entry points:
 
 All public entry points accept ``backend=`` (see
 :mod:`repro.core.backends`): the default runs the schema roll-up
-below; :class:`~repro.core.backends.IndexedBackend` emits the same
-meet set from an auxiliary tree over the inputs in O(m log m),
+below; :class:`~repro.core.backends.VectorBackend` emits the same
+meet set from an auxiliary tree over the inputs,
 independent of instance depth and path-summary size.  Emission order
 may differ between backends (schema post-order vs reverse pre-order);
 consumers that rank — :mod:`repro.core.ranking`, the engine — are

@@ -70,7 +70,7 @@ def meet_many(
     """Batched pairwise meets.
 
     With the default steered backend this is just the Fig. 3 walk in a
-    loop; with :class:`~repro.core.backends.IndexedBackend` the whole
+    loop; with :class:`~repro.core.backends.VectorBackend` the whole
     batch is answered from one Euler-RMQ index in O(1) per pair.
     """
     if backend is not None:

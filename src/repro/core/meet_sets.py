@@ -154,7 +154,7 @@ def meet_sets(
     """All minimal meets between two homogeneous OID sets (Fig. 4).
 
     ``backend=`` selects the execution strategy (default: the Fig. 4
-    relational loop above; the indexed backend answers from an
+    relational loop above; the vector backend answers from an
     auxiliary tree with the identical meet set).
     """
     if backend is not None:

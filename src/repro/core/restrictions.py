@@ -106,7 +106,7 @@ def bounded_meet2(
     """The §4 k-meet: ``meet₂`` if d(o₁,o₂) ≤ k, else ``None`` (⊥).
 
     Implemented as the Fig. 3 walk with an early abort, so rejected
-    pairs cost at most k parent look-ups; with an indexed backend the
+    pairs cost at most k parent look-ups; with the vector backend the
     bound is checked against the O(1) depth-based distance instead.
     """
     if backend is not None:

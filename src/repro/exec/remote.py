@@ -36,6 +36,7 @@ import time
 from pathlib import Path as FsPath
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..core.backends import SNAPSHOT_DEFAULT_BACKEND
 from ..datamodel.errors import ReproError
 from ..obs.logs import log_event
 from .deadline import Deadline, DeadlineExceededError
@@ -272,7 +273,8 @@ def services_from_bundles(
     handoff :func:`repro.snapshot.sharded.write_shard_bundles` stamps
     into every bundle), so a worker started with just a bundle path
     serves the right shard; the case mode likewise follows the bundle
-    unless overridden.
+    unless overridden, and the backend is the one
+    :meth:`~repro.api.database.Database.open` picks for a bundle.
     """
     from ..snapshot.codec import read_snapshot
 
@@ -298,7 +300,7 @@ def services_from_bundles(
             snapshot.store,
             shard_id=shard_id,
             case_sensitive=effective_case,
-            backend=backend or "indexed",
+            backend=backend or SNAPSHOT_DEFAULT_BACKEND,
         )
     return services
 

@@ -38,8 +38,7 @@ import os
 import time
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .. import kernels
-from ..core.backends import meet_oids, select_meets
+from ..core.backends import kernel_tier, meet_oids, select_meets
 from ..core.engine import NearestConceptEngine
 from ..core.restrictions import resolve_pids
 from ..datamodel.document import CDATA_LABEL, STRING_ATTRIBUTE
@@ -200,16 +199,14 @@ class ShardService:
         # shards both come from the seeded caches (zero builds).
         _ = self.engine.index
         backend = self.engine.backend
-        if self.backend_name in ("indexed", "vector"):
-            _ = backend.index
-        # Vector shards additionally bind their NumPy column views so
-        # the first query pays no view setup.
+        # Vector shards also bind the LCA index and its NumPy column
+        # views, so the first query pays no view setup.
         _ = getattr(backend, "kernels", None)
         return {
             "pid": os.getpid(),
             "nodes": self.store.node_count,
             "backend": self.backend_name,
-            "kernel_tier": kernels.active_tier(backend.name),
+            "kernel_tier": kernel_tier(backend.name),
             "case_sensitive": self.case_sensitive,
         }
 

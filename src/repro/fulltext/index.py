@@ -43,7 +43,9 @@ from typing import (
     Tuple,
 )
 
-from .. import kernels as _kernels
+import numpy as np
+
+from ..kernels import postings as postings_kernels
 from ..monet.engine import DerivedCache, MonetXML
 from ..monet.mutate import journal_chain
 from .tokenizer import normalize, tokenize
@@ -72,20 +74,17 @@ class Posting:
 _EMPTY_COLUMN = array("q")
 
 
-def _unique_oid_column(oids: Sequence[int]):
+def _unique_oid_column(oids: Sequence[int]) -> array:
     """Distinct OIDs of a column, ascending, as one flat column.
 
-    NumPy tier: ``np.unique`` over the column viewed at its own item
-    width (an int32 snapshot section or an ``array('q')`` alike);
-    python tier: a sorted set.  Both return ``array('q')`` — the
-    kernels consume it as int64 without a copy, and iterating it must
-    yield plain python ints (``np.int64`` is *not* an ``int`` subclass
-    and would fail downstream OID validation).
+    ``np.unique`` over the column viewed at its own item width (an
+    int32 snapshot section or an ``array('q')`` alike), returned as
+    ``array('q')``: the kernels consume it as int64 without a copy,
+    and iterating it must yield plain python ints (``np.int64`` is
+    *not* an ``int`` subclass and would fail downstream OID
+    validation).
     """
-    if _kernels.available():
-        np = _kernels.numpy()
-        return _as_q_column(np.unique(np.asarray(oids)))
-    return array("q", sorted(set(oids)))
+    return _as_q_column(np.unique(np.asarray(oids)))
 
 
 def _as_q_column(np_column) -> array:
@@ -495,30 +494,13 @@ class FullTextIndex:
     def _merge_columns(
         entries: Sequence[_TermPostings],
     ) -> Tuple[Sequence[int], Sequence[int]]:
-        """Deduplicating union of posting columns, first-seen order.
-
-        Vector tier: one combined-key pass
-        (:func:`repro.kernels.postings.union_columns`); python tier:
-        the historical seen-set merge loop.  Identical output order.
+        """Deduplicating union of posting columns, first-seen order: one
+        combined-key pass (:func:`repro.kernels.postings.union_columns`).
         """
-        if _kernels.available():
-            from ..kernels import postings as postings_kernels
-
-            pids, oids = postings_kernels.union_columns(
-                (entry.pids, entry.oids) for entry in entries
-            )
-            return _as_q_column(pids), _as_q_column(oids)
-        merged_pids = array("q")
-        merged_oids = array("q")
-        seen: Set[Tuple[int, int]] = set()
-        for entry in entries:
-            for pid, oid in zip(entry.pids, entry.oids):
-                key = (pid, oid)
-                if key not in seen:
-                    seen.add(key)
-                    merged_pids.append(pid)
-                    merged_oids.append(oid)
-        return merged_pids, merged_oids
+        pids, oids = postings_kernels.union_columns(
+            (entry.pids, entry.oids) for entry in entries
+        )
+        return _as_q_column(pids), _as_q_column(oids)
 
     def search_any(self, terms: Iterable[str]) -> Hits:
         """Union of single-term searches (duplicate postings removed)."""
@@ -536,8 +518,8 @@ class FullTextIndex:
 
         This matches "Bob Byte" when searching for Bob *and* Byte — the
         paper's second §3.1 example where the meet is the cdata node
-        itself.  The intersection runs as a sorted-array kernel when
-        NumPy is importable; either tier emits (pid, oid) ascending.
+        itself.  The intersection is a sorted-array kernel emitting
+        (pid, oid) ascending.
         """
         term_list = list(terms)
         if not term_list:
@@ -548,26 +530,12 @@ class FullTextIndex:
         ]
         if any(entry is None for entry in entries):
             return Hits(term="&".join(term_list))
-        if _kernels.available():
-            from ..kernels import postings as postings_kernels
-
-            pids, oids = postings_kernels.intersect_columns(
-                (entry.pids, entry.oids) for entry in entries
-            )
-            return Hits(
-                term="&".join(term_list),
-                columns=(_as_q_column(pids), _as_q_column(oids)),
-            )
-        result = {(pid, oid) for pid, oid in zip(entries[0].pids, entries[0].oids)}
-        for entry in entries[1:]:
-            result &= {(pid, oid) for pid, oid in zip(entry.pids, entry.oids)}
-        ordered = sorted(result)
+        pids, oids = postings_kernels.intersect_columns(
+            (entry.pids, entry.oids) for entry in entries
+        )
         return Hits(
             term="&".join(term_list),
-            columns=(
-                array("q", (pid for pid, _ in ordered)),
-                array("q", (oid for _, oid in ordered)),
-            ),
+            columns=(_as_q_column(pids), _as_q_column(oids)),
         )
 
 

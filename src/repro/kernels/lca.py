@@ -1,12 +1,20 @@
-"""Batched Euler-RMQ LCA and auxiliary-tree kernels (NumPy tier).
+"""Batched Euler-RMQ LCA and auxiliary-tree kernels.
 
-This module is only imported once :func:`repro.kernels.available` has
-confirmed NumPy; it binds zero-copy views over an
+:class:`LcaKernels` binds zero-copy views over an
 :class:`~repro.core.lca_index.LcaIndex`'s four flat columns, derives
-the sampled sparse table of :mod:`repro.core.lca_index` from the depth
-column with whole-array passes, and answers *batches* of LCA/distance
-queries and whole auxiliary-tree constructions without a python-level
-loop per element.
+the index's range-minimum structure from the depth column with
+whole-array passes, and answers *batches* of LCA/distance queries and
+whole auxiliary-tree constructions without a python-level loop per
+element.
+
+The range-minimum structure is a **sampled sparse table**: levels
+0‥4 (windows of 1‥16 tour steps) for every position as one-byte
+offsets, and the levels from 4 up only at every 16th position.  A range
+shorter than 32 steps is the textbook two-window query on the dense
+levels; a longer one is its two 16-step end windows plus the textbook
+query over the 16-aligned interior on the sampled levels — about 6
+bytes per tour step where the full table took 8·log₂(tour).  It is
+derived when the kernels bind and never persisted.
 
 Two vectorization facts carry the module:
 
@@ -18,22 +26,26 @@ Two vectorization facts carry the module:
   gathers and elementwise depth compares throughout;
 * for a candidate set closed under pairwise LCA and sorted in
   pre-order, the auxiliary-tree parent of ``c_i`` is exactly
-  ``lca(c_{i-1}, c_i)`` — so the stack walk of
-  :meth:`LcaIndex.auxiliary_tree_arrays` becomes one more batched RMQ
-  plus a ``searchsorted`` to turn parent OIDs into positions.
+  ``lca(c_{i-1}, c_i)`` — so the classic stack walk over the sorted
+  candidates becomes one more batched RMQ plus a ``searchsorted`` to
+  turn parent OIDs into positions.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from ..core.lca_index import BLOCK, DENSE_LEVELS
 from ..datamodel.errors import UnknownOIDError
 
-__all__ = ["LcaKernels", "get_kernels", "sorted_unique"]
+__all__ = ["LcaKernels", "get_kernels", "sorted_unique", "BLOCK", "DENSE_LEVELS"]
+
+#: Tour positions between two samples of the upper table levels.
+BLOCK = 16
+#: Table levels kept for every tour position: windows of 1‥``BLOCK``.
+DENSE_LEVELS = 5
 
 _INT64 = np.int64
 
@@ -137,10 +149,14 @@ class LcaKernels:
     def _extend_table(self, old: int) -> None:
         """Fill the table cells a depth column grown from ``old`` adds.
 
-        The layout of :meth:`LcaIndex._extend_table` as two matrices:
-        ``near[k, i]`` (one byte) and ``far[r, j]``, rows right-padded.
-        A row's cells from the last window that fitted the old column to
-        the last that fits now come from the row below, one pass each.
+        Two matrices, rows right-padded: ``near[k, i]`` is the offset
+        from ``i`` of the leftmost minimum of ``depth[i : i + 2**k]``
+        (one byte; ``k < DENSE_LEVELS``), and ``far[r, j]`` the position
+        of the leftmost minimum of the ``2**r`` blocks starting at
+        ``j * BLOCK``.  A row's cells from the last window that fitted
+        the old column to the last that fits now come from the row
+        below, one pass each — from empty rows that is the whole
+        derivation, after a put it is the tail.
         """
         depth = self.depth
         length = len(depth)
@@ -224,8 +240,9 @@ class LcaKernels:
     def rmq_positions(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
         """Position of the min-depth tour entry in each ``[low, high]``.
 
-        Leftmost on ties, exactly like :meth:`LcaIndex._rmq`: the
-        candidates are compared left to right and a later window only
+        Leftmost on ties: the candidates are compared left to right —
+        each is the leftmost minimum of its window, and the windows
+        before it cover a prefix of the range — and a later window only
         wins when strictly shallower.
         """
         depth = self.depth
@@ -269,25 +286,21 @@ class LcaKernels:
         distances = depth[first_a] + depth[first_b] - 2 * depth[positions]
         return self.tour[positions], distances
 
-    def lca_pairs(self, pairs: Iterable[Tuple[int, int]]) -> List[int]:
-        """Batched LCA over an iterable of pairs, as plain python ints."""
-        materialized = pairs if isinstance(pairs, np.ndarray) else list(pairs)
-        if len(materialized) == 0:
-            return []
-        table = np.asarray(materialized, dtype=_INT64).reshape(-1, 2)
-        meets, _ = self.lca_many(table[:, 0], table[:, 1])
-        return meets.tolist()
-
     # -- auxiliary (virtual) tree ---------------------------------------
     def auxiliary_tree(
         self, oids: np.ndarray, firsts: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`LcaIndex.auxiliary_tree_arrays`.
+        """The virtual tree spanned by ``oids`` and their mutual LCAs.
+
+        Candidates are the inputs plus the LCAs of Euler-order
+        neighbours; that set is closed under LCA and is exactly where
+        ≥ 2 input ancestor chains can first converge, so the Fig. 4/5
+        roll-ups restricted to it emit the same meets as the full
+        instance tree, at a cost independent of tree size and depth.
 
         Returns ``(order, order_firsts, parent_index)``: the candidate
-        OIDs (inputs plus LCAs of pre-order neighbours) in pre-order,
-        their first Euler positions, and each candidate's parent
-        *position* (−1 at the root).  Candidate-set closure under LCA
+        OIDs in pre-order, their first Euler positions, and each
+        candidate's parent *position* (−1 at the root).  Candidate-set closure under LCA
         makes ``parent(c_i) = lca(c_{i-1}, c_i)``, so parents come
         from one more batched RMQ instead of a python stack walk.
         A caller that already holds ``first_positions(oids)`` passes

@@ -1,19 +1,18 @@
-"""Vectorized postings set algebra for the full-text index (NumPy tier).
+"""Vectorized postings set algebra for the full-text index.
 
 Postings are parallel (pid, oid) integer columns — ``array('q')`` in a
 built index, int32 snapshot sections in a loaded one — bound here at
-their own width.  The python implementations of conjunctive /
-disjunctive search materialize python tuple sets per term; here the
-same operations run over a combined int64 ``pid * stride + oid`` key
-column (the stride exceeds every OID, so key order *is* lexicographic
-(pid, oid) order and the decode is exact):
+their own width.  Conjunctive / disjunctive search runs over a combined
+int64 ``pid * stride + oid`` key column instead of python tuple sets
+per term (the stride exceeds every OID, so key order *is*
+lexicographic (pid, oid) order and the decode is exact):
 
 * :func:`intersect_columns` — sorted-array intersection
   (``np.intersect1d`` over per-term unique keys), emitting (pid, oid)
   ascending exactly like ``sorted(set & set & ...)``;
 * :func:`union_columns` — first-seen-order deduplicating union
-  (``np.unique(..., return_index=True)`` then an index sort), matching
-  the python loop's insertion order;
+  (``np.unique(..., return_index=True)`` then an index sort): a
+  posting keeps the position of its first occurrence;
 * :func:`group_boundaries` — pid group starts over a sorted pid
   column via ``searchsorted``/``diff``, for by-pid regrouping.
 """
@@ -77,8 +76,8 @@ def intersect_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
 def union_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
     """(pid, oid) pairs of any column, deduplicated, first-seen order.
 
-    Matches the python merge loop exactly: a posting appears at the
-    position of its first occurrence across the concatenated columns.
+    A posting appears at the position of its first occurrence across
+    the concatenated columns.
     """
     pairs = _as_column_pairs(columns)
     pairs = [(pids, oids) for pids, oids in pairs if len(oids)]

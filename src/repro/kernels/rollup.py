@@ -1,12 +1,11 @@
-"""Vectorized Fig. 4/5 roll-ups over the auxiliary tree (NumPy tier).
+"""Vectorized Fig. 4/5 roll-ups over the auxiliary tree.
 
-The pure-python roll-ups (:meth:`IndexedBackend.meet_tagged`,
-:meth:`IndexedBackend.meet_sets`) walk the auxiliary tree in reverse
-pre-order, one node at a time.  Both walks are really level-wise
-dataflow on the auxiliary tree — a node's state depends only on its
-(strictly deeper) auxiliary children — so they vectorize as a handful
-of whole-array passes per *level* (tree depth, not node count, bounds
-the python-level loop).  The levels are the candidates' *document*
+Read as walks, the roll-ups visit the auxiliary tree in reverse
+pre-order, one node at a time.  Both are really level-wise dataflow on
+the auxiliary tree — a node's state depends only on its (strictly
+deeper) auxiliary children — so they vectorize as a handful of
+whole-array passes per *level* (tree depth, not node count, bounds the
+python-level loop).  The levels are the candidates' *document*
 depths, read off the Euler tour with one gather: an auxiliary child is
 strictly deeper in the document than its auxiliary parent, so a
 deepest-first pass over them visits children before parents without
@@ -22,9 +21,9 @@ ever computing depths inside the auxiliary tree.
   assigning every input to its nearest emitting ancestor-or-self
   (one top-down pass), avoiding per-node set unions entirely.
 
-Both kernels reproduce the python walks' emission order (reverse
-pre-order over auxiliary positions) and origin/token sets exactly —
-the differential suite holds them byte-identical.
+Both kernels emit in reverse pre-order over auxiliary positions, and
+their origin/token sets equal the steered walks' exactly — the
+differential suites hold the answers byte-identical.
 """
 
 from __future__ import annotations
@@ -119,8 +118,8 @@ def rollup_tagged(
         return order, empty, empty, empty
     # A pair reaches any given target at most once, so one combined
     # key sorts by target and keeps groups contiguous in a single
-    # pass; reversing the ascending keys yields the python walk's
-    # reverse pre-order emission (pair order within a group is
+    # pass; reversing the ascending keys yields the reverse
+    # pre-order emission (pair order within a group is
     # irrelevant — the pairs become a frozenset).
     span = np.int64(len(pair_oids))
     keys = np.sort(kept_targets * span + all_pairs[keep])[::-1]
@@ -144,7 +143,7 @@ def rollup_sets(
     origin_indexes, boundaries)``: emitting positions in reverse
     pre-order and one flat column of origin indexes (into ``inputs``)
     split per position by the boundary offsets — within a position the
-    indexes ascend, i.e. the python walk's bit order.
+    indexes ascend.
     """
     input_firsts = kernels.first_positions(inputs)
     order, order_firsts, parent_index = kernels.auxiliary_tree(

@@ -361,7 +361,7 @@ class MonetXML:
 
         Clears the reverse-edge and children adjacency caches and bumps
         ``generation``.  Generation-keyed external caches (the LCA
-        index of the ``indexed`` meet backend, the full-text and value
+        index of the ``vector`` meet backend, the full-text and value
         indexes) rebuild on next use — unless the caller also journals
         a :class:`~repro.monet.mutate.MutationRecord`, as every live
         write does, in which case they roll forward from it.

@@ -47,10 +47,8 @@ first query with zero index constructions.
 from __future__ import annotations
 
 import operator
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path as FsPath
 from typing import (
     Callable,
@@ -63,7 +61,8 @@ from typing import (
     Union,
 )
 
-from .. import kernels
+import numpy as np
+
 from ..core.lca_index import LcaIndex, get_lca_index, seed_lca_index
 from ..datamodel.errors import StorageError
 from ..fulltext.index import (
@@ -129,7 +128,6 @@ def _check_dense_columns(
     root_index: int,
     first_oid: int,
     path_count: int,
-    vectorized: bool,
 ) -> None:
     """Refuse dense columns that would send a gather astray.
 
@@ -137,7 +135,8 @@ def _check_dense_columns(
     (:class:`_DenseRegrouping`), so every pid must name a path, the
     root's parent must be ``-1`` and every other parent an earlier OID
     of the store — pre-order, which also makes the root the first OID.
-    ``vectorized`` runs the checks as NumPy passes.
+    The writer runs the same check, so it never writes a bundle the
+    reader would refuse.
     """
     _refuse(*(
         (section, len(column) == node_count,
@@ -146,28 +145,17 @@ def _check_dense_columns(
     ))
     if not 0 <= root_index < node_count:
         raise StorageError("snapshot root OID does not denote a node")
-    pids, parents, _ = columns
+    pids, parents = np.asarray(columns[0]), np.asarray(columns[1])
     _refuse(("store/oid_parent", parents[root_index] == -1,
              "a root whose parent is not -1"))
-    if vectorized:
-        np = kernels.numpy()
-        pids, parents = np.asarray(pids), np.asarray(parents)
-        pids_known = ((pids >= 1) & (pids <= path_count)).all()
-        below = (parents >= first_oid) & (
-            parents < np.arange(first_oid, first_oid + node_count)
-        )
-        below[root_index] = True
-        parents_below = below.all()
-    else:
-        pids_known = all(1 <= pid <= path_count for pid in pids)
-        parents_below = all(
-            first_oid <= parent < first_oid + slot
-            for slot, parent in enumerate(parents)
-            if slot != root_index
-        )
+    below = (parents >= first_oid) & (
+        parents < np.arange(first_oid, first_oid + node_count)
+    )
+    below[root_index] = True
     _refuse(
-        ("store/oid_pid", pids_known, f"a pid outside [1, {path_count}]"),
-        ("store/oid_parent", parents_below,
+        ("store/oid_pid", ((pids >= 1) & (pids <= path_count)).all(),
+         f"a pid outside [1, {path_count}]"),
+        ("store/oid_parent", below.all(),
          "a parent outside the store's span or not below its child"),
     )
 
@@ -269,9 +257,7 @@ def write_snapshot(
     )
 
     # The dense columns are the whole of ``edges`` and ``ranks`` too; a
-    # store the reader would refuse is refused here, the same way —
-    # in python: ``snapshot build`` need not import NumPy, and the
-    # import costs more than the loops (40 vs 12 ms at 84k nodes).
+    # store the reader would refuse is refused here, the same way.
     columns = store.dense_columns()
     _check_dense_columns(
         columns,
@@ -279,7 +265,6 @@ def write_snapshot(
         store.root_oid - store.first_oid,
         store.first_oid,
         len(summary) - 1,
-        vectorized=False,
     )
     for name, column in zip(_STORE_SECTIONS, columns):
         add_column(name, column)
@@ -380,18 +365,9 @@ class _Runs(NamedTuple):
     tails: Sequence
 
 
-def _runs(counts: Sequence[int], heads: Sequence, tails: Sequence) -> _Runs:
+def _runs(counts: np.ndarray, heads: Sequence, tails: Sequence) -> _Runs:
     """The runs of pid-grouped columns holding ``counts[pid]`` rows per
-    pid (a list on the python tier, an array on the vector tier)."""
-    if isinstance(counts, list):
-        return _Runs(
-            array("i", (pid for pid, count in enumerate(counts) if count)),
-            array("q", accumulate(counts, initial=0)),
-            heads,
-            tails,
-        )
-    import numpy as np
-
+    pid."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return _Runs(np.flatnonzero(counts), offsets, heads, tails)
@@ -410,50 +386,20 @@ def _stored_runs(
     ``[1, path_count]``, lengths ≥ 0 adding up to the columns."""
     _refuse((f"{section}/lens", len(lengths) == len(pids),
              "not one run length per pid"))
-    vector = kernels.available()
-    if vector:
-        np = kernels.numpy()
-        pids, lengths = np.asarray(pids), np.asarray(lengths)
-        ascending = (pids[1:] > pids[:-1]).all() and (
-            (pids >= 1) & (pids <= path_count)
-        ).all()
-        total = int(lengths.sum()) if (lengths >= 0).all() else -1
-    else:
-        ascending = all(a < b for a, b in zip(pids, pids[1:])) and all(
-            1 <= pid <= path_count for pid in pids
-        )
-        total = sum(lengths) if all(length >= 0 for length in lengths) else -1
+    pids, lengths = np.asarray(pids), np.asarray(lengths)
+    ascending = (pids[1:] > pids[:-1]).all() and (
+        (pids >= 1) & (pids <= path_count)
+    ).all()
+    total = int(lengths.sum()) if (lengths >= 0).all() else -1
     _refuse(
         (f"{section}/pids", ascending,
          f"a pid outside [1, {path_count}] or out of order"),
         (f"{section}/lens", total == len(heads) == len(tails),
          "run lengths that do not add up to its columns"),
     )
-    if vector:
-        counts = np.zeros(path_count + 1, dtype=np.int64)
-        counts[pids] = lengths
-    else:
-        counts = [0] * (path_count + 1)
-        for pid, length in zip(pids, lengths):
-            counts[pid] = length
+    counts = np.zeros(path_count + 1, dtype=np.int64)
+    counts[pids] = lengths
     return _runs(counts, heads, tails)
-
-
-def _shifted(order, base: int):
-    """``order + base`` — OIDs — on either tier, as int64 (a leaf's OID
-    sits in no int32 column, so nothing bounds it to int32)."""
-    if isinstance(order, array):
-        return array("q", (slot + base for slot in order))
-    return order + base
-
-
-def _taken(column: Sequence[int], order):
-    """``column[order]`` on either tier."""
-    if isinstance(order, array):
-        return array("q", map(column.__getitem__, order))
-    import numpy as np
-
-    return np.asarray(column)[order]
 
 
 class _DenseRegrouping:
@@ -463,10 +409,10 @@ class _DenseRegrouping:
     one per path), rows in OID order — exactly what a store built in
     memory holds.  One stable pid order of the OID slots serves both:
     ``ranks`` is ``(order + first_oid, rank[order])`` and ``edges`` is
-    ``(parent[order], order + first_oid)`` without the root.  It is
-    computed on the first access of either family (a bincount and a
-    stable argsort on the vector tier, a stable ``sorted`` otherwise)
-    over columns :func:`_check_dense_columns` has passed.
+    ``(parent[order], order + first_oid)`` without the root — OIDs as
+    int64, since a leaf's OID sits in no int32 column.  It is computed
+    on the first access of either family (a bincount and a stable
+    argsort) over columns :func:`_check_dense_columns` has passed.
     """
 
     def __init__(
@@ -485,28 +431,19 @@ class _DenseRegrouping:
     def _ordered(self):
         """(rows per pid, OID slots in stable pid order)."""
         if self._order is None:
-            pids = self._columns[0]
-            if kernels.available():
-                np = kernels.numpy()
-                pids = np.asarray(pids)
-                counts = np.bincount(pids, minlength=self._path_count + 1)
-                order = np.argsort(pids, kind="stable")
-            else:
-                counts = [0] * (self._path_count + 1)
-                for pid in pids:
-                    counts[pid] += 1
-                order = array(
-                    "i", sorted(range(len(pids)), key=pids.__getitem__)
-                )
-            self._order = counts, order
+            pids = np.asarray(self._columns[0])
+            self._order = (
+                np.bincount(pids, minlength=self._path_count + 1),
+                np.argsort(pids, kind="stable"),
+            )
         return self._order
 
     def ranks(self) -> _Runs:
         counts, order = self._ordered()
         return _runs(
             counts,
-            _shifted(order, self._first_oid),
-            _taken(self._columns[2], order),
+            order + self._first_oid,
+            np.asarray(self._columns[2])[order],
         )
 
     def edges(self) -> _Runs:
@@ -514,14 +451,11 @@ class _DenseRegrouping:
         root = self._root_index
         counts = counts.copy()
         counts[self._columns[0][root]] -= 1
-        if isinstance(order, array):
-            order = array("i", (slot for slot in order if slot != root))
-        else:
-            order = order[order != root]
+        order = order[order != root]
         return _runs(
             counts,
-            _taken(self._columns[1], order),
-            _shifted(order, self._first_oid),
+            np.asarray(self._columns[1])[order],
+            order + self._first_oid,
         )
 
 
@@ -619,8 +553,7 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
     root_index = root_oid - first_oid
     columns = tuple(reader.array(section, width) for section in _STORE_SECTIONS)
     _check_dense_columns(
-        columns, node_count, root_index, first_oid, path_count,
-        vectorized=kernels.available(),
+        columns, node_count, root_index, first_oid, path_count
     )
     regrouped = _DenseRegrouping(columns, first_oid, root_index, path_count)
     strings = _stored_runs(
@@ -689,23 +622,16 @@ def _rebuild_lca_index(
         ("lca/first", len(first) == count, "not one position per node"),
         ("lca/last", len(last) == count, "not one position per node"),
     )
-    if kernels.available():
-        np = kernels.numpy()
-        tour, depth, first, last = map(np.asarray, columns.values())
-        in_span = ((tour >= base) & (tour < base + count)).all()
-        unit_steps = (np.abs(np.diff(depth)) == 1).all()
-        ordered = ((first >= 0) & (first <= last)).all()
-        bounded = (last < length).all()
-    else:
-        in_span = all(base <= oid < base + count for oid in tour)
-        unit_steps = all(abs(a - b) == 1 for a, b in zip(depth, depth[1:]))
-        ordered = all(0 <= a <= b for a, b in zip(first, last))
-        bounded = all(position < length for position in last)
+    tour, depth, first, last = map(np.asarray, columns.values())
     _refuse(
-        ("lca/tour", in_span, "an OID outside the store's span"),
-        ("lca/depth", unit_steps, "a step between neighbours that is not 1"),
-        ("lca/first", ordered, "a position below 0 or above its 'lca/last'"),
-        ("lca/last", bounded, "a position past the end of the tour"),
+        ("lca/tour", ((tour >= base) & (tour < base + count)).all(),
+         "an OID outside the store's span"),
+        ("lca/depth", (np.abs(np.diff(depth)) == 1).all(),
+         "a step between neighbours that is not 1"),
+        ("lca/first", ((first >= 0) & (first <= last)).all(),
+         "a position below 0 or above its 'lca/last'"),
+        ("lca/last", (last < length).all(),
+         "a position past the end of the tour"),
     )
     return LcaIndex.from_arrays(store, **columns)
 

@@ -16,7 +16,6 @@ import repro
 from repro.api import Database, DatabaseOptions
 from repro.api.envelopes import NearestRequest, QueryRequest, ResultEnvelope
 from repro.cli import main as cli_main
-from repro.core.backends import snapshot_default_backend
 from repro.core.engine import NearestConceptEngine
 from repro.datamodel.errors import ReproError
 from repro.datamodel.serializer import serialize
@@ -77,10 +76,9 @@ class TestOpenResolution:
         db = Database.open(bundle)
         assert db.origin == f"snapshot {bundle}"
         assert db.snapshot is not None
-        # Bundle defaults: the fastest rebuild-free backend (vector
-        # when NumPy is importable, else indexed), the bundle's case
-        # mode.
-        assert db.backend_name == snapshot_default_backend()
+        # Bundle defaults: the rebuild-free vector backend, the
+        # bundle's case mode.
+        assert db.backend_name == "vector"
 
     def test_catalog_collection_by_bare_name(self, built_catalog):
         db = Database.open("bib", catalog=built_catalog)
@@ -118,8 +116,8 @@ class TestOpenResolution:
             Database.open()
 
     def test_option_overrides(self, xml_file):
-        db = Database.open(xml_file, backend="indexed", case_sensitive=True)
-        assert db.backend_name == "indexed" and db.case_sensitive is True
+        db = Database.open(xml_file, backend="vector", case_sensitive=True)
+        assert db.backend_name == "vector" and db.case_sensitive is True
 
     def test_invalid_backend_rejected(self, xml_file):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -140,7 +138,7 @@ class TestOptions:
     def test_frozen(self):
         options = DatabaseOptions()
         with pytest.raises(AttributeError):
-            options.backend = "indexed"
+            options.backend = "vector"
 
     def test_replace_revalidates(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -156,10 +154,7 @@ class TestOptions:
         bundle = tmp_path / "b.snap"
         write_snapshot(store, bundle, case_sensitive=True)
         snapshot = read_snapshot(bundle)
-        assert DatabaseOptions().effective(snapshot) == (
-            True,
-            snapshot_default_backend(),
-        )
+        assert DatabaseOptions().effective(snapshot) == (True, "vector")
         explicit = DatabaseOptions(case_sensitive=False, backend="steered")
         assert explicit.effective(snapshot) == (False, "steered")
 
@@ -344,8 +339,8 @@ class TestEnvelopeSurface:
         db = Database.open("bib", catalog=built_catalog, cache=8)
         stats = db.stats()
         assert stats["origin"].startswith("snapshot")
-        assert stats["backend"] == snapshot_default_backend()
-        assert stats["kernel_tier"] in ("python", "vector")
+        assert stats["backend"] == "vector"
+        assert stats["kernel_tier"] == "vector"
         assert stats["cache"]["maxsize"] == 8
         describe = db.describe()
         assert describe["node_count"] == 19

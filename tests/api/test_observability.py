@@ -49,7 +49,7 @@ def _json(url, payload=None, headers=()):
 def server():
     database = Database(
         monet_transform(figure1_document()),
-        options=DatabaseOptions(backend="indexed", cache=64),
+        options=DatabaseOptions(backend="vector", cache=64),
     )
     with ReproServer({"figure1": database}, port=0) as running:
         yield running

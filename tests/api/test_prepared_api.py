@@ -42,7 +42,7 @@ def http_json(url, payload=None):
 def database():
     db = Database(
         monet_transform(figure1_document()),
-        options=DatabaseOptions(backend="indexed", cache=64),
+        options=DatabaseOptions(backend="vector", cache=64),
     )
     yield db
     db.close()
@@ -123,7 +123,7 @@ class TestFacade:
 def server():
     database = Database(
         monet_transform(figure1_document()),
-        options=DatabaseOptions(backend="indexed", cache=64),
+        options=DatabaseOptions(backend="vector", cache=64),
     )
     with ReproServer({"figure1": database}, port=0) as running:
         yield running

@@ -39,7 +39,7 @@ def http_json(url, payload=None):
 
 @pytest.fixture(scope="module")
 def server():
-    options = DatabaseOptions(backend="indexed", cache=256)
+    options = DatabaseOptions(backend="vector", cache=256)
     figure1 = Database(
         monet_transform(figure1_document()), options=options
     )
@@ -73,13 +73,13 @@ class TestRoutes:
         status, body = http_json(server.url("/v1/collections"))
         assert status == 200
         assert body["collections"]["figure1"]["node_count"] == 19
-        assert body["collections"]["plays"]["backend"] == "indexed"
+        assert body["collections"]["plays"]["backend"] == "vector"
 
     def test_stats(self, server):
         status, body = http_json(server.url("/v1/stats"))
         assert status == 200
         row = body["collections"]["figure1"]
-        assert row["backend"] == "indexed"
+        assert row["backend"] == "vector"
         # Index-build counters are process-wide, reported once.
         assert set(body["index_builds"]) == {"lca", "fulltext", "valueindex"}
 
@@ -113,7 +113,7 @@ class TestRoutes:
             {"terms": ["crown", "ghost"], "collection": "plays"},
         )
         assert status == 200
-        assert ResultEnvelope.from_dict(body).stats["backend"] == "indexed"
+        assert ResultEnvelope.from_dict(body).stats["backend"] == "vector"
 
 
 class TestErrors:

@@ -4,7 +4,6 @@ import pytest
 
 import repro
 from repro.api import Database, DatabaseOptions, NearestRequest
-from repro.core.backends import snapshot_default_backend
 from repro.datamodel.errors import ReproError
 from repro.datamodel.serializer import serialize
 from repro.datasets import DblpConfig, dblp_document
@@ -62,7 +61,7 @@ def test_open_sharded_collection_serial(catalog_dir, reference):
     database = repro.open(snapshot="dblp", catalog=catalog_dir)
     assert database.is_sharded
     assert database.sharded.executor.name == "serial"
-    assert database.backend_name == snapshot_default_backend()
+    assert database.backend_name == "vector"
     assert "3 shards" in database.origin
     _assert_same_answers(reference, database)
     stats = database.stats()

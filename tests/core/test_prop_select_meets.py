@@ -2,29 +2,25 @@
 
 The vector backend hands :func:`repro.core.backends.select_meets` a
 :class:`~repro.core.backends.TaggedBatch` and the selection runs on its
-columns (masks, a key matrix, partition + lexsort); the python backends
-hand it a list and it runs element by element.  On generated stores —
+columns (masks, a key matrix, partition + lexsort); the steered backend
+hands it a list and it runs element by element.  On generated stores —
 with tombstones from deletes in the middle of the OID range — and for
 every on/off combination of ``drop_oid`` / ``excluded`` / ``wanted`` /
 ``within``, ranked and unranked, with ``limit`` below, at and above the
 survivor count, the batch must return exactly the indexes and residue
-the list branch returns for ``list(batch)`` and for the indexed
-backend's own roll-up, and the same meets as the steered walk.
-
-Under ``REPRO_KERNELS=python`` there is no batch; the suite then holds
-the indexed backend's selection to the steered one.
+the list branch returns for ``list(batch)``, and the same meets as the
+steered walk.
 """
 
 from array import array
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core.backends import (
-    IndexedBackend,
     SteeredBackend,
     TaggedBatch,
     rank_keys,
@@ -102,33 +98,30 @@ def test_every_backend_selects_the_same_meets(selection):
     store, columns, filters = selection
     tagged = [(token, oid) for token, column in columns.items() for oid in column]
     steered = SteeredBackend(store).meet_tagged(tagged)
-    indexed = IndexedBackend(store).meet_tagged(tagged)
-    candidates = {"indexed": indexed}
-    if kernels.available():
-        vector = resolve_backend(store, "vector")
-        batch = vector.meet_tagged(tagged)
-        from_hits = vector.meet_term_hits(
-            (
-                token,
-                Hits(token, columns=(
-                    array("q", map(store.pid_of, column)), array("q", column)
-                )),
-            )
-            for token, column in columns.items()
+    vector = resolve_backend(store, "vector")
+    batch = vector.meet_tagged(tagged)
+    from_hits = vector.meet_term_hits(
+        (
+            token,
+            Hits(token, columns=(
+                array("q", map(store.pid_of, column)), array("q", column)
+            )),
         )
-        assert isinstance(batch, TaggedBatch)
-        assert isinstance(from_hits, TaggedBatch)
-        # Same elements in the same emission order, so indexes compare.
-        assert list(batch) == indexed == list(from_hits)
-        candidates.update(
-            tagged_batch=batch, term_hits_batch=from_hits, batch_as_list=list(batch)
-        )
+        for token, column in columns.items()
+    )
+    assert isinstance(batch, TaggedBatch)
+    assert isinstance(from_hits, TaggedBatch)
+    # The list branch's input: the batch's meets, materialized.
+    listed = list(batch)
+    # Same elements in the same emission order, so indexes compare.
+    assert list(from_hits) == listed
+    candidates = {"tagged_batch": batch, "term_hits_batch": from_hits}
 
     for chosen_filters in _filter_combinations(filters):
         unranked, residue = select_meets(
-            store, indexed, pairs=tagged, ranked=False, **chosen_filters
+            store, listed, pairs=tagged, ranked=False, **chosen_filters
         )
-        by_oid = sorted(indexed[index].oid for index in unranked)
+        by_oid = sorted(listed[index].oid for index in unranked)
         steered_unranked, steered_residue = select_meets(
             store, steered, pairs=tagged, ranked=False, **chosen_filters
         )
@@ -136,13 +129,13 @@ def test_every_backend_selects_the_same_meets(selection):
         assert steered_residue == residue
         for limit in _limits(len(unranked)):
             ranked, _ = select_meets(
-                store, indexed, pairs=tagged, limit=limit, **chosen_filters
+                store, listed, pairs=tagged, limit=limit, **chosen_filters
             )
             steered_ranked, _ = select_meets(
                 store, steered, pairs=tagged, limit=limit, **chosen_filters
             )
             assert [steered[i].oid for i in steered_ranked] == [
-                indexed[i].oid for i in ranked
+                listed[i].oid for i in ranked
             ]
             for name, results in candidates.items():
                 context = (name, chosen_filters, limit)
@@ -155,7 +148,6 @@ def test_every_backend_selects_the_same_meets(selection):
                 ) == (unranked, residue), context
 
 
-@pytest.mark.skipif(not kernels.available(), reason="needs the NumPy tier")
 @settings(max_examples=40, deadline=None)
 @given(selections())
 def test_key_ties_break_by_oid(selection):
@@ -170,12 +162,9 @@ def test_key_ties_break_by_oid(selection):
         assert chosen == sorted(range(len(batch)), key=keys.__getitem__)[:limit]
 
 
-@pytest.mark.skipif(not kernels.available(), reason="needs the NumPy tier")
 @pytest.mark.parametrize("limit", [1, 2, 5])
 def test_only_the_winners_become_objects(monkeypatch, limit):
     """One top-k request builds at most k meets and no per-candidate tuple."""
-    import numpy as np
-
     store = monet_transform(random_document(7, nodes=800))
     engine = NearestConceptEngine(store, backend="vector")
     terms = TECH_NOUNS[:3]
@@ -206,7 +195,6 @@ def test_only_the_winners_become_objects(monkeypatch, limit):
     assert isinstance(batch.oids, np.ndarray)
 
 
-@pytest.mark.skipif(not kernels.available(), reason="needs the NumPy tier")
 def test_unranked_unbounded_selection_never_computes_keys():
     """The query processor's ``meet(..)`` path does not pay for §4 keys."""
     store = monet_transform(figure1_document())

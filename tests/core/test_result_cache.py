@@ -116,7 +116,7 @@ class TestLayoutFingerprintKeys:
         source.write_text(serialize(figure1_document()), encoding="utf-8")
         db = Database.open(
             str(source),
-            options=DatabaseOptions(shards=2, cache=32, backend="indexed"),
+            options=DatabaseOptions(shards=2, cache=32, backend="vector"),
         )
         try:
             request = NearestRequest(terms=("Bit", "1999"), limit=10)
@@ -148,7 +148,7 @@ class TestLayoutFingerprintKeys:
         source = tmp_path / "figure1.xml"
         source.write_text(serialize(figure1_document()), encoding="utf-8")
         db = Database.open(
-            str(source), options=DatabaseOptions(cache=32, backend="indexed")
+            str(source), options=DatabaseOptions(cache=32, backend="vector")
         )
         try:
             request = NearestRequest(terms=("Bit", "1999"), limit=10)

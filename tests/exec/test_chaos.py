@@ -75,14 +75,14 @@ def fabric():
     plan = compute_shard_plan(store, SHARDS)
     slices = slice_store(store, plan)
     services = {
-        index: ShardService(shard, shard_id=index, backend="indexed")
+        index: ShardService(shard, shard_id=index, backend="vector")
         for index, shard in enumerate(slices)
     }
     serial = ShardedCollection(
         plan,
         store.summary,
         SerialExecutor([services[i] for i in range(SHARDS)]),
-        backend_name="indexed",
+        backend_name="vector",
         generations=[0] * SHARDS,
     )
     baselines = {terms: serial.nearest_concepts(*terms) for terms in QUERIES}
@@ -94,7 +94,7 @@ def _collection(store, plan, executor):
         plan,
         store.summary,
         executor,
-        backend_name="indexed",
+        backend_name="vector",
         generations=[0] * SHARDS,
     )
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.api import Database
 from repro.datasets import DblpConfig, dblp_document
 from repro.exec import (
     ClusterExecutor,
@@ -18,8 +19,13 @@ from repro.exec import (
     deadline_scope,
     slice_store,
 )
-from repro.exec.remote import RemoteOpError, ShardWorkerServer
+from repro.exec.remote import (
+    RemoteOpError,
+    ShardWorkerServer,
+    services_from_bundles,
+)
 from repro.monet.transform import monet_transform
+from repro.snapshot import write_snapshot
 
 SHARDS = 2
 
@@ -36,7 +42,7 @@ def fabric(store):
     plan = compute_shard_plan(store, SHARDS)
     slices = slice_store(store, plan)
     services = {
-        index: ShardService(shard, shard_id=index, backend="indexed")
+        index: ShardService(shard, shard_id=index, backend="vector")
         for index, shard in enumerate(slices)
     }
     return plan, services
@@ -70,14 +76,14 @@ def test_cluster_answers_match_serial(store, fabric):
             plan,
             store.summary,
             SerialExecutor([services[i] for i in range(SHARDS)]),
-            backend_name="indexed",
+            backend_name="vector",
             generations=[0] * SHARDS,
         )
         remote = ShardedCollection(
             plan,
             store.summary,
             executor,
-            backend_name="indexed",
+            backend_name="vector",
             generations=[0] * SHARDS,
         )
         for terms in [("ICDE", "1999"), ("VLDB", "1994")]:
@@ -87,6 +93,21 @@ def test_cluster_answers_match_serial(store, fabric):
     finally:
         executor.close()
         worker.shutdown()
+
+
+def test_bundle_worker_defaults_to_the_snapshot_backend(store, tmp_path):
+    """``repro shard-worker --bundle x.snap`` without ``--backend``
+    serves what ``Database.open`` picks for the same bundle."""
+    path = tmp_path / "shard.snap"
+    write_snapshot(store, path)
+    (service,) = services_from_bundles([path]).values()
+    assert service.backend_name == "vector"
+    assert service.handle("ping", {})["kernel_tier"] == "vector"
+    database = Database.open(path)
+    try:
+        assert database.backend_name == service.backend_name
+    finally:
+        database.close()
 
 
 def test_failover_to_surviving_replica(fabric):

@@ -40,7 +40,7 @@ def bundles(store, tmp_path_factory):
 @pytest.fixture(scope="module")
 def pool(bundles):
     _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=2, backend="indexed")
+    executor = ParallelExecutor(paths, workers=2, backend="vector")
     yield executor
     executor.close()
 
@@ -78,10 +78,10 @@ def test_parallel_end_to_end_matches_engine(bundles, pool, store):
         plan,
         store.summary,
         pool,
-        backend_name="indexed",
+        backend_name="vector",
         generations=(1, 1),
     )
-    engine = NearestConceptEngine(store, backend="indexed")
+    engine = NearestConceptEngine(store, backend="vector")
     assert sharded.nearest_concepts(
         "ICDE", "1999", limit=5
     ) == engine.nearest_concepts("ICDE", "1999", limit=5)
@@ -89,7 +89,7 @@ def test_parallel_end_to_end_matches_engine(bundles, pool, store):
 
 def test_worker_crash_fails_cleanly_then_respawns(bundles):
     _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=1, backend="indexed")
+    executor = ParallelExecutor(paths, workers=1, backend="vector")
     try:
         before = executor.stats()
         assert before["respawns"] == 0
@@ -105,7 +105,7 @@ def test_worker_crash_fails_cleanly_then_respawns(bundles):
 
 def test_worker_killed_externally_fails_cleanly(bundles):
     _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=1, backend="indexed")
+    executor = ParallelExecutor(paths, workers=1, backend="vector")
     try:
         [response] = executor.scatter([(0, "ping", {})])
         os.kill(response["pid"], signal.SIGKILL)
@@ -137,7 +137,7 @@ def test_closed_pool_refuses_instead_of_respawning(bundles):
     """After close() the pool must never silently resurrect — its temp
     bundles may already be deleted."""
     _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=1, backend="indexed")
+    executor = ParallelExecutor(paths, workers=1, backend="vector")
     executor.close()
     with pytest.raises(ExecutorError, match="closed"):
         executor.broadcast("ping", {})

@@ -15,11 +15,9 @@ their code:
   ``limit``.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core import backends
 from repro.core.meet_general import meet_tagged
 from repro.datasets import DblpConfig, dblp_document
@@ -29,9 +27,7 @@ from repro.monet.transform import monet_transform
 
 from ..property.strategies import WORDS, stores
 
-BACKENDS = ("steered", "indexed") + (
-    ("vector",) if kernels.available() else ()
-)
+BACKENDS = ("steered", "vector")
 
 
 def _joins(shard, meet):
@@ -175,7 +171,6 @@ def test_meet_item_matches_definition(
             assert item["residue"] == residue, backend
 
 
-@pytest.mark.skipif(not kernels.available(), reason="NumPy kernels disabled")
 def test_limited_vector_shard_request_builds_only_the_winners(monkeypatch):
     """``limit=5`` on the vector tier constructs at most 5 TaggedMeets:
     filtering, ranking and the residue all run on the batch's columns."""

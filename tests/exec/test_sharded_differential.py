@@ -121,7 +121,7 @@ def _sharded(store, backend, shards):
 
 
 @pytest.mark.parametrize("dataset", list(DATASETS))
-@pytest.mark.parametrize("backend", ["steered", "indexed"])
+@pytest.mark.parametrize("backend", ["steered", "vector"])
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_nearest_answers_and_ranking_identical(
     stores, dataset, backend, shards
@@ -144,7 +144,7 @@ def test_nearest_answers_and_ranking_identical(
 
 
 @pytest.mark.parametrize("dataset", list(DATASETS))
-@pytest.mark.parametrize("backend", ["steered", "indexed"])
+@pytest.mark.parametrize("backend", ["steered", "vector"])
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_query_language_identical(stores, dataset, backend, shards):
     store = stores[dataset]
@@ -164,8 +164,8 @@ def test_query_language_identical(stores, dataset, backend, shards):
 def test_term_hits_identical(stores, dataset, shards):
     store = stores[dataset]
     _build, queries, _texts = DATASETS[dataset]
-    engine = NearestConceptEngine(store, backend="indexed")
-    sharded = _sharded(store, "indexed", shards)
+    engine = NearestConceptEngine(store, backend="vector")
+    sharded = _sharded(store, "vector", shards)
     for terms in queries:
         for term in terms:
             expected = sorted(engine.term_hits(term).oids())
@@ -175,7 +175,7 @@ def test_term_hits_identical(stores, dataset, shards):
                 assert pid == store.pid_of(oid)
 
 
-@pytest.mark.parametrize("backend", ["steered", "indexed"])
+@pytest.mark.parametrize("backend", ["steered", "vector"])
 def test_distance_and_enumeration_queries(stores, backend):
     """distance(...) crossing shards and text()/path-var cells."""
     store = stores["dblp"]

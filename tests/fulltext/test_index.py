@@ -76,10 +76,7 @@ class TestSearch:
         assert index.search("1999").by_pid() is hits.by_pid() is entry.grouped
 
 
-@pytest.mark.parametrize("tier", ["vector", "python"])
-def test_unique_oid_column_binds_int32_columns(monkeypatch, tier):
-    if tier == "python":
-        monkeypatch.setenv("REPRO_KERNELS", "python")
+def test_unique_oid_column_binds_int32_columns():
     column = _unique_oid_column(memoryview(array("i", [5, 3, 5, 7])))
     assert list(column) == [3, 5, 7]
     assert all(type(oid) is int for oid in column)

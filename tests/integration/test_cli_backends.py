@@ -41,13 +41,13 @@ def fresh_cache():
 
 
 class TestSearchBackendFlag:
-    def test_indexed_matches_steered(self, xml_file, capsys):
+    def test_vector_matches_steered(self, xml_file, capsys):
         assert main(["search", xml_file, "Bit", "1999"]) == 0
         steered_out = capsys.readouterr().out
-        assert main(["search", xml_file, "Bit", "1999", "--backend", "indexed"]) == 0
-        indexed_out = capsys.readouterr().out
-        assert indexed_out == steered_out
-        assert "<article>" in indexed_out and "joins=5" in indexed_out
+        assert main(["search", xml_file, "Bit", "1999", "--backend", "vector"]) == 0
+        vector_out = capsys.readouterr().out
+        assert vector_out == steered_out
+        assert "<article>" in vector_out and "joins=5" in vector_out
 
     def test_explicit_steered_accepted(self, xml_file, capsys):
         assert main(["search", xml_file, "Bit", "1999", "--backend", "steered"]) == 0
@@ -57,26 +57,34 @@ class TestSearchBackendFlag:
         with pytest.raises(SystemExit):
             main(["search", xml_file, "Bit", "1999", "--backend", "quantum"])
 
-    def test_indexed_on_persisted_image(self, xml_file, tmp_path, capsys):
+    def test_retired_indexed_backend_is_an_invalid_choice(
+        self, xml_file, capsys
+    ):
+        with pytest.raises(SystemExit) as exited:
+            main(["search", xml_file, "Bit", "1999", "--backend", "indexed"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'indexed'" in capsys.readouterr().err
+
+    def test_vector_on_persisted_image(self, xml_file, tmp_path, capsys):
         image = str(tmp_path / "bib.json")
         assert main(["shred", xml_file, image]) == 0
         capsys.readouterr()
-        assert main(["search", image, "Bit", "1999", "--backend", "indexed"]) == 0
+        assert main(["search", image, "Bit", "1999", "--backend", "vector"]) == 0
         assert "<article>" in capsys.readouterr().out
 
 
 class TestQueryBackendFlag:
-    def test_indexed_matches_steered(self, xml_file, capsys):
+    def test_vector_matches_steered(self, xml_file, capsys):
         assert main(["query", xml_file, QUERY]) == 0
         steered_out = capsys.readouterr().out
-        assert main(["query", xml_file, QUERY, "--backend", "indexed"]) == 0
+        assert main(["query", xml_file, QUERY, "--backend", "vector"]) == 0
         assert capsys.readouterr().out == steered_out
 
 
 class TestIndexCacheLifecycle:
-    def test_cli_indexed_search_builds_an_index(self, xml_file):
+    def test_cli_vector_search_builds_an_index(self, xml_file):
         assert lca_index_cache_info().builds == 0
-        assert main(["search", xml_file, "Bit", "1999", "--backend", "indexed"]) == 0
+        assert main(["search", xml_file, "Bit", "1999", "--backend", "vector"]) == 0
         assert lca_index_cache_info().builds == 1
 
     def test_rebuilt_store_gets_fresh_index(self, xml_file, tmp_path):
@@ -84,7 +92,7 @@ class TestIndexCacheLifecycle:
         assert main(["shred", xml_file, image]) == 0
 
         first_store = storage.load(image)
-        engine = NearestConceptEngine(first_store, backend="indexed")
+        engine = NearestConceptEngine(first_store, backend="vector")
         engine.nearest_concepts("Bit", "1999")
         assert lca_index_cache_info().builds == 1
 
@@ -96,7 +104,7 @@ class TestIndexCacheLifecycle:
         # Reloading the image is a rebuild: a distinct store object
         # (new generation) must not see the old index.
         second_store = storage.load(image)
-        second_engine = NearestConceptEngine(second_store, backend="indexed")
+        second_engine = NearestConceptEngine(second_store, backend="vector")
         assert second_engine.nearest_concepts(
             "Bit", "1999"
         ) == engine.nearest_concepts("Bit", "1999")
@@ -111,5 +119,5 @@ class TestIndexCacheLifecycle:
         assert second is not first
         assert lca_index_cache_info().builds == 2
         # The rebuilt index still answers identically.
-        engine = NearestConceptEngine(store, backend="indexed")
+        engine = NearestConceptEngine(store, backend="vector")
         assert engine.nearest_concepts("Bit", "1999")[0].tag == "article"

@@ -146,7 +146,7 @@ class TestServeFromSnapshot:
     def test_case_sensitive_bundle_serves_without_rebuild(
         self, xml_file, catalog_dir, capsys
     ):
-        # Serving inherits the bundle's case mode (and the indexed
+        # Serving inherits the bundle's case mode (and the vector
         # backend), so a --case-sensitive build still starts warm.
         from repro.core.lca_index import (
             clear_lca_index_cache,

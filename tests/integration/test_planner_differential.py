@@ -34,7 +34,7 @@ from ..write.harness import (
     write_source,
 )
 
-BACKENDS = ("steered", "indexed")
+BACKENDS = ("steered", "vector")
 MUTATION_STEPS = 8
 TEMPLATE = "select $a, tag($a) from # $a where $a = $v"
 

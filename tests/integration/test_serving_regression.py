@@ -3,7 +3,7 @@ derived structure.
 
 The contract this file pins down: answering a query stream against one
 loaded store builds the full-text index once, builds the Euler-RMQ LCA
-index once (indexed backend), and — with the result cache enabled —
+index once (vector backend), and — with the result cache enabled —
 computes each distinct (normalized) query once.  Invalidating the
 store drops all of it, including the result cache.
 """
@@ -43,7 +43,7 @@ def _isolated_caches():
 
 class TestNoRebuilds:
     def test_consecutive_queries_share_both_indexes(self, store):
-        engine = NearestConceptEngine(store, backend="indexed")
+        engine = NearestConceptEngine(store, backend="vector")
         first = engine.nearest_concepts("Bit", "1999")
         fulltext_after_first = fulltext_index_cache_info()
         lca_after_first = lca_index_cache_info()
@@ -66,7 +66,7 @@ class TestNoRebuilds:
         assert fulltext_index_cache_info().builds == 1
 
     def test_invalidate_rebuilds_lazily_once(self, store):
-        engine = NearestConceptEngine(store, backend="indexed")
+        engine = NearestConceptEngine(store, backend="vector")
         engine.nearest_concepts("Bit", "1999")
         store.invalidate_caches()
         engine.nearest_concepts("Bit", "1999")
@@ -77,7 +77,7 @@ class TestNoRebuilds:
 
 class TestEngineResultCache:
     def test_second_call_is_a_cache_hit(self, store):
-        engine = NearestConceptEngine(store, backend="indexed", cache=64)
+        engine = NearestConceptEngine(store, backend="vector", cache=64)
         first = engine.nearest_concepts("Bit", "1999")
         second = engine.nearest_concepts("Bit", "1999")
         assert second == first
@@ -106,7 +106,7 @@ class TestEngineResultCache:
         assert engine.nearest_concepts("Bit", "1999") != []
 
     def test_invalidate_caches_drops_result_cache(self, store):
-        engine = NearestConceptEngine(store, backend="indexed", cache=64)
+        engine = NearestConceptEngine(store, backend="vector", cache=64)
         engine.nearest_concepts("Bit", "1999")
         assert len(engine.result_cache) == 1
         store.invalidate_caches()
@@ -119,8 +119,8 @@ class TestEngineResultCache:
         assert info.currsize == 1
 
     def test_results_identical_with_and_without_cache(self, store):
-        plain = NearestConceptEngine(store, backend="indexed")
-        caching = NearestConceptEngine(store, backend="indexed", cache=64)
+        plain = NearestConceptEngine(store, backend="vector")
+        caching = NearestConceptEngine(store, backend="vector", cache=64)
         for _ in range(2):
             for terms in [("Bit", "1999"), ("Bob", "Byte"), ("Hack", "1999")]:
                 assert caching.nearest_concepts(*terms) == plain.nearest_concepts(
@@ -161,7 +161,7 @@ class TestTopKFastPath:
         from repro.datasets.textpool import TECH_NOUNS
 
         store = monet_transform(random_document(11, nodes=600))
-        engine = NearestConceptEngine(store, backend="indexed")
+        engine = NearestConceptEngine(store, backend="vector")
         words = list(TECH_NOUNS)[:8]
         rng = random_module.Random(5)
         for _ in range(15):

@@ -2,7 +2,7 @@
 
 For every bundled dataset, ``nearest_concepts`` answer sets *and*
 ranking order must be byte-identical between a freshly built store and
-a snapshot-loaded one, on both the ``steered`` and ``indexed``
+a snapshot-loaded one, on both the ``steered`` and ``vector``
 backends — the satellite contract that persistence changes nothing
 about semantics.
 """
@@ -61,7 +61,7 @@ def snapshots(tmp_path_factory):
 
 
 @pytest.mark.parametrize("dataset", list(DATASETS))
-@pytest.mark.parametrize("backend", ["steered", "indexed"])
+@pytest.mark.parametrize("backend", ["steered", "vector"])
 def test_answers_and_ranking_identical(snapshots, dataset, backend):
     fresh_store, loaded_store = snapshots[dataset]
     _build, queries = DATASETS[dataset]
@@ -88,8 +88,8 @@ def test_answers_and_ranking_identical(snapshots, dataset, backend):
 def test_batch_entry_point_identical(snapshots, dataset):
     fresh_store, loaded_store = snapshots[dataset]
     _build, queries = DATASETS[dataset]
-    fresh = NearestConceptEngine(fresh_store, backend="indexed")
-    loaded = NearestConceptEngine(loaded_store, backend="indexed")
+    fresh = NearestConceptEngine(fresh_store, backend="vector")
+    loaded = NearestConceptEngine(loaded_store, backend="vector")
     assert loaded.nearest_concepts_batch(queries, limit=3) == (
         fresh.nearest_concepts_batch(queries, limit=3)
     )

@@ -1,30 +1,28 @@
-"""The batch LCA kernels against their per-pair python oracles.
+"""The batch LCA kernels against per-pair python oracles.
 
 Property tests: on arbitrary generated trees, ``LcaKernels.lca_many``
-must agree with the scalar Euler-RMQ kernel pair by pair, and the
-vectorized auxiliary tree must reproduce the stack-walk construction
-of :meth:`LcaIndex.auxiliary_tree_arrays` exactly (same candidate
-order, same parent positions).  Unit tests cover the tier probe, the
-env kill-switch and the unknown-OID contract.
+must agree pair by pair with the scalar index query and with the
+steered Fig. 3 walk, and the vectorized auxiliary tree must reproduce
+the classic stack-walk construction over steered meets exactly (same
+candidate order, same parent positions).  Unit tests cover the
+unknown-OID contract and the scalar index routing through the kernels.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.core.lca_index import LcaIndex
+from repro.core.meet_pair import meet2, meet2_traced
 from repro.datamodel.errors import UnknownOIDError
 from repro.datasets.randomtree import random_document
+from repro.kernels.lca import LcaKernels, get_kernels
 from repro.monet.transform import monet_transform
 
 from ..property.strategies import stores
-
-np = pytest.importorskip("numpy")
-
-from repro.kernels.lca import LcaKernels, get_kernels  # noqa: E402
 
 
 @st.composite
@@ -45,6 +43,25 @@ def store_and_pairs(draw):
     return store, pairs
 
 
+def _stack_walk(store, oids):
+    """The auxiliary tree by the textbook construction: the inputs plus
+    the steered meets of pre-order neighbours (OIDs *are* pre-order),
+    each candidate's parent the top of the stack of its still-open
+    ancestors."""
+    inputs = sorted(set(oids))
+    candidates = set(inputs).union(
+        meet2(store, a, b) for a, b in zip(inputs, inputs[1:])
+    )
+    order, parents, stack = [], [], []
+    for oid in sorted(candidates):
+        while stack and not store.is_ancestor(order[stack[-1]], oid):
+            stack.pop()
+        parents.append(stack[-1] if stack else -1)
+        stack.append(len(order))
+        order.append(oid)
+    return order, parents
+
+
 class TestLcaMany:
     @settings(max_examples=60, deadline=None)
     @given(store_and_pairs())
@@ -52,16 +69,15 @@ class TestLcaMany:
         store, pairs = case
         index = LcaIndex(store)
         batch = LcaKernels(index)
-        if not pairs:
-            assert batch.lca_pairs(pairs) == []
-            return
-        table = np.asarray(pairs, dtype=np.int64)
+        table = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         meets, distances = batch.lca_many(table[:, 0], table[:, 1])
+        assert len(meets) == len(distances) == len(pairs)
         for (oid1, oid2), meet, dist in zip(
             pairs, meets.tolist(), distances.tolist()
         ):
-            assert meet == index.lca(oid1, oid2)
-            assert dist == index.distance(oid1, oid2)
+            traced = meet2_traced(store, oid1, oid2)
+            assert meet == index.lca(oid1, oid2) == traced.oid
+            assert dist == index.distance(oid1, oid2) == traced.joins
 
     @settings(max_examples=40, deadline=None)
     @given(stores(max_nodes=40, with_text=False), st.integers(0, 2**32))
@@ -70,12 +86,11 @@ class TestLcaMany:
         low = store.first_oid
         high = low + store.node_count - 1
         oids = [rng.randint(low, high) for _ in range(rng.randint(1, 25))]
-        index = LcaIndex(store)
-        batch = LcaKernels(index)
+        batch = LcaKernels(LcaIndex(store))
         order, _firsts, parent_index = batch.auxiliary_tree(
             np.asarray(oids, dtype=np.int64)
         )
-        expected_order, expected_parents = index.auxiliary_tree_arrays(oids)
+        expected_order, expected_parents = _stack_walk(store, oids)
         assert order.tolist() == expected_order
         assert parent_index.tolist() == expected_parents
 
@@ -92,29 +107,11 @@ class TestLcaMany:
     def test_index_routes_through_kernels_and_memoizes(self):
         store = monet_transform(random_document(5, nodes=120, max_children=4))
         index = LcaIndex(store)
-        pairs = [
+        pairs = np.asarray([
             (store.first_oid + 3, store.first_oid + 90),
             (store.first_oid, store.first_oid),
-        ]
-        assert index.lca_many(pairs) == [
-            index.lca(a, b) for a, b in pairs
-        ]
+        ])
+        meets, _ = get_kernels(index).lca_many(pairs[:, 0], pairs[:, 1])
+        assert meets.tolist() == [index.lca(a, b) for a, b in pairs.tolist()]
         assert get_kernels(index) is get_kernels(index)
-
-
-class TestTierProbe:
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        assert kernels.available() is False
-        assert kernels.tier() == "python"
-        assert kernels.active_tier("vector") == "python"
-
-    def test_tier_when_importable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNELS", raising=False)
-        assert kernels.available() is True
-        assert kernels.tier() == "vector"
-        assert kernels.numpy() is np
-        assert kernels.active_tier("vector") == "vector"
-        assert kernels.active_tier("indexed") == "python"
-        assert kernels.active_tier("steered") == "python"
-        assert kernels.active_tier(None) == "python"
+        assert index._vector_kernels is get_kernels(index)

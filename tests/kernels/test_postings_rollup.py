@@ -1,30 +1,27 @@
-"""Unit coverage for the postings algebra and roll-up kernels.
+"""Unit coverage for the postings algebra kernels.
 
-The full-text kernels are exercised against the pure-python paths
-(forced via the ``REPRO_KERNELS`` kill-switch) on identical inputs;
-the roll-up kernels are pinned to the python Fig. 4/5 DP via the
-backend-level differential in ``test_vector_differential``, so here
-they only need shape/ordering contracts on handcrafted columns.
+The full-text searches built on them are exercised against python set
+algebra over the same term postings; the roll-up kernels are pinned to
+the steered Fig. 4/5 walks by the backend-level differential in
+``test_vector_differential``.
 """
 
 import random
 from array import array
 
+import numpy as np
 import pytest
 
 from repro.datasets import multimedia_document, MultimediaConfig
 from repro.datasets.textpool import TECH_NOUNS
 from repro.fulltext.index import clear_fulltext_index_cache
 from repro.fulltext.search import SearchEngine
-from repro.monet.transform import monet_transform
-
-np = pytest.importorskip("numpy")
-
-from repro.kernels.postings import (  # noqa: E402
+from repro.kernels.postings import (
     group_boundaries,
     intersect_columns,
     union_columns,
 )
+from repro.monet.transform import monet_transform
 
 
 def _cols(pairs):
@@ -112,8 +109,20 @@ class TestPostingsAlgebra:
             )
 
 
+def _postings(hits):
+    return [(p.pid, p.oid) for p in hits.postings]
+
+
+def _first_seen_union(postings_lists):
+    """The deduplicating merge loop: each posting where it first shows."""
+    return list(dict.fromkeys(
+        posting for postings in postings_lists for posting in postings
+    ))
+
+
 class TestFulltextParity:
-    """Vector and python tiers answer identically on a real index."""
+    """The kernel-backed searches answer like python set algebra over
+    the same per-term postings, on a real index."""
 
     @pytest.fixture(scope="class")
     def store(self):
@@ -121,43 +130,31 @@ class TestFulltextParity:
             multimedia_document(MultimediaConfig(items=40))
         )
 
-    def _snapshot(self, store):
-        engine = SearchEngine(store)
-        index = engine.index
+    def test_tiers_agree(self, store):
+        clear_fulltext_index_cache()
+        index = SearchEngine(store).index
         words = list(TECH_NOUNS)[:10]
-        probes = {}
         for word in words:
             hits = index.search(word)
-            probes[("token", word)] = (
-                list(hits.oids()),
-                [(p.pid, p.oid) for p in hits.postings],
-                sorted((pid, list(g)) for pid, g in hits.by_pid().items()),
-                list(hits.oid_column()),
-            )
+            assert list(hits.oid_column()) == sorted(set(hits.oids())), word
         for word in words[:5]:
-            hits = index.search_prefix(word[:3])
-            probes[("prefix", word[:3])] = [
-                (p.pid, p.oid) for p in hits.postings
+            prefix = word[:3]
+            matching = [
+                _postings(index.search(token))
+                for token in index.vocabulary()
+                if token.startswith(prefix)
             ]
+            assert _postings(index.search_prefix(prefix)) == (
+                _first_seen_union(matching)
+            ), prefix
         for pair in [tuple(words[:2]), tuple(words[2:4]), tuple(words[:3])]:
-            probes[("any", pair)] = [
-                (p.pid, p.oid) for p in index.search_any(pair).postings
-            ]
-            probes[("conj", pair)] = [
-                (p.pid, p.oid)
-                for p in index.search_conjunctive(pair).postings
-            ]
-        return probes
-
-    def test_tiers_agree(self, store, monkeypatch):
-        clear_fulltext_index_cache()
-        vector = self._snapshot(store)
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-        clear_fulltext_index_cache()
-        python = self._snapshot(store)
-        assert vector.keys() == python.keys()
-        for probe in vector:
-            assert vector[probe] == python[probe], probe
+            per_term = [_postings(index.search(term)) for term in pair]
+            assert _postings(index.search_any(pair)) == (
+                _first_seen_union(per_term)
+            ), pair
+            assert _postings(index.search_conjunctive(pair)) == sorted(
+                set.intersection(*map(set, per_term))
+            ), pair
 
     def test_oid_column_is_plain_array(self, store):
         """Kernel outputs must not leak np.int64 into OID validation."""

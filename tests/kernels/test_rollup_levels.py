@@ -1,12 +1,8 @@
 """The roll-up's level order: a radix-sortable depth key, one cut pass."""
 
-import pytest
+import numpy as np
 
-pytest.importorskip("numpy")
-
-import numpy as np  # noqa: E402
-
-from repro.kernels.rollup import _depth_key, _levels  # noqa: E402
+from repro.kernels.rollup import _depth_key, _levels
 
 
 def test_depth_key_narrows_to_int16_when_the_maximum_fits():

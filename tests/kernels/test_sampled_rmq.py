@@ -1,26 +1,21 @@
-"""The NumPy tier's sampled sparse table against brute force and
-against the python tier's rows.
+"""The sampled sparse table against a brute-force leftmost arg-min.
 
-Twin of the python-tier properties in
-``tests/property/test_prop_lca_index.py``: ±1 walks × ranges drawn at
-the level boundaries (lengths 1, 16, 17, 31, 32, 33, ends on and next
-to multiples of 16, the whole walk), and a table regrown after appends
-(:meth:`LcaKernels.follow`) against one derived from scratch, cell for
-cell — and both against :meth:`LcaIndex._extend_table`'s rows.
+±1 walks × ranges drawn at the level boundaries (lengths 1, 16, 17, 31,
+32, 33, ends on and next to multiples of 16, the whole walk), and a
+table regrown after appends (:meth:`LcaKernels.follow`) against one
+derived from scratch, cell for cell.
 """
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
+
+from repro.kernels.lca import LcaKernels
 
 from ..property.strategies import (
     walk_index,
     walks_in_pieces,
     walks_with_ranges,
 )
-
-np = pytest.importorskip("numpy")
-
-from repro.kernels.lca import LcaKernels  # noqa: E402
 
 
 @settings(max_examples=150, deadline=None)
@@ -35,7 +30,6 @@ def test_batch_range_minimum_is_the_leftmost_minimum(case):
         for low, high in ranges
     ]
     assert positions.tolist() == expected
-    assert [index._rmq(low, high) for low, high in ranges] == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -49,17 +43,8 @@ def test_followed_table_equals_a_derived_one(case):
         index._depth.extend(walk[old:new])
         index._last[0] = new - 1
         followed.follow([])
-    fresh_index = walk_index(walk)
-    fresh = LcaKernels(fresh_index)
+    fresh = LcaKernels(walk_index(walk))
     assert np.array_equal(followed.depth, fresh.depth)
     assert np.array_equal(followed.last, fresh.last)
     assert np.array_equal(followed.near, fresh.near)
     assert np.array_equal(followed.far, fresh.far)
-    # The same cells as the python tier's rows, pads aside.
-    fresh_index._rmq(0, 0)
-    near, far = fresh_index._table
-    assert len(far) == len(fresh.far)
-    for matrix, rows in ((fresh.near, near), (fresh.far, far)):
-        for cells, row in zip(matrix, rows):
-            assert cells[: len(row)].tolist() == row.tolist()
-            assert not cells[len(row):].any()

@@ -1,10 +1,10 @@
-"""Vector backend differential: byte-identical to the python backends.
+"""Vector backend differential: byte-identical to the steered walks.
 
 The acceptance bar of the kernel tier is *bit-for-bit equivalence*:
 across every bundled dataset, monolithic and 2-shard serving, and a
 seeded stream of live put/delete/replace mutations, the ``vector``
 backend must return exactly the answers — and exactly the ranking
-keys — of the ``indexed`` and ``steered`` backends.  A final test
+keys — of the paper's ``steered`` backend.  A final test
 pins the zero-rebuild property: serving a snapshot bundle on the
 vector backend performs no LCA index build (the kernels bind views
 over the deserialized columns).
@@ -31,18 +31,7 @@ from ..write.harness import (
     write_source,
 )
 
-np = pytest.importorskip("numpy")
-
-from repro import kernels  # noqa: E402
-
-# The suite proves the *vector tier* equivalent to the python DPs;
-# with kernels unavailable (no NumPy / REPRO_KERNELS kill-switch) the
-# backend silently degrades to indexed and there is nothing to prove.
-pytestmark = pytest.mark.skipif(
-    not kernels.available(), reason="NumPy kernels disabled"
-)
-
-REFERENCE_BACKENDS = ("steered", "indexed")
+REFERENCE_BACKENDS = ("steered",)
 SHARD_MODES = (None, 2)
 
 
@@ -166,21 +155,23 @@ def test_meet_surfaces_identical(tmp_path):
     """meet_many / meet_sets / distance parity on a real store."""
     import random
     from collections import defaultdict
+    from operator import attrgetter
 
     source, model = write_source(tmp_path, "dblp")
     store = model.oracle_store()
     vector = resolve_backend(store, "vector")
-    indexed = resolve_backend(store, "indexed")
+    steered = resolve_backend(store, "steered")
     assert vector.name == "vector"
 
     rng = random.Random(11)
     low = store.first_oid
     oids = list(range(low, low + store.node_count))
     pairs = [(rng.choice(oids), rng.choice(oids)) for _ in range(400)]
-    assert vector.meet_many(pairs) == indexed.meet_many(pairs)
+    assert vector.meet_many(pairs) == steered.meet_many(pairs)
     for oid1, oid2 in pairs[:100]:
-        assert vector.distance(oid1, oid2) == indexed.distance(oid1, oid2)
+        assert vector.distance(oid1, oid2) == steered.distance(oid1, oid2)
 
+    by_oid = attrgetter("oid")
     by_pid = defaultdict(list)
     for oid in oids:
         by_pid[store.pid_of(oid)].append(oid)
@@ -191,8 +182,10 @@ def test_meet_surfaces_identical(tmp_path):
         for right_group in groups:
             left = rng.sample(left_group, min(12, len(left_group)))
             right = rng.sample(right_group, min(12, len(right_group)))
-            assert vector.meet_sets(left, right) == indexed.meet_sets(
-                left, right
+            # Emission order is backend-specific (reverse pre-order
+            # vs the Fig. 4 loop's rounds); the meets are not.
+            assert sorted(vector.meet_sets(left, right), key=by_oid) == (
+                sorted(steered.meet_sets(left, right), key=by_oid)
             )
 
 

@@ -132,8 +132,8 @@ def walk_ranges(draw, size: int, max_ranges: int = 40) -> List[Tuple[int, int]]:
 
 def walk_index(walk: List[int]):
     """An :class:`LcaIndex` over a bare depth column: a one-node "tree"
-    whose tour stays on the root.  The range minimum of both tiers
-    reads nothing but the depths."""
+    whose tour stays on the root.  The range minimum reads nothing but
+    the depths."""
     from array import array
     from types import SimpleNamespace
 

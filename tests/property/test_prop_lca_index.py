@@ -6,28 +6,29 @@ Invariants:
 * indexed LCA == naive ancestor-set LCA == the steered ``meet₂`` walk;
 * the index's depth-based d(o₁,o₂) == the ``joins`` count reported by
   the traced Fig. 3 walk (the paper's distance = join-count identity);
-* the auxiliary-tree roll-up of :class:`IndexedBackend` emits exactly
+* the auxiliary-tree roll-up of :class:`VectorBackend` emits exactly
   the meets of the schema-driven Fig. 5 roll-up;
 * the generation-keyed cache returns one index per store until the
   store is invalidated;
-* the sampled table's range minimum is the leftmost minimum of a brute
-  force scan on ±1 walks, at every level boundary, and a table extended
-  after appends equals one derived from scratch cell for cell (the
-  NumPy tier's twin of these two lives in ``tests/kernels``);
 * an index rolled forward through the mutation journal answers exactly
-  like one built from scratch over the mutated store, on both kernel
-  tiers, and never rebuilds while the journal bridges its generation.
+  like one built from scratch over the mutated store, scalar queries
+  and kernels alike, and never rebuilds while the journal bridges its
+  generation.
+
+The sampled table's own properties (leftmost minimum against a brute
+force scan, a followed table against a derived one) live in
+``tests/kernels/test_sampled_rmq.py``.
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.baselines.naive_lca import naive_lca
-from repro.core.backends import IndexedBackend, SteeredBackend
+from repro.core.backends import SteeredBackend, VectorBackend
 from repro.core.lca_index import (
     LcaIndex,
     clear_lca_index_cache,
@@ -38,6 +39,7 @@ from repro.core.meet_pair import meet2, meet2_traced
 from repro.datamodel.errors import UnknownOIDError
 from repro.datamodel.parser import parse_document
 from repro.datamodel.serializer import serialize_node
+from repro.kernels.lca import LcaKernels, get_kernels
 from repro.monet.mutate import (
     JOURNAL_LIMIT,
     delete_document,
@@ -53,9 +55,6 @@ from .strategies import (
     stores_with_oid_pairs,
     stores_with_oid_sets,
     tree_documents,
-    walk_index,
-    walks_in_pieces,
-    walks_with_ranges,
 )
 
 
@@ -99,8 +98,8 @@ def test_auxiliary_roll_up_matches_schema_roll_up(store_and_oids, rng):
     store, oids = store_and_oids
     tagged = [(rng.choice("abc"), oid) for oid in oids]
     steered = SteeredBackend(store).meet_tagged(tagged)
-    indexed = IndexedBackend(store).meet_tagged(tagged)
-    assert set(indexed) == set(steered)
+    vector = VectorBackend(store).meet_tagged(tagged)
+    assert set(vector) == set(steered)
 
 
 @settings(max_examples=20, deadline=None)
@@ -122,35 +121,6 @@ def test_cache_one_build_per_generation(store):
 
 
 # ---------------------------------------------------------------------------
-# The sampled table (python tier)
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=150, deadline=None)
-@given(walks_with_ranges())
-def test_range_minimum_is_the_leftmost_minimum(case):
-    walk, ranges = case
-    index = walk_index(walk)
-    for low, high in ranges:
-        window = walk[low : high + 1]
-        assert index._rmq(low, high) == low + window.index(min(window))
-
-
-@settings(max_examples=100, deadline=None)
-@given(walks_in_pieces())
-def test_extended_table_equals_a_derived_one(case):
-    walk, lengths = case
-    index = walk_index(walk[: lengths[0]])
-    index._rmq(0, 0)  # derive
-    for old, new in zip(lengths, lengths[1:]):
-        index._tour.extend([0] * (new - old))
-        index._depth.extend(walk[old:new])
-        index._extend_table(*index._table)
-    fresh = walk_index(walk)
-    fresh._rmq(0, 0)
-    assert index._table == fresh._table
-
-
-# ---------------------------------------------------------------------------
 # Rolled forward ≡ built from scratch
 # ---------------------------------------------------------------------------
 
@@ -167,19 +137,9 @@ def assert_agrees_with_fresh_build(store, rng, samples=12):
         assert cached.lca(oid1, oid2) == fresh.lca(oid1, oid2)
         assert cached.distance(oid1, oid2) == fresh.distance(oid1, oid2)
         assert cached.is_ancestor(oid1, oid2) == fresh.is_ancestor(oid1, oid2)
-    assert cached.auxiliary_tree_arrays(left) == fresh.auxiliary_tree_arrays(left)
-    assert cached.lca_many(zip(left, right)) == fresh.lca_many(zip(left, right))
     for oid in dead:
         with pytest.raises(UnknownOIDError):
             cached.lca(oid, store.root_oid)
-        with pytest.raises(UnknownOIDError):
-            cached.auxiliary_tree_arrays([oid])
-    if not kernels.available():
-        return
-    import numpy as np
-
-    from repro.kernels.lca import LcaKernels, get_kernels
-
     vector, oracle = get_kernels(cached), LcaKernels(fresh)
     a, b = np.asarray(left), np.asarray(right)
     for got, expected in zip(vector.lca_many(a, b), oracle.lca_many(a, b)):
@@ -195,6 +155,8 @@ def assert_agrees_with_fresh_build(store, rng, samples=12):
     for oid in dead:
         with pytest.raises(UnknownOIDError):
             vector.first_positions(np.asarray([oid]))
+        with pytest.raises(UnknownOIDError):
+            vector.auxiliary_tree(np.asarray([oid]))
 
 
 def apply_write(store, op, name, xml):
@@ -226,8 +188,7 @@ def test_rolled_forward_index_equals_fresh_build(store, steps, rng):
     clear_lca_index_cache()
     try:
         index = get_lca_index(store)
-        if kernels.available():
-            index.lca_many([(store.root_oid, store.root_oid)])  # bind kernels
+        get_kernels(index)  # bound before the writes: they follow
         for op, name, xml, read in steps:
             apply_write(store, op, name, xml)
             if read:
@@ -290,8 +251,7 @@ def test_mmapped_snapshot_index_rolls_forward(library_store, tmp_path):
     index = get_lca_index(store)
     for column in index.columns().values():  # int32 views over the mapping
         assert isinstance(column, memoryview) and column.format == "i"
-    if kernels.available():
-        index.lca_many([(store.root_oid, store.root_oid)])  # views over the mmap
+    get_kernels(index)  # views over the mmap
     delete_document(store, "seed-0000")
     assert_agrees_with_fresh_build(store, rng)
     put_document(store, "fresh", FRAGMENT)
@@ -314,16 +274,3 @@ def test_bundle_with_pending_deltas_rolls_forward(library_store, tmp_path):
     assert get_lca_index(snapshot.store) is snapshot.lca_index
     info = lca_index_cache_info()
     assert (info.builds, info.patches) == (0, 1)
-
-
-def test_python_tier_rolls_forward(library_store, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", "python")
-    assert not kernels.available()
-    store = library_store
-    rng = random.Random(5)
-    get_lca_index(store)
-    for step in range(6):
-        apply_write(store, ("put", "replace", "delete")[step % 3], "doc", FRAGMENT)
-        assert_agrees_with_fresh_build(store, rng)
-    info = lca_index_cache_info()
-    assert (info.builds, info.patches) == (1, 6)

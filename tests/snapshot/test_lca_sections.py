@@ -119,13 +119,12 @@ def previous_layout(path):
     )
 
 
-@pytest.mark.parametrize("backend", ["indexed", "vector"])
-def test_previous_layout_answers_like_a_fresh_build(tmp_path, backend):
+def test_previous_layout_answers_like_a_fresh_build(tmp_path):
     source = tmp_path / "doc.xml"
     source.write_text(
         serialize(random_document(7, nodes=600)), encoding="utf-8"
     )
-    fresh = repro.Database.open(source, backend=backend, cache=None)
+    fresh = repro.Database.open(source, backend="vector", cache=None)
     bundle = tmp_path / "doc.snap"
     write_snapshot(fresh.store, bundle)
     previous_layout(bundle)
@@ -134,7 +133,7 @@ def test_previous_layout_answers_like_a_fresh_build(tmp_path, backend):
     assert len(reader.raw("lca/tour")) == 8 * (2 * fresh.store.node_count - 1)
 
     builds = lca_index_cache_info().builds  # the fresh store's, above
-    loaded = repro.Database.open(bundle, backend=backend, cache=None)
+    loaded = repro.Database.open(bundle, backend="vector", cache=None)
     nouns = sorted(TECH_NOUNS)
     answered = 0
     for step in range(30):
@@ -144,7 +143,7 @@ def test_previous_layout_answers_like_a_fresh_build(tmp_path, backend):
         assert json.dumps(got) == json.dumps(expected)
         answered += bool(expected)
     assert answered > 20
-    # The scalar path too (python-tier table, derived on first use).
+    # The scalar path too (the kernels' table, derived on first use).
     oids = list(loaded.store.iter_oids())
     for oid1, oid2 in zip(oids[::7], reversed(oids[::5])):
         assert get_lca_index(loaded.store).lca_with_distance(
@@ -221,13 +220,10 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("tier", ["vector", "python"])
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_lca_section_is_a_storage_error(
-    bundle, figure1_store, monkeypatch, tier, case
+    bundle, figure1_store, case
 ):
-    if tier == "python":
-        monkeypatch.setenv("REPRO_KERNELS", "python")
     named, tamper = MALFORMED[case]
     rewritten(bundle, **tamper(bundle, figure1_store))
     SnapshotReader.open(bundle)  # framing and checksums are sound

@@ -49,13 +49,6 @@ DATASETS = {
 STORE_SECTIONS = ["store/oid_pid", "store/oid_parent", "store/oid_rank"]
 
 
-@pytest.fixture(params=["vector", "python"])
-def tier(request, monkeypatch):
-    if request.param == "python":
-        monkeypatch.setenv("REPRO_KERNELS", "python")
-    return request.param
-
-
 def assert_same_families(loaded, fresh):
     """Every pid's relations (and the key sets) agree, row for row."""
     for family in ("edges", "strings", "ranks"):
@@ -91,7 +84,7 @@ def test_layout_is_int32_without_edges_or_ranks(tmp_path):
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
-def test_loaded_families_equal_a_fresh_parse(tmp_path, tier, dataset):
+def test_loaded_families_equal_a_fresh_parse(tmp_path, dataset):
     fresh = monet_transform(DATASETS[dataset]())
     path = tmp_path / f"{dataset}.snap"
     write_snapshot(fresh, path)
@@ -109,7 +102,7 @@ def test_derived_families_equal_sliced_families(tmp_path, dataset, shards):
         assert_same_families(read_snapshot(path).store, sliced)
 
 
-def test_nearest_path_never_derives_edges_or_ranks(tmp_path, tier):
+def test_nearest_path_never_derives_edges_or_ranks(tmp_path):
     path = tmp_path / "dblp.snap"
     write_snapshot(monet_transform(dblp_document()), path)
     db = repro.Database.open(path, cache=None)
@@ -163,11 +156,10 @@ QUERY = "select $a from # $a where $a = 'Bit'"
 MEMO = "<memo><title>Bit Shift</title><year>1999</year></memo>"
 
 
-@pytest.mark.parametrize("backend", ["indexed", "vector"])
-def test_previous_layout_answers_like_a_fresh_build(tmp_path, backend):
+def test_previous_layout_answers_like_a_fresh_build(tmp_path):
     source = tmp_path / "doc.xml"
     source.write_text(serialize(random_document(7, nodes=600)), encoding="utf-8")
-    fresh = repro.Database.open(source, backend=backend, cache=None)
+    fresh = repro.Database.open(source, backend="vector", cache=None)
     bundle = tmp_path / "doc.snap"
     write_snapshot(fresh.store, bundle, value_indexes=["#"])
     previous_layout(bundle, fresh.store)
@@ -181,7 +173,7 @@ def test_previous_layout_answers_like_a_fresh_build(tmp_path, backend):
         fulltext_index_cache_info().builds,
         value_index_cache_info().builds,
     )
-    loaded = repro.Database.open(bundle, backend=backend, cache=None)
+    loaded = repro.Database.open(bundle, backend="vector", cache=None)
     nouns = sorted(TECH_NOUNS)
     answered = 0
     for step in range(30):
@@ -215,7 +207,7 @@ def test_previous_layout_answers_like_a_fresh_build(tmp_path, backend):
     )
     # The compaction rewrote the bundle in the current layout.
     assert "edges/heads" not in SnapshotReader.open(bundle)
-    reopened = repro.Database.open(bundle, backend=backend, cache=None)
+    reopened = repro.Database.open(bundle, backend="vector", cache=None)
     assert_same_families(reopened.store, fresh.store)
 
 
@@ -287,7 +279,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_store_section_is_a_storage_error(
-    bundle, figure1_store, tier, case
+    bundle, figure1_store, case
 ):
     named, tamper = MALFORMED[case]
     rewritten(bundle, **tamper(bundle, figure1_store))

@@ -37,7 +37,7 @@ from repro.datasets import (
 from repro.datasets.randomtree import random_document
 from repro.query.executor import QueryProcessor
 
-BACKENDS = ("steered", "indexed")
+BACKENDS = ("steered", "vector")
 
 #: ``None`` is a monolithic open; integers are in-process shard counts.
 SHARD_MODES = (None, 1, 2, 4)

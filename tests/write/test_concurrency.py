@@ -14,7 +14,6 @@ import sys
 import threading
 import urllib.request
 
-from repro import kernels
 from repro.api import Database, DatabaseOptions, NearestRequest, ReproServer
 from repro.core.engine import NearestConceptEngine
 from repro.core.lca_index import lca_index_cache_info
@@ -69,7 +68,7 @@ def test_readers_never_see_torn_answers(tmp_path):
     db = Database.open(
         snapshot="docs",
         options=DatabaseOptions(
-            catalog=catalog.root, backend="indexed", cache=64
+            catalog=catalog.root, backend="vector", cache=64
         ),
     )
 
@@ -192,8 +191,7 @@ def test_first_readers_after_a_write_share_one_roll_forward(tmp_path):
     rebuild-from-scratch oracle.
     """
     source, model = write_source(tmp_path, "dblp")
-    backend = "vector" if kernels.available() else "indexed"
-    db = open_live(source, backend=backend)
+    db = open_live(source, backend="vector")
     terms, options = DATASETS["dblp"]["terms"][0], {"limit": 10}
     fragments = DATASETS["dblp"]["fragments"]
     live_nearest(db, terms, options)  # index built and bound

@@ -35,7 +35,7 @@ def collection(tmp_path):
 def _open(catalog, **overrides):
     return Database.open(
         snapshot="docs",
-        options=DatabaseOptions(catalog=catalog.root, backend="indexed"),
+        options=DatabaseOptions(catalog=catalog.root, backend="vector"),
         **overrides,
     )
 
@@ -67,7 +67,7 @@ def test_deltas_persist_across_reopen(collection):
     db = _open(catalog)
     try:
         assert db.stats()["writes"]["pending_deltas"] == 2
-        assert_equivalent(db, model, "indexed", "figure1", "reopen-replays")
+        assert_equivalent(db, model, "vector", "figure1", "reopen-replays")
     finally:
         db.close()
     # Compaction folds the delta tail into a fresh dense base …
@@ -76,7 +76,7 @@ def test_deltas_persist_across_reopen(collection):
     db = _open(catalog)
     try:
         assert db.stats()["writes"]["pending_deltas"] == 0
-        assert_equivalent(db, model, "indexed", "figure1", "compacted")
+        assert_equivalent(db, model, "vector", "figure1", "compacted")
     finally:
         db.close()
 
@@ -104,7 +104,7 @@ def test_torn_delta_tail_is_dropped_not_fatal(collection):
     db = _open(catalog)
     try:
         assert "torn" not in db.documents()
-        assert_equivalent(db, model, "indexed", "figure1", "post-torn")
+        assert_equivalent(db, model, "vector", "figure1", "post-torn")
         # … and the next durable append reclaims the torn bytes, so
         # strict readers accept the bundle again.
         db.put("after-crash", FRAGMENT2)
@@ -114,7 +114,7 @@ def test_torn_delta_tail_is_dropped_not_fatal(collection):
     SnapshotReader.open(bundle)
     db = _open(catalog)
     try:
-        assert_equivalent(db, model, "indexed", "figure1", "post-reclaim")
+        assert_equivalent(db, model, "vector", "figure1", "post-reclaim")
     finally:
         db.close()
 
@@ -145,7 +145,7 @@ def test_crash_between_fingerprint_drop_and_delta_append(
     db = _open(catalog)
     try:
         assert "memo" not in db.documents()
-        assert_equivalent(db, model, "indexed", "figure1", "pre-append crash")
+        assert_equivalent(db, model, "vector", "figure1", "pre-append crash")
     finally:
         db.close()
 
@@ -169,7 +169,7 @@ def test_crash_during_compaction_bundle_write(collection, monkeypatch):
     db = _open(catalog)
     try:
         assert db.stats()["writes"]["pending_deltas"] == 1
-        assert_equivalent(db, model, "indexed", "figure1", "mid-write crash")
+        assert_equivalent(db, model, "vector", "figure1", "mid-write crash")
     finally:
         db.close()
 
@@ -204,7 +204,7 @@ def test_crash_between_bundle_replace_and_manifest_flip(
     db = _open(catalog)
     try:
         assert db.stats()["writes"]["pending_deltas"] == 0
-        assert_equivalent(db, model, "indexed", "figure1", "pre-flip crash")
+        assert_equivalent(db, model, "vector", "figure1", "pre-flip crash")
         # A later mutation + compaction completes the interrupted cycle.
         db.put("after", FRAGMENT2)
         model.put("after", FRAGMENT2)
@@ -214,7 +214,7 @@ def test_crash_between_bundle_replace_and_manifest_flip(
     assert meta["generation"] > stale_meta["generation"]
     db = _open(catalog)
     try:
-        assert_equivalent(db, model, "indexed", "figure1", "recovered")
+        assert_equivalent(db, model, "vector", "figure1", "recovered")
     finally:
         db.close()
 
@@ -238,6 +238,6 @@ def test_crash_before_flip_of_reshard_compaction(collection, monkeypatch):
     assert catalog.info("docs").get("shards") is None
     db = _open(catalog)
     try:
-        assert_equivalent(db, model, "indexed", "figure1", "reshard crash")
+        assert_equivalent(db, model, "vector", "figure1", "reshard crash")
     finally:
         db.close()

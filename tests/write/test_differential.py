@@ -94,7 +94,7 @@ def test_duplicate_and_unknown_names_reject_cleanly(tmp_path):
     )
 
     source, model = write_source(tmp_path, "figure1")
-    db = open_live(source, backend="indexed")
+    db = open_live(source, backend="vector")
     try:
         fragment = DATASETS["figure1"]["fragments"][0]
         db.put("memo", fragment)
@@ -109,7 +109,7 @@ def test_duplicate_and_unknown_names_reject_cleanly(tmp_path):
 
         with pytest.raises(ReproError):
             db.replace("memo", "<broken><unclosed></broken>")
-        assert_equivalent(db, model, "indexed", "figure1", "after-rejects")
+        assert_equivalent(db, model, "vector", "figure1", "after-rejects")
     finally:
         db.close()
 
@@ -119,7 +119,7 @@ def test_seeded_short_fuzz_all_datasets(tmp_path):
     for dataset in DATASETS:
         for shards in (None, 2):
             source, model = write_source(tmp_path, dataset)
-            db = open_live(source, backend="indexed", shards=shards)
+            db = open_live(source, backend="vector", shards=shards)
             fuzzer = MutationFuzzer(model, dataset, seed=1234)
             try:
                 for index in range(12):
@@ -128,7 +128,7 @@ def test_seeded_short_fuzz_all_datasets(tmp_path):
                     assert_equivalent(
                         db,
                         model,
-                        "indexed",
+                        "vector",
                         dataset,
                         f"fuzz[seed=1234]/{dataset}/shards={shards}/"
                         f"step{index}:{step[0]}",

@@ -34,7 +34,7 @@ def _seed():
 def test_200_step_mutation_fuzz(tmp_path, shards):
     seed = _seed()
     source, model = write_source(tmp_path, "figure1")
-    db = open_live(source, backend="indexed", shards=shards)
+    db = open_live(source, backend="vector", shards=shards)
     fuzzer = MutationFuzzer(model, "figure1", seed=seed)
     step = None
     try:
@@ -47,7 +47,7 @@ def test_200_step_mutation_fuzz(tmp_path, shards):
             assert_equivalent(
                 db,
                 model,
-                "indexed",
+                "vector",
                 "figure1",
                 f"fuzz seed={seed} shards={shards} step={index} op={step}",
             )

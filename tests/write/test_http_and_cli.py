@@ -84,7 +84,7 @@ def served(tmp_path):
     catalog.ingest("docs", source)
     db = Database.open(
         snapshot="docs",
-        options=DatabaseOptions(catalog=catalog.root, backend="indexed"),
+        options=DatabaseOptions(catalog=catalog.root, backend="vector"),
     )
     server = ReproServer({"docs": db}, port=0, close_databases=True)
     with server:

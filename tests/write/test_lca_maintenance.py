@@ -11,9 +11,6 @@ byte like a rebuilt one, and the patch counters reach ``/v1/stats`` and
 import json
 import urllib.request
 
-import pytest
-
-from repro import kernels
 from repro.api import Database, DatabaseOptions, ReproServer
 from repro.core.lca_index import get_lca_index, lca_index_cache_info
 from repro.monet.mutate import compact_store, delete_document, put_document
@@ -27,12 +24,9 @@ TERMS = DATASETS["dblp"]["terms"][0]
 FRAGMENTS = DATASETS["dblp"]["fragments"]
 
 
-@pytest.mark.parametrize("backend", ["indexed", "vector"])
-def test_write_read_cycles_never_rebuild(tmp_path, backend):
-    if backend == "vector" and not kernels.available():
-        pytest.skip("vector tier needs NumPy")
+def test_write_read_cycles_never_rebuild(tmp_path):
     source, _model = write_source(tmp_path, "dblp")
-    db = open_live(source, backend=backend)
+    db = open_live(source, backend="vector")
     try:
         db.nearest(*TERMS)
         before = lca_index_cache_info()
@@ -57,7 +51,7 @@ def test_maintained_index_serializes_like_a_rebuilt_one(tmp_path):
     rolled-forward index — and the bundle's ``lca/*`` sections must equal
     those of a store transformed from the same documents."""
     source, model = write_source(tmp_path, "figure1")
-    db = open_live(source, backend="indexed")
+    db = open_live(source, backend="vector")
     store = db.store
     index = get_lca_index(store)
     builds = lca_index_cache_info().builds
@@ -105,7 +99,7 @@ def test_patch_counters_on_stats_and_metrics(tmp_path):
     catalog.ingest("docs", source)
     db = Database.open(
         snapshot="docs",
-        options=DatabaseOptions(catalog=catalog.root, backend="indexed"),
+        options=DatabaseOptions(catalog=catalog.root, backend="vector"),
     )
 
     def call(url, method="GET", payload=None):

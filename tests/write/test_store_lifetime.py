@@ -13,7 +13,6 @@ import weakref
 
 import pytest
 
-from repro import kernels
 from repro.core.lca_index import (
     clear_lca_index_cache,
     get_lca_index,
@@ -40,10 +39,8 @@ def test_an_indexed_store_dies_with_its_last_reference():
     assert alive() is None
 
 
-@pytest.mark.parametrize("backend", ["indexed", "vector"])
+@pytest.mark.parametrize("backend", ["steered", "vector"])
 def test_every_compaction_frees_the_store_it_retires(tmp_path, backend):
-    if backend == "vector" and not kernels.available():
-        pytest.skip("vector tier needs NumPy")
     dataset = DATASETS["dblp"]
     source, _model = write_source(tmp_path, "dblp")
     db = open_live(source, backend=backend)
