@@ -15,7 +15,7 @@ Quickstart — one front door::
 
     import repro
 
-    db = repro.open("bib.xml")          # XML, .json image, .snap bundle
+    db = repro.open("bib.xml")          # XML file or .snap bundle
     for answer in db.nearest("Bit", "1999").answers:
         print(answer["tag"], answer["oid"], answer["joins"])
 

@@ -3,8 +3,7 @@
 Three tiers, outermost first:
 
 * :class:`Database` / :func:`open` — resolve *any* supported source
-  (XML file, legacy ``.json`` Monet image, ``.snap`` snapshot bundle,
-  catalog collection) behind one call and query it through typed
+  (XML file, ``.snap`` snapshot bundle, catalog collection) behind one call and query it through typed
   request/response envelopes.
 * :mod:`repro.api.server` — an embedded HTTP/JSON service
   (:class:`~repro.api.server.ReproServer`) exposing the same envelopes

@@ -8,7 +8,7 @@ module extends the courtesy to *programmers*.  Instead of wiring
 
     import repro
 
-    db = repro.open("bib.xml")                  # or .json / .snap / a
+    db = repro.open("bib.xml")                  # or a .snap bundle or a
     db.nearest("Bit", "1999").answers           # catalog collection
     db.query("select meet($a,$b) from # $a, # $b "
              "where $a contains 'Bit' and $b contains '1999'")
@@ -272,9 +272,8 @@ class Database:
     ) -> "Database":
         """Resolve and load any supported source behind one call.
 
-        ``source`` may be an XML file, a legacy ``.json`` Monet image,
-        a ``.snap`` snapshot bundle, or the name of a catalog
-        collection; ``snapshot=`` forces bundle/collection resolution
+        ``source`` may be an XML file, a ``.snap`` snapshot bundle, or
+        the name of a catalog collection; ``snapshot=`` forces bundle/collection resolution
         (the CLI's ``--snapshot``).  Keyword ``overrides`` (``backend=``,
         ``case_sensitive=``, ``cache=``, ``catalog=``, ``mmap=``,
         ``max_rows=``, ``shards=``, ``workers=``) are applied on top of

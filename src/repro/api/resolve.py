@@ -6,7 +6,8 @@ library users — shares one set of rules for turning *whatever the
 user names* into a loaded :class:`~repro.monet.engine.MonetXML` store:
 
 * a ``.snap`` path → binary snapshot bundle, indexes pre-seeded;
-* a ``.json`` path → legacy persisted Monet image;
+* a ``.json`` path → a :class:`StorageError` naming the rebuild: the
+  JSON store image of earlier versions is not read;
 * any other existing file → XML, parsed and Monet-transformed —
   *unless* the catalog holds a fresh snapshot built from that very
   file (same resolved path, identical (size, mtime) fingerprint, same
@@ -16,7 +17,7 @@ user names* into a loaded :class:`~repro.monet.engine.MonetXML` store:
 * an explicit ``snapshot=`` argument → a bundle file or catalog
   collection, never a parse.
 
-Every resolution reports its ``origin`` — ``parse``, ``json image``,
+Every resolution reports its ``origin`` — ``parse``,
 ``snapshot <file>`` or ``snapshot <catalog>:<name>`` — so cold starts
 stay observable end-to-end (the CLI's ``--stats``, the server's
 ``/v1/stats``).
@@ -31,10 +32,10 @@ from typing import Optional, Tuple, Union
 
 from ..datamodel.errors import ReproError, StorageError
 from ..datamodel.parser import parse_document
-from ..monet import storage
 from ..monet.engine import MonetXML
 from ..monet.transform import monet_transform
 from ..snapshot import Catalog, read_snapshot
+from ..snapshot.catalog import refuse_json_image
 from ..snapshot.codec import Snapshot
 
 __all__ = [
@@ -217,13 +218,10 @@ def resolve_source(
         raise ReproError(f"no such file: {source}")
     if path.suffix == ".snap":
         return _load_bundle(path, use_mmap)
-    # The catalog probe runs before the .json branch: bundles built
-    # from JSON images are warm starts too.
+    refuse_json_image(path)
     hit = _probe_catalog(path, catalog_root, case_sensitive, use_mmap)
     if hit is not None:
         return hit
-    if path.suffix == ".json":
-        return ResolvedSource(storage.load(path), "json image")
     text = path.read_text(encoding="utf-8")
     return ResolvedSource(
         monet_transform(parse_document(text, first_oid=1)), "parse"

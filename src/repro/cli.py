@@ -7,8 +7,6 @@ Usage (also via ``python -m repro``)::
     repro search    doc.xml Bit 1999 --backend vector
     repro query     doc.xml "select meet($a,$b) from # $a, # $b \\
                              where $a contains 'Bit' and $b contains '1999'"
-    repro shred     doc.xml store.json      # persist the Monet image
-    repro search    store.json Bit 1999     # query the image directly
     repro snapshot build doc.xml docs       # binary snapshot into the catalog
     repro snapshot ls                       # list catalog collections
     repro search    --snapshot docs a b     # zero-rebuild warm start
@@ -25,8 +23,7 @@ Live writes append delta sections to the collection's bundle and are
 replayed on the next open; ``compact`` folds them into a fresh dense
 base generation behind the catalog's crash-safe manifest flip.
 
-Source resolution (XML vs ``.json`` image vs ``.snap`` bundle vs
-catalog collection, including the fresh-catalog-hit preference over
+Source resolution (XML vs ``.snap`` bundle vs catalog collection, including the fresh-catalog-hit preference over
 re-parsing) lives in :func:`repro.api.resolve.resolve_source` — the
 CLI only names the source and renders the result; ``--stats`` reports
 which load path was taken.
@@ -64,7 +61,6 @@ from .api import (
 )
 from .core.backends import BACKEND_NAMES
 from .datamodel.errors import ReproError
-from .monet import storage
 from .monet.stats import collect_statistics
 from .obs import (
     Trace,
@@ -149,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "describe", help="print store statistics and the path summary"
     )
     describe.add_argument(
-        "source", help="XML file, .json Monet image or .snap bundle"
+        "source", help="XML file or .snap bundle"
     )
     describe.add_argument(
         "--paths", action="store_true", help="also list every distinct path"
@@ -163,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         "source",
         nargs="?",
         default=None,
-        help="XML file, .json Monet image or .snap bundle (omit with --snapshot: "
+        help="XML file or .snap bundle (omit with --snapshot: "
         "the first positional is then read as a search term)",
     )
     search.add_argument("terms", nargs="+", help="two or more search terms")
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "source",
         nargs="?",
         default=None,
-        help="XML file, .json Monet image or .snap bundle (omit with --snapshot: "
+        help="XML file or .snap bundle (omit with --snapshot: "
         "the first positional is then read as the query)",
     )
     query.add_argument(
@@ -240,20 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_snapshot_source_options(query)
 
-    shred = sub.add_parser(
-        "shred", help="Monet-transform an XML file and save the JSON image"
-    )
-    shred.add_argument("source", help="XML file")
-    shred.add_argument("image", help="output .json path")
-    shred.add_argument(
-        "--indent",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pretty-print the JSON image with N-space indentation",
-    )
-    _add_catalog_probe_options(shred)
-
     snapshot = sub.add_parser(
         "snapshot",
         help="binary columnar snapshots: build, load, list, drop collections",
@@ -261,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     snap_sub = snapshot.add_subparsers(dest="snapshot_command", required=True)
 
     snap_build = snap_sub.add_parser(
-        "build", help="ingest XML (or a .json image) into a catalog snapshot"
+        "build", help="ingest XML into a catalog snapshot"
     )
-    snap_build.add_argument("source", help="XML file or .json Monet image")
+    snap_build.add_argument("source", help="XML file")
     snap_build.add_argument(
         "name",
         nargs="?",
@@ -363,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         "source",
         nargs="?",
         default=None,
-        help="XML file, .json Monet image, .snap bundle or catalog "
+        help="XML file, .snap bundle or catalog "
         "collection (omit to serve every catalog collection)",
     )
     serve.add_argument(
@@ -726,17 +708,6 @@ def _command_query(args) -> int:
     return 0 if envelope.count else 1
 
 
-def _command_shred(args) -> int:
-    database = _open_database(args, args.source)
-    if args.stats:
-        _print_load_stats(database.origin, database.load_seconds)
-    store = database.store
-    storage.save(store, args.image, indent=args.indent)
-    print(f"wrote {args.image}: {store.node_count} nodes, "
-          f"{len(store.relation_names())} relations")
-    return 0
-
-
 def _command_serve(args) -> int:
     level = args.log_level or ("info" if args.verbose else "warning")
     configure_logging(json_logs=args.log_json, level=level)
@@ -1081,7 +1052,6 @@ _COMMANDS = {
     "describe": _command_describe,
     "search": _command_search,
     "query": _command_query,
-    "shred": _command_shred,
     "snapshot": _command_snapshot,
     "serve": _command_serve,
     "shard-worker": _command_shard_worker,

@@ -40,8 +40,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..datamodel.errors import ReproError
-from ..monet.bat import BAT
 from ..monet.engine import MonetXML, int32_column
 
 __all__ = ["ShardingError", "ShardPlan", "compute_shard_plan", "slice_store"]
@@ -133,8 +134,8 @@ def _subtree_spans(store: MonetXML) -> List[Tuple[int, int]]:
     Verifies the pre-order invariant the whole scheme rests on: inside
     each span every non-head node's parent must also lie in the span —
     which by induction makes the span exactly one subtree.  A store
-    with shuffled OIDs (nothing in this repo produces one, but legacy
-    JSON images are caller-supplied) is rejected rather than sharded
+    with shuffled OIDs (nothing in this repo produces one, but a
+    hand-made bundle can hold one) is rejected rather than sharded
     wrongly.
     """
     root = store.root_oid
@@ -224,78 +225,43 @@ def slice_store(store: MonetXML, plan: ShardPlan) -> List[MonetXML]:
 
     Each shard shares the parent store's path summary instance and
     keeps the original OIDs; see the module docstring for the
-    stand-in-root scheme.  The slices are plain stores: they snapshot,
-    index and validate like any other.
+    stand-in-root scheme.  A shard's dense columns are a slice of the
+    store's behind its stand-in row, and its string runs the rows whose
+    owner lies in its range — the true root's go to shard 0, whose
+    stand-in it is.  The slices are plain stores: they snapshot, index
+    and validate like any other.
     """
     if store.root_oid != plan.root_oid or store.node_count != plan.node_count:
         raise ShardingError("shard plan does not describe this store")
     root = store.root_oid
-    root_pid = store.pid_of(root)
-    root_rank = store.rank_of(root)
-    pid_col, parent_col, rank_col = store.dense_columns()
-    first = store.first_oid
-    starts = plan.starts
-    count = plan.shard_count
-    stand_ins = [lo - 1 for lo in starts]  # shard 0's IS the true root
-
-    def _bucket(
-        relations, routing_side: int, every_shard: bool = False
-    ) -> List[Dict[int, BAT]]:
-        """One pass per relation, rows bucketed by owning shard.
-
-        ``routing_side`` picks the column that decides the shard (the
-        child for edges, the owner for strings/ranks).  Rows owned by
-        the true root go to shard 0 (its stand-in is the real root), or
-        to ``every_shard``; a root head becomes the shard's stand-in.
-        """
-        buckets: List[Dict[int, List[Tuple]]] = [{} for _ in range(count)]
-        everywhere = range(count)
-        for pid, relation in relations.items():
-            for row in zip(relation.heads, relation.tails):
-                oid = row[routing_side]
-                if oid != root:
-                    owners = (bisect_right(starts, oid) - 1,)
-                else:
-                    owners = everywhere if every_shard else (0,)
-                for shard in owners:
-                    buckets[shard].setdefault(pid, []).append(
-                        (stand_ins[shard], row[1]) if row[0] == root else row
-                    )
-        return [
-            {
-                pid: BAT(rows, name=relations[pid].name)
-                for pid, rows in bucket.items()
-            }
-            for bucket in buckets
-        ]
-
-    edge_parts = _bucket(store.edges, routing_side=1)
-    # The true root's attributes route to shard 0 only: duplicating
-    # them would duplicate hits.  Its rank row is every stand-in's.
-    string_parts = _bucket(store.strings, routing_side=0)
-    rank_parts = _bucket(store.ranks, routing_side=0, every_shard=True)
+    root_index = root - store.first_oid
+    pid_col, parent_col, rank_col = (
+        np.asarray(column) for column in store.dense_columns()
+    )
+    strings = store.string_runs()
+    owners = np.asarray(strings.heads)
 
     shards: List[MonetXML] = []
     for shard_id, (lo, hi) in enumerate(zip(plan.starts, plan.ends)):
-        stand_in = stand_ins[shard_id]
-        span = slice(lo - first, hi - first)
-        pids = int32_column([root_pid]) + int32_column(pid_col[span])
-        parents = int32_column([-1]) + int32_column(
-            stand_in if parent == root else parent
-            for parent in parent_col[span]
-        )
-        ranks = int32_column([root_rank]) + int32_column(rank_col[span])
+        stand_in = lo - 1  # shard 0's IS the true root
+        span = slice(lo - store.first_oid, hi - store.first_oid)
+        parents = parent_col[span]
+        low = root if shard_id == 0 else lo
         shards.append(
             MonetXML(
                 summary=store.summary,
                 root_oid=stand_in,
                 first_oid=stand_in,
-                oid_pid=pids,
-                oid_parent=parents,
-                oid_rank=ranks,
-                edges=edge_parts[shard_id],
-                strings=string_parts[shard_id],
-                ranks=rank_parts[shard_id],
+                oid_pid=int32_column(
+                    np.concatenate((pid_col[root_index : root_index + 1], pid_col[span]))
+                ),
+                oid_parent=int32_column(
+                    np.concatenate(([-1], np.where(parents == root, stand_in, parents)))
+                ),
+                oid_rank=int32_column(
+                    np.concatenate((rank_col[root_index : root_index + 1], rank_col[span]))
+                ),
+                strings=strings.where((owners >= low) & (owners < hi)),
             )
         )
     return shards

@@ -314,11 +314,13 @@ class FullTextIndex:
         pending: Dict[str, Tuple[List[int], List[int]]] = {}
         intern = sys.intern
         case_sensitive = self.case_sensitive
-        for pid, relation in self.store.string_relations():
+        strings = self.store.string_runs()
+        for pid in strings.pids.tolist():
             # Postings reference the *element* path of the carrying node
             # so the meet roll-up starts from real tree nodes.
             element_pid = self.store.summary.parent(pid)
-            for oid, value in relation:
+            oids, values = strings.run(pid)
+            for oid, value in zip(oids.tolist(), values):
                 self._indexed_associations += 1
                 seen: Set[str] = set()
                 for token in tokenize(value, case_sensitive):

@@ -12,9 +12,7 @@ lexicographic (pid, oid) order and the decode is exact):
   ascending exactly like ``sorted(set & set & ...)``;
 * :func:`union_columns` — first-seen-order deduplicating union
   (``np.unique(..., return_index=True)`` then an index sort): a
-  posting keeps the position of its first occurrence;
-* :func:`group_boundaries` — pid group starts over a sorted pid
-  column via ``searchsorted``/``diff``, for by-pid regrouping.
+  posting keeps the position of its first occurrence.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["intersect_columns", "union_columns", "group_boundaries"]
+__all__ = ["intersect_columns", "union_columns"]
 
 _INT64 = np.int64
 
@@ -91,12 +89,3 @@ def union_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
     )
     order = np.sort(first_seen)
     return all_pids[order], all_oids[order]
-
-
-def group_boundaries(sorted_pids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(distinct pids, group start offsets) of a sorted pid column."""
-    pids = np.asarray(sorted_pids)
-    if not len(pids):
-        return _EMPTY, _EMPTY
-    starts = np.concatenate(([0], np.nonzero(np.diff(pids))[0] + 1))
-    return pids[starts], starts

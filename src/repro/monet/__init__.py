@@ -4,8 +4,8 @@
 * :class:`PathSummary` — interned paths / schema tree.
 * :func:`monet_transform` — Definition 4, document → store.
 * :class:`MonetXML` — the loaded database instance.
+* :mod:`~repro.monet.relations` — relation families as pid-grouped runs.
 * :mod:`~repro.monet.reassembly` — OID → object/DOM views.
-* :mod:`~repro.monet.storage` — JSON image persistence.
 """
 
 from .bat import BAT
@@ -27,7 +27,6 @@ from .mutate import (
     replace_document,
 )
 from .stats import StoreStatistics, collect_statistics
-from .storage import dumps, load, loads, save
 from .transform import monet_transform
 
 __all__ = [
@@ -43,13 +42,9 @@ __all__ = [
     "StoreStatistics",
     "collect_statistics",
     "associations_of",
-    "dumps",
-    "load",
-    "loads",
     "monet_transform",
     "object_text",
     "reassemble_node",
     "reassemble_object",
     "reassemble_subtree",
-    "save",
 ]

@@ -48,8 +48,8 @@ class BAT:
         Iterable of (head, tail) pairs.  Order is preserved; duplicates
         are allowed (MIL BATs are bags).
     name:
-        Optional relation name (the Monet transform names relations by
-        path, e.g. ``bibliography/institute/article@key``).
+        Optional relation name (a path, e.g.
+        ``bibliography/institute/article@key``).
     """
 
     __slots__ = ("_heads", "_tails", "name", "_head_index", "_tail_index")
@@ -80,8 +80,9 @@ class BAT:
 
         With ``copy=False`` the (list) columns are adopted as-is — the
         caller promises not to mutate them afterwards.  This is the
-        snapshot loader's allocation-free path; everyone else should
-        keep the defensive copy.
+        relation families' allocation-free path
+        (:mod:`repro.monet.relations`); everyone else should keep the
+        defensive copy.
         """
         if len(heads) != len(tails):
             raise ValueError("head and tail columns must have equal length")

@@ -1,7 +1,7 @@
 """The Monet XML store: path-partitioned associations plus OID columns.
 
 This is the physical database instance of Definition 4.  All
-associations of one type (= one path) live in one binary relation:
+associations of one type (= one path) form one binary relation:
 
 * ``edges[pid]``     — (parent OID, child OID) for every element edge
   whose *child* sits on path ``pid`` (the relation is "named after"
@@ -12,13 +12,15 @@ associations of one type (= one path) live in one binary relation:
 * ``ranks[pid]``     — (OID, rank) preserving sibling order (the
   oid × int associations of Def. 2).
 
-On top of the relations the store keeps three dense OID-indexed
-columns — pid, parent OID and rank — so that ``parent(o)`` and π(o)
-are the O(1) "hash look-ups" the paper's Fig. 3 assumes (justified in
-the paper via functional-join techniques, ref. [8]).  The columns are
-flat ``int32`` buffers with ``-1`` for "no parent"; ``edges`` and
-``ranks`` carry exactly their information regrouped by pid, which is
-why a snapshot stores only the columns (:mod:`repro.snapshot.codec`).
+The store holds three dense OID-indexed columns — pid, parent OID and
+rank — so that ``parent(o)`` and π(o) are the O(1) "hash look-ups" the
+paper's Fig. 3 assumes (justified in the paper via functional-join
+techniques, ref. [8]), plus the string associations as pid-grouped
+runs (:class:`~repro.monet.relations.Runs`).  The columns are flat
+``int32`` buffers with ``-1`` for "no parent"; ``edges`` and ``ranks``
+carry exactly their information regrouped by pid and are derived from
+them, which is why a snapshot stores only the columns and the string
+runs (:mod:`repro.snapshot.codec`).
 """
 
 from __future__ import annotations
@@ -26,22 +28,16 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from itertools import count
-from typing import (
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakSet
+
+import numpy as np
 
 from ..datamodel.errors import ModelError, UnknownOIDError
 from ..datamodel.paths import Path
 from .bat import BAT
 from .pathsummary import PathSummary
+from .relations import DenseRegrouping, LazyRelationFamily, Runs
 
 __all__ = ["MonetXML", "DerivedCache", "int32_column"]
 
@@ -49,25 +45,31 @@ __all__ = ["MonetXML", "DerivedCache", "int32_column"]
 def int32_column(values: Iterable[int] = ()) -> array:
     """An owned ``array('i')`` of ``values`` — the dense-column type.
 
-    An int32 buffer (a snapshot view) is copied with one memcpy,
-    anything else item by item.
+    An int32 buffer (a snapshot view) or a NumPy column is copied with
+    one memcpy, anything else item by item.
     """
-    if isinstance(values, memoryview) and values.format == "i":
-        column = array("i")
+    column = array("i")
+    if isinstance(values, np.ndarray):
+        column.frombytes(np.ascontiguousarray(values, dtype=np.int32).tobytes())
+    elif isinstance(values, memoryview) and values.format == "i":
         column.frombytes(values.cast("B"))
-        return column
-    return array("i", values)
+    else:
+        column.extend(values)
+    return column
 
 
 class MonetXML:
     """A loaded database instance: one XML document, path-partitioned.
 
     Instances are built by :func:`repro.monet.transform.monet_transform`
-    or :func:`repro.monet.storage.load`; direct construction takes
-    pre-computed columns and relations.  The dense columns are
-    ``array('i')`` for a store built in memory and read-only int32
-    snapshot views for a loaded one, which the first write copies
-    (:mod:`repro.monet.mutate`).
+    or read from a snapshot (:mod:`repro.snapshot.codec`); direct
+    construction takes the three dense columns and the string runs.
+    The dense columns are ``array('i')`` for a store built in memory
+    and read-only int32 snapshot views for a loaded one, which the
+    first write copies (:mod:`repro.monet.mutate`).  The relation
+    families ``edges``, ``strings`` and ``ranks`` are
+    :class:`~repro.monet.relations.LazyRelationFamily` views over the
+    current columns, rebound whenever the generation moves.
 
     Every instance carries a process-unique, monotonically increasing
     ``generation`` token.  Derived structures built outside the store
@@ -89,9 +91,7 @@ class MonetXML:
         oid_pid: Sequence[int],
         oid_parent: Sequence[int],
         oid_rank: Sequence[int],
-        edges: Mapping[int, BAT],
-        strings: Mapping[int, BAT],
-        ranks: Mapping[int, BAT],
+        strings: Runs,
     ):
         self.summary = summary
         self.root_oid = root_oid
@@ -99,9 +99,8 @@ class MonetXML:
         self._oid_pid = oid_pid
         self._oid_parent = oid_parent
         self._oid_rank = oid_rank
-        self.edges = edges
-        self.strings = strings
-        self.ranks = ranks
+        self._string_runs = strings
+        self._bind_families()
         self._reverse_edges: Dict[int, BAT] = {}
         self._children_index: Optional[Dict[int, List[int]]] = None
         #: Cache token for externally derived indexes (see class doc).
@@ -184,6 +183,21 @@ class MonetXML:
         return self._oid_pid, self._oid_parent, self._oid_rank
 
     # -- relations ---------------------------------------------------------
+    def _bind_families(self) -> None:
+        """Fresh relation-family views over the current columns."""
+        regrouped = DenseRegrouping(
+            self.dense_columns(), self.first_oid, self.root_oid - self.first_oid
+        )
+        strings = self._string_runs
+        self.edges = LazyRelationFamily(regrouped.edges)
+        self.strings = LazyRelationFamily(lambda: strings)
+        self.ranks = LazyRelationFamily(regrouped.ranks)
+
+    def string_runs(self) -> Runs:
+        """The string associations as pid-grouped runs (OID heads,
+        string tails) — the columns bulk readers scan."""
+        return self._string_runs
+
     def edge_relation(self, pid: int) -> BAT:
         """(parent, child) BAT of all nodes on path ``pid`` (may be empty)."""
         return self.edges.get(pid, BAT(name=str(self.summary.path(pid))))
@@ -359,13 +373,15 @@ class MonetXML:
     def invalidate_caches(self) -> None:
         """Drop lazily built structures after an in-place rebuild.
 
-        Clears the reverse-edge and children adjacency caches and bumps
+        Rebinds the relation families to the current columns, clears
+        the reverse-edge and children adjacency caches and bumps
         ``generation``.  Generation-keyed external caches (the LCA
         index of the ``vector`` meet backend, the full-text and value
         indexes) rebuild on next use — unless the caller also journals
         a :class:`~repro.monet.mutate.MutationRecord`, as every live
         write does, in which case they roll forward from it.
         """
+        self._bind_families()
         self._reverse_edges.clear()
         self._children_index = None
         self.generation = next(MonetXML._generations)
@@ -392,23 +408,31 @@ class MonetXML:
 
     # -- integrity -------------------------------------------------------
     def validate(self) -> None:
-        """Cross-check columns against relations; raises on inconsistency.
+        """Cross-check the columns and the string runs; raises on
+        inconsistency.
 
-        Used by tests and after :func:`repro.monet.storage.load`.
+        Every linked node's path must extend its parent's path by one
+        step (which is what makes the derived ``edges`` relations
+        Def. 4's), and every string association must hang off a node
+        on its attribute path's parent.
         """
-        for pid, relation in self.edges.items():
-            for parent, child in relation:
-                if self.parent_of(child) != parent:
-                    raise ModelError(
-                        f"edge relation {self.summary.path(pid)} disagrees "
-                        f"with parent column at OID {child}"
-                    )
-                if self.pid_of(child) != pid:
-                    raise ModelError(
-                        f"edge relation {self.summary.path(pid)} holds OID "
-                        f"{child} whose pid column says "
-                        f"{self.summary.path(self.pid_of(child))}"
-                    )
+        pids, parents, _ = (np.asarray(column) for column in self.dense_columns())
+        children = np.flatnonzero(parents >= 0)
+        positions = parents[children].astype(np.int64) - self.first_oid
+        inside = (positions >= 0) & (positions < len(pids))
+        path_parents = np.asarray(
+            [self.summary.parent(pid) for pid in range(len(self.summary))]
+        )
+        agree = np.zeros(len(children), dtype=bool)
+        agree[inside] = (
+            path_parents[pids[children[inside]]] == pids[positions[inside]]
+        )
+        if not agree.all():
+            child = int(children[np.argmin(agree)]) + self.first_oid
+            raise ModelError(
+                f"parent column at OID {child} disagrees with its path "
+                f"{self.summary.path(self.pid_of(child))}"
+            )
         for pid, relation in self.strings.items():
             parent_pid = self.summary.parent(pid)
             for oid, value in relation:

@@ -8,9 +8,9 @@ module makes it a *collection* you can mutate while it serves queries:
   contiguous pre-order OID run (``last_oid + 1`` onward) and interns
   its paths into the shared summary;
 * :func:`delete_document` tombstones a document's OID range — the
-  dense columns keep their slots (parent pointers cleared) while the
-  path-partitioned relations are pruned, so every query surface only
-  ever sees live nodes;
+  dense columns keep their slots (parent pointers cleared, which drops
+  them from the derived ``edges``/``ranks``) while the string runs lose
+  the span's rows, so every query surface only ever sees live nodes;
 * :func:`replace_document` is delete + put under the same name;
 * :func:`compact_store` renumbers the surviving nodes densely — the
   compacted OIDs equal what a rebuild from the surviving documents
@@ -40,7 +40,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..datamodel.document import CDATA_LABEL, STRING_ATTRIBUTE
 from ..datamodel.errors import (
@@ -50,7 +52,6 @@ from ..datamodel.errors import (
 )
 from ..datamodel.node import CDATA_ATTRIBUTE, Node
 from ..datamodel.parser import parse_fragment
-from .bat import BAT
 from .engine import MonetXML, int32_column
 
 __all__ = [
@@ -152,16 +153,12 @@ def ensure_document_registry(store: MonetXML) -> Dict[str, Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 def _ensure_mutable(store: MonetXML) -> None:
-    """Convert zero-copy snapshot views into plain mutable structures.
+    """Copy zero-copy snapshot views into appendable columns.
 
-    Snapshot-loaded stores hold lazily materialized read-only relation
-    families and read-only int32 views as dense columns; the first
-    mutation pays one conversion to plain dicts and ``array('i')``s.
+    Snapshot-loaded stores hold read-only int32 views as dense columns;
+    the first mutation pays one copy of each into an ``array('i')``.
+    The string runs need none: writes replace them whole.
     """
-    for family in ("edges", "strings", "ranks"):
-        relations = getattr(store, family)
-        if not isinstance(relations, dict):
-            setattr(store, family, dict(relations.items()))
     for name in ("_oid_pid", "_oid_parent", "_oid_rank"):
         column = getattr(store, name)
         if not (isinstance(column, array) and column.typecode == "i"):
@@ -190,7 +187,7 @@ def put_document(store: MonetXML, name: str, xml: str) -> MutationRecord:
     The fragment is grafted under the store root: its nodes receive the
     contiguous OID run ``last_oid + 1 …`` in pre-order, its paths are
     interned into the shared summary prefixed by the root path, and the
-    relation families gain the new associations.  Raises
+    string runs gain the new associations.  Raises
     :class:`DuplicateDocumentError` if the name is taken.
     """
     registry = ensure_document_registry(store)
@@ -213,9 +210,6 @@ def put_document(store: MonetXML, name: str, xml: str) -> MutationRecord:
 
     first_new = store.last_oid + 1
     added_strings: List[Tuple[int, int, str]] = []
-    edge_buns: Dict[int, List[Tuple[int, int]]] = {}
-    string_buns: Dict[int, List[Tuple[int, str]]] = {}
-    rank_buns: Dict[int, List[Tuple[int, int]]] = {}
 
     # Pre-order pass mirroring monet_transform, rebased on the root path.
     oid = first_new
@@ -227,30 +221,16 @@ def put_document(store: MonetXML, name: str, xml: str) -> MutationRecord:
         store._oid_pid.append(pid)
         store._oid_parent.append(parent_oid)
         store._oid_rank.append(node.rank)
-        rank_buns.setdefault(pid, []).append((oid, node.rank))
-        edge_buns.setdefault(pid, []).append((parent_oid, oid))
         for attr_name, value in node.attributes.items():
             attr_pid = summary.intern(path.attribute(attr_name))
-            string_buns.setdefault(attr_pid, []).append((oid, value))
             added_strings.append((attr_pid, oid, value))
         node_oid = oid
         oid += 1
         for child in reversed(node.children):
             stack.append((child, node_oid, path))
     last_new = oid - 1
-
-    for pid, buns in edge_buns.items():
-        fresh = BAT(buns, name=str(summary.path(pid)))
-        old = store.edges.get(pid)
-        store.edges[pid] = fresh if old is None else old.union_all(fresh)
-    for pid, buns in string_buns.items():
-        fresh = BAT(buns, name=str(summary.path(pid)))
-        old = store.strings.get(pid)
-        store.strings[pid] = fresh if old is None else old.union_all(fresh)
-    for pid, buns in rank_buns.items():
-        fresh = BAT(buns, name=str(summary.path(pid)))
-        old = store.ranks.get(pid)
-        store.ranks[pid] = fresh if old is None else old.union_all(fresh)
+    if added_strings:
+        store._string_runs = store._string_runs.with_rows(*zip(*added_strings))
 
     registry[name] = (first_new, last_new)
     record = _record(
@@ -268,7 +248,11 @@ def put_document(store: MonetXML, name: str, xml: str) -> MutationRecord:
 # ---------------------------------------------------------------------------
 
 def delete_document(store: MonetXML, name: str) -> MutationRecord:
-    """Tombstone the named document's OID range and prune its relations."""
+    """Tombstone the named document's OID range and drop its strings.
+
+    One slice assignment clears the span's parents and one mask over
+    the string heads drops its associations.
+    """
     registry = ensure_document_registry(store)
     span = registry.get(name)
     if span is None:
@@ -277,41 +261,11 @@ def delete_document(store: MonetXML, name: str) -> MutationRecord:
     low, high = span
 
     start, stop = low - store.first_oid, high - store.first_oid + 1
-    element_pids = set(store._oid_pid[start:stop])
     store._oid_parent[start:stop] = int32_column([-1]) * (stop - start)
-
-    def outside(oid: int) -> bool:
-        return not low <= oid <= high
-
-    removed_associations = 0
-    for pid in element_pids:
-        relation = store.edges.get(pid)
-        if relation is not None:
-            store.edges[pid] = BAT.from_columns(
-                *_filter_columns(relation.heads, relation.tails, outside, key="tail"),
-                name=relation.name,
-                copy=False,
-            )
-        relation = store.ranks.get(pid)
-        if relation is not None:
-            store.ranks[pid] = BAT.from_columns(
-                *_filter_columns(relation.heads, relation.tails, outside, key="head"),
-                name=relation.name,
-                copy=False,
-            )
-        for attr_pid in store.summary.children(pid):
-            if not store.summary.is_attribute(attr_pid):
-                continue
-            relation = store.strings.get(attr_pid)
-            if relation is None:
-                continue
-            before = len(relation)
-            store.strings[attr_pid] = BAT.from_columns(
-                *_filter_columns(relation.heads, relation.tails, outside, key="head"),
-                name=relation.name,
-                copy=False,
-            )
-            removed_associations += before - len(store.strings[attr_pid])
+    strings = store._string_runs
+    heads = np.asarray(strings.heads)
+    store._string_runs = strings.where((heads < low) | (heads > high))
+    removed_associations = len(heads) - len(store._string_runs.heads)
 
     store.add_tombstone_range(low, high)
     del registry[name]
@@ -322,15 +276,6 @@ def delete_document(store: MonetXML, name: str) -> MutationRecord:
         span=(low, high),
         removed_associations=removed_associations,
     )
-
-
-def _filter_columns(heads, tails, keep, key: str):
-    """(heads, tails) restricted to BUNs whose head/tail passes ``keep``."""
-    column = heads if key == "head" else tails
-    kept = [i for i, value in enumerate(column) if keep(value)]
-    if len(kept) == len(column):
-        return list(heads), list(tails)
-    return [heads[i] for i in kept], [tails[i] for i in kept]
 
 
 def replace_document(
@@ -371,77 +316,54 @@ def _record(store: MonetXML, **fields) -> MutationRecord:
 # compaction
 # ---------------------------------------------------------------------------
 
-def compact_store(store: MonetXML) -> Tuple[MonetXML, Optional[Dict[int, int]]]:
+def compact_store(
+    store: MonetXML,
+) -> Tuple[MonetXML, Optional[Callable[[np.ndarray], np.ndarray]]]:
     """Renumber the live nodes densely; returns (new store, OID map).
 
     The compacted store is exactly what rebuilding from the surviving
     documents would produce (same OIDs, same relation contents), which
     is the precondition for shard slicing and snapshot writing.  The
-    path summary is shared (it is append-only); on a tombstone-free
-    store this is a no-op returning ``(store, None)``.
+    OID map is monotone — a live OID moves down by the dead OIDs below
+    it — and is returned as the vectorized function that applies it to
+    a column of live OIDs.  The dense columns keep their live slots,
+    the string heads and the parents go through the map, and the path
+    summary is shared (it is append-only); on a tombstone-free store
+    this is a no-op returning ``(store, None)``.
     """
     if not store._tombstones:
         ensure_document_registry(store)
         return store, None
     first = store.first_oid
-    # The live slots are the runs between the tombstone ranges, so the
-    # dense columns compact by slices.
-    tombstones = store.tombstone_ranges()
-    runs = list(zip(
-        [0] + [high + 1 - first for _, high in tombstones],
-        [low - first for low, _ in tombstones] + [store.node_count],
-    ))
-    live = [first + slot for start, stop in runs for slot in range(start, stop)]
-    mapping = {old: first + position for position, old in enumerate(live)}
+    starts, dead_prefix = store.tombstone_table()
+    dead_below = np.asarray(dead_prefix)
 
-    def compacted_column(column) -> array:
-        kept = int32_column()
-        for start, stop in runs:
-            kept += column[start:stop]
-        return kept
+    def renumbered(oids) -> np.ndarray:
+        oids = np.asarray(oids, dtype=np.int64)
+        return oids - dead_below[np.searchsorted(starts, oids, side="right")]
 
-    pids, parents, ranks = store.dense_columns()
-    oid_pid = compacted_column(pids)
-    oid_rank = compacted_column(ranks)
-    oid_parent = int32_column([
-        -1 if parent < 0 else mapping[parent]
-        for parent in compacted_column(parents)
-    ])
-
-    def remap(relation: BAT, *, heads_only: bool) -> BAT:
-        heads = [mapping[h] for h in relation.heads]
-        tails = (
-            list(relation.tails)
-            if heads_only
-            else [mapping[t] for t in relation.tails]
-        )
-        return BAT.from_columns(heads, tails, name=relation.name, copy=False)
+    live = np.ones(store.node_count, dtype=bool)
+    for low, high in store.tombstone_ranges():
+        live[low - first : high - first + 1] = False
+    pids, parents, ranks = (np.asarray(column)[live] for column in store.dense_columns())
+    linked = parents >= 0
+    parents[linked] = renumbered(parents[linked])
+    strings = store.string_runs()
 
     compacted = MonetXML(
         summary=store.summary,
-        root_oid=mapping[store.root_oid],
+        root_oid=int(renumbered(store.root_oid)),
         first_oid=first,
-        oid_pid=oid_pid,
-        oid_parent=oid_parent,
-        oid_rank=oid_rank,
-        edges={
-            pid: remap(rel, heads_only=False)
-            for pid, rel in store.edges.items()
-            if len(rel)
-        },
-        strings={
-            pid: remap(rel, heads_only=True)
-            for pid, rel in store.strings.items()
-            if len(rel)
-        },
-        ranks={
-            pid: remap(rel, heads_only=True)
-            for pid, rel in store.ranks.items()
-            if len(rel)
-        },
+        oid_pid=int32_column(pids),
+        oid_parent=int32_column(parents),
+        oid_rank=int32_column(ranks),
+        strings=strings._replace(
+            heads=renumbered(strings.heads).astype(np.int32)
+        ),
     )
+    names = list(store.documents)
+    spans = renumbered([store.documents[name] for name in names]).tolist()
     compacted.documents = {
-        name: (mapping[low], mapping[high])
-        for name, (low, high) in store.documents.items()
+        name: (low, high) for name, (low, high) in zip(names, spans)
     }
-    return compacted, mapping
+    return compacted, renumbered

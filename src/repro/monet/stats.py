@@ -102,9 +102,10 @@ def collect_statistics(store: MonetXML) -> StoreStatistics:
         sum(child_counts.values()) / internal if internal else 0.0
     )
 
-    association_histogram: Dict[int, int] = {}
-    for pid, relation in store.string_relations():
-        association_histogram[pid] = relation.count()
+    strings = store.string_runs()
+    association_histogram: Dict[int, int] = dict(
+        zip(strings.pids.tolist(), strings.lengths().tolist())
+    )
     string_associations = sum(association_histogram.values())
 
     histogram = sorted(

@@ -9,18 +9,21 @@
 * ``R'`` groups (OID, rank) associations preserving sibling order;
 * ``r`` remains the root.
 
-The transform also materializes the dense OID columns (pid, parent,
-rank) that give the O(1) ``parent``/π look-ups of §3.2.
+The transform emits the dense OID columns (pid, parent, rank) that give
+the O(1) ``parent``/π look-ups of §3.2; ``E'`` and ``R'`` are those
+columns regrouped by pid, derived on first use, and ``A'`` is one
+pid-sorted run of string rows per attribute path
+(:mod:`repro.monet.relations`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..datamodel.document import Document
-from .bat import BAT
 from .engine import MonetXML, int32_column
 from .pathsummary import PathSummary
+from .relations import group_rows
 
 __all__ = ["monet_transform"]
 
@@ -28,7 +31,11 @@ __all__ = ["monet_transform"]
 def monet_transform(document: Document) -> MonetXML:
     """Shred a frozen :class:`Document` into a :class:`MonetXML` store.
 
-    Runs in one pre-order pass; deterministic for a given document.
+    One pre-order pass fills the dense pid/parent/rank columns and
+    collects the ``(attribute pid, OID, value)`` rows in OID order; one
+    stable pid sort then groups the rows into the string runs.  The
+    ``edges`` and ``ranks`` relations are the dense columns regrouped,
+    so nothing else is built.  Deterministic for a given document.
     """
     summary = PathSummary()
     node_count = document.node_count
@@ -37,38 +44,22 @@ def monet_transform(document: Document) -> MonetXML:
     oid_pid = int32_column([0]) * node_count
     oid_parent = int32_column([-1]) * node_count
     oid_rank = int32_column([0]) * node_count
-
-    edge_buns: Dict[int, List[Tuple[int, int]]] = {}
-    string_buns: Dict[int, List[Tuple[int, str]]] = {}
-    rank_buns: Dict[int, List[Tuple[int, int]]] = {}
+    attr_pids: List[int] = []
+    attr_oids: List[int] = []
+    values: List[str] = []
 
     for node in document.iter_nodes():
         oid = node.oid
         position = oid - first_oid
         path = document.path(oid)
-        pid = summary.intern(path)
-        oid_pid[position] = pid
+        oid_pid[position] = summary.intern(path)
         oid_rank[position] = node.rank
-        rank_buns.setdefault(pid, []).append((oid, node.rank))
         if node.parent is not None:
             oid_parent[position] = node.parent.oid
-            edge_buns.setdefault(pid, []).append((node.parent.oid, oid))
         for name, value in node.attributes.items():
-            attr_pid = summary.intern(path.attribute(name))
-            string_buns.setdefault(attr_pid, []).append((oid, value))
-
-    edges = {
-        pid: BAT(buns, name=str(summary.path(pid)))
-        for pid, buns in edge_buns.items()
-    }
-    strings = {
-        pid: BAT(buns, name=str(summary.path(pid)))
-        for pid, buns in string_buns.items()
-    }
-    ranks = {
-        pid: BAT(buns, name=str(summary.path(pid)))
-        for pid, buns in rank_buns.items()
-    }
+            attr_pids.append(summary.intern(path.attribute(name)))
+            attr_oids.append(oid)
+            values.append(value)
 
     return MonetXML(
         summary=summary,
@@ -77,7 +68,5 @@ def monet_transform(document: Document) -> MonetXML:
         oid_pid=oid_pid,
         oid_parent=oid_parent,
         oid_rank=oid_rank,
-        edges=edges,
-        strings=strings,
-        ranks=ranks,
+        strings=group_rows(attr_pids, attr_oids, values),
     )

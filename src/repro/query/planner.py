@@ -37,6 +37,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
 from ..datamodel.errors import QueryPlanError
 from ..fulltext.index import cached_fulltext_index
 from ..fulltext.tokenizer import tokenize
@@ -267,20 +269,22 @@ def _cardinalities(
     ``(None, None)`` when the store cannot answer (the coordinator's
     summary-only shim) — estimates then stay ``None`` rather than lie.
     """
-    if not hasattr(store, "iter_oids") or not hasattr(store, "string_relations"):
+    if not hasattr(store, "string_runs"):
         return None, None
     generation = getattr(store, "generation", 0)
     cached = _stats_cache.get(store)
     if cached is not None and cached[0] == generation:
         return cached[1], cached[2]
-    pid_counts: Dict[int, int] = {}
-    iter_oids = getattr(store, "iter_live_oids", None) or store.iter_oids
-    for oid in iter_oids():
-        pid = store.pid_of(oid)
-        pid_counts[pid] = pid_counts.get(pid, 0) + 1
-    association_counts: Dict[int, int] = {
-        pid: relation.count() for pid, relation in store.string_relations()
-    }
+    pids, parents, _ = (np.asarray(column) for column in store.dense_columns())
+    live = parents >= 0  # a tombstoned node has no parent
+    live[store.root_oid - store.first_oid] = True
+    counts = np.bincount(pids[live])
+    present = np.flatnonzero(counts)
+    pid_counts = dict(zip(present.tolist(), counts[present].tolist()))
+    strings = store.string_runs()
+    association_counts = dict(
+        zip(strings.pids.tolist(), strings.lengths().tolist())
+    )
     _stats_cache[store] = (generation, pid_counts, association_counts)
     return pid_counts, association_counts
 

@@ -1,11 +1,10 @@
 """Snapshot store: binary columnar persistence with zero-rebuild loads.
 
-The JSON image of :mod:`repro.monet.storage` persists the *raw* store
-and pays a full re-parse of its relations plus an index rebuild on
-every process start.  This package persists the store **and** its
-derived indexes — the Euler-RMQ LCA machinery and the full-text term
-columns — as raw column buffers in one checksummed bundle, so a warm
-start is O(bytes) instead of O(rebuild):
+A snapshot bundle is the one on-disk format of a store.  It persists
+the store **and** its derived indexes — the Euler-RMQ LCA machinery
+and the full-text term columns — as raw column buffers in one
+checksummed bundle, so a warm start is O(bytes) instead of
+O(rebuild):
 
 * :mod:`repro.snapshot.format` — the versioned binary container
   (magic, format version, per-section CRC-32 checksums, ``mmap``-able

@@ -56,6 +56,17 @@ def _check_name(name: str) -> str:
     return name
 
 
+def refuse_json_image(source: FsPath) -> None:
+    """Refuse a ``.json`` source: the JSON store image of earlier
+    versions is not read; its XML rebuilds the store."""
+    if source.suffix == ".json":
+        raise StorageError(
+            f"{source} is a JSON store image, which is no longer read; "
+            "build a snapshot from the XML it came from with "
+            "`repro snapshot build <xml>`"
+        )
+
+
 class Catalog:
     """Manage the snapshot bundles of one directory.
 
@@ -327,9 +338,8 @@ class Catalog:
         shards: Optional[int] = None,
         value_indexes: Optional[Sequence[str]] = None,
     ) -> Dict[str, object]:
-        """Parse an XML file (or legacy ``.json`` image) and snapshot it."""
+        """Parse an XML file and snapshot it."""
         from ..datamodel.parser import parse_document
-        from ..monet import storage
         from ..monet.transform import monet_transform
 
         source = FsPath(source)
@@ -339,11 +349,9 @@ class Catalog:
             source_stat = source.stat()
         except OSError:
             raise StorageError(f"no such source file: {source}") from None
-        if source.suffix == ".json":
-            store = storage.load(source)
-        else:
-            text = source.read_text(encoding="utf-8")
-            store = monet_transform(parse_document(text, first_oid=1))
+        refuse_json_image(source)
+        text = source.read_text(encoding="utf-8")
+        store = monet_transform(parse_document(text, first_oid=1))
         return self.build(
             name,
             store,

@@ -46,20 +46,9 @@ first query with zero index constructions.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import (
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,9 +59,9 @@ from ..fulltext.index import (
     get_fulltext_index,
     seed_fulltext_index,
 )
-from ..monet.bat import BAT
-from ..monet.engine import MonetXML
+from ..monet.engine import MonetXML, int32_column
 from ..monet.pathsummary import ColumnarPathSummary, PathSummary
+from ..monet.relations import Runs, group_runs
 from ..valueindex import ValueIndex, get_value_index, seed_value_index
 from .deltas import apply_delta_ops, read_delta_ops
 from .format import SnapshotReader, SnapshotWriter
@@ -132,9 +121,10 @@ def _check_dense_columns(
     """Refuse dense columns that would send a gather astray.
 
     The ``edges``/``ranks`` families are gathers through these columns
-    (:class:`_DenseRegrouping`), so every pid must name a path, the
-    root's parent must be ``-1`` and every other parent an earlier OID
-    of the store — pre-order, which also makes the root the first OID.
+    (:class:`~repro.monet.relations.DenseRegrouping`), so every pid must
+    name a path, the root's parent must be ``-1`` and every other parent
+    an earlier OID of the store — pre-order, which also makes the root
+    the first OID.
     The writer runs the same check, so it never writes a bundle the
     reader would refuse.
     """
@@ -239,7 +229,7 @@ def write_snapshot(
     writer.add_json("meta", meta)
 
     def add_column(name: str, values) -> None:
-        writer.add_array(name, values, _ITEM_WIDTH)
+        writer.add_array(name, int32_column(values), _ITEM_WIDTH)
 
     # Columnar path summary: parent pid, step kind and label per pid.
     # (Not path strings — re-parsing them costs O(total path depth)
@@ -269,22 +259,11 @@ def write_snapshot(
     for name, column in zip(_STORE_SECTIONS, columns):
         add_column(name, column)
 
-    string_pids: List[int] = []
-    string_lengths: List[int] = []
-    string_oids: List[int] = []
-    string_values: List[str] = []
-    for pid in sorted(store.strings):
-        relation = store.strings[pid]
-        if not relation:
-            continue  # a loaded family has no empty runs either
-        string_pids.append(pid)
-        string_lengths.append(len(relation))
-        string_oids.extend(relation.heads)
-        string_values.extend(relation.tails)
-    add_column("strings/pids", string_pids)
-    add_column("strings/lens", string_lengths)
-    add_column("strings/oids", string_oids)
-    writer.add_strings("strings/values", string_values)
+    strings = store.string_runs()
+    add_column("strings/pids", strings.pids)
+    add_column("strings/lens", strings.lengths())
+    add_column("strings/oids", strings.heads)
+    writer.add_strings("strings/values", strings.tails)
 
     for name, column in lca.columns().items():
         add_column(f"lca/{name}", column)
@@ -351,28 +330,6 @@ def _item_width(meta: Dict[str, object], key: str = "item_width") -> int:
     return width
 
 
-class _Runs(NamedTuple):
-    """One relation family as pid-grouped flat columns.
-
-    The relation of ``pid`` is ``heads[offsets[pid]:offsets[pid + 1]]``
-    beside the same slice of ``tails``; ``pids`` lists, ascending, the
-    pids whose run is not empty — the family's keys.
-    """
-
-    pids: Sequence[int]
-    offsets: Sequence[int]
-    heads: Sequence
-    tails: Sequence
-
-
-def _runs(counts: np.ndarray, heads: Sequence, tails: Sequence) -> _Runs:
-    """The runs of pid-grouped columns holding ``counts[pid]`` rows per
-    pid."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return _Runs(np.flatnonzero(counts), offsets, heads, tails)
-
-
 def _stored_runs(
     pids: Sequence[int],
     lengths: Sequence[int],
@@ -380,7 +337,7 @@ def _stored_runs(
     tails: Sequence,
     section: str,
     path_count: int,
-) -> _Runs:
+) -> Runs:
     """The runs of a stored family, refused unless every slice through
     them stays inside its columns: pids ascending inside
     ``[1, path_count]``, lengths ≥ 0 adding up to the columns."""
@@ -399,131 +356,7 @@ def _stored_runs(
     )
     counts = np.zeros(path_count + 1, dtype=np.int64)
     counts[pids] = lengths
-    return _runs(counts, heads, tails)
-
-
-class _DenseRegrouping:
-    """The ``edges`` and ``ranks`` families of a loaded store, derived.
-
-    Both are the dense columns regrouped by pid (Def. 4's relations,
-    one per path), rows in OID order — exactly what a store built in
-    memory holds.  One stable pid order of the OID slots serves both:
-    ``ranks`` is ``(order + first_oid, rank[order])`` and ``edges`` is
-    ``(parent[order], order + first_oid)`` without the root — OIDs as
-    int64, since a leaf's OID sits in no int32 column.  It is computed
-    on the first access of either family (a bincount and a stable
-    argsort) over columns :func:`_check_dense_columns` has passed.
-    """
-
-    def __init__(
-        self,
-        columns: Sequence[Sequence[int]],
-        first_oid: int,
-        root_index: int,
-        path_count: int,
-    ):
-        self._columns = columns
-        self._first_oid = first_oid
-        self._root_index = root_index
-        self._path_count = path_count
-        self._order = None
-
-    def _ordered(self):
-        """(rows per pid, OID slots in stable pid order)."""
-        if self._order is None:
-            pids = np.asarray(self._columns[0])
-            self._order = (
-                np.bincount(pids, minlength=self._path_count + 1),
-                np.argsort(pids, kind="stable"),
-            )
-        return self._order
-
-    def ranks(self) -> _Runs:
-        counts, order = self._ordered()
-        return _runs(
-            counts,
-            order + self._first_oid,
-            np.asarray(self._columns[2])[order],
-        )
-
-    def edges(self) -> _Runs:
-        counts, order = self._ordered()
-        root = self._root_index
-        counts = counts.copy()
-        counts[self._columns[0][root]] -= 1
-        order = order[order != root]
-        return _runs(
-            counts,
-            np.asarray(self._columns[1])[order],
-            order + self._first_oid,
-        )
-
-
-class _LazyRelationFamily(Mapping):
-    """pid → BAT over pid-grouped flat columns, materialized on access.
-
-    A loaded store carries one relation per path — tens of thousands of
-    tiny BATs — but a query touches only the handful its hit paths
-    name.  The family is its :class:`_Runs` — a per-pid offsets column
-    over two flat columns, no per-pid object — obtained from ``runs``
-    on first use (deriving ``edges``/``ranks`` costs a sort, and the
-    nearest-concept path never asks), and each BAT is built, then
-    memoized, on first access.  Read-only by design, like the dicts of
-    a store built in memory.
-    """
-
-    __slots__ = ("_derive", "_runs", "_cache")
-
-    def __init__(self, runs: Callable[[], _Runs]):
-        self._derive = runs
-        self._runs: Optional[_Runs] = None
-        self._cache: Dict[int, BAT] = {}
-
-    def _bound(self) -> _Runs:
-        runs = self._runs
-        if runs is None:
-            # Racing first readers may both derive; each publishes a
-            # whole _Runs, so none sees a half-built one.
-            runs = self._runs = self._derive()
-        return runs
-
-    def _span(self, pid: object) -> Optional[Tuple[int, int]]:
-        offsets = self._bound().offsets
-        try:
-            pid = operator.index(pid)
-        except TypeError:
-            return None
-        if not 0 < pid < len(offsets) - 1:
-            return None
-        start, stop = int(offsets[pid]), int(offsets[pid + 1])
-        return (start, stop) if start < stop else None
-
-    def __getitem__(self, pid: int) -> BAT:
-        cached = self._cache.get(pid)
-        if cached is not None:
-            return cached
-        span = self._span(pid)
-        if span is None:
-            raise KeyError(pid)  # the Mapping contract
-        runs = self._bound()
-        heads = runs.heads[span[0] : span[1]]
-        tails = runs.tails[span[0] : span[1]]
-        relation = BAT.from_columns(
-            heads.tolist() if hasattr(heads, "tolist") else list(heads),
-            tails.tolist() if hasattr(tails, "tolist") else list(tails),
-            copy=False,
-        )
-        self._cache[pid] = relation
-        return relation
-
-    def __iter__(self):
-        return iter(self._bound().pids.tolist())
-
-    def __len__(self) -> int:
-        return len(self._bound().pids)
-
-    def __contains__(self, pid: object) -> bool:
-        return self._span(pid) is not None
+    return group_runs(counts, heads, tails)
 
 
 def _rebuild_summary(reader: SnapshotReader, width: int) -> PathSummary:
@@ -555,7 +388,6 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
     _check_dense_columns(
         columns, node_count, root_index, first_oid, path_count
     )
-    regrouped = _DenseRegrouping(columns, first_oid, root_index, path_count)
     strings = _stored_runs(
         reader.array("strings/pids", width),
         reader.array("strings/lens", width),
@@ -572,9 +404,7 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
         oid_pid=oid_pid,
         oid_parent=oid_parent,
         oid_rank=oid_rank,
-        edges=_LazyRelationFamily(regrouped.edges),
-        strings=_LazyRelationFamily(lambda: strings),
-        ranks=_LazyRelationFamily(regrouped.ranks),
+        strings=strings,
     )
 
 

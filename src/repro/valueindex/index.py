@@ -142,15 +142,11 @@ class ValueIndex:
     def _build(self) -> None:
         global _builds
         _builds += 1
-        for pid, relation in self.store.string_relations():
-            oids = array("q")
-            values: List[str] = []
-            for oid, value in relation:
-                oids.append(oid)
-                values.append(value)
-            if oids:
-                self._paths[pid] = _PathValues(oids, values)
-                self._entry_count += len(oids)
+        strings = self.store.string_runs()
+        for pid in strings.pids.tolist():
+            oids, values = strings.run(pid)
+            self._paths[pid] = _PathValues(array("q", oids.tolist()), values)
+            self._entry_count += len(values)
 
     # -- persistence (the snapshot store's contract) --------------------
     def iter_path_columns(

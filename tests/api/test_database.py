@@ -17,7 +17,7 @@ from repro.api import Database, DatabaseOptions
 from repro.api.envelopes import NearestRequest, QueryRequest, ResultEnvelope
 from repro.cli import main as cli_main
 from repro.core.engine import NearestConceptEngine
-from repro.datamodel.errors import ReproError
+from repro.datamodel.errors import ReproError, StorageError
 from repro.datamodel.serializer import serialize
 from repro.datasets import (
     DblpConfig,
@@ -30,7 +30,6 @@ from repro.datasets import (
 )
 from repro.datasets.randomtree import random_document
 from repro.fulltext.search import SearchEngine
-from repro.monet import storage
 from repro.monet.transform import monet_transform
 from repro.query.executor import QueryProcessor
 
@@ -64,12 +63,11 @@ class TestOpenResolution:
         assert db.backend_name == "steered" and db.case_sensitive is False
         assert db.node_count == 19
 
-    def test_legacy_json_image(self, xml_file, tmp_path):
+    def test_legacy_json_image(self, tmp_path):
         image = tmp_path / "bib.json"
-        storage.save(monet_transform(figure1_document()), image)
-        db = Database.open(image)
-        assert db.origin == "json image"
-        assert db.node_count == 19
+        image.write_text('{"format": "repro-monet-xml"}', encoding="utf-8")
+        with pytest.raises(StorageError, match="repro snapshot build <xml>"):
+            Database.open(image)
 
     def test_snap_file(self, built_catalog):
         bundle = built_catalog / "bib.snap"

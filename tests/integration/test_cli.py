@@ -1,7 +1,5 @@
 """Integration tests for the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import main
@@ -91,20 +89,18 @@ class TestQuery:
         assert "plan over" in capsys.readouterr().out
 
 
-class TestShredAndReload:
-    def test_shred_then_search_image(self, xml_file, tmp_path, capsys):
-        image = str(tmp_path / "store.json")
-        assert main(["shred", xml_file, image]) == 0
-        capsys.readouterr()
-        # the JSON image is a valid persisted store …
-        payload = json.loads(open(image).read())
-        assert payload["format"] == "repro-monet-xml"
-        # … and directly queryable
-        assert main(["search", image, "Bit", "1999"]) == 0
-        assert "<article>" in capsys.readouterr().out
-
-
 class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["describe", "/no/such/file.xml"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_json_source_names_the_rebuild(self, tmp_path, capsys):
+        image = tmp_path / "bib.json"
+        image.write_text('{"format": "repro-monet-xml"}', encoding="utf-8")
+        catalog = str(tmp_path / "catalog")
+        for argv in (
+            ["search", str(image), "Bit", "1999", "--catalog", catalog],
+            ["snapshot", "build", str(image), "--catalog", catalog],
+        ):
+            assert main(argv) == 2
+            assert "repro snapshot build <xml>" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """End-to-end ``--backend`` coverage: the CLI must produce identical
-answers with either backend, on XML inputs and persisted Monet images,
-and the per-store LCA index cache must be rebuilt when a store is
+answers with either backend, on XML inputs and snapshot bundles, and
+the per-store LCA index cache must be rebuilt when a store is
 rebuilt or invalidated.
 """
 
@@ -15,7 +15,6 @@ from repro.core.lca_index import (
 )
 from repro.datamodel.serializer import serialize
 from repro.datasets import figure1_document
-from repro.monet import storage
 from repro.monet.transform import monet_transform
 
 XML = serialize(figure1_document())
@@ -66,9 +65,10 @@ class TestSearchBackendFlag:
         assert "invalid choice: 'indexed'" in capsys.readouterr().err
 
     def test_vector_on_persisted_image(self, xml_file, tmp_path, capsys):
-        image = str(tmp_path / "bib.json")
-        assert main(["shred", xml_file, image]) == 0
+        catalog = str(tmp_path / "catalog")
+        assert main(["snapshot", "build", xml_file, "bib", "--catalog", catalog]) == 0
         capsys.readouterr()
+        image = str(tmp_path / "catalog" / "bib.snap")
         assert main(["search", image, "Bit", "1999", "--backend", "vector"]) == 0
         assert "<article>" in capsys.readouterr().out
 
@@ -87,11 +87,8 @@ class TestIndexCacheLifecycle:
         assert main(["search", xml_file, "Bit", "1999", "--backend", "vector"]) == 0
         assert lca_index_cache_info().builds == 1
 
-    def test_rebuilt_store_gets_fresh_index(self, xml_file, tmp_path):
-        image = str(tmp_path / "bib.json")
-        assert main(["shred", xml_file, image]) == 0
-
-        first_store = storage.load(image)
+    def test_rebuilt_store_gets_fresh_index(self):
+        first_store = monet_transform(figure1_document())
         engine = NearestConceptEngine(first_store, backend="vector")
         engine.nearest_concepts("Bit", "1999")
         assert lca_index_cache_info().builds == 1
@@ -101,9 +98,9 @@ class TestIndexCacheLifecycle:
         assert lca_index_cache_info().builds == 1
         assert lca_index_cache_info().hits >= 1
 
-        # Reloading the image is a rebuild: a distinct store object
-        # (new generation) must not see the old index.
-        second_store = storage.load(image)
+        # Re-transforming the document is a rebuild: a distinct store
+        # object (new generation) must not see the old index.
+        second_store = monet_transform(figure1_document())
         second_engine = NearestConceptEngine(second_store, backend="vector")
         assert second_engine.nearest_concepts(
             "Bit", "1999"

@@ -121,19 +121,12 @@ class TestServeFromSnapshot:
         ) == 2
         assert "pass only the query string" in capsys.readouterr().err
 
-    def test_describe_and_shred_report_load_path(
-        self, built, xml_file, tmp_path, capsys
-    ):
+    def test_describe_reports_load_path(self, built, xml_file, capsys):
         assert main(
             ["describe", xml_file, "--catalog", built, "--stats"]
         ) == 0
         captured = capsys.readouterr()
         assert "loaded via snapshot" in captured.err and "nodes:" in captured.out
-        image = str(tmp_path / "out.json")
-        assert main(
-            ["shred", xml_file, image, "--catalog", built, "--stats"]
-        ) == 0
-        assert "loaded via snapshot" in capsys.readouterr().err
 
     def test_query_snapshot_flag(self, built, capsys):
         query = (
@@ -218,27 +211,6 @@ class TestCatalogPreference:
             ["search", xml_file, "Bit", "1999", "--catalog", built, "--stats"]
         ) == 0
         assert "loaded via parse" in capsys.readouterr().err
-
-    def test_json_image_prefers_catalog_hit(
-        self, catalog_dir, tmp_path, capsys
-    ):
-        from repro.monet import storage
-        from repro.monet.transform import monet_transform
-        from repro.datasets import figure1_document
-
-        image = tmp_path / "bib.json"
-        storage.save(monet_transform(figure1_document()), image)
-        assert main(
-            ["snapshot", "build", str(image), "img", "--catalog", catalog_dir]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["search", str(image), "Bit", "1999", "--catalog", catalog_dir,
-             "--stats"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "loaded via snapshot" in captured.err
-        assert "<article>" in captured.out
 
     def test_corrupt_catalog_falls_back_to_parse(self, built, xml_file, capsys):
         # The probe is best-effort: a broken manifest must not take

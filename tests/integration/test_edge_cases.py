@@ -12,7 +12,7 @@ from repro.datamodel.builder import DocumentBuilder
 from repro.datamodel.parser import parse_document
 from repro.datamodel.serializer import serialize
 from repro.monet import monet_transform
-from repro.monet.storage import dumps, loads
+from repro.snapshot import read_snapshot, write_snapshot
 
 
 class TestDeepChain:
@@ -45,9 +45,11 @@ class TestDeepChain:
         text = serialize(parse_document(serialize_via(rebuilt)))
         assert "needle bottom" in text
 
-    def test_storage_roundtrip(self, deep_store):
-        clone = loads(dumps(deep_store))
-        assert clone.node_count == deep_store.node_count
+    def test_storage_roundtrip(self, deep_store, tmp_path):
+        write_snapshot(deep_store, tmp_path / "chain.snap")
+        clone = read_snapshot(tmp_path / "chain.snap").store
+        for loaded, built in zip(clone.dense_columns(), deep_store.dense_columns()):
+            assert list(loaded) == list(built)
 
 
 def serialize_via(node):
@@ -119,9 +121,10 @@ class TestUnicode:
         assert len(concepts) == 1
         assert concepts[0].tag == "cdata"
 
-    def test_unicode_roundtrip_through_storage(self):
+    def test_unicode_roundtrip_through_storage(self, tmp_path):
         store = monet_transform(parse_document(self.XML))
-        clone = loads(dumps(store))
+        write_snapshot(store, tmp_path / "unicode.snap")
+        clone = read_snapshot(tmp_path / "unicode.snap").store
         engine = NearestConceptEngine(clone)
         assert engine.term_hits("Saramago").oids()
 

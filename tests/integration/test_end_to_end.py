@@ -5,7 +5,7 @@ from repro.datamodel.parser import parse_document
 from repro.datamodel.serializer import serialize
 from repro.monet import monet_transform
 from repro.monet.reassembly import reassemble_subtree
-from repro.monet.storage import dumps, loads
+from repro.snapshot import read_snapshot, write_snapshot
 
 CATALOG = """
 <catalog>
@@ -69,8 +69,9 @@ class TestFullPipeline:
         assert xml.startswith("<book")
         assert "Boncz" in xml
 
-    def test_persistence_round_trip_preserves_answers(self):
-        clone = loads(dumps(self.store))
+    def test_persistence_round_trip_preserves_answers(self, tmp_path):
+        write_snapshot(self.store, tmp_path / "catalog.snap")
+        clone = read_snapshot(tmp_path / "catalog.snap").store
         engine = NearestConceptEngine(clone)
         original = [c.oid for c in self.engine.nearest_concepts("Boncz", "1999")]
         reloaded = [c.oid for c in engine.nearest_concepts("Boncz", "1999")]

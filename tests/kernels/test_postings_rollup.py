@@ -17,7 +17,6 @@ from repro.datasets.textpool import TECH_NOUNS
 from repro.fulltext.index import clear_fulltext_index_cache
 from repro.fulltext.search import SearchEngine
 from repro.kernels.postings import (
-    group_boundaries,
     intersect_columns,
     union_columns,
 )
@@ -76,14 +75,6 @@ class TestPostingsAlgebra:
             assert [column.tolist() for column in narrow] == [
                 column.tolist() for column in wide
             ]
-        uniques, starts = group_boundaries(memoryview(array("i", [1, 1, 4])))
-        assert (uniques.tolist(), starts.tolist()) == ([1, 4], [0, 2])
-
-    def test_group_boundaries(self):
-        sorted_pids = np.asarray([1, 1, 4, 4, 4, 9], dtype=np.int64)
-        uniques, starts = group_boundaries(sorted_pids)
-        assert uniques.tolist() == [1, 4, 9]
-        assert starts.tolist() == [0, 2, 5]
 
     def test_randomized_against_python_sets(self):
         rng = random.Random(3)

@@ -1,13 +1,19 @@
 """Access-path planning: choices, estimates, describe() and rebinding."""
 
+from collections import Counter
+
 import pytest
 
+from repro.datasets import figure1_document
+from repro.monet.mutate import delete_document, put_document
+from repro.monet.transform import monet_transform
 from repro.query.executor import QueryProcessor
 from repro.query.parser import parse_query
 from repro.query.planner import (
     ACCESS_FULLTEXT,
     ACCESS_SCAN,
     ACCESS_VALUE_INDEX,
+    _cardinalities,
     plan_query,
 )
 from repro.valueindex import clear_value_index_cache, get_value_index
@@ -91,6 +97,28 @@ class TestEstimates:
         assert condition_plan(plan).estimated_rows is None
         # Planning peeks; only execution pays a build.
         assert value_index_cache_info().builds == 0
+
+    @pytest.mark.parametrize("writes", [0, 3])
+    def test_cardinalities_count_the_live_store(self, writes):
+        store = monet_transform(figure1_document())
+        memos = [
+            "<memo><title>Bit Shift</title><year>1999</year></memo>",
+            "<memo key='m2'><title>Byte</title></memo>",
+        ]
+        for step in range(writes):
+            if step < len(memos):
+                put_document(store, f"memo-{step}", memos[step])
+            else:
+                delete_document(store, "memo-0")
+        live = list(store.iter_live_oids())
+        associations = Counter(
+            store.summary.pid(store.path_of(oid).attribute(name))
+            for oid in live
+            for name in store.attributes_of(oid)
+        )
+        pid_counts, association_counts = _cardinalities(store)
+        assert pid_counts == Counter(store.pid_of(oid) for oid in live)
+        assert association_counts == associations
 
     def test_unbound_parameter_estimates_none(self, figure1_store):
         plan = plan_query(

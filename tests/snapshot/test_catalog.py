@@ -31,13 +31,12 @@ class TestLifecycle:
         assert snapshot.store.node_count == 19
         assert snapshot.engine().nearest_concepts("Bit", "1999")
 
-    def test_ingest_json_image(self, catalog, xml_file, tmp_path, figure1_store):
-        from repro.monet import storage
-
+    def test_ingest_json_image(self, catalog, tmp_path):
         image = tmp_path / "bib.json"
-        storage.save(figure1_store, image)
-        meta = catalog.ingest("from-json", image)
-        assert meta["node_count"] == figure1_store.node_count
+        image.write_text('{"format": "repro-monet-xml"}', encoding="utf-8")
+        with pytest.raises(StorageError, match="repro snapshot build <xml>"):
+            catalog.ingest("from-json", image)
+        assert "from-json" not in catalog
 
     def test_list_and_contains(self, catalog, xml_file):
         assert catalog.names() == []
@@ -109,13 +108,6 @@ class TestFindSource:
         catalog.ingest("bib", xml_file)
         assert catalog.find_source(xml_file) is None
 
-    def test_json_image_source_hits(self, catalog, tmp_path, figure1_store):
-        from repro.monet import storage
-
-        image = tmp_path / "bib.json"
-        storage.save(figure1_store, image)
-        catalog.ingest("from-json", image)
-        assert catalog.find_source(image) == "from-json"
 
 
 class TestErrors:

@@ -4,7 +4,8 @@
   ``int32`` (``meta["item_width"]``);
 * a loaded store's relation families equal a fresh parse's for every
   pid of every bundled dataset, monolithic and sliced into 1, 2 and 4
-  shards, and the nearest-concept path never derives ``edges``/``ranks``;
+  shards, are of the same type, and write the same bundle back; the
+  nearest-concept path never derives ``edges``/``ranks``;
 * a bundle in the previous layout (int64 columns, stored ``edges/*``
   and ``ranks/*``) opens through the same read path, answers byte for
   byte like a fresh build with zero index builds, and takes writes;
@@ -88,7 +89,12 @@ def test_loaded_families_equal_a_fresh_parse(tmp_path, dataset):
     fresh = monet_transform(DATASETS[dataset]())
     path = tmp_path / f"{dataset}.snap"
     write_snapshot(fresh, path)
-    assert_same_families(read_snapshot(path).store, fresh)
+    loaded = read_snapshot(path).store
+    assert_same_families(loaded, fresh)
+    for family in ("edges", "strings", "ranks"):
+        assert type(getattr(loaded, family)) is type(getattr(fresh, family))
+    write_snapshot(loaded, tmp_path / f"{dataset}.again.snap")
+    assert (tmp_path / f"{dataset}.again.snap").read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
