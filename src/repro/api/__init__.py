@@ -3,8 +3,8 @@
 Three tiers, outermost first:
 
 * :class:`Database` / :func:`open` — resolve *any* supported source
-  (XML file, ``.snap`` snapshot bundle, catalog collection) behind one call and query it through typed
-  request/response envelopes.
+  (XML file, ``.snap`` snapshot bundle, catalog collection) behind
+  one call and query it through typed request/response envelopes.
 * :mod:`repro.api.server` — an embedded HTTP/JSON service
   (:class:`~repro.api.server.ReproServer`) exposing the same envelopes
   over ``POST /v1/search|/v1/nearest|/v1/query`` plus

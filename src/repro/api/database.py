@@ -273,11 +273,11 @@ class Database:
         """Resolve and load any supported source behind one call.
 
         ``source`` may be an XML file, a ``.snap`` snapshot bundle, or
-        the name of a catalog collection; ``snapshot=`` forces bundle/collection resolution
-        (the CLI's ``--snapshot``).  Keyword ``overrides`` (``backend=``,
-        ``case_sensitive=``, ``cache=``, ``catalog=``, ``mmap=``,
-        ``max_rows=``, ``shards=``, ``workers=``) are applied on top of
-        ``options``.
+        the name of a catalog collection; ``snapshot=`` forces
+        bundle/collection resolution (the CLI's ``--snapshot``).
+        Keyword ``overrides`` (``backend=``, ``case_sensitive=``,
+        ``cache=``, ``catalog=``, ``mmap=``, ``max_rows=``, ``shards=``,
+        ``workers=``) are applied on top of ``options``.
         """
         options = options or DatabaseOptions()
         if overrides:

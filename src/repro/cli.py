@@ -23,8 +23,8 @@ Live writes append delta sections to the collection's bundle and are
 replayed on the next open; ``compact`` folds them into a fresh dense
 base generation behind the catalog's crash-safe manifest flip.
 
-Source resolution (XML vs ``.snap`` bundle vs catalog collection, including the fresh-catalog-hit preference over
-re-parsing) lives in :func:`repro.api.resolve.resolve_source` — the
+Source resolution (XML vs ``.snap`` bundle vs catalog collection,
+including the fresh-catalog-hit preference over re-parsing) lives in :func:`repro.api.resolve.resolve_source` — the
 CLI only names the source and renders the result; ``--stats`` reports
 which load path was taken.
 

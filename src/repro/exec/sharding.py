@@ -225,8 +225,8 @@ def slice_store(store: MonetXML, plan: ShardPlan) -> List[MonetXML]:
 
     Each shard shares the parent store's path summary instance and
     keeps the original OIDs; see the module docstring for the
-    stand-in-root scheme.  A shard's dense columns are a slice of the
-    store's behind its stand-in row, and its string runs the rows whose
+    stand-in-root scheme.  A shard's dense columns are its stand-in row
+    followed by a slice of the store's, and its string runs the rows whose
     owner lies in its range — the true root's go to shard 0, whose
     stand-in it is.  The slices are plain stores: they snapshot, index
     and validate like any other.
@@ -235,11 +235,12 @@ def slice_store(store: MonetXML, plan: ShardPlan) -> List[MonetXML]:
         raise ShardingError("shard plan does not describe this store")
     root = store.root_oid
     root_index = root - store.first_oid
-    pid_col, parent_col, rank_col = (
-        np.asarray(column) for column in store.dense_columns()
-    )
+    pid_col, parent_col, rank_col = map(np.asarray, store.dense_columns())
     strings = store.string_runs()
     owners = np.asarray(strings.heads)
+
+    def prefixed(stand_in_value, column):
+        return int32_column(np.concatenate(([stand_in_value], column)))
 
     shards: List[MonetXML] = []
     for shard_id, (lo, hi) in enumerate(zip(plan.starts, plan.ends)):
@@ -252,15 +253,11 @@ def slice_store(store: MonetXML, plan: ShardPlan) -> List[MonetXML]:
                 summary=store.summary,
                 root_oid=stand_in,
                 first_oid=stand_in,
-                oid_pid=int32_column(
-                    np.concatenate((pid_col[root_index : root_index + 1], pid_col[span]))
+                oid_pid=prefixed(pid_col[root_index], pid_col[span]),
+                oid_parent=prefixed(
+                    -1, np.where(parents == root, stand_in, parents)
                 ),
-                oid_parent=int32_column(
-                    np.concatenate(([-1], np.where(parents == root, stand_in, parents)))
-                ),
-                oid_rank=int32_column(
-                    np.concatenate((rank_col[root_index : root_index + 1], rank_col[span]))
-                ),
+                oid_rank=prefixed(rank_col[root_index], rank_col[span]),
                 strings=strings.where((owners >= low) & (owners < hi)),
             )
         )

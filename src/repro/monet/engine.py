@@ -50,7 +50,7 @@ def int32_column(values: Iterable[int] = ()) -> array:
     """
     column = array("i")
     if isinstance(values, np.ndarray):
-        column.frombytes(np.ascontiguousarray(values, dtype=np.int32).tobytes())
+        column.frombytes(np.asarray(values, dtype=np.int32).tobytes())
     elif isinstance(values, memoryview) and values.format == "i":
         column.frombytes(values.cast("B"))
     else:
@@ -185,8 +185,9 @@ class MonetXML:
     # -- relations ---------------------------------------------------------
     def _bind_families(self) -> None:
         """Fresh relation-family views over the current columns."""
+        root_index = self.root_oid - self.first_oid
         regrouped = DenseRegrouping(
-            self.dense_columns(), self.first_oid, self.root_oid - self.first_oid
+            self.dense_columns(), self.first_oid, root_index
         )
         strings = self._string_runs
         self.edges = LazyRelationFamily(regrouped.edges)
@@ -416,7 +417,7 @@ class MonetXML:
         Def. 4's), and every string association must hang off a node
         on its attribute path's parent.
         """
-        pids, parents, _ = (np.asarray(column) for column in self.dense_columns())
+        pids, parents, _ = map(np.asarray, self.dense_columns())
         children = np.flatnonzero(parents >= 0)
         positions = parents[children].astype(np.int64) - self.first_oid
         inside = (positions >= 0) & (positions < len(pids))

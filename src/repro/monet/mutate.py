@@ -345,7 +345,9 @@ def compact_store(
     live = np.ones(store.node_count, dtype=bool)
     for low, high in store.tombstone_ranges():
         live[low - first : high - first + 1] = False
-    pids, parents, ranks = (np.asarray(column)[live] for column in store.dense_columns())
+    pids, parents, ranks = (
+        np.asarray(column)[live] for column in store.dense_columns()
+    )
     linked = parents >= 0
     parents[linked] = renumbered(parents[linked])
     strings = store.string_runs()

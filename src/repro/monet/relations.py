@@ -26,7 +26,13 @@ import numpy as np
 
 from .bat import BAT
 
-__all__ = ["Runs", "group_runs", "group_rows", "DenseRegrouping", "LazyRelationFamily"]
+__all__ = [
+    "Runs",
+    "group_runs",
+    "group_rows",
+    "DenseRegrouping",
+    "LazyRelationFamily",
+]
 
 
 class Runs(NamedTuple):
@@ -47,12 +53,6 @@ class Runs(NamedTuple):
     def lengths(self) -> np.ndarray:
         """Rows per pid of :attr:`pids`."""
         return np.diff(self.offsets)[self.pids]
-
-    def counts(self, size: int) -> np.ndarray:
-        """Rows per pid for pids ``0 .. size - 1``."""
-        counts = np.zeros(max(size, len(self.offsets) - 1), dtype=np.int64)
-        counts[: len(self.offsets) - 1] = np.diff(self.offsets)
-        return counts
 
     def run(self, pid: int) -> Tuple[Sequence, Sequence]:
         """The (heads, tails) run of ``pid`` as two slices."""
@@ -80,13 +80,15 @@ class Runs(NamedTuple):
         pids = np.asarray(pids, dtype=np.int64)
         order = np.argsort(pids, kind="stable")
         pids = pids[order]
-        at = self.offsets[np.minimum(pids + 1, len(self.offsets) - 1)]
-        counts = self.counts(int(pids[-1]) + 1)
-        counts += np.bincount(pids, minlength=len(counts))
+        bound = len(self.offsets) - 1
+        at = self.offsets[np.minimum(pids + 1, bound)]
+        counts = np.bincount(pids, minlength=bound)
+        counts[:bound] += np.diff(self.offsets)
+        order = order.tolist()
         return group_runs(
             counts,
             np.insert(np.asarray(self.heads), at, np.asarray(heads)[order]),
-            _spliced(self.tails, at.tolist(), [tails[i] for i in order.tolist()]),
+            _spliced(self.tails, at.tolist(), [tails[i] for i in order]),
         )
 
 
@@ -197,7 +199,7 @@ class LazyRelationFamily(Mapping):
         self._runs: Optional[Runs] = None
         self._cache: Dict[int, BAT] = {}
 
-    def bound(self) -> Runs:
+    def _bound(self) -> Runs:
         """The family's runs, derived on first use."""
         runs = self._runs
         if runs is None:
@@ -207,7 +209,7 @@ class LazyRelationFamily(Mapping):
         return runs
 
     def _span(self, pid: object) -> Optional[Tuple[int, int]]:
-        offsets = self.bound().offsets
+        offsets = self._bound().offsets
         try:
             pid = operator.index(pid)
         except TypeError:
@@ -224,7 +226,7 @@ class LazyRelationFamily(Mapping):
         span = self._span(pid)
         if span is None:
             raise KeyError(pid)  # the Mapping contract
-        runs = self.bound()
+        runs = self._bound()
         heads = runs.heads[span[0] : span[1]]
         tails = runs.tails[span[0] : span[1]]
         relation = BAT.from_columns(
@@ -236,10 +238,10 @@ class LazyRelationFamily(Mapping):
         return relation
 
     def __iter__(self):
-        return iter(self.bound().pids.tolist())
+        return iter(self._bound().pids.tolist())
 
     def __len__(self) -> int:
-        return len(self.bound().pids)
+        return len(self._bound().pids)
 
     def __contains__(self, pid: object) -> bool:
         return self._span(pid) is not None

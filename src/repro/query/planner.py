@@ -275,7 +275,7 @@ def _cardinalities(
     cached = _stats_cache.get(store)
     if cached is not None and cached[0] == generation:
         return cached[1], cached[2]
-    pids, parents, _ = (np.asarray(column) for column in store.dense_columns())
+    pids, parents, _ = map(np.asarray, store.dense_columns())
     live = parents >= 0  # a tombstoned node has no parent
     live[store.root_oid - store.first_oid] = True
     counts = np.bincount(pids[live])
