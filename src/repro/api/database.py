@@ -23,8 +23,9 @@ answers are identical (including ranking order) to direct calls.
 
 With ``shards=`` / ``workers=`` (or a catalog collection built with
 ``snapshot build --shards N``) the same surfaces run on the execution
-layer instead: per-shard work as a pure function of a shard handle
-(:mod:`repro.exec.service`), executed serially or on a process pool
+layer instead: per-shard work as a pure function of the one store and
+a shard's OID range (:mod:`repro.exec.service`), executed serially or
+on a process pool
 (:mod:`repro.exec.executors`), merged by the coordinator
 (:mod:`repro.exec.coordinator`) — with answers and ranking order
 byte-identical to the monolithic path by construction and by the
@@ -73,8 +74,8 @@ from ..datamodel.errors import (
 from ..datamodel.parser import parse_fragment
 from ..exec.coordinator import ShardedCollection
 from ..exec.executors import ParallelExecutor, SerialExecutor
-from ..exec.service import ShardService
-from ..exec.sharding import ShardPlan, compute_shard_plan, slice_store
+from ..exec.service import shard_services
+from ..exec.sharding import ShardPlan, compute_shard_plan
 from ..fulltext.search import SearchEngine
 from ..monet.engine import MonetXML
 from ..monet.mutate import (
@@ -88,8 +89,9 @@ from ..obs.metrics import CallbackGauge, Counter, Gauge
 from ..query.ast import Query
 from ..query.executor import QueryProcessor, QueryResult
 from ..query.parser import parse_query
-from ..snapshot.codec import Snapshot, read_snapshot, write_snapshot
+from ..snapshot.codec import Snapshot, write_snapshot
 from ..snapshot.deltas import DeltaOp, append_delta
+from ..snapshot.sharded import LAYOUT_KEY, bundle_plan, recorded_plan
 from .envelopes import (
     ExecuteRequest,
     NearestRequest,
@@ -222,8 +224,8 @@ class Database:
         self._processor: Optional[QueryProcessor] = None
         #: Readers share; put/delete/replace/compact take the write side.
         self._rw = _RWLock()
-        #: For in-memory sharded serving (workers=0): the unsliced store
-        #: mutations apply to before the shard fabric is rebuilt.
+        #: For in-memory sharded serving (workers=0): the store mutations
+        #: apply to before the shard services are rebound to it.
         self._base_store: Optional[MonetXML] = None
         self._delta_path: Optional[FsPath] = None
         self._mutable_catalog: Optional[Tuple[FsPath, str]] = None
@@ -291,13 +293,17 @@ class Database:
             use_mmap=options.mmap,
         )
         source_name = None if source is None else str(source)
-        if resolved.sharded is not None:
-            return cls._open_sharded_bundles(
-                resolved, options, source_name, started
-            )
-        if options.effective_shards is not None:
-            return cls._open_sharded_store(
-                resolved, options, source_name, started
+        snapshot = resolved.snapshot
+        # Through a catalog the manifest entry is authoritative: a
+        # rebuild that dies before its manifest flip may leave a bundle
+        # recording a layout the collection does not have yet.
+        plan = None
+        if snapshot is not None:
+            meta = snapshot.meta
+            plan = recorded_plan(meta.get("collection_meta", meta))
+        if plan is not None or options.effective_shards is not None:
+            return cls._open_sharded(
+                resolved, plan, options, source_name, started
             )
         return cls(
             resolved.store,
@@ -307,119 +313,6 @@ class Database:
             source=source_name,
             load_seconds=time.perf_counter() - started,
         )
-
-    @classmethod
-    def _open_sharded_bundles(
-        cls,
-        resolved: ResolvedSource,
-        options: DatabaseOptions,
-        source_name: Optional[str],
-        started: float,
-    ) -> "Database":
-        """A catalog collection persisted as shard bundles."""
-        from ..snapshot.sharded import read_snapshot_header
-
-        bundles = resolved.sharded
-        plan = ShardPlan.from_dict(bundles.layout)
-        # Only an *explicit* shards= can conflict with the persisted
-        # layout; the worker count is independent of the shard count.
-        requested = options.shards
-        if requested is not None and requested != plan.shard_count:
-            raise ReproError(
-                f"collection is persisted as {plan.shard_count} shard(s); "
-                f"rebuild it (snapshot build --shards {requested}) to "
-                "change the layout"
-            )
-        case_sensitive = (
-            bundles.case_sensitive
-            if options.case_sensitive is None
-            else bool(options.case_sensitive)
-        )
-        backend_name = options.backend or SNAPSHOT_DEFAULT_BACKEND
-
-        def _check_layout(meta: Dict[str, object], path) -> None:
-            # A crash mid-rebuild can leave bundles of one generation
-            # under a manifest of another; refuse loudly rather than
-            # scatter-gather over a mixed set.
-            from ..snapshot.sharded import layout_from_meta
-
-            if layout_from_meta(meta) != plan:
-                raise ReproError(
-                    f"shard bundle {path} does not match the catalog's "
-                    "recorded layout; rebuild the collection "
-                    "(snapshot build --shards N)"
-                )
-
-        if options.cluster is not None or options.replicas > 0:
-            meta, summary = read_snapshot_header(bundles.paths[0])
-            _check_layout(meta, bundles.paths[0])
-            if options.cluster is not None:
-                executor = cls._cluster_executor_from_addresses(
-                    options.cluster, plan.shard_count
-                )
-            else:
-                executor = cls._replicated_executor(
-                    bundles.paths,
-                    options.replicas,
-                    case_sensitive=case_sensitive,
-                    backend=backend_name,
-                )
-            generations = (bundles.generation,) * plan.shard_count
-        elif options.workers > 0:
-            meta, summary = read_snapshot_header(bundles.paths[0])
-            _check_layout(meta, bundles.paths[0])
-            executor = ParallelExecutor(
-                bundles.paths,
-                workers=options.workers,
-                case_sensitive=case_sensitive,
-                backend=backend_name,
-                use_mmap=True,
-            )
-            generations = (bundles.generation,) * plan.shard_count
-        else:
-            snapshots = [
-                read_snapshot(path, use_mmap=options.mmap)
-                for path in bundles.paths
-            ]
-            for snapshot, path in zip(snapshots, bundles.paths):
-                _check_layout(snapshot.meta, path)
-            meta = snapshots[0].meta
-            summary = snapshots[0].store.summary
-            executor = SerialExecutor(
-                [
-                    ShardService(
-                        snap.store,
-                        shard_id=index,
-                        case_sensitive=case_sensitive,
-                        backend=backend_name,
-                    )
-                    for index, snap in enumerate(snapshots)
-                ]
-            )
-            generations = tuple(
-                snap.store.generation for snap in snapshots
-            )
-        sharded = ShardedCollection(
-            plan,
-            summary,
-            executor,
-            case_sensitive=case_sensitive,
-            backend_name=backend_name,
-            generations=generations,
-            cache=resolve_result_cache(options.cache),
-            max_rows=options.max_rows,
-        )
-        database = cls(
-            options=options,
-            origin=resolved.origin,
-            source=source_name,
-            load_seconds=time.perf_counter() - started,
-            sharded=sharded,
-        )
-        declared = meta.get("value_indexes")
-        if isinstance(declared, list):
-            database._value_indexes = [str(pattern) for pattern in declared]
-        return database
 
     @staticmethod
     def _cluster_executor_from_addresses(cluster, shard_count: int):
@@ -446,7 +339,8 @@ class Database:
 
     @staticmethod
     def _replicated_executor(
-        bundle_paths,
+        bundle: FsPath,
+        plan: ShardPlan,
         replicas: int,
         *,
         case_sensitive: bool,
@@ -454,11 +348,11 @@ class Database:
     ):
         """Spawn and supervise ``replicas`` socket workers per shard.
 
-        Each worker process loads exactly one shard's bundle, so a
-        kill takes out one replica of one shard — the blast radius
-        the failover machinery is built around.  The specs carry the
-        spawn recipe, so the cluster's prober can respawn a dead
-        worker from the same bundle.
+        Every worker maps the one bundle and hosts exactly one shard,
+        so a kill takes out one replica of one shard — the blast
+        radius the failover machinery is built around.  The specs
+        carry the spawn recipe, so the cluster's prober can respawn a
+        dead worker from the same bundle.
         """
         import functools
 
@@ -466,10 +360,10 @@ class Database:
         from ..exec.remote import spawn_worker_process
 
         specs = []
-        for shard_id, path in enumerate(bundle_paths):
+        for shard_id in range(plan.shard_count):
             spawn = functools.partial(
                 spawn_worker_process,
-                [str(path)],
+                str(bundle),
                 shard_ids=[shard_id],
                 case_sensitive=case_sensitive,
                 backend=backend,
@@ -478,84 +372,106 @@ class Database:
         return ClusterExecutor(specs)
 
     @classmethod
-    def _open_sharded_store(
+    def _open_sharded(
         cls,
         resolved: ResolvedSource,
+        plan: Optional[ShardPlan],
         options: DatabaseOptions,
         source_name: Optional[str],
         started: float,
     ) -> "Database":
-        """Shard a store resolved in memory (parse / image / bundle)."""
+        """Serve one store as shards: OID ranges of the one store.
+
+        ``plan`` is the layout the source bundle records (``None``:
+        planned here from the requested shard count).  In-process
+        shards answer from the loaded store; worker processes map the
+        source bundle, or — for a store parsed in memory — one
+        temporary bundle of it.
+        """
         store = resolved.store
-        shard_count = options.effective_shards
-        case_sensitive, backend_name = options.effective(resolved.snapshot)
+        snapshot = resolved.snapshot
+        case_sensitive, backend_name = options.effective(snapshot)
+        recorded = plan is not None
+        if plan is None:
+            plan = compute_shard_plan(store, options.effective_shards)
+        elif options.shards is not None and options.shards != plan.shard_count:
+            # Only an *explicit* shards= can conflict with the recorded
+            # layout; the worker count is independent of the shard count.
+            raise ReproError(
+                f"collection is persisted as {plan.shard_count} shard(s); "
+                f"rebuild it (snapshot build --shards {options.shards}) "
+                "to change the layout"
+            )
         cleanup = None
         # One try covers everything from temp-dir creation to instance
-        # construction: a failure anywhere after materialization (plan
-        # validation, executor spin-up, ShardedCollection wiring) must
-        # not leave the temp shard bundles behind.
+        # construction: a failure anywhere after the temp bundle is
+        # written (executor spin-up, ShardedCollection wiring) must not
+        # leave it behind.
         try:
             if options.cluster is not None:
                 # Remote workers already hold the data; the local
                 # store only supplies the plan and path summary the
                 # coordinator merges with.
-                plan = compute_shard_plan(store, shard_count)
                 executor = cls._cluster_executor_from_addresses(
                     options.cluster, plan.shard_count
                 )
-                generations = (store.generation,) * plan.shard_count
             elif options.workers > 0 or options.replicas > 0:
-                # Worker processes load shards from disk: materialize
-                # warm bundles (store + indexes) into a temp directory.
-                from ..snapshot.sharded import write_shard_bundles
-
-                tempdir = tempfile.mkdtemp(prefix="repro-shards-")
-                cleanup = lambda: shutil.rmtree(tempdir, ignore_errors=True)  # noqa: E731
-                plan, paths, _size = write_shard_bundles(
-                    store,
-                    tempdir,
-                    "collection",
-                    shards=shard_count,
-                    case_sensitive=case_sensitive,
-                )
+                if snapshot is not None and snapshot.path is not None:
+                    bundle = FsPath(snapshot.path)
+                else:
+                    tempdir = tempfile.mkdtemp(prefix="repro-shards-")
+                    cleanup = lambda: shutil.rmtree(tempdir, ignore_errors=True)  # noqa: E731
+                    bundle = FsPath(tempdir) / "collection.snap"
+                    write_snapshot(
+                        store,
+                        bundle,
+                        case_sensitive=case_sensitive,
+                        extra_meta={LAYOUT_KEY: plan.to_dict()},
+                    )
                 if options.replicas > 0:
+                    # Socket workers serve the layout their bundle
+                    # records (repro shard-worker has no plan input).
+                    if snapshot is not None and bundle_plan(snapshot) != plan:
+                        raise StorageError(
+                            f"{bundle} records no {plan.shard_count}-shard "
+                            "layout for replicas to serve; build one with "
+                            "`repro snapshot build <xml> <name> --shards "
+                            f"{plan.shard_count}`"
+                        )
                     executor = cls._replicated_executor(
-                        paths,
+                        bundle,
+                        plan,
                         options.replicas,
                         case_sensitive=case_sensitive,
                         backend=backend_name,
                     )
                 else:
                     executor = ParallelExecutor(
-                        paths,
+                        bundle,
+                        plan,
                         workers=options.workers,
                         case_sensitive=case_sensitive,
                         backend=backend_name,
                         use_mmap=True,
                     )
-                generations = (store.generation,) * plan.shard_count
             else:
-                plan = compute_shard_plan(store, shard_count)
-                slices = slice_store(store, plan)
                 executor = SerialExecutor(
-                    [
-                        ShardService(
-                            shard,
-                            shard_id=index,
+                    list(
+                        shard_services(
+                            store,
+                            plan,
                             case_sensitive=case_sensitive,
                             backend=backend_name,
-                        )
-                        for index, shard in enumerate(slices)
-                    ]
+                        ).values()
+                    )
                 )
-                generations = tuple(shard.generation for shard in slices)
             sharded = ShardedCollection(
                 plan,
                 store.summary,
                 executor,
                 case_sensitive=case_sensitive,
                 backend_name=backend_name,
-                generations=generations,
+                generations=(store.generation,) * plan.shard_count,
                 cache=resolve_result_cache(options.cache),
                 max_rows=options.max_rows,
             )
@@ -571,18 +487,18 @@ class Database:
             if cleanup is not None:
                 cleanup()
             raise
-        if (
-            options.workers == 0
-            and options.replicas == 0
-            and options.cluster is None
-        ):
-            # Serial in-process shards stay writable: mutations land on
-            # the unsliced base store, then the fabric is re-sliced.
-            # Out-of-process shards (pool, replicas, cluster) serve
-            # read-only bundles.
+        if snapshot is not None:
+            declared = snapshot.meta.get("value_indexes")
+            if isinstance(declared, list):
+                database._value_indexes = [str(p) for p in declared]
+        if not recorded and executor.name == "serial":
+            # In-process shards over a store sharded here stay
+            # writable: mutations land on the store, then the services
+            # are rebound.  Worker processes serve a read-only bundle,
+            # and a recorded layout is a read-only sharded collection.
             database._base_store = store
-            if resolved.snapshot is not None:
-                database._bind_write_through(resolved.snapshot)
+            if snapshot is not None:
+                database._bind_write_through(snapshot)
         return database
 
     @classmethod
@@ -609,7 +525,7 @@ class Database:
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Release executor processes and temp shard bundles (idempotent)."""
+        """Release executor processes and the temp bundle (idempotent)."""
         if self.sharded is not None:
             self.sharded.executor.close()
         if self._finalizer is not None:
@@ -675,8 +591,8 @@ class Database:
         LCA index through their generation-keyed caches here is what
         lets a multi-threaded server guarantee zero index rebuilds
         once it starts answering.  A sharded database pings every
-        shard instead — same effect per shard store, and it spins the
-        worker pool up before the first request.
+        shard instead — same effect on the store each process serves,
+        and it spins the worker pool up before the first request.
         """
         with self._rw.read():
             if self.sharded is not None:
@@ -1168,8 +1084,9 @@ class Database:
         if self.store is not None:
             return self.store
         raise ReproError(
-            "this database serves read-only shard bundles; live writes "
-            "need a monolithic open or in-process shards (workers=0)"
+            "this database serves a read-only sharded collection; live "
+            "writes need a monolithic source, opened whole or with "
+            "in-process shards (workers=0)"
         )
 
     def _mutate(self, op: str, name: str, xml: Optional[str]) -> Dict[str, object]:
@@ -1274,10 +1191,11 @@ class Database:
         self._pending_deltas += 1
 
     def _reshard_locked(self) -> None:
-        """Rebuild the in-process shard fabric over the mutated base.
+        """Rebind the in-process shards to the mutated store.
 
-        Shard plans slice contiguous OID ranges, so the base store is
-        first compacted back to dense pre-order; the new
+        Shard ranges are contiguous OID runs, so the store is first
+        compacted back to dense pre-order and re-planned; the services
+        then answer over it, sharing its one set of indexes.  The new
         :class:`ShardedCollection` reuses this database's result cache,
         whose layout-fingerprint + generation key drops stale entries
         by itself.
@@ -1285,26 +1203,20 @@ class Database:
         base, _ = compact_store(self._base_store)
         self._base_store = base
         plan = compute_shard_plan(base, self.sharded.plan.shard_count)
-        slices = slice_store(base, plan)
-        executor = SerialExecutor(
-            [
-                ShardService(
-                    shard,
-                    shard_id=index,
-                    case_sensitive=self.case_sensitive,
-                    backend=self.backend_name,
-                )
-                for index, shard in enumerate(slices)
-            ]
+        services = shard_services(
+            base,
+            plan,
+            case_sensitive=self.case_sensitive,
+            backend=self.backend_name,
         )
         previous = self.sharded
         self.sharded = ShardedCollection(
             plan,
             base.summary,
-            executor,
+            SerialExecutor(list(services.values())),
             case_sensitive=self.case_sensitive,
             backend_name=self.backend_name,
-            generations=tuple(shard.generation for shard in slices),
+            generations=(base.generation,) * plan.shard_count,
             cache=self.result_cache,
             max_rows=self.options.max_rows,
         )

@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path as FsPath
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from ..datamodel.errors import ReproError, StorageError
 from ..datamodel.parser import parse_document
@@ -41,7 +41,6 @@ from ..snapshot.codec import Snapshot
 __all__ = [
     "DEFAULT_CATALOG",
     "ResolvedSource",
-    "ShardedBundles",
     "default_catalog_dir",
     "resolve_source",
 ]
@@ -60,28 +59,12 @@ def default_catalog_dir(explicit: Optional[SourceLike] = None) -> FsPath:
 
 
 @dataclass(frozen=True)
-class ShardedBundles:
-    """A resolved *sharded* collection: bundle paths plus the layout.
-
-    The stores stay on disk — whoever opens the database decides
-    whether to load them serially in-process or hand the paths to a
-    worker pool.
-    """
-
-    paths: Tuple[str, ...]
-    layout: Dict[str, object]
-    case_sensitive: bool
-    generation: int
-
-
-@dataclass(frozen=True)
 class ResolvedSource:
     """One resolved source: the store, how it loaded, and the bundle."""
 
-    store: Optional[MonetXML]
+    store: MonetXML
     origin: str
     snapshot: Optional[Snapshot] = None
-    sharded: Optional[ShardedBundles] = None
 
     @property
     def from_snapshot(self) -> bool:
@@ -98,26 +81,6 @@ def _load_bundle(path: FsPath, use_mmap: bool) -> ResolvedSource:
 
 
 def _open_collection(catalog: Catalog, name: str, use_mmap: bool) -> ResolvedSource:
-    meta = catalog.info(name)
-    shards = meta.get("shards")
-    if isinstance(shards, dict):
-        try:
-            generation = int(meta.get("generation", 0))
-        except (TypeError, ValueError):
-            generation = 0
-        return ResolvedSource(
-            store=None,
-            origin=(
-                f"snapshot {catalog.root}:{name} "
-                f"({shards.get('count')} shards)"
-            ),
-            sharded=ShardedBundles(
-                paths=tuple(str(p) for p in catalog.shard_files(name)),
-                layout=dict(shards),
-                case_sensitive=bool(meta.get("case_sensitive")),
-                generation=generation,
-            ),
-        )
     snapshot = catalog.open(name, use_mmap=use_mmap, tolerate_torn_tail=True)
     return ResolvedSource(
         snapshot.store, f"snapshot {catalog.root}:{name}", snapshot
@@ -209,12 +172,13 @@ def resolve_source(
         if (catalog_root / "catalog.json").exists():
             try:
                 collection_catalog = Catalog(catalog_root, create=False)
-                if str(source) in collection_catalog:
-                    return _open_collection(
-                        collection_catalog, str(source), use_mmap
-                    )
+                found = str(source) in collection_catalog
             except StorageError:
-                pass
+                found = False  # a corrupt catalog cannot name it
+            if found:
+                return _open_collection(
+                    collection_catalog, str(source), use_mmap
+                )
         raise ReproError(f"no such file: {source}")
     if path.suffix == ".snap":
         return _load_bundle(path, use_mmap)

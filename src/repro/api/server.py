@@ -497,7 +497,7 @@ def _index_patches() -> Dict[str, int]:
     """Journal roll-forwards per derived index, this process.
 
     Writes only ever apply in the serving process (worker pools serve
-    read-only shard bundles), so unlike ``index_builds`` there is no
+    a read-only bundle), so unlike ``index_builds`` there is no
     worker share to merge.
     """
     from ..core.lca_index import lca_index_cache_info

@@ -259,9 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="partition into N shards: one bundle per shard, layout "
-        "recorded in the catalog (serve with --workers M to scale "
-        "past one core)",
+        help="plan N shards: OID ranges of the one bundle, layout "
+        "recorded in it and in the catalog (serve with --workers M to "
+        "scale past one core)",
     )
     snap_build.add_argument(
         "--index",
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="re-balance the compacted store into N shard bundles",
+        help="re-balance the compacted store into N shards",
     )
 
     serve = sub.add_parser(
@@ -424,16 +424,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "shard-worker",
-        help="serve shard bundles over the socket protocol "
+        help="serve shards of a bundle over the socket protocol "
         "(a cluster replica; normally spawned by serve --replicas)",
     )
     worker.add_argument(
         "--bundle",
-        action="append",
         required=True,
         metavar="PATH",
-        help=".snap shard bundle to serve (repeatable; the shard id "
-        "follows the bundle's recorded shard_index)",
+        help=".snap bundle whose shards to serve (its recorded layout; "
+        "one shard when it records none)",
     )
     worker.add_argument(
         "--shard-id",
@@ -441,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="shard id override per --bundle, in order",
+        help="shard to serve (repeatable; default: every shard)",
     )
     worker.add_argument("--host", default="127.0.0.1")
     worker.add_argument(
@@ -783,21 +782,16 @@ def _command_serve(args) -> int:
 
 
 def _command_shard_worker(args) -> int:
-    """Serve shard bundles over the framed socket protocol.
+    """Serve shards of one bundle over the framed socket protocol.
 
     Prints the ready line (``shard-worker listening on HOST:PORT``)
     once the listener is bound — spawners block on it — then serves
     until interrupted.
     """
     from .exec.remote import READY_PREFIX, ShardWorkerServer, format_address
-    from .exec.remote import services_from_bundles
+    from .exec.remote import services_from_bundle
 
-    if args.shard_id is not None and len(args.shard_id) != len(args.bundle):
-        raise ReproError(
-            f"{len(args.shard_id)} --shard-id value(s) for "
-            f"{len(args.bundle)} --bundle value(s); give one per bundle"
-        )
-    services = services_from_bundles(
+    services = services_from_bundle(
         args.bundle,
         shard_ids=args.shard_id,
         case_sensitive=args.case_sensitive,
@@ -809,8 +803,8 @@ def _command_shard_worker(args) -> int:
         flush=True,
     )
     print(
-        f"hosting shard(s) {sorted(services)} from {len(args.bundle)} "
-        "bundle(s) — Ctrl-C to stop",
+        f"hosting shard(s) {sorted(services)} of {args.bundle} "
+        "— Ctrl-C to stop",
         file=sys.stderr,
     )
     try:
@@ -874,11 +868,7 @@ def _command_compact(args) -> int:
     meta = catalog.compact(args.collection, shards=args.shards)
     seconds = time.perf_counter() - started
     shards = meta.get("shards")
-    layout = (
-        f", {shards.get('count')} shard bundles"
-        if isinstance(shards, dict)
-        else ""
-    )
+    layout = f", {shards['count']} shards" if isinstance(shards, dict) else ""
     print(
         f"compacted {catalog.root}/{args.collection}: "
         f"{meta['node_count']} nodes, generation {meta['generation']}"
@@ -905,19 +895,18 @@ def _snapshot_build(args) -> int:
     )
     seconds = time.perf_counter() - started
     shards = meta.get("shards")
-    if isinstance(shards, dict):
-        built = (
-            f"{catalog.root}/{name} "
-            f"({shards['count']} shard bundles)"
-        )
-    else:
-        built = f"{catalog.root}/{meta['file']}"
+    layout = (
+        f", {shards['count']} shards in this one bundle "
+        f"(not {shards['count']} shard bundles)"
+        if isinstance(shards, dict)
+        else ""
+    )
     declared = getattr(args, "index", None) or ()
     indexed = f", {len(set(declared))} value index(es)" if declared else ""
     print(
-        f"built {built}: {meta['node_count']} nodes, "
+        f"built {catalog.root}/{meta['file']}: {meta['node_count']} nodes, "
         f"{meta['bytes']} bytes, generation {meta['generation']}"
-        f"{indexed} ({seconds * 1000:.0f} ms)"
+        f"{layout}{indexed} ({seconds * 1000:.0f} ms)"
     )
     return 0
 
@@ -929,27 +918,6 @@ def _snapshot_load(args) -> int:
         catalog=getattr(args, "catalog", None),
         use_mmap=args.mmap,
     )
-    if resolved.sharded is not None:
-        # The warm-start check of a sharded collection: load every
-        # shard bundle and report the aggregate.
-        from .snapshot import read_snapshot
-
-        snapshots = [
-            read_snapshot(path, use_mmap=args.mmap)
-            for path in resolved.sharded.paths
-        ]
-        seconds = time.perf_counter() - started
-        nodes = sum(s.store.node_count for s in snapshots) - (
-            len(snapshots) - 1
-        )  # stand-in roots counted once
-        terms = sum(s.fulltext_index.vocabulary_size for s in snapshots)
-        print(
-            f"loaded {args.name}: {len(snapshots)} shards, {nodes} nodes, "
-            f"{len(snapshots[0].store.summary) - 1} paths, "
-            f"{terms} terms across shards "
-            f"({seconds * 1000:.1f} ms, zero index rebuilds)"
-        )
-        return 0
     seconds = time.perf_counter() - started
     store, snapshot = resolved.store, resolved.snapshot
     print(
@@ -970,9 +938,8 @@ _SECTION_GROUPS = {
 }
 
 
-def _section_breakdown(paths: Sequence[FsPath]) -> Dict[str, list]:
-    """``[group, payload bytes, item type]`` per section, in file order,
-    summed across shard bundles.
+def _section_breakdown(path: FsPath) -> Dict[str, list]:
+    """``[group, payload bytes, item type]`` per section, in file order.
 
     Groups follow the section-name prefixes (``lca/``, ``ft/``,
     ``vx/``, ``delta/``); everything unprefixed — the dense columns,
@@ -982,14 +949,13 @@ def _section_breakdown(paths: Sequence[FsPath]) -> Dict[str, list]:
     from .snapshot.codec import item_widths
     from .snapshot.format import SnapshotReader
 
+    reader = SnapshotReader.open(path, tolerate_torn_tail=True)
+    widths = item_widths(reader)
     rows: Dict[str, list] = {}
-    for path in paths:
-        reader = SnapshotReader.open(path, tolerate_torn_tail=True)
-        widths = item_widths(reader)
-        for section, length in reader.section_sizes().items():
-            group = _SECTION_GROUPS.get(section.split("/", 1)[0], "core")
-            kind = f"int{8 * widths[section]}" if section in widths else ""
-            rows.setdefault(section, [group, 0, kind])[1] += length
+    for section, length in reader.section_sizes().items():
+        group = _SECTION_GROUPS.get(section.split("/", 1)[0], "core")
+        kind = f"int{8 * widths[section]}" if section in widths else ""
+        rows[section] = [group, length, kind]
     return rows
 
 
@@ -1019,11 +985,8 @@ def _snapshot_ls(args) -> int:
             f"{layout}{indexes}, source={meta.get('source') or '-'}"
         )
         if getattr(args, "sections", False):
-            if isinstance(shards, dict):
-                paths = catalog.shard_files(name)
-            else:
-                paths = [catalog.bundle_path(name)]
-            rows = _section_breakdown([path for path in paths if path.exists()])
+            bundle = catalog.bundle_path(name)
+            rows = _section_breakdown(bundle) if bundle.exists() else {}
             totals: Dict[str, int] = {}
             for group, size, _ in rows.values():
                 totals[group] = totals.get(group, 0) + size

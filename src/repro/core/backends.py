@@ -36,7 +36,7 @@ functions (``meet2``, ``meet_sets``, ``meet_general``, ``graph_meet``,
 ``meet_many`` / ``nearest_concepts_batch`` APIs, and the CLI exposes
 ``--backend``.
 
-What follows a roll-up — drop the shard's stand-in root, the
+What follows a roll-up — a shard's drop of the root meet, the
 ``meet_X`` restriction, the all-terms filter, the ``within`` bound and
 the §4 top-k — is :func:`select_meets`, the one routine the engine, the
 shard service and the query processor all rank through.  A backend
@@ -521,12 +521,12 @@ def select_meets(
     join-count ranking — for the engine, the shard service and the
     query processor alike.  In order:
 
-    1. The meet at ``drop_oid`` (a shard's stand-in root) goes, and the
-       **residue** — the input pairs no remaining meet covers, i.e.
-       what the monolithic roll-up would deliver to the document root —
-       is taken before any further filtering (``None`` without
-       ``drop_oid``).  ``pairs``, the roll-up's input, is consumed only
-       when ``results`` is not a :class:`TaggedBatch`.
+    1. The meet at ``drop_oid`` (a shard drops the document root)
+       goes, and the **residue** — the input pairs no remaining meet
+       covers, i.e. what the monolithic roll-up would deliver to the
+       document root — is taken before any further filtering (``None``
+       without ``drop_oid``).  ``pairs``, the roll-up's input, is
+       consumed only when ``results`` is not a :class:`TaggedBatch`.
     2. Meets on an ``excluded`` pid go, then meets whose tags do not
        cover ``wanted``, then meets with more than ``within`` joins.
     3. With ``ranked`` the survivors come back in §4 order, cut to

@@ -3,7 +3,7 @@
 ``repro.exec`` is the seam every scaling feature plugs into:
 
 * :mod:`repro.exec.sharding` — answer-preserving partitioning of one
-  store into independent per-subtree shards (original OIDs kept);
+  store into shards, each an OID range of whole top-level subtrees;
 * :mod:`repro.exec.service` — the pure per-shard request handlers;
 * :mod:`repro.exec.executors` — where shard work runs: in-process
   (:class:`SerialExecutor`) or on a process pool that finally scales
@@ -41,16 +41,11 @@ from .remote import (
     RemoteShardClient,
     ShardWorkerServer,
     WorkerProcess,
-    services_from_bundles,
+    services_from_bundle,
     spawn_worker_process,
 )
-from .service import ShardService
-from .sharding import (
-    ShardingError,
-    ShardPlan,
-    compute_shard_plan,
-    slice_store,
-)
+from .service import ShardService, shard_services
+from .sharding import ShardingError, ShardPlan, compute_shard_plan
 from .transport import ConnectionClosedError, FrameError, TransportError
 
 __all__ = [
@@ -77,8 +72,8 @@ __all__ = [
     "compute_shard_plan",
     "current_deadline",
     "deadline_scope",
-    "services_from_bundles",
-    "slice_store",
+    "services_from_bundle",
+    "shard_services",
     "spawn_worker_process",
     "transport",
 ]

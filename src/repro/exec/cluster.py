@@ -16,7 +16,7 @@ Permanent failure is handled per replica kind:
 
 * **managed** replicas (spawned by this executor, or anything with a
   ``spawn`` callback) are *respawned* — a dead process is restarted
-  from its shard bundles, up to ``max_respawns`` times, after which
+  from the collection's bundle, up to ``max_respawns`` times, after which
   the replica is **evicted**;
 * **unmanaged** replicas (bare addresses — a worker on another host)
   are never evicted: the circuit stays open and the prober keeps

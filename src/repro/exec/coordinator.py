@@ -10,8 +10,8 @@ language — with **byte-identical answers and ranking order**.
 The division of labour (the tentpole's refactor):
 
 * a shard performs the pure per-shard work — term search, the meet
-  roll-up, §4 filtering, local top-k with full ranking keys — against
-  its own store and indexes (:mod:`repro.exec.service`);
+  roll-up, §4 filtering, local top-k with full ranking keys — over its
+  OID range of the one store and its indexes (:mod:`repro.exec.service`);
 * the coordinator merges: concatenates shard-ordered hit lists (shard
   OID ranges are ascending, so concatenation *is* the global sort
   order), k-way merges ranked candidates on the §4 key (a strict
@@ -71,7 +71,7 @@ _key_of = itemgetter(0)
 
 
 class _SummaryStore:
-    """The coordinator's store stand-in: a summary plus the repr.
+    """The coordinator's summary-only store: a summary plus the repr.
 
     Planning (:func:`repro.query.planner.plan_query`) and path
     resolution only consult ``store.summary``; the repr reproduces the
@@ -581,9 +581,9 @@ class ShardedCollection:
     ) -> bool:
         """Is the true root in the variable's *global* binding set?
 
-        The root matches the pattern iff any shard says so (only shard
-        0 can vouch for root attributes), and satisfies each condition
-        iff any shard's local closure reached its stand-in root — for
+        The root matches the pattern iff shard 0, whose range covers
+        the root OID, says so, and satisfies each condition iff any
+        shard's closure over its range reached the root — for
         ``contains`` that means "some witness exists somewhere", which
         is exactly the root's global closure membership.
         """

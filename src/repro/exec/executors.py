@@ -8,8 +8,9 @@ plain-data response per request, so the same coordinator code serves
 * :class:`SerialExecutor` — handlers run in-process, in order.  Zero
   overhead, byte-identical to the monolithic engine, and the default;
 * :class:`ParallelExecutor` — a ``concurrent.futures``
-  ``ProcessPoolExecutor`` whose workers each load (``mmap``) every
-  shard's snapshot bundle **once at spawn** and then answer
+  ``ProcessPoolExecutor`` whose workers each map (``mmap``) the
+  collection's one snapshot bundle **once at spawn**, serve every
+  shard of the plan as a range of that store, and answer
   scatter-gather requests over the pool's pipes.  Compute happens in
   worker processes, so a multi-threaded HTTP server finally scales
   past one core: the GIL only ever sees cheap merge work.
@@ -45,7 +46,8 @@ from typing import Dict, List, Optional, Protocol, Sequence, Set, Tuple
 from ..datamodel.errors import ReproError
 from ..obs.metrics import Counter
 from .deadline import DeadlineExceededError, current_deadline
-from .service import ShardService
+from .service import ShardService, shard_services
+from .sharding import ShardPlan
 
 __all__ = [
     "Executor",
@@ -146,31 +148,28 @@ _WARM_UP_SECONDS = 30.0
 
 
 def _worker_init(
-    bundle_paths: Tuple[str, ...],
+    bundle_path: str,
+    plan: ShardPlan,
     case_sensitive: bool,
     backend: Optional[str],
     use_mmap: bool,
 ) -> None:
-    """Load every shard bundle once per worker (mmap-backed by default).
+    """Load the bundle once per worker (mmap-backed by default) and
+    serve every shard of ``plan`` over it.
 
-    Bundles come back with the LCA and full-text caches pre-seeded, so
-    a worker's build counters stay at zero for its whole life — the
+    The bundle comes back with the LCA and full-text caches pre-seeded,
+    so a worker's build counters stay at zero for its whole life — the
     zero-rebuild invariant ``/v1/stats`` asserts survives the pool.
     """
     from ..snapshot.codec import read_snapshot
 
-    services = []
-    for shard_id, path in enumerate(bundle_paths):
-        snapshot = read_snapshot(path, use_mmap=use_mmap)
-        services.append(
-            ShardService(
-                snapshot.store,
-                shard_id=shard_id,
-                case_sensitive=case_sensitive,
-                backend=backend,
-            )
-        )
-    _WORKER_SERVICES[:] = services
+    snapshot = read_snapshot(
+        bundle_path, use_mmap=use_mmap, tolerate_torn_tail=True
+    )
+    services = shard_services(
+        snapshot.store, plan, case_sensitive=case_sensitive, backend=backend
+    )
+    _WORKER_SERVICES[:] = services.values()
 
 
 def _worker_call(
@@ -191,13 +190,14 @@ def _worker_call(
 
 
 class ParallelExecutor:
-    """Process-pool scatter-gather over on-disk shard bundles."""
+    """Process-pool scatter-gather over one on-disk bundle and a plan."""
 
     name = "parallel"
 
     def __init__(
         self,
-        bundle_paths: Sequence,
+        bundle_path,
+        plan: ShardPlan,
         *,
         workers: int,
         case_sensitive: bool = False,
@@ -207,10 +207,9 @@ class ParallelExecutor:
     ):
         if workers < 1:
             raise ExecutorError(f"worker count must be >= 1, got {workers}")
-        self._paths = tuple(str(path) for path in bundle_paths)
-        self.shard_count = len(self._paths)
-        if not self.shard_count:
-            raise ExecutorError("parallel executor needs at least one shard")
+        self._path = str(bundle_path)
+        self._plan = plan
+        self.shard_count = plan.shard_count
         self.workers = int(workers)
         self._case_sensitive = bool(case_sensitive)
         self._backend = backend
@@ -234,7 +233,7 @@ class ParallelExecutor:
             self._discard_pool()
             raise ExecutorError(
                 "worker pool failed to start (a worker died while "
-                "loading its shard bundles)"
+                "loading the bundle)"
             ) from None
 
     # -- pool lifecycle -------------------------------------------------
@@ -252,7 +251,8 @@ class ParallelExecutor:
                     mp_context=context,
                     initializer=_worker_init,
                     initargs=(
-                        self._paths,
+                        self._path,
+                        self._plan,
                         self._case_sensitive,
                         self._backend,
                         self._use_mmap,
@@ -264,7 +264,7 @@ class ParallelExecutor:
                 # One submit per worker slot forces the pool to spawn
                 # its full complement immediately.  The first worker
                 # up can drain every ping while the others still load
-                # their bundles, so ping until each has answered once.
+                # the bundle, so ping until each has answered once.
                 warm: Set[int] = set()
                 give_up = time.monotonic() + _WARM_UP_SECONDS
                 while len(warm) < self.workers and time.monotonic() < give_up:
@@ -386,7 +386,7 @@ class ParallelExecutor:
 
     def close(self) -> None:
         """Shut the pool down for good: later scatters raise cleanly
-        instead of silently respawning workers (whose temp bundles may
+        instead of silently respawning workers (whose temp bundle may
         already be deleted)."""
         with self._lock:
             self._closed = True

@@ -40,7 +40,7 @@ from ..core.backends import SNAPSHOT_DEFAULT_BACKEND
 from ..datamodel.errors import ReproError
 from ..obs.logs import log_event
 from .deadline import Deadline, DeadlineExceededError
-from .service import ShardService
+from .service import ShardService, shard_services
 from .transport import (
     KIND_REQUEST,
     KIND_RESPONSE,
@@ -60,7 +60,7 @@ __all__ = [
     "WorkerProcess",
     "format_address",
     "parse_address",
-    "services_from_bundles",
+    "services_from_bundle",
     "spawn_worker_process",
 ]
 
@@ -259,50 +259,48 @@ class ShardWorkerServer:
             return {"ok": False, "error": f"internal error: {exc}", "code": "internal"}
 
 
-def services_from_bundles(
-    bundle_paths: Sequence[Union[str, FsPath]],
+def services_from_bundle(
+    bundle_path: Union[str, FsPath],
     *,
     shard_ids: Optional[Sequence[int]] = None,
     case_sensitive: Optional[bool] = None,
     backend: Optional[str] = None,
     use_mmap: bool = True,
 ) -> Dict[int, ShardService]:
-    """Load ``.snap`` shard bundles into ready services.
+    """Map one ``.snap`` bundle and serve shards of its layout.
 
-    Shard ids default to each bundle's recorded ``shard_index`` (the
-    handoff :func:`repro.snapshot.sharded.write_shard_bundles` stamps
-    into every bundle), so a worker started with just a bundle path
-    serves the right shard; the case mode likewise follows the bundle
-    unless overridden, and the backend is the one
-    :meth:`~repro.api.database.Database.open` picks for a bundle.
+    The layout is the one the bundle records
+    (:func:`repro.snapshot.sharded.bundle_plan`: one shard when it
+    records none); ``shard_ids`` default to all of its shards.  The
+    case mode follows the bundle unless overridden, and the backend is
+    the one :meth:`~repro.api.database.Database.open` picks for a
+    bundle.
     """
     from ..snapshot.codec import read_snapshot
+    from ..snapshot.sharded import bundle_plan
 
-    services: Dict[int, ShardService] = {}
-    for index, path in enumerate(bundle_paths):
-        snapshot = read_snapshot(path, use_mmap=use_mmap)
-        if shard_ids is not None:
-            shard_id = int(shard_ids[index])
-        else:
-            recorded = snapshot.meta.get("shard_index")
-            shard_id = int(recorded) if isinstance(recorded, int) else index
-        if shard_id in services:
+    snapshot = read_snapshot(
+        bundle_path, use_mmap=use_mmap, tolerate_torn_tail=True
+    )
+    plan = bundle_plan(snapshot)
+    ids = range(plan.shard_count) if shard_ids is None else shard_ids
+    for shard_id in ids:
+        if not 0 <= shard_id < plan.shard_count:
             raise ReproError(
-                f"two bundles claim shard {shard_id}; pass explicit "
-                "--shard-id values"
+                f"{bundle_path} holds {plan.shard_count} shard(s); "
+                f"there is no shard {shard_id}"
             )
-        effective_case = (
+    return shard_services(
+        snapshot.store,
+        plan,
+        ids,
+        case_sensitive=(
             snapshot.fulltext_index.case_sensitive
             if case_sensitive is None
             else bool(case_sensitive)
-        )
-        services[shard_id] = ShardService(
-            snapshot.store,
-            shard_id=shard_id,
-            case_sensitive=effective_case,
-            backend=backend or SNAPSHOT_DEFAULT_BACKEND,
-        )
-    return services
+        ),
+        backend=backend or SNAPSHOT_DEFAULT_BACKEND,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,7 @@ class WorkerProcess:
 
 
 def spawn_worker_process(
-    bundle_paths: Sequence[Union[str, FsPath]],
+    bundle_path: Union[str, FsPath],
     *,
     host: str = "127.0.0.1",
     port: int = 0,
@@ -467,15 +465,16 @@ def spawn_worker_process(
     case_sensitive: Optional[bool] = None,
     ready_timeout: float = 30.0,
 ) -> WorkerProcess:
-    """Start ``repro shard-worker`` on the given bundles, wait ready.
+    """Start ``repro shard-worker`` on the given bundle, wait ready.
 
     The worker prints ``shard-worker listening on HOST:PORT`` once its
     listener is bound; this parses that line (so ``port=0`` ephemeral
     binds work) and returns a handle that can kill or respawn it.
     """
-    command = [sys.executable, "-m", "repro", "shard-worker"]
-    for path in bundle_paths:
-        command += ["--bundle", str(path)]
+    command = [
+        sys.executable, "-m", "repro", "shard-worker",
+        "--bundle", str(bundle_path),
+    ]
     if shard_ids is not None:
         for shard_id in shard_ids:
             command += ["--shard-id", str(shard_id)]
@@ -501,7 +500,7 @@ def spawn_worker_process(
         env=env,
     )
     # Bounded wait for the ready line: select() the pipe so a worker
-    # that hangs while loading its bundles cannot hang the spawner
+    # that hangs while loading its bundle cannot hang the spawner
     # (the cluster's health prober calls this to respawn replicas).
     import selectors
 

@@ -1,42 +1,54 @@
 """Per-shard request handlers — the pure function a shard executes.
 
-A :class:`ShardService` wraps one shard store (see
-:mod:`repro.exec.sharding`) and answers plain-data requests with
-plain-data responses: every parameter and every response is built from
-JSON/pickle-safe primitives, so the same handler serves the in-process
-:class:`~repro.exec.executors.SerialExecutor` and the process-pool
-workers of :class:`~repro.exec.executors.ParallelExecutor` unchanged.
-Handlers are **read-only** — one service instance is safe under the
-multi-threaded HTTP server; the only retained state is a
+A :class:`ShardService` answers for one shard of one store: the
+shared :class:`~repro.monet.engine.MonetXML` store plus the half-open
+OID range the shard owns (:meth:`repro.exec.sharding.ShardPlan.span`;
+shard 0's range also covers the root).  It answers plain-data
+requests with plain-data responses: every parameter and every
+response is built from JSON/pickle-safe primitives, so the same
+handler serves the in-process
+:class:`~repro.exec.executors.SerialExecutor`, the process-pool workers
+of :class:`~repro.exec.executors.ParallelExecutor` and socket workers
+unchanged.  Handlers are **read-only** — one service instance is safe
+under the multi-threaded HTTP server; the only retained state is a
 generation-keyed memo of parsed query templates and their plans
 (prepared statements re-execute without re-parsing), which at worst
 recomputes an equivalent entry under a race.
 
+The range is applied where the data comes from, so a shard's work
+stays proportional to its range: term hits are cut to it
+(:meth:`repro.fulltext.index.Hits.within`), substring scans skip rows
+owned outside it, pattern OIDs are cut with bisections, and the
+root-only operations walk only the root's children inside it.
+
 The contract with the coordinator (:mod:`repro.exec.coordinator`):
 
-* the shard's stand-in root never appears in a response — a meet at
-  it is dropped (the coordinator re-derives the one true root meet
-  globally) and the **residue**, the input pairs no kept meet covers,
-  is exactly the pending set the monolithic roll-up would deliver to
-  the document root; binding sets drop it, and per-variable *root
-  flags* report what the coordinator needs to decide the true root's
-  membership globally.  Both, and every filter and the §4 ranking
-  after them, are :func:`repro.core.backends.select_meets` — the same
-  routine the monolithic engine ranks through, so a shard turns only
-  its winners and its residue pairs into python objects;
+* the document root never appears in a response — a meet at it is
+  dropped (the coordinator re-derives the one root meet globally) and
+  the **residue**, the input pairs no kept meet covers, is exactly
+  what this shard's pairs would deliver to the root in the monolithic
+  roll-up; binding sets drop it, and per-variable *root flags* report
+  what the coordinator needs to decide the root's membership
+  globally.  Both, and every filter and the §4 ranking after them,
+  are :func:`repro.core.backends.select_meets` — the same routine the
+  monolithic engine ranks through, so a shard turns only its winners
+  and its residue pairs into python objects;
 * full-text terms arrive with a coordinator-chosen **mode** (``token``
   / ``multi`` / ``scan``): the index-vs-scan fallback of
   :meth:`repro.fulltext.search.SearchEngine.find` depends on whether
   the *global* index has hits, which no single shard can know, so the
-  shard reports its local index counts and the coordinator re-scatters
-  with ``scan_terms`` when the global count is zero.
+  shard reports its range's index counts and the coordinator
+  re-scatters with ``scan_terms`` when the global count is zero.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..core.backends import kernel_tier, meet_oids, select_meets
 from ..core.engine import NearestConceptEngine
@@ -47,7 +59,6 @@ from ..fulltext.index import Hits
 from ..fulltext.search import SearchEngine
 from ..fulltext.tokenizer import tokenize
 from ..monet.engine import MonetXML
-from ..monet.reassembly import object_text
 from ..query.ast import (
     ContainsCondition,
     DistanceItem,
@@ -62,13 +73,17 @@ from ..query.ast import (
 from ..query.executor import QueryProcessor
 from ..query.parser import parse_query
 from ..query.planner import plan_query
+from .sharding import ShardPlan
 
 __all__ = [
     "ShardService",
+    "shard_services",
     "term_mode",
     "hits_for_mode",
     "item_variable",
 ]
+
+Span = Tuple[int, int]
 
 
 def term_mode(term: str, case_sensitive: bool) -> str:
@@ -88,17 +103,22 @@ def term_mode(term: str, case_sensitive: bool) -> str:
 
 
 def hits_for_mode(
-    search: SearchEngine, term: str, mode: str, force_scan: bool
+    search: SearchEngine,
+    term: str,
+    mode: str,
+    force_scan: bool,
+    span: Span,
 ) -> Hits:
-    """Local hits for one term under a coordinator-decided mode."""
+    """A shard's hits for one term under a coordinator-decided mode:
+    the ones inside its range ``span``."""
     if force_scan or mode == "scan":
-        return search.scan(term)
+        return search.scan(term, span)
     if mode == "token":
         # No local scan fallback: that decision is global.
-        return search.index.search(term)
+        return search.index.search(term).within(span)
     hits = search.index.search_conjunctive(
         tokenize(term, search.case_sensitive)
-    )
+    ).within(span)
     return Hits(term=term, postings=search._confirm_substring(term, hits))
 
 
@@ -111,18 +131,28 @@ def item_variable(item, plan) -> Optional[str]:
     return None
 
 
-def _text_head(store: MonetXML, oid: int, width: int) -> str:
-    """The first characters of ``object_text(store, oid)``, early-stopped.
+def _root_children(store: MonetXML, span: Span) -> List[int]:
+    """The root's children inside ``span``, in document order."""
+    lo, hi = span
+    first = store.first_oid
+    parents = np.asarray(store.dense_columns()[1][lo - first : hi - first])
+    return (np.flatnonzero(parents == store.root_oid) + lo).tolist()
 
-    Walks the same document order and joins with the same separator,
-    but stops as soon as ``width + 1`` characters are secured — enough
-    for the caller to reproduce both the exact short text and the
-    truncation decision of :meth:`NearestConceptEngine.snippet`.
+
+def _text_below(
+    store: MonetXML, heads: Sequence[int], width: Optional[int] = None
+) -> str:
+    """``object_text`` of the subtrees at ``heads``, joined in order.
+
+    With ``width`` the walk stops as soon as ``width + 1`` characters
+    are secured — enough for the caller to reproduce both the exact
+    short text and the truncation decision of
+    :meth:`NearestConceptEngine.snippet`.
     """
     pieces: List[str] = []
     length = -1  # join() adds len(pieces) - 1 separators
-    stack = [oid]
-    while stack and length <= width:
+    stack = list(reversed(heads))
+    while stack and (width is None or length <= width):
         current = stack.pop()
         if store.summary.label(store.pid_of(current)) == CDATA_LABEL:
             value = store.attributes_of(current).get(STRING_ATTRIBUTE)
@@ -130,22 +160,50 @@ def _text_head(store: MonetXML, oid: int, width: int) -> str:
                 pieces.append(value)
                 length += len(value) + 1
         stack.extend(reversed(store.children_of(current)))
-    return " ".join(pieces)[: width + 1]
+    text = " ".join(pieces)
+    return text if width is None else text[: width + 1]
+
+
+def shard_services(
+    store: MonetXML,
+    plan: ShardPlan,
+    shard_ids: Optional[Iterable[int]] = None,
+    *,
+    case_sensitive: bool = False,
+    backend: Optional[str] = None,
+) -> Dict[int, ShardService]:
+    """One service per shard id (default: every shard), all over
+    ``store`` — the store the plan was computed for."""
+    plan.check_store(store)
+    ids = range(plan.shard_count) if shard_ids is None else shard_ids
+    return {
+        shard_id: ShardService(
+            store,
+            shard_id=shard_id,
+            span=plan.span(shard_id),
+            case_sensitive=case_sensitive,
+            backend=backend,
+        )
+        for shard_id in ids
+    }
 
 
 class ShardService:
-    """Stateless request handlers over one shard store."""
+    """Stateless request handlers over one shard: a store and ``span``,
+    the half-open OID range the shard answers over."""
 
     def __init__(
         self,
         store: MonetXML,
         *,
         shard_id: int,
+        span: Span,
         case_sensitive: bool = False,
         backend: Optional[str] = None,
     ):
         self.shard_id = shard_id
         self.store = store
+        self.span = span
         self.case_sensitive = bool(case_sensitive)
         self.backend_name = backend or "steered"
         self.engine = NearestConceptEngine(
@@ -195,8 +253,8 @@ class ShardService:
 
     # -- lifecycle / observability --------------------------------------
     def _op_ping(self, params: Dict[str, object]) -> Dict[str, object]:
-        # Touching the indexes here is the warm-up: on snapshot-loaded
-        # shards both come from the seeded caches (zero builds).
+        # Touching the indexes here is the warm-up: on a snapshot-loaded
+        # store both come from the seeded caches (zero builds).
         _ = self.engine.index
         backend = self.engine.backend
         # Vector shards also bind the LCA index and its NumPy column
@@ -204,7 +262,7 @@ class ShardService:
         _ = getattr(backend, "kernels", None)
         return {
             "pid": os.getpid(),
-            "nodes": self.store.node_count,
+            "nodes": self.span[1] - self.span[0],
             "backend": self.backend_name,
             "kernel_tier": kernel_tier(backend.name),
             "case_sensitive": self.case_sensitive,
@@ -220,7 +278,7 @@ class ShardService:
         index_counts: Dict[str, int] = {}
         for term, mode in terms:
             found = hits_for_mode(
-                self.engine.search, term, mode, term in scan_terms
+                self.engine.search, term, mode, term in scan_terms, self.span
             )
             hits[term] = found
             if mode == "token" and term not in scan_terms:
@@ -305,13 +363,15 @@ class ShardService:
 
     def _op_text_head(self, params: Dict[str, object]) -> Dict[str, object]:
         width = int(params.get("width", 120))
-        return {"part": _text_head(self.store, self.store.root_oid, width)}
+        heads = _root_children(self.store, self.span)
+        return {"part": _text_below(self.store, heads, width)}
 
     def _op_root_text(self, params: Dict[str, object]) -> Dict[str, object]:
-        return {"part": object_text(self.store, self.store.root_oid)}
+        heads = _root_children(self.store, self.span)
+        return {"part": _text_below(self.store, heads)}
 
     def _op_root_xml_parts(self, params: Dict[str, object]) -> Dict[str, object]:
-        """This shard's slice of the serialized document root.
+        """This shard's part of the serialized document root.
 
         Each top-level subtree is written exactly as the monolithic
         serializer would emit it as a child of the root (level 1), so
@@ -329,7 +389,7 @@ class ShardService:
         out: List[str] = []
         inline: List[str] = []
         cdata_only = True
-        for child_oid in store.children_of(root):
+        for child_oid in _root_children(store, self.span):
             node = reassemble_subtree(store, child_oid)
             _write_node(node, out, indent, 1)
             if node.label == CDATA_LABEL:
@@ -340,7 +400,9 @@ class ShardService:
             "children": "".join(out),
             "cdata_only": cdata_only,
             "inline": inline,
-            "root_attributes": store.attributes_of(root),
+            "root_attributes": (
+                store.attributes_of(root) if self.span[0] == root else {}
+            ),
         }
 
     def _op_pids(self, params: Dict[str, object]) -> Dict[str, object]:
@@ -389,7 +451,10 @@ class ShardService:
             parsed = template.bind(dict(bindings or {}))
             plan = plan.rebound(parsed)
         search = _CoordinatedSearch(
-            store, case_sensitive=self.case_sensitive, scan_terms=scan_needles
+            store,
+            case_sensitive=self.case_sensitive,
+            scan_terms=scan_needles,
+            span=self.span,
         )
         processor = QueryProcessor(
             store,
@@ -407,7 +472,9 @@ class ShardService:
                     term_mode(needle, self.case_sensitive) == "token"
                     and needle not in scan_needles
                 ):
-                    index_counts[needle] = len(search.index.search(needle))
+                    index_counts[needle] = len(
+                        search.index.search(needle).within(self.span)
+                    )
 
         aggregate = plan.aggregate
         if aggregate:
@@ -430,7 +497,7 @@ class ShardService:
         variables: Dict[str, Dict[str, object]] = {}
         minimal: Dict[str, List[int]] = {}
         for variable in needed:
-            pattern = processor._pattern_oids(plan, variable)
+            pattern = self._pattern_oids(plan, variable)
             closures = [
                 processor._condition_closure(condition, plan)
                 for condition in parsed.conditions_for(variable)
@@ -476,6 +543,22 @@ class ShardService:
                 if isinstance(item, DistanceItem)
             }
         return response
+
+    def _pattern_oids(self, plan, variable: str) -> Set[int]:
+        """:meth:`QueryProcessor._pattern_oids` cut to this shard's
+        range: each pid's OIDs are in document order, so two bisections
+        bound the ones taken."""
+        store = self.store
+        lo, hi = self.span
+        oids: Set[int] = set()
+        for pid in plan.variables[variable].pids:
+            if store.summary.is_attribute(pid):
+                column = store.string_relation(pid).heads
+            else:
+                column = store.oids_on_pid(pid)
+            start, stop = bisect_left(column, lo), bisect_left(column, hi)
+            oids.update(column[start:stop])
+        return oids
 
     def _meet_item(
         self, plan, item: MeetItem, minimal: Dict[str, List[int]]
@@ -527,20 +610,25 @@ class ShardService:
 
 
 class _CoordinatedSearch(SearchEngine):
-    """A :class:`SearchEngine` whose index-vs-scan choice is imposed.
+    """A :class:`SearchEngine` over one shard's range whose
+    index-vs-scan choice is imposed.
 
-    The stock ``find`` falls back to a substring scan when the local
-    index misses — a decision that must be made against the *global*
+    The stock ``find`` falls back to a substring scan when the index
+    has no hit — a decision that must be made against the *global*
     index under sharding.  This variant follows the coordinator's
-    per-term verdict instead (``scan_terms`` forces the fallback).
+    per-term verdict instead (``scan_terms`` forces the fallback), and
+    finds only the hits inside ``span``.
     """
 
-    def __init__(self, store, *, case_sensitive: bool, scan_terms: Set[str]):
+    def __init__(
+        self, store, *, case_sensitive: bool, scan_terms: Set[str], span: Span
+    ):
         super().__init__(store, case_sensitive=case_sensitive)
         self._scan_terms = frozenset(scan_terms)
+        self._span = span
 
     def find(self, term: str) -> Hits:
         return hits_for_mode(
             self, term, term_mode(term, self.case_sensitive),
-            term in self._scan_terms,
+            term in self._scan_terms, self._span,
         )

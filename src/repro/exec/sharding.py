@@ -1,4 +1,4 @@
-"""Answer-preserving document sharding of one Monet XML store.
+"""Answer-preserving sharding of one Monet XML store by OID range.
 
 The meet roll-up (Fig. 5) has one structural property that makes a
 collection embarrassingly parallel: the subtrees hanging off the
@@ -6,32 +6,23 @@ document root share no ancestor *except the root itself*, so every
 meet either lies inside exactly one top-level subtree or is the root.
 Because OIDs are assigned in depth-first pre-order
 (:class:`repro.datamodel.document.Document`), every top-level subtree
-occupies one *contiguous* OID range — a shard can therefore be an
-ordinary :class:`~repro.monet.engine.MonetXML` store over a slice of
-the dense columns, answering with the **original global OIDs**, and a
-scatter-gather coordinator (:mod:`repro.exec.coordinator`) reassembles
-byte-identical global answers:
+occupies one *contiguous* OID range.  A shard is therefore nothing but
+a range of the one store: shard ``k`` answers over ``[lo_k, hi_k)``, a
+run of whole top-level subtrees, and shard 0's range also covers the
+root OID.  The store, its LCA and full-text indexes and its bundle are
+shared by every shard; the :class:`ShardPlan` is the whole layout.
 
-* per-shard meets are global meets verbatim (their ancestry never
-  leaves the shard);
-* meets *at the root* are reconstructed by the coordinator from each
-  shard's *residue* — the input pairs no local meet absorbed — which
-  is exactly the pending set the monolithic roll-up would deliver to
-  the root (each input pair is either absorbed by exactly one emitted
-  meet or survives to the root, on both backends).
+A scatter-gather coordinator (:mod:`repro.exec.coordinator`)
+reassembles byte-identical global answers:
 
-Physically, shard ``k`` covers the OID range ``[start_k, end_k)`` (a
-run of whole top-level subtrees) plus a **stand-in root** at OID
-``start_k - 1`` so the dense columns stay gap-free.  For shard 0 the
-stand-in *is* the true document root (pre-order puts the first child
-at ``root_oid + 1``), and shard 0 alone carries the root's attribute
-associations, so the other stand-ins can never appear in a hit or an
-answer — shard services drop their local root from every result and
-the coordinator re-derives the one true root globally.  Every stand-in
-carries the root's rank row (nothing searches ranks), so a shard's
-``ranks`` are its dense columns regrouped by pid, like any store's.
-All shards share the complete path summary, so pids, paths, labels and
-depths are globally consistent.
+* per-shard meets below the root are global meets verbatim (their
+  ancestry never leaves the range);
+* the meet *at the root* is dropped by every shard and reconstructed
+  by the coordinator from each shard's *residue* — the input pairs no
+  kept meet absorbed — which is exactly the pending set the monolithic
+  roll-up would deliver to the root (each input pair is either
+  absorbed by exactly one emitted meet or survives to the root, on
+  both backends).
 """
 
 from __future__ import annotations
@@ -43,9 +34,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..datamodel.errors import ReproError
-from ..monet.engine import MonetXML, int32_column
+from ..monet.engine import MonetXML
 
-__all__ = ["ShardingError", "ShardPlan", "compute_shard_plan", "slice_store"]
+__all__ = ["ShardingError", "ShardPlan", "compute_shard_plan"]
 
 
 class ShardingError(ReproError):
@@ -57,10 +48,10 @@ class ShardPlan:
     """The immutable layout of one sharded collection.
 
     ``starts[k] .. ends[k]`` is shard ``k``'s half-open range of real
-    OIDs (whole top-level subtrees); the root OID belongs to shard 0.
-    The global node/path/relation counts ride along so a coordinator
-    that never loads a full store can still describe the collection
-    (and render byte-identical ``explain`` output).
+    OIDs (whole top-level subtrees); the root OID belongs to shard 0
+    (:meth:`span`).  The global node/path/relation counts ride along so
+    a coordinator can describe the collection (and render
+    byte-identical ``explain`` output) from the plan alone.
     """
 
     root_oid: int
@@ -86,6 +77,12 @@ class ShardPlan:
     @property
     def shard_count(self) -> int:
         return len(self.starts)
+
+    def span(self, shard: int) -> Tuple[int, int]:
+        """The half-open OID range shard ``shard`` answers over; shard
+        0's starts at the root."""
+        low = self.root_oid if shard == 0 else self.starts[shard]
+        return low, self.ends[shard]
 
     def shard_of(self, oid: int) -> int:
         """The shard holding a real OID (the root lives in shard 0)."""
@@ -127,44 +124,49 @@ class ShardPlan:
         except (KeyError, TypeError, ValueError) as exc:
             raise ShardingError(f"malformed shard layout: {exc}") from exc
 
+    def check_store(self, store: MonetXML) -> None:
+        """Refuse a store this plan was not computed for."""
+        if (
+            store.root_oid != self.root_oid
+            or store.node_count != self.node_count
+        ):
+            raise ShardingError("shard plan does not describe this store")
+
 
 def _subtree_spans(store: MonetXML) -> List[Tuple[int, int]]:
     """Contiguous [start, end) OID span per top-level subtree.
 
-    Verifies the pre-order invariant the whole scheme rests on: inside
-    each span every non-head node's parent must also lie in the span —
-    which by induction makes the span exactly one subtree.  A store
-    with shuffled OIDs (nothing in this repo produces one, but a
+    The heads are the OIDs whose parent is the root.  Verifies the
+    pre-order invariant the whole scheme rests on: inside each span
+    every non-head node's parent must also lie in the span, before the
+    node — which by induction makes the span exactly one subtree.  A
+    store with shuffled OIDs (nothing in this repo produces one, but a
     hand-made bundle can hold one) is rejected rather than sharded
     wrongly.
     """
     root = store.root_oid
-    children = sorted(store.children_of(root))
     if store.first_oid != root:
         raise ShardingError(
             f"sharding expects the root to carry the first OID "
             f"(root={root}, first={store.first_oid})"
         )
-    spans: List[Tuple[int, int]] = []
-    boundary = store.last_oid + 1
-    for position, child in enumerate(children):
-        end = children[position + 1] if position + 1 < len(children) else boundary
-        spans.append((child, end))
-    if spans and (spans[0][0] != root + 1 or spans[-1][1] != boundary):
+    parents = np.asarray(store.dense_columns()[1], dtype=np.int64)[1:]
+    oids = np.arange(root + 1, root + 1 + len(parents))
+    heads = oids[parents == root]
+    if not len(heads):
+        return []
+    if heads[0] != root + 1:
         raise ShardingError("top-level subtrees do not tile the OID range")
-    # One pass over the dense parent column: inside each span every
-    # non-head node's parent must lie in [head, oid) — by induction the
-    # span is then exactly one subtree.
-    parent_col = store.dense_columns()[1]
-    first = store.first_oid
-    for start, end in spans:
-        for oid in range(start + 1, end):
-            if not start <= parent_col[oid - first] < oid:
-                raise ShardingError(
-                    f"store OIDs are not in document pre-order near OID "
-                    f"{oid}; cannot shard this store"
-                )
-    return spans
+    head_of = heads[np.searchsorted(heads, oids, side="right") - 1]
+    in_order = (oids == head_of) | ((head_of <= parents) & (parents < oids))
+    if not in_order.all():
+        oid = int(oids[np.argmin(in_order)])
+        raise ShardingError(
+            f"store OIDs are not in document pre-order near OID "
+            f"{oid}; cannot shard this store"
+        )
+    ends = np.append(heads[1:], store.last_oid + 1)
+    return list(zip(heads.tolist(), ends.tolist()))
 
 
 def compute_shard_plan(store: MonetXML, shards: int) -> ShardPlan:
@@ -218,47 +220,3 @@ def _plan_for(store: MonetXML, runs: List[Tuple[int, int]]) -> ShardPlan:
         starts=tuple(start for start, _ in runs),
         ends=tuple(end for _, end in runs),
     )
-
-
-def slice_store(store: MonetXML, plan: ShardPlan) -> List[MonetXML]:
-    """Materialize one independent :class:`MonetXML` store per shard.
-
-    Each shard shares the parent store's path summary instance and
-    keeps the original OIDs; see the module docstring for the
-    stand-in-root scheme.  A shard's dense columns are its stand-in row
-    followed by a slice of the store's, and its string runs the rows whose
-    owner lies in its range — the true root's go to shard 0, whose
-    stand-in it is.  The slices are plain stores: they snapshot, index
-    and validate like any other.
-    """
-    if store.root_oid != plan.root_oid or store.node_count != plan.node_count:
-        raise ShardingError("shard plan does not describe this store")
-    root = store.root_oid
-    root_index = root - store.first_oid
-    pid_col, parent_col, rank_col = map(np.asarray, store.dense_columns())
-    strings = store.string_runs()
-    owners = np.asarray(strings.heads)
-
-    def prefixed(stand_in_value, column):
-        return int32_column(np.concatenate(([stand_in_value], column)))
-
-    shards: List[MonetXML] = []
-    for shard_id, (lo, hi) in enumerate(zip(plan.starts, plan.ends)):
-        stand_in = lo - 1  # shard 0's IS the true root
-        span = slice(lo - store.first_oid, hi - store.first_oid)
-        parents = parent_col[span]
-        low = root if shard_id == 0 else lo
-        shards.append(
-            MonetXML(
-                summary=store.summary,
-                root_oid=stand_in,
-                first_oid=stand_in,
-                oid_pid=prefixed(pid_col[root_index], pid_col[span]),
-                oid_parent=prefixed(
-                    -1, np.where(parents == root, stand_in, parents)
-                ),
-                oid_rank=prefixed(rank_col[root_index], rank_col[span]),
-                strings=strings.where((owners >= low) & (owners < hi)),
-            )
-        )
-    return shards

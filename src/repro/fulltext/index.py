@@ -186,6 +186,19 @@ class Hits:
             )
         return self._oid_column
 
+    def within(self, span: Tuple[int, int]) -> "Hits":
+        """The hits whose OID lies in the half-open ``span`` (a shard's
+        range).
+
+        Index-backed hits cut the term's postings once per span
+        (:meth:`_TermPostings.within`), so a shard's repeated queries
+        of a term share one cut and its roll-ups.
+        """
+        entry = self._entry
+        if entry is None:
+            entry = _TermPostings(self._pids, self._oids)
+        return Hits(self.term, entry=entry.within(span))
+
     def by_pid(self) -> Mapping[int, Sequence[int]]:
         """pid → OID sequence: the typed relations handed to meet (Fig. 5).
 
@@ -238,7 +251,9 @@ class _TermPostings:
     the vector tier reads ``unique_oids`` alone.
     """
 
-    __slots__ = ("pids", "oids", "_grouped", "_oid_set", "_unique_oids")
+    __slots__ = (
+        "pids", "oids", "_grouped", "_oid_set", "_unique_oids", "_cuts"
+    )
 
     def __init__(self, pids: Sequence[int], oids: Sequence[int]):
         self.pids = pids
@@ -246,6 +261,35 @@ class _TermPostings:
         self._grouped: Optional[Mapping[int, Sequence[int]]] = None
         self._oid_set: Optional[FrozenSet[int]] = None
         self._unique_oids: Optional[Sequence[int]] = None
+        self._cuts: Optional[Dict[Tuple[int, int], "_TermPostings"]] = None
+
+    def within(self, span: Tuple[int, int]) -> "_TermPostings":
+        """The postings whose OID lies in the half-open ``span``
+        (memoized per span; racing callers at worst build it twice).
+
+        The sorted distinct-OID column is cut with two binary searches
+        and becomes the cut's ``unique_oids``; the posting columns are
+        masked to the same range.
+        """
+        cuts = self._cuts
+        if cuts is None:
+            cuts = self._cuts = {}
+        cut = cuts.get(span)
+        if cut is None:
+            unique = np.asarray(self.unique_oids)
+            start, stop = np.searchsorted(unique, span)
+            if start == 0 and stop == len(unique):
+                cut = self
+            else:
+                oids = np.asarray(self.oids)
+                keep = (oids >= span[0]) & (oids < span[1])
+                cut = _TermPostings(
+                    _as_q_column(np.asarray(self.pids)[keep]),
+                    _as_q_column(oids[keep]),
+                )
+                cut._unique_oids = _as_q_column(unique[start:stop])
+            cuts[span] = cut
+        return cut
 
     @property
     def unique_oids(self) -> Sequence[int]:

@@ -9,7 +9,8 @@ query executor.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_left
+from typing import List, Optional, Tuple
 
 from ..monet.engine import MonetXML
 from .index import FullTextIndex, Hits, Posting, get_fulltext_index
@@ -98,16 +99,26 @@ class SearchEngine:
                 values.extend(relation.find_all(posting.oid))
         return values
 
-    def scan(self, needle: str) -> Hits:
+    def scan(
+        self, needle: str, span: Optional[Tuple[int, int]] = None
+    ) -> Hits:
         """Full scan over all string relations: substring containment.
 
         The slow path — used for punctuation-bearing or partial-word
-        needles that token search cannot answer.
+        needles that token search cannot answer.  With ``span`` (a
+        shard's half-open OID range) rows owned outside it are skipped:
+        each relation's rows are in OID order, so two bisections bound
+        the ones read.
         """
         postings: List[Posting] = []
         for pid, relation in self.store.string_relations():
             element_pid = self.store.summary.parent(pid)
-            for oid, value in relation:
+            rows = relation
+            if span is not None:
+                heads = relation.heads
+                start, stop = (bisect_left(heads, bound) for bound in span)
+                rows = zip(heads[start:stop], relation.tails[start:stop])
+            for oid, value in rows:
                 if contains(value, needle, self.case_sensitive):
                     postings.append(Posting(element_pid, oid))
         return Hits(term=needle, postings=postings)

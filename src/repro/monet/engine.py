@@ -176,7 +176,7 @@ class MonetXML:
 
         Flat int32 buffers, ``-1`` where a node has no parent.
         Read-only by contract — the columns are handed out without a
-        copy so whole-range consumers (the shard slicer of
+        copy so whole-range consumers (the shard planner of
         :mod:`repro.exec.sharding`) stay O(range), not O(range) Python
         calls.
         """
@@ -460,7 +460,7 @@ class DerivedCache:
     the store is gone, and the cache only remembers (weakly) which
     stores to visit for :meth:`values` and :meth:`clear`.  Objects
     without a ``derived`` dict (the coordinator's summary-only
-    stand-in) have no entry.
+    store) have no entry.
     """
 
     def __init__(self, name: str):

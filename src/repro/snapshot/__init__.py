@@ -14,9 +14,10 @@ O(rebuild):
   with the per-store generation-keyed caches seeded on load;
 * :mod:`repro.snapshot.catalog` — :class:`Catalog`, a directory of
   named collections with per-collection metadata and generations;
-* :mod:`repro.snapshot.sharded` — the shard-aware extension: one
-  bundle per shard plus a recorded layout, so sharded collections
-  warm-start rebuild-free too (serially or behind a worker pool).
+* :mod:`repro.snapshot.sharded` — the shard layout a bundle records:
+  a sharded collection is one bundle whose shards are OID ranges, so
+  it warm-starts rebuild-free too (serially or behind worker
+  processes).
 
 ``benchmarks/serving/run.py`` reports the build and load costs on every
 workload (``setup_s``, ``snapshot.build_s``, ``snapshot.open_ms``,
@@ -33,11 +34,7 @@ from .format import (
     SnapshotWriter,
     append_section,
 )
-from .sharded import (
-    read_snapshot_header,
-    shard_bundle_name,
-    write_shard_bundles,
-)
+from .sharded import bundle_plan, recorded_plan
 
 __all__ = [
     "Catalog",
@@ -48,9 +45,8 @@ __all__ = [
     "read_delta_ops",
     "read_snapshot",
     "write_snapshot",
-    "read_snapshot_header",
-    "shard_bundle_name",
-    "write_shard_bundles",
+    "bundle_plan",
+    "recorded_plan",
     "SnapshotReader",
     "SnapshotWriter",
     "FORMAT_VERSION",

@@ -56,6 +56,24 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _per_shard_bundles(meta: Dict[str, object]) -> List[str]:
+    """The per-shard bundle files a manifest entry lists — a layout of
+    one bundle per shard, which is no longer read."""
+    shards = meta.get("shards")
+    files = shards.get("files", ()) if isinstance(shards, dict) else ()
+    return [file for file in files if isinstance(file, str)]
+
+
+def _refuse_per_shard_bundles(name: str, meta: Dict[str, object]) -> None:
+    if _per_shard_bundles(meta):
+        raise StorageError(
+            f"collection {name!r} is stored as one bundle per shard, a "
+            "layout that is no longer read; rebuild it with "
+            f"`repro snapshot build <xml> {name} --shards "
+            f"{meta['shards'].get('count', 'N')}`"
+        )
+
+
 def refuse_json_image(source: FsPath) -> None:
     """Refuse a ``.json`` source: the JSON store image of earlier
     versions is not read; its XML rebuilds the store."""
@@ -168,34 +186,10 @@ class Catalog:
             if (
                 meta.get("source_bytes") == stat.st_size
                 and meta.get("source_mtime_ns") == stat.st_mtime_ns
-                and self._bundles_exist(name, meta)
+                and self.bundle_path(name).exists()
             ):
                 return name
         return None
-
-    def _bundles_exist(self, name: str, meta: Dict[str, object]) -> bool:
-        shards = meta.get("shards")
-        if isinstance(shards, dict):
-            files = shards.get("files", ())
-            return bool(files) and all(
-                (self.root / str(file)).exists() for file in files
-            )
-        return self.bundle_path(name).exists()
-
-    def shard_files(self, name: str) -> List[FsPath]:
-        """The shard bundle paths of a sharded collection, in order."""
-        meta = self.info(name)
-        shards = meta.get("shards")
-        if not isinstance(shards, dict):
-            raise StorageError(
-                f"collection {name!r} in catalog {self.root} is not sharded"
-            )
-        files = shards.get("files")
-        if not isinstance(files, list) or not files:
-            raise StorageError(
-                f"collection {name!r} records a shard layout without files"
-            )
-        return [self.root / str(file) for file in files]
 
     # -- mutations ------------------------------------------------------
     def build(
@@ -212,18 +206,16 @@ class Catalog:
         """Snapshot ``store`` under ``name``; returns the new metadata.
 
         Rebuilding an existing collection bumps its generation and
-        atomically replaces the bundle(s).  With ``shards`` the store
-        is partitioned (:mod:`repro.exec.sharding`) and written as one
-        bundle per shard — ``shards=1`` included, so the layout is
-        persisted and a later ``serve --workers M`` runs from the
-        recorded bundles instead of re-slicing; ``None`` builds the
-        classic monolithic bundle.  The manifest records the layout so
-        openers can scatter-gather without loading anything first.
-        ``value_indexes`` declares typed value indexes for the
-        collection (path pattern strings): the declarations are
-        recorded in the manifest and the built index is bundled as
-        ``vx/*`` sections (per shard, for sharded layouts), so opens
-        start probe-ready.  ``_source_stat`` lets :meth:`ingest` record
+        atomically replaces the bundle.  With ``shards`` the store is
+        planned into that many OID ranges (:mod:`repro.exec.sharding`)
+        — ``shards=1`` included — and the layout is recorded in the
+        bundle's meta and in the manifest, so every open serves the
+        recorded shards; ``None`` builds a monolithic collection.
+        Either way the collection is one bundle.  ``value_indexes``
+        declares typed value indexes for the collection (path pattern
+        strings): the declarations are recorded in the manifest and
+        the built index is bundled as ``vx/*`` sections, so opens start
+        probe-ready.  ``_source_stat`` lets :meth:`ingest` record
         the fingerprint of the content it actually read (stat'ed
         *before* reading), so a source modified mid-ingest can never
         fingerprint as fresh.
@@ -242,41 +234,29 @@ class Catalog:
                 f"of {name!r} is not a number"
             ) from None
         bundle = self.bundle_path(name)
-        shard_meta: Optional[Dict[str, object]] = None
+        extra_meta: Dict[str, object] = {
+            "collection": name,
+            "collection_generation": generation,
+        }
+        layout: Optional[Dict[str, object]] = None
         if shards is not None:
-            from .sharded import write_shard_bundles
+            from ..exec.sharding import compute_shard_plan
 
-            plan, paths, size = write_shard_bundles(
+            layout = compute_shard_plan(store, shards).to_dict()
+            extra_meta["shards"] = layout
+        temp = bundle.with_suffix(".snap.tmp")
+        try:
+            size = write_snapshot(
                 store,
-                self.root,
-                name,
-                shards=shards,
+                temp,
                 case_sensitive=case_sensitive,
                 value_indexes=declarations,
-                extra_meta={
-                    "collection": name,
-                    "collection_generation": generation,
-                },
+                extra_meta=extra_meta,
             )
-            shard_meta = plan.to_dict()
-            shard_meta["files"] = [path.name for path in paths]
-        else:
-            temp = bundle.with_suffix(".snap.tmp")
-            try:
-                size = write_snapshot(
-                    store,
-                    temp,
-                    case_sensitive=case_sensitive,
-                    value_indexes=declarations,
-                    extra_meta={
-                        "collection": name,
-                        "collection_generation": generation,
-                    },
-                )
-                temp.replace(bundle)
-            except BaseException:
-                temp.unlink(missing_ok=True)
-                raise
+            temp.replace(bundle)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
         source_fingerprint: Dict[str, object] = {}
         if source is not None:
             try:
@@ -288,7 +268,7 @@ class Catalog:
             except OSError:
                 pass  # unreadable source: recorded without a fingerprint
         meta: Dict[str, object] = {
-            "file": None if shard_meta is not None else bundle.name,
+            "file": bundle.name,
             "source": str(FsPath(source).resolve()) if source is not None else None,
             **source_fingerprint,
             "node_count": store.node_count,
@@ -300,34 +280,16 @@ class Catalog:
         }
         if declarations:
             meta["value_indexes"] = declarations
-        if shard_meta is not None:
-            meta["shards"] = shard_meta
+        if layout is not None:
+            meta["shards"] = layout
         collections[name] = meta
         self._write_manifest(collections)
-        # Destructive cleanup strictly *after* the manifest flip: a
-        # crash anywhere above leaves the previous build fully
-        # servable (its bundles untouched, the old manifest intact); a
-        # crash below leaves only harmless orphan files.
-        self._remove_stale_files(name, previous, shard_meta)
+        # Strictly *after* the manifest flip (a crash before it leaves
+        # the previous build servable): a rebuild retires the files of
+        # a refused one-bundle-per-shard layout.
+        for file in _per_shard_bundles(previous):
+            (self.root / file).unlink(missing_ok=True)
         return meta
-
-    def _remove_stale_files(
-        self,
-        name: str,
-        previous: Dict[str, object],
-        current: Optional[Dict[str, object]],
-    ) -> None:
-        """Unlink files of the previous build the new one did not
-        replace: surplus shard bundles (fewer shards, or back to
-        monolithic) and the monolithic bundle after a sharded build."""
-        keep = set((current or {}).get("files", ()))
-        old = previous.get("shards")
-        if isinstance(old, dict):
-            for file in old.get("files", ()):
-                if isinstance(file, str) and file not in keep:
-                    (self.root / file).unlink(missing_ok=True)
-        if current is not None:
-            self.bundle_path(name).unlink(missing_ok=True)
 
     def ingest(
         self,
@@ -380,12 +342,7 @@ class Catalog:
         instead of failing the load.
         """
         meta = self.info(name)
-        if isinstance(meta.get("shards"), dict):
-            raise StorageError(
-                f"collection {name!r} is sharded ("
-                f"{meta['shards'].get('count')} shards); open it through "
-                "repro.open / Database, which scatter-gathers the shards"
-            )
+        _refuse_per_shard_bundles(name, meta)
         bundle = self.bundle_path(name)
         if not bundle.exists():
             raise StorageError(
@@ -437,21 +394,21 @@ class Catalog:
         rebuild, so the previous build keeps serving until the flip
         and a crash at any point leaves a fully servable bundle.
         ``shards`` re-balances the layout (``None`` keeps the
-        collection monolithic and writable; ``N`` writes per-shard
-        bundles for ``serve --workers``).  The new metadata drops the
-        source association: the compacted content comes from the live
-        collection, not from any file on disk.
+        collection monolithic and writable; ``N`` records an
+        ``N``-shard layout, after which the collection is read-only).
+        The new metadata drops the source association: the compacted
+        content comes from the live collection, not from any file on
+        disk.
 
-        Sharded collections are refused — they are read-only (no delta
-        tail accumulates) and their original monolithic store is gone;
-        re-ingest from source to re-balance those.
+        Sharded collections are refused — they are read-only, so no
+        delta tail accumulates; rebuild from source to re-balance them.
         """
         meta = self.info(name)
         if isinstance(meta.get("shards"), dict):
             raise StorageError(
-                f"collection {name!r} is sharded; sharded bundles are "
-                "read-only and carry no deltas — re-ingest from source "
-                "to re-balance"
+                f"collection {name!r} is sharded; sharded collections are "
+                "read-only and carry no deltas — rebuild it with "
+                "`repro snapshot build` to re-balance"
             )
         from ..monet.mutate import compact_store
 
@@ -467,19 +424,14 @@ class Catalog:
         )
 
     def drop(self, name: str) -> None:
-        """Remove a collection's bundle(s) and manifest entry."""
+        """Remove a collection's bundle and manifest entry."""
         collections = self._read_manifest()
         if name not in collections:
             raise StorageError(f"no collection {name!r} in catalog {self.root}")
         meta = collections.pop(name)
-        bundle = self.bundle_path(name)
-        if bundle.exists():
-            bundle.unlink()
-        shards = meta.get("shards")
-        if isinstance(shards, dict):
-            for file in shards.get("files", ()):
-                if isinstance(file, str):
-                    (self.root / file).unlink(missing_ok=True)
+        self.bundle_path(name).unlink(missing_ok=True)
+        for file in _per_shard_bundles(meta):
+            (self.root / file).unlink(missing_ok=True)
         self._write_manifest(collections)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -149,3 +149,41 @@ def test_shards_option_validation():
     assert DatabaseOptions(workers=3).effective_shards == 3
     assert DatabaseOptions(shards=2, workers=5).effective_shards == 2
     assert DatabaseOptions().effective_shards is None
+
+
+def test_one_bundle_serves_pool_and_replicas(xml_path, tmp_path):
+    """A 2-shard collection is one ``.snap``; a worker pool and a replica
+    set over it answer byte-identically to the serial executor, and no
+    process builds an LCA or full-text index."""
+    root = tmp_path / "catalog"
+    Catalog(root).ingest("dblp", xml_path, shards=2)
+    assert [path.name for path in root.glob("*.snap")] == ["dblp.snap"]
+    requests = [
+        NearestRequest(terms=("ICDE", "1999"), limit=5, snippets=True),
+        NearestRequest(terms=("VLDB", "1994"), exclude_root=True),
+    ]
+    with repro.open(snapshot="dblp", catalog=root) as serial:
+        expected = [serial.nearest(r).to_dict()["answers"] for r in requests]
+        expected_rows = serial.query(QUERY).rows
+    for knobs in ({"workers": 2}, {"replicas": 1}):
+        with repro.open(snapshot="dblp", catalog=root, **knobs) as database:
+            assert database.sharded.shard_count == 2
+            answers = [
+                database.nearest(r).to_dict()["answers"] for r in requests
+            ]
+            assert answers == expected, knobs
+            assert database.query(QUERY).rows == expected_rows, knobs
+            builds = database.stats()["executor"]["index_builds"]
+            assert builds == {"lca": 0, "fulltext": 0}, knobs
+
+
+def test_replicas_need_the_layout_their_bundle_records(document, tmp_path):
+    """Socket workers serve the layout their bundle records, so replicas
+    over a bundle without that layout are refused up front."""
+    from repro.datamodel.errors import StorageError
+    from repro.snapshot import write_snapshot
+
+    path = tmp_path / "dblp.snap"
+    write_snapshot(monet_transform(document), path)
+    with pytest.raises(StorageError, match="--shards 2"):
+        repro.open(path, shards=2, replicas=1)

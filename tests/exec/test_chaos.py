@@ -31,14 +31,14 @@ from repro.exec import (
     ExecutorError,
     ReplicaSpec,
     SerialExecutor,
-    ShardService,
     ShardedCollection,
     compute_shard_plan,
     deadline_scope,
-    slice_store,
 )
-from repro.exec.remote import ShardWorkerServer
+from repro.exec.remote import ShardWorkerServer, services_from_bundle
 from repro.monet.transform import monet_transform
+from repro.snapshot import write_snapshot
+from repro.snapshot.sharded import LAYOUT_KEY
 
 from .chaos import ChaosProxy
 
@@ -68,16 +68,15 @@ def _seed() -> int:
 
 
 @pytest.fixture(scope="module")
-def fabric():
+def fabric(tmp_path_factory):
     store = monet_transform(
         dblp_document(DblpConfig(papers_per_proceedings=4, articles_per_year=2))
     )
     plan = compute_shard_plan(store, SHARDS)
-    slices = slice_store(store, plan)
-    services = {
-        index: ShardService(shard, shard_id=index, backend="vector")
-        for index, shard in enumerate(slices)
-    }
+    # Every worker maps the one bundle: the store plus its layout.
+    bundle = tmp_path_factory.mktemp("chaos") / "dblp.snap"
+    write_snapshot(store, bundle, extra_meta={LAYOUT_KEY: plan.to_dict()})
+    services = services_from_bundle(bundle, backend="vector")
     serial = ShardedCollection(
         plan,
         store.summary,

@@ -13,19 +13,18 @@ from repro.exec import (
     Deadline,
     ReplicaSpec,
     SerialExecutor,
-    ShardService,
     ShardedCollection,
     compute_shard_plan,
     deadline_scope,
-    slice_store,
 )
 from repro.exec.remote import (
     RemoteOpError,
     ShardWorkerServer,
-    services_from_bundles,
+    services_from_bundle,
 )
 from repro.monet.transform import monet_transform
 from repro.snapshot import write_snapshot
+from repro.snapshot.sharded import LAYOUT_KEY
 
 SHARDS = 2
 
@@ -38,14 +37,18 @@ def store():
 
 
 @pytest.fixture(scope="module")
-def fabric(store):
+def bundle(store, tmp_path_factory):
+    """The one bundle every worker maps: the store plus its layout."""
     plan = compute_shard_plan(store, SHARDS)
-    slices = slice_store(store, plan)
-    services = {
-        index: ShardService(shard, shard_id=index, backend="vector")
-        for index, shard in enumerate(slices)
-    }
-    return plan, services
+    path = tmp_path_factory.mktemp("cluster") / "dblp.snap"
+    write_snapshot(store, path, extra_meta={LAYOUT_KEY: plan.to_dict()})
+    return plan, path
+
+
+@pytest.fixture(scope="module")
+def fabric(bundle):
+    plan, path = bundle
+    return plan, services_from_bundle(path, backend="vector")
 
 
 def _worker(services):
@@ -95,17 +98,18 @@ def test_cluster_answers_match_serial(store, fabric):
         worker.shutdown()
 
 
-def test_bundle_worker_defaults_to_the_snapshot_backend(store, tmp_path):
+def test_bundle_worker_defaults_to_the_snapshot_backend(bundle):
     """``repro shard-worker --bundle x.snap`` without ``--backend``
     serves what ``Database.open`` picks for the same bundle."""
-    path = tmp_path / "shard.snap"
-    write_snapshot(store, path)
-    (service,) = services_from_bundles([path]).values()
-    assert service.backend_name == "vector"
-    assert service.handle("ping", {})["kernel_tier"] == "vector"
+    _plan, path = bundle
+    services = services_from_bundle(path)
+    assert sorted(services) == list(range(SHARDS))
+    for service in services.values():
+        assert service.backend_name == "vector"
+        assert service.handle("ping", {})["kernel_tier"] == "vector"
     database = Database.open(path)
     try:
-        assert database.backend_name == service.backend_name
+        assert database.backend_name == "vector"
     finally:
         database.close()
 

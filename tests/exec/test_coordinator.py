@@ -9,10 +9,9 @@ from repro.datamodel.parser import parse_document
 from repro.datasets import DblpConfig, dblp_document
 from repro.exec import (
     SerialExecutor,
-    ShardService,
     ShardedCollection,
     compute_shard_plan,
-    slice_store,
+    shard_services,
 )
 from repro.monet.transform import monet_transform
 
@@ -27,17 +26,13 @@ ROOT_HIT_XML = """
 
 def _sharded(store, shards, *, backend="steered", cache=None):
     plan = compute_shard_plan(store, shards)
-    slices = slice_store(store, plan)
-    services = [
-        ShardService(shard, shard_id=index, backend=backend)
-        for index, shard in enumerate(slices)
-    ]
+    services = shard_services(store, plan, backend=backend)
     return ShardedCollection(
         plan,
         store.summary,
-        SerialExecutor(services),
+        SerialExecutor(list(services.values())),
         backend_name=backend,
-        generations=[shard.generation for shard in slices],
+        generations=[store.generation] * plan.shard_count,
         cache=cache,
     )
 
@@ -235,11 +230,7 @@ def test_root_binding_query_paths(root_store, shards):
 
 def test_executor_shard_count_must_match(dblp_store):
     plan = compute_shard_plan(dblp_store, 2)
-    slices = slice_store(dblp_store, plan)
-    services = [
-        ShardService(shard, shard_id=index)
-        for index, shard in enumerate(slices[:1])
-    ]
+    services = list(shard_services(dblp_store, plan, [0]).values())
     with pytest.raises(ReproError):
         ShardedCollection(
             plan,

@@ -12,13 +12,13 @@ from repro.exec import (
     ExecutorError,
     ParallelExecutor,
     SerialExecutor,
-    ShardService,
     ShardedCollection,
     compute_shard_plan,
-    slice_store,
+    shard_services,
 )
 from repro.monet.transform import monet_transform
-from repro.snapshot.sharded import write_shard_bundles
+from repro.snapshot import write_snapshot
+from repro.snapshot.sharded import LAYOUT_KEY
 
 
 @pytest.fixture(scope="module")
@@ -29,38 +29,35 @@ def store():
 
 
 @pytest.fixture(scope="module")
-def bundles(store, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("shards")
-    plan, paths, _size = write_shard_bundles(
-        store, directory, "dblp", shards=2
-    )
-    return plan, paths
+def bundle(store, tmp_path_factory):
+    """One bundle of the whole store, recording a two-shard layout."""
+    plan = compute_shard_plan(store, 2)
+    path = tmp_path_factory.mktemp("shards") / "dblp.snap"
+    write_snapshot(store, path, extra_meta={LAYOUT_KEY: plan.to_dict()})
+    return plan, path
 
 
 @pytest.fixture(scope="module")
-def pool(bundles):
-    _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=2, backend="vector")
+def pool(bundle):
+    plan, path = bundle
+    executor = ParallelExecutor(path, plan, workers=2, backend="vector")
     yield executor
     executor.close()
 
 
 def test_serial_scatter_preserves_order(store):
     plan = compute_shard_plan(store, 3)
-    slices = slice_store(store, plan)
-    executor = SerialExecutor(
-        [ShardService(s, shard_id=i) for i, s in enumerate(slices)]
-    )
+    executor = SerialExecutor(list(shard_services(store, plan).values()))
     responses = executor.broadcast("ping", {})
     assert [response["shard"] for response in responses] == [0, 1, 2]
+    # The ranges tile the store: shard 0's covers the root.
     assert sum(response["nodes"] for response in responses) == (
-        store.node_count + plan.shard_count - 1
+        store.node_count
     )
     assert executor.stats()["mode"] == "serial"
 
 
-def test_parallel_pool_answers_and_reports_workers(bundles, pool, store):
-    plan, _paths = bundles
+def test_parallel_pool_answers_and_reports_workers(bundle, pool, store):
     responses = pool.broadcast("ping", {})
     assert [response["shard"] for response in responses] == [0, 1]
     pids = {response["pid"] for response in responses}
@@ -72,8 +69,8 @@ def test_parallel_pool_answers_and_reports_workers(bundles, pool, store):
     assert stats["index_builds"] == {"lca": 0, "fulltext": 0}
 
 
-def test_parallel_end_to_end_matches_engine(bundles, pool, store):
-    plan, _paths = bundles
+def test_parallel_end_to_end_matches_engine(bundle, pool, store):
+    plan, _path = bundle
     sharded = ShardedCollection(
         plan,
         store.summary,
@@ -87,9 +84,9 @@ def test_parallel_end_to_end_matches_engine(bundles, pool, store):
     ) == engine.nearest_concepts("ICDE", "1999", limit=5)
 
 
-def test_worker_crash_fails_cleanly_then_respawns(bundles):
-    _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=1, backend="vector")
+def test_worker_crash_fails_cleanly_then_respawns(bundle):
+    plan, path = bundle
+    executor = ParallelExecutor(path, plan, workers=1, backend="vector")
     try:
         before = executor.stats()
         assert before["respawns"] == 0
@@ -103,9 +100,9 @@ def test_worker_crash_fails_cleanly_then_respawns(bundles):
         executor.close()
 
 
-def test_worker_killed_externally_fails_cleanly(bundles):
-    _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=1, backend="vector")
+def test_worker_killed_externally_fails_cleanly(bundle):
+    plan, path = bundle
+    executor = ParallelExecutor(path, plan, workers=1, backend="vector")
     try:
         [response] = executor.scatter([(0, "ping", {})])
         os.kill(response["pid"], signal.SIGKILL)
@@ -125,19 +122,17 @@ def test_worker_killed_externally_fails_cleanly(bundles):
         executor.close()
 
 
-def test_invalid_construction(bundles):
-    _plan, paths = bundles
+def test_invalid_construction(bundle):
+    plan, path = bundle
     with pytest.raises(ExecutorError):
-        ParallelExecutor(paths, workers=0)
-    with pytest.raises(ExecutorError):
-        ParallelExecutor([], workers=1)
+        ParallelExecutor(path, plan, workers=0)
 
 
-def test_closed_pool_refuses_instead_of_respawning(bundles):
+def test_closed_pool_refuses_instead_of_respawning(bundle):
     """After close() the pool must never silently resurrect — its temp
-    bundles may already be deleted."""
-    _plan, paths = bundles
-    executor = ParallelExecutor(paths, workers=1, backend="vector")
+    bundle may already be deleted."""
+    plan, path = bundle
+    executor = ParallelExecutor(path, plan, workers=1, backend="vector")
     executor.close()
     with pytest.raises(ExecutorError, match="closed"):
         executor.broadcast("ping", {})

@@ -5,10 +5,12 @@ through :func:`repro.core.backends.select_meets`.  This suite holds
 each response to the definition spelled out below in plain python, on
 every backend — so the routine, the batch columns behind it and the
 residue mask are all checked against something that shares none of
-their code:
+their code.  A shard is ``(store, lo, hi)``: the one store and its
+half-open OID range, which for shard 0 also covers the root.  Its hits
+are the term's hits inside the range, and then:
 
 * roll up the shard's input pairs with the paper's steered walk;
-* drop the meet at the shard's stand-in root;
+* drop the meet at the document root;
 * residue = the input pairs no kept meet contains, with their depths;
 * then ``meet_X`` (excluded pids), all-terms, ``within`` and — for
   ``nearest`` — the §4 ranking ``(joins, spread, -depth, oid)`` cut to
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core import backends
 from repro.core.meet_general import meet_tagged
 from repro.datasets import DblpConfig, dblp_document
-from repro.exec import ShardService, compute_shard_plan, slice_store
+from repro.exec import compute_shard_plan, shard_services
 from repro.fulltext.search import SearchEngine
 from repro.monet.transform import monet_transform
 
@@ -30,48 +32,53 @@ from ..property.strategies import WORDS, stores
 BACKENDS = ("steered", "vector")
 
 
-def _joins(shard, meet):
-    depth = shard.depth_of(meet.oid)
-    return sum(shard.depth_of(oid) - depth for oid in meet.origins)
+def _joins(store, meet):
+    depth = store.depth_of(meet.oid)
+    return sum(store.depth_of(oid) - depth for oid in meet.origins)
 
 
-def _kept_and_residue(shard, tagged):
-    """The steered roll-up minus the stand-in root, and what it left."""
+def _kept_and_residue(store, tagged):
+    """The steered roll-up minus the root meet, and what it left."""
     kept = [
-        meet for meet in meet_tagged(shard, tagged)
-        if meet.oid != shard.root_oid
+        meet for meet in meet_tagged(store, tagged)
+        if meet.oid != store.root_oid
     ]
     residue = sorted(
-        (token, oid, shard.depth_of(oid))
+        (token, oid, store.depth_of(oid))
         for token, oid in set(tagged)
         if not any((token, oid) in meet.tokens for meet in kept)
     )
     return kept, residue
 
 
-def _expected_nearest(shard, terms, exclude_pids, require_all, within, limit):
-    search = SearchEngine(shard)
-    hits = {term: search.index.search(term).oids() for term in terms}
+def _expected_nearest(
+    store, lo, hi, terms, exclude_pids, require_all, within, limit
+):
+    search = SearchEngine(store)
+    hits = {
+        term: {oid for oid in search.index.search(term).oids() if lo <= oid < hi}
+        for term in terms
+    }
     tagged = [(term, oid) for term in terms for oid in hits[term]]
-    kept, residue = _kept_and_residue(shard, tagged)
+    kept, residue = _kept_and_residue(store, tagged)
     meets = []
     for meet in kept:
-        if shard.pid_of(meet.oid) in exclude_pids:
+        if store.pid_of(meet.oid) in exclude_pids:
             continue
         if require_all and not meet.tags >= set(terms):
             continue
-        if within is not None and _joins(shard, meet) > within:
+        if within is not None and _joins(store, meet) > within:
             continue
         origins = sorted(meet.origins)
         meets.append(
             {
                 "oid": meet.oid,
-                "pid": shard.pid_of(meet.oid),
+                "pid": store.pid_of(meet.oid),
                 "origins": origins,
                 "terms": sorted(meet.tags),
-                "joins": _joins(shard, meet),
-                "spread": shard.live_distance(origins[0], origins[-1]),
-                "depth": shard.depth_of(meet.oid),
+                "joins": _joins(store, meet),
+                "spread": store.live_distance(origins[0], origins[-1]),
+                "depth": store.depth_of(meet.oid),
             }
         )
     meets.sort(key=lambda m: (m["joins"], m["spread"], -m["depth"], m["oid"]))
@@ -82,11 +89,15 @@ def _expected_nearest(shard, terms, exclude_pids, require_all, within, limit):
     }
 
 
-def _services(store, shards, backend):
-    slices = slice_store(store, compute_shard_plan(store, shards))
+def _shards(store, shards, backend):
+    """``(service, lo, hi)`` per shard, the range written out: the
+    plan's run of whole top-level subtrees, from the root for shard 0."""
+    plan = compute_shard_plan(store, shards)
+    services = shard_services(store, plan, backend=backend)
     return [
-        ShardService(shard, shard_id=index, backend=backend)
-        for index, shard in enumerate(slices)
+        (service, store.root_oid if index == 0 else plan.starts[index],
+         plan.ends[index])
+        for index, service in services.items()
     ]
 
 
@@ -109,7 +120,7 @@ def test_nearest_response_matches_definition(
         if (exclude_seed >> (pid % 16)) & 1
     ]
     for backend in BACKENDS:
-        for service in _services(store, shards, backend):
+        for service, lo, hi in _shards(store, shards, backend):
             response = service.handle(
                 "nearest",
                 {
@@ -121,7 +132,7 @@ def test_nearest_response_matches_definition(
                 },
             )
             expected = _expected_nearest(
-                service.store, terms, set(exclude_pids), require_all,
+                store, lo, hi, terms, set(exclude_pids), require_all,
                 within, limit,
             )
             for field, value in expected.items():
@@ -150,8 +161,7 @@ def test_meet_item_matches_definition(
         )
     )
     for backend in BACKENDS:
-        for service in _services(store, shards, backend):
-            shard = service.store
+        for service, _lo, _hi in _shards(store, shards, backend):
             response = service.handle("query", {"text": text})
             item = response["meet_items"]["0"]
             tagged = [
@@ -159,13 +169,13 @@ def test_meet_item_matches_definition(
                 for variable in variables
                 for oid in response["variables"][variable]["minimal"]
             ]
-            kept, residue = _kept_and_residue(shard, tagged)
-            root_pid = shard.pid_of(shard.root_oid)
+            kept, residue = _kept_and_residue(store, tagged)
+            root_pid = store.pid_of(store.root_oid)
             meets = sorted(
                 meet.oid
                 for meet in kept
-                if not (exclude_root and shard.pid_of(meet.oid) == root_pid)
-                and (within is None or _joins(shard, meet) <= within)
+                if not (exclude_root and store.pid_of(meet.oid) == root_pid)
+                and (within is None or _joins(store, meet) <= within)
             )
             assert item["meets"] == meets, backend
             assert item["residue"] == residue, backend
@@ -177,7 +187,7 @@ def test_limited_vector_shard_request_builds_only_the_winners(monkeypatch):
     store = monet_transform(
         dblp_document(DblpConfig(papers_per_proceedings=4, articles_per_year=2))
     )
-    (service,) = _services(store, 1, "vector")
+    [(service, _lo, _hi)] = _shards(store, 1, "vector")
     params = {"terms": [("ICDE", "token"), ("1999", "token")], "limit": 5}
     unlimited = service.handle("nearest", dict(params, limit=None))
     assert len(unlimited["meets"]) > 5 and unlimited["residue"]

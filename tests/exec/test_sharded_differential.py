@@ -24,10 +24,9 @@ from repro.datasets import (
 from repro.datasets.randomtree import random_document
 from repro.exec import (
     SerialExecutor,
-    ShardService,
     ShardedCollection,
     compute_shard_plan,
-    slice_store,
+    shard_services,
 )
 from repro.monet.transform import monet_transform
 from repro.query.executor import QueryProcessor
@@ -106,17 +105,13 @@ def stores():
 
 def _sharded(store, backend, shards):
     plan = compute_shard_plan(store, shards)
-    slices = slice_store(store, plan)
-    services = [
-        ShardService(shard, shard_id=index, backend=backend)
-        for index, shard in enumerate(slices)
-    ]
+    services = shard_services(store, plan, backend=backend)
     return ShardedCollection(
         plan,
         store.summary,
-        SerialExecutor(services),
+        SerialExecutor(list(services.values())),
         backend_name=backend,
-        generations=[shard.generation for shard in slices],
+        generations=[store.generation] * plan.shard_count,
     )
 
 

@@ -1,10 +1,12 @@
-"""Structural invariants of the shard plan and the store slicer."""
+"""Structural invariants of the shard plan: OID ranges of one store."""
 
 import pytest
 
 from repro.datasets import DblpConfig, dblp_document, figure1_document
 from repro.datasets.randomtree import random_document
-from repro.exec import ShardPlan, ShardingError, compute_shard_plan, slice_store
+from repro.datamodel.paths import Path
+from repro.exec import ShardPlan, ShardingError, compute_shard_plan, shard_services
+from repro.monet.engine import MonetXML, int32_column
 from repro.monet.transform import monet_transform
 
 
@@ -63,61 +65,39 @@ def test_invalid_shard_count(dblp_store):
         compute_shard_plan(dblp_store, 0)
 
 
-def test_slices_are_valid_stores_with_original_oids(dblp_store):
+def test_shard_spans_tile_the_store(dblp_store):
     plan = compute_shard_plan(dblp_store, 3)
-    shards = slice_store(dblp_store, plan)
-    assert len(shards) == 3
-    for shard_id, shard in enumerate(shards):
-        shard.validate()
-        assert shard.summary is dblp_store.summary
-        lo, hi = plan.starts[shard_id], plan.ends[shard_id]
-        assert shard.root_oid == lo - 1
-        assert shard.node_count == hi - lo + 1
-        for oid in range(lo, hi):
-            assert shard.pid_of(oid) == dblp_store.pid_of(oid)
-            assert shard.depth_of(oid) == dblp_store.depth_of(oid)
-            parent = dblp_store.parent_of(oid)
-            expected = shard.root_oid if parent == dblp_store.root_oid else parent
-            assert shard.parent_of(oid) == expected
-    # Shard 0's stand-in root *is* the true root.
-    assert shards[0].root_oid == dblp_store.root_oid
+    spans = [plan.span(shard) for shard in range(plan.shard_count)]
+    assert spans[0][0] == dblp_store.root_oid
+    assert spans[-1][1] == dblp_store.last_oid + 1
+    for (_lo, hi), (lo, _hi) in zip(spans, spans[1:]):
+        assert hi == lo
+    for shard, (lo, hi) in enumerate(spans):
+        assert all(plan.shard_of(oid) == shard for oid in range(lo, hi))
 
 
 def test_string_rows_partition_exactly(dblp_store):
+    """Every string row's owner lies in exactly one shard's range; the
+    root's rows in shard 0's."""
     plan = compute_shard_plan(dblp_store, 4)
-    shards = slice_store(dblp_store, plan)
-    total = sum(
-        len(relation)
-        for shard in shards
-        for relation in shard.strings.values()
-    )
-    expected = sum(len(r) for r in dblp_store.strings.values())
-    assert total == expected
-    # Root associations live in shard 0 only.
-    root = dblp_store.root_oid
-    for shard_id, shard in enumerate(shards):
-        root_rows = sum(
-            1
-            for relation in shard.strings.values()
-            for head, _value in relation
-            if head == root
-        )
-        if shard_id == 0:
-            assert root_rows == sum(
-                1
-                for relation in dblp_store.strings.values()
-                for head, _value in relation
-                if head == root
-            )
-        else:
-            assert root_rows == 0
+    spans = [plan.span(shard) for shard in range(plan.shard_count)]
+    owners = [
+        head
+        for relation in dblp_store.strings.values()
+        for head, _value in relation
+    ]
+    for owner in owners:
+        holders = [lo <= owner < hi for lo, hi in spans]
+        assert holders.count(True) == 1
+        if owner == dblp_store.root_oid:
+            assert holders[0]
 
 
 def test_wrong_plan_is_rejected(dblp_store):
     other = monet_transform(figure1_document())
     plan = compute_shard_plan(other, 1)
     with pytest.raises(ShardingError):
-        slice_store(dblp_store, plan)
+        shard_services(dblp_store, plan)
 
 
 def test_childless_root_shards_to_root_only():
@@ -126,13 +106,36 @@ def test_childless_root_shards_to_root_only():
     store = monet_transform(parse_document("<bib key='x'/>", first_oid=1))
     plan = compute_shard_plan(store, 4)
     assert plan.shard_count == 1
-    [shard] = slice_store(store, plan)
-    assert shard.node_count == 1
-    assert shard.root_oid == store.root_oid
+    assert plan.span(0) == (store.root_oid, store.root_oid + 1)
+    [service] = shard_services(store, plan).values()
+    assert service.handle("ping", {})["nodes"] == 1
 
 
-def test_random_tree_slices_validate():
-    store = monet_transform(random_document(11, nodes=600, max_children=4))
-    plan = compute_shard_plan(store, 4)
-    for shard in slice_store(store, plan):
-        shard.validate()
+def _store(parents):
+    """A hand-made store: the root (OID 1) and ``parents[i]`` as the
+    parent of OID ``i + 2``."""
+    from repro.monet.pathsummary import PathSummary
+    from repro.monet.relations import group_rows
+
+    summary = PathSummary()
+    pid = summary.intern(Path.of("bib"))
+    child = summary.intern(Path.of("bib", "x"))
+    count = len(parents) + 1
+    return MonetXML(
+        summary=summary,
+        root_oid=1,
+        first_oid=1,
+        oid_pid=int32_column([pid] + [child] * len(parents)),
+        oid_parent=int32_column([-1] + list(parents)),
+        oid_rank=int32_column(range(count)),
+        strings=group_rows([], [], []),
+    )
+
+
+def test_store_out_of_pre_order_is_refused():
+    # 1 → {2, 3}, 2 → {4}: pre-order puts 4 inside 2's subtree, before 3.
+    plan = compute_shard_plan(_store([1, 2, 1]), 2)
+    assert (plan.starts, plan.ends) == ((2, 4), (4, 5))
+    # Shuffled: OID 4's parent is 2, but 4 sits in 3's span.
+    with pytest.raises(ShardingError, match="pre-order"):
+        compute_shard_plan(_store([1, 1, 2]), 2)

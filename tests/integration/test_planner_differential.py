@@ -17,10 +17,9 @@ import pytest
 
 from repro.exec import (
     SerialExecutor,
-    ShardService,
     ShardedCollection,
     compute_shard_plan,
-    slice_store,
+    shard_services,
 )
 from repro.monet.transform import monet_transform
 from repro.query.executor import QueryProcessor
@@ -71,14 +70,10 @@ def queries_for(store):
 def sharded_pair(store, backend, shards=2):
     """(planner, force-scan) coordinators sharing one set of services."""
     plan = compute_shard_plan(store, shards)
-    slices = slice_store(store, plan)
     executor = SerialExecutor(
-        [
-            ShardService(shard, shard_id=index, backend=backend)
-            for index, shard in enumerate(slices)
-        ]
+        list(shard_services(store, plan, backend=backend).values())
     )
-    generations = [shard.generation for shard in slices]
+    generations = [store.generation] * plan.shard_count
     build = lambda force: ShardedCollection(
         plan,
         store.summary,

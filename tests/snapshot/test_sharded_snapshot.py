@@ -1,24 +1,23 @@
-"""Shard-aware persistence: bundles, catalog layout, warm starts."""
+"""Sharded persistence: one bundle, a recorded layout, warm starts."""
+
+import json
 
 import pytest
 
+from repro.api import Database
+from repro.cli import main
 from repro.core.lca_index import clear_lca_index_cache, lca_index_cache_info
 from repro.datamodel.errors import StorageError
 from repro.datamodel.serializer import serialize
 from repro.datasets import DblpConfig, dblp_document
-from repro.exec.sharding import ShardPlan
+from repro.exec import shard_services
+from repro.exec.sharding import ShardPlan, compute_shard_plan
 from repro.fulltext.index import (
     clear_fulltext_index_cache,
     fulltext_index_cache_info,
 )
 from repro.monet.transform import monet_transform
-from repro.snapshot import Catalog, read_snapshot
-from repro.snapshot.sharded import (
-    layout_from_meta,
-    read_snapshot_header,
-    shard_bundle_name,
-    write_shard_bundles,
-)
+from repro.snapshot import Catalog, read_snapshot, recorded_plan
 
 
 @pytest.fixture(scope="module")
@@ -33,96 +32,118 @@ def store(document):
     return monet_transform(document)
 
 
-def test_write_shard_bundles_layout(store, tmp_path):
-    plan, paths, total = write_shard_bundles(
-        store, tmp_path, "dblp", shards=3
-    )
-    assert plan.shard_count == 3
-    assert [path.name for path in paths] == [
-        shard_bundle_name("dblp", index) for index in range(3)
+@pytest.fixture()
+def xml(document, tmp_path):
+    path = tmp_path / "dblp.xml"
+    path.write_text(serialize(document), encoding="utf-8")
+    return path
+
+
+def test_sharded_build_writes_one_bundle(store, tmp_path):
+    catalog = Catalog(tmp_path / "catalog")
+    meta = catalog.build("dblp", store, shards=3)
+    plan = compute_shard_plan(store, 3)
+    assert sorted(path.name for path in catalog.root.glob("*.snap")) == [
+        "dblp.snap"
     ]
-    assert total == sum(path.stat().st_size for path in paths)
-    for index, path in enumerate(paths):
-        meta, summary = read_snapshot_header(path)
-        assert meta["shard_index"] == index
-        assert meta["shard_count"] == 3
-        assert layout_from_meta(meta) == plan
-        # Every bundle carries the complete global summary.
-        assert len(summary) == len(store.summary)
+    assert meta["file"] == "dblp.snap"
+    assert meta["bytes"] == catalog.bundle_path("dblp").stat().st_size
+    assert ShardPlan.from_dict(meta["shards"]) == plan
+    snapshot = read_snapshot(catalog.bundle_path("dblp"))
+    assert recorded_plan(snapshot.meta) == plan
+    # The bundle holds the whole store, and one summary.
+    assert snapshot.store.node_count == store.node_count
+    assert len(snapshot.store.summary) == len(store.summary)
 
 
 def test_shard_bundles_load_seeded(store, tmp_path):
-    _plan, paths, _total = write_shard_bundles(
-        store, tmp_path, "dblp", shards=2
-    )
+    """Every shard of a loaded sharded bundle answers with zero builds."""
+    catalog = Catalog(tmp_path / "catalog")
+    catalog.build("dblp", store, shards=2)
     clear_lca_index_cache()
     clear_fulltext_index_cache()
-    snapshots = [read_snapshot(path) for path in paths]
-    for snapshot in snapshots:
-        engine = snapshot.engine()
-        engine.nearest_concepts("ICDE", "1999", limit=2)
+    snapshot = read_snapshot(catalog.bundle_path("dblp"))
+    services = shard_services(
+        snapshot.store, recorded_plan(snapshot.meta), backend="vector"
+    )
+    for service in services.values():
+        service.handle(
+            "nearest", {"terms": [("ICDE", "token"), ("1999", "token")]}
+        )
     assert lca_index_cache_info().builds == 0
     assert fulltext_index_cache_info().builds == 0
 
 
-def test_catalog_sharded_build_and_drop(document, tmp_path):
-    xml = tmp_path / "dblp.xml"
-    xml.write_text(serialize(document), encoding="utf-8")
+def test_catalog_sharded_build_and_drop(xml, tmp_path):
     catalog = Catalog(tmp_path / "catalog")
     meta = catalog.ingest("dblp", xml, shards=2)
-    shards = meta["shards"]
-    assert shards["count"] == 2
-    assert meta["file"] is None
+    assert meta["shards"]["count"] == 2
     assert catalog.is_sharded("dblp")
-    files = catalog.shard_files("dblp")
-    assert all(path.exists() for path in files)
-    assert ShardPlan.from_dict(shards) is not None
-    # The monolithic open path refuses with a pointer to the facade.
-    with pytest.raises(StorageError, match="sharded"):
-        catalog.open("dblp")
-    # The fresh-hit probe recognizes sharded bundles too.
+    bundle = catalog.bundle_path("dblp")
+    # A sharded collection is an ordinary bundle to the catalog.
+    assert catalog.open("dblp").store.node_count == meta["node_count"]
+    # The fresh-hit probe recognizes it too.
     assert catalog.find_source(xml) == "dblp"
     catalog.drop("dblp")
-    assert not any(path.exists() for path in files)
+    assert not bundle.exists()
     assert "dblp" not in catalog
 
 
-def test_rebuild_cleans_stale_shard_files(document, store, tmp_path):
-    xml = tmp_path / "dblp.xml"
-    xml.write_text(serialize(document), encoding="utf-8")
+def _one_bundle_per_shard(catalog, name, count):
+    """Rewrite ``name``'s manifest entry as a layout of one bundle per
+    shard listing ``count`` files, and write those files."""
+    manifest = json.loads(catalog.manifest_path.read_text())
+    entry = manifest["collections"][name]
+    catalog.bundle_path(name).unlink()
+    files = [f"{name}.shard{index}.snap" for index in range(count)]
+    for file in files:
+        (catalog.root / file).write_bytes(b"")
+    entry["file"] = None
+    entry["shards"]["files"] = files
+    catalog.manifest_path.write_text(json.dumps(manifest))
+    return [catalog.root / file for file in files]
+
+
+def test_old_layout_fails_loudly(xml, tmp_path, capsys):
+    catalog = Catalog(tmp_path / "catalog")
+    catalog.ingest("dblp", xml, shards=2)
+    _one_bundle_per_shard(catalog, "dblp", 2)
+    rebuild = "repro snapshot build <xml> dblp --shards 2"
+    with pytest.raises(StorageError, match=rebuild):
+        Database.open("dblp", catalog=catalog.root)
+    with pytest.raises(StorageError, match=rebuild):
+        catalog.open("dblp")
+    args = ["--snapshot", "dblp", "ICDE", "1999", "--catalog", str(catalog.root)]
+    assert main(["search", *args]) == 2
+    assert rebuild in capsys.readouterr().err
+    # The fresh-hit probe does not take it: the source parses instead.
+    assert catalog.find_source(xml) is None
+
+
+def test_rebuild_cleans_stale_shard_files(xml, tmp_path):
     catalog = Catalog(tmp_path / "catalog")
     catalog.ingest("dblp", xml, shards=4)
-    four = set(catalog.shard_files("dblp"))
+    stale = _one_bundle_per_shard(catalog, "dblp", 4)
     meta = catalog.ingest("dblp", xml, shards=2)
     assert meta["generation"] == 2
-    two = set(catalog.shard_files("dblp"))
-    assert all(path.exists() for path in two)
-    for stale in four - two:
-        assert not stale.exists()
-    # Back to monolithic: shard files gone, plain bundle back.
+    assert "files" not in meta["shards"]
+    assert catalog.bundle_path("dblp").exists()
+    assert not any(path.exists() for path in stale)
+    # Back to monolithic: the same one bundle, no layout.
     meta = catalog.ingest("dblp", xml)
     assert "shards" not in meta
-    assert catalog.bundle_path("dblp").exists()
-    for stale in two:
-        assert not stale.exists()
-
-
-def test_shard_files_errors(tmp_path, store):
-    catalog = Catalog(tmp_path / "catalog")
-    catalog.build("mono", store)
-    with pytest.raises(StorageError, match="not sharded"):
-        catalog.shard_files("mono")
+    assert recorded_plan(catalog.open("dblp").meta) is None
 
 
 def test_single_shard_build_persists_layout(tmp_path, store):
-    """shards=1 is a *sharded* build: the layout is recorded so later
-    worker-pool serves run from the persisted bundle, not a re-slice."""
+    """shards=1 is a *sharded* build: the layout is recorded, so later
+    opens serve the recorded shard."""
     catalog = Catalog(tmp_path / "catalog")
     meta = catalog.build("one", store, shards=1)
     assert meta["shards"]["count"] == 1
     assert catalog.is_sharded("one")
-    [bundle] = catalog.shard_files("one")
-    assert bundle.exists()
+    plan = recorded_plan(catalog.open("one").meta)
+    assert plan == compute_shard_plan(store, 1)
 
 
 def test_invalid_shard_count_rejected(tmp_path, store):

@@ -3,9 +3,10 @@
 * layout — no ``edges/*`` or ``ranks/*`` section, every integer section
   ``int32`` (``meta["item_width"]``);
 * a loaded store's relation families equal a fresh parse's for every
-  pid of every bundled dataset, monolithic and sliced into 1, 2 and 4
-  shards, are of the same type, and write the same bundle back; the
-  nearest-concept path never derives ``edges``/``ranks``;
+  pid of every bundled dataset — whole, and shard range by shard range
+  under a recorded 1-, 2- and 4-shard layout — are of the same type,
+  and write the same bundle back; the nearest-concept path never
+  derives ``edges``/``ranks``;
 * a bundle in the previous layout (int64 columns, stored ``edges/*``
   and ``ranks/*``) opens through the same read path, answers byte for
   byte like a fresh build with zero index builds, and takes writes;
@@ -29,12 +30,13 @@ from repro.datasets import (
     random_document,
 )
 from repro.datasets.textpool import TECH_NOUNS
-from repro.exec.sharding import compute_shard_plan, slice_store
+from repro.exec.sharding import compute_shard_plan
 from repro.fulltext.index import fulltext_index_cache_info
 from repro.monet.transform import monet_transform
 from repro.snapshot import read_snapshot, write_snapshot
 from repro.snapshot.codec import item_widths
 from repro.snapshot.format import SnapshotReader
+from repro.snapshot.sharded import LAYOUT_KEY, recorded_plan
 from repro.valueindex import value_index_cache_info
 
 from .test_lca_sections import rewritten
@@ -100,12 +102,28 @@ def test_loaded_families_equal_a_fresh_parse(tmp_path, dataset):
 @pytest.mark.parametrize("shards", [1, 2, 4])
 @pytest.mark.parametrize("dataset", DATASETS)
 def test_derived_families_equal_sliced_families(tmp_path, dataset, shards):
+    """A sharded bundle is the whole store plus its layout: each shard's
+    range of the loaded families equals that range of a fresh parse's."""
     store = monet_transform(DATASETS[dataset]())
-    slices = slice_store(store, compute_shard_plan(store, shards))
-    for index, sliced in enumerate(slices):
-        path = tmp_path / f"{dataset}.{index}.snap"
-        write_snapshot(sliced, path)
-        assert_same_families(read_snapshot(path).store, sliced)
+    plan = compute_shard_plan(store, shards)
+    path = tmp_path / f"{dataset}.snap"
+    write_snapshot(store, path, extra_meta={LAYOUT_KEY: plan.to_dict()})
+    snapshot = read_snapshot(path)
+    assert recorded_plan(snapshot.meta) == plan
+
+    def in_range(family, node, lo, hi):
+        """pid → the rows whose node (column ``node``) is in [lo, hi)."""
+        return {
+            pid: [row for row in relation if lo <= row[node] < hi]
+            for pid, relation in family.items()
+        }
+
+    for shard in range(plan.shard_count):
+        lo, hi = plan.span(shard)
+        for family, node in (("edges", 1), ("strings", 0), ("ranks", 0)):
+            assert in_range(
+                getattr(snapshot.store, family), node, lo, hi
+            ) == in_range(getattr(store, family), node, lo, hi), family
 
 
 def test_nearest_path_never_derives_edges_or_ranks(tmp_path):
