@@ -51,6 +51,7 @@ redundant work (call :meth:`warm_up` first, as the server does).
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import shutil
 import tempfile
@@ -89,7 +90,7 @@ from ..obs.metrics import CallbackGauge, Counter, Gauge
 from ..query.ast import Query
 from ..query.executor import QueryProcessor, QueryResult
 from ..query.parser import parse_query
-from ..snapshot.codec import Snapshot, write_snapshot
+from ..snapshot.codec import Snapshot, carry_indexes, write_snapshot
 from ..snapshot.deltas import DeltaOp, append_delta
 from ..snapshot.sharded import LAYOUT_KEY, bundle_plan, recorded_plan
 from .envelopes import (
@@ -1144,12 +1145,14 @@ class Database:
         with self._rw.write():
             store = self._writable_store()
             before = store.node_count
+            mapping = None
             if self.sharded is not None:
                 self._reshard_locked()
                 store = self._base_store
             else:
                 compacted, mapping = compact_store(store)
                 if mapping is not None:
+                    carry_indexes(store, compacted, mapping)
                     self.store = compacted
                     self.snapshot = None  # its store/indexes are stale now
                     with self._wiring_lock:
@@ -1157,6 +1160,14 @@ class Database:
                         self._processor = None
                 store = compacted
             self._rewrite_bundle(store)
+            if mapping is not None:
+                # The retired store and its indexes hold each other
+                # (store.derived), and with the indexes carried over no
+                # rebuild allocates enough to wake the cyclic collector
+                # for many compactions: free the retired store now, so
+                # a serving process holds one store however often it
+                # compacts.
+                gc.collect()
             return {
                 "op": "compact",
                 "node_count": store.node_count,
@@ -1200,7 +1211,9 @@ class Database:
         whose layout-fingerprint + generation key drops stale entries
         by itself.
         """
-        base, _ = compact_store(self._base_store)
+        base, mapping = compact_store(self._base_store)
+        if mapping is not None:
+            carry_indexes(self._base_store, base, mapping)
         self._base_store = base
         plan = compute_shard_plan(base, self.sharded.plan.shard_count)
         services = shard_services(

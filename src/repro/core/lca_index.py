@@ -39,8 +39,12 @@ are shallower), and its OIDs raise
 :class:`~repro.datamodel.errors.UnknownOIDError` like any unknown OID.
 The full build is the same routine run once over the whole store from
 an empty index; it is what a store without a bridging journal chain
-gets (evicted journal, bare ``invalidate_caches()``, a compacted — i.e.
-new — store).
+gets (evicted journal, bare ``invalidate_caches()``).
+
+Compaction carries the index instead (:meth:`LcaIndex.compacted`): its
+OID map is monotone, so the tour minus its dead entries — with the
+repeated root each dropped document leaves collapsed — is exactly the
+tour a build over the compacted store would walk.
 
 Beyond plain LCA the index exposes the Euler order itself
 (:meth:`LcaIndex.euler_position`) and an O(1) interval ancestor test
@@ -52,18 +56,19 @@ from __future__ import annotations
 import threading
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..datamodel.errors import UnknownOIDError
 from ..kernels.lca import get_kernels
-from ..monet.engine import DerivedCache, MonetXML
+from ..monet.engine import DerivedCache, MonetXML, int32_column
 from ..monet.mutate import MutationRecord, journal_chain
 
 __all__ = [
     "LcaIndex",
     "get_lca_index",
+    "carry_lca_index",
     "seed_lca_index",
     "clear_lca_index_cache",
     "lca_index_cache_info",
@@ -188,6 +193,44 @@ class LcaIndex:
         if self._vector_kernels is not None:
             self._vector_kernels.follow(dropped)
 
+    def compacted(
+        self, store: MonetXML, renumbered: Callable[[np.ndarray], np.ndarray]
+    ) -> "LcaIndex":
+        """This index carried over to ``store``, the compaction of its own.
+
+        ``renumbered`` is :func:`~repro.monet.mutate.compact_store`'s
+        monotone OID map.  Tour entries of tombstoned nodes go, and so
+        does the second of every two equal neighbours (the root on both
+        sides of a dropped document); the survivors keep their depths
+        and their order, their OIDs go through the map, and ``first``/
+        ``last`` keep the live slots, each moved down by the tour
+        entries dropped before it.  The columns equal a fresh build's
+        over ``store``, without a tour walk.  Call it on a current
+        index.
+        """
+        base = self._base
+        tour = np.asarray(self._tour, dtype=np.int64)
+        first = np.asarray(self._first)
+        keep = first[tour - base] >= 0
+        repeated = np.zeros(len(tour), dtype=bool)
+        kept = np.flatnonzero(keep)
+        repeated[kept[1:]] = tour[kept[1:]] == tour[kept[:-1]]
+        keep &= ~repeated
+        position = np.cumsum(keep) - 1
+        live = first >= 0
+        new_first = position[first[live]]
+        new_last = position[np.asarray(self._last)[live]]
+        # The root's last entry may be a dropped repeat; it closes the
+        # tour.
+        new_last[store.root_oid - store.first_oid] = position[-1]
+        return LcaIndex.from_arrays(
+            store,
+            tour=int32_column(renumbered(tour[keep])),
+            depth=int32_column(np.asarray(self._depth)[keep]),
+            first=int32_column(new_first),
+            last=int32_column(new_last),
+        )
+
     # -- O(1) queries ---------------------------------------------------
     def euler_position(self, oid: int) -> int:
         """First Euler-tour position of a node (its pre-order slot)."""
@@ -297,18 +340,16 @@ _patches = 0
 _maintenance_lock = threading.Lock()
 
 
-def get_lca_index(store: MonetXML) -> LcaIndex:
-    """The cached :class:`LcaIndex` of a store, maintained on demand.
+def _maintained(store: MonetXML) -> Optional[LcaIndex]:
+    """The cached index of a store brought current, or ``None``.
 
-    The index is kept on the store object (a dropped store takes its
-    index with it) under the store's ``generation``.  When the store's
-    mutation journal bridges the cached index's generation to the
-    current one, the same index object is rolled forward in place
-    (:meth:`LcaIndex.roll_forward`); otherwise — a fresh store object,
-    a bare :meth:`~repro.monet.engine.MonetXML.invalidate_caches`, a
-    journal evicted past its limit — a new index is built.
+    When the store's mutation journal bridges the cached index's
+    generation to the current one, the same index object is rolled
+    forward in place (:meth:`LcaIndex.roll_forward`).  ``None`` means
+    there is nothing to maintain — no cached index, or one the journal
+    no longer reaches; this never builds.
     """
-    global _builds, _hits, _patches
+    global _hits, _patches
     cached = _cache.get(store)
     if cached is not None and cached.generation == getattr(store, "generation", 0):
         _hits += 1
@@ -320,20 +361,65 @@ def get_lca_index(store: MonetXML) -> LcaIndex:
             _hits += 1
             return cached
         chain = None if cached is None else journal_chain(store, cached.generation)
-        if chain is not None:
-            try:
-                cached.roll_forward(chain)
-            except BaseException:
-                # Half applied: never serve it, never patch it again.
-                del _cache[store]
-                raise
-            cached.generation = generation  # published last
-            _patches += 1
+        if chain is None:
+            return None
+        try:
+            cached.roll_forward(chain)
+        except BaseException:
+            # Half applied: never serve it, never patch it again.
+            del _cache[store]
+            raise
+        cached.generation = generation  # published last
+        _patches += 1
+        return cached
+
+
+def get_lca_index(store: MonetXML) -> LcaIndex:
+    """The cached :class:`LcaIndex` of a store, maintained on demand.
+
+    The index is kept on the store object (a dropped store takes its
+    index with it) under the store's ``generation`` and maintained
+    through the mutation journal (:meth:`LcaIndex.roll_forward`); only
+    a store with nothing to maintain — no index yet, a bare
+    :meth:`~repro.monet.engine.MonetXML.invalidate_caches`, a journal
+    evicted past its limit — gets a new index built.
+    """
+    global _builds, _hits
+    index = _maintained(store)
+    if index is not None:
+        return index
+    with _maintenance_lock:
+        cached = _cache.get(store)
+        if cached is not None and cached.generation == getattr(store, "generation", 0):
+            _hits += 1  # a racing reader built it meanwhile
             return cached
         index = LcaIndex(store)
         _cache[store] = index
         _builds += 1
         return index
+
+
+def carry_lca_index(
+    store: MonetXML,
+    compacted: MonetXML,
+    renumbered: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """Seed ``compacted`` with ``store``'s index, carried over.
+
+    ``compacted`` and ``renumbered`` are what
+    :func:`~repro.monet.mutate.compact_store` returned for ``store``.
+    A cached index is brought current and carried
+    (:meth:`LcaIndex.compacted`); if it had its kernels bound, the
+    carried one binds them too, so the range-minimum table is derived
+    here rather than by the first read of the compacted store.
+    """
+    index = _maintained(store)
+    if index is None:
+        return
+    carried = index.compacted(compacted, renumbered)
+    if index._vector_kernels is not None:
+        get_kernels(carried)
+    seed_lca_index(compacted, carried)
 
 
 def seed_lca_index(store: MonetXML, index: LcaIndex) -> None:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -46,7 +47,7 @@ from typing import (
 import numpy as np
 
 from ..kernels import postings as postings_kernels
-from ..monet.engine import DerivedCache, MonetXML
+from ..monet.engine import DerivedCache, MonetXML, joined_column
 from ..monet.mutate import journal_chain
 from .tokenizer import normalize, tokenize
 
@@ -55,6 +56,7 @@ __all__ = [
     "Hits",
     "FullTextIndex",
     "get_fulltext_index",
+    "carry_fulltext_indexes",
     "cached_fulltext_index",
     "seed_fulltext_index",
     "clear_fulltext_index_cache",
@@ -423,20 +425,17 @@ class FullTextIndex:
     def patched(self, records: Iterable[object]) -> "FullTextIndex":
         """A copy of this index rolled forward over mutation records.
 
-        Put records contribute their ``added_strings`` associations
-        (tokenized exactly like a build); delete records prune postings
-        by tombstoned OID span.  The receiver is left untouched — the
-        copy shares the posting columns of unaffected terms — so racing
-        readers can each patch the cached index and install their copy
-        without ever observing a half-patched structure.
+        A put's ``added_strings`` are tokenized exactly like a build and
+        appended to their terms; a delete's ``removed_strings`` name the
+        terms its document had, whose postings inside the tombstoned
+        span are masked out.  Only those terms are touched.  The
+        receiver is left untouched — the copy shares the posting
+        columns of unaffected terms — so racing readers can each patch
+        the cached index and install their copy without ever observing
+        a half-patched structure.
         """
-        clone = FullTextIndex.__new__(FullTextIndex)
-        clone.store = self.store
-        clone.case_sensitive = self.case_sensitive
-        clone.generation = self.generation
-        clone._indexed_associations = self._indexed_associations
-        clone._terms = dict(self._terms)
-        intern = sys.intern
+        clone = self._with_terms(self.store, dict(self._terms))
+        terms = clone._terms
         summary = self.store.summary
         for record in records:
             kind = getattr(record, "kind", None)
@@ -444,53 +443,92 @@ class FullTextIndex:
                 pending: Dict[str, Tuple[List[int], List[int]]] = {}
                 for attr_pid, oid, value in record.added_strings:
                     element_pid = summary.parent(attr_pid)
-                    clone._indexed_associations += 1
-                    seen: Set[str] = set()
-                    for token in tokenize(value, clone.case_sensitive):
-                        if token in seen:
-                            continue
-                        seen.add(token)
+                    for token in self._tokens(value):
                         columns = pending.get(token)
                         if columns is None:
-                            pending[intern(token)] = columns = ([], [])
+                            pending[token] = columns = ([], [])
                         columns[0].append(element_pid)
                         columns[1].append(oid)
+                clone._indexed_associations += len(record.added_strings)
                 for token, (pids, oids) in pending.items():
-                    entry = clone._terms.get(token)
-                    if entry is None:
-                        clone._terms[token] = _TermPostings(
-                            array("q", pids), array("q", oids)
-                        )
-                    else:
-                        merged_pids = array("q", entry.pids)
-                        merged_pids.extend(pids)
-                        merged_oids = array("q", entry.oids)
-                        merged_oids.extend(oids)
-                        clone._terms[token] = _TermPostings(
-                            merged_pids, merged_oids
-                        )
+                    entry = terms.get(token)
+                    if entry is not None:
+                        pids = np.concatenate([np.asarray(entry.pids), pids])
+                        oids = np.concatenate([np.asarray(entry.oids), oids])
+                    terms[token] = _TermPostings(
+                        _as_q_column(np.asarray(pids)),
+                        _as_q_column(np.asarray(oids)),
+                    )
             elif kind == "delete":
                 low, high = record.span
-                clone._indexed_associations -= record.removed_associations
-                for token, entry in list(clone._terms.items()):
-                    if not any(low <= oid <= high for oid in entry.oids):
+                touched: Set[str] = set()
+                for _attr_pid, _oid, value in record.removed_strings:
+                    touched.update(self._tokens(value))
+                clone._indexed_associations -= len(record.removed_strings)
+                for token in touched:
+                    entry = terms.get(token)
+                    if entry is None:
                         continue
-                    kept = [
-                        (pid, oid)
-                        for pid, oid in zip(entry.pids, entry.oids)
-                        if not low <= oid <= high
-                    ]
-                    if kept:
-                        clone._terms[token] = _TermPostings(
-                            array("q", (pid for pid, _ in kept)),
-                            array("q", (oid for _, oid in kept)),
+                    oids = np.asarray(entry.oids)
+                    keep = (oids < low) | (oids > high)
+                    if keep.all():
+                        continue
+                    if keep.any():
+                        terms[token] = _TermPostings(
+                            _as_q_column(np.asarray(entry.pids)[keep]),
+                            _as_q_column(oids[keep]),
                         )
                     else:
-                        del clone._terms[token]
+                        del terms[token]
             else:  # pragma: no cover - journal only holds put/delete
                 raise ValueError(f"unknown mutation record {record!r}")
             clone.generation = record.to_generation
         return clone
+
+    def renumbered(
+        self, store: MonetXML, renumbered: Callable[[np.ndarray], np.ndarray]
+    ) -> "FullTextIndex":
+        """This index carried over to ``store``, the compaction of its own.
+
+        Every posting OID goes through ``renumbered`` (compaction's
+        monotone OID map) in one pass over the concatenated columns,
+        whose pids are copied alongside: the carried index holds no
+        view of the old store's bundle.  The term dictionary stays as
+        it is and nothing is re-tokenized.
+        """
+        entries = list(self._terms.values())
+        stops = np.cumsum([0] + [len(entry) for entry in entries]).tolist()
+        pids = memoryview(joined_column(entry.pids for entry in entries))
+        oids = memoryview(
+            renumbered(joined_column(entry.oids for entry in entries))
+        )
+        return self._with_terms(
+            store,
+            {
+                term: _TermPostings(pids[start:stop], oids[start:stop])
+                for term, start, stop in zip(self._terms, stops, stops[1:])
+            },
+        )
+
+    def _with_terms(
+        self, store: MonetXML, terms: Dict[str, "_TermPostings"]
+    ) -> "FullTextIndex":
+        """An index of ``store`` like this one, over ``terms``."""
+        clone = FullTextIndex.__new__(FullTextIndex)
+        clone.store = store
+        clone.case_sensitive = self.case_sensitive
+        clone.generation = self.generation
+        clone._indexed_associations = self._indexed_associations
+        clone._terms = terms
+        return clone
+
+    def _tokens(self, value: str) -> Iterable[str]:
+        """The distinct (interned) tokens of one association value, in
+        first-occurrence order like a build's."""
+        intern = sys.intern
+        return dict.fromkeys(
+            intern(token) for token in tokenize(value, self.case_sensitive)
+        )
 
     # -- statistics ------------------------------------------------------
     @property
@@ -604,10 +642,26 @@ _builds = 0
 _hits = 0
 _patches = 0
 
-#: Above this tombstone density an invalidated index rebuilds from the
-#: (already pruned) relations instead of patching forward — the patch
-#: would carry too much dead weight.
-REBUILD_DENSITY = 0.25
+
+def _maintained(
+    store: MonetXML, case_sensitive: bool
+) -> Optional[FullTextIndex]:
+    """The cached index brought current through the journal, or ``None``
+    when there is none or the journal no longer reaches it."""
+    global _hits, _patches
+    per_store = _cache.get(store)
+    cached = None if per_store is None else per_store.get(case_sensitive)
+    if cached is None:
+        return None
+    if cached.generation == getattr(store, "generation", 0):
+        _hits += 1
+        return cached
+    chain = journal_chain(store, cached.generation)
+    if chain is None:
+        return None
+    index = per_store[case_sensitive] = cached.patched(chain)
+    _patches += 1
+    return index
 
 
 def get_fulltext_index(
@@ -621,28 +675,39 @@ def get_fulltext_index(
     :meth:`~repro.monet.engine.MonetXML.invalidate_caches`
     transparently yields a fresh one on next use.  When the store's
     mutation journal bridges the cached index's generation to the
-    current one and tombstone density is below :data:`REBUILD_DENSITY`,
-    the index is patched forward (appends add postings, deletes prune
-    by OID span) instead of rebuilt.
+    current one, the index is patched forward (a put appends the
+    postings of its strings, a delete masks out those of its strings'
+    terms) instead of rebuilt.
     """
-    global _hits, _patches
-    per_store = _cache.get(store)
-    if per_store is None:
-        per_store = _cache[store] = {}
-    cached = per_store.get(case_sensitive)
-    if cached is not None and cached.generation == getattr(store, "generation", 0):
-        _hits += 1
-        return cached
-    if cached is not None and getattr(store, "dead_fraction", 1.0) <= REBUILD_DENSITY:
-        chain = journal_chain(store, cached.generation)
-        if chain is not None:
-            index = cached.patched(chain)
-            per_store[case_sensitive] = index
-            _patches += 1
-            return index
-    index = FullTextIndex(store, case_sensitive=case_sensitive)
-    per_store[case_sensitive] = index
+    index = _maintained(store, case_sensitive)
+    if index is None:
+        index = FullTextIndex(store, case_sensitive=case_sensitive)
+        per_store = _cache.get(store)
+        if per_store is None:
+            per_store = _cache[store] = {}
+        per_store[case_sensitive] = index
     return index
+
+
+def carry_fulltext_indexes(
+    store: MonetXML,
+    compacted: MonetXML,
+    renumbered: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """Seed ``compacted`` with ``store``'s indexes, renumbered.
+
+    ``compacted`` and ``renumbered`` are what
+    :func:`~repro.monet.mutate.compact_store` returned for ``store``;
+    every case mode cached for ``store`` is brought current and carried
+    over (:meth:`FullTextIndex.renumbered`), so the compacted store
+    builds nothing.
+    """
+    for case_sensitive in list(_cache.get(store, {})):
+        index = _maintained(store, case_sensitive)
+        if index is not None:
+            seed_fulltext_index(
+                compacted, index.renumbered(compacted, renumbered)
+            )
 
 
 def seed_fulltext_index(store: MonetXML, index: FullTextIndex) -> None:

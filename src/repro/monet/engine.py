@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import count
+from itertools import chain, count
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from weakref import WeakSet
 
@@ -56,6 +56,15 @@ def int32_column(values: Iterable[int] = ()) -> array:
     else:
         column.extend(values)
     return column
+
+
+def joined_column(columns: Iterable[Sequence[int]]) -> np.ndarray:
+    """Integer columns of any item width, end to end, as one int64
+    array (one pass over the items, no per-column conversion)."""
+    columns = list(columns)
+    return np.fromiter(
+        chain.from_iterable(columns), np.int64, sum(map(len, columns))
+    )
 
 
 class MonetXML:
@@ -285,7 +294,7 @@ class MonetXML:
 
     @property
     def dead_fraction(self) -> float:
-        """Tombstone density — drives the lazy index-rebuild threshold."""
+        """Tombstone density: the share of OIDs compaction would reclaim."""
         return self.dead_count / self.node_count if self.node_count else 0.0
 
     def is_live(self, oid: int) -> bool:

@@ -14,7 +14,7 @@ module makes it a *collection* you can mutate while it serves queries:
 * :func:`replace_document` is delete + put under the same name;
 * :func:`compact_store` renumbers the surviving nodes densely — the
   compacted OIDs equal what a rebuild from the surviving documents
-  would assign, which is what shard slicing and snapshot writing
+  would assign, which is what shard ranges and snapshot writing
   require (both assume a dense pre-order store).
 
 Every mutation bumps the store ``generation`` (dropping the
@@ -22,13 +22,16 @@ generation-keyed result caches precisely) and appends a
 :class:`MutationRecord` to ``store.journal``.  The derived indexes are
 *maintained* from that journal, never rebuilt by a write: on their next
 use the LCA, full-text and value indexes each bridge their generation
-to the store's with :func:`journal_chain` and roll forward — the Euler
-tour and its range-minimum table grow at the tail
-(:func:`repro.core.lca_index.get_lca_index`), postings and typed
-columns are appended and pruned by OID span
-(:func:`repro.fulltext.index.get_fulltext_index`,
-:func:`repro.valueindex.index.get_value_index`).  Only a consumer whose
-generation the journal no longer reaches rebuilds.
+to the store's with :func:`journal_chain` and roll forward at a cost of
+the written document — the Euler tour and its range-minimum table grow
+at the tail (:func:`repro.core.lca_index.get_lca_index`), postings of
+the terms a record's strings carry are appended or masked out
+(:func:`repro.fulltext.index.get_fulltext_index`), and sorted value
+columns take a put's entries in by ``searchsorted`` and mask a
+delete's span out (:func:`repro.valueindex.index.get_value_index`).
+Only a consumer whose generation the journal no longer reaches
+rebuilds.  Compaction carries all three across through its monotone
+OID map (:func:`repro.snapshot.codec.carry_indexes`).
 
 The pre-order invariant maintained throughout: live OIDs ascend in
 document order.  New documents append at the tail; a replace re-appends
@@ -78,9 +81,10 @@ class MutationRecord:
     """One applied mutation, as the index maintainers see it.
 
     ``added_strings`` carries every (attribute pid, OID, value)
-    association a put introduced — enough to patch an inverted index
-    forward without re-scanning the relations.  Deletes carry only the
-    tombstoned span; postings are pruned by OID range.
+    association a put introduced and ``removed_strings`` every one a
+    delete dropped — enough to patch an inverted index forward by
+    touching only the terms and paths of the written document, without
+    re-scanning the relations or walking the other postings.
     """
 
     kind: str  # "put" | "delete"
@@ -89,7 +93,7 @@ class MutationRecord:
     from_generation: int
     to_generation: int
     added_strings: Tuple[Tuple[int, int, str], ...] = field(default=())
-    removed_associations: int = 0
+    removed_strings: Tuple[Tuple[int, int, str], ...] = field(default=())
 
 
 def journal_chain(
@@ -251,7 +255,8 @@ def delete_document(store: MonetXML, name: str) -> MutationRecord:
     """Tombstone the named document's OID range and drop its strings.
 
     One slice assignment clears the span's parents and one mask over
-    the string heads drops its associations.
+    the string heads drops its associations, which the record carries
+    as ``removed_strings``.
     """
     registry = ensure_document_registry(store)
     span = registry.get(name)
@@ -264,8 +269,16 @@ def delete_document(store: MonetXML, name: str) -> MutationRecord:
     store._oid_parent[start:stop] = int32_column([-1]) * (stop - start)
     strings = store._string_runs
     heads = np.asarray(strings.heads)
-    store._string_runs = strings.where((heads < low) | (heads > high))
-    removed_associations = len(heads) - len(store._string_runs.heads)
+    removed = (heads >= low) & (heads <= high)
+    rows = np.flatnonzero(removed)
+    row_pids = np.searchsorted(strings.offsets, rows, side="right") - 1
+    removed_strings = tuple(
+        (pid, oid, strings.tails[row])
+        for pid, oid, row in zip(
+            row_pids.tolist(), heads[rows].tolist(), rows.tolist()
+        )
+    )
+    store._string_runs = strings.where(~removed)
 
     store.add_tombstone_range(low, high)
     del registry[name]
@@ -274,7 +287,7 @@ def delete_document(store: MonetXML, name: str) -> MutationRecord:
         kind="delete",
         name=name,
         span=(low, high),
-        removed_associations=removed_associations,
+        removed_strings=removed_strings,
     )
 
 

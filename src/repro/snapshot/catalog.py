@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..datamodel.errors import StorageError
 from ..monet.engine import MonetXML
-from .codec import Snapshot, read_snapshot, write_snapshot
+from .codec import Snapshot, carry_indexes, read_snapshot, write_snapshot
 
 __all__ = ["Catalog", "CATALOG_FILE", "CATALOG_FORMAT", "CATALOG_VERSION"]
 
@@ -388,11 +388,13 @@ class Catalog:
         """Fold a collection's delta tail into a fresh base bundle.
 
         Loads the bundle (replaying its deltas, forgiving a torn
-        tail), compacts the store to dense pre-order and rebuilds the
-        collection through :meth:`build` — i.e. behind the same
-        crash-safe temp-write → rename → manifest-flip sequence as any
-        rebuild, so the previous build keeps serving until the flip
-        and a crash at any point leaves a fully servable bundle.
+        tail), compacts the store to dense pre-order, carries its
+        indexes over (:func:`~repro.snapshot.codec.carry_indexes`) and
+        rewrites the collection through :meth:`build` — i.e. behind
+        the same crash-safe temp-write → rename → manifest-flip
+        sequence as any rebuild, so the previous build keeps serving
+        until the flip and a crash at any point leaves a fully
+        servable bundle.
         ``shards`` re-balances the layout (``None`` keeps the
         collection monolithic and writable; ``N`` records an
         ``N``-shard layout, after which the collection is read-only).
@@ -413,7 +415,9 @@ class Catalog:
         from ..monet.mutate import compact_store
 
         snapshot = self.open(name, use_mmap=use_mmap, tolerate_torn_tail=True)
-        store, _ = compact_store(snapshot.store)
+        store, mapping = compact_store(snapshot.store)
+        if mapping is not None:
+            carry_indexes(snapshot.store, store, mapping)
         declared = meta.get("value_indexes")
         return self.build(
             name,

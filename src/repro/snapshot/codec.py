@@ -48,25 +48,42 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.lca_index import LcaIndex, get_lca_index, seed_lca_index
+from ..core.lca_index import (
+    LcaIndex,
+    carry_lca_index,
+    get_lca_index,
+    seed_lca_index,
+)
 from ..datamodel.errors import StorageError
 from ..fulltext.index import (
     FullTextIndex,
+    carry_fulltext_indexes,
     get_fulltext_index,
     seed_fulltext_index,
 )
-from ..monet.engine import MonetXML, int32_column
+from ..monet.engine import MonetXML, int32_column, joined_column
 from ..monet.pathsummary import ColumnarPathSummary, PathSummary
 from ..monet.relations import Runs, group_runs
-from ..valueindex import ValueIndex, get_value_index, seed_value_index
+from ..valueindex import (
+    ValueIndex,
+    carry_value_index,
+    get_value_index,
+    seed_value_index,
+)
 from .deltas import apply_delta_ops, read_delta_ops
 from .format import SnapshotReader, SnapshotWriter
 
-__all__ = ["Snapshot", "write_snapshot", "read_snapshot", "item_widths"]
+__all__ = [
+    "Snapshot",
+    "carry_indexes",
+    "write_snapshot",
+    "read_snapshot",
+    "item_widths",
+]
 
 #: Bytes per item of every integer section this build writes.
 _ITEM_WIDTH = 4
@@ -154,6 +171,25 @@ def _check_dense_columns(
 # Writing.
 # ---------------------------------------------------------------------------
 
+def carry_indexes(
+    store: MonetXML,
+    compacted: MonetXML,
+    renumbered: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """Seed ``compacted`` with ``store``'s indexes, carried over.
+
+    ``compacted`` and ``renumbered`` are what
+    :func:`~repro.monet.mutate.compact_store` returned for ``store``.
+    Each index ``store`` has is brought current through its journal and
+    renumbered through the monotone OID map, so neither the compacted
+    store's first reads nor its bundle (:func:`write_snapshot`) build
+    one.
+    """
+    carry_lca_index(store, compacted, renumbered)
+    carry_fulltext_indexes(store, compacted, renumbered)
+    carry_value_index(store, compacted, renumbered)
+
+
 def write_snapshot(
     store: MonetXML,
     path: Union[str, FsPath],
@@ -189,13 +225,13 @@ def write_snapshot(
     )
     terms: List[str] = []
     term_lengths: List[int] = []
-    term_pids: List[int] = []
-    term_oids: List[int] = []
+    term_pids: List[Sequence[int]] = []
+    term_oids: List[Sequence[int]] = []
     for term, pids, oids in fulltext.iter_term_columns():
         terms.append(term)
         term_lengths.append(len(oids))
-        term_pids.extend(pids)
-        term_oids.extend(oids)
+        term_pids.append(pids)
+        term_oids.append(oids)
 
     meta: Dict[str, object] = {
         "node_count": store.node_count,
@@ -270,22 +306,22 @@ def write_snapshot(
 
     writer.add_strings("ft/terms", terms)
     add_column("ft/lens", term_lengths)
-    add_column("ft/pids", term_pids)
-    add_column("ft/oids", term_oids)
+    add_column("ft/pids", joined_column(term_pids))
+    add_column("ft/oids", joined_column(term_oids))
 
     if value_index is not None:
         vx_pids: List[int] = []
         vx_lengths: List[int] = []
-        vx_oids: List[int] = []
+        vx_oids: List[Sequence[int]] = []
         vx_values: List[str] = []
         for pid, oids, values in value_index.iter_path_columns():
             vx_pids.append(pid)
             vx_lengths.append(len(oids))
-            vx_oids.extend(oids)
+            vx_oids.append(oids)
             vx_values.extend(values)
         add_column("vx/pids", vx_pids)
         add_column("vx/lens", vx_lengths)
-        add_column("vx/oids", vx_oids)
+        add_column("vx/oids", joined_column(vx_oids))
         writer.add_strings("vx/values", vx_values)
 
     return writer.write(path)

@@ -40,6 +40,7 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import accumulate
 from pathlib import Path as FsPath
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
@@ -79,14 +80,18 @@ def pack_strings(strings: Iterable[str]) -> bytes:
     Layout: ``count u64 | (count+1) int64 end offsets | UTF-8 blob``.
     The offset column makes unpacking O(1) per string with no scanning.
     """
-    blob = bytearray()
+    strings = list(strings)
+    text = "".join(strings)
+    if text.isascii():
+        blob = text.encode("ascii")
+        lengths = map(len, strings)
+    else:
+        encoded = [string.encode("utf-8") for string in strings]
+        blob = b"".join(encoded)
+        lengths = map(len, encoded)
     offsets = array("q", [0])
-    count = 0
-    for text in strings:
-        blob += text.encode("utf-8")
-        offsets.append(len(blob))
-        count += 1
-    return struct.pack("<Q", count) + offsets.tobytes() + bytes(blob)
+    offsets.extend(accumulate(lengths))
+    return struct.pack("<Q", len(strings)) + offsets.tobytes() + blob
 
 
 class SnapshotWriter:

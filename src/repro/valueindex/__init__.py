@@ -4,7 +4,7 @@ Where :mod:`repro.fulltext` indexes *tokens*, this package indexes the
 association *values* themselves: equality and range probes over element
 character data and attribute values, string and numeric, grouped by
 path.  The query planner consults it to answer ``$v = 'literal'``
-predicates by dictionary probe instead of scanning every string
+predicates by a sorted-column probe instead of scanning every string
 relation.
 """
 
@@ -12,6 +12,7 @@ from .index import (
     ValueIndex,
     ValueIndexCacheInfo,
     cached_value_index,
+    carry_value_index,
     clear_value_index_cache,
     get_value_index,
     seed_value_index,
@@ -22,6 +23,7 @@ __all__ = [
     "ValueIndex",
     "ValueIndexCacheInfo",
     "cached_value_index",
+    "carry_value_index",
     "get_value_index",
     "seed_value_index",
     "clear_value_index_cache",

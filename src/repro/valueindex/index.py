@@ -7,32 +7,45 @@ scan semantics (:meth:`QueryProcessor._condition_closure`): every
 sets to the full scan, which is what lets the planner swap one for the
 other without changing answers.
 
-Layout mirrors :mod:`repro.fulltext.index`: per-path frozen parallel
-columns (OIDs and values) with the probe structures — the global
-value → OID-set dictionary, per-path sorted pairs, numeric projections
-— derived lazily, so snapshot loads stay O(bytes).  The same
-generation-keyed cache discipline applies: :func:`get_value_index`
-reuses, patches forward over the mutation journal, or rebuilds;
-:func:`seed_value_index` installs a deserialized index without a
-build.
+Layout mirrors :mod:`repro.fulltext.index`: per-path parallel columns
+(OIDs ascending, values) are the persisted state, and the probe
+structures are sorted columns derived from them lazily, so snapshot
+loads stay O(bytes).  A probe (:class:`_Probe`) over a set of entries
+is three sorted (key, OID) columns — every value in string order, the
+numeric readings in number order, and the values without a numeric
+reading in string order — each answered by ``searchsorted``.  One
+probe spans all paths (equality, comparisons and their estimates) and
+each path has its own for pid-restricted lookups.
+
+The same generation-keyed cache discipline applies:
+:func:`get_value_index` reuses, patches forward over the mutation
+journal, or builds; :func:`seed_value_index` installs a deserialized
+index without a build.  A patch keeps every probe column already
+derived current — a put merges its few entries in with
+``searchsorted``, a delete masks its OID span out — so existing values
+are never re-sorted or re-parsed, and compaction carries the index
+over with one elementwise OID map (:meth:`ValueIndex.renumbered`).
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect_left, bisect_right
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
+
+import numpy as np
 
 from ..monet.engine import DerivedCache, MonetXML
 from ..monet.mutate import journal_chain
@@ -41,10 +54,13 @@ __all__ = [
     "ValueIndex",
     "ValueIndexCacheInfo",
     "get_value_index",
+    "carry_value_index",
     "seed_value_index",
     "clear_value_index_cache",
     "value_index_cache_info",
 ]
+
+_RANGE_OPS = ("<", "<=", ">", ">=")
 
 
 def _numeric(value: str) -> Optional[float]:
@@ -55,61 +71,260 @@ def _numeric(value: str) -> Optional[float]:
         return None
 
 
-class _PathValues:
-    """Frozen per-path columns: parallel OID/value arrays plus probes.
+def _object_column(values: Sequence[str]) -> np.ndarray:
+    """A NumPy object column of python strings (compared as ``str``)."""
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
 
-    Builds populate the columns eagerly; the sorted string pairs and
-    the numeric projection (only values that parse as numbers) are
-    derived lazily on the first range probe.
+
+Columns = Tuple[np.ndarray, np.ndarray]  # (OIDs int64, values object)
+
+
+class _Sorted(NamedTuple):
+    """Parallel columns sorted by key: one probe structure."""
+
+    keys: np.ndarray
+    oids: np.ndarray
+
+    def span(self, op: str, key) -> Tuple[int, int]:
+        """The [start, stop) positions of the entries whose key ``k``
+        satisfies ``k <op> key`` (``op`` a range operator or ``=``)."""
+        keys = self.keys
+        if op == "=":
+            return (
+                int(np.searchsorted(keys, key, "left")),
+                int(np.searchsorted(keys, key, "right")),
+            )
+        if op == "<":
+            return 0, int(np.searchsorted(keys, key, "left"))
+        if op == "<=":
+            return 0, int(np.searchsorted(keys, key, "right"))
+        if op == ">":
+            return int(np.searchsorted(keys, key, "right")), len(keys)
+        return int(np.searchsorted(keys, key, "left")), len(keys)
+
+    def merged(self, other: "_Sorted") -> "_Sorted":
+        """These columns plus a few sorted entries, each inserted after
+        its equal keys."""
+        if not len(other.keys):
+            return self
+        keys, oids = other
+        at = np.searchsorted(self.keys, keys, "right")
+        return _Sorted(
+            np.insert(self.keys, at, keys), np.insert(self.oids, at, oids)
+        )
+
+    def without(self, low: int, high: int) -> "_Sorted":
+        """These columns without the entries whose OID is in
+        ``[low, high]``."""
+        keep = (self.oids < low) | (self.oids > high)
+        if keep.all():
+            return self
+        return _Sorted(self.keys[keep], self.oids[keep])
+
+    def renumbered(
+        self, renumbered: Callable[[np.ndarray], np.ndarray]
+    ) -> "_Sorted":
+        return _Sorted(self.keys, renumbered(self.oids))
+
+
+def _sorted(oids: np.ndarray, keys: np.ndarray) -> _Sorted:
+    order = np.argsort(keys, kind="stable")
+    return _Sorted(keys[order], oids[order])
+
+
+def _numeric_part(by_value: _Sorted) -> Tuple[_Sorted, _Sorted]:
+    """(numeric readings, values without one) of value-sorted columns.
+
+    A NaN reading belongs to neither: under
+    :func:`~repro.query.ast.compare_values` every numeric comparison
+    with NaN is false, so it matches no numeric range, while against a
+    non-numeric literal it compares as a string through the
+    all-values column.  The string-only column keeps value order.
+    """
+    readings = [_numeric(value) for value in by_value.keys.tolist()]
+    has_number = np.fromiter(
+        (reading is not None for reading in readings), bool, len(readings)
+    )
+    numbers = np.fromiter(
+        (reading for reading in readings if reading is not None), float
+    )
+    number_oids = by_value.oids[has_number]
+    real = ~np.isnan(numbers)
+    return (
+        _sorted(number_oids[real], numbers[real]),
+        _Sorted(by_value.keys[~has_number], by_value.oids[~has_number]),
+    )
+
+
+#: The derived parts of a probe, ``None`` until first use: the
+#: all-values column, and the (numeric readings, values without one)
+#: pair.
+Parts = Tuple[Optional[_Sorted], Optional[Tuple[_Sorted, _Sorted]]]
+
+_UNBUILT: Parts = (None, None)
+
+
+def _patched(
+    parts: Parts,
+    added: Optional[Columns] = None,
+    span: Optional[Tuple[int, int]] = None,
+) -> Parts:
+    """``parts`` with ``added`` entries merged in and the OIDs in
+    ``span`` masked out; parts not yet derived stay so."""
+    by_value, typed = parts
+    if span is not None:
+        if by_value is not None:
+            by_value = by_value.without(*span)
+        if typed is not None:
+            typed = tuple(part.without(*span) for part in typed)
+    if added is not None:
+        fresh = _sorted(*added)
+        if by_value is not None:
+            by_value = by_value.merged(fresh)
+        if typed is not None:
+            typed = tuple(
+                part.merged(new)
+                for part, new in zip(typed, _numeric_part(fresh))
+            )
+    return by_value, typed
+
+
+def _renumbered(
+    parts: Parts, renumbered: Callable[[np.ndarray], np.ndarray]
+) -> Parts:
+    by_value, typed = parts
+    return (
+        None if by_value is None else by_value.renumbered(renumbered),
+        None
+        if typed is None
+        else tuple(part.renumbered(renumbered) for part in typed),
+    )
+
+
+class _Probe:
+    """The sorted probe columns of one entry set, derived lazily.
+
+    ``by_value`` is built from ``source`` (a callable returning the
+    entry set's OID and value columns) on first use, and the numeric /
+    string-only pair from ``by_value`` on the first numeric literal.
+    A patched or renumbered probe starts from the parts already derived
+    (:func:`_patched`, :func:`_renumbered`) and derives the others from
+    its own source, so nothing built is ever rebuilt.
     """
 
-    __slots__ = ("oids", "values", "_sorted", "_numeric", "_string_only")
+    __slots__ = ("_source", "_by_value", "_typed")
 
-    def __init__(self, oids: Sequence[int], values: Sequence[str]):
+    def __init__(
+        self, source: Callable[[], Columns], parts: Parts = _UNBUILT
+    ):
+        self._source = source
+        self._by_value, self._typed = parts
+
+    @property
+    def parts(self) -> Parts:
+        return self._by_value, self._typed
+
+    @property
+    def by_value(self) -> _Sorted:
+        built = self._by_value
+        if built is None:
+            built = self._by_value = _sorted(*self._source())
+        return built
+
+    @property
+    def typed(self) -> Tuple[_Sorted, _Sorted]:
+        """(numeric readings, values without one), both sorted."""
+        built = self._typed
+        if built is None:
+            built = self._typed = _numeric_part(self.by_value)
+        return built
+
+    def select(self, op: str, literal: str) -> Iterator[np.ndarray]:
+        """OID slices of the entries whose value satisfies
+        ``value <op> literal`` under the typed rule (``=`` exact)."""
+        number = None if op == "=" else _numeric(literal)
+        if number is None:
+            start, stop = self.by_value.span(op, literal)
+            yield self.by_value.oids[start:stop]
+            return
+        numeric, strings = self.typed
+        if not math.isnan(number):
+            start, stop = numeric.span(op, number)
+            yield numeric.oids[start:stop]
+        start, stop = strings.span(op, literal)
+        yield strings.oids[start:stop]
+
+    def count(self, op: str, literal: str) -> int:
+        """Entries :meth:`select` would return (an upper bound on OIDs)."""
+        return sum(len(oids) for oids in self.select(op, literal))
+
+
+def _path_columns(oids, values) -> Columns:
+    return np.asarray(oids, dtype=np.int64), _object_column(values)
+
+
+def _all_columns(paths: Dict[int, "_PathValues"]) -> Columns:
+    """The entry set of every path, as one pair of columns."""
+    entries = list(paths.values())
+    if not entries:
+        return np.empty(0, dtype=np.int64), _object_column([])
+    return (
+        np.concatenate(
+            [np.asarray(entry.oids, dtype=np.int64) for entry in entries]
+        ),
+        _object_column([value for entry in entries for value in entry.values]),
+    )
+
+
+class _PathValues:
+    """One path's columns: OIDs ascending, their values, and the path's
+    own probe (derived only for pid-restricted lookups)."""
+
+    __slots__ = ("oids", "values", "probe")
+
+    def __init__(
+        self,
+        oids: Sequence[int],
+        values: Sequence[str],
+        parts: Parts = _UNBUILT,
+    ):
         self.oids = oids
         self.values = values
-        self._sorted: Optional[List[Tuple[str, int]]] = None
-        self._numeric: Optional[List[Tuple[float, int]]] = None
-        self._string_only: Optional[List[Tuple[str, int]]] = None
+        self.probe = _Probe(partial(_path_columns, oids, values), parts)
 
-    @property
-    def sorted_pairs(self) -> List[Tuple[str, int]]:
-        cached = self._sorted
-        if cached is None:
-            cached = self._sorted = sorted(zip(self.values, self.oids))
-        return cached
+    def extended(self, oids: np.ndarray, values: List[str]) -> "_PathValues":
+        """This path plus entries whose OIDs follow all of its own."""
+        return _PathValues(
+            np.concatenate([np.asarray(self.oids, dtype=np.int64), oids]),
+            [*self.values, *values],
+            _patched(self.probe.parts, added=_path_columns(oids, values)),
+        )
 
-    @property
-    def numeric_pairs(self) -> List[Tuple[float, int]]:
-        cached = self._numeric
-        if cached is None:
-            pairs = []
-            for value, oid in zip(self.values, self.oids):
-                number = _numeric(value)
-                if number is not None:
-                    pairs.append((number, oid))
-            pairs.sort()
-            cached = self._numeric = pairs
-        return cached
+    def without(self, low: int, high: int) -> Optional["_PathValues"]:
+        """This path without the OIDs in ``[low, high]`` (``None`` when
+        nothing is left); the OIDs ascend, so they are one slice."""
+        oids = np.asarray(self.oids, dtype=np.int64)
+        start, stop = np.searchsorted(oids, (low, high + 1)).tolist()
+        if start == stop:
+            return self
+        if stop - start == len(oids):
+            return None
+        return _PathValues(
+            np.concatenate([oids[:start], oids[stop:]]),
+            [*self.values[:start], *self.values[stop:]],
+            _patched(self.probe.parts, span=(low, high)),
+        )
 
-    @property
-    def string_only_pairs(self) -> List[Tuple[str, int]]:
-        """Sorted (value, OID) pairs of values with *no* numeric reading.
-
-        Against a numeric literal these compare as strings while the
-        numeric values compare as numbers — the mixed-typed rule of
-        :func:`repro.query.ast.compare_values`.
-        """
-        cached = self._string_only
-        if cached is None:
-            pairs = [
-                (value, oid)
-                for value, oid in zip(self.values, self.oids)
-                if _numeric(value) is None
-            ]
-            pairs.sort()
-            cached = self._string_only = pairs
-        return cached
+    def renumbered(
+        self, renumbered: Callable[[np.ndarray], np.ndarray]
+    ) -> "_PathValues":
+        return _PathValues(
+            renumbered(np.asarray(self.oids, dtype=np.int64)),
+            self.values,
+            _renumbered(self.probe.parts, renumbered),
+        )
 
     def __len__(self) -> int:
         return len(self.oids)
@@ -130,23 +345,35 @@ class ValueIndex:
     """
 
     def __init__(self, store: MonetXML, declared: Sequence[str] = ()):
-        self.store = store
-        self.declared: Tuple[str, ...] = tuple(declared)
-        #: Store generation this index was built against.
-        self.generation = getattr(store, "generation", 0)
-        self._paths: Dict[int, _PathValues] = {}
-        self._entry_count = 0
-        self._eq: Optional[Dict[str, FrozenSet[int]]] = None
-        self._build()
-
-    def _build(self) -> None:
         global _builds
         _builds += 1
-        strings = self.store.string_runs()
+        strings = store.string_runs()
+        paths: Dict[int, _PathValues] = {}
         for pid in strings.pids.tolist():
             oids, values = strings.run(pid)
-            self._paths[pid] = _PathValues(array("q", oids.tolist()), values)
-            self._entry_count += len(values)
+            paths[pid] = _PathValues(np.array(oids, dtype=np.int64), values)
+        self._bind(store, declared, paths)
+
+    def _bind(
+        self,
+        store: MonetXML,
+        declared: Sequence[str],
+        paths: Dict[int, _PathValues],
+        parts: Parts = _UNBUILT,
+        generation: Optional[int] = None,
+    ) -> None:
+        self.store = store
+        self.declared: Tuple[str, ...] = tuple(declared)
+        #: Store generation this index answers for.
+        self.generation = (
+            getattr(store, "generation", 0)
+            if generation is None
+            else generation
+        )
+        self._paths = paths
+        self._entry_count = sum(len(entry) for entry in paths.values())
+        #: The all-path probe: equality, comparisons and their estimates.
+        self._probe = _Probe(partial(_all_columns, paths), parts)
 
     # -- persistence (the snapshot store's contract) --------------------
     def iter_path_columns(
@@ -155,8 +382,7 @@ class ValueIndex:
         """(pid, OID column, value column) per path, in pid order.
 
         The snapshot writer serializes exactly these columns; the probe
-        structures (equality map, sorted pairs, numeric projection) are
-        derivable and not part of the on-disk contract.
+        columns are derivable and not part of the on-disk contract.
         """
         for pid in sorted(self._paths):
             entry = self._paths[pid]
@@ -173,38 +399,35 @@ class ValueIndex:
         """Rebind deserialized path columns as a ready index.
 
         No string relation is scanned (the build counter stays
-        untouched); probe structures materialize lazily on first use.
+        untouched); probe columns derive lazily on first use.
         """
         self = cls.__new__(cls)
-        self.store = store
-        self.declared = tuple(declared)
-        self.generation = getattr(store, "generation", 0)
-        self._paths = {}
-        self._entry_count = 0
-        self._eq = None
-        for pid, oids, values in path_columns:
-            self._paths[pid] = _PathValues(oids, values)
-            self._entry_count += len(oids)
+        self._bind(
+            store,
+            declared,
+            {
+                pid: _PathValues(oids, values)
+                for pid, oids, values in path_columns
+            },
+        )
         return self
 
     # -- incremental maintenance ----------------------------------------
     def patched(self, records: Iterable[object]) -> "ValueIndex":
         """A copy of this index rolled forward over mutation records.
 
-        Put records contribute their ``added_strings`` associations;
-        delete records prune entries by tombstoned OID span.  The
+        A put's ``added_strings`` are appended to their paths and merged
+        into every probe column already derived; a delete cuts its OID
+        span out of each path (one ``searchsorted`` per path, the OIDs
+        ascend) and masks it out of the derived probe columns.  The
         receiver is left untouched — the copy shares the columns of
         unaffected paths — so racing readers can each patch the cached
         index and install their copy without observing a half-patched
         structure.
         """
-        clone = ValueIndex.__new__(ValueIndex)
-        clone.store = self.store
-        clone.declared = self.declared
-        clone.generation = self.generation
-        clone._entry_count = self._entry_count
-        clone._paths = dict(self._paths)
-        clone._eq = None
+        paths = dict(self._paths)
+        parts = self._probe.parts
+        generation = self.generation
         for record in records:
             kind = getattr(record, "kind", None)
             if kind == "put":
@@ -215,41 +438,53 @@ class ValueIndex:
                         pending[attr_pid] = columns = ([], [])
                     columns[0].append(oid)
                     columns[1].append(value)
-                    clone._entry_count += 1
-                for attr_pid, (oids, values) in pending.items():
-                    entry = clone._paths.get(attr_pid)
-                    if entry is None:
-                        clone._paths[attr_pid] = _PathValues(
-                            array("q", oids), values
-                        )
-                    else:
-                        merged_oids = array("q", entry.oids)
-                        merged_oids.extend(oids)
-                        merged_values = list(entry.values)
-                        merged_values.extend(values)
-                        clone._paths[attr_pid] = _PathValues(
-                            merged_oids, merged_values
-                        )
+                for pid, (oids, values) in pending.items():
+                    new_oids = np.array(oids, dtype=np.int64)
+                    entry = paths.get(pid)
+                    paths[pid] = (
+                        _PathValues(new_oids, values)
+                        if entry is None
+                        else entry.extended(new_oids, values)
+                    )
+                if record.added_strings:
+                    _pids, oids, values = zip(*record.added_strings)
+                    parts = _patched(parts, added=_path_columns(oids, values))
             elif kind == "delete":
                 low, high = record.span
-                for pid, entry in list(clone._paths.items()):
-                    if not any(low <= oid <= high for oid in entry.oids):
-                        continue
-                    kept_oids = array("q")
-                    kept_values: List[str] = []
-                    for oid, value in zip(entry.oids, entry.values):
-                        if low <= oid <= high:
-                            clone._entry_count -= 1
-                            continue
-                        kept_oids.append(oid)
-                        kept_values.append(value)
-                    if kept_oids:
-                        clone._paths[pid] = _PathValues(kept_oids, kept_values)
+                for pid, entry in list(paths.items()):
+                    kept = entry.without(low, high)
+                    if kept is None:
+                        del paths[pid]
                     else:
-                        del clone._paths[pid]
+                        paths[pid] = kept
+                parts = _patched(parts, span=(low, high))
             else:  # pragma: no cover - journal only holds put/delete
                 raise ValueError(f"unknown mutation record {record!r}")
-            clone.generation = record.to_generation
+            generation = record.to_generation
+        clone = ValueIndex.__new__(ValueIndex)
+        clone._bind(self.store, self.declared, paths, parts, generation)
+        return clone
+
+    def renumbered(
+        self, store: MonetXML, renumbered: Callable[[np.ndarray], np.ndarray]
+    ) -> "ValueIndex":
+        """This index carried over to ``store``, the compaction of its own.
+
+        Compaction's OID map is monotone, so every column keeps its
+        order: the OIDs go through ``renumbered`` elementwise and the
+        values and derived keys are shared.
+        """
+        paths = {
+            pid: entry.renumbered(renumbered)
+            for pid, entry in self._paths.items()
+        }
+        clone = ValueIndex.__new__(ValueIndex)
+        clone._bind(
+            store,
+            self.declared,
+            paths,
+            _renumbered(self._probe.parts, renumbered),
+        )
         return clone
 
     # -- statistics ------------------------------------------------------
@@ -271,53 +506,33 @@ class ValueIndex:
         return len(self.lookup_eq(value))
 
     def estimate_eq(self, value: str) -> int:
-        """Exact distinct-OID count of an equality probe (O(1) when warm)."""
-        return len(self._equality_map().get(value, ()))
+        """Exact distinct-OID count of an equality probe."""
+        (oids,) = self._probe.select("=", value)
+        return len(np.unique(oids))
 
     def estimate_cmp(self, op: str, literal: str) -> int:
         """Entry count a range probe would touch (an upper bound on OIDs).
 
-        Counts matching (value, OID) entries via bisection without
+        ``searchsorted`` counts over the all-path probe, without
         materializing the result set; duplicate OIDs across paths make
         this an upper bound on the distinct-OID answer.
         """
-        if op not in ("<", "<=", ">", ">="):
+        if op not in _RANGE_OPS:
             raise ValueError(f"unknown range operator {op!r}")
-        literal_num = _numeric(literal)
-        total = 0
-
-        def span(pairs, key) -> int:
-            if op == "<":
-                return bisect_left(pairs, (key,))
-            if op == "<=":
-                return bisect_right(pairs, (key, float("inf")))
-            if op == ">":
-                return len(pairs) - bisect_right(pairs, (key, float("inf")))
-            return len(pairs) - bisect_left(pairs, (key,))
-
-        for entry in self._paths.values():
-            if literal_num is None:
-                total += span(entry.sorted_pairs, literal)
-            else:
-                total += span(entry.numeric_pairs, literal_num)
-                total += span(entry.string_only_pairs, literal)
-        return total
+        return self._probe.count(op, literal)
 
     # -- probes ----------------------------------------------------------
-    def _equality_map(self) -> Dict[str, FrozenSet[int]]:
-        cached = self._eq
-        if cached is None:
-            pending: Dict[str, Set[int]] = {}
-            for entry in self._paths.values():
-                for oid, value in zip(entry.oids, entry.values):
-                    bucket = pending.get(value)
-                    if bucket is None:
-                        pending[value] = bucket = set()
-                    bucket.add(oid)
-            cached = self._eq = {
-                value: frozenset(oids) for value, oids in pending.items()
-            }
-        return cached
+    def _probes(self, pids: Optional[Iterable[int]]) -> List[_Probe]:
+        if pids is None:
+            return [self._probe]
+        return [self._paths[pid].probe for pid in pids if pid in self._paths]
+
+    @staticmethod
+    def _oid_set(slices: Iterable[np.ndarray]) -> FrozenSet[int]:
+        hits: set = set()
+        for oids in slices:
+            hits.update(oids.tolist())
+        return frozenset(hits)
 
     def lookup_eq(
         self, value: str, pids: Optional[Iterable[int]] = None
@@ -328,20 +543,11 @@ class ValueIndex:
         per-path form); without, it spans every string relation — the
         same node set the ``=`` scan closure produces.
         """
-        if pids is None:
-            return self._equality_map().get(value, frozenset())
-        hits: Set[int] = set()
-        for pid in pids:
-            entry = self._paths.get(pid)
-            if entry is None:
-                continue
-            pairs = entry.sorted_pairs
-            start = bisect_left(pairs, (value,))
-            for candidate, oid in pairs[start:]:
-                if candidate != value:
-                    break
-                hits.add(oid)
-        return frozenset(hits)
+        return self._oid_set(
+            oids
+            for probe in self._probes(pids)
+            for oids in probe.select("=", value)
+        )
 
     def lookup_cmp(
         self, op: str, literal: str, pids: Optional[Iterable[int]] = None
@@ -351,38 +557,17 @@ class ValueIndex:
         Implements :func:`repro.query.ast.compare_values` exactly: a
         numeric literal compares numerically against numeric values and
         lexicographically against the rest; a non-numeric literal
-        compares everything lexicographically.  The scan closure of a
+        compares everything lexicographically; a NaN on either side of
+        a numeric comparison matches nothing.  The scan closure of a
         range predicate and this probe therefore agree byte-for-byte.
         """
-        if op not in ("<", "<=", ">", ">="):
+        if op not in _RANGE_OPS:
             raise ValueError(f"unknown range operator {op!r}")
-        selected = (
-            self._paths.values()
-            if pids is None
-            else [self._paths[pid] for pid in pids if pid in self._paths]
+        return self._oid_set(
+            oids
+            for probe in self._probes(pids)
+            for oids in probe.select(op, literal)
         )
-        literal_num = _numeric(literal)
-        hits: Set[int] = set()
-
-        def collect(pairs, key) -> None:
-            if op == "<":
-                span = pairs[: bisect_left(pairs, (key,))]
-            elif op == "<=":
-                span = pairs[: bisect_right(pairs, (key, float("inf")))]
-            elif op == ">":
-                span = pairs[bisect_right(pairs, (key, float("inf"))) :]
-            else:  # ">="
-                span = pairs[bisect_left(pairs, (key,)) :]
-            for _value, oid in span:
-                hits.add(oid)
-
-        for entry in selected:
-            if literal_num is None:
-                collect(entry.sorted_pairs, literal)
-            else:
-                collect(entry.numeric_pairs, literal_num)
-                collect(entry.string_only_pairs, literal)
-        return frozenset(hits)
 
     def lookup_range(
         self,
@@ -396,8 +581,9 @@ class ValueIndex:
 
         String ranges compare lexicographically over the raw values;
         numeric ranges compare the parsed-number projection (values
-        without a numeric reading never match).  ``None`` bounds are
-        open ends.
+        without a numeric reading, and NaN readings, never match; so
+        does nothing against a NaN bound).  ``None`` bounds are open
+        ends.
         """
         if numeric:
             low_key = None if low is None else _numeric(low)
@@ -409,26 +595,24 @@ class ValueIndex:
                     "numeric range bounds must parse as numbers: "
                     f"low={low!r} high={high!r}"
                 )
+            if any(
+                key is not None and math.isnan(key)
+                for key in (low_key, high_key)
+            ):
+                return frozenset()
         else:
             low_key, high_key = low, high
-        selected = (
-            self._paths.values()
-            if pids is None
-            else [
-                self._paths[pid] for pid in pids if pid in self._paths
-            ]
-        )
-        hits: Set[int] = set()
-        for entry in selected:
-            pairs = entry.numeric_pairs if numeric else entry.sorted_pairs
-            start = 0 if low_key is None else bisect_left(pairs, (low_key,))
-            if high_key is None:
-                stop = len(pairs)
-            else:
-                stop = bisect_right(pairs, (high_key, float("inf")))
-            for _value, oid in pairs[start:stop]:
-                hits.add(oid)
-        return frozenset(hits)
+        slices = []
+        for probe in self._probes(pids):
+            column = probe.typed[0] if numeric else probe.by_value
+            start = 0 if low_key is None else column.span(">=", low_key)[0]
+            stop = (
+                len(column.keys)
+                if high_key is None
+                else column.span("<=", high_key)[1]
+            )
+            slices.append(column.oids[start:stop])
+        return self._oid_set(slices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -456,10 +640,23 @@ _builds = 0
 _hits = 0
 _patches = 0
 
-#: Above this tombstone density an invalidated index rebuilds from the
-#: (already pruned) relations instead of patching forward — the patch
-#: would carry too much dead weight.
-REBUILD_DENSITY = 0.25
+
+def _maintained(store: MonetXML) -> Optional[ValueIndex]:
+    """The cached index brought current through the journal, or ``None``
+    when there is none or the journal no longer reaches it."""
+    global _hits, _patches
+    cached = _cache.get(store)
+    if cached is None:
+        return None
+    if cached.generation == getattr(store, "generation", 0):
+        _hits += 1
+        return cached
+    chain = journal_chain(store, cached.generation)
+    if chain is None:
+        return None
+    index = _cache[store] = cached.patched(chain)
+    _patches += 1
+    return index
 
 
 def get_value_index(
@@ -473,27 +670,33 @@ def get_value_index(
     :meth:`~repro.monet.engine.MonetXML.invalidate_caches`
     transparently yields a fresh one on next use.  When the store's
     mutation journal bridges the cached index's generation to the
-    current one and tombstone density is below :data:`REBUILD_DENSITY`,
-    the index is patched forward instead of rebuilt.
+    current one, the index is patched forward instead of rebuilt.
 
     Values are matched exactly (``BAT.select_eq`` semantics), so there
     is no case-mode key — one index per store.
     """
-    global _hits, _patches
-    cached = _cache.get(store)
-    if cached is not None and cached.generation == getattr(store, "generation", 0):
-        _hits += 1
-        return cached
-    if cached is not None and getattr(store, "dead_fraction", 1.0) <= REBUILD_DENSITY:
-        chain = journal_chain(store, cached.generation)
-        if chain is not None:
-            index = cached.patched(chain)
-            _cache[store] = index
-            _patches += 1
-            return index
-    index = ValueIndex(store, declared=declared)
-    _cache[store] = index
+    index = _maintained(store)
+    if index is None:
+        index = _cache[store] = ValueIndex(store, declared=declared)
     return index
+
+
+def carry_value_index(
+    store: MonetXML,
+    compacted: MonetXML,
+    renumbered: Callable[[np.ndarray], np.ndarray],
+) -> None:
+    """Seed ``compacted`` with ``store``'s index, renumbered.
+
+    ``compacted`` and ``renumbered`` are what
+    :func:`~repro.monet.mutate.compact_store` returned for ``store``;
+    a cached index is brought current and carried over
+    (:meth:`ValueIndex.renumbered`), so the compacted store builds
+    nothing.
+    """
+    index = _maintained(store)
+    if index is not None:
+        seed_value_index(compacted, index.renumbered(compacted, renumbered))
 
 
 def seed_value_index(store: MonetXML, index: ValueIndex) -> None:

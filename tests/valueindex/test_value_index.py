@@ -215,3 +215,52 @@ class TestCacheSuite:
         clear_value_index_cache()
         assert cached_value_index(plays_store) is None
         assert value_index_cache_info().builds == 0
+
+
+class TestNaNValues:
+    """A value reading as NaN belongs to no numeric range, and a NaN
+    literal matches no numeric value — the ``compare_values`` rule."""
+
+    DOCUMENT = (
+        "<r><v>nan</v><v>5</v><v>3</v><v>NaN</v><v>7</v><v>abc</v>"
+        "<v>inf</v><v>1</v></r>"
+    )
+
+    @pytest.fixture()
+    def nan_store(self):
+        from repro.datamodel.parser import parse_document
+
+        return monet_transform(parse_document(self.DOCUMENT))
+
+    @pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+    @pytest.mark.parametrize("literal", ["4", "nan", "inf", "-inf", "abc", "0"])
+    def test_comparison_probe_equals_scan(self, nan_store, op, literal):
+        index = ValueIndex(nan_store)
+        expected = {
+            oid
+            for _pid, oid, value in scan_associations(nan_store)
+            if compare_values(value, op, literal)
+        }
+        assert index.lookup_cmp(op, literal) == expected, (op, literal)
+        assert index.estimate_cmp(op, literal) >= len(expected)
+
+    def test_less_than_four_skips_nan(self, nan_store):
+        index = ValueIndex(nan_store)
+        values = {
+            oid: value for _pid, oid, value in scan_associations(nan_store)
+        }
+        assert sorted(values[oid] for oid in index.lookup_cmp("<", "4")) == [
+            "1",
+            "3",
+        ]
+
+    def test_numeric_range_never_matches_nan(self, nan_store):
+        index = ValueIndex(nan_store)
+        assert index.lookup_range("nan", None, numeric=True) == frozenset()
+        values = {
+            oid: value for _pid, oid, value in scan_associations(nan_store)
+        }
+        everything = index.lookup_range(None, None, numeric=True)
+        assert sorted(values[oid] for oid in everything) == [
+            "1", "3", "5", "7", "inf",
+        ]
