@@ -51,7 +51,6 @@ redundant work (call :meth:`warm_up` first, as the server does).
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import shutil
 import tempfile
@@ -1145,7 +1144,6 @@ class Database:
         with self._rw.write():
             store = self._writable_store()
             before = store.node_count
-            mapping = None
             if self.sharded is not None:
                 self._reshard_locked()
                 store = self._base_store
@@ -1160,14 +1158,6 @@ class Database:
                         self._processor = None
                 store = compacted
             self._rewrite_bundle(store)
-            if mapping is not None:
-                # The retired store and its indexes hold each other
-                # (store.derived), and with the indexes carried over no
-                # rebuild allocates enough to wake the cyclic collector
-                # for many compactions: free the retired store now, so
-                # a serving process holds one store however often it
-                # compacts.
-                gc.collect()
             return {
                 "op": "compact",
                 "node_count": store.node_count,

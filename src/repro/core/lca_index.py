@@ -191,7 +191,7 @@ class LcaIndex:
                 self._last[low - base : high - base + 1] = blank
                 dropped.append((low, high))
         if self._vector_kernels is not None:
-            self._vector_kernels.follow(dropped)
+            self._vector_kernels.follow(self.columns(), dropped)
 
     def compacted(
         self, store: MonetXML, renumbered: Callable[[np.ndarray], np.ndarray]

@@ -29,6 +29,7 @@ results (the cache satellite).
 from __future__ import annotations
 
 import threading
+from itertools import product
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -668,17 +669,8 @@ class ShardedCollection:
                     "refine the query or use meet(...) aggregation"
                 )
 
-        def recurse(index: int, assignment: Dict[str, int]) -> None:
-            if index == len(variables):
-                emit(assignment)
-                return
-            variable = variables[index]
-            for oid in bound[variable]:
-                assignment[variable] = oid
-                recurse(index + 1, assignment)
-            assignment.pop(variable, None)
-
-        recurse(0, {})
+        for oids in product(*(bound[variable] for variable in variables)):
+            emit(dict(zip(variables, oids)))
         return result
 
     def _root_cell(self, item, plan: Plan) -> Cell:

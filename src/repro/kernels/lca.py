@@ -34,7 +34,7 @@ Two vectorization facts carry the module:
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,12 +116,12 @@ class LcaKernels:
     """
 
     __slots__ = (
-        "index", "base", "tour", "depth", "first", "last",
+        "store", "base", "tour", "depth", "first", "last",
         "near", "far", "_near_rows", "_pids",
     )
 
     def __init__(self, index):
-        self.index = index
+        self.store = index.store
         self.base = int(index.store.first_oid)
         for name, column in index.columns().items():
             setattr(self, name, _bound(column))
@@ -138,7 +138,7 @@ class LcaKernels:
         hence new kernels), so the copy made on first use is caught up
         at the tail — a view would pin the column against that append.
         """
-        column = self.index.store.dense_columns()[0]
+        column = self.store.dense_columns()[0]
         known = len(self._pids)
         if known < len(column):
             grown = _regrown(self._pids, (len(column),))
@@ -194,7 +194,11 @@ class LcaKernels:
         # Flat offset of each level's row in the near backing array.
         self._near_rows = _LEVELS * near.base.shape[1]
 
-    def follow(self, dropped: Iterable[Tuple[int, int]]) -> None:
+    def follow(
+        self,
+        columns: Dict[str, Sequence[int]],
+        dropped: Iterable[Tuple[int, int]],
+    ) -> None:
         """Catch up with an index that was just rolled forward.
 
         The index only ever appends — tour steps, dense first/last
@@ -203,8 +207,10 @@ class LcaKernels:
         of the index's columns: O(Δ) conversions per write, no pass
         over the old cells.  ``dropped`` names the OID spans deletes
         tombstoned; the root's ``last`` is the one old slot a put moves.
+        ``columns`` are the index's (:meth:`LcaIndex.columns`): the
+        kernels hold the store, never the index, so an index and its
+        kernels form no reference cycle.
         """
-        columns = self.index.columns()
         old_length = len(self.tour)
         for name, column in columns.items():
             old = getattr(self, name)

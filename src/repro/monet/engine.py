@@ -127,7 +127,9 @@ class MonetXML:
         self.journal: List[object] = []
         #: Structures derived from this store that point back at it (the
         #: LCA, full-text and value indexes), by :class:`DerivedCache`
-        #: name: owned here so that they die with the store.
+        #: name: owned here so that they die with the store.  Clearing
+        #: it cuts the only link back, so a store whose indexes were
+        #: carried elsewhere is freed by reference counting alone.
         self.derived: Dict[str, object] = {}
 
     # -- size -----------------------------------------------------------
@@ -466,8 +468,10 @@ class DerivedCache:
     one whole store, indexes included, with every compaction.  Here the
     entry sits in ``store.derived``: store and entry form an ordinary
     cycle that the collector frees once the last outside reference to
-    the store is gone, and the cache only remembers (weakly) which
-    stores to visit for :meth:`values` and :meth:`clear`.  Objects
+    the store is gone (a compaction clears the retired store's
+    ``derived``, so that one goes by reference counting at once), and
+    the cache only remembers (weakly) which stores to visit for
+    :meth:`values` and :meth:`clear`.  Objects
     without a ``derived`` dict (the coordinator's summary-only
     store) have no entry.
     """
@@ -489,12 +493,13 @@ class DerivedCache:
         self._stores.discard(store)
 
     def values(self) -> List[object]:
-        return [store.derived[self._name] for store in list(self._stores)]
+        entries = (self.get(store) for store in list(self._stores))
+        return [entry for entry in entries if entry is not None]
 
     def __len__(self) -> int:
-        return len(self._stores)
+        return len(self.values())
 
     def clear(self) -> None:
         for store in list(self._stores):
-            del store.derived[self._name]
+            store.derived.pop(self._name, None)
         self._stores.clear()

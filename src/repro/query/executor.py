@@ -23,6 +23,7 @@ paper's ``<answer><result>…`` blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..core.backends import (
@@ -490,18 +491,8 @@ class QueryProcessor:
         variables = list(needed)
         if not variables:
             return result
-
-        def recurse(index: int, assignment: Dict[str, int]) -> None:
-            if index == len(variables):
-                emit(assignment)
-                return
-            variable = variables[index]
-            for oid in bound[variable]:
-                assignment[variable] = oid
-                recurse(index + 1, assignment)
-            assignment.pop(variable, None)
-
-        recurse(0, {})
+        for oids in product(*(bound[variable] for variable in variables)):
+            emit(dict(zip(variables, oids)))
         return result
 
     def _referenced_variables(self, query: Query) -> List[str]:

@@ -183,11 +183,14 @@ def carry_indexes(
     Each index ``store`` has is brought current through its journal and
     renumbered through the monotone OID map, so neither the compacted
     store's first reads nor its bundle (:func:`write_snapshot`) build
-    one.
+    one.  ``store`` is retired: it lets go of its indexes, the only
+    references back to it that it owns, so it is freed as soon as its
+    last holder drops it rather than at the next full collection.
     """
     carry_lca_index(store, compacted, renumbered)
     carry_fulltext_indexes(store, compacted, renumbered)
     carry_value_index(store, compacted, renumbered)
+    store.derived.clear()
 
 
 def write_snapshot(

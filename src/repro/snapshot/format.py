@@ -80,18 +80,11 @@ def pack_strings(strings: Iterable[str]) -> bytes:
     Layout: ``count u64 | (count+1) int64 end offsets | UTF-8 blob``.
     The offset column makes unpacking O(1) per string with no scanning.
     """
-    strings = list(strings)
-    text = "".join(strings)
-    if text.isascii():
-        blob = text.encode("ascii")
-        lengths = map(len, strings)
-    else:
-        encoded = [string.encode("utf-8") for string in strings]
-        blob = b"".join(encoded)
-        lengths = map(len, encoded)
+    encoded = [string.encode("utf-8") for string in strings]
     offsets = array("q", [0])
-    offsets.extend(accumulate(lengths))
-    return struct.pack("<Q", len(strings)) + offsets.tobytes() + blob
+    offsets.extend(accumulate(map(len, encoded)))
+    count = struct.pack("<Q", len(encoded))
+    return count + offsets.tobytes() + b"".join(encoded)
 
 
 class SnapshotWriter:

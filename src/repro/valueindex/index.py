@@ -418,8 +418,9 @@ class ValueIndex:
 
         A put's ``added_strings`` are appended to their paths and merged
         into every probe column already derived; a delete cuts its OID
-        span out of each path (one ``searchsorted`` per path, the OIDs
-        ascend) and masks it out of the derived probe columns.  The
+        span out of the paths its ``removed_strings`` name (one
+        ``searchsorted`` each, the OIDs ascend) and masks it out of the
+        derived probe columns.  The
         receiver is left untouched — the copy shares the columns of
         unaffected paths — so racing readers can each patch the cached
         index and install their copy without observing a half-patched
@@ -451,13 +452,15 @@ class ValueIndex:
                     parts = _patched(parts, added=_path_columns(oids, values))
             elif kind == "delete":
                 low, high = record.span
-                for pid, entry in list(paths.items()):
-                    kept = entry.without(low, high)
+                removed = {pid for pid, _oid, _value in record.removed_strings}
+                for pid in removed:
+                    kept = paths[pid].without(low, high)
                     if kept is None:
                         del paths[pid]
                     else:
                         paths[pid] = kept
-                parts = _patched(parts, span=(low, high))
+                if record.removed_strings:
+                    parts = _patched(parts, span=(low, high))
             else:  # pragma: no cover - journal only holds put/delete
                 raise ValueError(f"unknown mutation record {record!r}")
             generation = record.to_generation

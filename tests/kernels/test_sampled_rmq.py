@@ -42,7 +42,7 @@ def test_followed_table_equals_a_derived_one(case):
         index._tour.extend([0] * (new - old))
         index._depth.extend(walk[old:new])
         index._last[0] = new - 1
-        followed.follow([])
+        followed.follow(index.columns(), [])
     fresh = LcaKernels(walk_index(walk))
     assert np.array_equal(followed.depth, fresh.depth)
     assert np.array_equal(followed.last, fresh.last)

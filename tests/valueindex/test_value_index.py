@@ -151,9 +151,12 @@ class TestPatchedMaintenance:
             kind="put", added_strings=added, to_generation=to_generation
         )
 
-    def _record_delete(self, span, to_generation):
+    def _record_delete(self, span, removed, to_generation):
         return SimpleNamespace(
-            kind="delete", span=span, to_generation=to_generation
+            kind="delete",
+            span=span,
+            removed_strings=removed,
+            to_generation=to_generation,
         )
 
     def test_put_adds_and_delete_prunes(self, figure1_store):
@@ -168,7 +171,13 @@ class TestPatchedMaintenance:
         assert patched.entry_count == index.entry_count + 1
 
         pruned = patched.patched(
-            [self._record_delete((900, 900), patched.generation + 1)]
+            [
+                self._record_delete(
+                    (900, 900),
+                    [(pid, 900, "Patchwork")],
+                    patched.generation + 1,
+                )
+            ]
         )
         assert pruned.lookup_eq("Patchwork") == frozenset()
         assert pruned.entry_count == index.entry_count
@@ -181,8 +190,13 @@ class TestPatchedMaintenance:
             if value == "Bit"
         }
         low = high = next(iter(victims))
+        removed = [
+            (pid, oid, value)
+            for pid, oid, value in scan_associations(figure1_store)
+            if low <= oid <= high
+        ]
         pruned = index.patched(
-            [self._record_delete((low, high), index.generation + 1)]
+            [self._record_delete((low, high), removed, index.generation + 1)]
         )
         assert pruned.lookup_eq("Bit") == frozenset()
 

@@ -62,6 +62,44 @@ def test_every_compaction_frees_the_store_it_retires(tmp_path, backend):
         db.close()
 
 
+@pytest.mark.parametrize("shards", [None, 2], ids=lambda s: f"shards={s}")
+def test_a_retired_store_is_freed_without_the_cycle_collector(tmp_path, shards):
+    """Compaction, and every sharded write (which compacts), retires a
+    store: it is freed by reference counting, so a serving process holds
+    one store however long the cyclic collector sleeps."""
+    dataset = DATASETS["dblp"]
+    source, _model = write_source(tmp_path, "dblp")
+    db = open_live(source, backend="vector", shards=shards)
+
+    def current():
+        return db._base_store if db.sharded is not None else db.store
+
+    def reads():
+        assert db.nearest(*dataset["terms"][0]).answers
+        for query in dataset["queries"]:
+            db.query(query)
+
+    seen = []
+    reads()
+    gc.collect()
+    gc.disable()
+    try:
+        for cycle in range(3):
+            for step in (
+                lambda: db.put("memo", dataset["fragments"][cycle % 2]),
+                lambda: db.delete("memo"),
+                db.compact,
+            ):
+                seen.append(weakref.ref(current()))
+                step()
+                reads()
+        alive = [ref() for ref in seen]
+        assert [s for s in alive if s is not None and s is not current()] == []
+    finally:
+        gc.enable()
+        db.close()
+
+
 def test_clearing_the_cache_reaches_live_stores():
     store = monet_transform(figure1_document())
     clear_lca_index_cache()
