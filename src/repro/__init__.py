@@ -39,8 +39,8 @@ Packages:
 * :mod:`repro.datasets`  — Figure 1, synthetic DBLP and multimedia.
 * :mod:`repro.snapshot`  — binary columnar persistence, catalogs,
   shard-aware bundles.
-* :mod:`repro.exec`      — sharded collections, serial and
-  process-pool executors, the scatter-gather coordinator.
+* :mod:`repro.exec`      — sharded collections, the serial and
+  socket-worker executors, the scatter-gather coordinator.
 """
 
 from .api import (
@@ -78,7 +78,6 @@ from .datamodel import (
     serialize,
 )
 from .exec import (
-    ParallelExecutor,
     SerialExecutor,
     ShardedCollection,
     ShardPlan,
@@ -102,7 +101,6 @@ __all__ = [
     "NearestRequest",
     "Node",
     "PairMeet",
-    "ParallelExecutor",
     "Path",
     "PathSummary",
     "QueryProcessor",

@@ -21,11 +21,11 @@ low-level tier — ``db.engine`` / ``db.processor`` are the very
 :class:`~repro.query.executor.QueryProcessor` instances, so facade
 answers are identical (including ranking order) to direct calls.
 
-With ``shards=`` / ``workers=`` (or a catalog collection built with
+With ``shards=`` / ``replicas=`` (or a catalog collection built with
 ``snapshot build --shards N``) the same surfaces run on the execution
 layer instead: per-shard work as a pure function of the one store and
-a shard's OID range (:mod:`repro.exec.service`), executed serially or
-on a process pool
+a shard's OID range (:mod:`repro.exec.service`), executed in-process
+or on socket workers
 (:mod:`repro.exec.executors`), merged by the coordinator
 (:mod:`repro.exec.coordinator`) — with answers and ranking order
 byte-identical to the monolithic path by construction and by the
@@ -73,7 +73,7 @@ from ..datamodel.errors import (
 )
 from ..datamodel.parser import parse_fragment
 from ..exec.coordinator import ShardedCollection
-from ..exec.executors import ParallelExecutor, SerialExecutor
+from ..exec.executors import SerialExecutor
 from ..exec.service import shard_services
 from ..exec.sharding import ShardPlan, compute_shard_plan
 from ..fulltext.search import SearchEngine
@@ -179,6 +179,14 @@ def _cache_info_dict(info) -> Optional[Dict[str, object]]:
     }
 
 
+def _release(executor, cleanup) -> None:
+    """Stop an executor's worker processes, then remove its bundle."""
+    if executor is not None:
+        executor.close()
+    if cleanup is not None:
+        cleanup()
+
+
 class Database:
     """One opened document collection, queryable three ways.
 
@@ -224,7 +232,7 @@ class Database:
         self._processor: Optional[QueryProcessor] = None
         #: Readers share; put/delete/replace/compact take the write side.
         self._rw = _RWLock()
-        #: For in-memory sharded serving (workers=0): the store mutations
+        #: For in-process sharded serving: the store mutations
         #: apply to before the shard services are rebound to it.
         self._base_store: Optional[MonetXML] = None
         self._delta_path: Optional[FsPath] = None
@@ -244,8 +252,16 @@ class Database:
         )
         if snapshot is not None:
             self._bind_write_through(snapshot)
+        # Worker processes and a temporary bundle must not outlive a
+        # database nobody closed: the finalizer also runs when it is
+        # collected and at interpreter exit.
+        workers = None
+        if sharded is not None and sharded.executor.name != "serial":
+            workers = sharded.executor
         self._finalizer = (
-            weakref.finalize(self, _cleanup) if _cleanup is not None else None
+            weakref.finalize(self, _release, workers, _cleanup)
+            if workers is not None or _cleanup is not None
+            else None
         )
 
     def _bind_write_through(self, snapshot: Snapshot) -> None:
@@ -279,7 +295,7 @@ class Database:
         bundle/collection resolution (the CLI's ``--snapshot``).
         Keyword ``overrides`` (``backend=``, ``case_sensitive=``,
         ``cache=``, ``catalog=``, ``mmap=``, ``max_rows=``, ``shards=``,
-        ``workers=``) are applied on top of ``options``.
+        ``replicas=``, ``cluster=``) are applied on top of ``options``.
         """
         options = options or DatabaseOptions()
         if overrides:
@@ -384,9 +400,10 @@ class Database:
 
         ``plan`` is the layout the source bundle records (``None``:
         planned here from the requested shard count).  In-process
-        shards answer from the loaded store; worker processes map the
-        source bundle, or — for a store parsed in memory — one
-        temporary bundle of it.
+        shards answer from the loaded store; socket workers map the
+        source bundle when it records ``plan``, else — for a parsed
+        store or a bundle recording another layout — one temporary
+        bundle that does.
         """
         store = resolved.store
         snapshot = resolved.snapshot
@@ -396,17 +413,18 @@ class Database:
             plan = compute_shard_plan(store, options.effective_shards)
         elif options.shards is not None and options.shards != plan.shard_count:
             # Only an *explicit* shards= can conflict with the recorded
-            # layout; the worker count is independent of the shard count.
+            # layout; the replica count is independent of the shard count.
             raise ReproError(
                 f"collection is persisted as {plan.shard_count} shard(s); "
                 f"rebuild it (snapshot build --shards {options.shards}) "
                 "to change the layout"
             )
         cleanup = None
+        executor = None
         # One try covers everything from temp-dir creation to instance
         # construction: a failure anywhere after the temp bundle is
         # written (executor spin-up, ShardedCollection wiring) must not
-        # leave it behind.
+        # leave it or a spawned worker behind.
         try:
             if options.cluster is not None:
                 # Remote workers already hold the data; the local
@@ -415,8 +433,16 @@ class Database:
                 executor = cls._cluster_executor_from_addresses(
                     options.cluster, plan.shard_count
                 )
-            elif options.workers > 0 or options.replicas > 0:
-                if snapshot is not None and snapshot.path is not None:
+            elif options.replicas > 0:
+                # A socket worker serves the layout its bundle records
+                # (``repro shard-worker`` has no plan input): reuse the
+                # source bundle when it records this plan, else write
+                # one temporary bundle that does.
+                if (
+                    snapshot is not None
+                    and snapshot.path is not None
+                    and bundle_plan(snapshot) == plan
+                ):
                     bundle = FsPath(snapshot.path)
                 else:
                     tempdir = tempfile.mkdtemp(prefix="repro-shards-")
@@ -428,32 +454,13 @@ class Database:
                         case_sensitive=case_sensitive,
                         extra_meta={LAYOUT_KEY: plan.to_dict()},
                     )
-                if options.replicas > 0:
-                    # Socket workers serve the layout their bundle
-                    # records (repro shard-worker has no plan input).
-                    if snapshot is not None and bundle_plan(snapshot) != plan:
-                        raise StorageError(
-                            f"{bundle} records no {plan.shard_count}-shard "
-                            "layout for replicas to serve; build one with "
-                            "`repro snapshot build <xml> <name> --shards "
-                            f"{plan.shard_count}`"
-                        )
-                    executor = cls._replicated_executor(
-                        bundle,
-                        plan,
-                        options.replicas,
-                        case_sensitive=case_sensitive,
-                        backend=backend_name,
-                    )
-                else:
-                    executor = ParallelExecutor(
-                        bundle,
-                        plan,
-                        workers=options.workers,
-                        case_sensitive=case_sensitive,
-                        backend=backend_name,
-                        use_mmap=True,
-                    )
+                executor = cls._replicated_executor(
+                    bundle,
+                    plan,
+                    options.replicas,
+                    case_sensitive=case_sensitive,
+                    backend=backend_name,
+                )
             else:
                 executor = SerialExecutor(
                     list(
@@ -484,8 +491,7 @@ class Database:
                 _cleanup=cleanup,
             )
         except BaseException:
-            if cleanup is not None:
-                cleanup()
+            _release(executor, cleanup)
             raise
         if snapshot is not None:
             declared = snapshot.meta.get("value_indexes")
@@ -591,8 +597,9 @@ class Database:
         LCA index through their generation-keyed caches here is what
         lets a multi-threaded server guarantee zero index rebuilds
         once it starts answering.  A sharded database pings every
-        shard instead — same effect on the store each process serves,
-        and it spins the worker pool up before the first request.
+        shard instead — same effect on the store each process serves —
+        and refuses a shard that serves another layout or case mode
+        (:meth:`repro.exec.coordinator.ShardedCollection.warm_up`).
         """
         with self._rw.read():
             if self.sharded is not None:
@@ -740,7 +747,7 @@ class Database:
 
         Index-build counters are process-wide, not per-store, so they
         live one level up — :meth:`ReproServer.stats` reports them
-        once for the whole process (merging in worker-pool counters
+        once for the whole process (merging in shard-worker counters
         for sharded collections).
         """
         stats: Dict[str, object] = {
@@ -1086,7 +1093,7 @@ class Database:
         raise ReproError(
             "this database serves a read-only sharded collection; live "
             "writes need a monolithic source, opened whole or with "
-            "in-process shards (workers=0)"
+            "in-process shards"
         )
 
     def _mutate(self, op: str, name: str, xml: Optional[str]) -> Dict[str, object]:

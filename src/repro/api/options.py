@@ -23,21 +23,19 @@ every caller had to re-derive the snapshot-serving defaults by hand.
   (:mod:`repro.exec.sharding`) — answers stay byte-identical, work
   becomes scatter-gather.  ``None`` follows the source: a sharded
   catalog collection opens sharded, everything else monolithic;
-* ``workers`` > 0 serves shard work from a process pool
-  (:class:`repro.exec.executors.ParallelExecutor`) instead of
-  in-process — true multi-core query serving.  Implies sharding
-  (``shards`` defaults to ``workers`` when unset);
 * ``replicas`` > 0 serves each shard from that many **socket worker
-  processes** with health-checked failover
+  processes** (``repro shard-worker``, each mapping the one bundle)
+  with health-checked failover and respawn
   (:class:`repro.exec.cluster.ClusterExecutor`) — the database spawns
-  and supervises them.  Implies sharding like ``workers``;
+  and supervises them.  This is how a machine serves past one core.
+  Implies sharding (one shard when ``shards`` is unset);
 * ``cluster`` points at *already-running* shard workers instead: a
   tuple of per-shard address tuples, e.g.
   ``((("127.0.0.1", 9101), ("127.0.0.1", 9201)), ...)`` — shard ``i``
   is served by the ``i``-th group, failing over inside it.
 
-``workers``, ``replicas`` and ``cluster`` are mutually exclusive —
-each names a different executor.
+``replicas`` and ``cluster`` are mutually exclusive — one spawns the
+workers, the other attaches to running ones.
 
 Being frozen, an options object can be shared between databases and
 threads without defensive copies; derive variants with
@@ -68,7 +66,6 @@ class DatabaseOptions:
     mmap: bool = False
     max_rows: Optional[int] = 100_000
     shards: Optional[int] = None
-    workers: int = 0
     replicas: int = 0
     cluster: Optional[tuple] = None
 
@@ -80,23 +77,12 @@ class DatabaseOptions:
             )
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.replicas < 0:
             raise ValueError(f"replicas must be >= 0, got {self.replicas}")
-        chosen = [
-            name
-            for name, active in (
-                ("workers", self.workers > 0),
-                ("replicas", self.replicas > 0),
-                ("cluster", self.cluster is not None),
-            )
-            if active
-        ]
-        if len(chosen) > 1:
+        if self.replicas > 0 and self.cluster is not None:
             raise ValueError(
-                f"{' and '.join(chosen)} are mutually exclusive: "
-                f"each selects a different executor"
+                "replicas and cluster are mutually exclusive: one spawns "
+                "the shard workers, the other attaches to running ones"
             )
         if self.cluster is not None:
             if not self.cluster:
@@ -116,15 +102,13 @@ class DatabaseOptions:
     def effective_shards(self) -> Optional[int]:
         """The shard count actually requested.
 
-        ``workers``/``replicas`` imply sharding; a ``cluster`` map
-        fixes the count to its number of shard groups.
+        ``replicas`` implies sharding; a ``cluster`` map fixes the
+        count to its number of shard groups.
         """
         if self.cluster is not None:
             return len(self.cluster)
         if self.shards is not None:
             return self.shards
-        if self.workers > 0:
-            return self.workers
         if self.replicas > 0:
             # Replicas are per shard; without an explicit shard count
             # a replicated single shard is still a meaningful cluster.

@@ -459,7 +459,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_repro_error(404, exc)
         except ExecutorError as exc:
             # A dead worker (or a shard with no healthy replica) fails
-            # this request cleanly; recovery — pool respawn, replica
+            # this request cleanly; recovery — worker respawn, replica
             # failover — happens underneath for the next one.
             self._send_repro_error(503, exc, retry_after=1.0)
         except (EnvelopeError, ReproError, ValueError) as exc:
@@ -496,7 +496,7 @@ class _BodyTooLarge(Exception):
 def _index_patches() -> Dict[str, int]:
     """Journal roll-forwards per derived index, this process.
 
-    Writes only ever apply in the serving process (worker pools serve
+    Writes only ever apply in the serving process (shard workers serve
     a read-only bundle), so unlike ``index_builds`` there is no
     worker share to merge.
     """
@@ -774,9 +774,9 @@ class ReproServer:
         from ..valueindex import value_index_cache_info
 
         # Process-*tree* counters: the serving process plus every
-        # worker-pool process of every sharded collection (workers
+        # shard worker process of every sharded collection (workers
         # report their process-local counters with each response; the
-        # executors fold them in).  Without the merge a pooled setup
+        # executor folds them in).  Without the merge a worker setup
         # would silently undercount — any build after warm-up means a
         # request paid for an index, the zero-rebuild invariant the
         # tests assert, and it must hold across the whole tree.

@@ -12,7 +12,7 @@ Usage (also via ``python -m repro``)::
     repro search    --snapshot docs a b     # zero-rebuild warm start
     repro serve     --snapshot docs --port 8080   # HTTP/JSON service
     repro snapshot build big.xml big --shards 4   # sharded collection
-    repro serve     --snapshot big --workers 4    # multi-core serving
+    repro serve     --snapshot big --replicas 1   # one worker process per shard
     repro put       docs memo new.xml       # add a document (live write)
     repro put       docs memo new.xml --replace   # upsert in place
     repro delete    docs memo               # tombstone its OID range
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import signal
 import sys
 import time
 from pathlib import Path as FsPath
@@ -107,7 +108,6 @@ def _database_options(args) -> DatabaseOptions:
         cache=getattr(args, "cache", 0) or None,
         catalog=getattr(args, "catalog", None),
         shards=getattr(args, "shards", None),
-        workers=getattr(args, "workers", 0) or 0,
         replicas=getattr(args, "replicas", 0) or 0,
         cluster=_parse_cluster(getattr(args, "cluster", None)),
     )
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="plan N shards: OID ranges of the one bundle, layout "
-        "recorded in it and in the catalog (serve with --workers M to "
+        "recorded in it and in the catalog (serve with --replicas R to "
         "scale past one core)",
     )
     snap_build.add_argument(
@@ -494,7 +494,7 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
 
 
 def _add_exec_options(command: argparse.ArgumentParser) -> None:
-    """Execution-layer knobs: sharding and the worker pool."""
+    """Execution-layer knobs: sharding and the shard workers."""
     command.add_argument(
         "--shards",
         type=int,
@@ -505,21 +505,13 @@ def _add_exec_options(command: argparse.ArgumentParser) -> None:
         "layout)",
     )
     command.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        metavar="M",
-        help="serve shard work from M pool processes instead of "
-        "in-process (implies --shards M when --shards is not given)",
-    )
-    command.add_argument(
         "--replicas",
         type=int,
         default=0,
         metavar="R",
-        help="spawn R supervised socket workers per shard with "
-        "health-checked failover (implies sharding; exclusive with "
-        "--workers and --cluster)",
+        help="serve each shard from R supervised worker processes "
+        "with health-checked failover and respawn (implies sharding; "
+        "exclusive with --cluster)",
     )
     command.add_argument(
         "--cluster",
@@ -755,9 +747,7 @@ def _command_serve(args) -> int:
                 f", {database.sharded.shard_count} shards via "
                 f"{executor.name} executor"
             )
-            if executor.name == "parallel":
-                mode += f" ({executor.workers} workers)"
-            elif executor.name == "cluster":
+            if executor.name == "cluster":
                 replica_counts = [
                     len(group) for group in executor.replicas
                 ]
@@ -772,6 +762,9 @@ def _command_serve(args) -> int:
         f"serving {len(databases)} collection(s) on {server.url()} "
         "— Ctrl-C to stop"
     )
+    # SIGTERM (``kill``, a service manager) stops like Ctrl-C, so the
+    # shard workers this server spawned are stopped with it.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -6,8 +6,9 @@
   store into shards, each an OID range of whole top-level subtrees;
 * :mod:`repro.exec.service` — the pure per-shard request handlers;
 * :mod:`repro.exec.executors` — where shard work runs: in-process
-  (:class:`SerialExecutor`) or on a process pool that finally scales
-  query serving past the GIL (:class:`ParallelExecutor`);
+  (:class:`SerialExecutor`, the default) or on socket workers
+  (:class:`ClusterExecutor`, below), which scale query serving past
+  the GIL;
 * :mod:`repro.exec.coordinator` — scatter-gather merge producing
   byte-identical global answers, including the root meet no single
   shard can see;
@@ -15,15 +16,15 @@
   socket frame protocol between shard peers;
 * :mod:`repro.exec.remote` — shard workers as standalone socket
   servers (:class:`ShardWorkerServer`) and their client;
-* :mod:`repro.exec.cluster` — N-way shard replicas with circuit
-  breakers, heartbeat probing and failover
-  (:class:`ClusterExecutor`);
+* :mod:`repro.exec.cluster` — the one out-of-process executor
+  (:class:`ClusterExecutor`): N-way shard replicas with circuit
+  breakers, heartbeat probing, respawn and failover;
 * :mod:`repro.exec.deadline` — per-request time budgets propagated
   through the whole tree via a context variable.
 """
 
 from .cluster import ClusterExecutor, Replica, ReplicaSpec
-from .coordinator import ShardedCollection
+from .coordinator import ShardMismatchError, ShardedCollection
 from .deadline import (
     Deadline,
     DeadlineExceededError,
@@ -33,7 +34,6 @@ from .deadline import (
 from .executors import (
     Executor,
     ExecutorError,
-    ParallelExecutor,
     SerialExecutor,
 )
 from .remote import (
@@ -56,12 +56,12 @@ __all__ = [
     "Executor",
     "ExecutorError",
     "FrameError",
-    "ParallelExecutor",
     "RemoteOpError",
     "RemoteShardClient",
     "Replica",
     "ReplicaSpec",
     "SerialExecutor",
+    "ShardMismatchError",
     "ShardPlan",
     "ShardService",
     "ShardWorkerServer",

@@ -66,9 +66,16 @@ from .executors import Executor
 from .service import item_variable, term_mode
 from .sharding import ShardPlan
 
-__all__ = ["ShardedCollection"]
+__all__ = ["ShardMismatchError", "ShardedCollection"]
 
 _key_of = itemgetter(0)
+
+
+class ShardMismatchError(ReproError):
+    """A shard's service serves another layout or case mode than the
+    collection it was attached to."""
+
+    code = "shard_mismatch"
 
 
 class _SummaryStore:
@@ -146,8 +153,27 @@ class ShardedCollection:
         return self.result_cache.cache_info()
 
     def warm_up(self) -> None:
-        """Ping every shard: indexes touched, pool spawned, bundles hot."""
-        self._record(self._broadcast("ping", {}), rounds=1)
+        """Ping every shard (indexes touched, bundles hot) and refuse a
+        shard whose service disagrees with this collection.
+
+        A worker mapping another bundle, or opened with another case
+        mode, would answer its pings and then merge wrong answers; the
+        ping reports the span length and case mode it serves, and a
+        mismatch raises :class:`ShardMismatchError` before any query.
+        """
+        responses = self._record(self._broadcast("ping", {}), rounds=1)
+        for shard_id, response in enumerate(responses):
+            start, stop = self.plan.span(shard_id)
+            for field, expected in (
+                ("nodes", stop - start),
+                ("case_sensitive", self.case_sensitive),
+            ):
+                served = response.get(field)
+                if served != expected:
+                    raise ShardMismatchError(
+                        f"shard {shard_id} serves {field}={served!r} but "
+                        f"the collection expects {field}={expected!r}"
+                    )
 
     def last_shard_stats(self) -> Dict[str, object]:
         """Per-shard timings of this thread's most recent operation."""
@@ -176,8 +202,8 @@ class ShardedCollection:
     ) -> List[Dict[str, object]]:
         """``executor.scatter`` with the current trace riding along.
 
-        The trace id is stamped into each op's params (crossing pipes
-        and socket frames as plain payload data); worker-produced
+        The trace id is stamped into each op's params (crossing socket
+        frames as plain payload data); worker-produced
         spans come home in the responses and are folded back here, in
         the request thread — the executors' own fan-out threads never
         need to inherit the trace contextvar.

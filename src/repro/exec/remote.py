@@ -14,7 +14,7 @@ wrong answer).  Clients are deliberately *not* thread-safe — the
 cluster executor pools them per replica.
 
 Worker responses carry the worker's process-local index-build
-counters (the same ``_worker`` envelope the process pool uses), so
+counters (a ``_worker`` envelope the cluster executor folds in), so
 ``/v1/stats`` keeps its one process-tree view when shards move out of
 process.
 

@@ -7,10 +7,10 @@ shard 0's range also covers the root).  It answers plain-data
 requests with plain-data responses: every parameter and every
 response is built from JSON/pickle-safe primitives, so the same
 handler serves the in-process
-:class:`~repro.exec.executors.SerialExecutor`, the process-pool workers
-of :class:`~repro.exec.executors.ParallelExecutor` and socket workers
-unchanged.  Handlers are **read-only** — one service instance is safe
-under the multi-threaded HTTP server; the only retained state is a
+:class:`~repro.exec.executors.SerialExecutor` and the socket workers
+of :class:`~repro.exec.cluster.ClusterExecutor` unchanged.  Handlers
+are **read-only** — one service instance is safe under the
+multi-threaded HTTP server; the only retained state is a
 generation-keyed memo of parsed query templates and their plans
 (prepared statements re-execute without re-parsing), which at worst
 recomputes an equivalent entry under a race.
@@ -223,7 +223,7 @@ class ShardService:
     # -- dispatch -------------------------------------------------------
     def handle(self, op: str, params: Dict[str, object]) -> Dict[str, object]:
         # The coordinator stamps the trace id into the op payload
-        # (riding the same frames/pipes as the params themselves);
+        # (riding the same frames as the params themselves);
         # popping it here keeps every _op_* handler trace-oblivious.
         trace_id = params.pop("_trace", None)
         handler = getattr(self, f"_op_{op}", None)
@@ -236,7 +236,7 @@ class ShardService:
         response["elapsed_ms"] = elapsed_ms
         if trace_id is not None:
             # One span per handled op, produced *in this process* (the
-            # worker, for pool/cluster executors) — the coordinator
+            # worker, for the cluster executor) — the coordinator
             # absorbs it back into the request's trace the same way it
             # folds worker index-build counters.
             response["_spans"] = {

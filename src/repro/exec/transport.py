@@ -74,6 +74,9 @@ MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct("<4sBBQII")
 
+#: The most one ``recv`` asks for (``socket.recv(n)`` allocates ``n``).
+_RECV_CHUNK = 1 << 20
+
 
 class TransportError(ReproError):
     """A socket-level fault while talking to a shard peer."""
@@ -157,7 +160,9 @@ def _recv_exact(
         _check_deadline(deadline, what)
         _settimeout(sock, _effective_timeout(deadline, timeout))
         try:
-            chunk = sock.recv(length - got)
+            # Bounded reads: a lying length field costs end-of-stream
+            # or a timeout, never a buffer of the claimed size.
+            chunk = sock.recv(min(length - got, _RECV_CHUNK))
         except socket.timeout as exc:
             _check_deadline(deadline, what)
             raise TransportError(f"{what} timed out: {exc}") from exc

@@ -5,8 +5,8 @@ store, one path summary, one LCA index, one full-text index — whose
 meta section records the shard layout
 (:meth:`repro.exec.sharding.ShardPlan.to_dict`) under ``shards``, the
 key under which the catalog manifest carries the same record.  Every
-opener maps that one bundle: the serial executor, pool workers and
-socket replicas alike answer each shard as an OID range of the one
+opener maps that one bundle: the serial executor and socket
+replicas alike answer each shard as an OID range of the one
 store (:mod:`repro.exec.sharding`), so a warm start builds no index
 and no shard holds a copy of the data.
 """

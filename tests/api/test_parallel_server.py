@@ -1,10 +1,10 @@
-"""HTTP serving over the parallel execution layer.
+"""HTTP serving over one worker process per shard (``replicas=1``).
 
 The server must stay rebuild-free under concurrent traffic with the
-compute running in pool workers, merge worker counters into one
+compute running in socket workers, merge worker counters into one
 process-tree ``/v1/stats`` view, and survive a worker being killed
-mid-flight: the in-flight request fails cleanly (503), the pool
-respawns, the server keeps serving.
+mid-flight: with no other replica the in-flight request fails cleanly
+(503), the prober respawns the worker, the server keeps serving.
 """
 
 import http.client
@@ -62,6 +62,15 @@ def _get(server, path):
         connection.close()
 
 
+def _worker_pids(executor_stats):
+    """The live worker pids of a cluster executor's stats row."""
+    return [
+        row["pid"]
+        for shard in executor_stats["replicas"]
+        for row in shard["replicas"]
+    ]
+
+
 def test_parallel_serving_zero_rebuilds_and_merged_stats(catalog_dir):
     root, document = catalog_dir
     reference = Database(monet_transform(document))
@@ -74,7 +83,7 @@ def test_parallel_serving_zero_rebuilds_and_merged_stats(catalog_dir):
 
     clear_lca_index_cache()
     clear_fulltext_index_cache()
-    with repro.open(snapshot="dblp", catalog=root, workers=2) as database:
+    with repro.open(snapshot="dblp", catalog=root, replicas=1) as database:
         with ReproServer(database, port=0) as server:
             def hammer(_index):
                 status, payload = _post(
@@ -95,17 +104,17 @@ def test_parallel_serving_zero_rebuilds_and_merged_stats(catalog_dir):
             assert stats["index_builds"]["lca"] == 0
             assert stats["index_builds"]["fulltext"] == 0
             executor = stats["collections"]["default"]["executor"]
-            assert executor["mode"] == "parallel"
-            assert len(executor["worker_pids"]) == 2
+            assert executor["mode"] == "cluster"
+            assert len(_worker_pids(executor)) == 2
 
 
 def test_worker_killed_mid_query_fails_cleanly_server_stays_up(catalog_dir):
     root, _document = catalog_dir
-    with repro.open(snapshot="dblp", catalog=root, workers=1) as database:
+    with repro.open(snapshot="dblp", catalog=root, replicas=1) as database:
         with ReproServer(database, port=0) as server:
             status, _payload = _post(server, {"terms": ["ICDE", "1999"]})
             assert status == 200
-            pids = database.sharded.executor.stats()["worker_pids"]
+            pids = _worker_pids(database.sharded.executor.stats())
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
             # The first request to notice the corpse fails cleanly.
@@ -115,12 +124,18 @@ def test_worker_killed_mid_query_fails_cleanly_server_stays_up(catalog_dir):
                 status, payload = _post(server, {"terms": ["ICDE", "1999"]})
                 if status == 503:
                     saw_failure = True
-                    assert "worker died" in payload["error"]
+                    assert payload["code"] == "shard_unavailable"
+                    assert "no healthy replica" in payload["error"]
                     break
                 time.sleep(0.05)
             assert saw_failure, "killed worker never produced a 503"
-            # ... and the server is still up: the pool respawned.
-            status, payload = _post(server, {"terms": ["ICDE", "1999"]})
+            # ... and the server is still up: the workers respawned.
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                status, payload = _post(server, {"terms": ["ICDE", "1999"]})
+                if status == 200:
+                    break
+                time.sleep(0.05)
             assert status == 200
             assert payload["count"] >= 1
             status, _health = _get(server, "/healthz")
@@ -130,9 +145,9 @@ def test_worker_killed_mid_query_fails_cleanly_server_stays_up(catalog_dir):
 def test_respawn_under_sustained_concurrent_traffic(catalog_dir):
     """SIGKILL mid-hammer: bounded failure window, no duplicate builds.
 
-    Concurrent traffic keeps flowing while every pool worker is killed.
+    Concurrent traffic keeps flowing while every worker is killed.
     Requests in the failure window 503 cleanly; once any request
-    succeeds again (the pool respawned), **no later request may fail**
+    succeeds again (the workers respawned), **no later request may fail**
     — and the respawned workers must reload their bundles with
     pre-seeded indexes, so the index-build counters stay at zero.
     """
@@ -144,7 +159,7 @@ def test_respawn_under_sustained_concurrent_traffic(catalog_dir):
 
     clear_lca_index_cache()
     clear_fulltext_index_cache()
-    with repro.open(snapshot="dblp", catalog=root, workers=2) as database:
+    with repro.open(snapshot="dblp", catalog=root, replicas=1) as database:
         with ReproServer(database, port=0) as server:
             stop_at = time.monotonic() + 12
             kill_at = time.monotonic() + 1.0
@@ -168,7 +183,7 @@ def test_respawn_under_sustained_concurrent_traffic(catalog_dir):
             def assassin():
                 while time.monotonic() < kill_at:
                     time.sleep(0.01)
-                pids = database.sharded.executor.stats()["worker_pids"]
+                pids = _worker_pids(database.sharded.executor.stats())
                 for pid in pids:
                     os.kill(pid, signal.SIGKILL)
                 killed.set()
@@ -188,7 +203,7 @@ def test_respawn_under_sustained_concurrent_traffic(catalog_dir):
             assert statuses <= {200, 503}, f"unexpected statuses: {statuses}"
             # Failures are *contained*: nothing after the last success
             # preceded by a failure window may fail again — i.e. once
-            # the pool respawned and served, it stayed up.
+            # the workers respawned and served, they stayed up.
             last_failure = max(
                 (stamp for stamp, status in merged if status == 503),
                 default=None,
@@ -206,16 +221,14 @@ def test_respawn_under_sustained_concurrent_traffic(catalog_dir):
             status, stats = _get(server, "/v1/stats")
             assert status == 200
             executor_stats = stats["collections"]["default"]["executor"]
-            # Exactly one respawn: concurrent failures must not each
-            # tear down and rebuild the pool.
-            assert executor_stats["respawns"] == 1
+            # Exactly one respawn per killed worker: concurrent
+            # failures must not each restart a worker.
+            assert executor_stats["respawns"] == len(killed_pids)
             # The respawned workers reloaded warm bundles: zero index
             # rebuilds anywhere in the process tree.
             assert stats["index_builds"]["lca"] == 0
             assert stats["index_builds"]["fulltext"] == 0
-            # The replacement pool is a different set of processes
-            # (worker_pids is cumulative: it keeps the dead workers'
-            # counter rows, so check for *new* pids, not absence).
-            fresh = set(executor_stats["worker_pids"]) - set(killed_pids)
-            assert len(fresh) >= 2
-            assert database.sharded.executor.stats()["respawns"] == 1
+            # The replacements are a different set of processes.
+            fresh = set(_worker_pids(executor_stats)) - set(killed_pids)
+            assert len(fresh) == 2
+            assert database.sharded.executor.stats()["respawns"] == 2

@@ -1,5 +1,6 @@
-"""Executor behaviour: serial scatter, the process pool, crash recovery."""
+"""Executor behaviour: serial scatter, worker processes, crash recovery."""
 
+import functools
 import os
 import signal
 import time
@@ -9,12 +10,14 @@ import pytest
 from repro.core.engine import NearestConceptEngine
 from repro.datasets import DblpConfig, dblp_document
 from repro.exec import (
+    ClusterExecutor,
     ExecutorError,
-    ParallelExecutor,
+    ReplicaSpec,
     SerialExecutor,
     ShardedCollection,
     compute_shard_plan,
     shard_services,
+    spawn_worker_process,
 )
 from repro.monet.transform import monet_transform
 from repro.snapshot import write_snapshot
@@ -37,10 +40,39 @@ def bundle(store, tmp_path_factory):
     return plan, path
 
 
+def _workers(bundle, **kw):
+    """One managed ``repro shard-worker`` process per shard."""
+    plan, path = bundle
+    kw.setdefault("probe_interval", 0.05)
+    return ClusterExecutor(
+        [
+            [
+                ReplicaSpec(
+                    spawn=functools.partial(
+                        spawn_worker_process,
+                        str(path),
+                        shard_ids=[shard_id],
+                        backend="vector",
+                    )
+                )
+            ]
+            for shard_id in range(plan.shard_count)
+        ],
+        **kw,
+    )
+
+
+def _worker_pids(executor):
+    return [
+        row["pid"]
+        for shard in executor.health()["shards"]
+        for row in shard["replicas"]
+    ]
+
+
 @pytest.fixture(scope="module")
 def pool(bundle):
-    plan, path = bundle
-    executor = ParallelExecutor(path, plan, workers=2, backend="vector")
+    executor = _workers(bundle)
     yield executor
     executor.close()
 
@@ -61,11 +93,11 @@ def test_parallel_pool_answers_and_reports_workers(bundle, pool, store):
     responses = pool.broadcast("ping", {})
     assert [response["shard"] for response in responses] == [0, 1]
     pids = {response["pid"] for response in responses}
-    assert pids and os.getpid() not in pids
+    assert len(pids) == 2 and os.getpid() not in pids
     stats = pool.stats()
-    assert stats["mode"] == "parallel"
+    assert stats["mode"] == "cluster"
     assert stats["workers"] == 2
-    # Bundles load pre-seeded: the pool never builds an index.
+    # Bundles load pre-seeded: the workers never build an index.
     assert stats["index_builds"] == {"lca": 0, "fulltext": 0}
 
 
@@ -85,24 +117,33 @@ def test_parallel_end_to_end_matches_engine(bundle, pool, store):
 
 
 def test_worker_crash_fails_cleanly_then_respawns(bundle):
-    plan, path = bundle
-    executor = ParallelExecutor(path, plan, workers=1, backend="vector")
+    executor = _workers(bundle, connect_timeout=0.5)
     try:
-        before = executor.stats()
-        assert before["respawns"] == 0
+        assert executor.stats()["respawns"] == 0
+        pid = _worker_pids(executor)[0]
+        os.kill(pid, signal.SIGKILL)
+        # Wait for the corpse: a ping now could still be answered.
+        while executor.replicas[0][0].process.alive:
+            time.sleep(0.01)
         with pytest.raises(ExecutorError):
-            executor.scatter([(0, "_crash", {})])
-        # The very next request respawns the pool and succeeds.
-        responses = executor.broadcast("ping", {})
+            executor.scatter([(0, "ping", {})])
+        # The prober respawns the worker and the shard serves again.
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            try:
+                responses = executor.broadcast("ping", {})
+                break
+            except ExecutorError:
+                time.sleep(0.05)
         assert [response["shard"] for response in responses] == [0, 1]
+        assert responses[0]["pid"] != pid
         assert executor.stats()["respawns"] == 1
     finally:
         executor.close()
 
 
 def test_worker_killed_externally_fails_cleanly(bundle):
-    plan, path = bundle
-    executor = ParallelExecutor(path, plan, workers=1, backend="vector")
+    executor = _workers(bundle, connect_timeout=0.5)
     try:
         [response] = executor.scatter([(0, "ping", {})])
         os.kill(response["pid"], signal.SIGKILL)
@@ -116,24 +157,37 @@ def test_worker_killed_externally_fails_cleanly(bundle):
                 break
             time.sleep(0.05)
         assert failed, "killing the worker never surfaced an ExecutorError"
-        # Recovery: the pool comes back.
-        assert len(executor.broadcast("ping", {})) == 2
+        # Recovery: the worker comes back.
+        deadline = time.monotonic() + 20
+        while time.monotonic() < deadline:
+            try:
+                assert len(executor.broadcast("ping", {})) == 2
+                break
+            except ExecutorError:
+                time.sleep(0.05)
+        else:
+            pytest.fail("the killed worker was never respawned")
     finally:
         executor.close()
 
 
 def test_invalid_construction(bundle):
-    plan, path = bundle
     with pytest.raises(ExecutorError):
-        ParallelExecutor(path, plan, workers=0)
+        ClusterExecutor([])
+    with pytest.raises(ExecutorError):
+        ClusterExecutor([[]])
 
 
 def test_closed_pool_refuses_instead_of_respawning(bundle):
-    """After close() the pool must never silently resurrect — its temp
-    bundle may already be deleted."""
-    plan, path = bundle
-    executor = ParallelExecutor(path, plan, workers=1, backend="vector")
+    """After close() the workers must never silently resurrect — their
+    temp bundle may already be deleted."""
+    executor = _workers(bundle)
+    pids = _worker_pids(executor)
     executor.close()
     with pytest.raises(ExecutorError, match="closed"):
         executor.broadcast("ping", {})
+    # Closing terminated the managed workers.
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
     executor.close()  # idempotent

@@ -111,6 +111,27 @@ def test_oversized_length_rejected_without_allocation(sock_pair):
         recv_frame(server)
 
 
+def test_lying_length_within_limit_allocates_no_claimed_buffer(sock_pair):
+    import struct
+    import tracemalloc
+
+    server, client = sock_pair
+    claimed = 200 * 2**20
+    header = struct.Struct("<4sBBQII").pack(
+        FRAME_MAGIC, 1, KIND_REQUEST, 1, claimed, 0
+    )
+    client.sendall(header + b"x" * 100)
+    client.shutdown(socket.SHUT_WR)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameError, match="torn frame"):
+            recv_frame(server, timeout=5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < claimed // 50
+
+
 def test_recv_respects_deadline(sock_pair):
     server, _client = sock_pair  # nothing will ever arrive
     deadline = Deadline.after(0.05)

@@ -1,7 +1,7 @@
 """Integration tests: the sharding/executor CLI surface.
 
 ``snapshot build --shards N`` persists the layout, ``search``/``query``
-accept ``--shards``/``--workers``, and output stays byte-identical to
+accept ``--shards``/``--replicas``, and output stays byte-identical to
 the monolithic CLI (the thin-client contract survives the execution
 layer).
 """
@@ -87,7 +87,7 @@ def test_query_output_identical_with_workers(xml_file, catalog_dir, capsys):
     args = [xml_file, QUERY, "--catalog", catalog_dir]
     assert main(["query", *args]) == 0
     monolithic = capsys.readouterr().out
-    assert main(["query", *args, "--workers", "2"]) == 0
+    assert main(["query", *args, "--shards", "2", "--replicas", "1"]) == 0
     parallel = capsys.readouterr().out
     assert parallel == monolithic
 
