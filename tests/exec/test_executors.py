@@ -120,10 +120,12 @@ def test_worker_crash_fails_cleanly_then_respawns(bundle):
     executor = _workers(bundle, connect_timeout=0.5)
     try:
         assert executor.stats()["respawns"] == 0
-        pid = _worker_pids(executor)[0]
+        process = executor.replicas[0][0].process
+        pid = process.pid
         os.kill(pid, signal.SIGKILL)
         # Wait for the corpse: a ping now could still be answered.
-        while executor.replicas[0][0].process.alive:
+        deadline = time.monotonic() + 10
+        while process.alive and time.monotonic() < deadline:
             time.sleep(0.01)
         with pytest.raises(ExecutorError):
             executor.scatter([(0, "ping", {})])
@@ -135,6 +137,8 @@ def test_worker_crash_fails_cleanly_then_respawns(bundle):
                 break
             except ExecutorError:
                 time.sleep(0.05)
+        else:
+            pytest.fail("the killed worker was never respawned")
         assert [response["shard"] for response in responses] == [0, 1]
         assert responses[0]["pid"] != pid
         assert executor.stats()["respawns"] == 1
