@@ -15,21 +15,24 @@ module extends the courtesy to *programmers*.  Instead of wiring
 
 Every entry point returns a :class:`~repro.api.envelopes.ResultEnvelope`
 (answers + ranking keys + timing + cache/backend stats, JSON-codable).
-For a monolithic open, every answer is produced by the documented
-low-level tier — ``db.engine`` / ``db.processor`` are the very
+Every answer is produced by the documented low-level tier —
+``db.engine`` / ``db.processor`` are the very
 :class:`~repro.core.engine.NearestConceptEngine` and
-:class:`~repro.query.executor.QueryProcessor` instances, so facade
-answers are identical (including ranking order) to direct calls.
+:class:`~repro.query.executor.QueryProcessor` instances over
+``db.store``, so facade answers are identical (including ranking
+order) to direct calls.
 
 With ``shards=`` / ``replicas=`` (or a catalog collection built with
-``snapshot build --shards N``) the same surfaces run on the execution
-layer instead: per-shard work as a pure function of the one store and
-a shard's OID range (:mod:`repro.exec.service`), executed in-process
-or on socket workers
-(:mod:`repro.exec.executors`), merged by the coordinator
-(:mod:`repro.exec.coordinator`) — with answers and ranking order
-byte-identical to the monolithic path by construction and by the
-differential test suite.
+``snapshot build --shards N``) the database keeps the same store, and
+only the range work moves to the execution layer: term hits, nearest
+concepts and query bindings per shard, as a pure function of the one
+store and a shard's OID range (:mod:`repro.exec.service`), executed
+in-process or on socket workers (:mod:`repro.exec.executors`), merged
+by the coordinator (:mod:`repro.exec.coordinator`) — with answers and
+ranking order byte-identical to the monolithic path by construction
+and by the differential test suite.  Snippets, ``to_xml``, rendered
+answers and search rows are the engine's own calls on the store in
+every mode.
 
 A ``Database`` is a **live collection**: reads share a
 writer-preference readers–writer lock, and :meth:`put` /
@@ -179,6 +182,16 @@ def _cache_info_dict(info) -> Optional[Dict[str, object]]:
     }
 
 
+def _in_process(
+    store: MonetXML, plan: ShardPlan, case_sensitive: bool, backend: str
+) -> SerialExecutor:
+    """The in-process executor over every shard of ``plan``."""
+    services = shard_services(
+        store, plan, case_sensitive=case_sensitive, backend=backend
+    )
+    return SerialExecutor(list(services.values()))
+
+
 def _release(executor, cleanup) -> None:
     """Stop an executor's worker processes, then remove its bundle."""
     if executor is not None:
@@ -207,8 +220,8 @@ class Database:
         sharded: Optional[ShardedCollection] = None,
         _cleanup=None,
     ):
-        if store is None and sharded is None:
-            raise ReproError("Database needs a store or a sharded collection")
+        if store is None:
+            raise ReproError("Database needs a store")
         self.store = store
         self.options = options or DatabaseOptions()
         self.origin = origin
@@ -232,9 +245,9 @@ class Database:
         self._processor: Optional[QueryProcessor] = None
         #: Readers share; put/delete/replace/compact take the write side.
         self._rw = _RWLock()
-        #: For in-process sharded serving: the store mutations
-        #: apply to before the shard services are rebound to it.
-        self._base_store: Optional[MonetXML] = None
+        #: False for a sharded collection whose layout is recorded in
+        #: its bundle or whose shards run in worker processes.
+        self._writable = True
         self._delta_path: Optional[FsPath] = None
         self._mutable_catalog: Optional[Tuple[FsPath, str]] = None
         self._pending_deltas = 0
@@ -399,11 +412,11 @@ class Database:
         """Serve one store as shards: OID ranges of the one store.
 
         ``plan`` is the layout the source bundle records (``None``:
-        planned here from the requested shard count).  In-process
-        shards answer from the loaded store; socket workers map the
-        source bundle when it records ``plan``, else — for a parsed
-        store or a bundle recording another layout — one temporary
-        bundle that does.
+        planned here from the requested shard count).  The database
+        keeps the loaded store in every mode.  In-process shards answer
+        from it; socket workers map the source bundle when it records
+        ``plan``, else — for a parsed store or a bundle recording
+        another layout — one temporary bundle that does.
         """
         store = resolved.store
         snapshot = resolved.snapshot
@@ -428,8 +441,7 @@ class Database:
         try:
             if options.cluster is not None:
                 # Remote workers already hold the data; the local
-                # store only supplies the plan and path summary the
-                # coordinator merges with.
+                # store answers everything that is not range work.
                 executor = cls._cluster_executor_from_addresses(
                     options.cluster, plan.shard_count
                 )
@@ -462,19 +474,12 @@ class Database:
                     backend=backend_name,
                 )
             else:
-                executor = SerialExecutor(
-                    list(
-                        shard_services(
-                            store,
-                            plan,
-                            case_sensitive=case_sensitive,
-                            backend=backend_name,
-                        ).values()
-                    )
+                executor = _in_process(
+                    store, plan, case_sensitive, backend_name
                 )
             sharded = ShardedCollection(
                 plan,
-                store.summary,
+                store,
                 executor,
                 case_sensitive=case_sensitive,
                 backend_name=backend_name,
@@ -483,8 +488,10 @@ class Database:
                 max_rows=options.max_rows,
             )
             database = cls(
+                store,
                 options=options,
                 origin=f"{resolved.origin} ({plan.shard_count} shards)",
+                snapshot=snapshot,
                 source=source_name,
                 load_seconds=time.perf_counter() - started,
                 sharded=sharded,
@@ -493,18 +500,11 @@ class Database:
         except BaseException:
             _release(executor, cleanup)
             raise
-        if snapshot is not None:
-            declared = snapshot.meta.get("value_indexes")
-            if isinstance(declared, list):
-                database._value_indexes = [str(p) for p in declared]
-        if not recorded and executor.name == "serial":
-            # In-process shards over a store sharded here stay
-            # writable: mutations land on the store, then the services
-            # are rebound.  Worker processes serve a read-only bundle,
-            # and a recorded layout is a read-only sharded collection.
-            database._base_store = store
-            if snapshot is not None:
-                database._bind_write_through(snapshot)
+        # In-process shards over a store sharded here stay writable:
+        # mutations land on the store, then the services are rebound.
+        # Worker processes serve a read-only bundle, and a recorded
+        # layout is a read-only sharded collection.
+        database._writable = not recorded and executor.name == "serial"
         return database
 
     @classmethod
@@ -547,15 +547,22 @@ class Database:
     def is_sharded(self) -> bool:
         return self.sharded is not None
 
+    @property
+    def _surface(self):
+        """What answers term hits and nearest concepts: the shards,
+        else the engine."""
+        return self.sharded if self.sharded is not None else self.engine
+
+    @property
+    def _query_surface(self):
+        """What executes and explains queries: the shards, else the
+        processor."""
+        return self.sharded if self.sharded is not None else self.processor
+
     # -- wiring (lazy, built once) --------------------------------------
     @property
     def engine(self) -> NearestConceptEngine:
         """The documented low-level tier, wired to this database."""
-        if self.store is None:
-            raise ReproError(
-                "a sharded database has no single engine; use the facade "
-                "methods (search/nearest/query) or open without shards"
-            )
         if self._engine is None:
             with self._wiring_lock:
                 if self._engine is None:
@@ -570,11 +577,6 @@ class Database:
     @property
     def processor(self) -> QueryProcessor:
         """The query-language tier, sharing this database's wiring."""
-        if self.store is None:
-            raise ReproError(
-                "a sharded database has no single query processor; use "
-                "db.query(...) or open without shards"
-            )
         if self._processor is None:
             with self._wiring_lock:
                 if self._processor is None:
@@ -621,8 +623,6 @@ class Database:
 
     @property
     def node_count(self) -> int:
-        if self.sharded is not None:
-            return self.sharded.node_count
         return self.store.node_count
 
     def cache_info(self):
@@ -708,8 +708,6 @@ class Database:
     def to_xml(self, oid: int, indent: int = 2) -> str:
         """Serialize one answer subtree, whichever execution layer."""
         with self._rw.read():
-            if self.sharded is not None:
-                return self.sharded.to_xml(oid, indent=indent)
             return self.engine.to_xml(oid, indent=indent)
 
     def describe(self) -> Dict[str, object]:
@@ -721,20 +719,18 @@ class Database:
             "backend": self.backend_name,
             "kernel_tier": kernel_tier(self.backend_name),
             "case_sensitive": self.case_sensitive,
+            "path_count": len(self.store.summary) - 1,
         }
         if self._value_indexes:
             meta["value_indexes"] = list(self._value_indexes)
         if self.sharded is not None:
             plan = self.sharded.plan
-            meta["path_count"] = plan.path_count
             meta["shards"] = {
                 "count": plan.shard_count,
                 "executor": self.sharded.executor.name,
                 "starts": list(plan.starts),
                 "ends": list(plan.ends),
             }
-        else:
-            meta["path_count"] = len(self.store.summary) - 1
         if self.snapshot is not None:
             meta["snapshot"] = {
                 "vocabulary_size": self.snapshot.fulltext_index.vocabulary_size,
@@ -760,13 +756,13 @@ class Database:
             "load_ms": round(self.load_seconds * 1000, 3),
             "cache": _cache_info_dict(self.cache_info()),
         }
-        base = self._base_store if self._base_store is not None else self.store
-        if base is not None:
+        if self._writable:
+            store = self.store
             stats["writes"] = {
                 "mutations": self._mutations,
-                "documents": len(base.documents),
-                "live_nodes": base.live_node_count,
-                "dead_fraction": round(base.dead_fraction, 4),
+                "documents": len(store.documents),
+                "live_nodes": store.live_node_count,
+                "dead_fraction": round(store.dead_fraction, 4),
                 "pending_deltas": self._pending_deltas,
             }
         if self.sharded is not None:
@@ -808,33 +804,18 @@ class Database:
             request = SearchRequest(term=request)
         started = time.perf_counter()
         with self._rw.read():
-            if self.sharded is not None:
-                rows = self.sharded.term_hit_rows(request.term)
-                if request.limit is not None:
-                    rows = rows[: request.limit]
-                summary = self.sharded.summary
-                answers = tuple(
-                    {
-                        "oid": oid,
-                        "tag": summary.label(pid),
-                        "path": str(summary.path(pid)),
-                    }
-                    for oid, pid in rows
-                )
-            else:
-                hits = self.engine.term_hits(request.term)
-                oids = sorted(hits.oids())
-                if request.limit is not None:
-                    oids = oids[: request.limit]
-                store = self.store
-                answers = tuple(
-                    {
-                        "oid": oid,
-                        "tag": store.summary.label(store.pid_of(oid)),
-                        "path": str(store.path_of(oid)),
-                    }
-                    for oid in oids
-                )
+            oids = sorted(self._surface.term_hits(request.term).oids())
+            if request.limit is not None:
+                oids = oids[: request.limit]
+            store = self.store
+            answers = tuple(
+                {
+                    "oid": oid,
+                    "tag": store.summary.label(store.pid_of(oid)),
+                    "path": str(store.path_of(oid)),
+                }
+                for oid in oids
+            )
         elapsed = time.perf_counter() - started
         return ResultEnvelope(
             kind=SearchRequest.kind,
@@ -861,19 +842,13 @@ class Database:
             )
         started = time.perf_counter()
         with self._rw.read():
-            surface = self.sharded if self.sharded is not None else self.engine
-            concepts = surface.nearest_concepts(
+            concepts = self._surface.nearest_concepts(
                 *request.terms,
                 exclude_root=request.exclude_root,
                 require_all_terms=request.require_all_terms,
                 within=request.within,
                 limit=request.limit,
             )
-            snippets: Dict[int, str] = {}
-            if request.snippets and self.sharded is not None:
-                snippets = self.sharded.snippets(
-                    [concept.oid for concept in concepts]
-                )
             answers: List[Dict[str, object]] = []
             for concept in concepts:
                 answer: Dict[str, object] = {
@@ -887,11 +862,7 @@ class Database:
                     "terms": list(concept.terms),
                 }
                 if request.snippets:
-                    answer["snippet"] = (
-                        snippets[concept.oid]
-                        if self.sharded is not None
-                        else self.engine.snippet(concept)
-                    )
+                    answer["snippet"] = self.engine.snippet(concept)
                 answers.append(answer)
         elapsed = time.perf_counter() - started
         return ResultEnvelope(
@@ -910,7 +881,7 @@ class Database:
         started = time.perf_counter()
         with self._rw.read():
             if request.explain:
-                rendered = self._explain_impl(request.text)
+                rendered = self._query_surface.explain(request.text)
                 elapsed = time.perf_counter() - started
                 return ResultEnvelope(
                     kind=QueryRequest.kind,
@@ -922,15 +893,12 @@ class Database:
                     elapsed_ms=round(elapsed * 1000, 3),
                     stats=self._envelope_stats(),
                 )
-            if self.sharded is not None:
-                result: QueryResult = self.sharded.execute(
-                    request.text, bindings=request.params
-                )
-            else:
-                result = self.processor.execute(
-                    request.text, bindings=request.params
-                )
-            rendered = self._render_answer(result) if request.render else None
+            result: QueryResult = self._query_surface.execute(
+                request.text, bindings=request.params
+            )
+            rendered = (
+                result.render_answer(self.store) if request.render else None
+            )
         elapsed = time.perf_counter() - started
         table = result.to_dict()
         stats = self._envelope_stats()
@@ -947,33 +915,10 @@ class Database:
             stats=stats,
         )
 
-    def _render_answer(self, result: QueryResult) -> str:
-        if self.sharded is not None:
-            in_range = [
-                cell
-                for row in result.rows
-                for cell in row
-                if isinstance(cell, int)
-                and self.sharded.plan.root_oid
-                <= cell
-                < self.sharded.plan.ends[-1]
-            ]
-            return result.render_answer(
-                _SummaryRenderStore(
-                    self.sharded, self.sharded.pids_of(set(in_range))
-                )
-            )
-        return result.render_answer(self.store)
-
     def explain(self, text: str) -> str:
         """The query plan, as the processor renders it."""
         with self._rw.read():
-            return self._explain_impl(text)
-
-    def _explain_impl(self, text: str) -> str:
-        if self.sharded is not None:
-            return self.sharded.explain(text)
-        return self.processor.explain(text)
+            return self._query_surface.explain(text)
 
     # -- prepared statements ----------------------------------------------
     def prepare(
@@ -1038,7 +983,9 @@ class Database:
                 result = self.processor.execute_template(
                     template, text=text, bindings=request.params
                 )
-            rendered = self._render_answer(result) if request.render else None
+            rendered = (
+                result.render_answer(self.store) if request.render else None
+            )
         self._prepared_executions.inc()
         elapsed = time.perf_counter() - started
         table = result.to_dict()
@@ -1086,9 +1033,7 @@ class Database:
             }
 
     def _writable_store(self) -> MonetXML:
-        if self._base_store is not None:
-            return self._base_store
-        if self.store is not None:
+        if self._writable:
             return self.store
         raise ReproError(
             "this database serves a read-only sharded collection; live "
@@ -1117,12 +1062,11 @@ class Database:
             else:
                 records = replace_document(store, name, xml)
             if self.sharded is not None:
-                self._reshard_locked()
+                self._rebind_shards(self.sharded.plan.extended(store))
             self._mutations += 1
-            current = self._writable_store()
             span = (
-                list(current.documents[name])
-                if name in current.documents
+                list(store.documents[name])
+                if name in store.documents
                 # A delete's span is the tombstoned range, pre-compaction.
                 else list(records[-1].span)
             )
@@ -1131,9 +1075,9 @@ class Database:
                 "name": name,
                 "span": span,
                 "generation": self.generation,
-                "documents": len(current.documents),
-                "live_nodes": current.live_node_count,
-                "dead_fraction": round(current.dead_fraction, 4),
+                "documents": len(store.documents),
+                "live_nodes": store.live_node_count,
+                "dead_fraction": round(store.dead_fraction, 4),
             }
 
     def compact(self) -> Dict[str, object]:
@@ -1146,24 +1090,25 @@ class Database:
         temp-write → rename → manifest-flip (the previous generation
         keeps serving until the flip), direct ``.snap`` files through
         an atomic replace — which drops the accumulated delta
-        sections.
+        sections.  A sharded database plans its ranges anew over the
+        compacted store.
         """
         with self._rw.write():
             store = self._writable_store()
             before = store.node_count
+            compacted, mapping = compact_store(store)
+            if mapping is not None:
+                carry_indexes(store, compacted, mapping)
+                self.store = compacted
+                self.snapshot = None  # its store/indexes are stale now
+                with self._wiring_lock:
+                    self._engine = None
+                    self._processor = None
+            store = compacted
             if self.sharded is not None:
-                self._reshard_locked()
-                store = self._base_store
-            else:
-                compacted, mapping = compact_store(store)
-                if mapping is not None:
-                    carry_indexes(store, compacted, mapping)
-                    self.store = compacted
-                    self.snapshot = None  # its store/indexes are stale now
-                    with self._wiring_lock:
-                        self._engine = None
-                        self._processor = None
-                store = compacted
+                self._rebind_shards(
+                    compute_shard_plan(store, self.sharded.plan.shard_count)
+                )
             self._rewrite_bundle(store)
             return {
                 "op": "compact",
@@ -1198,35 +1143,22 @@ class Database:
         append_delta(self._delta_path, op)
         self._pending_deltas += 1
 
-    def _reshard_locked(self) -> None:
-        """Rebind the in-process shards to the mutated store.
+    def _rebind_shards(self, plan: ShardPlan) -> None:
+        """Serve the in-process shards over ``plan`` of the current store.
 
-        Shard ranges are contiguous OID runs, so the store is first
-        compacted back to dense pre-order and re-planned; the services
-        then answer over it, sharing its one set of indexes.  The new
-        :class:`ShardedCollection` reuses this database's result cache,
-        whose layout-fingerprint + generation key drops stale entries
-        by itself.
+        The new :class:`ShardedCollection` reuses this database's result
+        cache, whose layout-fingerprint + generation key drops stale
+        entries by itself.
         """
-        base, mapping = compact_store(self._base_store)
-        if mapping is not None:
-            carry_indexes(self._base_store, base, mapping)
-        self._base_store = base
-        plan = compute_shard_plan(base, self.sharded.plan.shard_count)
-        services = shard_services(
-            base,
-            plan,
-            case_sensitive=self.case_sensitive,
-            backend=self.backend_name,
-        )
+        store = self.store
         previous = self.sharded
         self.sharded = ShardedCollection(
             plan,
-            base.summary,
-            SerialExecutor(list(services.values())),
+            store,
+            _in_process(store, plan, self.case_sensitive, self.backend_name),
             case_sensitive=self.case_sensitive,
             backend_name=self.backend_name,
-            generations=(base.generation,) * plan.shard_count,
+            generations=(store.generation,) * plan.shard_count,
             cache=self.result_cache,
             max_rows=self.options.max_rows,
         )
@@ -1270,26 +1202,6 @@ class Database:
             f"<Database nodes={self.node_count} origin={self.origin!r} "
             f"backend={self.backend_name!r} {mode}>"
         )
-
-
-class _SummaryRenderStore:
-    """Just enough store surface for ``QueryResult.render_answer``.
-
-    The renderer needs OID membership, ``pid_of`` and summary labels;
-    the pid map is pre-fetched in one scatter, and membership mirrors
-    the monolithic store's range test (so a non-OID integer cell that
-    happens to land in range renders the same either way).
-    """
-
-    def __init__(self, sharded: ShardedCollection, pid_map: Dict[int, int]):
-        self.summary = sharded.summary
-        self._pid_map = pid_map
-
-    def __contains__(self, oid: object) -> bool:
-        return isinstance(oid, int) and oid in self._pid_map
-
-    def pid_of(self, oid: int) -> int:
-        return self._pid_map[oid]
 
 
 def open_database(

@@ -1,24 +1,31 @@
 """The coordinator: global answers from per-shard partial results.
 
 One :class:`ShardedCollection` owns a shard layout
-(:class:`~repro.exec.sharding.ShardPlan`), the shared path summary,
-and an :class:`~repro.exec.executors.Executor`; it exposes the same
-three query surfaces as the monolithic engine/processor pair —
-``nearest_concepts``, full-text hits, and the select/from/where
-language — with **byte-identical answers and ranking order**.
+(:class:`~repro.exec.sharding.ShardPlan`), the one store the layout
+ranges over, and an :class:`~repro.exec.executors.Executor`; it
+exposes the same three query surfaces as the monolithic
+engine/processor pair — ``nearest_concepts``, full-text hits, and the
+select/from/where language — with **byte-identical answers and
+ranking order**.
 
-The division of labour (the tentpole's refactor):
+The division of labour:
 
-* a shard performs the pure per-shard work — term search, the meet
-  roll-up, §4 filtering, local top-k with full ranking keys — over its
-  OID range of the one store and its indexes (:mod:`repro.exec.service`);
-* the coordinator merges: concatenates shard-ordered hit lists (shard
-  OID ranges are ascending, so concatenation *is* the global sort
-  order), k-way merges ranked candidates on the §4 key (a strict
-  total order, so per-shard top-k union ⊇ global top-k exactly), and
-  re-derives the one answer no shard can see — the meet at the
-  document root — from the union of shard residues plus per-variable
-  root flags.
+* a shard performs the range work — term search, the meet roll-up, §4
+  filtering, local top-k with full ranking keys — over its OID range
+  of the one store and its indexes (:mod:`repro.exec.service`);
+* the coordinator reads the store itself for everything that is not
+  range work: parsing, planning and ``explain``, path resolution, the
+  pids of hit OIDs, and the root's path, spread, cells and text;
+* and merges: concatenates shard-ordered hit lists (shard OID ranges
+  are ascending, so concatenation *is* the global sort order), k-way
+  merges ranked candidates on the §4 key (a strict total order, so
+  per-shard top-k union ⊇ global top-k exactly), and re-derives the
+  one answer no shard can see — the meet at the document root — from
+  the union of shard residues plus per-variable root flags.
+
+Presentation (snippets, ``to_xml``, rendered answers) is not the
+coordinator's job at all: the facade calls the monolithic engine on
+the same store (:class:`repro.api.database.Database`).
 
 Result caching happens here, keyed on the **shard layout fingerprint
 and generation vector** in addition to the usual query/options key, so
@@ -42,23 +49,16 @@ from ..core.result_cache import (
     resolve_result_cache,
 )
 from ..datamodel.errors import QueryPlanError, ReproError
-from ..monet.pathsummary import PathSummary
+from ..fulltext.index import Hits
+from ..monet.engine import MonetXML
 from ..obs.trace import current_trace, span as trace_span
-from ..query.ast import (
-    ContainsCondition,
-    DistanceItem,
-    MeetItem,
-    PathVarItem,
-    Query,
-    TagItem,
-    TextItem,
-    VarItem,
-)
+from ..query.ast import ContainsCondition, DistanceItem, MeetItem, Query
 from ..query.executor import (
     Cell,
     QueryResult,
     column_name,
     referenced_variables,
+    row_cell,
 )
 from ..query.parser import parse_query
 from ..query.planner import Plan, plan_query
@@ -78,34 +78,13 @@ class ShardMismatchError(ReproError):
     code = "shard_mismatch"
 
 
-class _SummaryStore:
-    """The coordinator's summary-only store: a summary plus the repr.
-
-    Planning (:func:`repro.query.planner.plan_query`) and path
-    resolution only consult ``store.summary``; the repr reproduces the
-    monolithic :class:`~repro.monet.engine.MonetXML` one byte-for-byte
-    so ``explain`` output does not depend on the execution layer.
-    """
-
-    def __init__(self, summary: PathSummary, plan: ShardPlan):
-        self.summary = summary
-        self._plan = plan
-
-    def __repr__(self) -> str:
-        return (
-            f"<MonetXML nodes={self._plan.node_count} "
-            f"paths={self._plan.path_count} "
-            f"relations={self._plan.relation_count}>"
-        )
-
-
 class ShardedCollection:
     """Scatter-gather query serving over one sharded collection."""
 
     def __init__(
         self,
         plan: ShardPlan,
-        summary: PathSummary,
+        store: MonetXML,
         executor: Executor,
         *,
         case_sensitive: bool = False,
@@ -121,7 +100,7 @@ class ShardedCollection:
                 f"plan has {plan.shard_count}"
             )
         self.plan = plan
-        self.summary = summary
+        self.store = store
         self.executor = executor
         self.case_sensitive = bool(case_sensitive)
         self.backend_name = backend_name
@@ -132,7 +111,6 @@ class ShardedCollection:
         self.generations = tuple(generations)
         self.max_rows = max_rows
         self.result_cache: Optional[ResultCache] = resolve_result_cache(cache)
-        self._shim = _SummaryStore(summary, plan)
         #: Shard-layout component of every cache key (the satellite):
         #: shard count, range boundaries and the generation vector.
         self.layout_key = (plan.fingerprint(), self.generations)
@@ -142,10 +120,6 @@ class ShardedCollection:
     @property
     def shard_count(self) -> int:
         return self.plan.shard_count
-
-    @property
-    def node_count(self) -> int:
-        return self.plan.node_count
 
     def cache_info(self) -> Optional[ResultCacheInfo]:
         if self.result_cache is None:
@@ -227,8 +201,9 @@ class ShardedCollection:
         )
 
     # -- full-text surface ----------------------------------------------
-    def term_hit_rows(self, term: str) -> List[Tuple[int, int]]:
-        """Global (oid, pid) hit rows of one term, ascending by OID."""
+    def term_hits(self, term: str) -> Hits:
+        """Global hits of one term, ascending by OID, the pids read from
+        the store."""
         mode = term_mode(term, self.case_sensitive)
         params = {"terms": [(term, mode)], "scan_terms": ()}
         responses = self._broadcast("hits", params)
@@ -242,12 +217,20 @@ class ShardedCollection:
             responses = self._broadcast("hits", params)
             rounds = 2
         self._record(responses, rounds)
-        rows: List[Tuple[int, int]] = []
         # Shard OID ranges ascend (and the root, the smallest OID, sits
         # in shard 0), so shard-order concatenation is globally sorted.
-        for response in responses:
-            rows.extend(tuple(row) for row in response["terms"][term])
-        return rows
+        oids = [
+            oid for response in responses for oid in response["terms"][term]
+        ]
+        pid_of = self.store.pid_of
+        return Hits(term, columns=([pid_of(oid) for oid in oids], oids))
+
+    def term_hit_rows(self, term: str) -> List[Tuple[int, int]]:
+        """Global (oid, pid) hit rows of one term, ascending by OID."""
+        return [
+            (posting.oid, posting.pid)
+            for posting in self.term_hits(term).postings
+        ]
 
     # -- nearest-concept surface ----------------------------------------
     def nearest_concepts(
@@ -261,7 +244,7 @@ class ShardedCollection:
     ) -> List[NearestConcept]:
         if len(terms) < 2:
             raise ValueError("nearest_concepts needs at least two terms")
-        excluded: Set[int] = resolve_pids(self._shim, exclude_paths)
+        excluded: Set[int] = resolve_pids(self.store, exclude_paths)
         if exclude_root:
             excluded.add(self.plan.root_pid)
 
@@ -339,7 +322,7 @@ class ShardedCollection:
         within: Optional[int],
         limit: Optional[int],
     ) -> List[NearestConcept]:
-        summary = self.summary
+        summary = self.store.summary
         candidates: List[Tuple[Tuple[int, int, int, int], NearestConcept]] = []
         residue: Set[Tuple[str, int]] = set()
         depth_of: Dict[int, int] = {}
@@ -403,118 +386,24 @@ class ShardedCollection:
         joins = sum(depth_of[oid] - 1 for oid in origins)
         if within is not None and joins > within:
             return None
+        store = self.store
         return NearestConcept(
             oid=self.plan.root_oid,
-            path=self.summary.path(self.plan.root_pid),
+            path=store.path_of(self.plan.root_oid),
             origins=origins,
             terms=tuple(sorted(str(tag) for tag in tags)),
             joins=joins,
-            spread=origins[-1] - origins[0],
+            # Over live nodes, as the engine counts it: tombstones of
+            # deleted documents may lie between the origins.
+            spread=store.live_distance(origins[0], origins[-1]),
             depth=1,
         )
-
-    # -- presentation ----------------------------------------------------
-    def snippets(self, oids: Sequence[int], width: int = 120) -> Dict[int, str]:
-        """Display snippets for answer OIDs, root composed across shards."""
-        root = self.plan.root_oid
-        by_shard: Dict[int, List[int]] = {}
-        want_root = False
-        for oid in oids:
-            if oid == root:
-                want_root = True
-            else:
-                by_shard.setdefault(self.plan.shard_of(oid), []).append(oid)
-        out: Dict[int, str] = {}
-        ops = [
-            (shard, "snippets", {"oids": shard_oids, "width": width})
-            for shard, shard_oids in sorted(by_shard.items())
-        ]
-        if ops:
-            for response in self._scatter(ops):
-                out.update(response["snippets"])
-        if want_root:
-            parts = [
-                response["part"]
-                for response in self._broadcast(
-                    "text_head", {"width": width}
-                )
-            ]
-            text = " ".join(part for part in parts if part)
-            out[root] = (
-                text if len(text) <= width else text[: width - 1] + "…"
-            )
-        return out
-
-    def pids_of(self, oids: Sequence[int]) -> Dict[int, int]:
-        """Batched OID → pid lookup (one scatter), root answered here."""
-        root = self.plan.root_oid
-        by_shard: Dict[int, List[int]] = {}
-        out: Dict[int, int] = {}
-        for oid in oids:
-            if oid == root:
-                out[root] = self.plan.root_pid
-            else:
-                by_shard.setdefault(self.plan.shard_of(oid), []).append(oid)
-        ops = [
-            (shard, "pids", {"oids": shard_oids})
-            for shard, shard_oids in sorted(by_shard.items())
-        ]
-        for response in self._scatter(ops):
-            out.update(response["pids"])
-        return out
-
-    def to_xml(self, oid: int, indent: int = 2) -> str:
-        if oid == self.plan.root_oid:
-            return self._root_xml(indent)
-        shard = self.plan.shard_of(oid)
-        [response] = self._scatter(
-            [(shard, "to_xml", {"oid": oid, "indent": indent})]
-        )
-        return response["xml"]
-
-    def _root_xml(self, indent: Optional[int]) -> str:
-        """Serialize the whole document: shard parts in one root tag.
-
-        Each shard writes its top-level subtrees exactly as the
-        monolithic serializer would (level 1); this method reproduces
-        the serializer's root-level framing — self-closing empty root,
-        the all-cdata inline form, and the padded open/close tags —
-        byte for byte.
-        """
-        from ..datamodel.serializer import escape_attribute
-
-        responses = self._broadcast(
-            "root_xml_parts", {"indent": indent}
-        )
-        label = self.summary.label(self.plan.root_pid)
-        attributes: Dict[str, str] = {}
-        for response in responses:
-            attributes.update(response["root_attributes"])
-        parts = [label] + [
-            f'{name}="{escape_attribute(value)}"'
-            for name, value in attributes.items()
-        ]
-        children = "".join(response["children"] for response in responses)
-        if not children:
-            return "<" + " ".join(parts) + "/>"
-        open_tag = "<" + " ".join(parts) + ">"
-        if all(response["cdata_only"] for response in responses):
-            inline = "".join(
-                text
-                for response in responses
-                for text in response["inline"]
-            )
-            return open_tag + inline + f"</{label}>"
-        close = f"</{label}>"
-        if indent is not None:
-            close = "\n" + close
-        return open_tag + children + close
 
     # -- query-language surface ------------------------------------------
     def explain(self, text: str) -> str:
         return plan_query(
             parse_query(text),
-            self._shim,
+            self.store,
             force_scan=self.force_scan,
             case_sensitive=self.case_sensitive,
         ).explain()
@@ -564,7 +453,7 @@ class ShardedCollection:
         with trace_span("plan"):
             plan = plan_query(
                 parsed,
-                self._shim,
+                self.store,
                 force_scan=self.force_scan,
                 case_sensitive=self.case_sensitive,
             )
@@ -652,7 +541,6 @@ class ShardedCollection:
 
         # item index → oid → cell, merged from the shard-aligned lists.
         cell_maps: Dict[int, Dict[int, Cell]] = {}
-        root_text: Optional[str] = None
         for index, item in enumerate(parsed.select):
             variable = item_variable(item, plan)
             if variable is None:
@@ -664,12 +552,9 @@ class ShardedCollection:
                 for oid, cell in zip(entry["bound"], cells):
                     mapping[oid] = cell
             if root in bound[variable]:
-                if isinstance(item, TextItem):
-                    if root_text is None:
-                        root_text = self._gather_root_text()
-                    mapping[root] = root_text
-                else:
-                    mapping[root] = self._root_cell(item, plan)
+                mapping[root] = row_cell(
+                    self.store, plan, item, {variable: root}
+                )
             cell_maps[index] = mapping
 
         columns = [column_name(item) for item in parsed.select]
@@ -698,29 +583,6 @@ class ShardedCollection:
         for oids in product(*(bound[variable] for variable in variables)):
             emit(dict(zip(variables, oids)))
         return result
-
-    def _root_cell(self, item, plan: Plan) -> Cell:
-        summary = self.summary
-        root_pid = self.plan.root_pid
-        if isinstance(item, VarItem):
-            return self.plan.root_oid
-        if isinstance(item, TagItem):
-            return summary.label(root_pid)
-        if isinstance(item, PathVarItem):
-            owner = plan.path_variable_owner[item.name]
-            bindings = plan.variables[owner].binding.pattern.match(
-                summary.path(root_pid)
-            )
-            return "" if bindings is None else bindings.get(item.name, "")
-        # PathItem (TextItem is handled by the caller).
-        return str(summary.path(root_pid))
-
-    def _gather_root_text(self) -> str:
-        parts = [
-            response["part"]
-            for response in self._broadcast("root_text", {})
-        ]
-        return " ".join(part for part in parts if part)
 
     # -- query merge: aggregate mode --------------------------------------
     def _merge_aggregate(

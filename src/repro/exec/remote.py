@@ -265,7 +265,6 @@ def services_from_bundle(
     shard_ids: Optional[Sequence[int]] = None,
     case_sensitive: Optional[bool] = None,
     backend: Optional[str] = None,
-    use_mmap: bool = True,
 ) -> Dict[int, ShardService]:
     """Map one ``.snap`` bundle and serve shards of its layout.
 
@@ -280,7 +279,7 @@ def services_from_bundle(
     from ..snapshot.sharded import bundle_plan
 
     snapshot = read_snapshot(
-        bundle_path, use_mmap=use_mmap, tolerate_torn_tail=True
+        bundle_path, use_mmap=True, tolerate_torn_tail=True
     )
     plan = bundle_plan(snapshot)
     ids = range(plan.shard_count) if shard_ids is None else shard_ids

@@ -15,11 +15,14 @@ generation-keyed memo of parsed query templates and their plans
 (prepared statements re-execute without re-parsing), which at worst
 recomputes an equivalent entry under a race.
 
-The range is applied where the data comes from, so a shard's work
-stays proportional to its range: term hits are cut to it
+A shard does range work only — ``ping``, ``hits``, ``nearest`` and
+``query`` — and the range is applied where the data comes from, so
+its work stays proportional to the range: term hits are cut to it
 (:meth:`repro.fulltext.index.Hits.within`), substring scans skip rows
-owned outside it, pattern OIDs are cut with bisections, and the
-root-only operations walk only the root's children inside it.
+owned outside it, and pattern OIDs are cut with bisections.  What is
+not range work — the pids of hit OIDs, snippets, ``to_xml``, the
+root's text and cells — the coordinator and the facade read from the
+store they hold themselves.
 
 The contract with the coordinator (:mod:`repro.exec.coordinator`):
 
@@ -46,14 +49,11 @@ from __future__ import annotations
 import os
 import time
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.backends import kernel_tier, meet_oids, select_meets
 from ..core.engine import NearestConceptEngine
 from ..core.restrictions import resolve_pids
-from ..datamodel.document import CDATA_LABEL, STRING_ATTRIBUTE
 from ..datamodel.errors import ReproError
 from ..fulltext.index import Hits
 from ..fulltext.search import SearchEngine
@@ -70,7 +70,7 @@ from ..query.ast import (
     TextItem,
     VarItem,
 )
-from ..query.executor import QueryProcessor
+from ..query.executor import QueryProcessor, row_cell
 from ..query.parser import parse_query
 from ..query.planner import plan_query
 from .sharding import ShardPlan
@@ -129,39 +129,6 @@ def item_variable(item, plan) -> Optional[str]:
     if isinstance(item, PathVarItem):
         return plan.path_variable_owner[item.name]
     return None
-
-
-def _root_children(store: MonetXML, span: Span) -> List[int]:
-    """The root's children inside ``span``, in document order."""
-    lo, hi = span
-    first = store.first_oid
-    parents = np.asarray(store.dense_columns()[1][lo - first : hi - first])
-    return (np.flatnonzero(parents == store.root_oid) + lo).tolist()
-
-
-def _text_below(
-    store: MonetXML, heads: Sequence[int], width: Optional[int] = None
-) -> str:
-    """``object_text`` of the subtrees at ``heads``, joined in order.
-
-    With ``width`` the walk stops as soon as ``width + 1`` characters
-    are secured — enough for the caller to reproduce both the exact
-    short text and the truncation decision of
-    :meth:`NearestConceptEngine.snippet`.
-    """
-    pieces: List[str] = []
-    length = -1  # join() adds len(pieces) - 1 separators
-    stack = list(reversed(heads))
-    while stack and (width is None or length <= width):
-        current = stack.pop()
-        if store.summary.label(store.pid_of(current)) == CDATA_LABEL:
-            value = store.attributes_of(current).get(STRING_ATTRIBUTE)
-            if value:
-                pieces.append(value)
-                length += len(value) + 1
-        stack.extend(reversed(store.children_of(current)))
-    text = " ".join(pieces)
-    return text if width is None else text[: width + 1]
 
 
 def shard_services(
@@ -288,11 +255,9 @@ class ShardService:
     def _op_hits(self, params: Dict[str, object]) -> Dict[str, object]:
         scan_terms = set(params.get("scan_terms", ()))
         hits, index_counts = self._resolve_hits(params["terms"], scan_terms)
-        pid_of = self.store.pid_of
         return {
             "terms": {
-                term: sorted((oid, pid_of(oid)) for oid in found.oids())
-                for term, found in hits.items()
+                term: sorted(found.oids()) for term, found in hits.items()
             },
             "index_counts": index_counts,
         }
@@ -350,71 +315,6 @@ class ShardService:
         """Residue pairs on the wire: sorted ``(token, OID, depth)``."""
         depth_of = self.store.depth_of
         return sorted((token, oid, depth_of(oid)) for token, oid in pairs)
-
-    # -- presentation ----------------------------------------------------
-    def _op_snippets(self, params: Dict[str, object]) -> Dict[str, object]:
-        width = int(params.get("width", 120))
-        return {
-            "snippets": {
-                oid: self.engine.snippet(oid, width=width)
-                for oid in params["oids"]
-            }
-        }
-
-    def _op_text_head(self, params: Dict[str, object]) -> Dict[str, object]:
-        width = int(params.get("width", 120))
-        heads = _root_children(self.store, self.span)
-        return {"part": _text_below(self.store, heads, width)}
-
-    def _op_root_text(self, params: Dict[str, object]) -> Dict[str, object]:
-        heads = _root_children(self.store, self.span)
-        return {"part": _text_below(self.store, heads)}
-
-    def _op_root_xml_parts(self, params: Dict[str, object]) -> Dict[str, object]:
-        """This shard's part of the serialized document root.
-
-        Each top-level subtree is written exactly as the monolithic
-        serializer would emit it as a child of the root (level 1), so
-        the coordinator only wraps the concatenated parts in the root
-        tag.  The ``only_text`` inline special case of the serializer
-        (all root children are cdata) needs the raw escaped strings
-        instead, so both forms are returned.
-        """
-        from ..datamodel.serializer import _write_node, escape_text
-        from ..monet.reassembly import reassemble_subtree
-
-        indent = params.get("indent")
-        store = self.store
-        root = store.root_oid
-        out: List[str] = []
-        inline: List[str] = []
-        cdata_only = True
-        for child_oid in _root_children(store, self.span):
-            node = reassemble_subtree(store, child_oid)
-            _write_node(node, out, indent, 1)
-            if node.label == CDATA_LABEL:
-                inline.append(escape_text(node.string_value or ""))
-            else:
-                cdata_only = False
-        return {
-            "children": "".join(out),
-            "cdata_only": cdata_only,
-            "inline": inline,
-            "root_attributes": (
-                store.attributes_of(root) if self.span[0] == root else {}
-            ),
-        }
-
-    def _op_pids(self, params: Dict[str, object]) -> Dict[str, object]:
-        pid_of = self.store.pid_of
-        return {"pids": {oid: pid_of(oid) for oid in params["oids"]}}
-
-    def _op_to_xml(self, params: Dict[str, object]) -> Dict[str, object]:
-        return {
-            "xml": self.engine.to_xml(
-                int(params["oid"]), indent=int(params.get("indent", 2))
-            )
-        }
 
     # -- query language --------------------------------------------------
     def _template_plan(self, text: str, force_scan: bool):
@@ -521,7 +421,7 @@ class ShardService:
                 for index, item in enumerate(parsed.select):
                     if item_variable(item, plan) == variable:
                         cells[str(index)] = [
-                            processor._cell(plan, item, {variable: oid})
+                            row_cell(store, plan, item, {variable: oid})
                             for oid in public
                         ]
                 entry["cells"] = cells

@@ -11,6 +11,10 @@ a range of the one store: shard ``k`` answers over ``[lo_k, hi_k)``, a
 run of whole top-level subtrees, and shard 0's range also covers the
 root OID.  The store, its LCA and full-text indexes and its bundle are
 shared by every shard; the :class:`ShardPlan` is the whole layout.
+Live writes keep it: a put appends one top-level subtree at the OID
+tail, which the last range grows to cover (:meth:`ShardPlan.extended`),
+and a delete leaves tombstones inside its range; only compaction,
+which renumbers, plans the ranges anew.
 
 A scatter-gather coordinator (:mod:`repro.exec.coordinator`)
 reassembles byte-identical global answers:
@@ -28,7 +32,7 @@ reassembles byte-identical global answers:
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -49,16 +53,13 @@ class ShardPlan:
 
     ``starts[k] .. ends[k]`` is shard ``k``'s half-open range of real
     OIDs (whole top-level subtrees); the root OID belongs to shard 0
-    (:meth:`span`).  The global node/path/relation counts ride along so
-    a coordinator can describe the collection (and render
-    byte-identical ``explain`` output) from the plan alone.
+    (:meth:`span`).  ``node_count`` is the store's, tombstones
+    included, so a plan can refuse a store it does not describe.
     """
 
     root_oid: int
     root_pid: int
     node_count: int
-    path_count: int
-    relation_count: int
     starts: Tuple[int, ...]
     ends: Tuple[int, ...]
 
@@ -93,6 +94,15 @@ class ShardPlan:
             raise ShardingError(f"OID {oid} is outside the sharded range")
         return shard
 
+    def extended(self, store: MonetXML) -> "ShardPlan":
+        """This layout over ``store`` after live writes: the last range
+        reaches the OID tail, where puts append their subtrees."""
+        return replace(
+            self,
+            node_count=store.node_count,
+            ends=self.ends[:-1] + (store.last_oid + 1,),
+        )
+
     def fingerprint(self) -> Tuple:
         """The layout component of shard-aware cache keys."""
         return (self.shard_count, self.starts, self.ends)
@@ -103,8 +113,6 @@ class ShardPlan:
             "root_oid": self.root_oid,
             "root_pid": self.root_pid,
             "node_count": self.node_count,
-            "path_count": self.path_count,
-            "relation_count": self.relation_count,
             "starts": list(self.starts),
             "ends": list(self.ends),
         }
@@ -116,8 +124,6 @@ class ShardPlan:
                 root_oid=int(payload["root_oid"]),  # type: ignore[arg-type]
                 root_pid=int(payload["root_pid"]),  # type: ignore[arg-type]
                 node_count=int(payload["node_count"]),  # type: ignore[arg-type]
-                path_count=int(payload["path_count"]),  # type: ignore[arg-type]
-                relation_count=int(payload["relation_count"]),  # type: ignore[arg-type]
                 starts=tuple(int(s) for s in payload["starts"]),  # type: ignore[union-attr]
                 ends=tuple(int(e) for e in payload["ends"]),  # type: ignore[union-attr]
             )
@@ -215,8 +221,6 @@ def _plan_for(store: MonetXML, runs: List[Tuple[int, int]]) -> ShardPlan:
         root_oid=store.root_oid,
         root_pid=store.pid_of(store.root_oid),
         node_count=store.node_count,
-        path_count=len(store.summary) - 1,
-        relation_count=len(store.edges) + len(store.strings),
         starts=tuple(start for start, _ in runs),
         ends=tuple(end for _, end in runs),
     )

@@ -472,8 +472,7 @@ class DerivedCache:
     ``derived``, so that one goes by reference counting at once), and
     the cache only remembers (weakly) which stores to visit for
     :meth:`values` and :meth:`clear`.  Objects
-    without a ``derived`` dict (the coordinator's summary-only
-    store) have no entry.
+    without a ``derived`` dict have no entry.
     """
 
     def __init__(self, name: str):

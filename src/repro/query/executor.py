@@ -69,6 +69,7 @@ __all__ = [
     "run_query",
     "column_name",
     "referenced_variables",
+    "row_cell",
 ]
 
 Cell = Union[int, str]
@@ -110,6 +111,28 @@ def referenced_variables(query: Query) -> List[str]:
         for binding in query.bindings
         if binding.variable in referenced
     ]
+
+
+def row_cell(
+    store: MonetXML, plan: Plan, item, assignment: Dict[str, int]
+) -> Cell:
+    """The cell one row-wise select item reads for one assignment."""
+    if isinstance(item, VarItem):
+        return assignment[item.variable]
+    if isinstance(item, TagItem):
+        return store.summary.label(store.pid_of(assignment[item.variable]))
+    if isinstance(item, PathItem):
+        return str(store.path_of(assignment[item.variable]))
+    if isinstance(item, TextItem):
+        return object_text(store, assignment[item.variable])
+    if isinstance(item, PathVarItem):
+        owner = plan.path_variable_owner[item.name]
+        oid = assignment[owner]
+        bindings = plan.variables[owner].binding.pattern.match(
+            store.path_of(oid)
+        )
+        return "" if bindings is None else bindings.get(item.name, "")
+    raise QueryPlanError(f"unexpected row item {item!r}")  # pragma: no cover
 
 
 @dataclass(slots=True)
@@ -474,7 +497,8 @@ class QueryProcessor:
 
         def emit(assignment: Dict[str, int]) -> bool:
             row = tuple(
-                self._cell(plan, item, assignment) for item in query.select
+                row_cell(self.store, plan, item, assignment)
+                for item in query.select
             )
             if query.distinct:
                 if row in seen:
@@ -501,25 +525,6 @@ class QueryProcessor:
 
     def _column_name(self, item) -> str:
         return column_name(item)
-
-    def _cell(self, plan: Plan, item, assignment: Dict[str, int]) -> Cell:
-        store = self.store
-        if isinstance(item, VarItem):
-            return assignment[item.variable]
-        if isinstance(item, TagItem):
-            return store.summary.label(store.pid_of(assignment[item.variable]))
-        if isinstance(item, PathItem):
-            return str(store.path_of(assignment[item.variable]))
-        if isinstance(item, TextItem):
-            return object_text(store, assignment[item.variable])
-        if isinstance(item, PathVarItem):
-            owner = plan.path_variable_owner[item.name]
-            oid = assignment[owner]
-            bindings = plan.variables[owner].binding.pattern.match(
-                store.path_of(oid)
-            )
-            return "" if bindings is None else bindings.get(item.name, "")
-        raise QueryPlanError(f"unexpected row item {item!r}")  # pragma: no cover
 
     # -- aggregation mode -------------------------------------------------
     def _execute_aggregate(self, plan: Plan) -> QueryResult:

@@ -24,11 +24,12 @@ answers — which the differential harness asserts byte-for-byte via
 ``force_scan``.
 
 The chosen access per predicate is rendered in :meth:`Plan.explain`
-(deterministically — the sharded coordinator plans against a
-summary-only shim and must produce identical text), while
-:meth:`Plan.describe` additionally carries the store-dependent
-estimated and actual row counts from :mod:`repro.monet.stats`
-cardinalities, surfaced as ``ResultEnvelope.stats["plan"]``.
+(deterministically, without row counts), while :meth:`Plan.describe`
+additionally carries the store-dependent estimated and actual row
+counts from per-pid cardinalities, surfaced as
+``ResultEnvelope.stats["plan"]``.  The sharded coordinator plans
+against the same store as the monolithic processor, so both report
+the same plan.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class VariablePlan:
     binding: Binding
     #: (pid, path-variable bindings) for every matching summary path.
     matches: List[Tuple[int, Dict[str, str]]] = field(default_factory=list)
-    #: Instance nodes across the matched relations (None without stats).
+    #: Instance nodes across the matched relations.
     estimated_rows: Optional[int] = None
 
     @property
@@ -100,8 +101,7 @@ class ConditionPlan:
     #: Deterministic label shown in explain (no store-dependent numbers).
     detail: str
     #: Rows the access path is expected to yield (None when unknowable
-    #: without touching the store, e.g. when planning against a
-    #: summary-only shim or with an unbound parameter).
+    #: without building an index, or with an unbound parameter).
     estimated_rows: Optional[int] = None
     #: Associations a full scan would touch (the rejected alternative).
     scan_cost: Optional[int] = None
@@ -164,10 +164,8 @@ class Plan:
     def explain(self) -> str:
         """Human-readable relation fan-out and access paths of the plan.
 
-        Deterministic given the query text and planner flags: the
-        sharded coordinator explains against a summary-only shim and
-        its output must match the monolithic processor's byte for byte,
-        so store-dependent row estimates live in :meth:`describe`, not
+        Deterministic given the query text and planner flags, so
+        store-dependent row estimates live in :meth:`describe`, not
         here.
         """
         lines = [f"plan over {self.store!r}"]
@@ -252,7 +250,7 @@ def _is_aggregate_item(item: SelectItem) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Cardinality estimation (store-dependent; absent against the shim).
+# Cardinality estimation (store-dependent).
 # ---------------------------------------------------------------------------
 
 #: store → (generation, pid → node count, attr pid → association count).
@@ -261,17 +259,9 @@ _stats_cache: "WeakKeyDictionary[MonetXML, Tuple[int, Dict[int, int], Dict[int, 
 )
 
 
-def _cardinalities(
-    store: MonetXML,
-) -> Tuple[Optional[Dict[int, int]], Optional[Dict[int, int]]]:
-    """Per-pid node and association counts, cached per generation.
-
-    ``(None, None)`` when the store cannot answer (the coordinator's
-    summary-only shim) — estimates then stay ``None`` rather than lie.
-    """
-    if not hasattr(store, "string_runs"):
-        return None, None
-    generation = getattr(store, "generation", 0)
+def _cardinalities(store: MonetXML) -> Tuple[Dict[int, int], Dict[int, int]]:
+    """Per-pid node and association counts, cached per generation."""
+    generation = store.generation
     cached = _stats_cache.get(store)
     if cached is not None and cached[0] == generation:
         return cached[1], cached[2]
@@ -292,11 +282,9 @@ def _cardinalities(
 def _estimate_variable(
     plan: VariablePlan,
     store: MonetXML,
-    pid_counts: Optional[Dict[int, int]],
-    association_counts: Optional[Dict[int, int]],
-) -> Optional[int]:
-    if pid_counts is None or association_counts is None:
-        return None
+    pid_counts: Dict[int, int],
+    association_counts: Dict[int, int],
+) -> int:
     total = 0
     summary = store.summary
     for pid in plan.pids:
@@ -318,8 +306,7 @@ def _plan_condition(
     """Choose and annotate the access path of one predicate.
 
     The *choice* is deterministic given the predicate shape and the
-    ``forced_scan`` flag — explain parity across the sharded shim
-    depends on it.  The *estimates* consult whatever index is already
+    ``forced_scan`` flag.  The *estimates* consult whatever index is already
     cached for the store (a pure peek; planning never builds one).
     """
     literal = (
@@ -408,7 +395,7 @@ def plan_query(
     ``force_scan`` pins every equality/range predicate to the
     string-relation scan — the differential harness's reference
     execution.  Cardinality estimates come from the per-generation
-    pid/association histograms (``None`` against a summary-only shim).
+    pid/association histograms.
     """
     aggregates = [item for item in query.select if _is_aggregate_item(item)]
     rowwise = [item for item in query.select if not _is_aggregate_item(item)]

@@ -138,12 +138,12 @@ def test_explicit_shards_conflict_with_layout(catalog_dir):
         repro.open(snapshot="dblp", catalog=catalog_dir, shards=2)
 
 
-def test_sharded_database_has_no_engine(catalog_dir):
+def test_sharded_database_engine_reads_the_one_store(catalog_dir, reference):
     database = repro.open(snapshot="dblp", catalog=catalog_dir)
-    with pytest.raises(ReproError, match="no single engine"):
-        _ = database.engine
-    with pytest.raises(ReproError, match="no single query processor"):
-        _ = database.processor
+    assert database.engine.store is database.store
+    assert database.processor.store is database.store
+    root = database.store.root_oid
+    assert database.engine.snippet(root) == reference.engine.snippet(root)
 
 
 def test_describe_and_render(catalog_dir, reference):

@@ -79,7 +79,7 @@ def fabric(tmp_path_factory):
     services = services_from_bundle(bundle, backend="vector")
     serial = ShardedCollection(
         plan,
-        store.summary,
+        store,
         SerialExecutor([services[i] for i in range(SHARDS)]),
         backend_name="vector",
         generations=[0] * SHARDS,
@@ -91,7 +91,7 @@ def fabric(tmp_path_factory):
 def _collection(store, plan, executor):
     return ShardedCollection(
         plan,
-        store.summary,
+        store,
         executor,
         backend_name="vector",
         generations=[0] * SHARDS,

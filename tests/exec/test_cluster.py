@@ -77,14 +77,14 @@ def test_cluster_answers_match_serial(store, fabric):
     try:
         serial = ShardedCollection(
             plan,
-            store.summary,
+            store,
             SerialExecutor([services[i] for i in range(SHARDS)]),
             backend_name="vector",
             generations=[0] * SHARDS,
         )
         remote = ShardedCollection(
             plan,
-            store.summary,
+            store,
             executor,
             backend_name="vector",
             generations=[0] * SHARDS,

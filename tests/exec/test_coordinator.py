@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import Database, NearestRequest
+from repro.api.envelopes import QueryRequest
 from repro.core.engine import NearestConceptEngine
 from repro.core.result_cache import ResultCache
 from repro.datamodel.errors import ReproError
@@ -29,7 +31,7 @@ def _sharded(store, shards, *, backend="steered", cache=None):
     services = shard_services(store, plan, backend=backend)
     return ShardedCollection(
         plan,
-        store.summary,
+        store,
         SerialExecutor(list(services.values())),
         backend_name=backend,
         generations=[store.generation] * plan.shard_count,
@@ -119,69 +121,92 @@ def test_query_cache_round_trip(dblp_store):
     assert cache.cache_info().hits == 1
 
 
-def test_snippets_match_engine(dblp_store):
-    engine = NearestConceptEngine(dblp_store)
-    sharded = _sharded(dblp_store, 3)
-    concepts = engine.nearest_concepts("ICDE", "1999", limit=5)
-    oids = [concept.oid for concept in concepts]
-    snippets = sharded.snippets(oids)
-    for concept in concepts:
-        assert snippets[concept.oid] == engine.snippet(concept)
+@pytest.fixture(scope="module")
+def xml_paths(root_store, dblp_store, tmp_path_factory):
+    """The two fixture documents as XML files, for ``Database.open``."""
+    root = tmp_path_factory.mktemp("coordinator")
+    paths = {}
+    for name, store in (("root", root_store), ("dblp", dblp_store)):
+        paths[name] = root / f"{name}.xml"
+        paths[name].write_text(
+            NearestConceptEngine(store).to_xml(store.root_oid),
+            encoding="utf-8",
+        )
+    return paths
 
 
-def test_root_snippet_composes_across_shards(root_store):
-    engine = NearestConceptEngine(root_store)
-    sharded = _sharded(root_store, 3)
-    root = root_store.root_oid
-    assert sharded.snippets([root])[root] == engine.snippet(root)
+def _opened(path, shards):
+    """(monolithic, sharded) databases over one XML file."""
+    return Database.open(str(path)), Database.open(str(path), shards=shards)
+
+
+def test_snippets_match_engine(xml_paths):
+    mono, sharded = _opened(xml_paths["dblp"], 3)
+    request = NearestRequest(terms=("ICDE", "1999"), limit=5, snippets=True)
+    expected = mono.nearest(request).answers
+    assert sharded.nearest(request).answers == expected
+    for answer in expected:
+        assert answer["snippet"] == mono.engine.snippet(answer["oid"])
+
+
+def test_root_snippet_composes_across_shards(xml_paths):
+    mono, sharded = _opened(xml_paths["root"], 3)
+    request = NearestRequest(terms=("Alice", "Carol"), snippets=True)
+    answers = sharded.nearest(request).answers
+    assert answers == mono.nearest(request).answers
+    root = mono.store.root_oid
+    assert root in [answer["oid"] for answer in answers]
+    assert sharded.engine.snippet(root) == mono.engine.snippet(root)
     # Narrow widths exercise the truncation path.
-    assert sharded.snippets([root], width=10)[root] == engine.snippet(
+    assert sharded.engine.snippet(root, width=10) == mono.engine.snippet(
         root, width=10
     )
 
 
-def test_to_xml_matches_engine(dblp_store):
-    engine = NearestConceptEngine(dblp_store)
-    sharded = _sharded(dblp_store, 3)
-    [concept] = engine.nearest_concepts("ICDE", "1999", limit=1)
-    assert sharded.to_xml(concept.oid) == engine.to_xml(concept.oid)
+def test_to_xml_matches_engine(xml_paths):
+    mono, sharded = _opened(xml_paths["dblp"], 3)
+    [answer] = mono.nearest("ICDE", "1999", limit=1).answers
+    assert sharded.to_xml(answer["oid"]) == mono.to_xml(answer["oid"])
 
 
 @pytest.mark.parametrize("shards", (1, 2, 3))
 @pytest.mark.parametrize("indent", (2, 4, None))
-def test_root_to_xml_composes_across_shards(
-    root_store, dblp_store, shards, indent
-):
-    """Serializing the root — the whole document — is a cross-shard
-    assembly and must match the monolithic serializer byte for byte."""
-    for store in (root_store, dblp_store):
-        engine = NearestConceptEngine(store)
-        sharded = _sharded(store, shards)
-        assert sharded.to_xml(store.root_oid, indent=indent) == (
-            engine.to_xml(store.root_oid, indent=indent)
+def test_root_to_xml_composes_across_shards(xml_paths, shards, indent):
+    """Serializing the root — the whole document — spans every shard
+    and must match the monolithic serializer byte for byte."""
+    for path in xml_paths.values():
+        mono, sharded = _opened(path, shards)
+        root = mono.store.root_oid
+        assert sharded.to_xml(root, indent=indent) == (
+            mono.to_xml(root, indent=indent)
         )
 
 
-def test_root_to_xml_edge_shapes():
+def test_root_to_xml_edge_shapes(tmp_path):
     """Self-closing and all-cdata roots frame identically."""
-    from repro.datamodel.parser import parse_document
-
     for xml in ("<bib key='x'/>", "<bib>only text here</bib>"):
-        store = monet_transform(parse_document(xml, first_oid=1))
-        engine = NearestConceptEngine(store)
-        sharded = _sharded(store, 2)
+        path = tmp_path / "edge.xml"
+        path.write_text(xml, encoding="utf-8")
+        mono, sharded = _opened(path, 2)
+        root = mono.store.root_oid
         for indent in (2, None):
-            assert sharded.to_xml(store.root_oid, indent=indent) == (
-                engine.to_xml(store.root_oid, indent=indent)
+            assert sharded.to_xml(root, indent=indent) == (
+                mono.to_xml(root, indent=indent)
             )
 
 
-def test_pids_of_batches_across_shards(dblp_store):
-    sharded = _sharded(dblp_store, 3)
-    oids = [dblp_store.root_oid, *range(2, 30, 7)]
-    pids = sharded.pids_of(oids)
-    for oid in oids:
-        assert pids[oid] == dblp_store.pid_of(oid)
+def test_render_reads_pids_across_shards(xml_paths):
+    """Rendered answers label OIDs of every shard and the root."""
+    texts = {
+        "dblp": "select $a from # $a where $a contains 'ICDE'",
+        "root": "select $a, tag($a) from bib $a where $a contains 'Alice'",
+    }
+    for name, text in texts.items():
+        mono, sharded = _opened(xml_paths[name], 3)
+        request = QueryRequest(text=text, render=True)
+        rendered = sharded.query(request).rendered
+        assert rendered == mono.query(request).rendered
+        assert "<!-- oid" in rendered
 
 
 def test_last_shard_stats_records_rounds(dblp_store):
@@ -234,7 +259,7 @@ def test_executor_shard_count_must_match(dblp_store):
     with pytest.raises(ReproError):
         ShardedCollection(
             plan,
-            dblp_store.summary,
+            dblp_store,
             SerialExecutor(services),
             generations=(1,),
         )

@@ -105,7 +105,7 @@ def test_parallel_end_to_end_matches_engine(bundle, pool, store):
     plan, _path = bundle
     sharded = ShardedCollection(
         plan,
-        store.summary,
+        store,
         pool,
         backend_name="vector",
         generations=(1, 1),

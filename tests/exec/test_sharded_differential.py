@@ -108,7 +108,7 @@ def _sharded(store, backend, shards):
     services = shard_services(store, plan, backend=backend)
     return ShardedCollection(
         plan,
-        store.summary,
+        store,
         SerialExecutor(list(services.values())),
         backend_name=backend,
         generations=[store.generation] * plan.shard_count,

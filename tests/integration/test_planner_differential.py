@@ -76,7 +76,7 @@ def sharded_pair(store, backend, shards=2):
     generations = [store.generation] * plan.shard_count
     build = lambda force: ShardedCollection(
         plan,
-        store.summary,
+        store,
         executor,
         backend_name=backend,
         generations=generations,
@@ -131,6 +131,40 @@ def test_planner_matches_forced_scan_sharded(stores, dataset, backend):
         )
 
 
+def plan_estimates(plan):
+    """``stats.plan``'s estimates: rows per variable and per condition,
+    and the scan cost (``actual_rows`` is not compared)."""
+    return (
+        [variable["estimated_rows"] for variable in plan["variables"]],
+        [
+            (condition["estimated_rows"], condition["scan_cost"])
+            for condition in plan["conditions"]
+        ],
+    )
+
+
+@pytest.mark.parametrize("dataset", list(DATASETS))
+def test_sharded_plan_estimates_match_monolithic(tmp_path, dataset):
+    """The coordinator plans against the one store, so ``stats.plan``
+    reports the monolithic estimates — not ``None``."""
+    source, _model = write_source(tmp_path, dataset)
+    mono = open_live(source, backend="vector")
+    sharded = open_live(source, backend="vector", shards=2)
+    try:
+        for text in queries_for(mono.store):
+            # The second round plans with the indexes the first built.
+            for _round in range(2):
+                expected = plan_estimates(mono.query(text).stats["plan"])
+                actual = plan_estimates(sharded.query(text).stats["plan"])
+                assert actual == expected, (dataset, text)
+                variables, conditions = expected
+                assert None not in variables
+                assert all(cost is not None for _rows, cost in conditions)
+    finally:
+        mono.close()
+        sharded.close()
+
+
 @pytest.mark.parametrize("dataset", list(DATASETS))
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_prepared_matches_adhoc(stores, dataset, backend):
@@ -177,7 +211,7 @@ def test_planner_matches_forced_scan_after_mutations(
             coordinator = db.sharded
             twin = ShardedCollection(
                 coordinator.plan,
-                coordinator.summary,
+                coordinator.store,
                 coordinator.executor,
                 case_sensitive=coordinator.case_sensitive,
                 backend_name=coordinator.backend_name,

@@ -207,7 +207,7 @@ def open_live(source, *, backend, shards=None, cache=None):
 
 def oid_mapper(db):
     """The live-store → rebuild-oracle OID bijection for this database."""
-    store = db._base_store if db.sharded is not None else db.store
+    store = db.store
     first = store.first_oid
     return lambda oid: first + store.live_position(oid)
 

@@ -64,15 +64,15 @@ def test_every_compaction_frees_the_store_it_retires(tmp_path, backend):
 
 @pytest.mark.parametrize("shards", [None, 2], ids=lambda s: f"shards={s}")
 def test_a_retired_store_is_freed_without_the_cycle_collector(tmp_path, shards):
-    """Compaction, and every sharded write (which compacts), retires a
-    store: it is freed by reference counting, so a serving process holds
-    one store however long the cyclic collector sleeps."""
+    """Compaction retires a store: it is freed by reference counting,
+    so a serving process holds one store however long the cyclic
+    collector sleeps."""
     dataset = DATASETS["dblp"]
     source, _model = write_source(tmp_path, "dblp")
     db = open_live(source, backend="vector", shards=shards)
 
     def current():
-        return db._base_store if db.sharded is not None else db.store
+        return db.store
 
     def reads():
         assert db.nearest(*dataset["terms"][0]).answers
