@@ -734,7 +734,6 @@ class Database:
         if self.snapshot is not None:
             meta["snapshot"] = {
                 "vocabulary_size": self.snapshot.fulltext_index.vocabulary_size,
-                "tour_length": self.snapshot.lca_index.tour_length,
             }
         return meta
 

@@ -71,6 +71,11 @@ def tarjan_offline_lca(
         if oid1 != oid2:
             pending.setdefault(oid2, []).append((oid1, index))
 
+    children: Dict[int, List[int]] = {}  # in OID order: pre-order
+    for oid, parent in enumerate(store.dense_columns()[1], store.first_oid):
+        if parent >= 0:
+            children.setdefault(parent, []).append(oid)
+
     answers: List[int] = [-1] * len(queries)
     dsu = DisjointSet()
     ancestor: Dict[int, int] = {}
@@ -84,7 +89,7 @@ def tarjan_offline_lca(
             dsu.make_set(oid)
             ancestor[dsu.find(oid)] = oid
             stack.append((oid, True))
-            for child in reversed(store.children_of(oid)):
+            for child in reversed(children.get(oid, ())):
                 stack.append((child, False))
             continue
         # Post-order: all children merged; answer queries touching oid.

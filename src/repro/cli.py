@@ -30,7 +30,7 @@ which load path was taken.
 
 ``--backend`` picks the meet execution strategy (``steered`` — the
 paper's per-query parent walks, the default — or ``vector`` — NumPy
-kernels over the precomputed Euler-RMQ LCA index; see
+kernels over the pre-order RMQ LCA index; see
 :mod:`repro.core.backends`).  When serving from a snapshot the
 defaults follow the bundle instead: ``vector`` (its index is already
 loaded) and the bundle's case mode, so the warm start stays
@@ -779,11 +779,13 @@ def _command_shard_worker(args) -> int:
 
     Prints the ready line (``shard-worker listening on HOST:PORT``)
     once the listener is bound — spawners block on it — then serves
-    until interrupted.
+    until interrupted, or until the spawner that handed it a stdin
+    pipe is gone.
     """
     from .exec.remote import READY_PREFIX, ShardWorkerServer, format_address
-    from .exec.remote import services_from_bundle
+    from .exec.remote import exit_with_parent, services_from_bundle
 
+    exit_with_parent()
     services = services_from_bundle(
         args.bundle,
         shard_ids=args.shard_id,
@@ -916,8 +918,7 @@ def _snapshot_load(args) -> int:
     print(
         f"loaded {args.name}: {store.node_count} nodes, "
         f"{len(store.summary) - 1} paths, "
-        f"{snapshot.fulltext_index.vocabulary_size} terms, "
-        f"tour {snapshot.lca_index.tour_length} "
+        f"{snapshot.fulltext_index.vocabulary_size} terms "
         f"({seconds * 1000:.1f} ms, zero index rebuilds)"
     )
     return 0

@@ -9,7 +9,7 @@
 * :class:`NearestConceptEngine` — the end-to-end query pipeline.
 * :mod:`~repro.core.backends` — pluggable meet execution:
   :class:`SteeredBackend` (the paper's walks) vs
-  :class:`VectorBackend` (NumPy kernels over a precomputed Euler-RMQ
+  :class:`VectorBackend` (NumPy kernels over a pre-order range-minimum
   :class:`~repro.core.lca_index.LcaIndex`).
 """
 

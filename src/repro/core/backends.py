@@ -11,19 +11,26 @@ ancestor(s) of some hit nodes, plus distances".  This module makes
   distance, so traces stay meaningful.  This is the default and the
   reference semantics every differential suite compares against.
 
-* :class:`VectorBackend` — a per-store Euler-tour range-minimum index
-  (:mod:`repro.core.lca_index`) built once and cached, with every
-  batched operation as NumPy whole-array passes (:mod:`repro.kernels`).
+* :class:`VectorBackend` — a per-store pre-order range-minimum index
+  over one depth column (:mod:`repro.core.lca_index`) built once and
+  cached, with every batched operation as NumPy whole-array passes
+  (:mod:`repro.kernels`).
   Set-wise and n-ary meets run the *same bottom-up roll-up contract*
   as Figs. 4/5, but over the **auxiliary (virtual) tree** spanned by
-  the hit nodes and the LCAs of Euler-order neighbours — independent
+  the hit nodes and the LCAs of pre-order neighbours — independent
   of tree depth and of the path-summary size.  Answer sets are
   identical to the steered operators (the auxiliary tree is exactly
   the subgraph where input chains can converge); only the emission
   *order* differs, and every consumer re-ranks.
 
 Choosing: for one ad-hoc query the steered walk wins — no index
-build, and you get the paper's join-count trace for free.  For query
+build, and you get the paper's join-count trace for free.  Measured as
+``Database.open(xml)`` plus the first ``nearest`` in a fresh process
+(2 vCPU, python 3.11, NumPy 2.4; medians of 10; the open is the same
+parse on both tiers): figure1 1.4 + 0.5 ms steered against 1.0 +
+13.0 ms vector, plays 17 + 3.7 ms against 14 + 16 ms, DBLP 411 + 46 ms
+against 420 + 85 ms — the vector tier's first query pays the depth
+column, its range-minimum table and the kernel imports.  For query
 *volumes* (servers, benchmarks, ranking thousands of hit pairs) the
 vector backend amortizes one O(n) build into O(1) queries; see
 ``benchmarks/bench_backends.py`` for the crossover.
@@ -363,7 +370,7 @@ class TaggedBatch:
         group_of = np.repeat(
             np.arange(group_count, dtype=np.int64), np.diff(self._bounds)
         )
-        span = np.int64(len(kernels.first))
+        span = np.int64(len(kernels.depth))
         origin_keys = sorted_unique(
             group_of * span + (self._pair_oids[self._group_pairs] - base)
         )
@@ -373,11 +380,11 @@ class TaggedBatch:
         )
         ends = np.concatenate((starts[1:], [len(origin_keys)]))
 
-        # A node's depth is its tour depth — the length of its path,
+        # A node's depth in the column is the length of its path,
         # which is what the summary stores per pid.
-        depth, first = kernels.depth, kernels.first
-        meet_depths = depth[first[self.oids - base]]
-        origin_depths = depth[first[origin_slots]]
+        depth = kernels.depth
+        meet_depths = depth[self.oids - base]
+        origin_depths = depth[origin_slots]
         joins = np.add.reduceat(origin_depths, starts, dtype=np.int64)
         joins -= meet_depths * (ends - starts)
 
@@ -570,7 +577,7 @@ def select_meets(
 
 
 class VectorBackend:
-    """Euler-RMQ-indexed meets as NumPy batch kernels.
+    """Pre-order-RMQ-indexed meets as NumPy batch kernels.
 
     Pairwise meets and distances are O(1) over the per-store
     :class:`~repro.core.lca_index.LcaIndex`; the batched operations
@@ -580,8 +587,9 @@ class VectorBackend:
 
     The index is fetched through the per-store cache on every
     operation, which keeps one index per store current: after a live
-    write it is rolled forward from the mutation journal (the tour and
-    its derived table grow at the tail), and only a store the journal
+    write it is rolled forward from the mutation journal (the depth
+    column grows at the tail or blanks a deleted span, and the derived
+    table follows), and only a store the journal
     cannot bridge — a new store object, a bare
     :meth:`MonetXML.invalidate_caches` — gets a newly built one.
     """

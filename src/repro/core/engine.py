@@ -27,7 +27,7 @@ distance-bounded) under one roof.
 Execution is delegated to a pluggable :class:`~repro.core.backends.MeetBackend`:
 ``backend="steered"`` (default) runs the paper's path-steered walks
 with their join-count traces; ``backend="vector"`` answers every meet
-from a per-store Euler-RMQ index (built once, cached on the store's
+from a per-store pre-order RMQ index (built once, cached on the store's
 generation) with NumPy batch kernels — the right choice for query
 volumes, and what the
 batched entry points (:meth:`NearestConceptEngine.meet_many`,
@@ -181,7 +181,7 @@ class NearestConceptEngine:
     ) -> List[PairMeet]:
         """Batched pairwise meets — one backend, many pairs.
 
-        On the vector backend the Euler-RMQ index is built (or
+        On the vector backend the LCA index is built (or
         fetched from cache) once and every pair is answered in O(1);
         the steered backend degrades gracefully to a loop of Fig. 3
         walks.
@@ -305,7 +305,7 @@ class NearestConceptEngine:
         ``options`` are forwarded to :meth:`nearest_concepts`.  The
         point of the batched entry is amortization: the full-text
         index, the search engine and (on the vector backend) the
-        Euler-RMQ LCA index are all built once and shared by every
+        LCA index are all built once and shared by every
         query, so evaluating thousands of hit-pair roll-ups costs one
         preprocessing pass instead of thousands of parent re-walks.
         """

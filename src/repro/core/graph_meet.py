@@ -27,7 +27,7 @@ k-restriction and ranking carry over unchanged.
 
 All graph entry points accept ``backend=``: when there are no
 reference edges in play the query degenerates to the tree case, and a
-meet backend (notably the Euler-RMQ-indexed one) answers it without
+meet backend (notably the RMQ-indexed vector one) answers it without
 the bidirectional BFS — the apex and distance come from the backend,
 only the unique tree path is reconstructed.
 """

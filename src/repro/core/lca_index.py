@@ -1,22 +1,29 @@
-"""Precomputed Euler-tour LCA index (the ``vector`` backend's columns).
+"""The LCA index of the ``vector`` backend: one depth column per OID.
 
 The paper's ``meet₂`` (Fig. 3) deliberately avoids preprocessing: its
 per-query cost *is* the distance, which doubles as the §4 ranking
 signal, and nothing beyond the Monet transform is needed.  That trade
 is right for one ad-hoc query — and wrong for a server answering
 thousands of nearest-concept queries against one loaded store.  This
-module provides the classic offline answer the paper cites as refs.
-[4, 5]: an Euler tour of the instance tree plus a range-minimum
-structure over tour depths gives O(1) LCA and O(1) depth-based distance
+module provides the offline answer the paper cites as refs. [4, 5] —
+LCA as a range-minimum query over depths — in the form the store's
+layout makes cheapest.  Every store is in document pre-order, so a
+node's subtree is the contiguous OID run after it, and for OIDs
+``u < v``
 
-    d(o₁, o₂) = depth(o₁) + depth(o₂) − 2·depth(lca)
+    lca(u, v) = parent(argmin depth over (u, v])
+    d(u, v)   = depth(u) + depth(v) − 2·depth(lca)
 
-after O(n) preprocessing.  The index *is* four flat ``int32`` columns —
-the tour, its depths and the dense first/last tour position per OID —
-and they are all a snapshot bundle stores.  The range-minimum structure
-(a sampled sparse table) is derived from the depth column by
-:class:`~repro.kernels.lca.LcaKernels` when they bind, and never
-persisted; the scalar queries here read that same table.
+in O(1) after O(n) preprocessing.  The index *is* one flat ``int32``
+column, the depth per ``oid − first_oid`` slot (root = 1), derived
+from the store's parent column with whole-array pointer jumping
+(:func:`tree_depths`); the range-minimum structure (a sampled sparse
+table) is derived from it by :class:`~repro.kernels.lca.LcaKernels`
+when they bind, and the parent of the minimum is read off the store.
+The Euler tour of 2n − 1 steps with first/last positions per OID that
+refs. [4, 5] walk is gone: pre-order already is the order it encoded.
+Nothing of the index is persisted; a snapshot load derives the column
+while it checks the store's pre-order.
 
 :class:`~repro.core.backends.VectorBackend` reuses one
 :class:`LcaIndex` per store across every pairwise, set-wise and n-ary
@@ -24,49 +31,32 @@ meet; :func:`get_lca_index` caches the index per store and *maintains*
 it across live writes the way the full-text and value indexes are
 maintained: a stale generation is bridged with the store's mutation
 journal (:func:`repro.monet.mutate.journal_chain`) instead of a
-rebuild.
-
-That works because the tour is append-only under the write path.
-``put_document`` hangs one contiguous pre-order OID run under the root
-as its last child, so the tour only grows at its tail (the new
-sub-tree's tour, then the root again), every table cell already filled
-stays valid (a cell covers a window that *starts* at its position), and
-a put adds O(Δ) cells.  A delete only blanks the span's ``first``/
-``last`` slots: the tombstoned document stays in the tour, where no
-live pair's range minimum can land (a range between two live nodes that
-crosses a dead sub-tree also crosses the root entries around it, which
-are shallower), and its OIDs raise
+rebuild.  ``put_document`` hangs one contiguous pre-order OID run under
+the root as its last child, so a put extends the column at its tail;
+a delete sets its span to :data:`~repro.kernels.lca.DEAD`, a depth that
+never wins a minimum, and its OIDs raise
 :class:`~repro.datamodel.errors.UnknownOIDError` like any unknown OID.
-The full build is the same routine run once over the whole store from
-an empty index; it is what a store without a bridging journal chain
-gets (evicted journal, bare ``invalidate_caches()``).
-
-Compaction carries the index instead (:meth:`LcaIndex.compacted`): its
-OID map is monotone, so the tour minus its dead entries — with the
-repeated root each dropped document leaves collapsed — is exactly the
-tour a build over the compacted store would walk.
-
-Beyond plain LCA the index exposes the Euler order itself
-(:meth:`LcaIndex.euler_position`) and an O(1) interval ancestor test
-(:meth:`LcaIndex.is_ancestor`).
+Compaction's OID map is monotone and keeps every depth, so the
+compacted store's column is the live slots of this one
+(:meth:`LcaIndex.compacted`).
 """
 
 from __future__ import annotations
 
 import threading
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from ..datamodel.errors import UnknownOIDError
-from ..kernels.lca import get_kernels
-from ..monet.engine import DerivedCache, MonetXML, int32_column
+from ..kernels.lca import DEAD, get_kernels, regrown
+from ..monet.engine import DerivedCache, MonetXML
 from ..monet.mutate import MutationRecord, journal_chain
 
 __all__ = [
     "LcaIndex",
+    "tree_depths",
     "get_lca_index",
     "carry_lca_index",
     "seed_lca_index",
@@ -76,174 +66,119 @@ __all__ = [
 ]
 
 
+def tree_depths(
+    parents: np.ndarray,
+    root_slot: int,
+    known: np.ndarray = np.empty(0, dtype=np.int32),
+) -> np.ndarray:
+    """Depths of a run of slots from their parents' slots.
+
+    ``parents`` holds the parent slot of each slot of the run (negative
+    for none) and ``known`` the depths of every slot before the run, so
+    a parent lies in the run or before it.  Pointer jumping: each slot
+    keeps a hop to an ancestor and the edges to it, and every pass
+    doubles the hops until each ends at the slot's topmost ancestor in
+    the run — O(n log depth) whole-array work.  The root slot gets
+    depth 1, a parentless slot that is not the root (a tombstone)
+    :data:`~repro.kernels.lca.DEAD`.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    start = len(known)
+    inside = parents >= start
+    hop = np.where(inside, parents - start, np.arange(len(parents)))
+    hops = inside.astype(np.int64)
+    while True:
+        further = hops[hop]
+        if not further.any():
+            break
+        hops += further
+        hop = hop[hop]
+    top_parent = parents[hop]
+    top = np.full(len(parents), DEAD, dtype=np.int64)
+    linked = top_parent >= 0
+    top[linked] = known[top_parent[linked]].astype(np.int64) + 1
+    top[hop + start == root_slot] = 1
+    return np.minimum(hops + top, DEAD).astype(np.int32)
+
+
 class LcaIndex:
     """O(1)-query LCA/distance index over one store.
 
-    Preprocessing is O(n) time and space: the Euler tour of length
-    2n−1, its depths, and a first/last tour position per OID (``-1``
-    for a tombstone).  All queries after that are O(1): ``lca``,
-    ``distance``, ``depth``, ``euler_position``, ``is_ancestor``.  The
-    range-minimum table behind ``lca`` is the one its
-    :class:`~repro.kernels.lca.LcaKernels` derive when they bind.
+    Preprocessing is O(n) space: the depth per OID slot (``DEAD`` for
+    a tombstone).  All queries after that are O(1) range minimums of
+    the bound kernels: ``lca``, ``distance``, ``is_ancestor``.
     """
 
     def __init__(self, store: MonetXML):
-        self._bind(store, array("i"), array("i"), array("i"), array("i"))
-        self._append_run(store.first_oid, store.last_oid)
+        parents = np.asarray(store.dense_columns()[1], dtype=np.int64)
+        base = store.first_oid
+        self._bind(store, tree_depths(parents - base, store.root_oid - base))
 
-    def _bind(self, store: MonetXML, tour, depth, first, last) -> None:
+    def _bind(self, store: MonetXML, depths: np.ndarray) -> None:
         self.store = store
         self._base = store.first_oid
-        self._tour = tour       # node OID per Euler step
-        self._depth = depth     # depth per Euler step
-        self._first = first     # OID − base → first tour position
-        self._last = last       # OID − base → last tour position
+        #: Depth per ``oid − first_oid`` slot; read-only by contract.
+        self.depths = depths
         self._vector_kernels = None  # see repro.kernels.lca
         #: Store generation this index answers for; a mismatch with
         #: ``store.generation`` means the index is stale.
         #: :meth:`roll_forward`'s caller publishes it last.
         self.generation = getattr(store, "generation", 0)
 
-    # -- preprocessing & maintenance ------------------------------------
-    def _append_run(self, low: int, high: int) -> None:
-        """Append the Euler tour of the OID run ``[low, high]``.
+    @classmethod
+    def from_depths(cls, store: MonetXML, depths: np.ndarray) -> "LcaIndex":
+        """Bind an already derived depth column as a ready index."""
+        self = cls.__new__(cls)
+        self._bind(store, depths)
+        return self
 
-        The run is either the whole store (the build: the tour is empty
-        and opens with the root) or one freshly put document, whose top
-        node hangs under the root as its last child — so the tour,
-        which always ends on the root, continues with the sub-tree's
-        tour and the root again.  Tombstoned nodes have no parent
-        pointer (``-1``) and are never reached: a put that a later record
-        already deleted only gains its blank ``first``/``last`` slots.
-        """
-        store = self.store
-        root = store.root_oid
-        base = self._base
-        _, parents, ranks = store.dense_columns()
-        children: Dict[int, List[int]] = {}
-        for oid, parent in enumerate(
-            parents[low - base : high - base + 1], low
-        ):
-            if parent >= 0:
-                children.setdefault(parent, []).append(oid)
-        for siblings in children.values():
-            if len(siblings) > 1:
-                siblings.sort(key=lambda oid: ranks[oid - base])
-
-        tour = self._tour
-        depths = self._depth
-        first = self._first
-        last = self._last
-        blank = array(first.typecode, [-1]) * (high - base + 1 - len(first))
-        first.extend(blank)
-        last.extend(blank)
-        if not tour:
-            first[root - base] = last[root - base] = 0
-            tour.append(root)
-            depths.append(1)
-        for top in children.get(root, ()):
-            # Iterative Euler tour: (oid, depth, child cursor) frames; a
-            # parent is re-appended every time a child frame returns.
-            stack: List[List[int]] = [[top, 2, 0]]
-            while stack:
-                frame = stack[-1]
-                oid, depth, cursor = frame
-                if cursor == 0:
-                    first[oid - base] = len(tour)
-                last[oid - base] = len(tour)
-                tour.append(oid)
-                depths.append(depth)
-                below = children.get(oid, ())
-                if cursor < len(below):
-                    frame[2] += 1
-                    stack.append([below[cursor], depth + 1, 0])
-                else:
-                    stack.pop()
-            last[root - base] = len(tour)
-            tour.append(root)
-            depths.append(1)
-
+    # -- maintenance ----------------------------------------------------
     def roll_forward(self, chain: Iterable[MutationRecord]) -> None:
         """Apply journalled mutations (oldest first) in place.
 
-        A put appends its span's tour (:meth:`_append_run`), a delete
-        blanks the span's ``first``/``last`` slots.  Attached
-        :class:`~repro.kernels.lca.LcaKernels` (and their derived table)
-        follow at the tail.  The caller publishes ``generation``.
-        Read-only snapshot columns (``memoryview`` casts over the mmap'd
-        bundle) become owned arrays on the first write, like
-        ``_ensure_mutable`` does for the store itself.
+        A put derives its span's depths at the tail of the column (the
+        span hangs under the root, which has depth 1; a span a later
+        record already deleted has no parents left and reads ``DEAD``),
+        a delete sets its span to ``DEAD``.  Attached
+        :class:`~repro.kernels.lca.LcaKernels` refill the table cells
+        that see a written slot.  The caller publishes ``generation``.
         """
-        if not isinstance(self._tour, array):
-            self._tour, self._depth, self._first, self._last = (
-                array(column.format, column.tobytes())
-                for column in self.columns().values()
-            )
         base = self._base
-        dropped: List[Tuple[int, int]] = []
+        root_slot = self.store.root_oid - base
+        changed: List[Tuple[int, int]] = []
         for record in chain:
-            low, high = record.span
+            low, high = record.span[0] - base, record.span[1] - base + 1
             if record.kind == "put":
-                self._append_run(low, high)
+                grown = regrown(self.depths, (high,))
+                parents = self.store.dense_columns()[1][low:high]
+                grown[low:] = tree_depths(
+                    np.asarray(parents, dtype=np.int64) - base,
+                    root_slot,
+                    grown[:low],
+                )
+                self.depths = grown
             else:
-                blank = array(self._first.typecode, [-1]) * (high - low + 1)
-                self._first[low - base : high - base + 1] = blank
-                self._last[low - base : high - base + 1] = blank
-                dropped.append((low, high))
+                self.depths[low:high] = DEAD
+            changed.append((low, high))
         if self._vector_kernels is not None:
-            self._vector_kernels.follow(self.columns(), dropped)
+            self._vector_kernels.follow(self.depths, changed)
 
-    def compacted(
-        self, store: MonetXML, renumbered: Callable[[np.ndarray], np.ndarray]
-    ) -> "LcaIndex":
+    def compacted(self, store: MonetXML) -> "LcaIndex":
         """This index carried over to ``store``, the compaction of its own.
 
-        ``renumbered`` is :func:`~repro.monet.mutate.compact_store`'s
-        monotone OID map.  Tour entries of tombstoned nodes go, and so
-        does the second of every two equal neighbours (the root on both
-        sides of a dropped document); the survivors keep their depths
-        and their order, their OIDs go through the map, and ``first``/
-        ``last`` keep the live slots, each moved down by the tour
-        entries dropped before it.  The columns equal a fresh build's
-        over ``store``, without a tour walk.  Call it on a current
-        index.
+        The compaction's OID map is monotone and keeps every parent, so
+        the compacted column is this one's live slots, in order.  Call
+        it on a current index.
         """
-        base = self._base
-        tour = np.asarray(self._tour, dtype=np.int64)
-        first = np.asarray(self._first)
-        keep = first[tour - base] >= 0
-        repeated = np.zeros(len(tour), dtype=bool)
-        kept = np.flatnonzero(keep)
-        repeated[kept[1:]] = tour[kept[1:]] == tour[kept[:-1]]
-        keep &= ~repeated
-        position = np.cumsum(keep) - 1
-        live = first >= 0
-        new_first = position[first[live]]
-        new_last = position[np.asarray(self._last)[live]]
-        # The root's last entry may be a dropped repeat; it closes the
-        # tour.
-        new_last[store.root_oid - store.first_oid] = position[-1]
-        return LcaIndex.from_arrays(
-            store,
-            tour=int32_column(renumbered(tour[keep])),
-            depth=int32_column(np.asarray(self._depth)[keep]),
-            first=int32_column(new_first),
-            last=int32_column(new_last),
-        )
+        return LcaIndex.from_depths(store, self.depths[self.depths != DEAD])
 
     # -- O(1) queries ---------------------------------------------------
-    def euler_position(self, oid: int) -> int:
-        """First Euler-tour position of a node (its pre-order slot)."""
-        slot = oid - self._base
-        if 0 <= slot < len(self._first):
-            position = self._first[slot]
-            if position >= 0:
-                return position
-        raise UnknownOIDError(oid)
-
     def depth(self, oid: int) -> int:
-        """Tree depth of a node (root = 1), read off the tour."""
-        return self._depth[self.euler_position(oid)]
+        """Tree depth of a node (root = 1)."""
+        slot = oid - self._base
+        if 0 <= slot < len(self.depths) and self.depths[slot] != DEAD:
+            return int(self.depths[slot])
+        raise UnknownOIDError(oid)
 
     def lca(self, oid1: int, oid2: int) -> int:
         """The lowest common ancestor (= ``meet₂``'s answer), O(1)."""
@@ -264,51 +199,12 @@ class LcaIndex:
         return int(meets[0]), int(distances[0])
 
     def is_ancestor(self, ancestor_oid: int, descendant_oid: int) -> bool:
-        """Reflexive ancestor test via Euler interval containment, O(1)."""
-        first = self.euler_position(ancestor_oid)
-        return (
-            first
-            <= self.euler_position(descendant_oid)
-            <= self._last[ancestor_oid - self._base]
-        )
-
-    # -- flat columns (the kernels' and the snapshot store's contract) --
-    def columns(self) -> Dict[str, Sequence[int]]:
-        """The index state: four flat int columns.
-
-        ``first``/``last`` are dense, indexed by ``oid − first_oid``,
-        with ``-1`` marking OIDs absent from the tour (tombstones).
-        The columns are handed out without a copy (``array``s of a
-        built or rolled-forward index, ``memoryview`` casts of a
-        snapshot-loaded one); together with the store they reconstruct
-        an equivalent index via :meth:`from_arrays` with no tour walk.
-        """
-        return {
-            "tour": self._tour,
-            "depth": self._depth,
-            "first": self._first,
-            "last": self._last,
-        }
-
-    @classmethod
-    def from_arrays(cls, store: MonetXML, *, tour, depth, first, last) -> "LcaIndex":
-        """Rebind deserialized columns as a ready index — O(1).
-
-        No Euler tour is walked and nothing is copied: the columns
-        (any int sequences, e.g. zero-copy memoryview casts, 4 or 8
-        bytes per item) are used as-is.
-        """
-        self = cls.__new__(cls)
-        self._bind(store, tour, depth, first, last)
-        return self
-
-    @property
-    def tour_length(self) -> int:
-        return len(self._tour)
+        """Reflexive ancestor test: the ancestor is the meet, O(1)."""
+        return self.lca(ancestor_oid, descendant_oid) == ancestor_oid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<LcaIndex slots={len(self._first)} tour={len(self._tour)} "
+            f"<LcaIndex slots={len(self.depths)} "
             f"generation={self.generation}>"
         )
 
@@ -399,24 +295,19 @@ def get_lca_index(store: MonetXML) -> LcaIndex:
         return index
 
 
-def carry_lca_index(
-    store: MonetXML,
-    compacted: MonetXML,
-    renumbered: Callable[[np.ndarray], np.ndarray],
-) -> None:
+def carry_lca_index(store: MonetXML, compacted: MonetXML) -> None:
     """Seed ``compacted`` with ``store``'s index, carried over.
 
-    ``compacted`` and ``renumbered`` are what
-    :func:`~repro.monet.mutate.compact_store` returned for ``store``.
-    A cached index is brought current and carried
-    (:meth:`LcaIndex.compacted`); if it had its kernels bound, the
-    carried one binds them too, so the range-minimum table is derived
-    here rather than by the first read of the compacted store.
+    ``compacted`` is what :func:`~repro.monet.mutate.compact_store`
+    returned for ``store``.  A cached index is brought current and
+    carried (:meth:`LcaIndex.compacted`); if it had its kernels bound,
+    the carried one binds them too, so the range-minimum table is
+    derived here rather than by the first read of the compacted store.
     """
     index = _maintained(store)
     if index is None:
         return
-    carried = index.compacted(compacted, renumbered)
+    carried = index.compacted(compacted)
     if index._vector_kernels is not None:
         get_kernels(carried)
     seed_lca_index(compacted, carried)
@@ -425,8 +316,8 @@ def carry_lca_index(
 def seed_lca_index(store: MonetXML, index: LcaIndex) -> None:
     """Install a ready index into the per-store cache without a build.
 
-    The snapshot loader's hook: a deserialized
-    :meth:`LcaIndex.from_arrays` index is registered so that every
+    The snapshot loader's hook: the :meth:`LcaIndex.from_depths` index
+    it derived while checking the store is registered so that every
     subsequent :func:`get_lca_index` call — engines, backends, the CLI
     — is a cache hit.  Neither the build nor the hit counter moves,
     keeping the "zero constructions on warm start" property testable.

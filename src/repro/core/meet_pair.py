@@ -20,7 +20,7 @@ measure and ranking heuristic.
 
 This module *is* the ``steered`` meet backend's pairwise kernel; pass
 ``backend=`` (see :mod:`repro.core.backends`) to answer the same
-queries from the precomputed Euler-RMQ index instead.
+queries from the precomputed pre-order RMQ index instead.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def meet_many(
 
     With the default steered backend this is just the Fig. 3 walk in a
     loop; with :class:`~repro.core.backends.VectorBackend` the whole
-    batch is answered from one Euler-RMQ index in O(1) per pair.
+    batch is answered from one pre-order RMQ index in O(1) per pair.
     """
     if backend is not None:
         return backend.meet_many(pairs)

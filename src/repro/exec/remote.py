@@ -29,6 +29,7 @@ from __future__ import annotations
 import logging
 import os
 import socket
+import stat
 import subprocess
 import sys
 import threading
@@ -437,6 +438,7 @@ class WorkerProcess:
         if self.alive:
             self.process.kill()
         self.process.wait(timeout=10)
+        self.process.stdin.close()
 
     def terminate(self) -> None:
         if self.alive:
@@ -445,6 +447,7 @@ class WorkerProcess:
                 self.process.wait(timeout=5)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 self.kill()
+        self.process.stdin.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self.alive else "dead"
@@ -452,6 +455,21 @@ class WorkerProcess:
             f"<WorkerProcess pid={self.pid} "
             f"{format_address(self.address)} {state}>"
         )
+
+
+def exit_with_parent() -> None:
+    """Exit once stdin, a pipe from the spawner that never writes to
+    it (:func:`spawn_worker_process`), reads EOF: the spawner is gone,
+    however it died.  A worker started by hand is left alone."""
+    if not stat.S_ISFIFO(os.fstat(0).st_mode):
+        return
+
+    def watch() -> None:
+        while os.read(0, 4096):
+            pass
+        os._exit(0)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
 
 
 def spawn_worker_process(
@@ -468,7 +486,8 @@ def spawn_worker_process(
 
     The worker prints ``shard-worker listening on HOST:PORT`` once its
     listener is bound; this parses that line (so ``port=0`` ephemeral
-    binds work) and returns a handle that can kill or respawn it.
+    binds work) and returns a handle that can kill or respawn it.  The
+    worker exits when this process dies (:func:`exit_with_parent`).
     """
     command = [
         sys.executable, "-m", "repro", "shard-worker",
@@ -493,6 +512,7 @@ def spawn_worker_process(
         )
     process = subprocess.Popen(
         command,
+        stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -522,6 +542,7 @@ def spawn_worker_process(
     finally:
         selector.close()
     process.kill()
+    process.stdin.close()
     raise TransportError(
         "shard worker failed to start "
         f"(last output line: {line.strip()!r})"

@@ -140,14 +140,16 @@ class ShardPlan:
 
 
 def _subtree_spans(store: MonetXML) -> List[Tuple[int, int]]:
-    """Contiguous [start, end) OID span per top-level subtree.
+    """Contiguous [start, end) OID span per live top-level subtree.
 
-    The heads are the OIDs whose parent is the root.  Verifies the
-    pre-order invariant the whole scheme rests on: inside each span
-    every non-head node's parent must also lie in the span, before the
-    node — which by induction makes the span exactly one subtree.  A
+    The heads are the OIDs whose parent is the root; the first span
+    starts right after the root, so a tombstoned run (no parents) stays
+    inside the span it sits in.  Verifies the pre-order invariant the
+    whole scheme rests on: inside each span every live non-head node's
+    parent must also lie in the span, before the node — which by
+    induction makes the span exactly one subtree plus tombstones.  A
     store with shuffled OIDs (nothing in this repo produces one, but a
-    hand-made bundle can hold one) is rejected rather than sharded
+    hand-made store can hold one) is rejected rather than sharded
     wrongly.
     """
     root = store.root_oid
@@ -161,18 +163,19 @@ def _subtree_spans(store: MonetXML) -> List[Tuple[int, int]]:
     heads = oids[parents == root]
     if not len(heads):
         return []
-    if heads[0] != root + 1:
-        raise ShardingError("top-level subtrees do not tile the OID range")
-    head_of = heads[np.searchsorted(heads, oids, side="right") - 1]
-    in_order = (oids == head_of) | ((head_of <= parents) & (parents < oids))
+    head_of = heads[np.maximum(np.searchsorted(heads, oids, "right") - 1, 0)]
+    in_order = (parents < 0) | (oids == head_of) | (
+        (head_of <= parents) & (parents < oids)
+    )
     if not in_order.all():
         oid = int(oids[np.argmin(in_order)])
         raise ShardingError(
             f"store OIDs are not in document pre-order near OID "
             f"{oid}; cannot shard this store"
         )
+    starts = np.concatenate(([root + 1], heads[1:]))
     ends = np.append(heads[1:], store.last_oid + 1)
-    return list(zip(heads.tolist(), ends.tolist()))
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def compute_shard_plan(store: MonetXML, shards: int) -> ShardPlan:
@@ -188,7 +191,7 @@ def compute_shard_plan(store: MonetXML, shards: int) -> ShardPlan:
     spans = _subtree_spans(store)
     root = store.root_oid
     if not spans:
-        return _plan_for(store, [(root + 1, root + 1)])
+        return _plan_for(store, [(root + 1, store.last_oid + 1)])
     count = min(shards, len(spans))
     total = store.node_count - 1
     runs: List[Tuple[int, int]] = []

@@ -6,8 +6,8 @@ generation-keyed columns through the buffer protocol (``np.asarray`` —
 zero copies over int32 snapshot sections) and answer whole batches
 with whole-array passes:
 
-* :mod:`repro.kernels.lca` — the sampled sparse table over the Euler
-  tour, batched LCA (``lca_many``) and a fully vectorized
+* :mod:`repro.kernels.lca` — the sampled sparse table over the depth
+  column in OID order, batched LCA (``lca_many``) and a fully vectorized
   auxiliary-tree construction;
 * :mod:`repro.kernels.rollup` — the Fig. 4/5 roll-ups as level-wise
   array passes over the auxiliary tree;

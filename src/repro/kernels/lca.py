@@ -1,51 +1,61 @@
-"""Batched Euler-RMQ LCA and auxiliary-tree kernels.
+"""Batched pre-order RMQ LCA and auxiliary-tree kernels.
 
-:class:`LcaKernels` binds zero-copy views over an
-:class:`~repro.core.lca_index.LcaIndex`'s four flat columns, derives
-the index's range-minimum structure from the depth column with
+:class:`LcaKernels` binds an :class:`~repro.core.lca_index.LcaIndex`'s
+depth column (one slot per OID, ``oid − first_oid``) and the store's
+parent column, derives a range-minimum structure over the depths with
 whole-array passes, and answers *batches* of LCA/distance queries and
 whole auxiliary-tree constructions without a python-level loop per
-element.
+element.  Stores are in document pre-order, so for slots ``u < v``
+
+    lca(u, v) = parent[argmin depth over (u, v]]
+
+— every node strictly after ``u`` up to ``v`` lies below the meet, and
+the shallowest of them is a child of it.  A tombstoned slot holds
+:data:`DEAD`, which never wins a minimum.
 
 The range-minimum structure is a **sampled sparse table**: levels
-0‥4 (windows of 1‥16 tour steps) for every position as one-byte
-offsets, and the levels from 4 up only at every 16th position.  A range
-shorter than 32 steps is the textbook two-window query on the dense
-levels; a longer one is its two 16-step end windows plus the textbook
-query over the 16-aligned interior on the sampled levels — about 6
-bytes per tour step where the full table took 8·log₂(tour).  It is
-derived when the kernels bind and never persisted.
+0‥4 (windows of 1‥16 slots) for every slot as one-byte offsets, and the
+levels from 4 up only at every 16th slot.  A range shorter than 32
+slots is the textbook two-window query on the dense levels; a longer
+one is its two 16-slot end windows plus the textbook query over the
+16-aligned interior on the sampled levels — about 8 bytes per node
+where the full table took 4·log₂(n).  It is derived when the kernels
+bind and never persisted.
 
 Two vectorization facts carry the module:
 
 * a range-minimum batch needs no grouping by window size: every range
   reads two windows of its own level off the dense table rows (its
-  16-step end windows when it spans 32 tour steps or more), and the
-  long ranges — a minority, Euler-order neighbours are close — add the
-  two sampled windows over their block-aligned interior: flat ``take``
-  gathers and elementwise depth compares throughout;
-* for a candidate set closed under pairwise LCA and sorted in
-  pre-order, the auxiliary-tree parent of ``c_i`` is exactly
+  16-slot end windows when it spans 32 slots or more), and the long
+  ranges add the two sampled windows over their block-aligned
+  interior: flat ``take`` gathers and elementwise depth compares;
+* for a candidate set closed under pairwise LCA and sorted by OID
+  (pre-order), the auxiliary-tree parent of ``c_i`` is exactly
   ``lca(c_{i-1}, c_i)`` — so the classic stack walk over the sorted
-  candidates becomes one more batched RMQ plus a ``searchsorted`` to
-  turn parent OIDs into positions.
+  candidates becomes one more batched RMQ plus a dense slot map that
+  turns parent slots into positions.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from ..datamodel.errors import UnknownOIDError
 
-__all__ = ["LcaKernels", "get_kernels", "sorted_unique", "BLOCK", "DENSE_LEVELS"]
+__all__ = [
+    "LcaKernels", "get_kernels", "sorted_unique", "BLOCK", "DENSE_LEVELS",
+    "DEAD",
+]
 
-#: Tour positions between two samples of the upper table levels.
+#: Slots between two samples of the upper table levels.
 BLOCK = 16
-#: Table levels kept for every tour position: windows of 1‥``BLOCK``.
+#: Table levels kept for every slot: windows of 1‥``BLOCK``.
 DENSE_LEVELS = 5
+#: The depth of a tombstoned slot: deeper than any node, so it never
+#: wins a range minimum that holds a live node.
+DEAD = np.iinfo(np.int32).max
 
 _INT64 = np.int64
 
@@ -75,23 +85,15 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _bound(column) -> np.ndarray:
-    """An index column as an array of its own item width: a snapshot
-    ``memoryview`` is viewed in place (the pages stay the mmap's), an
-    ``array`` the index owns is copied — a view would pin its buffer
-    against the index's next append."""
-    view = np.asarray(column)
-    return view.copy() if isinstance(column, array) else view
-
-
-def _regrown(view: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """``view`` regrown to ``shape``: old cells kept, new cells unset.
+def regrown(view: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """``view`` regrown to ``shape``: old cells kept, new cells zero.
 
     The result is a corner view of an owned, contiguous backing array
     (its ``.base``) allocated with half as much room again along the
     last axis, so a run of tail appends copies the old cells O(1) times
     amortized.  A read-only view over an mmap'd snapshot (or any array
-    without spare room) pays its one copy here.
+    without spare room) pays its one copy here.  Cells past the used
+    corner are never written, so they stay zero until they are used.
     """
     backing = view.base
     if not (
@@ -106,68 +108,73 @@ def _regrown(view: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return backing[tuple(slice(want) for want in shape)]
 
 
+def _caught_up(copy: np.ndarray, column) -> np.ndarray:
+    """``copy`` of a store column that only grows at its tail, extended
+    to the column's length (the old cells are not re-read; a view would
+    pin the column's buffer against the store's next append)."""
+    known = len(copy)
+    if known < len(column):
+        copy = regrown(copy, (len(column),))
+        copy[known:] = column[known:]
+    return copy
+
+
 class LcaKernels:
     """Vector views + batch kernels bound to one :class:`LcaIndex`.
 
     Instances are cached per index (:func:`get_kernels`), and an index
-    lives across writes (:meth:`LcaIndex.roll_forward`), so the view
-    binding and the table derivation are paid once per store; after a
-    write :meth:`follow` extends the arrays at the tail.
+    lives across writes (:meth:`LcaIndex.roll_forward`), so the table
+    derivation is paid once per store; after a write :meth:`follow`
+    refills the cells whose windows meet the written slots.
     """
 
     __slots__ = (
-        "store", "base", "tour", "depth", "first", "last",
-        "near", "far", "_near_rows", "_pids",
+        "store", "base", "depth", "near", "far", "_near_rows", "_pids",
+        "_parents",
     )
 
     def __init__(self, index):
         self.store = index.store
         self.base = int(index.store.first_oid)
-        for name, column in index.columns().items():
-            setattr(self, name, _bound(column))
+        self.depth = index.depths
+        self._pids = np.empty(0, dtype=np.int32)
+        self._parents = _caught_up(self._pids, self.store.dense_columns()[1])
         self.near = np.empty((DENSE_LEVELS, 0), dtype=np.uint8)
         self.far = np.empty((0, 0), dtype=np.int32)
-        self._extend_table(0)
-        self._pids = np.empty(0, dtype=np.int32)
+        self._refill(0, len(self.depth))
 
     def pids(self) -> np.ndarray:
-        """The store's dense OID → pid column as an int32 array.
-
-        A put extends the store's column and nothing else changes it (a
-        delete only adds tombstones; a compaction makes a new store,
-        hence new kernels), so the copy made on first use is caught up
-        at the tail — a view would pin the column against that append.
-        """
-        column = self.store.dense_columns()[0]
-        known = len(self._pids)
-        if known < len(column):
-            grown = _regrown(self._pids, (len(column),))
-            grown[known:] = column[known:]
-            self._pids = grown
+        """The store's dense OID → pid column as an int32 array: a put
+        extends it and nothing else changes it (a compaction makes a new
+        store, hence new kernels), so the copy made on first use is
+        caught up at the tail."""
+        self._pids = _caught_up(self._pids, self.store.dense_columns()[0])
         return self._pids
 
-    def _extend_table(self, old: int) -> None:
-        """Fill the table cells a depth column grown from ``old`` adds.
+    def _refill(self, low: int, high: int) -> None:
+        """Fill the table cells whose window meets the slots ``[low, high)``.
 
         Two matrices, rows right-padded: ``near[k, i]`` is the offset
         from ``i`` of the leftmost minimum of ``depth[i : i + 2**k]``
-        (one byte; ``k < DENSE_LEVELS``), and ``far[r, j]`` the position
-        of the leftmost minimum of the ``2**r`` blocks starting at
-        ``j * BLOCK``.  A row's cells from the last window that fitted
-        the old column to the last that fits now come from the row
-        below, one pass each — from empty rows that is the whole
-        derivation, after a put it is the tail.
+        (one byte; ``k < DENSE_LEVELS``), and ``far[r, j]`` the slot of
+        the leftmost minimum of the ``2**r`` blocks starting at
+        ``j * BLOCK``.  Each row is recomputed from the row below, one
+        pass over the cells that can see a changed slot: from empty
+        rows over the whole column that is the derivation, after a put
+        it is the new tail, after a delete the tombstoned span.
         """
         depth = self.depth
         length = len(depth)
         blocks = length // BLOCK
-        self.near = near = _regrown(self.near, (DENSE_LEVELS, length))
-        self.far = far = _regrown(
+        self.near = near = regrown(self.near, (DENSE_LEVELS, length))
+        self.far = far = regrown(
             self.far, (blocks.bit_length(), max(blocks, 1))
         )
         for level in range(1, DENSE_LEVELS):
             half = 1 << (level - 1)
-            start, stop = max(old - 2 * half + 1, 0), length - 2 * half + 1
+            start, stop = max(low - 2 * half + 1, 0), min(
+                high, length - 2 * half + 1
+            )
             if start >= stop:
                 continue
             left = near[level - 1, start:stop]
@@ -176,9 +183,11 @@ class LcaKernels:
             near[level, start:stop] = np.where(
                 depth[here + left] <= depth[here + right], left, right
             )
+        first_block, end_block = low // BLOCK, -(-high // BLOCK)
         for rank in range(len(far)):
             span = 1 << rank
-            start, stop = max(old // BLOCK - span + 1, 0), blocks - span + 1
+            start = max(first_block - span + 1, 0)
+            stop = min(end_block, blocks - span + 1)
             if start >= stop:
                 continue
             if rank == 0:
@@ -195,56 +204,41 @@ class LcaKernels:
         self._near_rows = _LEVELS * near.base.shape[1]
 
     def follow(
-        self,
-        columns: Dict[str, Sequence[int]],
-        dropped: Iterable[Tuple[int, int]],
+        self, depths: np.ndarray, changed: Iterable[Tuple[int, int]]
     ) -> None:
         """Catch up with an index that was just rolled forward.
 
-        The index only ever appends — tour steps, dense first/last
-        slots and the table cells of the windows that now fit — so
-        every array is regrown in place and only its tail is read out
-        of the index's columns: O(Δ) conversions per write, no pass
-        over the old cells.  ``dropped`` names the OID spans deletes
-        tombstoned; the root's ``last`` is the one old slot a put moves.
-        ``columns`` are the index's (:meth:`LcaIndex.columns`): the
-        kernels hold the store, never the index, so an index and its
-        kernels form no reference cycle.
+        ``depths`` is the index's column and ``changed`` the slot
+        ranges ``[low, high)`` its roll-forward wrote: a put's new tail,
+        a delete's tombstoned span.  Only the table cells whose windows
+        meet them are refilled — O(Δ) per write.  The kernels hold the
+        store, never the index, so the two form no reference cycle.
         """
-        old_length = len(self.tour)
-        for name, column in columns.items():
-            old = getattr(self, name)
-            grown = _regrown(old, (len(column),))
-            grown[len(old):] = column[len(old):]
-            setattr(self, name, grown)
-        for low, high in dropped:
-            self.first[low - self.base : high - self.base + 1] = -1
-            self.last[low - self.base : high - self.base + 1] = -1
-        root = int(self.tour[0]) - self.base
-        self.last[root] = columns["last"][root]
-        self._extend_table(old_length)
+        self.depth = depths
+        self._parents = _caught_up(
+            self._parents, self.store.dense_columns()[1]
+        )
+        for low, high in changed:
+            self._refill(low, high)
 
     # -- primitives ------------------------------------------------------
-    def first_positions(self, oids: np.ndarray) -> np.ndarray:
-        """First Euler positions of a batch of OIDs, validated.
+    def slots(self, oids: np.ndarray) -> np.ndarray:
+        """``oid − base`` of a batch of OIDs, validated.
 
-        Out-of-span OIDs and tombstoned OIDs (``-1`` in the dense
-        first column) raise :class:`UnknownOIDError` naming the first
-        offender, matching the scalar kernels' contract.
+        Out-of-span OIDs and tombstoned OIDs (:data:`DEAD` depth) raise
+        :class:`UnknownOIDError` naming the first offender.
         """
         oids = np.asarray(oids, dtype=_INT64)
         slots = oids - self.base
-        bad = (slots < 0) | (slots >= len(self.first))
-        if bad.any():
-            raise UnknownOIDError(int(oids[int(bad.argmax())]))
-        firsts = self.first[slots]
-        dead = firsts < 0
-        if dead.any():
-            raise UnknownOIDError(int(oids[int(dead.argmax())]))
-        return firsts
+        bad = (slots < 0) | (slots >= len(self.depth))
+        if not bad.any():
+            bad = self.depth[slots] == DEAD
+            if not bad.any():
+                return slots
+        raise UnknownOIDError(int(oids[int(bad.argmax())]))
 
     def rmq_positions(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """Position of the min-depth tour entry in each ``[low, high]``.
+        """Slot of the min-depth entry in each ``[low, high]``.
 
         Leftmost on ties: the candidates are compared left to right —
         each is the leftmost minimum of its window, and the windows
@@ -278,58 +272,68 @@ class LcaKernels:
             )
         return np.where(depth.take(left) <= depth.take(right), left, right)
 
+    def meet_slots(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """``lca`` slots of live slot pairs with ``low < high``."""
+        shallowest = self.rmq_positions(low + 1, high)
+        return self._parents.take(shallowest) - self.base
+
     # -- batched LCA -----------------------------------------------------
     def lca_many(
         self, oids_a: np.ndarray, oids_b: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(meet OIDs, distances) for parallel OID arrays — one pass."""
-        first_a = self.first_positions(oids_a)
-        first_b = self.first_positions(oids_b)
-        low = np.minimum(first_a, first_b)
-        high = np.maximum(first_a, first_b)
-        positions = self.rmq_positions(low, high)
+        slots_a = self.slots(oids_a)
+        slots_b = self.slots(oids_b)
+        low = np.minimum(slots_a, slots_b)
+        high = np.maximum(slots_a, slots_b)
+        # An equal pair is its own meet: its empty range reads the
+        # one-slot window at ``high`` and is overwritten below.
+        meets = self.meet_slots(np.minimum(low, high - 1), high)
+        same = low == high
+        meets[same] = low[same]
         depth = self.depth
-        distances = depth[first_a] + depth[first_b] - 2 * depth[positions]
-        return self.tour[positions], distances
+        distances = (
+            depth.take(slots_a) + depth.take(slots_b)
+            - 2 * depth.take(meets).astype(_INT64)
+        )
+        return meets + self.base, distances
 
     # -- auxiliary (virtual) tree ---------------------------------------
     def auxiliary_tree(
-        self, oids: np.ndarray, firsts: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self, oids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The virtual tree spanned by ``oids`` and their mutual LCAs.
 
-        Candidates are the inputs plus the LCAs of Euler-order
+        Candidates are the inputs plus the LCAs of pre-order
         neighbours; that set is closed under LCA and is exactly where
         ≥ 2 input ancestor chains can first converge, so the Fig. 4/5
         roll-ups restricted to it emit the same meets as the full
         instance tree, at a cost independent of tree size and depth.
 
-        Returns ``(order, order_firsts, parent_index)``: the candidate
-        OIDs in pre-order, their first Euler positions, and each
-        candidate's parent *position* (−1 at the root).  Candidate-set closure under LCA
-        makes ``parent(c_i) = lca(c_{i-1}, c_i)``, so parents come
-        from one more batched RMQ instead of a python stack walk.
-        A caller that already holds ``first_positions(oids)`` passes
-        it as ``firsts``.
+        Returns ``(order, slots, parent_index, positions)``: the
+        candidate OIDs in pre-order, their slots, each candidate's
+        parent *position* (−1 at the root), and the position of each
+        input OID.  Candidate-set closure under LCA makes
+        ``parent(c_i) = lca(c_{i-1}, c_i)``, so parents come from one
+        more batched RMQ instead of a python stack walk, and one dense
+        slot → position map places both the parents and the inputs.
         """
-        if firsts is None:
-            firsts = self.first_positions(oids)
-        input_firsts = sorted_unique(firsts)
-        if len(input_firsts) > 1:
-            neighbour_pos = self.rmq_positions(input_firsts[:-1], input_firsts[1:])
-            neighbour_firsts = self.first[self.tour[neighbour_pos] - self.base]
-            order_firsts = sorted_unique(
-                np.concatenate([input_firsts, neighbour_firsts])
+        input_slots = self.slots(oids)
+        slots = sorted_unique(input_slots)
+        if len(slots) > 1:
+            slots = sorted_unique(
+                np.concatenate([slots, self.meet_slots(slots[:-1], slots[1:])])
             )
-        else:
-            order_firsts = input_firsts
-        order = self.tour[order_firsts]
-        parent_index = np.full(len(order), -1, dtype=_INT64)
-        if len(order_firsts) > 1:
-            parent_pos = self.rmq_positions(order_firsts[:-1], order_firsts[1:])
-            parent_firsts = self.first[self.tour[parent_pos] - self.base]
-            parent_index[1:] = np.searchsorted(order_firsts, parent_firsts)
-        return order, order_firsts, parent_index
+        position = np.empty(len(self.depth), dtype=np.int32)
+        position[slots] = np.arange(len(slots), dtype=np.int32)
+        parent_index = np.full(len(slots), -1, dtype=_INT64)
+        if len(slots) > 1:
+            parent_index[1:] = position.take(
+                self.meet_slots(slots[:-1], slots[1:])
+            )
+        return (
+            slots + self.base, slots, parent_index, position.take(input_slots)
+        )
 
 
 def get_kernels(index) -> LcaKernels:

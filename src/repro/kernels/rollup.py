@@ -6,7 +6,7 @@ the auxiliary tree — a node's state depends only on its (strictly
 deeper) auxiliary children — so they vectorize as a handful of
 whole-array passes per *level* (tree depth, not node count, bounds the
 python-level loop).  The levels are the candidates' *document*
-depths, read off the Euler tour with one gather: an auxiliary child is
+depths, one gather from the depth column by slot: an auxiliary child is
 strictly deeper in the document than its auxiliary parent, so a
 deepest-first pass over them visits children before parents without
 ever computing depths inside the auxiliary tree.
@@ -76,12 +76,10 @@ def rollup_tagged(
     — flat + boundaries instead of ``np.split`` so no per-group
     subarray is ever created.
     """
-    pair_firsts = kernels.first_positions(pair_oids)
-    order, order_firsts, parent_index = kernels.auxiliary_tree(
-        pair_oids, pair_firsts
+    order, slots, parent_index, pair_positions = kernels.auxiliary_tree(
+        pair_oids
     )
     size = len(order)
-    pair_positions = np.searchsorted(order_firsts, pair_firsts)
     own_count = np.bincount(pair_positions, minlength=size)
     count = own_count.astype(_INT64)
     # The lone pending pair per position; positions holding ≥ 2 own
@@ -94,7 +92,7 @@ def rollup_tagged(
 
     # The shallowest level is the auxiliary root alone (every other
     # candidate lies strictly below it): nothing to send to.
-    by_depth, bounds = _levels(kernels.depth[order_firsts])
+    by_depth, bounds = _levels(kernels.depth[slots])
     for level in range(len(bounds) - 2, 0, -1):
         positions = by_depth[bounds[level]:bounds[level + 1]]
         # Exactly the nodes whose accumulated pair is a singleton
@@ -145,16 +143,14 @@ def rollup_sets(
     split per position by the boundary offsets — within a position the
     indexes ascend.
     """
-    input_firsts = kernels.first_positions(inputs)
-    order, order_firsts, parent_index = kernels.auxiliary_tree(
-        inputs, input_firsts
+    order, slots, parent_index, input_positions = kernels.auxiliary_tree(
+        inputs
     )
     size = len(order)
-    input_positions = np.searchsorted(order_firsts, input_firsts)
     left_count = np.bincount(input_positions[in_left], minlength=size)
     right_count = np.bincount(input_positions[in_right], minlength=size)
 
-    by_depth, bounds = _levels(kernels.depth[order_firsts])
+    by_depth, bounds = _levels(kernels.depth[slots])
     # Bottom-up: non-emitting nodes forward both side counts upward
     # (level 0 is the auxiliary root alone, which has no parent).
     for level in range(len(bounds) - 2, 0, -1):

@@ -82,7 +82,7 @@ class MonetXML:
 
     Every instance carries a process-unique, monotonically increasing
     ``generation`` token.  Derived structures built outside the store
-    (most importantly the Euler-RMQ index of
+    (most importantly the LCA depth column of
     :mod:`repro.core.lca_index`) cache themselves keyed on it.  The
     write path (:mod:`repro.monet.mutate`) bumps the token *and*
     journals the mutation, so those structures roll forward; a bare
@@ -111,7 +111,6 @@ class MonetXML:
         self._string_runs = strings
         self._bind_families()
         self._reverse_edges: Dict[int, BAT] = {}
-        self._children_index: Optional[Dict[int, List[int]]] = None
         #: Cache token for externally derived indexes (see class doc).
         self.generation = next(MonetXML._generations)
         #: Named top-level documents: name → (first OID, last OID) of the
@@ -257,17 +256,34 @@ class MonetXML:
     def iter_oids(self) -> Iterator[int]:
         return iter(range(self.first_oid, self.first_oid + self.node_count))
 
+    def subtree_end(self, oid: int) -> int:
+        """One past the last OID of the subtree rooted at ``oid``.
+
+        The store is in pre-order, so the subtree is the contiguous OID
+        run after the node, up to the first later live node whose parent
+        lies before it (a tombstone has no parent).  The parent column
+        is scanned in doubling windows: O(subtree), nothing cached.
+        """
+        parents = self._oid_parent
+        start = self._index(oid) + 1
+        window = 64
+        while start < len(parents):
+            chunk = np.asarray(parents[start : start + window])
+            outside = np.flatnonzero((chunk >= 0) & (chunk < oid))
+            if len(outside):
+                return self.first_oid + start + int(outside[0])
+            start += len(chunk)
+            window *= 2
+        return self.last_oid + 1
+
     def children_of(self, oid: int) -> List[int]:
-        """Child OIDs in rank order (lazily built adjacency index)."""
-        if self._children_index is None:
-            index: Dict[int, List[int]] = {}
-            for position, parent in enumerate(self._oid_parent):
-                if parent >= 0:
-                    index.setdefault(parent, []).append(position + self.first_oid)
-            for children in index.values():
-                children.sort(key=self.rank_of)
-            self._children_index = index
-        return list(self._children_index.get(oid, ()))
+        """Child OIDs in rank order, read inside the subtree's OID run."""
+        start = self._index(oid) + 1
+        run = np.asarray(
+            self._oid_parent[start : self.subtree_end(oid) - self.first_oid]
+        )
+        children = np.flatnonzero(run == oid) + (start + self.first_oid)
+        return sorted(children.tolist(), key=self.rank_of)
 
     def attributes_of(self, oid: int) -> Dict[str, str]:
         """Attribute name → value for a node, from the string relations."""
@@ -386,8 +402,7 @@ class MonetXML:
         """Drop lazily built structures after an in-place rebuild.
 
         Rebinds the relation families to the current columns, clears
-        the reverse-edge and children adjacency caches and bumps
-        ``generation``.  Generation-keyed external caches (the LCA
+        the reverse-edge cache and bumps ``generation``.  Generation-keyed external caches (the LCA
         index of the ``vector`` meet backend, the full-text and value
         indexes) rebuild on next use — unless the caller also journals
         a :class:`~repro.monet.mutate.MutationRecord`, as every live
@@ -395,7 +410,6 @@ class MonetXML:
         """
         self._bind_families()
         self._reverse_edges.clear()
-        self._children_index = None
         self.generation = next(MonetXML._generations)
 
     # -- ancestry (instance-level helpers shared by core and baselines) --

@@ -23,8 +23,9 @@ generation-keyed result caches precisely) and appends a
 *maintained* from that journal, never rebuilt by a write: on their next
 use the LCA, full-text and value indexes each bridge their generation
 to the store's with :func:`journal_chain` and roll forward at a cost of
-the written document — the Euler tour and its range-minimum table grow
-at the tail (:func:`repro.core.lca_index.get_lca_index`), postings of
+the written document — the LCA depth column and its range-minimum
+table grow at the tail or blank a deleted span
+(:func:`repro.core.lca_index.get_lca_index`), postings of
 the terms a record's strings carry are appended or masked out
 (:func:`repro.fulltext.index.get_fulltext_index`), and sorted value
 columns take a put's entries in by ``searchsorted`` and mask a

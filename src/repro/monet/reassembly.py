@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 from ..datamodel.document import CDATA_LABEL, STRING_ATTRIBUTE
 from ..datamodel.node import Node
 from .engine import MonetXML
@@ -80,24 +82,38 @@ def reassemble_node(store: MonetXML, oid: int) -> Node:
     return node
 
 
+def _live_run(store: MonetXML, oid: int) -> Tuple[List[int], List[int]]:
+    """The live OIDs below ``oid`` in document order, with their parents.
+
+    Pre-order makes the subtree one contiguous OID run
+    (:meth:`~repro.monet.engine.MonetXML.subtree_end`); only the root's
+    run can hold tombstones, which have no parent.
+    """
+    first = store.first_oid
+    parents = np.asarray(
+        store.dense_columns()[1][oid - first + 1 : store.subtree_end(oid) - first]
+    )
+    live = np.flatnonzero(parents >= 0)
+    return (live + oid + 1).tolist(), parents[live].tolist()
+
+
 def reassemble_subtree(store: MonetXML, oid: int) -> Node:
     """Re-assemble the full subtree rooted at ``oid`` as a Node tree.
 
     The result is a fresh tree (OIDs preserved on the nodes); feeding
     it to :func:`repro.datamodel.serializer.serialize_node` prints the
     subtree as XML — the "starting point for displaying and browsing"
-    use-case of §4.
+    use-case of §4.  One pass over the subtree's OID run: siblings come
+    in document (= rank) order.
     """
     root = reassemble_node(store, oid)
-    stack = [(oid, root)]
-    while stack:
-        current_oid, current_node = stack.pop()
-        for child_oid in store.children_of(current_oid):
-            child_node = reassemble_node(store, child_oid)
-            current_node.append(child_node)
-            # re-assembly must preserve original sibling ranks
-            child_node.rank = store.rank_of(child_oid)
-            stack.append((child_oid, child_node))
+    nodes = {oid: root}
+    for child_oid, parent in zip(*_live_run(store, oid)):
+        child_node = reassemble_node(store, child_oid)
+        nodes[parent].append(child_node)
+        # re-assembly must preserve original sibling ranks
+        child_node.rank = store.rank_of(child_oid)
+        nodes[child_oid] = child_node
     return root
 
 
@@ -107,13 +123,9 @@ def object_text(store: MonetXML, oid: int) -> str:
     Convenience used by examples to show what a meet result "is about".
     """
     pieces: List[str] = []
-    stack = [oid]
-    while stack:
-        current = stack.pop()
+    for current in [oid, *_live_run(store, oid)[0]]:
         if store.summary.label(store.pid_of(current)) == CDATA_LABEL:
             value = store.attributes_of(current).get(STRING_ATTRIBUTE)
             if value:
                 pieces.append(value)
-        children = store.children_of(current)
-        stack.extend(reversed(children))
     return " ".join(pieces)

@@ -1,16 +1,16 @@
 """Snapshot store: binary columnar persistence with zero-rebuild loads.
 
 A snapshot bundle is the one on-disk format of a store.  It persists
-the store **and** its derived indexes — the Euler-RMQ LCA machinery
-and the full-text term columns — as raw column buffers in one
-checksummed bundle, so a warm start is O(bytes) instead of
-O(rebuild):
+the store **and** its full-text term columns as raw column buffers in
+one checksummed bundle, so a warm start is O(bytes) instead of
+O(rebuild); the LCA index is one depth column the loader derives while
+it checks the store's pre-order:
 
 * :mod:`repro.snapshot.format` — the versioned binary container
   (magic, format version, per-section CRC-32 checksums, ``mmap``-able
   column sections);
 * :mod:`repro.snapshot.codec` — :func:`write_snapshot` /
-  :func:`read_snapshot` bundling store, LCA index and full-text index,
+  :func:`read_snapshot` bundling store and full-text index,
   with the per-store generation-keyed caches seeded on load;
 * :mod:`repro.snapshot.catalog` — :class:`Catalog`, a directory of
   named collections with per-collection metadata and generations;

@@ -1,15 +1,16 @@
 """Serialize one store *and* its derived indexes to a single bundle.
 
 This is the warm-start half of the paper's columnar pitch: the Monet
-relations, the path summary, the Euler-RMQ LCA machinery and the
-full-text term columns all live in dense integer/string columns, so
-persisting them is one ``tobytes()`` per column and loading is one
-checksum pass plus column rebinds — no XML parse, no Euler tour, no
-tokenization.  A column is stored only when reading it back beats
-deriving it: the LCA index's range-minimum table is a few whole-array
-passes over ``lca/depth`` at bind time, and the ``edges`` and ``ranks``
-relation families are the three dense ``store/*`` columns regrouped by
-pid (one stable sort, on first access), so the bundle carries neither.
+relations, the path summary and the full-text term columns all live in
+dense integer/string columns, so persisting them is one ``tobytes()``
+per column and loading is one checksum pass plus column rebinds — no
+XML parse, no tokenization.  A column is stored only when reading it
+back beats deriving it: the LCA index is one depth column per OID,
+derived from ``store/oid_parent`` in a few whole-array passes while the
+loader checks that column (its range-minimum table is derived when the
+kernels bind), and the ``edges`` and ``ranks`` relation families are
+the three dense ``store/*`` columns regrouped by pid (one stable sort,
+on first access), so the bundle carries none of them.
 Section layout (all framed by :mod:`repro.snapshot.format`):
 
 ======================  ==================================================
@@ -20,21 +21,19 @@ Section layout (all framed by :mod:`repro.snapshot.format`):
 ``summary/labels``      packed step labels in pid order
 ``store/oid_pid``       dense OID→pid column
 ``store/oid_parent``    dense OID→parent column (``-1`` at the root;
-                        every other parent lies below its child)
+                        pre-order: every node lies in its parent's
+                        contiguous subtree run)
 ``store/oid_rank``      dense OID→rank column
 ``strings/*``           pid list, run lengths, OID column, packed values
-``lca/*``               Euler tour, depths, first/last position per OID
 ``ft/*``                term dictionary, run lengths, pid/oid columns
 ``vx/*``                typed value index: pid list, run lengths, OID
                         column, packed values (only when declared)
 ======================  ==================================================
 
-Integer sections hold ``meta["item_width"]`` (4) bytes per item, the
-``lca/*`` ones ``meta["lca_item_width"]`` (4).  A bundle without the
-first field is read at 8 bytes per item outside ``lca/*``; one without
-the second at 8 inside it, and it also holds a stored range-minimum
-table.  Older bundles' ``edges/*``, ``ranks/*`` and ``lca/table|log|
-table_lens`` sections are never read: there is one read path.
+Integer sections hold ``meta["item_width"]`` (4) bytes per item; a
+bundle without the field is read at 8.  Older bundles' ``edges/*``,
+``ranks/*`` and ``lca/*`` sections, and the meta fields that sized
+the latter, are never read: there is one read path.
 
 :func:`read_snapshot` returns a :class:`Snapshot` whose store has the
 per-store generation-keyed caches **pre-seeded**
@@ -55,8 +54,8 @@ import numpy as np
 from ..core.lca_index import (
     LcaIndex,
     carry_lca_index,
-    get_lca_index,
     seed_lca_index,
+    tree_depths,
 )
 from ..datamodel.errors import StorageError
 from ..fulltext.index import (
@@ -134,16 +133,18 @@ def _check_dense_columns(
     root_index: int,
     first_oid: int,
     path_count: int,
-) -> None:
-    """Refuse dense columns that would send a gather astray.
+) -> np.ndarray:
+    """Refuse dense columns that would send a gather astray; returns
+    the store's depth column (:func:`~repro.core.lca_index.tree_depths`).
 
     The ``edges``/``ranks`` families are gathers through these columns
     (:class:`~repro.monet.relations.DenseRegrouping`), so every pid must
     name a path, the root's parent must be ``-1`` and every other parent
-    an earlier OID of the store — pre-order, which also makes the root
-    the first OID.
-    The writer runs the same check, so it never writes a bundle the
-    reader would refuse.
+    an earlier OID of the store, which also makes the root the first
+    OID.  The LCA index answers by pre-order range minimums, so the
+    store must be in pre-order too: every node lies in its parent's
+    contiguous subtree run.  The writer runs the same check, so it
+    never writes a bundle the reader would refuse.
     """
     _refuse(*(
         (section, len(column) == node_count,
@@ -165,6 +166,24 @@ def _check_dense_columns(
         ("store/oid_parent", below.all(),
          "a parent outside the store's span or not below its child"),
     )
+    parent_slots = parents.astype(np.int64) - first_oid
+    depths = tree_depths(parent_slots, root_index)
+    # In pre-order a node is at most one deeper than the node before
+    # it, and it comes before the next node as shallow as its parent
+    # (so no shallower node parts it from its parent either).
+    level = depths if depths.max() >= 1 << 15 else depths.astype(np.int16)
+    by_depth = np.argsort(level, kind="stable")
+    following = np.full(node_count, node_count)
+    same = level[by_depth[1:]] == level[by_depth[:-1]]
+    following[by_depth[:-1][same]] = by_depth[1:][same]
+    slots = np.arange(1, node_count)
+    _refuse((
+        "store/oid_parent",
+        (depths[1:] <= depths[:-1] + 1).all()
+        and (slots < following[parent_slots[1:]]).all(),
+        "a node outside its parent's subtree run (not pre-order)",
+    ))
+    return depths
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +206,7 @@ def carry_indexes(
     references back to it that it owns, so it is freed as soon as its
     last holder drops it rather than at the next full collection.
     """
-    carry_lca_index(store, compacted, renumbered)
+    carry_lca_index(store, compacted)
     carry_fulltext_indexes(store, compacted, renumbered)
     carry_value_index(store, compacted, renumbered)
     store.derived.clear()
@@ -204,8 +223,8 @@ def write_snapshot(
 ) -> int:
     """Write the bundle for ``store`` to ``path``; returns byte count.
 
-    The LCA and full-text indexes are obtained through their
-    generation-keyed caches (building them here if the store is cold),
+    The full-text index is obtained through its generation-keyed cache
+    (building it here if the store is cold),
     so snapshotting a warm server costs only serialization.
     ``case_sensitive`` selects which full-text variant is bundled.
     A non-empty ``value_indexes`` declaration list additionally bundles
@@ -218,7 +237,6 @@ def write_snapshot(
             "a snapshot (bundles are dense pre-order)"
         )
     summary = store.summary
-    lca = get_lca_index(store)
     fulltext = get_fulltext_index(store, case_sensitive)
 
     writer = (
@@ -241,9 +259,7 @@ def write_snapshot(
         "root_oid": store.root_oid,
         "first_oid": store.first_oid,
         "path_count": len(summary) - 1,
-        "tour_length": lca.tour_length,
         "item_width": _ITEM_WIDTH,
-        "lca_item_width": _ITEM_WIDTH,
         "case_sensitive": case_sensitive,
         "indexed_associations": fulltext.indexed_associations,
         "vocabulary_size": fulltext.vocabulary_size,
@@ -303,9 +319,6 @@ def write_snapshot(
     add_column("strings/lens", strings.lengths())
     add_column("strings/oids", strings.heads)
     writer.add_strings("strings/values", strings.tails)
-
-    for name, column in lca.columns().items():
-        add_column(f"lca/{name}", column)
 
     writer.add_strings("ft/terms", terms)
     add_column("ft/lens", term_lengths)
@@ -411,7 +424,9 @@ def _rebuild_summary(reader: SnapshotReader, width: int) -> PathSummary:
         raise StorageError(f"corrupt path summary: {exc}") from exc
 
 
-def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
+def _rebuild_store(
+    reader: SnapshotReader, meta: Dict[str, object]
+) -> Tuple[MonetXML, LcaIndex]:
     width = _item_width(meta)
     summary = _rebuild_summary(reader, width)
     try:
@@ -424,7 +439,7 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
     path_count = len(summary) - 1
     root_index = root_oid - first_oid
     columns = tuple(reader.array(section, width) for section in _STORE_SECTIONS)
-    _check_dense_columns(
+    depths = _check_dense_columns(
         columns, node_count, root_index, first_oid, path_count
     )
     strings = _stored_runs(
@@ -436,7 +451,7 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
         path_count,
     )
     oid_pid, oid_parent, oid_rank = columns
-    return MonetXML(
+    store = MonetXML(
         summary=summary,
         root_oid=root_oid,
         first_oid=first_oid,
@@ -445,6 +460,7 @@ def _rebuild_store(reader: SnapshotReader, meta: Dict[str, object]) -> MonetXML:
         oid_rank=oid_rank,
         strings=strings,
     )
+    return store, LcaIndex.from_depths(store, depths)
 
 
 def _restore_registry(store: MonetXML, meta: Dict[str, object]) -> None:
@@ -467,42 +483,6 @@ def _restore_registry(store: MonetXML, meta: Dict[str, object]) -> None:
             )
         registry[str(name)] = (span[0], span[1])
     store.documents = registry
-
-
-def _rebuild_lca_index(
-    reader: SnapshotReader, store: MonetXML, meta: Dict[str, object]
-) -> LcaIndex:
-    """Bind the four ``lca/*`` columns as the store's index.
-
-    Every later pass gathers through these columns unchecked, so what
-    would send a gather outside its column is refused here, by section.
-    """
-    width = _item_width(meta, "lca_item_width")
-    columns = {
-        name: reader.array(f"lca/{name}", width)
-        for name in ("tour", "depth", "first", "last")
-    }
-    tour, depth, first, last = columns.values()
-    count, length, base = store.node_count, len(tour), store.first_oid
-    _refuse(
-        ("lca/tour", length == _meta_int(meta, "tour_length", length) > 0,
-         "a tour of another length than the meta section's"),
-        ("lca/depth", len(depth) == length, "not one depth per tour step"),
-        ("lca/first", len(first) == count, "not one position per node"),
-        ("lca/last", len(last) == count, "not one position per node"),
-    )
-    tour, depth, first, last = map(np.asarray, columns.values())
-    _refuse(
-        ("lca/tour", ((tour >= base) & (tour < base + count)).all(),
-         "an OID outside the store's span"),
-        ("lca/depth", (np.abs(np.diff(depth)) == 1).all(),
-         "a step between neighbours that is not 1"),
-        ("lca/first", ((first >= 0) & (first <= last)).all(),
-         "a position below 0 or above its 'lca/last'"),
-        ("lca/last", (last < length).all(),
-         "a position past the end of the tour"),
-    )
-    return LcaIndex.from_arrays(store, **columns)
 
 
 def _rebuild_fulltext_index(
@@ -560,11 +540,9 @@ def item_widths(reader: SnapshotReader) -> Dict[str, int]:
     module docstring's layout table as code: the container does not
     type its payloads; string tables and JSON have no entry)."""
     meta = reader.json("meta")
-    fields = meta if isinstance(meta, dict) else {}
-    width = fields.get("item_width", 8)
-    lca_width = fields.get("lca_item_width", 8)
+    width = meta.get("item_width", 8) if isinstance(meta, dict) else 8
     return {
-        name: lca_width if name.startswith("lca/") else width
+        name: width
         for name in reader.section_names()
         if "/" in name
         and not name.startswith("delta/")
@@ -605,9 +583,8 @@ def read_snapshot(
     meta = reader.json("meta")
     if not isinstance(meta, dict):
         raise StorageError("snapshot meta section is not a JSON object")
-    store = _rebuild_store(reader, meta)
+    store, lca = _rebuild_store(reader, meta)
     _restore_registry(store, meta)
-    lca = _rebuild_lca_index(reader, store, meta)
     fulltext = _rebuild_fulltext_index(reader, store, meta)
     value_index = _rebuild_value_index(reader, store, meta)
     seed_lca_index(store, lca)

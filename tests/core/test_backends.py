@@ -67,7 +67,7 @@ def _meet_tagged_sets(vector, tagged):
         by_oid.setdefault(oid, set()).add((token, oid))
     if not by_oid:
         return []
-    order, _, parent_index = vector.kernels.auxiliary_tree(
+    order, _, parent_index, _ = vector.kernels.auxiliary_tree(
         np.fromiter(by_oid, dtype=np.int64)
     )
     order, parent_index = order.tolist(), parent_index.tolist()

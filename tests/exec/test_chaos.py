@@ -194,3 +194,67 @@ def test_chaos_without_backup_never_wrong_never_hangs(fabric):
         for proxy in proxies:
             proxy.stop()
         worker.shutdown()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: signal 0 probes existence
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def test_managed_worker_exits_with_its_killed_spawner(tmp_path):
+    """SIGKILL the process that spawned a ``repro shard-worker``: the
+    worker reads EOF on the stdin pipe its spawner held and exits."""
+    import selectors
+    import signal
+    import subprocess
+    import sys
+
+    import repro
+    from repro.datasets import figure1_document
+
+    bundle = tmp_path / "figure1.snap"
+    write_snapshot(monet_transform(figure1_document()), bundle)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    script = (
+        "import time\n"
+        "from repro.exec.remote import spawn_worker_process\n"
+        f"worker = spawn_worker_process({str(bundle)!r})\n"
+        "print(worker.pid, flush=True)\n"
+        "time.sleep(120)\n"
+    )
+    spawner = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    worker = None
+    try:
+        with selectors.DefaultSelector() as selector:
+            selector.register(spawner.stdout, selectors.EVENT_READ)
+            assert selector.select(timeout=60), "spawner never reported"
+        worker = int(spawner.stdout.readline())
+        assert _running(worker)
+        spawner.kill()
+        spawner.wait(timeout=10)
+        deadline = time.monotonic() + 15
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(worker), "the worker outlived its spawner"
+    finally:
+        if spawner.poll() is None:
+            spawner.kill()
+            spawner.wait(timeout=10)
+        spawner.stdout.close()
+        if worker is not None and _running(worker):
+            os.kill(worker, signal.SIGKILL)

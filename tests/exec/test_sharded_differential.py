@@ -211,3 +211,66 @@ def test_scan_fallback_matches_monolithic(stores):
     assert [oid for oid, _ in sharded.term_hit_rows("Hac")] == sorted(
         engine.term_hits("Hac").oids()
     )
+
+
+# ---------------------------------------------------------------------------
+# Stores holding tombstones: a deleted document stays inside its range
+# ---------------------------------------------------------------------------
+
+FRAGMENT = (
+    "<inproceedings key='{key}'><author>Ann Byte</author>"
+    "<title>ICDE sharding {key}</title><year>1999</year></inproceedings>"
+)
+
+
+@pytest.mark.parametrize("backend", ["steered", "vector"])
+def test_store_with_a_deleted_put_shards_like_monolithic(backend):
+    from repro.monet.mutate import delete_document, put_document
+
+    build, queries, texts = DATASETS["dblp"]
+    store = monet_transform(build())
+    put_document(store, "a", FRAGMENT.format(key="a"))
+    put_document(store, "b", FRAGMENT.format(key="b"))
+    delete_document(store, "a")
+    plan = compute_shard_plan(store, 2)
+    assert plan.shard_count == 2
+    assert plan.ends[-1] == store.last_oid + 1
+    engine = NearestConceptEngine(store, backend=backend)
+    processor = QueryProcessor(store, backend=backend)
+    sharded = _sharded(store, backend, 2)
+    for terms in [*queries, ("Byte", "sharding")]:
+        for options in NEAREST_OPTIONS:
+            assert sharded.nearest_concepts(*terms, **options) == (
+                engine.nearest_concepts(*terms, **options)
+            ), (terms, options)
+    for text in texts:
+        assert sharded.execute(text).rows == processor.execute(text).rows
+
+
+def test_collection_with_a_pending_first_delete_opens_sharded(tmp_path):
+    import json
+
+    import repro
+    from repro.datamodel.serializer import serialize
+    from repro.snapshot import Catalog
+
+    build, queries, texts = DATASETS["dblp"]
+    source = tmp_path / "dblp.xml"
+    source.write_text(serialize(build()), encoding="utf-8")
+    catalog = tmp_path / "catalog"
+    Catalog(catalog).ingest("dblp", source)
+    with repro.open(snapshot="dblp", catalog=catalog) as writer:
+        writer.delete(sorted(writer.documents())[0])
+    with repro.open(snapshot="dblp", catalog=catalog) as monolithic, repro.open(
+        snapshot="dblp", catalog=catalog, shards=2
+    ) as sharded:
+        assert sharded.store.dead_count > 0
+        assert sharded.sharded.plan.shard_count == 2
+        for terms in queries:
+            expected = monolithic.nearest(*terms, limit=5).to_dict()["answers"]
+            got = sharded.nearest(*terms, limit=5).to_dict()["answers"]
+            assert json.dumps(got) == json.dumps(expected)
+        for text in texts:
+            assert json.dumps(sharded.query(text).to_dict()["rows"]) == (
+                json.dumps(monolithic.query(text).to_dict()["rows"])
+            )

@@ -47,20 +47,20 @@ class TestSnapshotCommands:
         lines = [line.split() for line in capsys.readouterr().out.splitlines()]
         groups = next(line for line in lines if line[0] == "sections:")
         assert [cell.split("=")[0] for cell in groups[1:]] == [
-            "core", "lca", "fulltext"
+            "core", "fulltext"
         ]
         listed = {line[0]: line[1:] for line in lines if "/" in line[0]}
-        tour = 4 * (2 * 19 - 1)
-        assert listed["lca/tour"] == [str(tour), "int32"]
-        assert listed["lca/first"] == [str(4 * 19), "int32"]
+        assert not any(name.startswith("lca/") for name in listed)
         assert listed["store/oid_pid"] == [str(4 * 19), "int32"]
         assert not any(name.startswith(("edges/", "ranks/")) for name in listed)
         assert {
             cells[1] for name, cells in listed.items() if len(cells) == 2
         } == {"int32"}
         assert len(listed["summary/labels"]) == 1  # a string table: bytes only
-        lca = sum(int(cells[0]) for name, cells in listed.items() if name.startswith("lca/"))
-        assert f"lca={lca}" in groups
+        fulltext = sum(
+            int(cells[0]) for name, cells in listed.items() if name.startswith("ft/")
+        )
+        assert f"fulltext={fulltext}" in groups
 
     def test_ls_empty(self, tmp_path, capsys):
         catalog = tmp_path / "empty-cat"

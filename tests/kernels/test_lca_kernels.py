@@ -87,12 +87,14 @@ class TestLcaMany:
         high = low + store.node_count - 1
         oids = [rng.randint(low, high) for _ in range(rng.randint(1, 25))]
         batch = LcaKernels(LcaIndex(store))
-        order, _firsts, parent_index = batch.auxiliary_tree(
+        order, slots, parent_index, positions = batch.auxiliary_tree(
             np.asarray(oids, dtype=np.int64)
         )
         expected_order, expected_parents = _stack_walk(store, oids)
         assert order.tolist() == expected_order
+        assert (slots + store.first_oid).tolist() == expected_order
         assert parent_index.tolist() == expected_parents
+        assert order[positions].tolist() == oids
 
     def test_unknown_oids_raise(self):
         store = monet_transform(random_document(3, nodes=50, max_children=3))

@@ -81,3 +81,34 @@ class TestObjectText:
     def test_object_text_of_empty(self, figure1_store):
         # firstname's only text is its cdata child
         assert object_text(figure1_store, O["firstname"]) == "Ben"
+
+
+def test_first_snippet_reads_only_its_subtree():
+    """On the 84k-node benchmark store the first snippet and ``to_xml``
+    read the subtree's OID run: traced memory does not grow by a
+    children adjacency over every node (8.8 MiB when one was built)."""
+    import gc
+    import tracemalloc
+
+    from repro.core.engine import NearestConceptEngine
+    from repro.datasets.randomtree import random_document
+    from repro.monet.transform import monet_transform
+
+    store = monet_transform(random_document(42, nodes=60000))
+    assert store.node_count > 84000
+    engine = NearestConceptEngine(store, backend="vector")
+    concepts = engine.nearest_concepts("caption", "chroma")[:5]
+    assert concepts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        snippets = [engine.snippet(concept) for concept in concepts]
+        xml = engine.to_xml(concepts[0])
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 2**20, grown
+    assert all(snippets)
+    for word in snippets[0].rstrip("…").split()[:-1]:
+        assert word in xml

@@ -92,8 +92,8 @@ RMQ_LENGTHS = (1, 2, 15, 16, 17, 31, 32, 33, 47, 48, 64, 65)
 
 @st.composite
 def depth_walks(draw, min_steps: int = 0, max_steps: int = 400):
-    """A ±1 walk from 1, shaped like the depth column of an Euler tour
-    (but free to dip below the root: the range minimum never cares).
+    """A ±1 walk from 1, shaped like a depth column (but free to dip
+    below the root: the range minimum never cares).
 
     The walk reverses with a drawn probability; a high one makes a
     zigzag whose many equal minima are what tests the tie-breaks.
@@ -131,21 +131,21 @@ def walk_ranges(draw, size: int, max_ranges: int = 40) -> List[Tuple[int, int]]:
 
 
 def walk_index(walk: List[int]):
-    """An :class:`LcaIndex` over a bare depth column: a one-node "tree"
-    whose tour stays on the root.  The range minimum reads nothing but
+    """An :class:`LcaIndex` over a bare depth column (a store stand-in
+    with a zero parent column).  The range minimum reads nothing but
     the depths."""
     from array import array
     from types import SimpleNamespace
 
+    import numpy as np
+
     from repro.core.lca_index import LcaIndex
 
-    return LcaIndex.from_arrays(
-        SimpleNamespace(first_oid=0, generation=0),
-        tour=array("i", bytes(4 * len(walk))),
-        depth=array("i", walk),
-        first=array("i", [0]),
-        last=array("i", [len(walk) - 1]),
+    parents = array("i", bytes(4 * len(walk)))
+    store = SimpleNamespace(
+        first_oid=0, generation=0, dense_columns=lambda: (None, parents, None)
     )
+    return LcaIndex.from_depths(store, np.asarray(walk, dtype=np.int32))
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Property tests: the Euler-RMQ index against every independent
+"""Property tests: the pre-order RMQ index against every independent
 oracle, on random trees.
 
 Invariants:
@@ -144,17 +144,14 @@ def assert_agrees_with_fresh_build(store, rng, samples=12):
     a, b = np.asarray(left), np.asarray(right)
     for got, expected in zip(vector.lca_many(a, b), oracle.lca_many(a, b)):
         assert got.tolist() == expected.tolist()
-    order, _, parents = vector.auxiliary_tree(a)
-    expected_order, _, expected_parents = oracle.auxiliary_tree(a)
-    assert order.tolist() == expected_order.tolist()
-    assert parents.tolist() == expected_parents.tolist()
-    slots = np.asarray(live) - vector.base
-    columns = cached.columns()
-    assert vector.first[slots].tolist() == [columns["first"][s] for s in slots]
-    assert vector.last[slots].tolist() == [columns["last"][s] for s in slots]
+    for got, expected in zip(vector.auxiliary_tree(a), oracle.auxiliary_tree(a)):
+        assert got.tolist() == expected.tolist()
+    assert np.array_equal(cached.depths, fresh.depths)
+    assert np.array_equal(vector.near, oracle.near)
+    assert np.array_equal(vector.far, oracle.far)
     for oid in dead:
         with pytest.raises(UnknownOIDError):
-            vector.first_positions(np.asarray([oid]))
+            vector.slots(np.asarray([oid]))
         with pytest.raises(UnknownOIDError):
             vector.auxiliary_tree(np.asarray([oid]))
 
@@ -249,9 +246,9 @@ def test_mmapped_snapshot_index_rolls_forward(library_store, tmp_path):
     store = read_snapshot(path, use_mmap=True).store
     rng = random.Random(3)
     index = get_lca_index(store)
-    for column in index.columns().values():  # int32 views over the mapping
+    for column in store.dense_columns():  # int32 views over the mapping
         assert isinstance(column, memoryview) and column.format == "i"
-    get_kernels(index)  # views over the mmap
+    get_kernels(index)  # a parent view over the mmap
     delete_document(store, "seed-0000")
     assert_agrees_with_fresh_build(store, rng)
     put_document(store, "fresh", FRAGMENT)

@@ -1,12 +1,14 @@
-"""The ``lca/*`` sections: four O(n) ``int32`` columns, nothing derived.
+"""The ``lca/*`` sections are gone: the LCA index is derived on load.
 
-* size budget — the sections stay within 24 bytes per node and the
-  stored range-minimum table (``lca/table``, ``lca/log``) is gone;
-* a bundle in the previous layout (int64 columns, the stored table and
-  its meta field, no ``lca_item_width``) opens through the same read
-  path and answers byte for byte like a fresh build;
-* CRC-valid sections carrying values that would send a gather outside
-  its column raise :class:`StorageError` naming the section.
+* layout — a bundle holds no ``lca/*`` section and no ``tour_length``
+  or ``lca_item_width`` meta field;
+* a bundle in the layout before the depth column (``int32`` ``lca/*``
+  plus both meta fields) and one in the layout before that (``int64``
+  columns, the stored range-minimum table and its meta field, no
+  ``lca_item_width``) open through the same read path and answer byte
+  for byte like a fresh build, with zero index builds;
+* those sections are never read, so CRC-valid ones carrying values
+  that would have sent a gather outside its column change nothing.
 """
 
 import json
@@ -15,7 +17,6 @@ import pytest
 
 import repro
 from repro.core.lca_index import get_lca_index, lca_index_cache_info
-from repro.datamodel.errors import StorageError
 from repro.datamodel.serializer import serialize
 from repro.datasets.dblp import dblp_document
 from repro.datasets.randomtree import random_document
@@ -30,10 +31,11 @@ LCA_SECTIONS = ["lca/tour", "lca/depth", "lca/first", "lca/last"]
 def rewritten(path, *, columns=(), raw=(), meta=(), width=4, extra=()):
     """Re-emit the bundle at ``path`` with some sections replaced.
 
-    ``columns`` maps a section to the integers it should hold (written
-    ``width`` bytes wide), ``raw`` to literal bytes, ``meta`` patches
-    the meta object (``None`` drops a key), ``extra`` adds int64
-    sections.  Everything else is copied; every checksum is valid.
+    ``columns`` maps a section to the integers it should hold and
+    ``extra`` adds sections (both written ``width`` bytes wide), ``raw``
+    maps a section to literal bytes, ``meta`` patches the meta object
+    (``None`` drops a key).  Everything else is copied; every checksum
+    is valid.
     """
     reader = SnapshotReader.open(path)
     columns, raw = dict(columns), dict(raw)
@@ -52,48 +54,55 @@ def rewritten(path, *, columns=(), raw=(), meta=(), width=4, extra=()):
         else:
             writer.add_bytes(name, raw.get(name, bytes(reader.raw(name))))
     for name, values in dict(extra).items():
-        writer.add_array(name, values)
+        writer.add_array(name, values, width)
     writer.write(path)
     return path
 
 
-def lca_columns(path):
-    reader = SnapshotReader.open(path)
-    return {name: reader.array(name, 4).tolist() for name in LCA_SECTIONS}
+def tour_columns(store):
+    """The Euler tour of ``store`` as the removed writer stored it:
+    the tour, its depths and the first/last tour position per OID."""
+    base = store.first_oid
+    _, parents, ranks = store.dense_columns()
+    children = {}
+    for oid, parent in enumerate(parents, base):
+        if parent >= 0:
+            children.setdefault(parent, []).append(oid)
+    tour, depth = [], []
+    first, last = [-1] * store.node_count, [-1] * store.node_count
+    stack = [(store.root_oid, 1, 0)]
+    while stack:
+        oid, level, cursor = stack.pop()
+        if cursor == 0:
+            first[oid - base] = len(tour)
+        last[oid - base] = len(tour)
+        tour.append(oid)
+        depth.append(level)
+        below = sorted(children.get(oid, ()), key=lambda o: ranks[o - base])
+        if cursor < len(below):
+            stack.append((oid, level, cursor + 1))
+            stack.append((below[cursor], level + 1, 0))
+    return dict(zip(LCA_SECTIONS, (tour, depth, first, last)))
 
 
-@pytest.mark.parametrize(
-    "document",
-    [
-        pytest.param(lambda: random_document(42, nodes=3000), id="random-3000"),
-        pytest.param(dblp_document, id="dblp"),
-    ],
-)
-def test_lca_sections_fit_the_size_budget(tmp_path, document):
-    store = monet_transform(document())
-    path = tmp_path / "budget.snap"
-    write_snapshot(store, path)
-    reader = SnapshotReader.open(path)
-    sizes = {
-        name: size
-        for name, size in reader.section_sizes().items()
-        if name.startswith("lca/")
-    }
-    assert list(sizes) == LCA_SECTIONS
-    assert sum(sizes.values()) <= 24 * store.node_count
-    assert reader.json("meta")["lca_item_width"] == 4
+def parent_layout(path, store):
+    """Turn the bundle at ``path`` into what the writer before the depth
+    column wrote: ``int32`` ``lca/*`` sections, ``tour_length`` and
+    ``lca_item_width`` in meta."""
+    columns = tour_columns(store)
+    return rewritten(
+        path,
+        meta={"tour_length": len(columns["lca/tour"]), "lca_item_width": 4},
+        extra=columns,
+    )
 
 
-# ---------------------------------------------------------------------------
-# The previous layout keeps opening
-# ---------------------------------------------------------------------------
-
-def previous_layout(path):
-    """Turn the bundle at ``path`` into what the previous writer wrote:
-    int64 ``lca/*`` columns plus ``lca/log``, ``lca/table_lens`` and the
-    full sparse table in ``lca/table``, ``table_row_count`` in meta and
-    no ``lca_item_width``."""
-    columns = lca_columns(path)
+def previous_layout(path, store):
+    """Turn the bundle at ``path`` into what the writer before that
+    wrote: int64 ``lca/*`` columns plus ``lca/log``, ``lca/table_lens``
+    and the full sparse table in ``lca/table``, ``table_row_count`` in
+    meta and no ``lca_item_width``."""
+    columns = tour_columns(store)
     depth = columns["lca/depth"]
     log = [0, 0]
     for length in range(2, len(depth) + 1):
@@ -108,10 +117,10 @@ def previous_layout(path):
         span *= 2
     return rewritten(
         path,
-        columns=columns,
         width=8,
-        meta={"lca_item_width": None, "table_row_count": len(rows)},
+        meta={"tour_length": len(depth), "table_row_count": len(rows)},
         extra={
+            **columns,
             "lca/log": log,
             "lca/table_lens": [len(row) for row in rows],
             "lca/table": [cell for row in rows for cell in row],
@@ -119,20 +128,33 @@ def previous_layout(path):
     )
 
 
-def test_previous_layout_answers_like_a_fresh_build(tmp_path):
-    source = tmp_path / "doc.xml"
-    source.write_text(
-        serialize(random_document(7, nodes=600)), encoding="utf-8"
-    )
-    fresh = repro.Database.open(source, backend="vector", cache=None)
-    bundle = tmp_path / "doc.snap"
-    write_snapshot(fresh.store, bundle)
-    previous_layout(bundle)
-    reader = SnapshotReader.open(bundle)
-    assert {"lca/table", "lca/log", "lca/table_lens"} <= set(reader.section_names())
-    assert len(reader.raw("lca/tour")) == 8 * (2 * fresh.store.node_count - 1)
+@pytest.mark.parametrize(
+    "document",
+    [
+        pytest.param(lambda: random_document(42, nodes=3000), id="random-3000"),
+        pytest.param(dblp_document, id="dblp"),
+    ],
+)
+def test_lca_sections_fit_the_size_budget(tmp_path, document):
+    """The budget is zero bytes: the index is derived on load."""
+    store = monet_transform(document())
+    path = tmp_path / "budget.snap"
+    write_snapshot(store, path)
+    reader = SnapshotReader.open(path)
+    assert not [name for name in reader.section_names() if name.startswith("lca/")]
+    assert not {"tour_length", "lca_item_width"} & set(reader.json("meta"))
+    loaded = read_snapshot(path)
+    assert loaded.lca_index.depths.tolist() == [
+        store.depth_of(oid) for oid in store.iter_oids()
+    ]
 
-    builds = lca_index_cache_info().builds  # the fresh store's, above
+
+# ---------------------------------------------------------------------------
+# Earlier layouts keep opening
+# ---------------------------------------------------------------------------
+
+def assert_answers_like_a_fresh_build(fresh, bundle):
+    builds = lca_index_cache_info().builds  # the fresh store's, if any
     loaded = repro.Database.open(bundle, backend="vector", cache=None)
     nouns = sorted(TECH_NOUNS)
     answered = 0
@@ -152,24 +174,57 @@ def test_previous_layout_answers_like_a_fresh_build(tmp_path):
     assert lca_index_cache_info().builds == builds
 
 
+@pytest.fixture()
+def fresh_bundle(tmp_path):
+    source = tmp_path / "doc.xml"
+    source.write_text(
+        serialize(random_document(7, nodes=600)), encoding="utf-8"
+    )
+    fresh = repro.Database.open(source, backend="vector", cache=None)
+    get_lca_index(fresh.store)  # the fresh store's one index build
+    bundle = tmp_path / "doc.snap"
+    write_snapshot(fresh.store, bundle)
+    return fresh, bundle
+
+
+def test_parent_layout_answers_like_a_fresh_build(fresh_bundle):
+    fresh, bundle = fresh_bundle
+    parent_layout(bundle, fresh.store)
+    reader = SnapshotReader.open(bundle)
+    assert set(LCA_SECTIONS) <= set(reader.section_names())
+    assert len(reader.raw("lca/tour")) == 4 * (2 * fresh.store.node_count - 1)
+    assert reader.json("meta")["lca_item_width"] == 4
+    assert_answers_like_a_fresh_build(fresh, bundle)
+
+
+def test_previous_layout_answers_like_a_fresh_build(fresh_bundle):
+    fresh, bundle = fresh_bundle
+    previous_layout(bundle, fresh.store)
+    reader = SnapshotReader.open(bundle)
+    assert {"lca/table", "lca/log", "lca/table_lens"} <= set(reader.section_names())
+    assert len(reader.raw("lca/tour")) == 8 * (2 * fresh.store.node_count - 1)
+    assert "lca_item_width" not in reader.json("meta")
+    assert_answers_like_a_fresh_build(fresh, bundle)
+
+
 # ---------------------------------------------------------------------------
-# Malformed sections
+# Malformed sections of the parent layout are never read
 # ---------------------------------------------------------------------------
 
 @pytest.fixture()
 def bundle(tmp_path, figure1_store):
     path = tmp_path / "figure1.snap"
     write_snapshot(figure1_store, path)
-    return path
+    return parent_layout(path, figure1_store)
 
 
 def _edit(section, mutate):
     def tamper(path, store):
-        columns = lca_columns(path)
+        columns = tour_columns(store)
         mutate(columns, store)
         return {"columns": {section: columns[section]}}
 
-    return section, tamper
+    return tamper
 
 
 def _set(section, slot, value):
@@ -205,27 +260,24 @@ MALFORMED = {
     "first one item long": _edit(
         "lca/first", lambda columns, store: columns["lca/first"].append(0)
     ),
-    "ragged byte length": (
-        "lca/last",
-        lambda path, store: {"raw": {"lca/last": b"\0" * 6}},
-    ),
+    "ragged byte length": lambda path, store: {"raw": {"lca/last": b"\0" * 6}},
     "int32 columns declared int64": (
-        "int64 column",
-        lambda path, store: {"meta": {"lca_item_width": 8}},
+        lambda path, store: {"meta": {"lca_item_width": 8}}
     ),
-    "unknown item width": (
-        "lca_item_width",
-        lambda path, store: {"meta": {"lca_item_width": 2}},
-    ),
+    "unknown item width": lambda path, store: {"meta": {"lca_item_width": 2}},
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
-def test_malformed_lca_section_is_a_storage_error(
-    bundle, figure1_store, case
-):
-    named, tamper = MALFORMED[case]
-    rewritten(bundle, **tamper(bundle, figure1_store))
+def test_malformed_lca_section_is_ignored(bundle, figure1_store, case):
+    expected = read_snapshot(bundle)
+    rewritten(bundle, **MALFORMED[case](bundle, figure1_store))
     SnapshotReader.open(bundle)  # framing and checksums are sound
-    with pytest.raises(StorageError, match=named):
-        read_snapshot(bundle)
+    loaded = read_snapshot(bundle)
+    assert loaded.lca_index.depths.tolist() == expected.lca_index.depths.tolist()
+    oids = list(figure1_store.iter_oids())
+    for oid1 in oids:
+        for oid2 in oids[::3]:
+            assert loaded.lca_index.lca_with_distance(
+                oid1, oid2
+            ) == expected.lca_index.lca_with_distance(oid1, oid2)

@@ -112,7 +112,7 @@ class TestIndexRoundTrip:
         snapshot = read_snapshot(bundle)
         fresh = get_lca_index(figure1_store)
         loaded = snapshot.lca_index
-        assert loaded.tour_length == fresh.tour_length
+        assert loaded.depths.tolist() == fresh.depths.tolist()
         oids = list(figure1_store.iter_oids())
         for oid1 in oids:
             for oid2 in oids[::3]:
@@ -231,7 +231,7 @@ class TestBundleErrors:
 
         reader = SnapshotReader.open(bundle)
         meta = reader.json("meta")
-        meta["tour_length"] = None
+        meta["indexed_associations"] = None
         writer = SnapshotWriter()
         writer.add_json("meta", meta)
         for name in reader.section_names():

@@ -10,8 +10,9 @@
 * a bundle in the previous layout (int64 columns, stored ``edges/*``
   and ``ranks/*``) opens through the same read path, answers byte for
   byte like a fresh build with zero index builds, and takes writes;
-* CRC-valid dense columns that would send a gather astray raise
-  :class:`StorageError` naming the section.
+* CRC-valid dense columns that would send a gather astray, or whose
+  parents are not in pre-order, raise :class:`StorageError` naming the
+  section.
 """
 
 import json
@@ -19,7 +20,7 @@ import json
 import pytest
 
 import repro
-from repro.core.lca_index import lca_index_cache_info
+from repro.core.lca_index import get_lca_index, lca_index_cache_info
 from repro.datamodel.errors import StorageError
 from repro.datamodel.serializer import serialize
 from repro.datasets import (
@@ -184,6 +185,7 @@ def test_previous_layout_answers_like_a_fresh_build(tmp_path):
     source = tmp_path / "doc.xml"
     source.write_text(serialize(random_document(7, nodes=600)), encoding="utf-8")
     fresh = repro.Database.open(source, backend="vector", cache=None)
+    get_lca_index(fresh.store)  # the fresh store's build, before counting
     bundle = tmp_path / "doc.snap"
     write_snapshot(fresh.store, bundle, value_indexes=["#"])
     previous_layout(bundle, fresh.store)
@@ -279,6 +281,17 @@ MALFORMED = {
         "store/oid_parent", 3, lambda store: store.first_oid + 5
     ),
     "own parent": _set("store/oid_parent", 3, lambda store: store.first_oid + 3),
+    # Parents below their children, but not in pre-order: the LCA
+    # index's range minimums would answer wrong meets.
+    "child under a closed subtree": _set(
+        "store/oid_parent", 8, lambda store: store.first_oid + 4
+    ),
+    "head under the previous run's leaf": _set(
+        "store/oid_parent", 12, lambda store: store.first_oid + 9
+    ),
+    "two levels below its predecessor": _set(
+        "store/oid_parent", 18, lambda store: store.first_oid + 16
+    ),
     "root with a parent": _set(
         "store/oid_parent", 0, lambda store: store.first_oid
     ),
@@ -309,6 +322,13 @@ def test_malformed_store_section_is_a_storage_error(
     rewritten(bundle, **tamper(bundle, figure1_store))
     SnapshotReader.open(bundle)  # framing and checksums are sound
     with pytest.raises(StorageError, match=named):
+        read_snapshot(bundle)
+
+
+def test_out_of_preorder_names_the_invariant(bundle, figure1_store):
+    _, tamper = MALFORMED["child under a closed subtree"]
+    rewritten(bundle, **tamper(bundle, figure1_store))
+    with pytest.raises(StorageError, match="not pre-order"):
         read_snapshot(bundle)
 
 

@@ -3,18 +3,18 @@
 Plain regressions around :func:`repro.core.lca_index.get_lca_index`'s
 roll-forward (the rolled-forward ≡ fresh-build property itself lives in
 ``tests/property/test_prop_lca_index.py``): the build counter stays put
-across write → read cycles, the maintained index serializes byte for
-byte like a rebuilt one, and the patch counters reach ``/v1/stats`` and
-``/v1/metrics``.
+across write → read cycles, the maintained depth column equals the one
+a load of a rebuilt bundle derives, and the patch counters reach
+``/v1/stats`` and ``/v1/metrics``.
 """
 
 import json
 import urllib.request
 
 from repro.api import Database, DatabaseOptions, ReproServer
-from repro.core.lca_index import get_lca_index, lca_index_cache_info
+from repro.core.lca_index import LcaIndex, get_lca_index, lca_index_cache_info
 from repro.monet.mutate import compact_store, delete_document, put_document
-from repro.snapshot import Catalog, write_snapshot
+from repro.snapshot import Catalog, read_snapshot, write_snapshot
 from repro.snapshot.format import SnapshotReader
 
 from ..obs.prom_parser import parse_prometheus_text
@@ -48,8 +48,9 @@ def test_write_read_cycles_never_rebuild(tmp_path):
 
 def test_maintained_index_serializes_like_a_rebuilt_one(tmp_path):
     """Puts only: no tombstones, so compaction keeps the store — and its
-    rolled-forward index — and the bundle's ``lca/*`` sections must equal
-    those of a store transformed from the same documents."""
+    rolled-forward index — whose depth column must equal the one a store
+    transformed from the same documents derives, in memory and on load;
+    neither bundle carries an ``lca/*`` section."""
     source, model = write_source(tmp_path, "figure1")
     db = open_live(source, backend="vector")
     store = db.store
@@ -67,27 +68,31 @@ def test_maintained_index_serializes_like_a_rebuilt_one(tmp_path):
     assert lca_index_cache_info().builds == builds
     write_snapshot(model.oracle_store(), tmp_path / "rebuilt.snap")
 
-    maintained = SnapshotReader.open(tmp_path / "maintained.snap")
-    rebuilt = SnapshotReader.open(tmp_path / "rebuilt.snap")
-    sections = [name for name in rebuilt.section_names() if name.startswith("lca/")]
-    assert sections == ["lca/tour", "lca/depth", "lca/first", "lca/last"]
-    for name in sections:
-        assert bytes(maintained.raw(name)) == bytes(rebuilt.raw(name)), name
+    expected = LcaIndex(model.oracle_store()).depths.tolist()
+    assert index.depths.tolist() == expected
+    for name in ("maintained", "rebuilt"):
+        path = tmp_path / f"{name}.snap"
+        sections = SnapshotReader.open(path).section_names()
+        assert not [section for section in sections if section.startswith("lca/")]
+        assert read_snapshot(path).lca_index.depths.tolist() == expected
 
 
 def test_put_ranks_come_from_the_registry_not_the_adjacency(tmp_path):
-    """A put must not rebuild the O(n) children index the previous write
-    cleared — with the LCA rebuild gone nothing else would warm it."""
+    """A put reads no children: the root's children span the whole
+    store, and the registry already names the live top-level documents
+    (only the first write seeds it from the root's children)."""
     source, _model = write_source(tmp_path, "dblp")
     store = open_live(source, backend="steered").store
     fragment = FRAGMENTS[0]
     put_document(store, "doc-a", fragment)
+    reads = []
+    store.children_of = lambda oid: reads.append(oid) or []
     for name in ("doc-b", "doc-c"):
         put_document(store, name, fragment)
-        assert store._children_index is None
     delete_document(store, "doc-c")
     put_document(store, "doc-d", fragment)
-    assert store._children_index is None
+    assert reads == []
+    del store.children_of
     tops = store.children_of(store.root_oid)  # rank order
     assert tops == sorted(tops), "document order must stay OID order"
     assert tops[-3:] == [store.documents[n][0] for n in ("doc-a", "doc-b", "doc-d")]
