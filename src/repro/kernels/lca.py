@@ -138,7 +138,9 @@ class LcaKernels:
         self.base = int(index.store.first_oid)
         self.depth = index.depths
         self._pids = np.empty(0, dtype=np.int32)
-        self._parents = _caught_up(self._pids, self.store.dense_columns()[1])
+        self._parents = _caught_up(
+            np.empty(0, dtype=np.int32), self.store.dense_columns()[1]
+        )
         self.near = np.empty((DENSE_LEVELS, 0), dtype=np.uint8)
         self.far = np.empty((0, 0), dtype=np.int32)
         self._refill(0, len(self.depth))

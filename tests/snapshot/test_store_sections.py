@@ -325,13 +325,6 @@ def test_malformed_store_section_is_a_storage_error(
         read_snapshot(bundle)
 
 
-def test_out_of_preorder_names_the_invariant(bundle, figure1_store):
-    _, tamper = MALFORMED["child under a closed subtree"]
-    rewritten(bundle, **tamper(bundle, figure1_store))
-    with pytest.raises(StorageError, match="not pre-order"):
-        read_snapshot(bundle)
-
-
 def test_writer_refuses_what_the_reader_would(tmp_path):
     store = monet_transform(figure1_document())
     store._oid_parent[3] = store.first_oid + 5
