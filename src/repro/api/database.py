@@ -64,7 +64,6 @@ from contextlib import contextmanager
 from pathlib import Path as FsPath
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..core.backends import SNAPSHOT_DEFAULT_BACKEND, kernel_tier
 from ..core.engine import NearestConceptEngine
 from ..core.result_cache import ResultCache, resolve_result_cache
 from ..datamodel.errors import (
@@ -88,7 +87,7 @@ from ..monet.mutate import (
     put_document,
     replace_document,
 )
-from ..obs.metrics import CallbackGauge, Counter, Gauge
+from ..obs.metrics import Counter, Gauge
 from ..query.ast import Query
 from ..query.executor import QueryProcessor, QueryResult
 from ..query.parser import parse_query
@@ -183,12 +182,10 @@ def _cache_info_dict(info) -> Optional[Dict[str, object]]:
 
 
 def _in_process(
-    store: MonetXML, plan: ShardPlan, case_sensitive: bool, backend: str
+    store: MonetXML, plan: ShardPlan, case_sensitive: bool
 ) -> SerialExecutor:
     """The in-process executor over every shard of ``plan``."""
-    services = shard_services(
-        store, plan, case_sensitive=case_sensitive, backend=backend
-    )
+    services = shard_services(store, plan, case_sensitive=case_sensitive)
     return SerialExecutor(list(services.values()))
 
 
@@ -229,12 +226,13 @@ class Database:
         self.source = source
         self.load_seconds = load_seconds
         self.sharded = sharded
+        #: ``vector`` on every open but the monolithic steered reference.
+        self.backend_name = self.options.backend or "vector"
         if sharded is not None:
             self.case_sensitive = sharded.case_sensitive
-            self.backend_name = sharded.backend_name
             self.result_cache: Optional[ResultCache] = sharded.result_cache
         else:
-            self.case_sensitive, self.backend_name = self.options.effective(
+            self.case_sensitive = self.options.effective_case_sensitive(
                 snapshot
             )
             #: One lock-guarded result cache shared by the engine and the
@@ -373,7 +371,6 @@ class Database:
         replicas: int,
         *,
         case_sensitive: bool,
-        backend: Optional[str],
     ):
         """Spawn and supervise ``replicas`` socket workers per shard.
 
@@ -395,7 +392,6 @@ class Database:
                 str(bundle),
                 shard_ids=[shard_id],
                 case_sensitive=case_sensitive,
-                backend=backend,
             )
             specs.append([ReplicaSpec(spawn=spawn) for _ in range(replicas)])
         return ClusterExecutor(specs)
@@ -420,7 +416,12 @@ class Database:
         """
         store = resolved.store
         snapshot = resolved.snapshot
-        case_sensitive, backend_name = options.effective(snapshot)
+        if options.backend == "steered":
+            raise ValueError(
+                "the steered reference answers monolithically: this "
+                "collection records a sharded layout"
+            )
+        case_sensitive = options.effective_case_sensitive(snapshot)
         recorded = plan is not None
         if plan is None:
             plan = compute_shard_plan(store, options.effective_shards)
@@ -471,18 +472,14 @@ class Database:
                     plan,
                     options.replicas,
                     case_sensitive=case_sensitive,
-                    backend=backend_name,
                 )
             else:
-                executor = _in_process(
-                    store, plan, case_sensitive, backend_name
-                )
+                executor = _in_process(store, plan, case_sensitive)
             sharded = ShardedCollection(
                 plan,
                 store,
                 executor,
                 case_sensitive=case_sensitive,
-                backend_name=backend_name,
                 generations=(store.generation,) * plan.shard_count,
                 cache=resolve_result_cache(options.cache),
                 max_rows=options.max_rows,
@@ -595,10 +592,9 @@ class Database:
     def warm_up(self) -> None:
         """Force every derived index to exist before traffic arrives.
 
-        Touching the full-text index and (on the vector backend) the
-        LCA index through their generation-keyed caches here is what
-        lets a multi-threaded server guarantee zero index rebuilds
-        once it starts answering.  A sharded database pings every
+        Touching the full-text index and the LCA index through their
+        generation-keyed caches here is what lets a multi-threaded
+        server guarantee zero index rebuilds once it starts answering.  A sharded database pings every
         shard instead — same effect on the store each process serves —
         and refuses a shard that serves another layout or case mode
         (:meth:`repro.exec.coordinator.ShardedCollection.warm_up`).
@@ -608,10 +604,9 @@ class Database:
                 self.sharded.warm_up()
                 return
             _ = self.engine.index
-            backend = self.engine.backend
-            # The vector backend additionally binds its NumPy column
-            # views here, so the first query pays no view setup.
-            _ = getattr(backend, "kernels", None)
+            # The kernels also bind their NumPy column views here, so
+            # the first query pays no view setup.
+            _ = getattr(self.engine.backend, "kernels", None)
             _ = self.processor.search.index
 
     # -- introspection --------------------------------------------------
@@ -662,21 +657,11 @@ class Database:
                 "repro_planner_plan_cache_misses",
                 "Prepared-plan cache misses (plan computed).",
             ).set_function(lambda: float(self.plan_cache_info()["misses"]))
-            tier = CallbackGauge(
-                "repro_kernel_tier_info",
-                "Active batch-kernel tier (info-style: the labelled "
-                "sample with value 1 names the tier in use).",
-                ("tier",),
-                lambda: [
-                    ({"tier": kernel_tier(self.backend_name)}, 1.0)
-                ],
-            )
             self._metric_objects = [
                 statements,
                 self._prepared_executions,
                 hits,
                 misses,
-                tier,
             ]
         return self._metric_objects
 
@@ -717,7 +702,7 @@ class Database:
             "source": self.source,
             "node_count": self.node_count,
             "backend": self.backend_name,
-            "kernel_tier": kernel_tier(self.backend_name),
+            "kernel_tier": self.backend_name,
             "case_sensitive": self.case_sensitive,
             "path_count": len(self.store.summary) - 1,
         }
@@ -748,7 +733,7 @@ class Database:
         stats: Dict[str, object] = {
             "origin": self.origin,
             "backend": self.backend_name,
-            "kernel_tier": kernel_tier(self.backend_name),
+            "kernel_tier": self.backend_name,
             "case_sensitive": self.case_sensitive,
             "generation": self.generation,
             "node_count": self.node_count,
@@ -1154,9 +1139,8 @@ class Database:
         self.sharded = ShardedCollection(
             plan,
             store,
-            _in_process(store, plan, self.case_sensitive, self.backend_name),
+            _in_process(store, plan, self.case_sensitive),
             case_sensitive=self.case_sensitive,
-            backend_name=self.backend_name,
             generations=(store.generation,) * plan.shard_count,
             cache=self.result_cache,
             max_rows=self.options.max_rows,

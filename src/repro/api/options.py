@@ -6,11 +6,14 @@ arguments through four constructors (``NearestConceptEngine``,
 every caller had to re-derive the snapshot-serving defaults by hand.
 :class:`DatabaseOptions` is the one immutable bag for all of them:
 
-* ``backend`` / ``case_sensitive`` default to ``None`` = "follow the
-  source" — an opened snapshot bundle supplies ``vector`` (its LCA
-  index is already loaded) and the bundle's case mode, anything else
-  falls back to ``steered`` and case-insensitive, exactly the CLI's
-  historical behaviour;
+* ``backend`` is ``None`` or ``"vector"`` — every open serves on the
+  NumPy kernels — or ``"steered"``, which answers monolithically on
+  the paper's walks (the reference the differential suites compare
+  against; it cannot be combined with ``shards``, ``replicas`` or
+  ``cluster``);
+* ``case_sensitive`` defaults to ``None`` = "follow the source" — an
+  opened snapshot bundle supplies its own case mode, anything else is
+  case-insensitive;
 * ``cache`` is the serving-layer result cache spec (off, a capacity,
   ``True`` for the default capacity, or a shared
   :class:`~repro.core.result_cache.ResultCache` instance);
@@ -49,7 +52,6 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional, Union
 
-from ..core.backends import BACKEND_NAMES, SNAPSHOT_DEFAULT_BACKEND
 from ..core.result_cache import CacheSpec
 
 __all__ = ["DatabaseOptions"]
@@ -70,10 +72,17 @@ class DatabaseOptions:
     cluster: Optional[tuple] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in BACKEND_NAMES:
+        if self.backend not in (None, "vector", "steered"):
             raise ValueError(
                 f"unknown backend {self.backend!r}: "
-                f"choose from {sorted(BACKEND_NAMES)}"
+                "choose 'vector' or 'steered'"
+            )
+        if self.backend == "steered" and (
+            self.shards is not None or self.replicas or self.cluster
+        ):
+            raise ValueError(
+                "the steered reference answers monolithically: it cannot "
+                "be combined with shards, replicas or cluster"
             )
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
@@ -119,19 +128,8 @@ class DatabaseOptions:
         """A copy with the given fields replaced (validation re-runs)."""
         return dataclasses.replace(self, **overrides)
 
-    def effective(self, snapshot) -> tuple:
-        """``(case_sensitive, backend)`` honouring snapshot defaults.
-
-        ``None`` means "not chosen": serving from a snapshot bundle
-        then inherits the bundle's case mode and the ``vector``
-        backend, which consumes the bundle's seeded LCA index without a
-        rebuild — keeping the warm start rebuild-free.
-        """
-        case_sensitive = self.case_sensitive
-        backend = self.backend
-        if snapshot is not None:
-            if case_sensitive is None:
-                case_sensitive = snapshot.fulltext_index.case_sensitive
-            if backend is None:
-                backend = SNAPSHOT_DEFAULT_BACKEND
-        return bool(case_sensitive), backend or "steered"
+    def effective_case_sensitive(self, snapshot) -> bool:
+        """The case mode: ``None`` follows a snapshot bundle's own."""
+        if self.case_sensitive is None and snapshot is not None:
+            return bool(snapshot.fulltext_index.case_sensitive)
+        return bool(self.case_sensitive)

@@ -4,7 +4,6 @@ Usage (also via ``python -m repro``)::
 
     repro describe  doc.xml
     repro search    doc.xml Bit 1999 --exclude-root --limit 5
-    repro search    doc.xml Bit 1999 --backend vector
     repro query     doc.xml "select meet($a,$b) from # $a, # $b \\
                              where $a contains 'Bit' and $b contains '1999'"
     repro snapshot build doc.xml docs       # binary snapshot into the catalog
@@ -28,13 +27,11 @@ including the fresh-catalog-hit preference over re-parsing) lives in :func:`repr
 CLI only names the source and renders the result; ``--stats`` reports
 which load path was taken.
 
-``--backend`` picks the meet execution strategy (``steered`` — the
-paper's per-query parent walks, the default — or ``vector`` — NumPy
-kernels over the pre-order RMQ LCA index; see
-:mod:`repro.core.backends`).  When serving from a snapshot the
-defaults follow the bundle instead: ``vector`` (its index is already
-loaded) and the bundle's case mode, so the warm start stays
-rebuild-free.
+Every command answers on the NumPy kernels over the pre-order
+range-minimum LCA index (:mod:`repro.core.backends`); the paper's
+per-query parent walks are the library's reference
+(:class:`repro.api.DatabaseOptions`), not a CLI mode.  When serving
+from a snapshot the case mode follows the bundle.
 ``--cache N`` enables the generation-keyed result cache with capacity
 N, and ``--stats`` reports timing and cache counters on stderr (see
 :mod:`repro.core.result_cache`).
@@ -60,7 +57,6 @@ from .api import (
     default_catalog_dir,
     resolve_source,
 )
-from .core.backends import BACKEND_NAMES
 from .datamodel.errors import ReproError
 from .monet.stats import collect_statistics
 from .obs import (
@@ -103,7 +99,6 @@ def _parse_cluster(groups) -> Optional[tuple]:
 def _database_options(args) -> DatabaseOptions:
     """The facade options encoded by this command's flags."""
     return DatabaseOptions(
-        backend=getattr(args, "backend", None),
         case_sensitive=getattr(args, "case_sensitive", None),
         cache=getattr(args, "cache", 0) or None,
         catalog=getattr(args, "catalog", None),
@@ -469,13 +464,12 @@ def _add_catalog_probe_options(command: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_options(command: argparse.ArgumentParser) -> None:
-    """Engine knobs whose defaults follow the source.
+    """The case mode, whose default follows the source.
 
-    Both default to ``None`` so :meth:`DatabaseOptions.effective` can
-    tell "not given" from an explicit choice: serving from a snapshot
-    bundle then inherits the bundle's case mode and the rebuild-free
-    ``vector`` backend, which consumes the index the bundle already
-    carries.
+    It defaults to ``None`` so
+    :meth:`DatabaseOptions.effective_case_sensitive` can tell "not
+    given" from an explicit choice: serving from a snapshot bundle then
+    inherits the bundle's case mode.
     """
     command.add_argument(
         "--case-sensitive",
@@ -483,13 +477,6 @@ def _add_engine_options(command: argparse.ArgumentParser) -> None:
         default=None,
         help="case-sensitive search (default: off; with --snapshot, "
         "the bundle's case mode)",
-    )
-    command.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        default=None,
-        help="meet execution strategy (default: steered; with --snapshot, "
-        "a .snap source or a shard-worker bundle, vector)",
     )
 
 
@@ -790,7 +777,6 @@ def _command_shard_worker(args) -> int:
         args.bundle,
         shard_ids=args.shard_id,
         case_sensitive=args.case_sensitive,
-        backend=args.backend,
     )
     server = ShardWorkerServer(services, host=args.host, port=args.port)
     print(

@@ -7,19 +7,13 @@
 * :mod:`~repro.core.distance` / :mod:`~repro.core.ranking` — §4
   distance measure and ranking heuristics.
 * :class:`NearestConceptEngine` — the end-to-end query pipeline.
-* :mod:`~repro.core.backends` — pluggable meet execution:
-  :class:`SteeredBackend` (the paper's walks) vs
+* :mod:`~repro.core.backends` — meet execution:
   :class:`VectorBackend` (NumPy kernels over a pre-order range-minimum
-  :class:`~repro.core.lca_index.LcaIndex`).
+  :class:`~repro.core.lca_index.LcaIndex`), which every open serves
+  on, and :class:`SteeredBackend` (the paper's walks, the reference).
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    MeetBackend,
-    SteeredBackend,
-    VectorBackend,
-    resolve_backend,
-)
+from .backends import SteeredBackend, VectorBackend, resolve_backend
 from .crossdoc import CrossMatch, distinctive_terms, find_elsewhere
 from .lca_index import LcaIndex, get_lca_index
 from .distance import (
@@ -59,11 +53,9 @@ from .restrictions import (
 from .result_cache import ResultCache, ResultCacheInfo, resolve_result_cache
 
 __all__ = [
-    "BACKEND_NAMES",
     "CrossMatch",
     "GeneralMeet",
     "LcaIndex",
-    "MeetBackend",
     "SteeredBackend",
     "VectorBackend",
     "GraphMeet",

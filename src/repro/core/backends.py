@@ -1,20 +1,13 @@
-"""Pluggable meet backends — the engine's structural-query seam.
+"""The meet backends: the served kernels and the paper's reference walks.
 
 Every operator of the paper reduces to "find the lowest common
-ancestor(s) of some hit nodes, plus distances".  This module makes
-*how* that happens a pluggable choice between two backends:
+ancestor(s) of some hit nodes, plus distances".  Two classes answer
+that, over the same store and with the same answer sets:
 
-* :class:`SteeredBackend` — the paper, verbatim: per-query
-  ``parent()`` walks steered by the ⪯ prefix order on π (Fig. 3), the
-  set-wise relational loop (Fig. 4) and the schema-driven bottom-up
-  roll-up (Fig. 5).  Zero preprocessing; the join count *is* the
-  distance, so traces stay meaningful.  This is the default and the
-  reference semantics every differential suite compares against.
-
-* :class:`VectorBackend` — a per-store pre-order range-minimum index
-  over one depth column (:mod:`repro.core.lca_index`) built once and
-  cached, with every batched operation as NumPy whole-array passes
-  (:mod:`repro.kernels`).
+* :class:`VectorBackend` — what every open serves on: a per-store
+  pre-order range-minimum index over one depth column
+  (:mod:`repro.core.lca_index`) built once and cached, with every
+  batched operation as NumPy whole-array passes (:mod:`repro.kernels`).
   Set-wise and n-ary meets run the *same bottom-up roll-up contract*
   as Figs. 4/5, but over the **auxiliary (virtual) tree** spanned by
   the hit nodes and the LCAs of pre-order neighbours — independent
@@ -23,25 +16,34 @@ ancestor(s) of some hit nodes, plus distances".  This module makes
   the subgraph where input chains can converge); only the emission
   *order* differs, and every consumer re-ranks.
 
-Choosing: for one ad-hoc query the steered walk wins — no index
-build, and you get the paper's join-count trace for free.  Measured as
-``Database.open(xml)`` plus the first ``nearest`` in a fresh process
-(2 vCPU, python 3.11, NumPy 2.4; medians of 10; the open is the same
-parse on both tiers): figure1 1.4 + 0.5 ms steered against 1.0 +
-13.0 ms vector, plays 17 + 3.7 ms against 14 + 16 ms, DBLP 411 + 46 ms
-against 420 + 85 ms — the vector tier's first query pays the depth
-column, its range-minimum table and the kernel imports.  For query
-*volumes* (servers, benchmarks, ranking thousands of hit pairs) the
-vector backend amortizes one O(n) build into O(1) queries; see
-``benchmarks/bench_backends.py`` for the crossover.
+* :class:`SteeredBackend` — the paper, verbatim, as the reference:
+  per-query ``parent()`` walks steered by the ⪯ prefix order on π
+  (Fig. 3), the set-wise relational loop (Fig. 4) and the
+  schema-driven bottom-up roll-up (Fig. 5), i.e. the plain functions
+  of :mod:`~repro.core.meet_pair`, :mod:`~repro.core.meet_sets` and
+  :mod:`~repro.core.meet_general`.  It backs
+  ``DatabaseOptions(backend="steered")``, a monolithic open that every
+  differential suite and the benchmark's oracle compare against.
 
-The seam is threaded everywhere structural queries happen: the module
-functions (``meet2``, ``meet_sets``, ``meet_general``, ``graph_meet``,
-``bounded_meet2``, ``distance``) accept ``backend=``, the
-:class:`~repro.core.engine.NearestConceptEngine` takes
-``backend="steered"|"vector"`` and exposes the batched
-``meet_many`` / ``nearest_concepts_batch`` APIs, and the CLI exposes
-``--backend``.
+Choosing: there is nothing to choose for serving.  One ad-hoc query
+costs about the same on both, measured as ``Database.open(xml)`` plus
+the first ``nearest`` in a fresh process (2 vCPU, python 3.11.7,
+NumPy 2.4.6; medians of 12; the open is the same parse on both)::
+
+    dataset   vector: open + first   steered: open + first
+    figure1      1.6 +  1.9 ms          1.7 +  0.6 ms
+    plays       27.0 +  6.9 ms         27.0 +  6.0 ms
+    DBLP         561 +   75 ms          568 +   73 ms
+
+The first vector query pays the depth column,
+its range-minimum table and the kernel imports.  Plain ``np.unique``
+would add ``numpy.ma`` (11–40 ms), which it imports on its first call,
+so every unique goes through :func:`repro.kernels.lca.sorted_unique`.
+
+:func:`resolve_backend` maps ``DatabaseOptions.backend`` — ``None`` or
+``"vector"``, or ``"steered"`` — to one of the two; the
+:class:`~repro.core.engine.NearestConceptEngine` and the
+:class:`~repro.query.executor.QueryProcessor` hold the result.
 
 What follows a roll-up — a shard's drop of the root meet, the
 ``meet_X`` restriction, the all-terms filter, the ``within`` bound and
@@ -69,12 +71,9 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Protocol,
     Sequence,
-    TYPE_CHECKING,
     Tuple,
     Union,
-    runtime_checkable,
 )
 
 import numpy as np
@@ -94,95 +93,24 @@ from .meet_general import (
 from .meet_pair import PairMeet, meet2_traced
 from .meet_sets import SetMeet, _common_pid, meet_sets
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..fulltext.index import Hits
-
 __all__ = [
-    "MeetBackend",
     "SteeredBackend",
     "VectorBackend",
-    "BACKEND_NAMES",
-    "SNAPSHOT_DEFAULT_BACKEND",
-    "BackendSpec",
     "TaggedBatch",
     "rank_keys",
     "select_meets",
     "meet_oids",
     "resolve_backend",
-    "kernel_tier",
 ]
-
-#: CLI / engine spellings of the built-in backends.
-BACKEND_NAMES: Tuple[str, ...] = ("steered", "vector")
-
-#: What snapshot serving defaults to: it answers from the bundle's
-#: seeded LCA index without a rebuild.
-SNAPSHOT_DEFAULT_BACKEND = "vector"
-
-BackendSpec = Union[str, "MeetBackend", None]
-
-
-@runtime_checkable
-class MeetBackend(Protocol):
-    """What a meet implementation must provide to plug into the engine.
-
-    Implementations must agree on answer *sets* (meet OIDs, origin
-    coverage, distances); they may differ in emission order and in
-    which execution traces they can produce.
-    """
-
-    name: str
-    store: MonetXML
-
-    def meet(self, oid1: int, oid2: int) -> PairMeet:
-        """Pairwise meet with distance (Fig. 3 / Def. 6)."""
-        ...
-
-    def meet_within(self, oid1: int, oid2: int, k: int) -> Optional[PairMeet]:
-        """The §4 k-meet: ``None`` when d(o₁,o₂) > k."""
-        ...
-
-    def meet_many(
-        self, pairs: Iterable[Tuple[int, int]]
-    ) -> List[PairMeet]:
-        """Batched pairwise meets — the ranking hot path."""
-        ...
-
-    def distance(self, oid1: int, oid2: int) -> int:
-        """Tree distance d(o₁,o₂) in edges."""
-        ...
-
-    def meet_sets(
-        self, left: Iterable[int], right: Iterable[int]
-    ) -> List[SetMeet]:
-        """Set-wise minimal meets of two homogeneous sets (Fig. 4)."""
-        ...
-
-    def meet_general(
-        self, relations: Mapping[Hashable, Iterable[int]]
-    ) -> List[GeneralMeet]:
-        """General n-ary meet over typed relations (Fig. 5)."""
-        ...
-
-    def meet_tagged(
-        self, tagged: Iterable[Tuple[Token, int]]
-    ) -> Sequence[TaggedMeet]:
-        """Roll-up over (token, OID) pairs; meets cover ≥ 2 tokens."""
-        ...
-
-    def meet_term_hits(
-        self, term_hits: Iterable[Tuple[Token, Hits]]
-    ) -> Sequence[TaggedMeet]:
-        """:meth:`meet_tagged` over whole per-term full-text hits."""
-        ...
 
 
 class SteeredBackend:
-    """The paper's path-steered walks — no preprocessing, traceable.
+    """The paper's path-steered walks behind ``backend="steered"``.
 
-    Join counts reported by :class:`~repro.core.meet_pair.PairMeet`
-    come from the actual Fig. 3 walk, so the paper's "number of joins
-    = distance = ranking signal" reading holds literally.
+    An adapter only: each method calls the plain paper function.  Join
+    counts reported by :class:`~repro.core.meet_pair.PairMeet` come
+    from the actual Fig. 3 walk, so the paper's "number of joins =
+    distance = ranking signal" reading holds literally.
     """
 
     name = "steered"
@@ -768,30 +696,16 @@ class VectorBackend:
         return meets
 
 
-def kernel_tier(backend_name: Optional[str]) -> str:
-    """The kernel tier a backend serves from, as ``/v1/stats`` reports
-    it: the NumPy kernels for ``vector``, python walks otherwise."""
-    return "vector" if backend_name == "vector" else "python"
-
-
-def resolve_backend(store: MonetXML, spec: BackendSpec = None) -> "MeetBackend":
-    """Normalize a backend spec: name, instance, or ``None`` (steered).
-
-    An instance is returned as-is when it is bound to ``store``;
-    binding it to a different store is almost certainly a bug and
-    raises.
-    """
-    if spec is None or spec == "steered":
-        return SteeredBackend(store)
-    if spec == "vector":
+def resolve_backend(
+    store: MonetXML, name: Optional[str] = None
+) -> Union["VectorBackend", SteeredBackend]:
+    """The backend ``DatabaseOptions.backend`` names, bound to ``store``:
+    the kernels for ``None`` or ``"vector"``, the paper's walks for
+    ``"steered"``."""
+    if name is None or name == "vector":
         return VectorBackend(store)
-    if isinstance(spec, str):
-        raise ValueError(
-            f"unknown meet backend {spec!r}; expected one of {BACKEND_NAMES}"
-        )
-    if getattr(spec, "store", None) is not store:
-        raise ValueError(
-            "backend instance is bound to a different store (or has no "
-            "store attribute; MeetBackend implementations must carry one)"
-        )
-    return spec
+    if name == "steered":
+        return SteeredBackend(store)
+    raise ValueError(
+        f"unknown meet backend {name!r}; expected 'vector' or 'steered'"
+    )

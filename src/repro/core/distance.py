@@ -17,14 +17,11 @@ OIDs that is simply the OID difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import List
 
 from ..datamodel.paths import Path, relative_suffix
 from ..monet.engine import MonetXML
 from .meet_pair import meet2_traced
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backends import MeetBackend
 
 __all__ = [
     "distance",
@@ -35,19 +32,9 @@ __all__ = [
 ]
 
 
-def distance(
-    store: MonetXML,
-    oid1: int,
-    oid2: int,
-    backend: "Optional[MeetBackend]" = None,
-) -> int:
-    """Tree distance in edges — the paper's d(o₁, o₂) (§4).
-
-    The steered default *counts joins walked*; the vector backend
-    reads the same number off depths and the O(1) LCA.
-    """
-    if backend is not None:
-        return backend.distance(oid1, oid2)
+def distance(store: MonetXML, oid1: int, oid2: int) -> int:
+    """Tree distance in edges — the paper's d(o₁, o₂) (§4): the joins
+    the Fig. 3 walk counts."""
     return meet2_traced(store, oid1, oid2).joins
 
 
@@ -58,17 +45,9 @@ def document_distance(store: MonetXML, oid1: int, oid2: int) -> int:
     return abs(oid1 - oid2)
 
 
-def shortest_path(
-    store: MonetXML,
-    oid1: int,
-    oid2: int,
-    backend: "Optional[MeetBackend]" = None,
-) -> List[int]:
+def shortest_path(store: MonetXML, oid1: int, oid2: int) -> List[int]:
     """OIDs along the unique shortest path o₁ → meet → o₂, inclusive."""
-    if backend is not None:
-        meet = backend.meet(oid1, oid2).oid
-    else:
-        meet = meet2_traced(store, oid1, oid2).oid
+    meet = meet2_traced(store, oid1, oid2).oid
     up: List[int] = []
     current = oid1
     while current != meet:

@@ -24,16 +24,15 @@ the paper's "two false positives".
 The engine also exposes the lower-level operators (pairwise, set-wise,
 distance-bounded) under one roof.
 
-Execution is delegated to a pluggable :class:`~repro.core.backends.MeetBackend`:
-``backend="steered"`` (default) runs the paper's path-steered walks
-with their join-count traces; ``backend="vector"`` answers every meet
-from a per-store pre-order RMQ index (built once, cached on the store's
-generation) with NumPy batch kernels — the right choice for query
-volumes, and what the
-batched entry points (:meth:`NearestConceptEngine.meet_many`,
+Every meet is answered by :class:`~repro.core.backends.VectorBackend`:
+a per-store pre-order RMQ index (built once, cached on the store's
+generation) with NumPy batch kernels, which the batched entry points
+(:meth:`NearestConceptEngine.meet_many`,
 :meth:`NearestConceptEngine.nearest_concepts_batch`) are designed
-around.  Both backends return identical answer sets; ranking is
-backend-independent because join counts are recomputed from depths.
+around.  ``backend="steered"`` swaps in the paper's path-steered walks
+with their join-count traces — the reference the kernels are tested
+against.  Both return identical answer sets; ranking does not depend
+on the backend because join counts are recomputed from depths.
 """
 
 from __future__ import annotations
@@ -55,13 +54,7 @@ from ..fulltext.index import FullTextIndex, Hits
 from ..fulltext.search import SearchEngine
 from ..monet.engine import MonetXML
 from ..monet.reassembly import object_text, reassemble_subtree
-from .backends import (
-    SNAPSHOT_DEFAULT_BACKEND,
-    BackendSpec,
-    MeetBackend,
-    resolve_backend,
-    select_meets,
-)
+from .backends import resolve_backend, select_meets
 from .meet_general import GeneralMeet, TaggedMeet
 from .meet_pair import PairMeet
 from .meet_sets import SetMeet
@@ -108,16 +101,15 @@ class NearestConceptEngine:
         case_sensitive: bool = False,
         thesaurus=None,
         broaden_below: int = 1,
-        backend: BackendSpec = None,
+        backend: Optional[str] = None,
         cache: CacheSpec = None,
     ):
         """``thesaurus`` (a :class:`repro.fulltext.thesaurus.Thesaurus`)
         enables the §4 broadening: terms whose plain search returns
         fewer than ``broaden_below`` hits are expanded with synonyms.
 
-        ``backend`` selects the meet execution strategy: ``"steered"``
-        (default), ``"vector"``, or a ready
-        :class:`~repro.core.backends.MeetBackend` instance.
+        ``backend`` is ``None`` or ``"vector"`` (the kernels), or
+        ``"steered"`` (the paper's walks, the reference).
 
         ``cache`` enables the serving-layer result cache: ``True``
         (default capacity), a capacity, or a shared
@@ -126,7 +118,7 @@ class NearestConceptEngine:
         answers; see :meth:`cache_info` for hit/miss statistics.
         """
         self.store = store
-        self.backend: MeetBackend = resolve_backend(store, backend)
+        self.backend = resolve_backend(store, backend)
         self.search = SearchEngine(store, index=index, case_sensitive=case_sensitive)
         self.result_cache: Optional[ResultCache] = resolve_result_cache(cache)
         self.thesaurus = thesaurus
@@ -145,12 +137,9 @@ class NearestConceptEngine:
         ``snapshot`` is a :class:`repro.snapshot.codec.Snapshot`: its
         loader has already seeded the generation-keyed LCA and
         full-text caches, so this engine's first query performs zero
-        index constructions.  Defaults follow the bundle (the
-        ``vector`` backend — the seeded index is already paid for —
-        and the bundled case mode); any keyword accepted by the
-        constructor overrides.
+        index constructions.  The case mode follows the bundle; any
+        keyword accepted by the constructor overrides.
         """
-        options.setdefault("backend", SNAPSHOT_DEFAULT_BACKEND)
         options.setdefault(
             "case_sensitive", snapshot.fulltext_index.case_sensitive
         )
@@ -179,13 +168,8 @@ class NearestConceptEngine:
     def meet_many(
         self, pairs: Iterable[Tuple[int, int]]
     ) -> List[PairMeet]:
-        """Batched pairwise meets — one backend, many pairs.
-
-        On the vector backend the LCA index is built (or
-        fetched from cache) once and every pair is answered in O(1);
-        the steered backend degrades gracefully to a loop of Fig. 3
-        walks.
-        """
+        """Batched pairwise meets: the LCA index is built (or fetched
+        from cache) once and every pair is answered in O(1)."""
         return self.backend.meet_many(pairs)
 
     def meet_of_sets(
@@ -300,13 +284,12 @@ class NearestConceptEngine:
         queries: Iterable[Sequence[str]],
         **options,
     ) -> List[List[NearestConcept]]:
-        """Evaluate many term-tuples against one store and one backend.
+        """Evaluate many term-tuples against one store.
 
         ``options`` are forwarded to :meth:`nearest_concepts`.  The
         point of the batched entry is amortization: the full-text
-        index, the search engine and (on the vector backend) the
-        LCA index are all built once and shared by every
-        query, so evaluating thousands of hit-pair roll-ups costs one
+        index, the search engine and the LCA index are all built once
+        and shared by every query, so evaluating thousands of hit-pair roll-ups costs one
         preprocessing pass instead of thousands of parent re-walks.
         """
         return [self.nearest_concepts(*terms, **options) for terms in queries]

@@ -24,24 +24,15 @@ This module implements that generalization:
 
 Distances through references count 1 per reference edge, so the §4
 k-restriction and ranking carry over unchanged.
-
-All graph entry points accept ``backend=``: when there are no
-reference edges in play the query degenerates to the tree case, and a
-meet backend (notably the RMQ-indexed vector one) answers it without
-the bidirectional BFS — the apex and distance come from the backend,
-only the unique tree path is reconstructed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..monet.engine import MonetXML
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backends import MeetBackend
 
 __all__ = [
     "ReferenceIndex",
@@ -132,18 +123,12 @@ def _adjacent(store: MonetXML, refs: Optional[ReferenceIndex], oid: int):
         yield from refs.neighbours(oid)
 
 
-def _tree_only(refs: Optional[ReferenceIndex]) -> bool:
-    """No reference edges ⇒ the graph operators equal the tree ones."""
-    return refs is None or refs.edge_count == 0
-
-
 def graph_shortest_path(
     store: MonetXML,
     oid1: int,
     oid2: int,
     refs: Optional[ReferenceIndex] = None,
     max_distance: Optional[int] = None,
-    backend: "Optional[MeetBackend]" = None,
 ) -> Optional[List[int]]:
     """Shortest path over tree ∪ reference edges (BFS, cycle-safe).
 
@@ -152,12 +137,6 @@ def graph_shortest_path(
     """
     if oid1 == oid2:
         return [oid1]
-    if backend is not None and _tree_only(refs):
-        if max_distance is not None and backend.distance(oid1, oid2) > max_distance:
-            return None
-        from .distance import shortest_path
-
-        return shortest_path(store, oid1, oid2, backend=backend)
     parents: Dict[int, Optional[int]] = {oid1: None}
     frontier = deque([(oid1, 0)])
     while frontier:
@@ -186,12 +165,8 @@ def graph_distance(
     oid2: int,
     refs: Optional[ReferenceIndex] = None,
     max_distance: Optional[int] = None,
-    backend: "Optional[MeetBackend]" = None,
 ) -> Optional[int]:
     """Edge count of the shortest connecting path, or ``None``."""
-    if backend is not None and _tree_only(refs):
-        dist = backend.distance(oid1, oid2)
-        return None if max_distance is not None and dist > max_distance else dist
     path = graph_shortest_path(store, oid1, oid2, refs, max_distance)
     return None if path is None else len(path) - 1
 
@@ -216,7 +191,6 @@ def graph_meet(
     oid2: int,
     refs: Optional[ReferenceIndex] = None,
     max_distance: Optional[int] = None,
-    backend: "Optional[MeetBackend]" = None,
 ) -> Optional[GraphMeet]:
     """The nearest concept over the reference-augmented graph.
 
@@ -226,7 +200,7 @@ def graph_meet(
     concept on the crossing route.  Ties on depth resolve to the node
     closest to ``oid1`` (deterministic).
     """
-    path = graph_shortest_path(store, oid1, oid2, refs, max_distance, backend)
+    path = graph_shortest_path(store, oid1, oid2, refs, max_distance)
     if path is None:
         return None
     apex = min(path, key=lambda oid: (store.depth_of(oid), path.index(oid)))

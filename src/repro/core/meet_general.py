@@ -29,36 +29,29 @@ Three entry points:
   what the :class:`~repro.core.engine.NearestConceptEngine` pipeline
   uses with (term, OID) tokens.
 
-All public entry points accept ``backend=`` (see
-:mod:`repro.core.backends`): the default runs the schema roll-up
-below; :class:`~repro.core.backends.VectorBackend` emits the same
-meet set from an auxiliary tree over the inputs,
+These functions are the paper's roll-up and the reference;
+:class:`~repro.core.backends.VectorBackend`, which every open serves
+on, emits the same meet set from an auxiliary tree over the inputs,
 independent of instance depth and path-summary size.  Emission order
-may differ between backends (schema post-order vs reverse pre-order);
-consumers that rank — :mod:`repro.core.ranking`, the engine — are
-order-insensitive.
+differs (schema post-order vs reverse pre-order); consumers that
+rank — :mod:`repro.core.ranking`, the engine — are order-insensitive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
     List,
     Mapping,
-    Optional,
     Set,
     Tuple,
 )
 
 from ..monet.engine import MonetXML
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backends import MeetBackend
 
 __all__ = [
     "GeneralMeet",
@@ -201,7 +194,6 @@ def _as_oid_tokens(
 def meet_general(
     store: MonetXML,
     relations: Mapping[Hashable, Iterable[int]],
-    backend: "Optional[MeetBackend]" = None,
 ) -> List[GeneralMeet]:
     """Fig. 5: schema-driven bottom-up roll-up; see module docstring.
 
@@ -212,8 +204,6 @@ def meet_general(
     post-order (per-branch deepest first); use
     :mod:`repro.core.ranking` for a global ranking.
     """
-    if backend is not None:
-        return backend.meet_general(relations)
     return [
         GeneralMeet(oid=oid, origins=frozenset(o for _, o in tokens))
         for oid, tokens in _roll_up_schema(store, _as_oid_tokens(relations))
@@ -237,17 +227,13 @@ def meet_depthwise(
 
 
 def meet_tagged(
-    store: MonetXML,
-    tagged: Iterable[Tuple[Token, int]],
-    backend: "Optional[MeetBackend]" = None,
+    store: MonetXML, tagged: Iterable[Tuple[Token, int]]
 ) -> List[TaggedMeet]:
     """Roll-up over (token, OID) pairs; meets cover ≥ 2 distinct tokens.
 
     With tokens = search terms, a node whose single association matches
     two different terms is itself emitted (paper §3.1, "Bob Byte").
     """
-    if backend is not None:
-        return backend.meet_tagged(tagged)
     return [
         TaggedMeet(oid=oid, tokens=tokens)
         for oid, tokens in _roll_up_schema(store, tagged)

@@ -18,21 +18,18 @@ The number of ``parent`` look-ups (= joins on the Monet engine) is
 exactly the tree distance d(o₁, o₂), which §4 reuses as the distance
 measure and ranking heuristic.
 
-This module *is* the ``steered`` meet backend's pairwise kernel; pass
-``backend=`` (see :mod:`repro.core.backends`) to answer the same
-queries from the precomputed pre-order RMQ index instead.
+This module is the paper's pairwise walk and the reference the
+served kernels are tested against; :class:`repro.core.backends.VectorBackend`
+answers the same queries from the precomputed pre-order RMQ index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from ..datamodel.errors import ModelError
 from ..monet.engine import MonetXML
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backends import MeetBackend
 
 __all__ = ["PairMeet", "meet2", "meet2_traced", "meet_many"]
 
@@ -50,31 +47,15 @@ class PairMeet:
         return self.joins
 
 
-def meet2(
-    store: MonetXML,
-    oid1: int,
-    oid2: int,
-    backend: "Optional[MeetBackend]" = None,
-) -> int:
+def meet2(store: MonetXML, oid1: int, oid2: int) -> int:
     """The meet (LCA) of two nodes; both must belong to the store."""
-    if backend is not None:
-        return backend.meet(oid1, oid2).oid
     return meet2_traced(store, oid1, oid2).oid
 
 
 def meet_many(
-    store: MonetXML,
-    pairs: Iterable[Tuple[int, int]],
-    backend: "Optional[MeetBackend]" = None,
+    store: MonetXML, pairs: Iterable[Tuple[int, int]]
 ) -> List[PairMeet]:
-    """Batched pairwise meets.
-
-    With the default steered backend this is just the Fig. 3 walk in a
-    loop; with :class:`~repro.core.backends.VectorBackend` the whole
-    batch is answered from one pre-order RMQ index in O(1) per pair.
-    """
-    if backend is not None:
-        return backend.meet_many(pairs)
+    """Batched pairwise meets: the Fig. 3 walk in a loop."""
     return [meet2_traced(store, oid1, oid2) for oid1, oid2 in pairs]
 
 

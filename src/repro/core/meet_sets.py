@@ -25,13 +25,10 @@ The loop ends when either side runs empty or both have left the root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..datamodel.errors import ModelError
 from ..monet.engine import MonetXML
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backends import MeetBackend
 
 __all__ = ["SetMeet", "meet_sets", "meet_sets_traced", "SetMeetTrace"]
 
@@ -146,17 +143,7 @@ def meet_sets_traced(
 
 
 def meet_sets(
-    store: MonetXML,
-    left: Iterable[int],
-    right: Iterable[int],
-    backend: "Optional[MeetBackend]" = None,
+    store: MonetXML, left: Iterable[int], right: Iterable[int]
 ) -> List[SetMeet]:
-    """All minimal meets between two homogeneous OID sets (Fig. 4).
-
-    ``backend=`` selects the execution strategy (default: the Fig. 4
-    relational loop above; the vector backend answers from an
-    auxiliary tree with the identical meet set).
-    """
-    if backend is not None:
-        return backend.meet_sets(left, right)
+    """All minimal meets between two homogeneous OID sets (Fig. 4)."""
     return meet_sets_traced(store, left, right).meets

@@ -19,15 +19,12 @@ returns":
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Set, Union
+from typing import Iterable, List, Mapping, Optional, Set, Union
 
 from ..datamodel.paths import Path
 from ..monet.engine import MonetXML
 from .meet_general import GeneralMeet, meet_general
 from .meet_pair import PairMeet
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .backends import MeetBackend
 
 __all__ = [
     "resolve_pids",
@@ -60,7 +57,6 @@ def meet_excluding(
     store: MonetXML,
     relations: Mapping[int, Iterable[int]],
     excluded: Iterable[PathLike],
-    backend: "Optional[MeetBackend]" = None,
 ) -> List[GeneralMeet]:
     """``meet_X``: the general meet minus results typed in ``excluded``.
 
@@ -72,7 +68,7 @@ def meet_excluding(
     excluded_pids = resolve_pids(store, excluded)
     return [
         result
-        for result in meet_general(store, relations, backend=backend)
+        for result in meet_general(store, relations)
         if store.pid_of(result.oid) not in excluded_pids
     ]
 
@@ -81,7 +77,6 @@ def meet_restricted_to(
     store: MonetXML,
     relations: Mapping[int, Iterable[int]],
     allowed: Iterable[PathLike],
-    backend: "Optional[MeetBackend]" = None,
 ) -> List[GeneralMeet]:
     """Keep only meets whose path is in ``allowed``.
 
@@ -91,7 +86,7 @@ def meet_restricted_to(
     allowed_pids = resolve_pids(store, allowed)
     return [
         result
-        for result in meet_general(store, relations, backend=backend)
+        for result in meet_general(store, relations)
         if store.pid_of(result.oid) in allowed_pids
     ]
 
@@ -101,16 +96,12 @@ def bounded_meet2(
     oid1: int,
     oid2: int,
     k: int,
-    backend: "Optional[MeetBackend]" = None,
 ) -> Optional[PairMeet]:
     """The §4 k-meet: ``meet₂`` if d(o₁,o₂) ≤ k, else ``None`` (⊥).
 
     Implemented as the Fig. 3 walk with an early abort, so rejected
-    pairs cost at most k parent look-ups; with the vector backend the
-    bound is checked against the O(1) depth-based distance instead.
+    pairs cost at most k parent look-ups.
     """
-    if backend is not None:
-        return backend.meet_within(oid1, oid2, k)
     if k < 0:
         return None
     if oid1 == oid2:

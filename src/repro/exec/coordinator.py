@@ -88,7 +88,6 @@ class ShardedCollection:
         executor: Executor,
         *,
         case_sensitive: bool = False,
-        backend_name: str = "steered",
         generations: Sequence = (),
         cache: CacheSpec = None,
         max_rows: Optional[int] = 100_000,
@@ -103,7 +102,6 @@ class ShardedCollection:
         self.store = store
         self.executor = executor
         self.case_sensitive = bool(case_sensitive)
-        self.backend_name = backend_name
         #: The differential harness's escape hatch, scattered to every
         #: shard so per-predicate access paths match the monolithic
         #: ``force_scan`` processor exactly.
@@ -428,7 +426,6 @@ class ShardedCollection:
                 self.layout_key,
                 text.strip(),
                 self.case_sensitive,
-                self.backend_name,
                 self.force_scan,
                 bindings_key,
             )

@@ -37,7 +37,6 @@ import time
 from pathlib import Path as FsPath
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..core.backends import SNAPSHOT_DEFAULT_BACKEND
 from ..datamodel.errors import ReproError
 from ..obs.logs import log_event
 from .deadline import Deadline, DeadlineExceededError
@@ -265,16 +264,13 @@ def services_from_bundle(
     *,
     shard_ids: Optional[Sequence[int]] = None,
     case_sensitive: Optional[bool] = None,
-    backend: Optional[str] = None,
 ) -> Dict[int, ShardService]:
     """Map one ``.snap`` bundle and serve shards of its layout.
 
     The layout is the one the bundle records
     (:func:`repro.snapshot.sharded.bundle_plan`: one shard when it
     records none); ``shard_ids`` default to all of its shards.  The
-    case mode follows the bundle unless overridden, and the backend is
-    the one :meth:`~repro.api.database.Database.open` picks for a
-    bundle.
+    case mode follows the bundle unless overridden.
     """
     from ..snapshot.codec import read_snapshot
     from ..snapshot.sharded import bundle_plan
@@ -299,7 +295,6 @@ def services_from_bundle(
             if case_sensitive is None
             else bool(case_sensitive)
         ),
-        backend=backend or SNAPSHOT_DEFAULT_BACKEND,
     )
 
 
@@ -478,7 +473,6 @@ def spawn_worker_process(
     host: str = "127.0.0.1",
     port: int = 0,
     shard_ids: Optional[Sequence[int]] = None,
-    backend: Optional[str] = None,
     case_sensitive: Optional[bool] = None,
     ready_timeout: float = 30.0,
 ) -> WorkerProcess:
@@ -497,8 +491,6 @@ def spawn_worker_process(
         for shard_id in shard_ids:
             command += ["--shard-id", str(shard_id)]
     command += ["--host", host, "--port", str(port)]
-    if backend:
-        command += ["--backend", backend]
     if case_sensitive is not None:
         command += [
             "--case-sensitive" if case_sensitive else "--no-case-sensitive"

@@ -51,7 +51,7 @@ import time
 from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..core.backends import kernel_tier, meet_oids, select_meets
+from ..core.backends import meet_oids, select_meets
 from ..core.engine import NearestConceptEngine
 from ..core.restrictions import resolve_pids
 from ..datamodel.errors import ReproError
@@ -137,7 +137,6 @@ def shard_services(
     shard_ids: Optional[Iterable[int]] = None,
     *,
     case_sensitive: bool = False,
-    backend: Optional[str] = None,
 ) -> Dict[int, ShardService]:
     """One service per shard id (default: every shard), all over
     ``store`` — the store the plan was computed for."""
@@ -149,7 +148,6 @@ def shard_services(
             shard_id=shard_id,
             span=plan.span(shard_id),
             case_sensitive=case_sensitive,
-            backend=backend,
         )
         for shard_id in ids
     }
@@ -166,17 +164,13 @@ class ShardService:
         shard_id: int,
         span: Span,
         case_sensitive: bool = False,
-        backend: Optional[str] = None,
     ):
         self.shard_id = shard_id
         self.store = store
         self.span = span
         self.case_sensitive = bool(case_sensitive)
-        self.backend_name = backend or "steered"
         self.engine = NearestConceptEngine(
-            store,
-            case_sensitive=self.case_sensitive,
-            backend=self.backend_name,
+            store, case_sensitive=self.case_sensitive
         )
         #: normalized text → (generation, parsed template, schema plan).
         #: Keyed per force_scan flag so differential runs never reuse an
@@ -223,15 +217,12 @@ class ShardService:
         # Touching the indexes here is the warm-up: on a snapshot-loaded
         # store both come from the seeded caches (zero builds).
         _ = self.engine.index
-        backend = self.engine.backend
-        # Vector shards also bind the LCA index and its NumPy column
-        # views, so the first query pays no view setup.
-        _ = getattr(backend, "kernels", None)
+        # Binding the kernels also fetches the LCA index and its NumPy
+        # column views, so the first query pays no view setup.
+        _ = self.engine.backend.kernels
         return {
             "pid": os.getpid(),
             "nodes": self.span[1] - self.span[0],
-            "backend": self.backend_name,
-            "kernel_tier": kernel_tier(backend.name),
             "case_sensitive": self.case_sensitive,
         }
 
@@ -360,7 +351,6 @@ class ShardService:
             store,
             search=search,
             max_rows=None,
-            backend=self.engine.backend,
             force_scan=force_scan,
         )
 

@@ -47,6 +47,7 @@ from typing import (
 import numpy as np
 
 from ..kernels import postings as postings_kernels
+from ..kernels.lca import sorted_unique
 from ..monet.engine import DerivedCache, MonetXML, joined_column
 from ..monet.mutate import journal_chain
 from .tokenizer import normalize, tokenize
@@ -79,14 +80,14 @@ _EMPTY_COLUMN = array("q")
 def _unique_oid_column(oids: Sequence[int]) -> array:
     """Distinct OIDs of a column, ascending, as one flat column.
 
-    ``np.unique`` over the column viewed at its own item width (an
+    A sorted unique over the column viewed at its own item width (an
     int32 snapshot section or an ``array('q')`` alike), returned as
     ``array('q')``: the kernels consume it as int64 without a copy,
     and iterating it must yield plain python ints (``np.int64`` is
     *not* an ``int`` subclass and would fail downstream OID
     validation).
     """
-    return _as_q_column(np.unique(np.asarray(oids)))
+    return _as_q_column(sorted_unique(np.asarray(oids)))
 
 
 def _as_q_column(np_column) -> array:

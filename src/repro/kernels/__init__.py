@@ -14,8 +14,10 @@ with whole-array passes:
 * :mod:`repro.kernels.postings` — sorted-array postings intersection /
   union / grouping for the full-text index.
 
-NumPy is a dependency of the package.  The ``vector`` meet backend
-(:class:`repro.core.backends.VectorBackend`) serves from these kernels;
-the ``steered`` backend runs the paper's per-query walks and is the
-reference every differential suite compares them against.
+NumPy is a dependency of the package.  Every open serves from these
+kernels (:class:`repro.core.backends.VectorBackend`); the paper's
+per-query walks (``backend="steered"``) are the reference every
+differential suite compares them against.  Distinct values come from
+:func:`repro.kernels.lca.sorted_unique`, never plain ``np.unique``,
+whose first call imports ``numpy.ma`` (11–40 ms on a one-shot query).
 """

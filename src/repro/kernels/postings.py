@@ -8,7 +8,7 @@ per term (the stride exceeds every OID, so key order *is*
 lexicographic (pid, oid) order and the decode is exact):
 
 * :func:`intersect_columns` — sorted-array intersection
-  (``np.intersect1d`` over per-term unique keys), emitting (pid, oid)
+  (``np.intersect1d`` over per-term sorted unique keys), emitting (pid, oid)
   ascending exactly like ``sorted(set & set & ...)``;
 * :func:`union_columns` — first-seen-order deduplicating union
   (``np.unique(..., return_index=True)`` then an index sort): a
@@ -20,6 +20,8 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from .lca import sorted_unique
 
 __all__ = ["intersect_columns", "union_columns"]
 
@@ -61,12 +63,12 @@ def intersect_columns(columns) -> Tuple[np.ndarray, np.ndarray]:
     if not pairs:
         return _EMPTY, _EMPTY
     stride = _stride(pairs)
-    keys = np.unique(_keys(*pairs[0], stride))
+    keys = sorted_unique(_keys(*pairs[0], stride))
     for pids, oids in pairs[1:]:
         if not len(keys):
             break
         keys = np.intersect1d(
-            keys, np.unique(_keys(pids, oids, stride)), assume_unique=True
+            keys, sorted_unique(_keys(pids, oids, stride)), assume_unique=True
         )
     return keys // stride, keys % stride
 

@@ -26,13 +26,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..core.backends import (
-    BackendSpec,
-    MeetBackend,
-    meet_oids,
-    resolve_backend,
-    select_meets,
-)
+from ..core.backends import meet_oids, resolve_backend, select_meets
 from ..core.restrictions import resolve_pids
 from ..core.result_cache import (
     CacheSpec,
@@ -207,7 +201,7 @@ class QueryProcessor:
         store: MonetXML,
         search: Optional[SearchEngine] = None,
         max_rows: Optional[int] = 100_000,
-        backend: BackendSpec = None,
+        backend: Optional[str] = None,
         cache: CacheSpec = None,
         force_scan: bool = False,
         value_indexes: Sequence[str] = (),
@@ -215,8 +209,9 @@ class QueryProcessor:
         self.store = store
         self.search = search or SearchEngine(store)
         self.max_rows = max_rows
-        #: Meet execution strategy for meet(...)/distance(...) items.
-        self.backend: MeetBackend = resolve_backend(store, backend)
+        #: Answers meet(...)/distance(...) items: the kernels, or the
+        #: paper's walks for ``backend="steered"``.
+        self.backend = resolve_backend(store, backend)
         #: Serving-layer result cache (off by default); keys embed the
         #: store generation, so invalidated stores never serve stale rows.
         self.result_cache: Optional[ResultCache] = resolve_result_cache(cache)

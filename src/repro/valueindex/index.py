@@ -47,6 +47,7 @@ from typing import (
 
 import numpy as np
 
+from ..kernels.lca import sorted_unique
 from ..monet.engine import DerivedCache, MonetXML
 from ..monet.mutate import journal_chain
 
@@ -511,7 +512,7 @@ class ValueIndex:
     def estimate_eq(self, value: str) -> int:
         """Exact distinct-OID count of an equality probe."""
         (oids,) = self._probe.select("=", value)
-        return len(np.unique(oids))
+        return len(sorted_unique(oids))
 
     def estimate_cmp(self, op: str, literal: str) -> int:
         """Entry count a range probe would touch (an upper bound on OIDs).

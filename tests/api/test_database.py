@@ -60,7 +60,7 @@ class TestOpenResolution:
         db = Database.open(xml_file)
         assert db.origin == "parse"
         assert db.snapshot is None
-        assert db.backend_name == "steered" and db.case_sensitive is False
+        assert db.backend_name == "vector" and db.case_sensitive is False
         assert db.node_count == 19
 
     def test_legacy_json_image(self, tmp_path):
@@ -74,8 +74,7 @@ class TestOpenResolution:
         db = Database.open(bundle)
         assert db.origin == f"snapshot {bundle}"
         assert db.snapshot is not None
-        # Bundle defaults: the rebuild-free vector backend, the
-        # bundle's case mode.
+        # Every open serves on the kernels.
         assert db.backend_name == "vector"
 
     def test_catalog_collection_by_bare_name(self, built_catalog):
@@ -114,8 +113,9 @@ class TestOpenResolution:
             Database.open()
 
     def test_option_overrides(self, xml_file):
-        db = Database.open(xml_file, backend="vector", case_sensitive=True)
-        assert db.backend_name == "vector" and db.case_sensitive is True
+        db = Database.open(xml_file, backend="steered", case_sensitive=True)
+        assert db.backend_name == "steered" and db.case_sensitive is True
+        assert db.engine.backend.name == db.processor.backend.name == "steered"
 
     def test_invalid_backend_rejected(self, xml_file):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -143,7 +143,7 @@ class TestOptions:
             DatabaseOptions().replace(backend="warp")
 
     def test_effective_defaults(self):
-        assert DatabaseOptions().effective(None) == (False, "steered")
+        assert DatabaseOptions().effective_case_sensitive(None) is False
 
     def test_effective_snapshot_defaults(self, tmp_path):
         from repro.snapshot import read_snapshot, write_snapshot
@@ -152,9 +152,17 @@ class TestOptions:
         bundle = tmp_path / "b.snap"
         write_snapshot(store, bundle, case_sensitive=True)
         snapshot = read_snapshot(bundle)
-        assert DatabaseOptions().effective(snapshot) == (True, "vector")
+        assert DatabaseOptions().effective_case_sensitive(snapshot) is True
         explicit = DatabaseOptions(case_sensitive=False, backend="steered")
-        assert explicit.effective(snapshot) == (False, "steered")
+        assert explicit.effective_case_sensitive(snapshot) is False
+
+    @pytest.mark.parametrize(
+        "layout",
+        [{"shards": 2}, {"replicas": 1}, {"cluster": ((("127.0.0.1", 1),),)}],
+    )
+    def test_steered_reference_is_monolithic(self, layout):
+        with pytest.raises(ValueError, match="answers monolithically"):
+            DatabaseOptions(backend="steered", **layout)
 
 
 DATASETS = {

@@ -116,7 +116,7 @@ def test_open_xml_with_shards(xml_path, reference):
     )
     assert database.is_sharded
     assert database.sharded.shard_count == 4
-    assert database.backend_name == "steered"  # parse default
+    assert database.backend_name == "vector"
     _assert_same_answers(reference, database)
 
 
@@ -136,6 +136,13 @@ def test_workers_imply_shards(xml_path):
 def test_explicit_shards_conflict_with_layout(catalog_dir):
     with pytest.raises(ReproError, match="persisted as 3 shard"):
         repro.open(snapshot="dblp", catalog=catalog_dir, shards=2)
+
+
+def test_steered_reference_refuses_a_recorded_layout(catalog_dir):
+    """The paper's walks answer monolithically, so a collection built
+    sharded cannot be opened on them."""
+    with pytest.raises(ValueError, match="answers monolithically"):
+        repro.open(snapshot="dblp", catalog=catalog_dir, backend="steered")
 
 
 def test_sharded_database_engine_reads_the_one_store(catalog_dir, reference):

@@ -1,8 +1,8 @@
-"""Differential tests: the ``vector`` backend must agree with the
-paper-faithful ``steered`` backend on every operator and every bundled
-dataset — identical meet OIDs, identical origin coverage, identical
-distances.  Only emission order (and the availability of walk traces)
-may differ.
+"""Differential tests: the served ``vector`` kernels must agree with
+the paper's walks (the reference, :class:`SteeredBackend` and the plain
+module functions) on every operator and every bundled dataset —
+identical meet OIDs, identical origin coverage, identical distances.
+Only emission order (and the availability of walk traces) may differ.
 """
 
 from collections import Counter
@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from repro.api import DatabaseOptions
-from repro.core.backends import (
-    BACKEND_NAMES,
-    MeetBackend,
-    SteeredBackend,
-    VectorBackend,
-    resolve_backend,
-)
+from repro.core.backends import SteeredBackend, VectorBackend, resolve_backend
 from repro.core.engine import NearestConceptEngine
 from repro.core.graph_meet import graph_distance, graph_meet, graph_shortest_path
 from repro.core.lca_index import clear_lca_index_cache, get_lca_index
@@ -120,12 +114,13 @@ class TestPairwise:
         assert vector.meet_many([(oid, oid)]) == steered.meet_many([(oid, oid)])
 
     def test_bounded_meet2_threads_backend(self, figure1_store):
-        steered, vector = _backends(figure1_store)
+        """The kernels' k-meet equals the paper's early-abort walk."""
+        _, vector = _backends(figure1_store)
         for oid1, oid2 in random_oid_pairs(figure1_store, 40, seed=1):
             for k in (0, 3, 10):
-                assert bounded_meet2(
-                    figure1_store, oid1, oid2, k, backend=vector
-                ) == bounded_meet2(figure1_store, oid1, oid2, k, backend=steered)
+                assert vector.meet_within(oid1, oid2, k) == bounded_meet2(
+                    figure1_store, oid1, oid2, k
+                )
 
 
 class TestRollUps:
@@ -194,27 +189,33 @@ class TestRollUps:
 
 
 class TestGraphShortcut:
+    """Without reference edges the graph operators are the tree meet."""
+
     def test_tree_only_graph_meet_matches_bfs(self, request):
         for store in _all_stores(request):
             _, vector = _backends(store)
             for oid1, oid2 in random_oid_pairs(store, 40, seed=23):
                 via_bfs = graph_meet(store, oid1, oid2)
-                via_index = graph_meet(store, oid1, oid2, backend=vector)
-                assert via_index == via_bfs
-                assert graph_distance(
-                    store, oid1, oid2, backend=vector
-                ) == graph_distance(store, oid1, oid2)
-                assert graph_shortest_path(
-                    store, oid1, oid2, backend=vector
-                ) == graph_shortest_path(store, oid1, oid2)
+                via_index = vector.meet(oid1, oid2)
+                assert (via_bfs.oid, via_bfs.distance) == (
+                    via_index.oid, via_index.joins
+                )
+                assert graph_distance(store, oid1, oid2) == vector.distance(
+                    oid1, oid2
+                )
+                path = graph_shortest_path(store, oid1, oid2)
+                assert (path[0], path[-1]) == (oid1, oid2)
+                assert via_index.oid in path
+                assert len(path) - 1 == via_index.joins
 
     def test_max_distance_respected(self, figure1_store):
         _, vector = _backends(figure1_store)
         for oid1, oid2 in random_oid_pairs(figure1_store, 30, seed=3):
             for bound in (0, 1, 4):
+                distance = vector.distance(oid1, oid2)
                 assert graph_distance(
-                    figure1_store, oid1, oid2, max_distance=bound, backend=vector
-                ) == graph_distance(figure1_store, oid1, oid2, max_distance=bound)
+                    figure1_store, oid1, oid2, max_distance=bound
+                ) == (None if distance > bound else distance)
 
 
 class TestEnginePipeline:
@@ -271,26 +272,17 @@ class TestEnginePipeline:
 
 class TestResolution:
     def test_names(self, figure1_store):
-        assert BACKEND_NAMES == ("steered", "vector")
-        assert resolve_backend(figure1_store, None).name == "steered"
-        assert resolve_backend(figure1_store, "steered").name == "steered"
+        assert resolve_backend(figure1_store, None).name == "vector"
         assert resolve_backend(figure1_store, "vector").name == "vector"
+        assert resolve_backend(figure1_store, "steered").name == "steered"
         with pytest.raises(ValueError, match="unknown backend 'indexed'"):
             DatabaseOptions(backend="indexed")
-
-    def test_instance_passthrough(self, figure1_store):
-        backend = VectorBackend(figure1_store)
-        assert resolve_backend(figure1_store, backend) is backend
-        assert isinstance(backend, MeetBackend)
 
     def test_unknown_name(self, figure1_store):
         with pytest.raises(ValueError, match="unknown meet backend"):
             resolve_backend(figure1_store, "quantum")
-
-    def test_foreign_store_rejected(self, figure1_store, dblp_store):
-        backend = VectorBackend(dblp_store)
-        with pytest.raises(ValueError, match="different store"):
-            resolve_backend(figure1_store, backend)
+        with pytest.raises(ValueError, match="unknown meet backend"):
+            resolve_backend(figure1_store, VectorBackend(figure1_store))
 
 
 class TestIndexCache:

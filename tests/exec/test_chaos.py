@@ -76,12 +76,11 @@ def fabric(tmp_path_factory):
     # Every worker maps the one bundle: the store plus its layout.
     bundle = tmp_path_factory.mktemp("chaos") / "dblp.snap"
     write_snapshot(store, bundle, extra_meta={LAYOUT_KEY: plan.to_dict()})
-    services = services_from_bundle(bundle, backend="vector")
+    services = services_from_bundle(bundle)
     serial = ShardedCollection(
         plan,
         store,
         SerialExecutor([services[i] for i in range(SHARDS)]),
-        backend_name="vector",
         generations=[0] * SHARDS,
     )
     baselines = {terms: serial.nearest_concepts(*terms) for terms in QUERIES}
@@ -93,7 +92,6 @@ def _collection(store, plan, executor):
         plan,
         store,
         executor,
-        backend_name="vector",
         generations=[0] * SHARDS,
     )
 

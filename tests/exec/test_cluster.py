@@ -48,7 +48,7 @@ def bundle(store, tmp_path_factory):
 @pytest.fixture(scope="module")
 def fabric(bundle):
     plan, path = bundle
-    return plan, services_from_bundle(path, backend="vector")
+    return plan, services_from_bundle(path)
 
 
 def _worker(services):
@@ -79,14 +79,12 @@ def test_cluster_answers_match_serial(store, fabric):
             plan,
             store,
             SerialExecutor([services[i] for i in range(SHARDS)]),
-            backend_name="vector",
             generations=[0] * SHARDS,
         )
         remote = ShardedCollection(
             plan,
             store,
             executor,
-            backend_name="vector",
             generations=[0] * SHARDS,
         )
         for terms in [("ICDE", "1999"), ("VLDB", "1994")]:
@@ -99,14 +97,14 @@ def test_cluster_answers_match_serial(store, fabric):
 
 
 def test_bundle_worker_defaults_to_the_snapshot_backend(bundle):
-    """``repro shard-worker --bundle x.snap`` without ``--backend``
-    serves what ``Database.open`` picks for the same bundle."""
+    """``repro shard-worker --bundle x.snap`` serves on the kernels,
+    like ``Database.open`` of the same bundle."""
     _plan, path = bundle
     services = services_from_bundle(path)
     assert sorted(services) == list(range(SHARDS))
     for service in services.values():
-        assert service.backend_name == "vector"
-        assert service.handle("ping", {})["kernel_tier"] == "vector"
+        assert service.engine.backend.name == "vector"
+        assert service.handle("ping", {})["nodes"] > 0
     database = Database.open(path)
     try:
         assert database.backend_name == "vector"

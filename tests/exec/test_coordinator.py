@@ -26,14 +26,13 @@ ROOT_HIT_XML = """
 """
 
 
-def _sharded(store, shards, *, backend="steered", cache=None):
+def _sharded(store, shards, *, cache=None):
     plan = compute_shard_plan(store, shards)
-    services = shard_services(store, plan, backend=backend)
+    services = shard_services(store, plan)
     return ShardedCollection(
         plan,
         store,
         SerialExecutor(list(services.values())),
-        backend_name=backend,
         generations=[store.generation] * plan.shard_count,
         cache=cache,
     )

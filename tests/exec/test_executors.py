@@ -52,7 +52,6 @@ def _workers(bundle, **kw):
                         spawn_worker_process,
                         str(path),
                         shard_ids=[shard_id],
-                        backend="vector",
                     )
                 )
             ]
@@ -107,7 +106,6 @@ def test_parallel_end_to_end_matches_engine(bundle, pool, store):
         plan,
         store,
         pool,
-        backend_name="vector",
         generations=(1, 1),
     )
     engine = NearestConceptEngine(store, backend="vector")

@@ -2,8 +2,8 @@
 
 The shard service answers ``nearest`` ops and ``meet(...)`` query items
 through :func:`repro.core.backends.select_meets`.  This suite holds
-each response to the definition spelled out below in plain python, on
-every backend — so the routine, the batch columns behind it and the
+each response, served on the kernels, to the definition spelled out
+below in plain python — so the routine, the batch columns behind it and the
 residue mask are all checked against something that shares none of
 their code.  A shard is ``(store, lo, hi)``: the one store and its
 half-open OID range, which for shard 0 also covers the root.  Its hits
@@ -28,8 +28,6 @@ from repro.fulltext.search import SearchEngine
 from repro.monet.transform import monet_transform
 
 from ..property.strategies import WORDS, stores
-
-BACKENDS = ("steered", "vector")
 
 
 def _joins(store, meet):
@@ -89,11 +87,11 @@ def _expected_nearest(
     }
 
 
-def _shards(store, shards, backend):
+def _shards(store, shards):
     """``(service, lo, hi)`` per shard, the range written out: the
     plan's run of whole top-level subtrees, from the root for shard 0."""
     plan = compute_shard_plan(store, shards)
-    services = shard_services(store, plan, backend=backend)
+    services = shard_services(store, plan)
     return [
         (service, store.root_oid if index == 0 else plan.starts[index],
          plan.ends[index])
@@ -119,24 +117,23 @@ def test_nearest_response_matches_definition(
         pid for pid in range(1, len(store.summary))
         if (exclude_seed >> (pid % 16)) & 1
     ]
-    for backend in BACKENDS:
-        for service, lo, hi in _shards(store, shards, backend):
-            response = service.handle(
-                "nearest",
-                {
-                    "terms": [(term, "token") for term in terms],
-                    "exclude_pids": exclude_pids,
-                    "require_all_terms": require_all,
-                    "within": within,
-                    "limit": limit,
-                },
-            )
-            expected = _expected_nearest(
-                store, lo, hi, terms, set(exclude_pids), require_all,
-                within, limit,
-            )
-            for field, value in expected.items():
-                assert response[field] == value, (backend, field)
+    for service, lo, hi in _shards(store, shards):
+        response = service.handle(
+            "nearest",
+            {
+                "terms": [(term, "token") for term in terms],
+                "exclude_pids": exclude_pids,
+                "require_all_terms": require_all,
+                "within": within,
+                "limit": limit,
+            },
+        )
+        expected = _expected_nearest(
+            store, lo, hi, terms, set(exclude_pids), require_all,
+            within, limit,
+        )
+        for field, value in expected.items():
+            assert response[field] == value, field
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,25 +157,24 @@ def test_meet_item_matches_definition(
             f"${v} contains '{term}'" for v, term in zip(variables, terms)
         )
     )
-    for backend in BACKENDS:
-        for service, _lo, _hi in _shards(store, shards, backend):
-            response = service.handle("query", {"text": text})
-            item = response["meet_items"]["0"]
-            tagged = [
-                (variable, oid)
-                for variable in variables
-                for oid in response["variables"][variable]["minimal"]
-            ]
-            kept, residue = _kept_and_residue(store, tagged)
-            root_pid = store.pid_of(store.root_oid)
-            meets = sorted(
-                meet.oid
-                for meet in kept
-                if not (exclude_root and store.pid_of(meet.oid) == root_pid)
-                and (within is None or _joins(store, meet) <= within)
-            )
-            assert item["meets"] == meets, backend
-            assert item["residue"] == residue, backend
+    for service, _lo, _hi in _shards(store, shards):
+        response = service.handle("query", {"text": text})
+        item = response["meet_items"]["0"]
+        tagged = [
+            (variable, oid)
+            for variable in variables
+            for oid in response["variables"][variable]["minimal"]
+        ]
+        kept, residue = _kept_and_residue(store, tagged)
+        root_pid = store.pid_of(store.root_oid)
+        meets = sorted(
+            meet.oid
+            for meet in kept
+            if not (exclude_root and store.pid_of(meet.oid) == root_pid)
+            and (within is None or _joins(store, meet) <= within)
+        )
+        assert item["meets"] == meets
+        assert item["residue"] == residue
 
 
 def test_limited_vector_shard_request_builds_only_the_winners(monkeypatch):
@@ -187,7 +183,7 @@ def test_limited_vector_shard_request_builds_only_the_winners(monkeypatch):
     store = monet_transform(
         dblp_document(DblpConfig(papers_per_proceedings=4, articles_per_year=2))
     )
-    [(service, _lo, _hi)] = _shards(store, 1, "vector")
+    [(service, _lo, _hi)] = _shards(store, 1)
     params = {"terms": [("ICDE", "token"), ("1999", "token")], "limit": 5}
     unlimited = service.handle("nearest", dict(params, limit=None))
     assert len(unlimited["meets"]) > 5 and unlimited["residue"]

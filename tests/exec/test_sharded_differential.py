@@ -2,8 +2,11 @@
 
 For every bundled dataset, the sharded coordinator must reproduce the
 monolithic engine/processor answers — answer sets *and ranking order* —
-on both backends and at 1, 2 and 4 shards, across all three query
-surfaces (nearest, full-text search, query language).  This is the
+at 1, 2 and 4 shards, across all three query surfaces (nearest,
+full-text search, query language).  Shards serve on the kernels; the
+``reference`` parameter names the monolithic backend they are compared
+with: ``steered`` (the paper's walks) or ``vector`` (the served
+monolithic path).  This is the
 tentpole's correctness contract: sharding is an execution detail, never
 a semantics change.
 """
@@ -103,28 +106,30 @@ def stores():
     }
 
 
-def _sharded(store, backend, shards):
+REFERENCES = ["steered", "vector"]
+
+
+def _sharded(store, shards):
     plan = compute_shard_plan(store, shards)
-    services = shard_services(store, plan, backend=backend)
+    services = shard_services(store, plan)
     return ShardedCollection(
         plan,
         store,
         SerialExecutor(list(services.values())),
-        backend_name=backend,
         generations=[store.generation] * plan.shard_count,
     )
 
 
 @pytest.mark.parametrize("dataset", list(DATASETS))
-@pytest.mark.parametrize("backend", ["steered", "vector"])
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_nearest_answers_and_ranking_identical(
-    stores, dataset, backend, shards
+    stores, dataset, reference, shards
 ):
     store = stores[dataset]
     _build, queries, _texts = DATASETS[dataset]
-    engine = NearestConceptEngine(store, backend=backend)
-    sharded = _sharded(store, backend, shards)
+    engine = NearestConceptEngine(store, backend=reference)
+    sharded = _sharded(store, shards)
     for terms in queries:
         for options in NEAREST_OPTIONS:
             expected = engine.nearest_concepts(*terms, **options)
@@ -133,24 +138,24 @@ def test_nearest_answers_and_ranking_identical(
             # joins, spread and depth; list equality covers ranking
             # order.  Byte-identical or bust.
             assert actual == expected, (
-                f"{dataset}/{backend}/shards={shards}/{terms}/{options}: "
+                f"{dataset}/{reference}/shards={shards}/{terms}/{options}: "
                 "sharded answers diverged from the monolithic engine"
             )
 
 
 @pytest.mark.parametrize("dataset", list(DATASETS))
-@pytest.mark.parametrize("backend", ["steered", "vector"])
+@pytest.mark.parametrize("reference", REFERENCES)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_query_language_identical(stores, dataset, backend, shards):
+def test_query_language_identical(stores, dataset, reference, shards):
     store = stores[dataset]
     _build, _terms, texts = DATASETS[dataset]
-    processor = QueryProcessor(store, backend=backend)
-    sharded = _sharded(store, backend, shards)
+    processor = QueryProcessor(store, backend=reference)
+    sharded = _sharded(store, shards)
     for text in texts:
         expected = processor.execute(text)
         actual = sharded.execute(text)
-        assert actual.columns == expected.columns, (dataset, backend, text)
-        assert actual.rows == expected.rows, (dataset, backend, shards, text)
+        assert actual.columns == expected.columns, (dataset, reference, text)
+        assert actual.rows == expected.rows, (dataset, reference, shards, text)
         assert sharded.explain(text) == processor.explain(text)
 
 
@@ -160,7 +165,7 @@ def test_term_hits_identical(stores, dataset, shards):
     store = stores[dataset]
     _build, queries, _texts = DATASETS[dataset]
     engine = NearestConceptEngine(store, backend="vector")
-    sharded = _sharded(store, "vector", shards)
+    sharded = _sharded(store, shards)
     for terms in queries:
         for term in terms:
             expected = sorted(engine.term_hits(term).oids())
@@ -170,12 +175,12 @@ def test_term_hits_identical(stores, dataset, shards):
                 assert pid == store.pid_of(oid)
 
 
-@pytest.mark.parametrize("backend", ["steered", "vector"])
-def test_distance_and_enumeration_queries(stores, backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_distance_and_enumeration_queries(stores, reference):
     """distance(...) crossing shards and text()/path-var cells."""
     store = stores["dblp"]
-    processor = QueryProcessor(store, backend=backend)
-    sharded = _sharded(store, backend, 4)
+    processor = QueryProcessor(store, backend=reference)
+    sharded = _sharded(store, 4)
     queries = [
         # Witnesses in (typically) different top-level subtrees.
         "select distance($a,$b) from #/booktitle $a, #/publisher $b "
@@ -194,14 +199,14 @@ def test_distance_and_enumeration_queries(stores, backend):
             actual = (sharded.execute(text).columns, sharded.execute(text).rows)
         except QueryPlanError as exc:
             actual = ("error", str(exc))
-        assert actual == expected, (backend, text)
+        assert actual == expected, (reference, text)
 
 
 def test_scan_fallback_matches_monolithic(stores):
     """A token-shaped term absent from the global index must scan."""
     store = stores["figure1"]
     engine = NearestConceptEngine(store)
-    sharded = _sharded(store, "steered", 2)
+    sharded = _sharded(store, 2)
     # "Hac" is token-shaped but not a whole token anywhere: the
     # monolithic find() falls back to a substring scan; the sharded
     # path must make that decision globally, not per shard.
@@ -223,8 +228,8 @@ FRAGMENT = (
 )
 
 
-@pytest.mark.parametrize("backend", ["steered", "vector"])
-def test_store_with_a_deleted_put_shards_like_monolithic(backend):
+@pytest.mark.parametrize("reference", REFERENCES)
+def test_store_with_a_deleted_put_shards_like_monolithic(reference):
     from repro.monet.mutate import delete_document, put_document
 
     build, queries, texts = DATASETS["dblp"]
@@ -235,9 +240,9 @@ def test_store_with_a_deleted_put_shards_like_monolithic(backend):
     plan = compute_shard_plan(store, 2)
     assert plan.shard_count == 2
     assert plan.ends[-1] == store.last_oid + 1
-    engine = NearestConceptEngine(store, backend=backend)
-    processor = QueryProcessor(store, backend=backend)
-    sharded = _sharded(store, backend, 2)
+    engine = NearestConceptEngine(store, backend=reference)
+    processor = QueryProcessor(store, backend=reference)
+    sharded = _sharded(store, 2)
     for terms in [*queries, ("Byte", "sharding")]:
         for options in NEAREST_OPTIONS:
             assert sharded.nearest_concepts(*terms, **options) == (

@@ -1,11 +1,13 @@
-"""End-to-end ``--backend`` coverage: the CLI must produce identical
-answers with either backend, on XML inputs and snapshot bundles, and
-the per-store LCA index cache must be rebuilt when a store is
-rebuilt or invalidated.
+"""End-to-end CLI coverage of the one serving tier: every command
+answers on the kernels, with exactly the answers of the paper's
+``steered`` walks (the library's reference, not a CLI flag), on XML
+inputs and snapshot bundles; and the per-store LCA index cache must be
+rebuilt when a store is rebuilt or invalidated.
 """
 
 import pytest
 
+from repro.api import Database, NearestRequest, QueryRequest
 from repro.cli import main
 from repro.core.engine import NearestConceptEngine
 from repro.core.lca_index import (
@@ -39,22 +41,34 @@ def fresh_cache():
     clear_lca_index_cache()
 
 
+def _steered(xml_file):
+    return Database.open(xml_file, backend="steered", cache=None)
+
+
 class TestSearchBackendFlag:
     def test_vector_matches_steered(self, xml_file, capsys):
         assert main(["search", xml_file, "Bit", "1999"]) == 0
-        steered_out = capsys.readouterr().out
-        assert main(["search", xml_file, "Bit", "1999", "--backend", "vector"]) == 0
-        vector_out = capsys.readouterr().out
-        assert vector_out == steered_out
-        assert "<article>" in vector_out and "joins=5" in vector_out
+        served = capsys.readouterr().out
+        with _steered(xml_file) as reference:
+            expected = "".join(
+                f"{rank:>3}. <{answer['tag']}> oid={answer['oid']} "
+                f"joins={answer['joins']} path={answer['path']}\n"
+                f"     {answer['snippet']}\n"
+                for rank, answer in enumerate(
+                    reference.nearest(
+                        NearestRequest(terms=("Bit", "1999"), snippets=True)
+                    ).answers,
+                    start=1,
+                )
+            )
+        assert served == expected
+        assert "<article>" in served and "joins=5" in served
 
-    def test_explicit_steered_accepted(self, xml_file, capsys):
-        assert main(["search", xml_file, "Bit", "1999", "--backend", "steered"]) == 0
-        assert "joins=5" in capsys.readouterr().out
-
-    def test_unknown_backend_rejected(self, xml_file):
-        with pytest.raises(SystemExit):
+    def test_unknown_backend_rejected(self, xml_file, capsys):
+        with pytest.raises(SystemExit) as exited:
             main(["search", xml_file, "Bit", "1999", "--backend", "quantum"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_retired_indexed_backend_is_an_invalid_choice(
         self, xml_file, capsys
@@ -62,29 +76,33 @@ class TestSearchBackendFlag:
         with pytest.raises(SystemExit) as exited:
             main(["search", xml_file, "Bit", "1999", "--backend", "indexed"])
         assert exited.value.code == 2
-        assert "invalid choice: 'indexed'" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
     def test_vector_on_persisted_image(self, xml_file, tmp_path, capsys):
         catalog = str(tmp_path / "catalog")
         assert main(["snapshot", "build", xml_file, "bib", "--catalog", catalog]) == 0
         capsys.readouterr()
+        assert main(["search", xml_file, "Bit", "1999"]) == 0
+        from_xml = capsys.readouterr().out
         image = str(tmp_path / "catalog" / "bib.snap")
-        assert main(["search", image, "Bit", "1999", "--backend", "vector"]) == 0
-        assert "<article>" in capsys.readouterr().out
+        assert main(["search", image, "Bit", "1999"]) == 0
+        assert capsys.readouterr().out == from_xml
+        assert "<article>" in from_xml
 
 
 class TestQueryBackendFlag:
     def test_vector_matches_steered(self, xml_file, capsys):
         assert main(["query", xml_file, QUERY]) == 0
-        steered_out = capsys.readouterr().out
-        assert main(["query", xml_file, QUERY, "--backend", "vector"]) == 0
-        assert capsys.readouterr().out == steered_out
+        served = capsys.readouterr().out
+        with _steered(xml_file) as reference:
+            envelope = reference.query(QueryRequest(text=QUERY, render=True))
+        assert served == envelope.rendered + "\n"
 
 
 class TestIndexCacheLifecycle:
     def test_cli_vector_search_builds_an_index(self, xml_file):
         assert lca_index_cache_info().builds == 0
-        assert main(["search", xml_file, "Bit", "1999", "--backend", "vector"]) == 0
+        assert main(["search", xml_file, "Bit", "1999"]) == 0
         assert lca_index_cache_info().builds == 1
 
     def test_rebuilt_store_gets_fresh_index(self):

@@ -71,12 +71,10 @@ def test_search_from_sharded_snapshot(xml_file, catalog_dir, capsys):
         ]
     ) == 0
     sharded = capsys.readouterr().out
-    # A sharded collection serves with the snapshot defaults (vector
-    # backend), so compare against the monolithic vector run.
     assert main(
         [
             "search", xml_file, "ICDE", "1999", "--limit", "5",
-            "--backend", "vector", "--catalog", catalog_dir + "-none",
+            "--catalog", catalog_dir + "-none",
         ]
     ) == 0
     monolithic = capsys.readouterr().out

@@ -139,8 +139,8 @@ class TestServeFromSnapshot:
     def test_case_sensitive_bundle_serves_without_rebuild(
         self, xml_file, catalog_dir, capsys
     ):
-        # Serving inherits the bundle's case mode (and the vector
-        # backend), so a --case-sensitive build still starts warm.
+        # Serving inherits the bundle's case mode, so a
+        # --case-sensitive build still starts warm.
         from repro.core.lca_index import (
             clear_lca_index_cache,
             lca_index_cache_info,
@@ -170,7 +170,7 @@ class TestServeFromSnapshot:
     ):
         assert main(
             ["search", "--snapshot", "bib", "--catalog", built,
-             "Bit", "1999", "--backend", "steered", "--no-case-sensitive"]
+             "Bit", "1999", "--no-case-sensitive"]
         ) == 0
         assert "<article>" in capsys.readouterr().out
 

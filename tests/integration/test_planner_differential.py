@@ -1,12 +1,14 @@
 """Differential acceptance for the cost-based planner.
 
-The contract: for every bundled dataset, on both meet backends and on
-monolithic and 2-shard layouts, the planner-chosen access paths must
-answer **byte-identically** — column names, rows, and row order — to a
-forced path-summary scan (``force_scan=True``), both on the pristine
-store and after a randomized live mutate sequence.  Prepared execution
-must likewise be indistinguishable from ad-hoc queries with the same
-bindings.
+The contract: for every bundled dataset, on monolithic and 2-shard
+layouts, the planner-chosen access paths must answer
+**byte-identically** — column names, rows, and row order — to a forced
+path-summary scan (``force_scan=True``), both on the pristine store and
+after a randomized live mutate sequence.  Prepared execution must
+likewise be indistinguishable from ad-hoc queries with the same
+bindings.  Shards serve on the kernels; ``backend`` names the
+monolithic processor they are held to — ``steered``, the paper's
+walks, or ``vector``, the served monolithic path.
 
 Query literals are drawn from the store's actual association values,
 so equality probes genuinely hit and the comparison is never
@@ -67,18 +69,15 @@ def queries_for(store):
     ]
 
 
-def sharded_pair(store, backend, shards=2):
+def sharded_pair(store, shards=2):
     """(planner, force-scan) coordinators sharing one set of services."""
     plan = compute_shard_plan(store, shards)
-    executor = SerialExecutor(
-        list(shard_services(store, plan, backend=backend).values())
-    )
+    executor = SerialExecutor(list(shard_services(store, plan).values()))
     generations = [store.generation] * plan.shard_count
     build = lambda force: ShardedCollection(
         plan,
         store,
         executor,
-        backend_name=backend,
         generations=generations,
         force_scan=force,
     )
@@ -116,7 +115,7 @@ def test_planner_matches_forced_scan_monolithic(stores, dataset, backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_planner_matches_forced_scan_sharded(stores, dataset, backend):
     store = stores[dataset]
-    planned_sc, scanned_sc = sharded_pair(store, backend)
+    planned_sc, scanned_sc = sharded_pair(store)
     mono_scan = QueryProcessor(store, None, backend=backend, force_scan=True)
     for text in queries_for(store):
         planned = planned_sc.execute(text)
@@ -171,7 +170,7 @@ def test_prepared_matches_adhoc(stores, dataset, backend):
     store = stores[dataset]
     template = parse_query(TEMPLATE)
     processor = QueryProcessor(store, None, backend=backend)
-    planned_sc, _ = sharded_pair(store, backend)
+    planned_sc, _ = sharded_pair(store)
     for value in picked_values(store):
         prepared = processor.execute_template(
             template, text=TEMPLATE, bindings={"v": value}
@@ -190,31 +189,34 @@ def test_prepared_matches_adhoc(stores, dataset, backend):
 def test_planner_matches_forced_scan_after_mutations(
     tmp_path, dataset, backend, shards
 ):
-    """Live writes: probe answers keep tracking the scan, step by step."""
+    """Live writes: probe answers keep tracking the scan, step by step.
+
+    A monolithic open answers on ``backend``; a sharded one serves on
+    the kernels and is also held to a force-scan processor on
+    ``backend`` over the store it keeps."""
     source, model = write_source(tmp_path, dataset)
-    db = open_live(source, backend=backend, shards=shards)
+    db = open_live(
+        source, backend=backend if shards is None else None, shards=shards
+    )
     try:
         fuzzer = MutationFuzzer(model, dataset, seed=902_000 + hash(dataset) % 97)
         for _ in range(MUTATION_STEPS):
             apply_step(db, model, fuzzer.step())
 
+        store = db.store
+        reference = QueryProcessor(
+            store, None, backend=backend, force_scan=True
+        ).execute
         if shards is None:
-            store = db.store
-            planner = db.processor
-            scanner = QueryProcessor(
-                store, None, backend=backend, force_scan=True
-            )
-            execute_planned = planner.execute
-            execute_scanned = scanner.execute
+            execute_planned = db.processor.execute
+            execute_scanned = reference
         else:
-            store = model.oracle_store()
             coordinator = db.sharded
             twin = ShardedCollection(
                 coordinator.plan,
                 coordinator.store,
                 coordinator.executor,
                 case_sensitive=coordinator.case_sensitive,
-                backend_name=coordinator.backend_name,
                 generations=coordinator.generations,
                 force_scan=True,
             )
@@ -222,16 +224,20 @@ def test_planner_matches_forced_scan_after_mutations(
             execute_scanned = twin.execute
 
         for text in queries_for(store):
-            assert_identical(
-                execute_planned(text),
-                execute_scanned(text),
-                (dataset, backend, shards, text),
-            )
+            planned = execute_planned(text)
+            context = (dataset, backend, shards, text)
+            assert_identical(planned, execute_scanned(text), context)
+            assert_identical(planned, reference(text), context)
         for value in picked_values(store):
+            planned = execute_planned(TEMPLATE, bindings={"v": value})
+            context = (dataset, backend, shards, "prepared", value)
             assert_identical(
-                execute_planned(TEMPLATE, bindings={"v": value}),
+                planned,
                 execute_scanned(TEMPLATE, bindings={"v": value}),
-                (dataset, backend, shards, "prepared", value),
+                context,
+            )
+            assert_identical(
+                planned, reference(TEMPLATE, bindings={"v": value}), context
             )
     finally:
         db.close()

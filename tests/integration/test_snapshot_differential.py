@@ -1,10 +1,10 @@
 """Differential acceptance: snapshot-loaded stores answer identically.
 
 For every bundled dataset, ``nearest_concepts`` answer sets *and*
-ranking order must be byte-identical between a freshly built store and
-a snapshot-loaded one, on both the ``steered`` and ``vector``
-backends — the satellite contract that persistence changes nothing
-about semantics.
+ranking order of a snapshot-loaded store, served on the kernels, must
+be byte-identical to a freshly built store's on ``backend`` — the
+paper's ``steered`` walks (the reference) or the ``vector`` kernels:
+persistence changes nothing about semantics.
 """
 
 import pytest
@@ -66,7 +66,7 @@ def test_answers_and_ranking_identical(snapshots, dataset, backend):
     fresh_store, loaded_store = snapshots[dataset]
     _build, queries = DATASETS[dataset]
     fresh = NearestConceptEngine(fresh_store, backend=backend)
-    loaded = NearestConceptEngine(loaded_store, backend=backend)
+    loaded = NearestConceptEngine(loaded_store)
     for terms in queries:
         for options in (
             {},

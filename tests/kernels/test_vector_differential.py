@@ -4,7 +4,7 @@ The acceptance bar of the kernel tier is *bit-for-bit equivalence*:
 across every bundled dataset, monolithic and 2-shard serving, and a
 seeded stream of live put/delete/replace mutations, the ``vector``
 backend must return exactly the answers — and exactly the ranking
-keys — of the paper's ``steered`` backend.  A final test
+keys — of the paper's ``steered`` walks, a monolithic reference.  A final test
 pins the zero-rebuild property: serving a snapshot bundle on the
 vector backend performs no LCA index build (the kernels bind views
 over the deserialized columns).
@@ -61,7 +61,7 @@ def test_vector_matches_references_under_mutations(tmp_path, dataset, shards):
     source, model = write_source(tmp_path, dataset)
     vector_db = open_live(source, backend="vector", shards=shards)
     references = {
-        name: open_live(source, backend=name, shards=shards)
+        name: open_live(source, backend=name)
         for name in REFERENCE_BACKENDS
     }
     try:

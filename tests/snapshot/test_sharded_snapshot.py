@@ -64,7 +64,7 @@ def test_shard_bundles_load_seeded(store, tmp_path):
     clear_fulltext_index_cache()
     snapshot = read_snapshot(catalog.bundle_path("dblp"))
     services = shard_services(
-        snapshot.store, recorded_plan(snapshot.meta), backend="vector"
+        snapshot.store, recorded_plan(snapshot.meta)
     )
     for service in services.values():
         service.handle(

@@ -37,6 +37,8 @@ from repro.datasets import (
 from repro.datasets.randomtree import random_document
 from repro.query.executor import QueryProcessor
 
+#: What the rebuild oracle answers on: the paper's walks (the reference)
+#: or the kernels.  Sharded opens always serve on the kernels.
 BACKENDS = ("steered", "vector")
 
 #: ``None`` is a monolithic open; integers are in-process shard counts.
