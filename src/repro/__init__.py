@@ -40,8 +40,11 @@ Packages:
 * :mod:`repro.snapshot`  — binary columnar persistence, catalogs,
   shard-aware bundles.
 * :mod:`repro.exec`      — sharded collections, the serial and
-  socket-worker executors, the scatter-gather coordinator.
+  socket-worker executors, the scatter-gather coordinator (loaded on
+  first use, like :mod:`repro.api.server`).
 """
+
+import importlib
 
 from .api import (
     Database,
@@ -77,14 +80,27 @@ from .datamodel import (
     parse_document,
     serialize,
 )
-from .exec import (
-    SerialExecutor,
-    ShardedCollection,
-    ShardPlan,
-)
 from .fulltext import FullTextIndex, SearchEngine
 from .monet import MonetXML, PathSummary, monet_transform
 from .query import QueryProcessor, parse_query, run_query
+
+#: Names loaded on first access (PEP 562): the execution layer and the
+#: HTTP service are ~65 ms of imports a monolithic open never uses.
+_LAZY = {
+    "ReproServer": "repro.api.server",
+    "SerialExecutor": "repro.exec",
+    "ShardPlan": "repro.exec",
+    "ShardedCollection": "repro.exec",
+}
+
+
+def __getattr__(name: str):
+    if name == "exec":
+        return importlib.import_module("repro.exec")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name]), name)
+
 
 __version__ = "0.10.0"
 
@@ -104,6 +120,7 @@ __all__ = [
     "Path",
     "PathSummary",
     "QueryProcessor",
+    "ReproServer",
     "SerialExecutor",
     "ShardPlan",
     "ShardedCollection",

@@ -38,7 +38,17 @@ from .resolve import (
     default_catalog_dir,
     resolve_source,
 )
-from .server import ReproServer
+
+
+def __getattr__(name: str):
+    # The HTTP service (and ``http.server`` under it) loads on first
+    # use: a library open never needs it.
+    if name == "ReproServer":
+        from .server import ReproServer
+
+        return ReproServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: ``repro.api.open`` — and, re-exported, ``repro.open``: the
 #: Quick-Start spelling of :meth:`Database.open`.

@@ -62,7 +62,7 @@ import time
 import weakref
 from contextlib import contextmanager
 from pathlib import Path as FsPath
-from typing import Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from ..core.engine import NearestConceptEngine
 from ..core.result_cache import ResultCache, resolve_result_cache
@@ -73,11 +73,6 @@ from ..datamodel.errors import (
     StorageError,
     UnknownDocumentError,
 )
-from ..datamodel.parser import parse_fragment
-from ..exec.coordinator import ShardedCollection
-from ..exec.executors import SerialExecutor
-from ..exec.service import shard_services
-from ..exec.sharding import ShardPlan, compute_shard_plan
 from ..fulltext.search import SearchEngine
 from ..monet.engine import MonetXML
 from ..monet.mutate import (
@@ -86,6 +81,7 @@ from ..monet.mutate import (
     ensure_document_registry,
     put_document,
     replace_document,
+    shred_fragment,
 )
 from ..obs.metrics import Counter, Gauge
 from ..query.ast import Query
@@ -104,6 +100,12 @@ from .envelopes import (
 )
 from .options import DatabaseOptions
 from .resolve import ResolvedSource, SourceLike, resolve_source
+
+if TYPE_CHECKING:
+    # The execution layer loads when a database first serves shards.
+    from ..exec.coordinator import ShardedCollection
+    from ..exec.executors import SerialExecutor
+    from ..exec.sharding import ShardPlan
 
 __all__ = ["Database", "open_database"]
 
@@ -185,6 +187,9 @@ def _in_process(
     store: MonetXML, plan: ShardPlan, case_sensitive: bool
 ) -> SerialExecutor:
     """The in-process executor over every shard of ``plan``."""
+    from ..exec.executors import SerialExecutor
+    from ..exec.service import shard_services
+
     services = shard_services(store, plan, case_sensitive=case_sensitive)
     return SerialExecutor(list(services.values()))
 
@@ -414,6 +419,9 @@ class Database:
         ``plan``, else — for a parsed store or a bundle recording
         another layout — one temporary bundle that does.
         """
+        from ..exec.coordinator import ShardedCollection
+        from ..exec.sharding import compute_shard_plan
+
         store = resolved.store
         snapshot = resolved.snapshot
         if options.backend == "steered":
@@ -1036,15 +1044,14 @@ class Database:
                 raise DuplicateDocumentError(name)
             if op == "delete" and name not in registry:
                 raise UnknownDocumentError(name)
-            if xml is not None:
-                parse_fragment(xml)
+            fragment = None if xml is None else shred_fragment(store, xml)
             self._write_through(DeltaOp(op, name, xml))
             if op == "put":
-                records = [put_document(store, name, xml)]
+                records = [put_document(store, name, fragment)]
             elif op == "delete":
                 records = [delete_document(store, name)]
             else:
-                records = replace_document(store, name, xml)
+                records = replace_document(store, name, fragment)
             if self.sharded is not None:
                 self._rebind_shards(self.sharded.plan.extended(store))
             self._mutations += 1
@@ -1090,6 +1097,8 @@ class Database:
                     self._processor = None
             store = compacted
             if self.sharded is not None:
+                from ..exec.sharding import compute_shard_plan
+
                 self._rebind_shards(
                     compute_shard_plan(store, self.sharded.plan.shard_count)
                 )
@@ -1134,6 +1143,8 @@ class Database:
         cache, whose layout-fingerprint + generation key drops stale
         entries by itself.
         """
+        from ..exec.coordinator import ShardedCollection
+
         store = self.store
         previous = self.sharded
         self.sharded = ShardedCollection(

@@ -31,9 +31,8 @@ from pathlib import Path as FsPath
 from typing import Optional, Union
 
 from ..datamodel.errors import ReproError, StorageError
-from ..datamodel.parser import parse_document
 from ..monet.engine import MonetXML
-from ..monet.transform import monet_transform
+from ..monet.transform import shred_xml
 from ..snapshot import Catalog, read_snapshot
 from ..snapshot.catalog import refuse_json_image
 from ..snapshot.codec import Snapshot
@@ -187,6 +186,4 @@ def resolve_source(
     if hit is not None:
         return hit
     text = path.read_text(encoding="utf-8")
-    return ResolvedSource(
-        monet_transform(parse_document(text, first_oid=1)), "parse"
-    )
+    return ResolvedSource(shred_xml(text, first_oid=1), "parse")

@@ -53,7 +53,6 @@ from .api import (
     DatabaseOptions,
     NearestRequest,
     QueryRequest,
-    ReproServer,
     default_catalog_dir,
     resolve_source,
 )
@@ -703,6 +702,8 @@ def _command_serve(args) -> int:
         else:
             name = FsPath(str(args.snapshot)).stem
         databases = {name: database}
+    from .api.server import ReproServer
+
     server = ReproServer(
         databases,
         host=args.host,

@@ -19,7 +19,7 @@ from .errors import ModelError, UnknownOIDError
 from .node import CDATA_ATTRIBUTE, Node
 from .paths import Path
 
-__all__ = ["Document", "CDATA_LABEL", "STRING_ATTRIBUTE"]
+__all__ = ["Document", "CDATA_LABEL", "STRING_ATTRIBUTE", "split_cdata"]
 
 #: Label of materialized character-data nodes (Figure 1 of the paper).
 CDATA_LABEL = "cdata"
@@ -27,6 +27,22 @@ CDATA_LABEL = "cdata"
 #: Attribute name carrying the value of a cdata node; the Monet
 #: transform turns it into the ``.../cdata@string`` relations of Fig. 2.
 STRING_ATTRIBUTE = "string"
+
+
+def split_cdata(label: str, attributes: Dict[str, str]) -> Optional[str]:
+    """The cdata normalization of one node, applied to ``attributes``.
+
+    Definition 1 models character data as a special ``cdata``
+    attribute; the paper's Figures 1 and 2 materialize it as a ``cdata``
+    *node* carrying it as ``string`` (relation ``.../cdata@string``).
+    A ``cdata`` node keeps the popped value as ``string``; any other
+    node gets it back, for a new ``cdata`` child after its children.
+    """
+    value = attributes.pop(CDATA_ATTRIBUTE, None)
+    if value is not None and label == CDATA_LABEL:
+        attributes[STRING_ATTRIBUTE] = value
+        return None
+    return value
 
 
 class Document:
@@ -53,26 +69,15 @@ class Document:
 
     # -- construction ----------------------------------------------------
     def _normalize_cdata(self) -> None:
-        """Materialize ``cdata`` attributes as explicit ``cdata`` nodes.
-
-        Definition 1 models character data as a special ``cdata``
-        attribute; the paper's Figures 1 and 2 materialize it as a
-        dedicated ``cdata`` *node* whose value hangs off the node via a
-        ``string`` association (relation ``.../cdata@string``).  This
-        normalization converts the attribute form into the node form so
-        a single uniform transform rule reproduces Figure 2 exactly.
-        Idempotent; appends the cdata child after existing children.
-        """
+        """Materialize ``cdata`` attributes as explicit ``cdata`` nodes
+        (:func:`split_cdata`), so a single uniform transform rule
+        reproduces Figure 2 exactly.  Idempotent."""
         for node in list(self.root.iter_preorder()):
-            value = node.attributes.pop(CDATA_ATTRIBUTE, None)
-            if value is None:
-                continue
-            if node.label == CDATA_LABEL:
-                # Already a cdata node carrying its value directly.
-                node.attributes[STRING_ATTRIBUTE] = value
-                continue
-            cdata = Node(CDATA_LABEL, attributes={STRING_ATTRIBUTE: value})
-            node.append(cdata)
+            value = split_cdata(node.label, node.attributes)
+            if value is not None:
+                node.append(
+                    Node(CDATA_LABEL, attributes={STRING_ATTRIBUTE: value})
+                )
 
     def _freeze(self) -> None:
         """Assign pre-order OIDs and compute π(o) for every node."""

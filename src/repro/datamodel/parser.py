@@ -1,4 +1,4 @@
-"""A from-scratch XML parser producing the conceptual data model.
+"""A from-scratch XML parser driving a sink of parse events.
 
 The parser handles the XML subset relevant to the paper's workloads:
 elements, attributes, character data (including mixed content), CDATA
@@ -7,24 +7,30 @@ five predefined entities and numeric character references.  Namespaces
 are treated textually (prefixes stay part of the tag name), matching
 the paper's purely label-based model.
 
-Character data chunks become explicit ``cdata`` nodes per Figure 1 of
-the paper (see :mod:`repro.datamodel.document`).  Whitespace-only text
-between elements is dropped by default (``keep_whitespace=False``)
-because the paper's bibliographic documents are data-centric.
-
 The implementation is a hand-written single-pass scanner — no external
-dependencies — with precise line/column error reporting.
+dependencies — with precise line/column error reporting.  It drives a
+*sink* in document order: ``open(label, attributes)`` per start tag,
+``text(value)`` per character data chunk (a ``cdata`` node of Figure 1,
+see :mod:`repro.datamodel.document`) and ``close()`` per end tag; a
+self-closing tag is an ``open`` and a ``close``.  Whitespace-only text
+between elements is dropped by default (``keep_whitespace=False``)
+because the paper's bibliographic documents are data-centric.  Two
+sinks share the one loop, so they see the same events and errors:
+:class:`NodeSink` builds the :class:`~repro.datamodel.node.Node` tree
+of :func:`parse_fragment` and :func:`parse_document`, and
+:class:`repro.monet.transform.ColumnSink` the store's columns.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from .document import CDATA_LABEL, STRING_ATTRIBUTE, Document
 from .errors import XMLParseError
 from .node import Node
 
-__all__ = ["parse_document", "parse_fragment", "XMLScanner"]
+__all__ = ["parse_document", "parse_fragment", "parse_into", "XMLScanner"]
 
 _PREDEFINED_ENTITIES = {
     "lt": "<",
@@ -35,15 +41,14 @@ _PREDEFINED_ENTITIES = {
 }
 
 _NAME_START_EXTRA = set("_:")
-_NAME_EXTRA = set("_:-.")
+
+#: A run of name characters: those for which ``str.isalnum()`` holds
+#: (exactly ``\w`` but ``_``) and ``_:-.``.
+_NAME_CHARS = re.compile(r"[\w:.-]+")
 
 
 def _is_name_start(ch: str) -> bool:
     return ch.isalpha() or ch in _NAME_START_EXTRA
-
-
-def _is_name_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _NAME_EXTRA
 
 
 class XMLScanner:
@@ -102,12 +107,11 @@ class XMLScanner:
 
     def read_name(self) -> str:
         start = self.pos
-        if self.at_end() or not _is_name_start(self.peek()):
+        match = _NAME_CHARS.match(self.text, start)
+        if match is None or not _is_name_start(self.text[start]):
             raise self.error("expected an XML name")
-        self.advance()
-        while not self.at_end() and _is_name_char(self.peek()):
-            self.advance()
-        return self.text[start:self.pos]
+        self.pos = match.end()
+        return match.group()
 
 
 def _decode_entity(scanner: XMLScanner) -> str:
@@ -157,84 +161,84 @@ def _decode_text(raw: str, scanner: XMLScanner, base: int) -> str:
 class _Parser:
     """Recursive-descent XML parser over an :class:`XMLScanner`."""
 
-    def __init__(self, text: str, keep_whitespace: bool):
+    def __init__(self, text: str, keep_whitespace: bool, sink):
         self.scanner = XMLScanner(text)
         self.keep_whitespace = keep_whitespace
+        self.sink = sink
 
     # -- top level -------------------------------------------------------
-    def parse(self) -> Node:
+    def parse(self) -> None:
         """Iterative element parsing with an explicit open-tag stack.
 
         Documents regularly out-depth Python's recursion limit, so the
         element structure is driven by a loop, not by recursion.
         """
         scanner = self.scanner
+        text = scanner.text
+        close = self.sink.close
         self._skip_misc()
         if scanner.at_end() or scanner.peek() != "<":
             raise scanner.error("expected a root element")
-        root, closed = self._parse_start_tag()
-        stack: List[Node] = [] if closed else [root]
+        stack: List[str] = []
+        self._parse_start_tag(stack)
         while stack:
             current = stack[-1]
-            if scanner.at_end():
-                raise scanner.error(f"unterminated element <{current.label}>")
-            if scanner.starts_with("</"):
+            start = scanner.pos
+            if start >= scanner.length:
+                raise scanner.error(f"unterminated element <{current}>")
+            if text[start] != "<":
+                end = text.find("<", start)
+                if end < 0:
+                    raise scanner.error(f"unterminated element <{current}>")
+                scanner.pos = end
+                self._text(_decode_text(text[start:end], scanner, start))
+                continue
+            marker = text[start + 1 : start + 2]
+            if marker == "/":
                 scanner.advance(2)
                 end_name = scanner.read_name()
-                if end_name != current.label:
+                if end_name != current:
                     raise scanner.error(
                         f"mismatched closing tag </{end_name}>, "
-                        f"expected </{current.label}>"
+                        f"expected </{current}>"
                     )
                 scanner.skip_whitespace()
                 scanner.expect(">")
                 stack.pop()
-            elif scanner.starts_with("<!--"):
+                close()
+            elif marker == "!" and scanner.starts_with("<!--"):
                 scanner.advance(4)
                 scanner.read_until("-->")
-            elif scanner.starts_with("<![CDATA["):
+            elif marker == "!" and scanner.starts_with("<![CDATA["):
                 scanner.advance(9)
                 value = scanner.read_until("]]>")
-                self._append_text(current, value, decoded=True)
-            elif scanner.starts_with("<?"):
+                self._text(value, decoded=True)
+            elif marker == "?":
                 scanner.advance(2)
                 scanner.read_until("?>")
-            elif scanner.peek() == "<":
-                child, child_closed = self._parse_start_tag()
-                current.append(child)
-                if not child_closed:
-                    stack.append(child)
             else:
-                start = scanner.pos
-                end = scanner.text.find("<", start)
-                if end < 0:
-                    raise scanner.error(
-                        f"unterminated element <{current.label}>"
-                    )
-                raw = scanner.text[start:end]
-                scanner.pos = end
-                self._append_text(current, _decode_text(raw, scanner, start))
+                self._parse_start_tag(stack)
         self._skip_misc()
         if not scanner.at_end():
             raise scanner.error("content after the root element")
-        return root
 
-    def _parse_start_tag(self) -> Tuple[Node, bool]:
-        """Parse ``<name attrs…>`` or ``<name attrs…/>``.
-
-        Returns the fresh node and whether the element self-closed.
-        """
+    def _parse_start_tag(self, stack: List[str]) -> None:
+        """Parse ``<name attrs…>`` or ``<name attrs…/>`` into an ``open``
+        (and, for a self-closing tag, a ``close``) of the sink; an open
+        element's name goes on ``stack``."""
         scanner = self.scanner
         scanner.expect("<")
         label = scanner.read_name()
         attributes = self._parse_attributes()
-        node = Node(label, attributes=attributes)
         scanner.skip_whitespace()
         if scanner.starts_with("/>"):
             scanner.advance(2)
-            return node, True
+            self.sink.open(label, attributes)
+            self.sink.close()
+            return
         scanner.expect(">")
-        return node, False
+        self.sink.open(label, attributes)
+        stack.append(label)
 
     def _skip_misc(self) -> None:
         """Skip whitespace, comments, PIs and DOCTYPE outside elements."""
@@ -289,19 +293,54 @@ class _Parser:
                 raise scanner.error(f"duplicate attribute {name!r}")
             attributes[name] = _decode_text(raw, scanner, base)
 
-    def _append_text(self, node: Node, text: str, decoded: bool = False) -> None:
+    def _text(self, text: str, decoded: bool = False) -> None:
         if not decoded and not self.keep_whitespace and not text.strip():
             return
         if not self.keep_whitespace:
             text = text.strip()
             if not text and not decoded:
                 return
-        node.append(Node(CDATA_LABEL, attributes={STRING_ATTRIBUTE: text}))
+        self.sink.text(text)
+
+
+class NodeSink:
+    """The sink that builds the parse's :class:`Node` tree (``root``)."""
+
+    def __init__(self):
+        self.root: Optional[Node] = None
+        self._open: List[Node] = []
+
+    def open(self, label: str, attributes: Dict[str, str]) -> None:
+        node = Node(label, attributes=attributes)
+        if self._open:
+            self._open[-1].append(node)
+        else:
+            self.root = node
+        self._open.append(node)
+
+    def text(self, value: str) -> None:
+        self._open[-1].append(
+            Node(CDATA_LABEL, attributes={STRING_ATTRIBUTE: value})
+        )
+
+    def close(self) -> None:
+        self._open.pop()
+
+
+def parse_into(text: str, sink, keep_whitespace: bool = False) -> None:
+    """Parse XML text, feeding its events to ``sink`` (see module doc).
+
+    Raises :class:`XMLParseError` on malformed input; a sink may have
+    seen some events by then.
+    """
+    _Parser(text, keep_whitespace, sink).parse()
 
 
 def parse_fragment(text: str, keep_whitespace: bool = False) -> Node:
     """Parse XML text and return the root :class:`Node` (no OIDs yet)."""
-    return _Parser(text, keep_whitespace).parse()
+    sink = NodeSink()
+    parse_into(text, sink, keep_whitespace)
+    return sink.root
 
 
 def parse_document(

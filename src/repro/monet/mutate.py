@@ -3,10 +3,12 @@
 The store of Definition 4 is built once from a frozen document; this
 module makes it a *collection* you can mutate while it serves queries:
 
-* :func:`put_document` parses an XML fragment, grafts it under the
-  store root as a fresh top-level document, appends its nodes as one
-  contiguous pre-order OID run (``last_oid + 1`` onward) and interns
-  its paths into the shared summary;
+* :func:`put_document` splices an XML fragment under the store root as
+  a fresh top-level document: :func:`shred_fragment` parses it into a
+  detached column buffer (:class:`~repro.monet.transform.ColumnSink`),
+  whose nodes are appended as one contiguous pre-order OID run
+  (``last_oid + 1`` onward) and whose new paths are interned into the
+  shared summary;
 * :func:`delete_document` tombstones a document's OID range — the
   dense columns keep their slots (parent pointers cleared, which drops
   them from the derived ``edges``/``ranks``) while the string runs lose
@@ -44,25 +46,27 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..datamodel.document import CDATA_LABEL, STRING_ATTRIBUTE
 from ..datamodel.errors import (
     DocumentError,
     DuplicateDocumentError,
+    ModelError,
     UnknownDocumentError,
 )
-from ..datamodel.node import CDATA_ATTRIBUTE, Node
-from ..datamodel.parser import parse_fragment
+from ..datamodel.parser import parse_into
 from .engine import MonetXML, int32_column
+from .pathsummary import PathSummary
+from .transform import ColumnSink
 
 __all__ = [
     "MutationRecord",
     "JOURNAL_LIMIT",
     "journal_chain",
     "ensure_document_registry",
+    "shred_fragment",
     "put_document",
     "delete_document",
     "replace_document",
@@ -174,78 +178,79 @@ def _ensure_mutable(store: MonetXML) -> None:
 # put
 # ---------------------------------------------------------------------------
 
-def _normalize_cdata(root: Node) -> None:
-    """The cdata-attribute → cdata-node normalization of Document."""
-    for node in list(root.iter_preorder()):
-        value = node.attributes.pop(CDATA_ATTRIBUTE, None)
-        if value is None:
-            continue
-        if node.label == CDATA_LABEL:
-            node.attributes[STRING_ATTRIBUTE] = value
-            continue
-        node.append(Node(CDATA_LABEL, attributes={STRING_ATTRIBUTE: value}))
+def shred_fragment(store: MonetXML, xml: str) -> ColumnSink:
+    """Parse ``xml`` into a detached buffer for :func:`put_document`.
+
+    The buffer holds the fragment's nodes as a new top-level document
+    of ``store`` — OIDs from ``last_oid + 1`` on, the root below the
+    store root — with pids of its own summary, whose pid 0 stands for
+    the store root's path.  Shredding changes nothing in the store, so
+    an :class:`XMLParseError` leaves it as it was.
+    """
+    fragment = ColumnSink(
+        PathSummary(),
+        first_oid=store.last_oid + 1,
+        root_parent=(store.root_oid, 0),
+    )
+    parse_into(xml, fragment)
+    return fragment
 
 
-def put_document(store: MonetXML, name: str, xml: str) -> MutationRecord:
-    """Parse ``xml`` and append it as the named top-level document.
+def put_document(
+    store: MonetXML, name: str, xml: Union[str, ColumnSink]
+) -> MutationRecord:
+    """Append ``xml`` as the named top-level document.
 
-    The fragment is grafted under the store root: its nodes receive the
-    contiguous OID run ``last_oid + 1 …`` in pre-order, its paths are
-    interned into the shared summary prefixed by the root path, and the
-    string runs gain the new associations.  Raises
-    :class:`DuplicateDocumentError` if the name is taken.
+    ``xml`` is XML text or the buffer :func:`shred_fragment` made of it
+    for this store, with no write in between.  The fragment is spliced
+    under the store root: its nodes take the contiguous OID run
+    ``last_oid + 1 …`` in pre-order, its new paths are interned into
+    the shared summary, and the string runs gain the new associations.
+    Raises :class:`DuplicateDocumentError` if the name is taken.
     """
     registry = ensure_document_registry(store)
     if name in registry:
         raise DuplicateDocumentError(name)
-    fragment = parse_fragment(xml)
-    _normalize_cdata(fragment)
+    fragment = shred_fragment(store, xml) if isinstance(xml, str) else xml
+    first_new = store.last_oid + 1
+    if fragment.first_oid != first_new:
+        raise ModelError("the store changed since the fragment was shredded")
     _ensure_mutable(store)
-
-    root_oid = store.root_oid
-    root_pid = store.pid_of(root_oid)
-    root_path = store.summary.path(root_pid)
-    summary = store.summary
+    # Intern the fragment's paths in its pid order — first appearance
+    # in pre-order, as a transform of the whole collection would.
+    local, summary = fragment.steps, store.summary
+    pids = [store.pid_of(store.root_oid)]
+    for pid in local.pids():
+        parent = pids[local.parent(pid)]
+        pids.append(
+            summary.intern_step(parent, local.label(pid), local.is_attribute(pid))
+        )
     # The registry holds exactly the live top-level documents, so the
     # next rank comes from it — not from the O(n) children adjacency,
     # which the previous write has just invalidated.
-    fragment.rank = max(
+    fragment.ranks[0] = max(
         (store.rank_of(low) + 1 for low, _ in registry.values()), default=0
     )
+    store._oid_pid.extend(map(pids.__getitem__, fragment.pids))
+    store._oid_parent.extend(fragment.parents)
+    store._oid_rank.extend(fragment.ranks)
+    added = (
+        [pids[pid] for pid in fragment.string_pids],
+        fragment.string_oids,
+        fragment.values,
+    )
+    if fragment.values:
+        store._string_runs = store._string_runs.with_rows(*added)
 
-    first_new = store.last_oid + 1
-    added_strings: List[Tuple[int, int, str]] = []
-
-    # Pre-order pass mirroring monet_transform, rebased on the root path.
-    oid = first_new
-    stack: List[Tuple[Node, int, object]] = [(fragment, root_oid, root_path)]
-    while stack:
-        node, parent_oid, parent_path = stack.pop()
-        path = parent_path.child(node.label)
-        pid = summary.intern(path)
-        store._oid_pid.append(pid)
-        store._oid_parent.append(parent_oid)
-        store._oid_rank.append(node.rank)
-        for attr_name, value in node.attributes.items():
-            attr_pid = summary.intern(path.attribute(attr_name))
-            added_strings.append((attr_pid, oid, value))
-        node_oid = oid
-        oid += 1
-        for child in reversed(node.children):
-            stack.append((child, node_oid, path))
-    last_new = oid - 1
-    if added_strings:
-        store._string_runs = store._string_runs.with_rows(*zip(*added_strings))
-
-    registry[name] = (first_new, last_new)
-    record = _record(
+    span = (first_new, store.last_oid)
+    registry[name] = span
+    return _record(
         store,
         kind="put",
         name=name,
-        span=(first_new, last_new),
-        added_strings=tuple(added_strings),
+        span=span,
+        added_strings=tuple(zip(*added)),
     )
-    return record
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +298,20 @@ def delete_document(store: MonetXML, name: str) -> MutationRecord:
 
 
 def replace_document(
-    store: MonetXML, name: str, xml: str
+    store: MonetXML, name: str, xml: Union[str, ColumnSink]
 ) -> List[MutationRecord]:
     """Replace (upsert) the named document: delete if present, then put.
 
     The new content re-appends at the OID tail — the same position a
     rebuild that serializes documents in collection order would give it.
+    ``xml`` is XML text or its :func:`shred_fragment` buffer.
     """
     registry = ensure_document_registry(store)
-    # Validate the fragment *before* deleting: a parse error must leave
-    # the collection exactly as it was.
-    parse_fragment(xml)
+    # Shred the fragment *before* deleting: a parse error must leave
+    # the collection exactly as it was.  A delete frees no OID slot, so
+    # the buffer still fits the store after it.
+    if isinstance(xml, str):
+        xml = shred_fragment(store, xml)
     records: List[MutationRecord] = []
     if name in registry:
         records.append(delete_document(store, name))

@@ -14,59 +14,143 @@ the O(1) ``parent``/π look-ups of §3.2; ``E'`` and ``R'`` are those
 columns regrouped by pid, derived on first use, and ``A'`` is one
 pid-sorted run of string rows per attribute path
 (:mod:`repro.monet.relations`).
+
+:class:`ColumnSink` is that one pre-order pass.  The XML parser drives
+it straight from the text (:func:`shred_xml`: snapshot builds, parsed
+opens), :func:`monet_transform` from a node tree, and a write into a
+detached buffer (:func:`repro.monet.mutate.shred_fragment`); every pid
+is interned from its parent's by one step, so none builds a
+:class:`~repro.datamodel.paths.Path`.
 """
 
 from __future__ import annotations
 
-from typing import List
+from array import array
+from typing import Dict, List, Tuple
 
-from ..datamodel.document import Document
-from .engine import MonetXML, int32_column
+from ..datamodel.document import (
+    CDATA_LABEL,
+    STRING_ATTRIBUTE,
+    Document,
+    split_cdata,
+)
+from ..datamodel.node import CDATA_ATTRIBUTE
+from ..datamodel.parser import parse_into
+from .engine import MonetXML
 from .pathsummary import PathSummary
 from .relations import group_rows
 
-__all__ = ["monet_transform"]
+__all__ = ["ColumnSink", "monet_transform", "shred_xml"]
+
+
+class ColumnSink:
+    """Parser sink appending one document to store columns.
+
+    Node ``first_oid + i`` appends its pid, parent OID and rank to
+    :attr:`pids`, :attr:`parents`, :attr:`ranks`, and each attribute a
+    ``(pid, OID, value)`` row to :attr:`string_pids`,
+    :attr:`string_oids`, :attr:`values`.  A text event is a ``cdata``
+    node with a ``string`` attribute, and a ``cdata`` attribute becomes
+    one (:func:`~repro.datamodel.document.split_cdata`).  ``steps``
+    interns pids (``intern_step``); the root hangs below
+    ``root_parent``, a ``(parent OID, parent pid)`` pair.
+    """
+
+    def __init__(
+        self,
+        steps,
+        first_oid: int = 0,
+        root_parent: Tuple[int, int] = (-1, 0),
+    ):
+        self.steps = steps
+        self.first_oid = first_oid
+        self.pids = array("i")
+        self.parents = array("i")
+        self.ranks = array("i")
+        self.string_pids: List[int] = []
+        self.string_oids: List[int] = []
+        self.values: List[str] = []
+        self._root_parent = root_parent
+        # One frame per open element: [OID, pid, children so far, the
+        # value of its trailing cdata child or None].
+        self._open: List[list] = []
+
+    def _append(self, label: str) -> Tuple[int, int]:
+        """Append an element node below the open one; its (OID, pid)."""
+        if self._open:
+            frame = self._open[-1]
+            parent_oid, parent_pid, rank = frame[0], frame[1], frame[2]
+            frame[2] = rank + 1
+        else:
+            (parent_oid, parent_pid), rank = self._root_parent, 0
+        pid = self.steps.intern_step(parent_pid, label, False)
+        oid = self.first_oid + len(self.pids)
+        self.pids.append(pid)
+        self.parents.append(parent_oid)
+        self.ranks.append(rank)
+        return oid, pid
+
+    def _string(self, pid: int, name: str, oid: int, value: str) -> None:
+        self.string_pids.append(self.steps.intern_step(pid, name, True))
+        self.string_oids.append(oid)
+        self.values.append(value)
+
+    def open(self, label: str, attributes: Dict[str, str]) -> None:
+        oid, pid = self._append(label)
+        trailing = None
+        if CDATA_ATTRIBUTE in attributes:
+            trailing = split_cdata(label, attributes)
+        for name, value in attributes.items():
+            self._string(pid, name, oid, value)
+        self._open.append([oid, pid, 0, trailing])
+
+    def text(self, value: str) -> None:
+        oid, pid = self._append(CDATA_LABEL)
+        self._string(pid, STRING_ATTRIBUTE, oid, value)
+
+    def close(self) -> None:
+        trailing = self._open[-1][3]
+        if trailing is not None:
+            self.text(trailing)
+        self._open.pop()
+
+    def store(self) -> MonetXML:
+        """The store of the shredded document (``steps`` its summary)."""
+        return MonetXML(
+            summary=self.steps,
+            root_oid=self.first_oid,
+            first_oid=self.first_oid,
+            oid_pid=self.pids,
+            oid_parent=self.parents,
+            oid_rank=self.ranks,
+            strings=group_rows(self.string_pids, self.string_oids, self.values),
+        )
+
+
+def shred_xml(
+    text: str, first_oid: int = 0, keep_whitespace: bool = False
+) -> MonetXML:
+    """``monet_transform(parse_document(text, first_oid,
+    keep_whitespace))``, errors included, without the node tree."""
+    sink = ColumnSink(PathSummary(), first_oid)
+    parse_into(text, sink, keep_whitespace)
+    return sink.store()
 
 
 def monet_transform(document: Document) -> MonetXML:
     """Shred a frozen :class:`Document` into a :class:`MonetXML` store.
 
-    One pre-order pass fills the dense pid/parent/rank columns and
-    collects the ``(attribute pid, OID, value)`` rows in OID order; one
-    stable pid sort then groups the rows into the string runs.  The
-    ``edges`` and ``ranks`` relations are the dense columns regrouped,
-    so nothing else is built.  Deterministic for a given document.
+    A pre-order walk of the node tree feeds a :class:`ColumnSink`, so
+    the store's OIDs are the document's.  Deterministic.
     """
-    summary = PathSummary()
-    node_count = document.node_count
-    first_oid = document.first_oid
-
-    oid_pid = int32_column([0]) * node_count
-    oid_parent = int32_column([-1]) * node_count
-    oid_rank = int32_column([0]) * node_count
-    attr_pids: List[int] = []
-    attr_oids: List[int] = []
-    values: List[str] = []
-
-    for node in document.iter_nodes():
-        oid = node.oid
-        position = oid - first_oid
-        path = document.path(oid)
-        oid_pid[position] = summary.intern(path)
-        oid_rank[position] = node.rank
-        if node.parent is not None:
-            oid_parent[position] = node.parent.oid
-        for name, value in node.attributes.items():
-            attr_pids.append(summary.intern(path.attribute(name)))
-            attr_oids.append(oid)
-            values.append(value)
-
-    return MonetXML(
-        summary=summary,
-        root_oid=document.root.oid,
-        first_oid=first_oid,
-        oid_pid=oid_pid,
-        oid_parent=oid_parent,
-        oid_rank=oid_rank,
-        strings=group_rows(attr_pids, attr_oids, values),
-    )
+    sink = ColumnSink(PathSummary(), document.first_oid)
+    stack = [document.root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            sink.close()
+            continue
+        sink.open(node.label, dict(node.attributes))
+        stack.append(None)
+        stack.extend(reversed(node.children))
+    return sink.store()

@@ -301,8 +301,7 @@ class Catalog:
         value_indexes: Optional[Sequence[str]] = None,
     ) -> Dict[str, object]:
         """Parse an XML file and snapshot it."""
-        from ..datamodel.parser import parse_document
-        from ..monet.transform import monet_transform
+        from ..monet.transform import shred_xml
 
         source = FsPath(source)
         try:
@@ -313,7 +312,7 @@ class Catalog:
             raise StorageError(f"no such source file: {source}") from None
         refuse_json_image(source)
         text = source.read_text(encoding="utf-8")
-        store = monet_transform(parse_document(text, first_oid=1))
+        store = shred_xml(text, first_oid=1)
         return self.build(
             name,
             store,

@@ -65,7 +65,7 @@ from ..fulltext.index import (
     seed_fulltext_index,
 )
 from ..monet.engine import MonetXML, int32_column, joined_column
-from ..monet.pathsummary import ColumnarPathSummary, PathSummary
+from ..monet.pathsummary import PathSummary
 from ..monet.relations import Runs, group_runs
 from ..valueindex import (
     ValueIndex,
@@ -415,7 +415,7 @@ def _rebuild_summary(reader: SnapshotReader, width: int) -> PathSummary:
     # Parents must precede children — the invariant that makes a single
     # forward pass reproduce the original pid assignment.
     try:
-        return ColumnarPathSummary(
+        return PathSummary(
             reader.array("summary/parents", width),
             reader.strings("summary/labels"),
             reader.array("summary/kinds", width),

@@ -13,10 +13,12 @@ and no shard holds a copy of the data.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..exec.sharding import ShardPlan, compute_shard_plan
 from .codec import Snapshot
+
+if TYPE_CHECKING:
+    from ..exec.sharding import ShardPlan
 
 __all__ = ["LAYOUT_KEY", "bundle_plan", "recorded_plan"]
 
@@ -28,11 +30,17 @@ def recorded_plan(meta: Dict[str, object]) -> Optional[ShardPlan]:
     """The shard layout a bundle's meta or a catalog manifest entry
     records (``None``: unsharded)."""
     layout = meta.get(LAYOUT_KEY)
-    return None if layout is None else ShardPlan.from_dict(layout)
+    if layout is None:
+        return None
+    from ..exec.sharding import ShardPlan
+
+    return ShardPlan.from_dict(layout)
 
 
 def bundle_plan(snapshot: Snapshot) -> ShardPlan:
     """The layout a bundle serves: the recorded one, else one shard."""
+    from ..exec.sharding import compute_shard_plan
+
     return recorded_plan(snapshot.meta) or compute_shard_plan(
         snapshot.store, 1
     )

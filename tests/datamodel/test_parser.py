@@ -38,6 +38,14 @@ class TestElements:
         doc = parse_document("<dc:title>x</dc:title>")
         assert doc.root.label == "dc:title"
 
+    def test_name_characters_are_alphanumerics_and_four_marks(self):
+        from repro.datamodel.parser import _NAME_CHARS
+
+        for code in range(0x110000):
+            ch = chr(code)
+            expected = ch.isalnum() or ch in "_:-."
+            assert bool(_NAME_CHARS.fullmatch(ch)) == expected, hex(code)
+
 
 class TestAttributes:
     def test_attributes(self):

@@ -131,10 +131,8 @@ class TestColumnarChildren:
 
     @staticmethod
     def columnar(summary):
-        from repro.monet.pathsummary import ColumnarPathSummary
-
         pids = list(summary.pids())
-        return ColumnarPathSummary(
+        return PathSummary(
             [summary.parent(pid) for pid in pids],
             [summary.label(pid) for pid in pids],
             [int(summary.is_attribute(pid)) for pid in pids],

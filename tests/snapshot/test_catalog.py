@@ -96,15 +96,15 @@ class TestFindSource:
         # that changes mid-ingest must not register as fresh.
         import repro.monet.transform as transform_mod
 
-        real = transform_mod.monet_transform
+        real = transform_mod.shred_xml
 
-        def mutating_transform(document):
+        def mutating_shred(text, first_oid=0):
             xml_file.write_text(
                 xml_file.read_text(encoding="utf-8") + "\n", encoding="utf-8"
             )
-            return real(document)
+            return real(text, first_oid)
 
-        monkeypatch.setattr(transform_mod, "monet_transform", mutating_transform)
+        monkeypatch.setattr(transform_mod, "shred_xml", mutating_shred)
         catalog.ingest("bib", xml_file)
         assert catalog.find_source(xml_file) is None
 

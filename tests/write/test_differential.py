@@ -109,11 +109,29 @@ def test_duplicate_and_unknown_names_reject_cleanly(tmp_path):
         with pytest.raises(UnknownDocumentError):
             db.delete("ghost")
         # A parse error must leave the collection untouched — even for
-        # replace, which validates before deleting.
+        # replace, which validates before deleting, and even when the
+        # fragment names new paths before it breaks.
         from repro.datamodel.errors import ReproError
 
+        def state():
+            store = db.store
+            return (
+                [len(column) for column in store.dense_columns()],
+                len(store.string_runs().tails),
+                len(store.summary),
+                dict(store.documents),
+                db.generation,
+            )
+
+        before = state()
         with pytest.raises(ReproError):
             db.replace("memo", "<broken><unclosed></broken>")
+        assert state() == before
+        with pytest.raises(ReproError):
+            db.put("other", "<novel><fresh>x</fresh><unclosed></novel>")
+        with pytest.raises(ReproError):
+            db.replace("memo", "<novel><fresh>x</fresh><unclosed></novel>")
+        assert state() == before
         assert_equivalent(db, model, "vector", "figure1", "after-rejects")
     finally:
         db.close()
