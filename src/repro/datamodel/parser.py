@@ -294,8 +294,6 @@ class _Parser:
             attributes[name] = _decode_text(raw, scanner, base)
 
     def _text(self, text: str, decoded: bool = False) -> None:
-        if not decoded and not self.keep_whitespace and not text.strip():
-            return
         if not self.keep_whitespace:
             text = text.strip()
             if not text and not decoded:

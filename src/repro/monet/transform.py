@@ -34,7 +34,6 @@ from ..datamodel.document import (
     Document,
     split_cdata,
 )
-from ..datamodel.node import CDATA_ATTRIBUTE
 from ..datamodel.parser import parse_into
 from .engine import MonetXML
 from .pathsummary import PathSummary
@@ -97,9 +96,7 @@ class ColumnSink:
 
     def open(self, label: str, attributes: Dict[str, str]) -> None:
         oid, pid = self._append(label)
-        trailing = None
-        if CDATA_ATTRIBUTE in attributes:
-            trailing = split_cdata(label, attributes)
+        trailing = split_cdata(label, attributes)
         for name, value in attributes.items():
             self._string(pid, name, oid, value)
         self._open.append([oid, pid, 0, trailing])
