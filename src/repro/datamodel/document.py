@@ -56,15 +56,14 @@ class Document:
     behaviour.
     """
 
-    def __init__(self, root: Node, first_oid: int = 0, normalize_cdata: bool = True):
+    def __init__(self, root: Node, first_oid: int = 0):
         if root.parent is not None:
             raise ModelError("document root must not have a parent")
         self.root = root
         self.first_oid = first_oid
         self._nodes: List[Node] = []
         self._paths: List[Path] = []
-        if normalize_cdata:
-            self._normalize_cdata()
+        self._normalize_cdata()
         self._freeze()
 
     # -- construction ----------------------------------------------------

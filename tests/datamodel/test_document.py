@@ -42,13 +42,6 @@ class TestFreezing:
         assert len(cdata_nodes) == 1
         assert cdata_nodes[0].attributes == {"string": "text-b"}
 
-    def test_normalization_skippable(self):
-        root = Node("root")
-        root.text = "hello"
-        doc = Document(root, normalize_cdata=False)
-        assert doc.node_count == 1
-        assert doc.root.text == "hello"
-
     def test_normalization_idempotent_for_cdata_nodes(self):
         root = Node("root")
         cdata = Node(CDATA_LABEL)

@@ -1,10 +1,15 @@
-"""Unit tests for the hand-written XML parser."""
+"""Unit tests for the XML parser (expat driving a sink)."""
 
 import pytest
 
 from repro.datamodel.document import CDATA_LABEL
 from repro.datamodel.errors import XMLParseError
 from repro.datamodel.parser import parse_document, parse_fragment
+
+
+#: Not XML names: digits and marks that may not start one, and
+#: characters outside NameChar.
+BAD_NAMES = ("1a", "-a", ".a", "a²", "a$")
 
 
 class TestElements:
@@ -26,6 +31,16 @@ class TestElements:
         with pytest.raises(XMLParseError):
             parse_document("<a><b></a></b>")
 
+    def test_mismatched_tag_position(self):
+        with pytest.raises(XMLParseError) as info:
+            parse_document("<a><b></a>")
+        error = info.value
+        assert (str(error), error.line, error.column) == (
+            "mismatched tag (line 1, column 9)",
+            1,
+            9,
+        )
+
     def test_unterminated(self):
         with pytest.raises(XMLParseError):
             parse_document("<a><b>")
@@ -38,13 +53,12 @@ class TestElements:
         doc = parse_document("<dc:title>x</dc:title>")
         assert doc.root.label == "dc:title"
 
-    def test_name_characters_are_alphanumerics_and_four_marks(self):
-        from repro.datamodel.parser import _NAME_CHARS
-
-        for code in range(0x110000):
-            ch = chr(code)
-            expected = ch.isalnum() or ch in "_:-."
-            assert bool(_NAME_CHARS.fullmatch(ch)) == expected, hex(code)
+    def test_names_follow_the_xml_name_production(self):
+        for name in ("_x-y.z:w", "é", "a·b", "a\u0301", "日本"):
+            assert parse_document(f"<{name}/>").root.label == name
+        for name in BAD_NAMES:
+            with pytest.raises(XMLParseError):
+                parse_document(f"<{name}/>")
 
 
 class TestAttributes:
@@ -63,6 +77,20 @@ class TestAttributes:
     def test_entities_in_attribute(self):
         doc = parse_document('<a k="x &amp; y &#65;"/>')
         assert doc.root.attributes["k"] == "x & y A"
+
+    def test_less_than_in_a_value_rejected(self):
+        # XML 1.0 §3.1: AttValue excludes '<'.
+        with pytest.raises(XMLParseError):
+            parse_document('<a x="<"/>')
+
+    def test_whitespace_in_a_value_reads_as_spaces(self):
+        # §3.3.3: each line break and tab in a value is a space.
+        doc = parse_document('<a k="x\ny\tz\r\nw"/>')
+        assert doc.root.attributes["k"] == "x y z w"
+
+    def test_character_references_keep_whitespace_in_a_value(self):
+        doc = parse_document('<a k="x&#10;y&#9;z"/>')
+        assert doc.root.attributes["k"] == "x\ny\tz"
 
 
 class TestText:
@@ -107,6 +135,29 @@ class TestText:
         doc = parse_document("<t><![CDATA[a < b & c]]></t>")
         assert doc.root.children[0].string_value == "a < b & c"
 
+    def test_cdata_section_end_in_text_rejected(self):
+        # §2.4: character data may not contain ']]>'.
+        with pytest.raises(XMLParseError):
+            parse_document("<a>]]></a>")
+
+    def test_line_ends_read_as_line_feeds(self):
+        # §2.11: '\r\n' and a lone '\r' both read as '\n'.
+        doc = parse_document("<t>a\r\nb\rc</t>")
+        assert doc.root.children[0].string_value == "a\nb\nc"
+
+    def test_long_text_is_one_node(self):
+        body = "line &amp; more\n" * 2000
+        doc = parse_document(f"<t>{body}</t>", keep_whitespace=True)
+        assert [c.string_value for c in doc.root.children] == [
+            body.replace("&amp;", "&")
+        ]
+
+    def test_comments_and_sections_split_text(self):
+        doc = parse_document("<t>a<!-- c -->b<?pi x?>c<![CDATA[]]>d</t>")
+        assert [c.string_value for c in doc.root.children] == [
+            "a", "b", "c", "", "d"
+        ]
+
 
 class TestMisc:
     def test_xml_declaration_and_comments(self):
@@ -120,9 +171,7 @@ class TestMisc:
         assert [c.label for c in doc.root.children] == ["a"]
 
     def test_doctype_skipped(self):
-        doc = parse_document(
-            "<!DOCTYPE dblp SYSTEM \"dblp.dtd\" [<!ENTITY x 'y'>]><r/>"
-        )
+        doc = parse_document("<!DOCTYPE r [<!ELEMENT r EMPTY>]><r/>")
         assert doc.root.label == "r"
 
     def test_error_position_reported(self):
@@ -138,6 +187,46 @@ class TestMisc:
     def test_parse_fragment_returns_unfrozen(self):
         root = parse_fragment("<a><b/></a>")
         assert root.oid == -1
+
+
+class TestEntities:
+    """No entity reference is ever dropped: whatever expat cannot
+    resolve from the five predefined entities is an error."""
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # An external subset expat does not read: left to itself,
+            # expat drops the reference (an empty <a>, b="").
+            ('<!DOCTYPE a SYSTEM "x.dtd"><a>&foo;</a>', (1, 20)),
+            ('<!DOCTYPE a SYSTEM "x.dtd"><a b="&foo;"/>', (1, 20)),
+            # Declared entities, general and parameter.
+            ("<!DOCTYPE r [<!ENTITY x 'y'>]><r>&x;</r>", (1, 25)),
+            ("<!DOCTYPE r [<!ENTITY % p 'y'>]><r/>", (1, 27)),
+            ("<!DOCTYPE r [<!ENTITY x SYSTEM 'x.xml'>]><r>&x;</r>", (1, 39)),
+            # A parameter-entity reference, declared nowhere.
+            ("<!DOCTYPE r [ %p; ]><r/>", (1, 15)),
+            # Undeclared, with and without a DOCTYPE.
+            ('<?xml version="1.0" standalone="yes"?>'
+             '<!DOCTYPE a SYSTEM "x.dtd"><a>&foo;</a>', (1, 69)),
+            ("<t>&nope;</t>", (1, 4)),
+            ('<t k="&nope;"/>', (1, 1)),
+        ],
+    )
+    def test_refused_with_a_position(self, text, position):
+        with pytest.raises(XMLParseError) as info:
+            parse_document(text)
+        assert (info.value.line, info.value.column) == position
+
+    def test_declarations_are_named(self):
+        with pytest.raises(XMLParseError, match="entity declarations"):
+            parse_document("<!DOCTYPE r [\n<!ENTITY x 'y'>]><r/>")
+        with pytest.raises(XMLParseError, match="parameter entity"):
+            parse_document("<!DOCTYPE r [<!ENTITY % p 'y'>]><r/>")
+
+    def test_attribute_defaults_of_the_internal_subset_apply(self):
+        doc = parse_document("<!DOCTYPE r [<!ATTLIST r k CDATA 'v'>]><r/>")
+        assert doc.root.attributes == {"k": "v"}
 
 
 class TestFigure1Equivalence:

@@ -1,6 +1,6 @@
 """The column sink shreds XML into the store the tree route builds.
 
-``shred_xml`` runs the parser's one loop into
+``shred_xml`` runs the one parse (expat) into
 :class:`~repro.monet.transform.ColumnSink`; ``monet_transform(
 parse_document(...))`` runs it into the Node tree, normalizes the tree
 into a :class:`Document` and feeds the sink from that.  Both are held
@@ -253,16 +253,33 @@ MALFORMED = [
     '<r k="&#;"/>',
     "<!DOCTYPE r [<!ENTITY x 'y'>",
     "<r>\n  <a>\n</b></r>",
+    # not well-formed, yet accepted before expat read the XML
+    '<a x="<"/>',
+    "<a>]]></a>",
+    "<r>\x01</r>",
+    "<r>\ufffe</r>",
+    '  <?xml version="1.0"?><r/>',
+    "<a><b></a>",
+]
+
+#: Well-formed, but refused: a declared entity, or one an unread
+#: external subset might declare, is never expanded nor dropped.
+ENTITY_POLICY = [
+    '<!DOCTYPE a SYSTEM "x.dtd"><a>&foo;</a>',
+    '<!DOCTYPE a SYSTEM "x.dtd"><a b="&foo;"/>',
+    "<!DOCTYPE r [<!ENTITY x 'y'>]><r>&x;</r>",
+    "<!DOCTYPE r [<!ENTITY % p 'y'>]><r/>",
 ]
 
 
-@pytest.mark.parametrize("text", MALFORMED)
+@pytest.mark.parametrize("text", MALFORMED + ENTITY_POLICY)
 def test_malformed_input_raises_the_same_error_through_both_sinks(text):
     with pytest.raises(XMLParseError) as via_tree:
         parse_document(text)
     with pytest.raises(XMLParseError) as via_columns:
         shred_xml(text)
     tree, sink = via_tree.value, via_columns.value
+    assert tree.line >= 1 and tree.column >= 1
     assert (str(sink), sink.line, sink.column) == (
         str(tree),
         tree.line,

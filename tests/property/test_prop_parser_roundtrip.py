@@ -1,8 +1,10 @@
 """Property tests: serialize ∘ parse round-trips on generated documents."""
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.datamodel.errors import XMLParseError
 from repro.datamodel.parser import parse_document
 from repro.datamodel.serializer import escape_attribute, escape_text, serialize
 
@@ -50,17 +52,45 @@ text_values = st.text(
 )
 
 
+def is_xml_text(value):
+    """Whether every character is an XML 1.0 ``Char`` (§2.2).  Of the
+    alphabet above, U+FFFE and U+FFFF are not."""
+    return all(
+        ch in "\t\n\r"
+        or " " <= ch <= "\ud7ff"
+        or "\ue000" <= ch <= "\ufffd"
+        or ch >= "\U00010000"
+        for ch in value
+    )
+
+
+def reparse(xml, value):
+    """``parse_document(xml)``, which must raise exactly when ``value``
+    holds a character XML cannot carry."""
+    if is_xml_text(value):
+        return parse_document(xml, keep_whitespace=True)
+    with pytest.raises(XMLParseError):
+        parse_document(xml, keep_whitespace=True)
+    return None
+
+
 @settings(max_examples=100)
 @given(text_values)
+@example("\ufffe")
+@example("Hacking & RSI <fun>")
 def test_text_escaping_roundtrip(value):
-    document = parse_document(f"<t>{escape_text(value)}</t>", keep_whitespace=True)
-    children = document.root.children
-    reread = children[0].string_value if children else ""
-    assert reread == value
+    document = reparse(f"<t>{escape_text(value)}</t>", value)
+    if document is not None:
+        children = document.root.children
+        reread = children[0].string_value if children else ""
+        assert reread == value
 
 
 @settings(max_examples=100)
 @given(text_values)
+@example("\uffff")
+@example('say "1999" & <go>')
 def test_attribute_escaping_roundtrip(value):
-    document = parse_document(f'<t k="{escape_attribute(value)}"/>')
-    assert document.root.attributes["k"] == value
+    document = reparse(f'<t k="{escape_attribute(value)}"/>', value)
+    if document is not None:
+        assert document.root.attributes["k"] == value
