@@ -28,7 +28,8 @@ Packages:
 * :mod:`repro.api`       — the ``Database`` facade, typed request/
   response envelopes, the embedded HTTP/JSON service.
 * :mod:`repro.datamodel` — conceptual model (Defs. 1–3, 5), parser.
-* :mod:`repro.monet`     — Monet transform, BAT engine, path summary.
+* :mod:`repro.monet`     — Monet transform, store columns and runs,
+  path summary.
 * :mod:`repro.fulltext`  — inverted index / ``contains`` search.
 * :mod:`repro.core`      — meet₂ / meet_S / meet, restrictions,
   distance, ranking, the NearestConceptEngine pipeline.

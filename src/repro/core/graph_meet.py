@@ -74,13 +74,15 @@ class ReferenceIndex:
     def _build(self) -> None:
         summary = self.store.summary
         referers: List[Tuple[int, str]] = []
-        for pid, relation in self.store.string_relations():
+        strings = self.store.string_runs()
+        for pid in strings.pids.tolist():
             label = summary.label(pid)
+            oids, values = strings.run(pid)
             if label in self.id_attributes:
-                for oid, value in relation:
+                for oid, value in zip(oids.tolist(), values):
                     self._ids.setdefault(value, oid)
             elif label in self.ref_attributes:
-                for oid, value in relation:
+                for oid, value in zip(oids.tolist(), values):
                     for token in value.split():
                         referers.append((oid, token))
         for oid, token in referers:

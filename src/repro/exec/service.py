@@ -443,11 +443,11 @@ class ShardService:
         oids: Set[int] = set()
         for pid in plan.variables[variable].pids:
             if store.summary.is_attribute(pid):
-                column = store.string_relation(pid).heads
+                column = store.string_runs().run(pid)[0]
             else:
                 column = store.oids_on_pid(pid)
             start, stop = bisect_left(column, lo), bisect_left(column, hi)
-            oids.update(column[start:stop])
+            oids.update(map(int, column[start:stop]))
         return oids
 
     def _meet_item(

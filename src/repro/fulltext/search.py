@@ -3,14 +3,15 @@
 `contains` in the paper's query language ("$o contains 'Bit'") is a
 containment test on character data.  The inverted index resolves the
 common token-shaped case in O(1); this module adds the general
-substring semantics via a relation scan, plus helpers shared by the
+substring semantics via a scan of the string runs, plus helpers shared by the
 query executor.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..monet.engine import MonetXML
 from .index import FullTextIndex, Hits, Posting, get_fulltext_index
@@ -90,35 +91,41 @@ class SearchEngine:
 
     def _values_of(self, posting: Posting) -> List[str]:
         """String values of the association behind a posting."""
+        summary = self.store.summary
+        strings = self.store.string_runs()
         values: List[str] = []
-        for attr_pid in self.store.summary.children(posting.pid):
-            if not self.store.summary.is_attribute(attr_pid):
-                continue
-            relation = self.store.strings.get(attr_pid)
-            if relation is not None:
-                values.extend(relation.find_all(posting.oid))
+        for attr_pid in summary.children(posting.pid):
+            if summary.is_attribute(attr_pid):
+                values.extend(strings.tails_of(attr_pid, posting.oid))
         return values
 
     def scan(
         self, needle: str, span: Optional[Tuple[int, int]] = None
     ) -> Hits:
-        """Full scan over all string relations: substring containment.
+        """Full scan over the string runs: substring containment.
 
         The slow path — used for punctuation-bearing or partial-word
-        needles that token search cannot answer.  With ``span`` (a
-        shard's half-open OID range) rows owned outside it are skipped:
-        each relation's rows are in OID order, so two bisections bound
-        the ones read.
+        needles that token search cannot answer.  One pass over the
+        string columns in pid order; with ``span`` (a shard's half-open
+        OID range) only the rows whose OID lies inside it are read.
         """
-        postings: List[Posting] = []
-        for pid, relation in self.store.string_relations():
-            element_pid = self.store.summary.parent(pid)
-            rows = relation
-            if span is not None:
-                heads = relation.heads
-                start, stop = (bisect_left(heads, bound) for bound in span)
-                rows = zip(heads[start:stop], relation.tails[start:stop])
-            for oid, value in rows:
-                if contains(value, needle, self.case_sensitive):
-                    postings.append(Posting(element_pid, oid))
-        return Hits(term=needle, postings=postings)
+        strings = self.store.string_runs()
+        heads, tails = np.asarray(strings.heads), strings.tails
+        rows = range(len(tails))
+        if span is not None:
+            inside = (heads >= span[0]) & (heads < span[1])
+            rows = np.flatnonzero(inside).tolist()
+        matched = [
+            row
+            for row in rows
+            if contains(tails[row], needle, self.case_sensitive)
+        ]
+        pids = np.searchsorted(strings.offsets, matched, side="right") - 1
+        parent = self.store.summary.parent
+        return Hits(
+            term=needle,
+            postings=[
+                Posting(parent(pid), oid)
+                for pid, oid in zip(pids.tolist(), heads[matched].tolist())
+            ],
+        )

@@ -1,10 +1,10 @@
 """Vectorized batch kernels over the engine's flat columns.
 
-The paper's pitch is columnar execution over Monet BATs; this package
-is the batch half of that bargain: NumPy kernels that view the
-generation-keyed columns through the buffer protocol (``np.asarray`` —
-zero copies over int32 snapshot sections) and answer whole batches
-with whole-array passes:
+The paper's pitch is columnar execution over Monet's binary
+relations; this package is the batch half of that bargain: NumPy
+kernels that view the generation-keyed columns through the buffer
+protocol (``np.asarray`` — zero copies over int32 snapshot sections)
+and answer whole batches with whole-array passes:
 
 * :mod:`repro.kernels.lca` — the sampled sparse table over the depth
   column in OID order, batched LCA (``lca_many``) and a fully vectorized

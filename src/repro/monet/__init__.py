@@ -1,14 +1,13 @@
 """Physical data model: the Monet transform and its column engine (§2).
 
-* :class:`BAT` — MIL-style binary association tables.
 * :class:`PathSummary` — interned paths / schema tree.
 * :func:`monet_transform` — Definition 4, document → store.
 * :class:`MonetXML` — the loaded database instance.
-* :mod:`~repro.monet.relations` — relation families as pid-grouped runs.
+* :mod:`~repro.monet.relations` — relation families as pid-grouped
+  runs: one pair of flat columns per family, one run per relation.
 * :mod:`~repro.monet.reassembly` — OID → object/DOM views.
 """
 
-from .bat import BAT
 from .engine import MonetXML
 from .pathsummary import PathSummary
 from .reassembly import (
@@ -30,7 +29,6 @@ from .stats import StoreStatistics, collect_statistics
 from .transform import monet_transform
 
 __all__ = [
-    "BAT",
     "MonetXML",
     "MutationRecord",
     "PathSummary",

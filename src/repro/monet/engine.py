@@ -1,26 +1,27 @@
 """The Monet XML store: path-partitioned associations plus OID columns.
 
 This is the physical database instance of Definition 4.  All
-associations of one type (= one path) form one binary relation:
+associations of one type (= one path) form one binary relation, and a
+family of relations is one pair of pid-grouped flat columns
+(:class:`~repro.monet.relations.Runs`), the relation of ``pid`` being
+its run:
 
-* ``edges[pid]``     — (parent OID, child OID) for every element edge
-  whose *child* sits on path ``pid`` (the relation is "named after"
-  the child path, as in Figure 2);
-* ``strings[pid]``   — (OID, string) for every attribute/cdata value
-  on attribute path ``pid`` (the ``…@key`` / ``…/cdata@string``
-  relations of Figure 2);
-* ``ranks[pid]``     — (OID, rank) preserving sibling order (the
-  oid × int associations of Def. 2).
+* :meth:`MonetXML.edge_runs`   — (parent OID, child OID) for every
+  element edge whose *child* sits on path ``pid`` (the relation is
+  "named after" the child path, as in Figure 2);
+* :meth:`MonetXML.string_runs` — (OID, string) for every attribute/cdata
+  value on attribute path ``pid`` (the ``…@key`` / ``…/cdata@string``
+  relations of Figure 2).
 
 The store holds three dense OID-indexed columns — pid, parent OID and
 rank — so that ``parent(o)`` and π(o) are the O(1) "hash look-ups" the
 paper's Fig. 3 assumes (justified in the paper via functional-join
-techniques, ref. [8]), plus the string associations as pid-grouped
-runs (:class:`~repro.monet.relations.Runs`).  The columns are flat
-``int32`` buffers with ``-1`` for "no parent"; ``edges`` and ``ranks``
-carry exactly their information regrouped by pid and are derived from
-them, which is why a snapshot stores only the columns and the string
-runs (:mod:`repro.snapshot.codec`).
+techniques, ref. [8]), plus the string runs.  The columns are flat
+``int32`` buffers with ``-1`` for "no parent"; the edge runs carry
+exactly their information regrouped by pid and are derived from them,
+as is the sibling order of Def. 2 (the rank column), which is why a
+snapshot stores only the columns and the string runs
+(:mod:`repro.snapshot.codec`).
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import numpy as np
 
 from ..datamodel.errors import ModelError, UnknownOIDError
 from ..datamodel.paths import Path
-from .bat import BAT
 from .pathsummary import PathSummary
-from .relations import DenseRegrouping, LazyRelationFamily, Runs
+from .relations import Runs, dense_edges
 
 __all__ = ["MonetXML", "DerivedCache", "int32_column"]
 
@@ -75,10 +75,9 @@ class MonetXML:
     construction takes the three dense columns and the string runs.
     The dense columns are ``array('i')`` for a store built in memory
     and read-only int32 snapshot views for a loaded one, which the
-    first write copies (:mod:`repro.monet.mutate`).  The relation
-    families ``edges``, ``strings`` and ``ranks`` are
-    :class:`~repro.monet.relations.LazyRelationFamily` views over the
-    current columns, rebound whenever the generation moves.
+    first write copies (:mod:`repro.monet.mutate`).  The edge runs
+    are derived from the current columns on first use and dropped
+    whenever the generation moves.
 
     Every instance carries a process-unique, monotonically increasing
     ``generation`` token.  Derived structures built outside the store
@@ -109,8 +108,7 @@ class MonetXML:
         self._oid_parent = oid_parent
         self._oid_rank = oid_rank
         self._string_runs = strings
-        self._bind_families()
-        self._reverse_edges: Dict[int, BAT] = {}
+        self._edge_runs: Optional[Runs] = None
         #: Cache token for externally derived indexes (see class doc).
         self.generation = next(MonetXML._generations)
         #: Named top-level documents: name → (first OID, last OID) of the
@@ -146,9 +144,10 @@ class MonetXML:
         )
 
     def __repr__(self) -> str:
+        relations = len(self.edge_runs().pids) + len(self._string_runs.pids)
         return (
             f"<MonetXML nodes={self.node_count} paths={len(self.summary) - 1} "
-            f"relations={len(self.edges) + len(self.strings)}>"
+            f"relations={relations}>"
         )
 
     # -- O(1) per-OID columns ------------------------------------------
@@ -193,61 +192,35 @@ class MonetXML:
         return self._oid_pid, self._oid_parent, self._oid_rank
 
     # -- relations ---------------------------------------------------------
-    def _bind_families(self) -> None:
-        """Fresh relation-family views over the current columns."""
-        root_index = self.root_oid - self.first_oid
-        regrouped = DenseRegrouping(
-            self.dense_columns(), self.first_oid, root_index
-        )
-        strings = self._string_runs
-        self.edges = LazyRelationFamily(regrouped.edges)
-        self.strings = LazyRelationFamily(lambda: strings)
-        self.ranks = LazyRelationFamily(regrouped.ranks)
+    def edge_runs(self) -> Runs:
+        """The element edges as pid-grouped runs (parent OID heads, child
+        OID tails), derived from the dense columns on first use — the
+        nearest-concept path never asks."""
+        runs = self._edge_runs
+        if runs is None:
+            # Racing first readers may both derive; each publishes a
+            # whole Runs, so none sees a half-built one.
+            runs = self._edge_runs = dense_edges(
+                self._oid_pid, self._oid_parent, self.first_oid
+            )
+        return runs
 
     def string_runs(self) -> Runs:
         """The string associations as pid-grouped runs (OID heads,
         string tails) — the columns bulk readers scan."""
         return self._string_runs
 
-    def edge_relation(self, pid: int) -> BAT:
-        """(parent, child) BAT of all nodes on path ``pid`` (may be empty)."""
-        return self.edges.get(pid, BAT(name=str(self.summary.path(pid))))
-
-    def string_relation(self, pid: int) -> BAT:
-        """(oid, string) BAT of the attribute path ``pid`` (may be empty)."""
-        return self.strings.get(pid, BAT(name=str(self.summary.path(pid))))
-
-    def parent_relation(self, pid: int) -> BAT:
-        """(child, parent) BAT for path ``pid`` — cached reverse of edges.
-
-        This is the relation the set-wise ``parent(O)`` join of Fig. 4
-        runs against.
-        """
-        cached = self._reverse_edges.get(pid)
-        if cached is None:
-            cached = self.edge_relation(pid).reverse()
-            self._reverse_edges[pid] = cached
-        return cached
-
-    def string_relations(self) -> Iterator[Tuple[int, BAT]]:
-        """All (pid, BAT) string relations — the full-text search surface."""
-        return iter(self.strings.items())
-
     def relation_names(self) -> List[str]:
         """Human-readable relation names as printed in Figure 2."""
-        names = [str(self.summary.path(pid)) for pid in self.edges]
-        names.extend(str(self.summary.path(pid)) for pid in self.strings)
-        return sorted(names)
+        pids = chain(self.edge_runs().pids, self._string_runs.pids)
+        return sorted(str(self.summary.path(int(pid))) for pid in pids)
 
     # -- node-set access ---------------------------------------------------
     def oids_on_pid(self, pid: int) -> List[int]:
         """All node OIDs whose path is exactly ``pid``, in document order."""
         if pid == self._oid_pid[self.root_oid - self.first_oid]:
             return [self.root_oid]
-        relation = self.edges.get(pid)
-        if relation is None:
-            return []
-        return list(relation.tails)
+        return self.edge_runs().run(pid)[1].tolist()
 
     def oids_on_path(self, path: Path) -> List[int]:
         pid = self.summary.maybe_pid(path)
@@ -292,11 +265,8 @@ class MonetXML:
         for attr_pid in self.summary.children(pid):
             if not self.summary.is_attribute(attr_pid):
                 continue
-            relation = self.strings.get(attr_pid)
-            if relation is None:
-                continue
-            values = relation.find_all(oid)
-            if values:
+            values = self._string_runs.tails_of(attr_pid, oid)
+            if len(values):
                 result[self.summary.label(attr_pid)] = values[0]
         return result
 
@@ -401,15 +371,14 @@ class MonetXML:
     def invalidate_caches(self) -> None:
         """Drop lazily built structures after an in-place rebuild.
 
-        Rebinds the relation families to the current columns, clears
-        the reverse-edge cache and bumps ``generation``.  Generation-keyed external caches (the LCA
+        Drops the edge runs derived from the old columns and bumps
+        ``generation``.  Generation-keyed external caches (the LCA
         index of the ``vector`` meet backend, the full-text and value
         indexes) rebuild on next use — unless the caller also journals
         a :class:`~repro.monet.mutate.MutationRecord`, as every live
         write does, in which case they roll forward from it.
         """
-        self._bind_families()
-        self._reverse_edges.clear()
+        self._edge_runs = None
         self.generation = next(MonetXML._generations)
 
     # -- ancestry (instance-level helpers shared by core and baselines) --
@@ -438,8 +407,7 @@ class MonetXML:
         inconsistency.
 
         Every linked node's path must extend its parent's path by one
-        step (which is what makes the derived ``edges`` relations
-        Def. 4's), and every string association must hang off a node
+        step (which is what makes the derived edge runs Def. 4's), and every string association must hang off a node
         on its attribute path's parent.
         """
         pids, parents, _ = map(np.asarray, self.dense_columns())
@@ -459,16 +427,25 @@ class MonetXML:
                 f"parent column at OID {child} disagrees with its path "
                 f"{self.summary.path(self.pid_of(child))}"
             )
-        for pid, relation in self.strings.items():
-            parent_pid = self.summary.parent(pid)
-            for oid, value in relation:
-                if not isinstance(value, str):
-                    raise ModelError(f"non-string value {value!r} in {pid}")
-                if self.pid_of(oid) != parent_pid:
-                    raise ModelError(
-                        f"string relation {self.summary.path(pid)} attached "
-                        f"to OID {oid} of wrong path"
-                    )
+        strings = self._string_runs
+        row_pids = np.repeat(
+            np.arange(len(strings.offsets) - 1), np.diff(strings.offsets)
+        )
+        for pid, value in zip(row_pids.tolist(), strings.tails):
+            if not isinstance(value, str):
+                raise ModelError(f"non-string value {value!r} in {pid}")
+        heads = np.asarray(strings.heads, dtype=np.int64) - self.first_oid
+        owned = (heads >= 0) & (heads < len(pids))
+        owned[owned] = (
+            pids[heads[owned]] == path_parents[row_pids[owned]]
+        )
+        if not owned.all():
+            row = int(np.argmin(owned))
+            raise ModelError(
+                f"string relation {self.summary.path(int(row_pids[row]))} "
+                f"attached to OID {int(heads[row]) + self.first_oid} of "
+                "wrong path"
+            )
         if self.parent_of(self.root_oid) is not None:
             raise ModelError("root OID has a parent")
 

@@ -11,7 +11,7 @@ module makes it a *collection* you can mutate while it serves queries:
   shared summary;
 * :func:`delete_document` tombstones a document's OID range — the
   dense columns keep their slots (parent pointers cleared, which drops
-  them from the derived ``edges``/``ranks``) while the string runs lose
+  them from the derived edge runs) while the string runs lose
   the span's rows, so every query surface only ever sees live nodes;
 * :func:`replace_document` is delete + put under the same name;
 * :func:`compact_store` renumbers the surviving nodes densely — the

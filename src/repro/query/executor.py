@@ -395,9 +395,7 @@ class QueryProcessor:
         oids: Set[int] = set()
         for pid in plan.variables[variable].pids:
             if self.store.summary.is_attribute(pid):
-                relation = self.store.strings.get(pid)
-                if relation is not None:
-                    oids.update(relation.heads)
+                oids.update(self.store.string_runs().run(pid)[0].tolist())
                 continue
             oids.update(self.store.oids_on_pid(pid))
         return oids
@@ -437,10 +435,12 @@ class QueryProcessor:
             if use_index:
                 result = set(get_value_index(self.store).lookup_eq(condition.value))
             else:
-                result = set()
-                for _pid, relation in self.store.string_relations():
-                    for oid, _value in relation.select_eq(condition.value):
-                        result.add(oid)
+                strings = self.store.string_runs()
+                result = {
+                    oid
+                    for oid, value in zip(strings.heads.tolist(), strings.tails)
+                    if value == condition.value
+                }
         elif isinstance(condition, RangeCondition):
             if use_index:
                 result = set(
@@ -449,11 +449,12 @@ class QueryProcessor:
                     )
                 )
             else:
-                result = set()
-                for _pid, relation in self.store.string_relations():
-                    for oid, value in relation:
-                        if compare_values(value, condition.op, condition.value):
-                            result.add(oid)
+                strings = self.store.string_runs()
+                result = {
+                    oid
+                    for oid, value in zip(strings.heads.tolist(), strings.tails)
+                    if compare_values(value, condition.op, condition.value)
+                }
         else:  # pragma: no cover - parser only emits the three kinds
             raise QueryPlanError(f"unknown condition {condition!r}")
         if condition_plan is not None:

@@ -8,9 +8,9 @@ XML parse, no tokenization.  A column is stored only when reading it
 back beats deriving it: the LCA index is one depth column per OID,
 derived from ``store/oid_parent`` in a few whole-array passes while the
 loader checks that column (its range-minimum table is derived when the
-kernels bind), and the ``edges`` and ``ranks`` relation families are
-the three dense ``store/*`` columns regrouped by pid (one stable sort,
-on first access), so the bundle carries none of them.
+kernels bind), and the ``edges`` family's runs are the dense
+``store/*`` columns regrouped by pid (one stable sort, on first use),
+so the bundle carries neither.
 Section layout (all framed by :mod:`repro.snapshot.format`):
 
 ======================  ==================================================
@@ -137,8 +137,8 @@ def _check_dense_columns(
     """Refuse dense columns that would send a gather astray; returns
     the store's depth column (:func:`~repro.core.lca_index.tree_depths`).
 
-    The ``edges``/``ranks`` families are gathers through these columns
-    (:class:`~repro.monet.relations.DenseRegrouping`), so every pid must
+    The edge runs are gathers through these columns
+    (:func:`~repro.monet.relations.dense_edges`), so every pid must
     name a path, the root's parent must be ``-1`` and every other parent
     an earlier OID of the store, which also makes the root the first
     OID.  The LCA index answers by pre-order range minimums, so the
@@ -301,7 +301,7 @@ def write_snapshot(
         "summary/labels", (summary.label(pid) for pid in summary.pids())
     )
 
-    # The dense columns are the whole of ``edges`` and ``ranks`` too; a
+    # The dense columns are the whole of the edge runs too; a
     # store the reader would refuse is refused here, the same way.
     columns = store.dense_columns()
     _check_dense_columns(

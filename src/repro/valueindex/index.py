@@ -336,8 +336,9 @@ class ValueIndex:
 
     The OIDs recorded are the association OIDs — for character data the
     ``cdata`` node, for an attribute value the owning element — exactly
-    what ``BAT.select_eq`` yields, so an equality probe reproduces the
-    scan closure of the ``=`` predicate verbatim.
+    the heads of the rows whose stored string is ``==`` the probe, so an
+    equality probe reproduces the scan closure of the ``=`` predicate
+    verbatim.
 
     ``declared`` carries the per-collection index declarations (path
     pattern strings); the in-memory index always covers every path —
@@ -676,8 +677,8 @@ def get_value_index(
     mutation journal bridges the cached index's generation to the
     current one, the index is patched forward instead of rebuilt.
 
-    Values are matched exactly (``BAT.select_eq`` semantics), so there
-    is no case-mode key — one index per store.
+    Values are matched exactly (plain ``==`` on the stored string), so
+    there is no case-mode key — one index per store.
     """
     index = _maintained(store)
     if index is None:

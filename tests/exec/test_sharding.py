@@ -81,11 +81,7 @@ def test_string_rows_partition_exactly(dblp_store):
     root's rows in shard 0's."""
     plan = compute_shard_plan(dblp_store, 4)
     spans = [plan.span(shard) for shard in range(plan.shard_count)]
-    owners = [
-        head
-        for relation in dblp_store.strings.values()
-        for head, _value in relation
-    ]
+    owners = dblp_store.string_runs().heads.tolist()
     for owner in owners:
         holders = [lo <= owner < hi for lo, hi in spans]
         assert holders.count(True) == 1

@@ -45,8 +45,7 @@ def picked_values(store, count=3):
     values = sorted(
         {
             value
-            for _pid, relation in store.string_relations()
-            for _oid, value in relation
+            for value in store.string_runs().tails
             if value and "'" not in value
         }
     )

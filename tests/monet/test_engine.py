@@ -1,5 +1,6 @@
 """Unit tests for the MonetXML store API."""
 
+import numpy as np
 import pytest
 
 from repro.datamodel.errors import ModelError, UnknownOIDError
@@ -34,26 +35,13 @@ class TestRelations:
         pid = figure1_store.summary.pid(
             Path.parse("bibliography/institute/article@key")
         )
-        assert figure1_store.edge_relation(pid).count() == 0
-        assert figure1_store.string_relation(pid).count() == 2
-
-    def test_parent_relation_is_reverse(self, figure1_store):
-        pid = figure1_store.summary.pid(
-            Path.parse("bibliography/institute/article")
-        )
-        parents = figure1_store.parent_relation(pid)
-        assert parents.find(O["article1"]) == O["institute"]
-
-    def test_parent_relation_cached(self, figure1_store):
-        pid = figure1_store.summary.pid(
-            Path.parse("bibliography/institute/article")
-        )
-        assert figure1_store.parent_relation(pid) is figure1_store.parent_relation(pid)
+        assert len(figure1_store.edge_runs().run(pid)[0]) == 0
+        assert len(figure1_store.string_runs().run(pid)[0]) == 2
 
     def test_string_relations_iteration(self, figure1_store):
         names = {
             str(figure1_store.summary.path(pid))
-            for pid, _ in figure1_store.string_relations()
+            for pid in figure1_store.string_runs().pids.tolist()
         }
         assert "bibliography/institute/article@key" in names
 
@@ -112,4 +100,30 @@ class TestValidation:
         position = O["cdata_ben"] - store.first_oid
         store._oid_parent[position] = O["article2"]
         with pytest.raises(ModelError):
+            store.validate()
+
+    def test_validate_detects_string_row_on_wrong_path(self, figure1_doc):
+        from repro.monet.transform import monet_transform
+
+        store = monet_transform(figure1_doc)
+        strings = store.string_runs()
+        heads = np.array(strings.heads)
+        key_pid = store.summary.pid(
+            Path.parse("bibliography/institute/article@key")
+        )
+        # An article key hung off a cdata node instead of the article.
+        heads[strings.offsets[key_pid]] = O["cdata_ben"]
+        store._string_runs = strings._replace(heads=heads)
+        with pytest.raises(ModelError, match="of wrong path"):
+            store.validate()
+
+    def test_validate_detects_non_string_value(self, figure1_doc):
+        from repro.monet.transform import monet_transform
+
+        store = monet_transform(figure1_doc)
+        strings = store.string_runs()
+        tails = list(strings.tails)
+        tails[-1] = 1999
+        store._string_runs = strings._replace(tails=tails)
+        with pytest.raises(ModelError, match="non-string value 1999"):
             store.validate()

@@ -1,5 +1,6 @@
 """Unit tests for the Monet transform (Definition 4) on Figure 1."""
 
+import numpy as np
 import pytest
 
 from repro.datamodel.paths import Path
@@ -46,8 +47,11 @@ class TestFigure2Contents:
 
     def tuples(self, store, name):
         pid = store.summary.pid(Path.parse(name))
-        relation = store.edges.get(pid) or store.strings.get(pid)
-        return set(relation.to_list())
+        if store.summary.is_attribute(pid):
+            heads, tails = store.string_runs().run(pid)
+        else:
+            heads, tails = store.edge_runs().run(pid)
+        return set(zip(np.asarray(heads).tolist(), np.asarray(tails).tolist()))
 
     def test_article_edges(self, store):
         assert self.tuples(store, "bibliography/institute/article") == {
@@ -110,9 +114,10 @@ class TestColumns:
         assert store.node_count == 19
 
     def test_every_non_root_in_exactly_one_edge_relation(self, store):
+        runs = store.edge_runs()
         seen = {}
-        for pid, relation in store.edges.items():
-            for _parent, child in relation:
+        for pid in runs.pids.tolist():
+            for child in runs.run(pid)[1].tolist():
                 assert child not in seen
                 seen[child] = pid
         assert len(seen) == store.node_count - 1
@@ -123,5 +128,10 @@ class TestDeterminism:
         store1 = monet_transform(figure1_document())
         store2 = monet_transform(figure1_document())
         assert store1.relation_names() == store2.relation_names()
-        for pid in store1.edges:
-            assert store1.edges[pid] == store2.edges[pid]
+        for family in ("edge_runs", "string_runs"):
+            runs1, runs2 = getattr(store1, family)(), getattr(store2, family)()
+            assert runs1.offsets.tolist() == runs2.offsets.tolist()
+            for column1, column2 in zip(runs1, runs2):
+                assert np.asarray(column1).tolist() == (
+                    np.asarray(column2).tolist()
+                )

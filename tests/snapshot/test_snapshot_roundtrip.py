@@ -20,6 +20,8 @@ from repro.kernels.lca import get_kernels
 from repro.monet.transform import monet_transform
 from repro.snapshot import read_snapshot, write_snapshot
 
+from .test_store_sections import assert_same_families
+
 
 @pytest.fixture()
 def bundle(tmp_path, figure1_store):
@@ -43,14 +45,7 @@ class TestStoreRoundTrip:
     def test_relations_survive(self, bundle, figure1_store):
         clone = read_snapshot(bundle).store
         assert clone.relation_names() == figure1_store.relation_names()
-        for pid in figure1_store.edges:
-            assert clone.edge_relation(pid).to_list() == (
-                figure1_store.edge_relation(pid).to_list()
-            )
-        for pid in figure1_store.strings:
-            assert clone.string_relation(pid).to_list() == (
-                figure1_store.string_relation(pid).to_list()
-            )
+        assert_same_families(clone, figure1_store)
 
     def test_loaded_store_validates(self, bundle):
         # The loader skips validate() (checksums guard integrity); the

@@ -1,12 +1,12 @@
-"""The store sections: three int32 dense columns, ``edges``/``ranks`` derived.
+"""The store sections: three int32 dense columns, the edge runs derived.
 
 * layout — no ``edges/*`` or ``ranks/*`` section, every integer section
   ``int32`` (``meta["item_width"]``);
-* a loaded store's relation families equal a fresh parse's for every
-  pid of every bundled dataset — whole, and shard range by shard range
-  under a recorded 1-, 2- and 4-shard layout — are of the same type,
-  and write the same bundle back; the nearest-concept path never
-  derives ``edges``/``ranks``;
+* a loaded store's edge and string runs and dense columns equal a fresh
+  parse's row for row for every pid of every bundled dataset — whole,
+  and shard range by shard range under a recorded 1-, 2- and 4-shard
+  layout — are of the same type, and write the same bundle back; the
+  nearest-concept path never derives the edge runs;
 * a bundle in the previous layout (int64 columns, stored ``edges/*``
   and ``ranks/*``) opens through the same read path, answers byte for
   byte like a fresh build with zero index builds, and takes writes;
@@ -17,6 +17,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import repro
@@ -33,6 +34,7 @@ from repro.datasets import (
 from repro.datasets.textpool import TECH_NOUNS
 from repro.exec.sharding import compute_shard_plan
 from repro.fulltext.index import fulltext_index_cache_info
+from repro.monet.relations import Runs
 from repro.monet.transform import monet_transform
 from repro.snapshot import read_snapshot, write_snapshot
 from repro.snapshot.codec import item_widths
@@ -53,21 +55,44 @@ DATASETS = {
 STORE_SECTIONS = ["store/oid_pid", "store/oid_parent", "store/oid_rank"]
 
 
+def plain(column):
+    """A head or tail column as a list of Python values."""
+    return column if isinstance(column, list) else np.asarray(column).tolist()
+
+
+def family_rows(runs):
+    """pid → the (head, tail) rows of its run, for every non-empty run."""
+    rows = {}
+    for pid in runs.pids.tolist():
+        heads, tails = runs.run(pid)
+        rows[pid] = list(zip(plain(heads), plain(tails)))
+    return rows
+
+
+def rank_family(store):
+    """pid → (OID, rank) rows over the live nodes in OID order: the
+    ``ranks`` family of Def. 2, regrouped from the dense columns."""
+    pids, parents, ranks = map(plain, store.dense_columns())
+    family = {}
+    for slot, (pid, parent, rank) in enumerate(zip(pids, parents, ranks)):
+        oid = store.first_oid + slot
+        if parent >= 0 or oid == store.root_oid:
+            family.setdefault(pid, []).append((oid, rank))
+    return dict(sorted(family.items()))
+
+
 def assert_same_families(loaded, fresh):
-    """Every pid's relations (and the key sets) agree, row for row."""
-    for family in ("edges", "strings", "ranks"):
-        assert list(getattr(loaded, family)) == list(getattr(fresh, family)), family
-        assert len(getattr(loaded, family)) == len(getattr(fresh, family)), family
-    for pid in range(len(fresh.summary)):
-        assert loaded.edge_relation(pid).to_list() == (
-            fresh.edge_relation(pid).to_list()
-        )
-        assert loaded.string_relation(pid).to_list() == (
-            fresh.string_relation(pid).to_list()
-        )
-        assert (pid in loaded.ranks) == (pid in fresh.ranks)
-        if pid in fresh.ranks:
-            assert loaded.ranks[pid].to_list() == fresh.ranks[pid].to_list()
+    """The edge and string runs (keys, run lengths, head and tail
+    columns) and the dense columns agree, row for row."""
+    for family in ("edge_runs", "string_runs"):
+        ours, theirs = getattr(loaded, family)(), getattr(fresh, family)()
+        assert ours.pids.tolist() == theirs.pids.tolist(), family
+        assert ours.lengths().tolist() == theirs.lengths().tolist(), family
+        assert plain(ours.heads) == plain(theirs.heads), family
+        assert plain(ours.tails) == plain(theirs.tails), family
+    assert list(map(plain, loaded.dense_columns())) == list(
+        map(plain, fresh.dense_columns())
+    )
 
 
 def test_layout_is_int32_without_edges_or_ranks(tmp_path):
@@ -94,8 +119,9 @@ def test_loaded_families_equal_a_fresh_parse(tmp_path, dataset):
     write_snapshot(fresh, path)
     loaded = read_snapshot(path).store
     assert_same_families(loaded, fresh)
-    for family in ("edges", "strings", "ranks"):
-        assert type(getattr(loaded, family)) is type(getattr(fresh, family))
+    for family in ("edge_runs", "string_runs"):
+        assert type(getattr(loaded, family)()) is Runs
+        assert type(getattr(fresh, family)()) is Runs
     write_snapshot(loaded, tmp_path / f"{dataset}.again.snap")
     assert (tmp_path / f"{dataset}.again.snap").read_bytes() == path.read_bytes()
 
@@ -112,19 +138,27 @@ def test_derived_families_equal_sliced_families(tmp_path, dataset, shards):
     snapshot = read_snapshot(path)
     assert recorded_plan(snapshot.meta) == plan
 
+    def families(store):
+        return {
+            "edges": family_rows(store.edge_runs()),
+            "strings": family_rows(store.string_runs()),
+            "ranks": rank_family(store),
+        }
+
     def in_range(family, node, lo, hi):
         """pid → the rows whose node (column ``node``) is in [lo, hi)."""
         return {
-            pid: [row for row in relation if lo <= row[node] < hi]
-            for pid, relation in family.items()
+            pid: [row for row in rows if lo <= row[node] < hi]
+            for pid, rows in family.items()
         }
 
+    loaded, fresh = families(snapshot.store), families(store)
     for shard in range(plan.shard_count):
         lo, hi = plan.span(shard)
         for family, node in (("edges", 1), ("strings", 0), ("ranks", 0)):
-            assert in_range(
-                getattr(snapshot.store, family), node, lo, hi
-            ) == in_range(getattr(store, family), node, lo, hi), family
+            assert in_range(loaded[family], node, lo, hi) == in_range(
+                fresh[family], node, lo, hi
+            ), family
 
 
 def test_nearest_path_never_derives_edges_or_ranks(tmp_path):
@@ -133,24 +167,25 @@ def test_nearest_path_never_derives_edges_or_ranks(tmp_path):
     db = repro.Database.open(path, cache=None)
     assert db.nearest("Database", "1999", limit=5).answers
     store = db.store
-    assert store.edges._runs is None and store.ranks._runs is None
-    assert len(store.edges)  # first access derives them
-    assert store.edges._runs is not None and store.ranks._runs is None
+    assert store._edge_runs is None
+    assert len(store.edge_runs().pids)  # first use derives them
+    assert store._edge_runs is not None
 
 
 # ---------------------------------------------------------------------------
 # The previous layout keeps opening
 # ---------------------------------------------------------------------------
 
-def family_columns(name, relations):
-    """What the previous writer emitted for an int×int family."""
+def family_columns(name, family):
+    """What the previous writer emitted for an int×int family, given
+    as pid → (head, tail) rows."""
     columns = {f"{name}/{part}": [] for part in ("pids", "lens", "heads", "tails")}
-    for pid in sorted(relations):
-        relation = relations[pid]
+    for pid in sorted(family):
+        rows = family[pid]
         columns[f"{name}/pids"].append(pid)
-        columns[f"{name}/lens"].append(len(relation))
-        columns[f"{name}/heads"].extend(relation.heads)
-        columns[f"{name}/tails"].extend(relation.tails)
+        columns[f"{name}/lens"].append(len(rows))
+        columns[f"{name}/heads"].extend(head for head, _ in rows)
+        columns[f"{name}/tails"].extend(tail for _, tail in rows)
     return columns
 
 
@@ -171,8 +206,8 @@ def previous_layout(path, store):
         width=8,
         meta={"item_width": None},
         extra={
-            **family_columns("edges", store.edges),
-            **family_columns("ranks", store.ranks),
+            **family_columns("edges", family_rows(store.edge_runs())),
+            **family_columns("ranks", rank_family(store)),
         },
     )
 
@@ -309,7 +344,7 @@ MALFORMED = {
         },
     ),
     "string run lengths off by one": _set(
-        "strings/lens", 0, lambda store: len(store.strings[min(store.strings)]) + 1
+        "strings/lens", 0, lambda store: int(store.string_runs().lengths()[0]) + 1
     ),
 }
 

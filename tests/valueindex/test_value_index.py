@@ -1,7 +1,7 @@
 """The typed value index: probes reproduce scan semantics exactly.
 
 Every probe (equality, comparison, range) is checked against a brute
-force over ``store.string_relations()`` evaluated with the very
+force over ``store.string_runs()`` evaluated with the very
 ``compare_values`` rule the ``=``/range predicates scan with — the
 index is only allowed to change cost, never answers.
 """
@@ -32,8 +32,10 @@ def plays_store():
 
 def scan_associations(store):
     """(pid, oid, value) for every string association — the oracle."""
-    for pid, relation in store.string_relations():
-        for oid, value in relation:
+    strings = store.string_runs()
+    for pid in strings.pids.tolist():
+        oids, values = strings.run(pid)
+        for oid, value in zip(oids.tolist(), values):
             yield pid, oid, value
 
 
