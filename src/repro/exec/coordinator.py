@@ -12,7 +12,9 @@ The division of labour:
 
 * a shard performs the range work — term search, the meet roll-up, §4
   filtering, local top-k with full ranking keys — over its OID range
-  of the one store and its indexes (:mod:`repro.exec.service`);
+  of the one store and its indexes (:mod:`repro.exec.service`); it
+  resolves terms against the full-text index every shard shares, so
+  each operation is one scatter of plain-string terms;
 * the coordinator reads the store itself for everything that is not
   range work: parsing, planning and ``explain``, path resolution, the
   pids of hit OIDs, and the root's path, spread, cells and text;
@@ -52,7 +54,7 @@ from ..datamodel.errors import QueryPlanError, ReproError
 from ..fulltext.index import Hits
 from ..monet.engine import MonetXML
 from ..obs.trace import current_trace, span as trace_span
-from ..query.ast import ContainsCondition, DistanceItem, MeetItem, Query
+from ..query.ast import DistanceItem, MeetItem, Query
 from ..query.executor import (
     Cell,
     QueryResult,
@@ -63,7 +65,7 @@ from ..query.executor import (
 from ..query.parser import parse_query
 from ..query.planner import Plan, plan_query
 from .executors import Executor
-from .service import item_variable, term_mode
+from .service import item_variable
 from .sharding import ShardPlan
 
 __all__ = ["ShardMismatchError", "ShardedCollection"]
@@ -133,7 +135,7 @@ class ShardedCollection:
         ping reports the span length and case mode it serves, and a
         mismatch raises :class:`ShardMismatchError` before any query.
         """
-        responses = self._record(self._broadcast("ping", {}), rounds=1)
+        responses = self._record(self._broadcast("ping", {}))
         for shard_id, response in enumerate(responses):
             start, stop = self.plan.span(shard_id)
             for field, expected in (
@@ -156,15 +158,18 @@ class ShardedCollection:
         )
 
     def _record(
-        self, responses: List[Dict[str, object]], rounds: int
+        self, responses: List[Dict[str, object]]
     ) -> List[Dict[str, object]]:
+        """Remember one operation's shard timings; ``rounds`` is the
+        number of scatters it made (every op makes one, a result-cache
+        hit none)."""
         self._last.stats = {
             "count": self.shard_count,
             "executor": self.executor.name,
             "per_shard_ms": [
                 response.get("elapsed_ms") for response in responses
             ],
-            "rounds": rounds,
+            "rounds": 1 if responses else 0,
         }
         return responses
 
@@ -202,19 +207,7 @@ class ShardedCollection:
     def term_hits(self, term: str) -> Hits:
         """Global hits of one term, ascending by OID, the pids read from
         the store."""
-        mode = term_mode(term, self.case_sensitive)
-        params = {"terms": [(term, mode)], "scan_terms": ()}
-        responses = self._broadcast("hits", params)
-        rounds = 1
-        if mode == "token" and not any(
-            response["index_counts"].get(term, 0) for response in responses
-        ):
-            # The global index has no posting: the monolithic ``find``
-            # would fall back to a substring scan — so do all shards.
-            params["scan_terms"] = (term,)
-            responses = self._broadcast("hits", params)
-            rounds = 2
-        self._record(responses, rounds)
+        responses = self._record(self._broadcast("hits", {"terms": [term]}))
         # Shard OID ranges ascend (and the root, the smallest OID, sits
         # in shard 0), so shard-order concatenation is globally sorted.
         oids = [
@@ -262,26 +255,17 @@ class ShardedCollection:
             with trace_span("cache.lookup"):
                 cached = cache.get(key)
             if cached is not None:
-                self._record([], rounds=0)
+                self._record([])
                 return list(cached)
 
-        moded = [(term, term_mode(term, self.case_sensitive)) for term in terms]
         params = {
-            "terms": moded,
-            "scan_terms": (),
+            "terms": list(terms),
             "exclude_pids": sorted(excluded),
             "require_all_terms": require_all_terms,
             "within": within,
             "limit": limit,
         }
-        responses = self._broadcast("nearest", params)
-        rounds = 1
-        force = self._scan_fallback(moded, responses)
-        if force:
-            params["scan_terms"] = tuple(sorted(force))
-            responses = self._broadcast("nearest", params)
-            rounds = 2
-        self._record(responses, rounds)
+        responses = self._record(self._broadcast("nearest", params))
 
         with trace_span("merge", shards=len(responses)):
             concepts = self._merge_nearest(
@@ -295,20 +279,6 @@ class ShardedCollection:
         if cache is not None:
             cache.put(key, tuple(concepts))
         return concepts
-
-    def _scan_fallback(
-        self,
-        moded: Sequence[Tuple[str, str]],
-        responses: List[Dict[str, object]],
-    ) -> Set[str]:
-        force: Set[str] = set()
-        for term, mode in moded:
-            if mode == "token" and not any(
-                response["index_counts"].get(term, 0)
-                for response in responses
-            ):
-                force.add(term)
-        return force
 
     def _merge_nearest(
         self,
@@ -433,13 +403,12 @@ class ShardedCollection:
                 cached = cache.get(key)
             if cached is not None:
                 columns, rows = cached
-                self._record([], rounds=0)
+                self._record([])
                 return QueryResult(columns=list(columns), rows=list(rows))
 
         # Plan locally first: parse/plan/binding errors surface
         # identically to the monolithic processor, before any scatter
-        # happens.  Parameters must bind *before* the needle pass —
-        # scan-fallback modes are computed from literal needles.
+        # happens.
         with trace_span("parse"):
             parsed = parse_query(text)
             if bindings or parsed.parameters:
@@ -457,24 +426,10 @@ class ShardedCollection:
 
         params: Dict[str, object] = {
             "text": text,
-            "scan_needles": (),
             "params": dict(bindings) if bindings else None,
             "force_scan": self.force_scan,
         }
-        responses = self._broadcast("query", params)
-        rounds = 1
-        needles = [
-            (condition.needle, "token")
-            for condition in parsed.conditions
-            if isinstance(condition, ContainsCondition)
-            and term_mode(condition.needle, self.case_sensitive) == "token"
-        ]
-        force = self._scan_fallback(needles, responses)
-        if force:
-            params["scan_needles"] = tuple(sorted(force))
-            responses = self._broadcast("query", params)
-            rounds = 2
-        self._record(responses, rounds)
+        responses = self._record(self._broadcast("query", params))
 
         with trace_span("merge", shards=len(responses)):
             if plan.aggregate:

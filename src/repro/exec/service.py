@@ -36,31 +36,25 @@ The contract with the coordinator (:mod:`repro.exec.coordinator`):
   are :func:`repro.core.backends.select_meets` — the same routine the
   monolithic engine ranks through, so a shard turns only its winners
   and its residue pairs into python objects;
-* full-text terms arrive with a coordinator-chosen **mode** (``token``
-  / ``multi`` / ``scan``): the index-vs-scan fallback of
-  :meth:`repro.fulltext.search.SearchEngine.find` depends on whether
-  the *global* index has hits, which no single shard can know, so the
-  shard reports its range's index counts and the coordinator
-  re-scatters with ``scan_terms`` when the global count is zero.
+* full-text terms are resolved by
+  :meth:`repro.fulltext.search.SearchEngine.find` with the shard's
+  range: whether the index or a scan answers a term is decided
+  against the store's whole index, so every shard takes the branch
+  the monolithic engine takes and one scatter answers each op.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.backends import meet_oids, select_meets
 from ..core.engine import NearestConceptEngine
 from ..core.restrictions import resolve_pids
 from ..datamodel.errors import ReproError
-from ..fulltext.index import Hits
-from ..fulltext.search import SearchEngine
-from ..fulltext.tokenizer import tokenize
 from ..monet.engine import MonetXML
 from ..query.ast import (
-    ContainsCondition,
     DistanceItem,
     MeetItem,
     PathItem,
@@ -78,48 +72,10 @@ from .sharding import ShardPlan
 __all__ = [
     "ShardService",
     "shard_services",
-    "term_mode",
-    "hits_for_mode",
     "item_variable",
 ]
 
 Span = Tuple[int, int]
-
-
-def term_mode(term: str, case_sensitive: bool) -> str:
-    """The find-semantics branch a term takes — mirrors ``SearchEngine.find``.
-
-    ``token`` terms consult the inverted index (and fall back to a
-    substring scan only when the *global* index misses); ``multi``
-    terms run the conjunctive-tokens-plus-substring-confirm path;
-    everything else is a straight ``scan``.
-    """
-    tokens = tokenize(term, case_sensitive)
-    if len(tokens) == 1 and all(ch.isalnum() for ch in term.strip()):
-        return "token"
-    if len(tokens) > 1:
-        return "multi"
-    return "scan"
-
-
-def hits_for_mode(
-    search: SearchEngine,
-    term: str,
-    mode: str,
-    force_scan: bool,
-    span: Span,
-) -> Hits:
-    """A shard's hits for one term under a coordinator-decided mode:
-    the ones inside its range ``span``."""
-    if force_scan or mode == "scan":
-        return search.scan(term, span)
-    if mode == "token":
-        # No local scan fallback: that decision is global.
-        return search.index.search(term).within(span)
-    hits = search.index.search_conjunctive(
-        tokenize(term, search.case_sensitive)
-    ).within(span)
-    return Hits(term=term, postings=search._confirm_substring(term, hits))
 
 
 def item_variable(item, plan) -> Optional[str]:
@@ -227,44 +183,24 @@ class ShardService:
         }
 
     # -- full-text ------------------------------------------------------
-    def _resolve_hits(
-        self,
-        terms: Iterable[Tuple[str, str]],
-        scan_terms: Set[str],
-    ) -> Tuple[Dict[str, Hits], Dict[str, int]]:
-        hits: Dict[str, Hits] = {}
-        index_counts: Dict[str, int] = {}
-        for term, mode in terms:
-            found = hits_for_mode(
-                self.engine.search, term, mode, term in scan_terms, self.span
-            )
-            hits[term] = found
-            if mode == "token" and term not in scan_terms:
-                index_counts[term] = len(found)
-        return hits, index_counts
-
     def _op_hits(self, params: Dict[str, object]) -> Dict[str, object]:
-        scan_terms = set(params.get("scan_terms", ()))
-        hits, index_counts = self._resolve_hits(params["terms"], scan_terms)
+        find = self.engine.search.find
         return {
             "terms": {
-                term: sorted(found.oids()) for term, found in hits.items()
-            },
-            "index_counts": index_counts,
+                term: sorted(find(term, self.span).oids())
+                for term in params["terms"]
+            }
         }
 
     # -- nearest concepts -----------------------------------------------
     def _op_nearest(self, params: Dict[str, object]) -> Dict[str, object]:
-        terms: List[Tuple[str, str]] = [
-            (term, mode) for term, mode in params["terms"]
-        ]
-        scan_terms = set(params.get("scan_terms", ()))
+        terms: List[str] = list(params["terms"])
         exclude_pids = set(params.get("exclude_pids", ()))
         require_all = bool(params.get("require_all_terms", False))
 
-        hits, index_counts = self._resolve_hits(terms, scan_terms)
         store = self.store
         engine = self.engine
+        hits = {term: engine.search.find(term, self.span) for term in terms}
         results = engine.backend.meet_term_hits(hits.items())
         chosen, residue = select_meets(
             store,
@@ -276,7 +212,7 @@ class ShardService:
             ),
             drop_oid=store.root_oid,
             excluded=exclude_pids,
-            wanted={term for term, _ in terms} if require_all else None,
+            wanted=set(terms) if require_all else None,
             within=params.get("within"),
             limit=params.get("limit"),
         )
@@ -296,11 +232,7 @@ class ShardService:
                     "depth": concept.depth,
                 }
             )
-        return {
-            "meets": meets,
-            "residue": self._residue(residue),
-            "index_counts": index_counts,
-        }
+        return {"meets": meets, "residue": self._residue(residue)}
 
     def _residue(self, pairs) -> List[Tuple[object, int, int]]:
         """Residue pairs on the wire: sorted ``(token, OID, depth)``."""
@@ -329,7 +261,6 @@ class ShardService:
 
     def _op_query(self, params: Dict[str, object]) -> Dict[str, object]:
         text = str(params["text"])
-        scan_needles = set(params.get("scan_needles", ()))
         bindings = params.get("params") or None
         force_scan = bool(params.get("force_scan", False))
         store = self.store
@@ -341,30 +272,13 @@ class ShardService:
             # scatter, so this bind never fails on a well-formed op.
             parsed = template.bind(dict(bindings or {}))
             plan = plan.rebound(parsed)
-        search = _CoordinatedSearch(
-            store,
-            case_sensitive=self.case_sensitive,
-            scan_terms=scan_needles,
-            span=self.span,
-        )
         processor = QueryProcessor(
             store,
-            search=search,
+            search=self.engine.search,
             max_rows=None,
             force_scan=force_scan,
+            span=self.span,
         )
-
-        index_counts: Dict[str, int] = {}
-        for condition in parsed.conditions:
-            if isinstance(condition, ContainsCondition):
-                needle = condition.needle
-                if (
-                    term_mode(needle, self.case_sensitive) == "token"
-                    and needle not in scan_needles
-                ):
-                    index_counts[needle] = len(
-                        search.index.search(needle).within(self.span)
-                    )
 
         aggregate = plan.aggregate
         if aggregate:
@@ -387,7 +301,7 @@ class ShardService:
         variables: Dict[str, Dict[str, object]] = {}
         minimal: Dict[str, List[int]] = {}
         for variable in needed:
-            pattern = self._pattern_oids(plan, variable)
+            pattern = processor._pattern_oids(plan, variable)
             closures = [
                 processor._condition_closure(condition, plan)
                 for condition in parsed.conditions_for(variable)
@@ -417,10 +331,7 @@ class ShardService:
                 entry["cells"] = cells
             variables[variable] = entry
 
-        response: Dict[str, object] = {
-            "variables": variables,
-            "index_counts": index_counts,
-        }
+        response: Dict[str, object] = {"variables": variables}
         if aggregate:
             response["meet_items"] = {
                 str(index): self._meet_item(plan, item, minimal)
@@ -433,22 +344,6 @@ class ShardService:
                 if isinstance(item, DistanceItem)
             }
         return response
-
-    def _pattern_oids(self, plan, variable: str) -> Set[int]:
-        """:meth:`QueryProcessor._pattern_oids` cut to this shard's
-        range: each pid's OIDs are in document order, so two bisections
-        bound the ones taken."""
-        store = self.store
-        lo, hi = self.span
-        oids: Set[int] = set()
-        for pid in plan.variables[variable].pids:
-            if store.summary.is_attribute(pid):
-                column = store.string_runs().run(pid)[0]
-            else:
-                column = store.oids_on_pid(pid)
-            start, stop = bisect_left(column, lo), bisect_left(column, hi)
-            oids.update(map(int, column[start:stop]))
-        return oids
 
     def _meet_item(
         self, plan, item: MeetItem, minimal: Dict[str, List[int]]
@@ -497,28 +392,3 @@ class ShardService:
             },
             "pair_joins": pair_joins,
         }
-
-
-class _CoordinatedSearch(SearchEngine):
-    """A :class:`SearchEngine` over one shard's range whose
-    index-vs-scan choice is imposed.
-
-    The stock ``find`` falls back to a substring scan when the index
-    has no hit — a decision that must be made against the *global*
-    index under sharding.  This variant follows the coordinator's
-    per-term verdict instead (``scan_terms`` forces the fallback), and
-    finds only the hits inside ``span``.
-    """
-
-    def __init__(
-        self, store, *, case_sensitive: bool, scan_terms: Set[str], span: Span
-    ):
-        super().__init__(store, case_sensitive=case_sensitive)
-        self._scan_terms = frozenset(scan_terms)
-        self._span = span
-
-    def find(self, term: str) -> Hits:
-        return hits_for_mode(
-            self, term, term_mode(term, self.case_sensitive),
-            term in self._scan_terms, self._span,
-        )

@@ -7,7 +7,7 @@
 """
 
 from .index import FullTextIndex, Hits, Posting
-from .search import SearchEngine, contains
+from .search import SearchEngine, contains, term_shape
 from .thesaurus import BroadeningSearch, Thesaurus, expand_term
 from .tokenizer import normalize, tokenize
 
@@ -20,6 +20,7 @@ __all__ = [
     "Thesaurus",
     "expand_term",
     "contains",
+    "term_shape",
     "normalize",
     "tokenize",
 ]

@@ -193,14 +193,11 @@ class Hits:
         """The hits whose OID lies in the half-open ``span`` (a shard's
         range).
 
-        Index-backed hits cut the term's postings once per span
-        (:meth:`_TermPostings.within`), so a shard's repeated queries
-        of a term share one cut and its roll-ups.
+        Only index-backed hits are cut: the term's postings once per
+        span (:meth:`_TermPostings.within`), so a shard's repeated
+        queries of a term share one cut and its roll-ups.
         """
-        entry = self._entry
-        if entry is None:
-            entry = _TermPostings(self._pids, self._oids)
-        return Hits(self.term, entry=entry.within(span))
+        return Hits(self.term, entry=self._entry.within(span))
 
     def by_pid(self) -> Mapping[int, Sequence[int]]:
         """pid → OID sequence: the typed relations handed to meet (Fig. 5).
@@ -565,15 +562,24 @@ class FullTextIndex:
 
         Linear in vocabulary size; fine for the interactive use-case.
         """
-        needle = normalize(prefix, self.case_sensitive)
+        return self._search_tokens(prefix + "*", str.startswith, prefix)
+
+    def search_suffix(self, suffix: str) -> Hits:
+        """All associations with a token ending with ``suffix``
+        (linear in vocabulary size, like :meth:`search_prefix`)."""
+        return self._search_tokens("*" + suffix, str.endswith, suffix)
+
+    def _search_tokens(
+        self, label: str, matches: Callable[[str, str], bool], part: str
+    ) -> Hits:
+        """Union of the postings of every token that ``matches`` ``part``."""
+        needle = normalize(part, self.case_sensitive)
         matching = [
             entry
             for token, entry in self._terms.items()
-            if token.startswith(needle)
+            if matches(token, needle)
         ]
-        return Hits(
-            term=prefix + "*", columns=self._merge_columns(matching)
-        )
+        return Hits(term=label, columns=self._merge_columns(matching))
 
     @staticmethod
     def _merge_columns(
@@ -597,31 +603,6 @@ class FullTextIndex:
             if entry is not None:
                 entries.append(entry)
         return Hits(term="|".join(label), columns=self._merge_columns(entries))
-
-    def search_conjunctive(self, terms: Iterable[str]) -> Hits:
-        """Associations whose string contains *all* the terms.
-
-        This matches "Bob Byte" when searching for Bob *and* Byte — the
-        paper's second §3.1 example where the meet is the cdata node
-        itself.  The intersection is a sorted-array kernel emitting
-        (pid, oid) ascending.
-        """
-        term_list = list(terms)
-        if not term_list:
-            return Hits(term="")
-        entries = [
-            self._terms.get(normalize(term, self.case_sensitive))
-            for term in term_list
-        ]
-        if any(entry is None for entry in entries):
-            return Hits(term="&".join(term_list))
-        pids, oids = postings_kernels.intersect_columns(
-            (entry.pids, entry.oids) for entry in entries
-        )
-        return Hits(
-            term="&".join(term_list),
-            columns=(_as_q_column(pids), _as_q_column(oids)),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ paper's ``<answer><result>…`` blocks.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -205,9 +206,13 @@ class QueryProcessor:
         cache: CacheSpec = None,
         force_scan: bool = False,
         value_indexes: Sequence[str] = (),
+        span: Optional[Tuple[int, int]] = None,
     ):
         self.store = store
         self.search = search or SearchEngine(store)
+        #: A shard's half-open OID range: patterns and ``contains``
+        #: witnesses are cut to it (``None``: the whole store).
+        self.span = span
         self.max_rows = max_rows
         #: Answers meet(...)/distance(...) items: the kernels, or the
         #: paper's walks for ``backend="steered"``.
@@ -390,14 +395,21 @@ class QueryProcessor:
 
         A pattern ending in an attribute step (``…@shelf``) binds the
         *owning elements* — the first components of the oid × string
-        associations on that path.
+        associations on that path.  Each pid's OIDs are in document
+        order, so two bisections cut them to :attr:`span`.
         """
+        store = self.store
         oids: Set[int] = set()
         for pid in plan.variables[variable].pids:
-            if self.store.summary.is_attribute(pid):
-                oids.update(self.store.string_runs().run(pid)[0].tolist())
-                continue
-            oids.update(self.store.oids_on_pid(pid))
+            if store.summary.is_attribute(pid):
+                column = store.string_runs().run(pid)[0].tolist()
+            else:
+                column = store.oids_on_pid(pid)
+            if self.span is not None:
+                lo, hi = self.span
+                start, stop = bisect_left(column, lo), bisect_left(column, hi)
+                column = column[start:stop]
+            oids.update(column)
         return oids
 
     def _condition_closure(self, condition, plan: Optional[Plan] = None) -> Set[int]:
@@ -423,7 +435,7 @@ class QueryProcessor:
             and condition_plan.access == ACCESS_VALUE_INDEX
         )
         if isinstance(condition, ContainsCondition):
-            witnesses = self.search.find(condition.needle).oids()
+            witnesses = self.search.find(condition.needle, self.span).oids()
             closure: Set[int] = set()
             for oid in witnesses:
                 current: Optional[int] = oid

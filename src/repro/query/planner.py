@@ -42,7 +42,7 @@ import numpy as np
 
 from ..datamodel.errors import QueryPlanError
 from ..fulltext.index import cached_fulltext_index
-from ..fulltext.tokenizer import tokenize
+from ..fulltext.search import PHRASE, SCAN, TOKEN, term_shape
 from ..monet.engine import MonetXML
 from ..valueindex import cached_value_index
 from .ast import (
@@ -73,6 +73,13 @@ __all__ = [
 ACCESS_VALUE_INDEX = "value-index"
 ACCESS_FULLTEXT = "fulltext"
 ACCESS_SCAN = "scan"
+
+#: The access path of a literal ``contains`` per :func:`term_shape`.
+_CONTAINS_ACCESS = {
+    TOKEN: (ACCESS_FULLTEXT, "fulltext token postings"),
+    PHRASE: (ACCESS_FULLTEXT, "fulltext prefilter + substring confirm"),
+    SCAN: (ACCESS_SCAN, "string-relation scan (substring)"),
+}
 
 
 @dataclass(slots=True)
@@ -317,27 +324,17 @@ def _plan_condition(
     bound = None if isinstance(literal, ParamRef) else literal
 
     if isinstance(condition, ContainsCondition):
-        # contains always executes through the search engine; the plan
-        # records which strategy the engine will take for this needle.
+        # contains always executes through SearchEngine.find; the plan
+        # records the branch find's rule takes for this needle.
+        estimate = None
         if bound is None:
             detail = "fulltext postings (strategy bound per execution)"
             access = ACCESS_FULLTEXT
-            estimate = None
         else:
-            tokens = tokenize(bound, case_sensitive)
-            whole = all(ch.isalnum() for ch in bound.strip())
-            if len(tokens) == 1 and whole:
-                access, detail = ACCESS_FULLTEXT, "fulltext token postings"
-            elif len(tokens) > 1:
-                access, detail = (
-                    ACCESS_FULLTEXT,
-                    "fulltext conjunctive postings + substring confirm",
-                )
-            else:
-                access, detail = ACCESS_SCAN, "string-relation scan (substring)"
-            estimate = None
+            shape = term_shape(bound, case_sensitive)
+            access, detail = _CONTAINS_ACCESS[shape]
             index = cached_fulltext_index(store, case_sensitive)
-            if index is not None and len(tokens) == 1 and whole:
+            if index is not None and shape == TOKEN:
                 estimate = index.document_frequency(bound)
         return ConditionPlan(
             condition=condition,

@@ -215,9 +215,58 @@ def test_last_shard_stats_records_rounds(dblp_store):
     assert stats["count"] == 2
     assert stats["rounds"] == 1
     assert len(stats["per_shard_ms"]) == 2
-    # A term absent from the token index forces the second round.
+    # A term absent from the token index is scanned in the same round.
     sharded.nearest_concepts("Hac", "1999")
-    assert sharded.last_shard_stats()["rounds"] == 2
+    assert sharded.last_shard_stats()["rounds"] == 1
+
+
+HACK_XML = """
+<bib>
+  <article><title>How to Hack</title><year>1999</year></article>
+  <article><title>Hacking &amp; RSI</title><year>1999</year></article>
+  <article><title>Bits</title><year>2001</year></article>
+</bib>
+"""
+
+
+def test_partial_word_takes_one_scatter_per_op():
+    """"Hac" is no token of the index: every shard scans for it in the
+    one scatter of each op, and the merge equals monolithic."""
+    from repro.query.executor import QueryProcessor
+
+    store = monet_transform(parse_document(HACK_XML, first_oid=1))
+    plan = compute_shard_plan(store, 2)
+    assert plan.shard_count == 2
+    scatters = []
+
+    class CountingExecutor(SerialExecutor):
+        def scatter(self, ops):
+            scatters.append(len(ops))
+            return super().scatter(ops)
+
+    sharded = ShardedCollection(
+        plan,
+        store,
+        CountingExecutor(list(shard_services(store, plan).values())),
+        generations=[store.generation] * plan.shard_count,
+    )
+    engine = NearestConceptEngine(store)
+    text = "select $a from # $a where $a contains 'Hac'"
+
+    nearest = sharded.nearest_concepts("Hac", "1999")
+    assert scatters == [2]
+    assert nearest == engine.nearest_concepts("Hac", "1999")
+    assert len(nearest) == 2
+
+    rows = sharded.term_hit_rows("Hac")
+    assert scatters == [2, 2]
+    assert [oid for oid, _pid in rows] == sorted(engine.term_hits("Hac").oids())
+    assert len(rows) == 2
+
+    result = sharded.execute(text)
+    assert scatters == [2, 2, 2]
+    assert result.rows == QueryProcessor(store).execute(text).rows
+    assert sharded.last_shard_stats()["rounds"] == 1
 
 
 ROOT_QUERY_CASES = [

@@ -91,15 +91,6 @@ class TestCompoundSearch:
         hits = index.search_any(["Bob", "Byte"])
         assert len(hits.postings) == 1
 
-    def test_search_conjunctive(self, index):
-        assert index.search_conjunctive(["Bob", "Byte"]).oids() == {
-            O["cdata_bob_byte"]
-        }
-        assert index.search_conjunctive(["Bob", "Bit"]).oids() == set()
-
-    def test_search_conjunctive_empty_terms(self, index):
-        assert index.search_conjunctive([]).oids() == set()
-
     def test_search_prefix(self, index):
         hits = index.search_prefix("ha")
         # 'hack' (How to Hack) and 'hacking' (Hacking & RSI)

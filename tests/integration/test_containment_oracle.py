@@ -9,12 +9,14 @@ labels before anything else.  Then, per document:
 
 * the sub-tree of every ``nearest`` answer holds each term the answer
   relates, case-folded (EquiX's containment reading);
-* for a needle that is not a token — a partial word such as ``"Hac"``
-  or one carrying punctuation — the witnesses of
+* for a needle that is not a token — a partial word such as ``"Hac"``,
+  one carrying punctuation, or several words whose edge words are
+  partial (``"to Ha"``) — the witnesses of
   ``select $a from # $a where $a contains '<needle>'`` are exactly the
   nodes whose own text or attribute values contain it, case-folded,
-  closed under ancestors.  Such needles miss the token index and are
-  answered by the substring scan over the store's string runs.
+  closed under ancestors.  Such needles are answered by the substring
+  scan over the store's string runs, or — for several words — by the
+  token index as a prefilter and a substring confirm.
 """
 
 import re
@@ -152,7 +154,7 @@ DATASETS = {
     "figure1": (
         figure1_document,
         [("Bit", "1999"), ("Ben", "Hack"), ("Bob", "RSI")],
-        ["Hac", "ing &", "& RSI", "BK9", "yte"],
+        ["Hac", "ing &", "& RSI", "BK9", "yte", "to Ha", "ow to", "g & R"],
     ),
     "plays": (
         plays_document,

@@ -67,9 +67,7 @@ def test_shard_bundles_load_seeded(store, tmp_path):
         snapshot.store, recorded_plan(snapshot.meta)
     )
     for service in services.values():
-        service.handle(
-            "nearest", {"terms": [("ICDE", "token"), ("1999", "token")]}
-        )
+        service.handle("nearest", {"terms": ["ICDE", "1999"]})
     assert lca_index_cache_info().builds == 0
     assert fulltext_index_cache_info().builds == 0
 
