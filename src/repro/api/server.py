@@ -72,6 +72,7 @@ from ..datamodel.errors import (
 )
 from ..exec.deadline import Deadline, DeadlineExceededError, deadline_scope
 from ..exec.executors import ExecutorError
+from ..monet.engine import index_counters
 from ..obs.logs import log_event
 from ..obs.metrics import CallbackGauge, Counter, Histogram, MetricsRegistry
 from ..obs.trace import Trace, new_trace_id, trace_scope
@@ -494,21 +495,13 @@ class _BodyTooLarge(Exception):
 
 
 def _index_patches() -> Dict[str, int]:
-    """Journal roll-forwards per derived index, this process.
+    """Journal roll-forwards per registered index, this process.
 
     Writes only ever apply in the serving process (shard workers serve
     a read-only bundle), so unlike ``index_builds`` there is no
     worker share to merge.
     """
-    from ..core.lca_index import lca_index_cache_info
-    from ..fulltext.index import fulltext_index_cache_info
-    from ..valueindex import value_index_cache_info
-
-    return {
-        "lca": lca_index_cache_info().patches,
-        "fulltext": fulltext_index_cache_info().patches,
-        "valueindex": value_index_cache_info().patches,
-    }
+    return {name: info.patches for name, info in index_counters().items()}
 
 
 class ReproServer:
@@ -769,10 +762,6 @@ class ReproServer:
         }
 
     def stats(self) -> Dict[str, object]:
-        from ..core.lca_index import lca_index_cache_info
-        from ..fulltext.index import fulltext_index_cache_info
-        from ..valueindex import value_index_cache_info
-
         # Process-*tree* counters: the serving process plus every
         # shard worker process of every sharded collection (workers
         # report their process-local counters with each response; the
@@ -780,9 +769,9 @@ class ReproServer:
         # would silently undercount — any build after warm-up means a
         # request paid for an index, the zero-rebuild invariant the
         # tests assert, and it must hold across the whole tree.
-        lca_builds = lca_index_cache_info().builds
-        fulltext_builds = fulltext_index_cache_info().builds
-        valueindex_builds = value_index_cache_info().builds
+        builds = {
+            name: info.builds for name, info in index_counters().items()
+        }
         seen_executors = set()
         workers = 0
         for database in self.databases.values():
@@ -794,21 +783,15 @@ class ReproServer:
             seen_executors.add(id(executor))
             executor_stats = executor.stats()
             workers += executor_stats.get("workers", 0)
-            merged = executor_stats.get("index_builds") or {}
-            lca_builds += merged.get("lca", 0)
-            fulltext_builds += merged.get("fulltext", 0)
-            valueindex_builds += merged.get("valueindex", 0)
+            for name, count in (executor_stats.get("index_builds") or {}).items():
+                builds[name] = builds.get(name, 0) + count
         return {
             "default": self.default,
             "collections": {
                 name: db.stats() for name, db in self.databases.items()
             },
             "workers": workers,
-            "index_builds": {
-                "lca": lca_builds,
-                "fulltext": fulltext_builds,
-                "valueindex": valueindex_builds,
-            },
+            "index_builds": builds,
             "index_patches": _index_patches(),
             "admission": self.admission.snapshot(),
             "metrics": self.metrics.snapshot(),

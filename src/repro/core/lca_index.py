@@ -27,10 +27,11 @@ while it checks the store's pre-order.
 
 :class:`~repro.core.backends.VectorBackend` reuses one
 :class:`LcaIndex` per store across every pairwise, set-wise and n-ary
-meet; :func:`get_lca_index` caches the index per store and *maintains*
-it across live writes the way the full-text and value indexes are
-maintained: a stale generation is bridged with the store's mutation
-journal (:func:`repro.monet.mutate.journal_chain`) instead of a
+meet.  The index is one of the store's maintained indexes
+(:data:`LCA_INDEXES`, a :class:`~repro.monet.engine.DerivedCache` like
+the full-text and value indexes' registries): :func:`get_lca_index`
+builds it once per store and brings a stale one current through the
+store's mutation journal (:meth:`LcaIndex.patched`) instead of a
 rebuild.  ``put_document`` hangs one contiguous pre-order OID run under
 the root as its last child, so a put extends the column at its tail;
 a delete sets its span to :data:`~repro.kernels.lca.DEAD`, a depth that
@@ -38,31 +39,27 @@ never wins a minimum, and its OIDs raise
 :class:`~repro.datamodel.errors.UnknownOIDError` like any unknown OID.
 Compaction's OID map is monotone and keeps every depth, so the
 compacted store's column is the live slots of this one
-(:meth:`LcaIndex.compacted`).
+(:meth:`LcaIndex.carried`).
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 
 from ..datamodel.errors import UnknownOIDError
 from ..kernels.lca import DEAD, get_kernels, regrown
 from ..monet.engine import DerivedCache, MonetXML
-from ..monet.mutate import MutationRecord, journal_chain
+from ..monet.mutate import MutationRecord
 
 __all__ = [
     "LcaIndex",
     "tree_depths",
+    "LCA_INDEXES",
     "get_lca_index",
-    "carry_lca_index",
-    "seed_lca_index",
     "clear_lca_index_cache",
     "lca_index_cache_info",
-    "LcaIndexCacheInfo",
 ]
 
 
@@ -122,7 +119,7 @@ class LcaIndex:
         self._vector_kernels = None  # see repro.kernels.lca
         #: Store generation this index answers for; a mismatch with
         #: ``store.generation`` means the index is stale.
-        #: :meth:`roll_forward`'s caller publishes it last.
+        #: The registry publishes it last after :meth:`patched`.
         self.generation = getattr(store, "generation", 0)
 
     @classmethod
@@ -133,8 +130,9 @@ class LcaIndex:
         return self
 
     # -- maintenance ----------------------------------------------------
-    def roll_forward(self, chain: Iterable[MutationRecord]) -> None:
-        """Apply journalled mutations (oldest first) in place.
+    def patched(self, chain: Iterable[MutationRecord]) -> "LcaIndex":
+        """Apply journalled mutations (oldest first) in place; returns
+        this index.
 
         A put derives its span's depths at the tail of the column (the
         span hangs under the root, which has depth 1; a span a later
@@ -162,15 +160,24 @@ class LcaIndex:
             changed.append((low, high))
         if self._vector_kernels is not None:
             self._vector_kernels.follow(self.depths, changed)
+        return self
 
-    def compacted(self, store: MonetXML) -> "LcaIndex":
+    def carried(
+        self, store: MonetXML, _renumbered: Callable[[np.ndarray], np.ndarray]
+    ) -> "LcaIndex":
         """This index carried over to ``store``, the compaction of its own.
 
         The compaction's OID map is monotone and keeps every parent, so
-        the compacted column is this one's live slots, in order.  Call
-        it on a current index.
+        the compacted column is this one's live slots, in order.  If
+        this index had its kernels bound, the carried one binds them
+        too, so the range-minimum table is derived here rather than by
+        the first read of the compacted store.  Call it on a current
+        index.
         """
-        return LcaIndex.from_depths(store, self.depths[self.depths != DEAD])
+        carried = LcaIndex.from_depths(store, self.depths[self.depths != DEAD])
+        if self._vector_kernels is not None:
+            get_kernels(carried)
+        return carried
 
     # -- O(1) queries ---------------------------------------------------
     def depth(self, oid: int) -> int:
@@ -210,134 +217,17 @@ class LcaIndex:
 
 
 # ---------------------------------------------------------------------------
-# Per-store cache, keyed on store identity + generation.
+# The per-store registry (repro.monet.engine.DerivedCache).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LcaIndexCacheInfo:
-    """Counters of the per-store index cache (for tests and benches).
-
-    ``builds`` counts full constructions only; ``patches`` counts
-    roll-forwards through the mutation journal.
-    """
-
-    builds: int
-    hits: int
-    currsize: int
-    patches: int = 0
-
-
-_cache = DerivedCache("lca_index")  # store → LcaIndex
-_builds = 0
-_hits = 0
-_patches = 0
-#: Serializes roll-forwards and builds: readers share the ``Database``
-#: read lock, so several can find the same index stale after one write.
-_maintenance_lock = threading.Lock()
-
-
-def _maintained(store: MonetXML) -> Optional[LcaIndex]:
-    """The cached index of a store brought current, or ``None``.
-
-    When the store's mutation journal bridges the cached index's
-    generation to the current one, the same index object is rolled
-    forward in place (:meth:`LcaIndex.roll_forward`).  ``None`` means
-    there is nothing to maintain — no cached index, or one the journal
-    no longer reaches; this never builds.
-    """
-    global _hits, _patches
-    cached = _cache.get(store)
-    if cached is not None and cached.generation == getattr(store, "generation", 0):
-        _hits += 1
-        return cached
-    with _maintenance_lock:
-        cached = _cache.get(store)
-        generation = getattr(store, "generation", 0)
-        if cached is not None and cached.generation == generation:
-            _hits += 1
-            return cached
-        chain = None if cached is None else journal_chain(store, cached.generation)
-        if chain is None:
-            return None
-        try:
-            cached.roll_forward(chain)
-        except BaseException:
-            # Half applied: never serve it, never patch it again.
-            del _cache[store]
-            raise
-        cached.generation = generation  # published last
-        _patches += 1
-        return cached
+#: The LCA index of every store, kept current across writes.
+LCA_INDEXES = DerivedCache("lca", lambda store, _key: LcaIndex(store))
 
 
 def get_lca_index(store: MonetXML) -> LcaIndex:
-    """The cached :class:`LcaIndex` of a store, maintained on demand.
-
-    The index is kept on the store object (a dropped store takes its
-    index with it) under the store's ``generation`` and maintained
-    through the mutation journal (:meth:`LcaIndex.roll_forward`); only
-    a store with nothing to maintain — no index yet, a bare
-    :meth:`~repro.monet.engine.MonetXML.invalidate_caches`, a journal
-    evicted past its limit — gets a new index built.
-    """
-    global _builds, _hits
-    index = _maintained(store)
-    if index is not None:
-        return index
-    with _maintenance_lock:
-        cached = _cache.get(store)
-        if cached is not None and cached.generation == getattr(store, "generation", 0):
-            _hits += 1  # a racing reader built it meanwhile
-            return cached
-        index = LcaIndex(store)
-        _cache[store] = index
-        _builds += 1
-        return index
+    """The current :class:`LcaIndex` of a store, built on first use."""
+    return LCA_INDEXES.get(store)
 
 
-def carry_lca_index(store: MonetXML, compacted: MonetXML) -> None:
-    """Seed ``compacted`` with ``store``'s index, carried over.
-
-    ``compacted`` is what :func:`~repro.monet.mutate.compact_store`
-    returned for ``store``.  A cached index is brought current and
-    carried (:meth:`LcaIndex.compacted`); if it had its kernels bound,
-    the carried one binds them too, so the range-minimum table is
-    derived here rather than by the first read of the compacted store.
-    """
-    index = _maintained(store)
-    if index is None:
-        return
-    carried = index.compacted(compacted)
-    if index._vector_kernels is not None:
-        get_kernels(carried)
-    seed_lca_index(compacted, carried)
-
-
-def seed_lca_index(store: MonetXML, index: LcaIndex) -> None:
-    """Install a ready index into the per-store cache without a build.
-
-    The snapshot loader's hook: the :meth:`LcaIndex.from_depths` index
-    it derived while checking the store is registered so that every
-    subsequent :func:`get_lca_index` call — engines, backends, the CLI
-    — is a cache hit.  Neither the build nor the hit counter moves,
-    keeping the "zero constructions on warm start" property testable.
-    """
-    if index.store is not store:
-        raise ValueError("cannot seed the cache with an index of another store")
-    index.generation = getattr(store, "generation", 0)
-    _cache[store] = index
-
-
-def clear_lca_index_cache() -> None:
-    """Drop every cached index and reset the counters (test isolation)."""
-    global _builds, _hits, _patches
-    _cache.clear()
-    _builds = 0
-    _hits = 0
-    _patches = 0
-
-
-def lca_index_cache_info() -> LcaIndexCacheInfo:
-    return LcaIndexCacheInfo(
-        builds=_builds, hits=_hits, currsize=len(_cache), patches=_patches
-    )
+clear_lca_index_cache = LCA_INDEXES.clear
+lca_index_cache_info = LCA_INDEXES.info

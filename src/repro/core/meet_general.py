@@ -198,8 +198,7 @@ def meet_general(
     """Fig. 5: schema-driven bottom-up roll-up; see module docstring.
 
     ``relations`` maps a relation key (normally a pid, as produced by
-    :meth:`repro.fulltext.index.Hits.by_pid` or :func:`group_by_pid`)
-    to the OIDs of that type.  Duplicate OIDs collapse: inputs form a
+    :func:`group_by_pid`) to the OIDs of that type.  Duplicate OIDs collapse: inputs form a
     set, exactly as in the paper.  Results are emitted in schema
     post-order (per-branch deepest first); use
     :mod:`repro.core.ranking` for a global ranking.

@@ -38,6 +38,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..datamodel.errors import ReproError
+from ..monet.engine import index_counters
 from ..obs.logs import log_event
 from ..obs.metrics import CallbackGauge, Counter
 from .deadline import Deadline, DeadlineExceededError, current_deadline
@@ -554,8 +555,8 @@ class ClusterExecutor:
             )
             with self._lock:
                 self._worker_stats[(address, int(worker["pid"]))] = {
-                    "lca_builds": int(worker.get("lca_builds", 0)),
-                    "fulltext_builds": int(worker.get("fulltext_builds", 0)),
+                    str(name): int(count)
+                    for name, count in (worker.get("index_builds") or {}).items()
                 }
         return response
 
@@ -606,6 +607,12 @@ class ClusterExecutor:
                 for replica in shard
             )
         health = self.health()
+        # Every registered index, so a row reads 0 before any worker
+        # reported.
+        builds = dict.fromkeys(index_counters(), 0)
+        for counts in workers.values():
+            for name, count in counts.items():
+                builds[name] = builds.get(name, 0) + count
         return {
             "mode": self.name,
             "shards": self.shard_count,
@@ -615,12 +622,7 @@ class ClusterExecutor:
             "failovers": self._failovers.value,
             "shed": self._shed.value,
             "respawns": respawns,
-            "index_builds": {
-                "lca": sum(w["lca_builds"] for w in workers.values()),
-                "fulltext": sum(
-                    w["fulltext_builds"] for w in workers.values()
-                ),
-            },
+            "index_builds": builds,
         }
 
     def close(self) -> None:

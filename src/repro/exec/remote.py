@@ -13,10 +13,10 @@ stale or torn stream can only surface as a typed error, never as the
 wrong answer).  Clients are deliberately *not* thread-safe — the
 cluster executor pools them per replica.
 
-Worker responses carry the worker's process-local index-build
-counters (a ``_worker`` envelope the cluster executor folds in), so
-``/v1/stats`` keeps its one process-tree view when shards move out of
-process.
+Worker responses carry the worker's process-local build counter of
+every registered index (a ``_worker`` envelope the cluster executor
+folds in), so ``/v1/stats`` keeps its one process-tree view when
+shards move out of process.
 
 A remote *application* error (the shard op itself raised — a bad
 query, an unknown op) comes back as :class:`RemoteOpError` carrying
@@ -38,6 +38,7 @@ from pathlib import Path as FsPath
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..datamodel.errors import ReproError
+from ..monet.engine import index_counters
 from ..obs.logs import log_event
 from .deadline import Deadline, DeadlineExceededError
 from .service import ShardService, shard_services
@@ -108,14 +109,12 @@ def format_address(address: Tuple[str, int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _worker_counters() -> Dict[str, int]:
-    from ..core.lca_index import lca_index_cache_info
-    from ..fulltext.index import fulltext_index_cache_info
-
+def _worker_counters() -> Dict[str, object]:
     return {
         "pid": os.getpid(),
-        "lca_builds": lca_index_cache_info().builds,
-        "fulltext_builds": fulltext_index_cache_info().builds,
+        "index_builds": {
+            name: info.builds for name, info in index_counters().items()
+        },
     }
 
 

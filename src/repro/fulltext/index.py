@@ -13,14 +13,20 @@ relations R₁ … Rₙ that the general meet algorithm of Fig. 5 consumes.
 Storage is allocation-light: each term's postings live in two parallel
 integer columns (pids, oids) behind an interned term dictionary —
 ``array('q')`` for a built index, int32 snapshot views for a loaded
-one.  The roll-ups of a term (by-pid grouping, distinct-OID set,
-sorted distinct-OID column) are derived on first use and memoized on
-the term.  :class:`Posting` and :class:`Hits` remain the public face,
-but a :class:`Hits` is a thin *view* over the shared columns: each
-roll-up is built only when a caller asks for it (the vector tier asks
-for the OID column alone), and individual :class:`Posting` objects
-are only materialized when somebody actually iterates
-``hits.postings``.
+one.  The roll-ups of a term (distinct-OID set, sorted distinct-OID
+column) are derived on first use and memoized on the term.
+:class:`Posting` and :class:`Hits` remain the public face, but a
+:class:`Hits` is a thin *view* over the shared columns: each roll-up
+is built only when a caller asks for it (the vector tier asks for the
+OID column alone), and individual :class:`Posting` objects are only
+materialized when somebody actually iterates ``hits.postings``.
+
+The index of a store is one of its maintained indexes
+(:data:`FULLTEXT_INDEXES`, a :class:`~repro.monet.engine.DerivedCache`
+keyed on the case mode): built once, patched forward through the
+mutation journal (:meth:`FullTextIndex.patched`), carried through
+compaction (:meth:`FullTextIndex.carried`) and seeded from a snapshot
+(:meth:`FullTextIndex.from_term_columns`).
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import (
     AbstractSet,
     Callable,
@@ -37,7 +42,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -49,20 +53,17 @@ import numpy as np
 from ..kernels import postings as postings_kernels
 from ..kernels.lca import sorted_unique
 from ..monet.engine import DerivedCache, MonetXML, joined_column
-from ..monet.mutate import journal_chain
 from .tokenizer import normalize, tokenize
 
 __all__ = [
     "Posting",
     "Hits",
     "FullTextIndex",
+    "FULLTEXT_INDEXES",
     "get_fulltext_index",
-    "carry_fulltext_indexes",
     "cached_fulltext_index",
-    "seed_fulltext_index",
     "clear_fulltext_index_cache",
     "fulltext_index_cache_info",
-    "FullTextIndexCacheInfo",
 ]
 
 
@@ -98,11 +99,11 @@ def _as_q_column(np_column) -> array:
 
 
 class Hits:
-    """Result of one term search; groups postings for the meet operator.
+    """Result of one term search: the postings the meet operator consumes.
 
     A view over two parallel (pid, oid) columns.  ``postings`` (the
-    historical list-of-:class:`Posting` API), ``oids()``,
-    ``oid_column()`` and ``by_pid()`` are all built on first call and
+    historical list-of-:class:`Posting` API), ``oids()`` and
+    ``oid_column()`` are all built on first call and
     memoized on the instance: a term's hits are consumed at least once
     per query, often several times, and none of those consumers should
     pay a rebuild.  Hits of an index term (``entry``) share the term's
@@ -115,7 +116,6 @@ class Hits:
         "_oids",
         "_entry",
         "_postings",
-        "_grouped",
         "_oid_set",
         "_oid_column",
     )
@@ -131,7 +131,6 @@ class Hits:
         self.term = term
         self._entry = entry
         self._postings: Optional[List[Posting]] = None
-        self._grouped: Optional[Mapping[int, Sequence[int]]] = None
         self._oid_set: Optional[FrozenSet[int]] = None
         self._oid_column: Optional[Sequence[int]] = None
         if entry is not None:
@@ -199,22 +198,6 @@ class Hits:
         """
         return Hits(self.term, entry=self._entry.within(span))
 
-    def by_pid(self) -> Mapping[int, Sequence[int]]:
-        """pid → OID sequence: the typed relations handed to meet (Fig. 5).
-
-        Memoized on the instance; index-backed hits share the term's
-        grouping, so the mapping is returned read-only (callers needing
-        to regroup should copy).
-        """
-        if self._grouped is None:
-            entry = self._entry
-            self._grouped = (
-                _grouped(self._pids, self._oids)
-                if entry is None
-                else entry.grouped
-            )
-        return self._grouped
-
     def __len__(self) -> int:
         return len(self._oids)
 
@@ -230,19 +213,6 @@ class Hits:
         return f"Hits(term={self.term!r}, postings={len(self._oids)})"
 
 
-def _grouped(
-    pids: Sequence[int], oids: Sequence[int]
-) -> Mapping[int, Sequence[int]]:
-    """pid → ``array('q')`` of OIDs, read-only (the view is shared)."""
-    built: Dict[int, array] = {}
-    for pid, oid in zip(pids, oids):
-        column = built.get(pid)
-        if column is None:
-            built[pid] = column = array("q")
-        column.append(oid)
-    return MappingProxyType(built)
-
-
 class _TermPostings:
     """Frozen per-term columns: parallel pid/oid arrays plus roll-ups.
 
@@ -251,14 +221,11 @@ class _TermPostings:
     the vector tier reads ``unique_oids`` alone.
     """
 
-    __slots__ = (
-        "pids", "oids", "_grouped", "_oid_set", "_unique_oids", "_cuts"
-    )
+    __slots__ = ("pids", "oids", "_oid_set", "_unique_oids", "_cuts")
 
     def __init__(self, pids: Sequence[int], oids: Sequence[int]):
         self.pids = pids
         self.oids = oids
-        self._grouped: Optional[Mapping[int, Sequence[int]]] = None
         self._oid_set: Optional[FrozenSet[int]] = None
         self._unique_oids: Optional[Sequence[int]] = None
         self._cuts: Optional[Dict[Tuple[int, int], "_TermPostings"]] = None
@@ -304,13 +271,6 @@ class _TermPostings:
         return cached
 
     @property
-    def grouped(self) -> Mapping[int, Sequence[int]]:
-        cached = self._grouped
-        if cached is None:
-            cached = self._grouped = _grouped(self.pids, self.oids)
-        return cached
-
-    @property
     def oid_set(self) -> FrozenSet[int]:
         cached = self._oid_set
         if cached is None:
@@ -353,8 +313,6 @@ class FullTextIndex:
         self._build()
 
     def _build(self) -> None:
-        global _builds
-        _builds += 1
         pending: Dict[str, Tuple[List[int], List[int]]] = {}
         intern = sys.intern
         case_sensitive = self.case_sensitive
@@ -483,7 +441,7 @@ class FullTextIndex:
             clone.generation = record.to_generation
         return clone
 
-    def renumbered(
+    def carried(
         self, store: MonetXML, renumbered: Callable[[np.ndarray], np.ndarray]
     ) -> "FullTextIndex":
         """This index carried over to ``store``, the compaction of its own.
@@ -593,154 +551,33 @@ class FullTextIndex:
         )
         return _as_q_column(pids), _as_q_column(oids)
 
-    def search_any(self, terms: Iterable[str]) -> Hits:
-        """Union of single-term searches (duplicate postings removed)."""
-        label: List[str] = []
-        entries: List[_TermPostings] = []
-        for term in terms:
-            label.append(term)
-            entry = self._terms.get(normalize(term, self.case_sensitive))
-            if entry is not None:
-                entries.append(entry)
-        return Hits(term="|".join(label), columns=self._merge_columns(entries))
-
 
 # ---------------------------------------------------------------------------
-# Per-store cache, keyed on store identity + generation + case mode.
+# The per-store registry (repro.monet.engine.DerivedCache), keyed on the
+# case mode.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FullTextIndexCacheInfo:
-    """Counters of the per-store index cache (for tests and benches)."""
-
-    builds: int
-    hits: int
-    currsize: int
-    patches: int = 0
-
-
-_cache = DerivedCache("fulltext_index")  # store → {case mode: FullTextIndex}
-_builds = 0
-_hits = 0
-_patches = 0
-
-
-def _maintained(
-    store: MonetXML, case_sensitive: bool
-) -> Optional[FullTextIndex]:
-    """The cached index brought current through the journal, or ``None``
-    when there is none or the journal no longer reaches it."""
-    global _hits, _patches
-    per_store = _cache.get(store)
-    cached = None if per_store is None else per_store.get(case_sensitive)
-    if cached is None:
-        return None
-    if cached.generation == getattr(store, "generation", 0):
-        _hits += 1
-        return cached
-    chain = journal_chain(store, cached.generation)
-    if chain is None:
-        return None
-    index = per_store[case_sensitive] = cached.patched(chain)
-    _patches += 1
-    return index
+#: The full-text indexes of every store, one per case mode.
+FULLTEXT_INDEXES = DerivedCache(
+    "fulltext", FullTextIndex, key_of=lambda index: index.case_sensitive
+)
 
 
 def get_fulltext_index(
     store: MonetXML, case_sensitive: bool = False
 ) -> FullTextIndex:
-    """The cached :class:`FullTextIndex` of a store, (re)built on demand.
-
-    Kept on the store object (it dies with it) under its ``generation``
-    and the case mode: every engine / processor serving the same store
-    shares one index, and
-    :meth:`~repro.monet.engine.MonetXML.invalidate_caches`
-    transparently yields a fresh one on next use.  When the store's
-    mutation journal bridges the cached index's generation to the
-    current one, the index is patched forward (a put appends the
-    postings of its strings, a delete masks out those of its strings'
-    terms) instead of rebuilt.
-    """
-    index = _maintained(store, case_sensitive)
-    if index is None:
-        index = FullTextIndex(store, case_sensitive=case_sensitive)
-        per_store = _cache.get(store)
-        if per_store is None:
-            per_store = _cache[store] = {}
-        per_store[case_sensitive] = index
-    return index
-
-
-def carry_fulltext_indexes(
-    store: MonetXML,
-    compacted: MonetXML,
-    renumbered: Callable[[np.ndarray], np.ndarray],
-) -> None:
-    """Seed ``compacted`` with ``store``'s indexes, renumbered.
-
-    ``compacted`` and ``renumbered`` are what
-    :func:`~repro.monet.mutate.compact_store` returned for ``store``;
-    every case mode cached for ``store`` is brought current and carried
-    over (:meth:`FullTextIndex.renumbered`), so the compacted store
-    builds nothing.
-    """
-    for case_sensitive in list(_cache.get(store, {})):
-        index = _maintained(store, case_sensitive)
-        if index is not None:
-            seed_fulltext_index(
-                compacted, index.renumbered(compacted, renumbered)
-            )
-
-
-def seed_fulltext_index(store: MonetXML, index: FullTextIndex) -> None:
-    """Install a ready index into the per-store cache without a build.
-
-    The snapshot loader's hook: an index deserialized via
-    :meth:`FullTextIndex.from_term_columns` is registered under its
-    case mode so every subsequent :func:`get_fulltext_index` call is a
-    cache hit.  Neither the build nor the hit counter moves, keeping
-    the "zero constructions on warm start" property testable.
-    """
-    if index.store is not store:
-        raise ValueError("cannot seed the cache with an index of another store")
-    index.generation = getattr(store, "generation", 0)
-    per_store = _cache.get(store)
-    if per_store is None:
-        per_store = _cache[store] = {}
-    per_store[index.case_sensitive] = index
+    """The current :class:`FullTextIndex` of a store in one case mode,
+    built on first use."""
+    return FULLTEXT_INDEXES.get(store, case_sensitive)
 
 
 def cached_fulltext_index(
     store: MonetXML, case_sensitive: bool = False
 ) -> Optional[FullTextIndex]:
-    """The cached index if it is current for the store, else ``None``.
-
-    A pure peek — never builds, never patches, moves no counters.  The
-    query planner uses it to estimate term fan-out without paying an
-    index construction during planning.
-    """
-    per_store = _cache.get(store)
-    if per_store is None:
-        return None
-    cached = per_store.get(case_sensitive)
-    if cached is not None and cached.generation == getattr(store, "generation", 0):
-        return cached
-    return None
+    """The index if it is current, else ``None`` — never builds (the
+    planner's fan-out estimate)."""
+    return FULLTEXT_INDEXES.peek(store, case_sensitive)
 
 
-def clear_fulltext_index_cache() -> None:
-    """Drop every cached index and reset the counters (test isolation)."""
-    global _builds, _hits, _patches
-    _cache.clear()
-    _builds = 0
-    _hits = 0
-    _patches = 0
-
-
-def fulltext_index_cache_info() -> FullTextIndexCacheInfo:
-    return FullTextIndexCacheInfo(
-        builds=_builds,
-        hits=_hits,
-        currsize=sum(len(entry) for entry in _cache.values()),
-        patches=_patches,
-    )
+clear_fulltext_index_cache = FULLTEXT_INDEXES.clear
+fulltext_index_cache_info = FULLTEXT_INDEXES.info

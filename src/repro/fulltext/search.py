@@ -45,9 +45,10 @@ def term_shape(term: str, case_sensitive: bool = False) -> str:
     """How :meth:`SearchEngine.find` resolves ``term`` — a pure function
     of the text that builds no index (the planner reads it too).
 
-    * ``token``: one alphanumeric word.  The index's hits, when it has
-      any; otherwise a substring scan, so partial words ("Hac") keep
-      the paper's ``contains`` behaviour.
+    * ``token``: one alphanumeric word, nothing around it (" Bit " is a
+      substring, not a token).  The index's hits, when it has any;
+      otherwise a substring scan, so partial words ("Hac") keep the
+      paper's ``contains`` behaviour.
     * ``phrase``: several words.  The index narrows the candidates to
       the associations holding every word — the first may be the tail
       and the last the head of a longer word — and a substring test
@@ -56,7 +57,7 @@ def term_shape(term: str, case_sensitive: bool = False) -> str:
       tokens cannot follow (:data:`_FOLD_UNSAFE`).
     """
     tokens = tokenize(term, case_sensitive)
-    if len(tokens) == 1 and all(ch.isalnum() for ch in term.strip()):
+    if len(tokens) == 1 and all(ch.isalnum() for ch in term):
         return TOKEN
     if len(tokens) > 1 and (case_sensitive or _FOLD_UNSAFE.isdisjoint(term)):
         return PHRASE

@@ -123,7 +123,7 @@ class LcaKernels:
     """Vector views + batch kernels bound to one :class:`LcaIndex`.
 
     Instances are cached per index (:func:`get_kernels`), and an index
-    lives across writes (:meth:`LcaIndex.roll_forward`), so the table
+    lives across writes (:meth:`LcaIndex.patched`), so the table
     derivation is paid once per store; after a write :meth:`follow`
     refills the cells whose windows meet the written slots.
     """

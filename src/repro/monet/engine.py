@@ -26,10 +26,22 @@ snapshot stores only the columns and the string runs
 
 from __future__ import annotations
 
+import threading
 from array import array
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import chain, count
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 from weakref import WeakSet
 
 import numpy as np
@@ -39,7 +51,15 @@ from ..datamodel.paths import Path
 from .pathsummary import PathSummary
 from .relations import Runs, dense_edges
 
-__all__ = ["MonetXML", "DerivedCache", "int32_column"]
+__all__ = [
+    "MonetXML",
+    "DerivedCache",
+    "DerivedCacheInfo",
+    "derived_caches",
+    "index_counters",
+    "int32_column",
+    "journal_chain",
+]
 
 
 def int32_column(values: Iterable[int] = ()) -> array:
@@ -450,46 +470,221 @@ class MonetXML:
             raise ModelError("root OID has a parent")
 
 
-class DerivedCache:
-    """A per-store cache whose entries live on the stores themselves.
+def journal_chain(
+    store: MonetXML, generation: int
+) -> Optional[List[object]]:
+    """Mutation records bridging ``generation`` → the store's current one.
 
-    A derived index holds its store, so a ``WeakKeyDictionary`` cannot
-    cache it: the value would keep its own weak key alive and a store,
-    once indexed, would never be freed — a serving process would retire
-    one whole store, indexes included, with every compaction.  Here the
-    entry sits in ``store.derived``: store and entry form an ordinary
-    cycle that the collector frees once the last outside reference to
-    the store is gone (a compaction clears the retired store's
-    ``derived``, so that one goes by reference counting at once), and
-    the cache only remembers (weakly) which stores to visit for
-    :meth:`values` and :meth:`clear`.  Objects
-    without a ``derived`` dict have no entry.
+    ``None`` when no contiguous chain exists (journal evicted, store
+    without a journal, or a gap) — the caller must rebuild.
+    """
+    current = getattr(store, "generation", 0)
+    if generation == current:
+        return []
+    records = []
+    expected = generation
+    for record in getattr(store, "journal", ()):
+        from_generation = getattr(record, "from_generation", None)
+        if from_generation is None:
+            return None
+        if not records and from_generation != expected:
+            continue
+        if records and from_generation != expected:
+            return None
+        records.append(record)
+        expected = record.to_generation
+    if not records or expected != current:
+        return None
+    return records
+
+
+@dataclass(frozen=True)
+class DerivedCacheInfo:
+    """Counters of one index registry (for stats, tests and benches).
+
+    ``builds`` counts full constructions only, ``patches`` roll-forwards
+    through the mutation journal, ``currsize`` the entries held by live
+    stores.  ``hits`` is counted on the lock-free path, so racing hits
+    may count once.
     """
 
-    def __init__(self, name: str):
-        self._name = name
+    builds: int
+    hits: int
+    currsize: int
+    patches: int
+
+
+#: Every :class:`DerivedCache` by name, in registration order.
+_registered: Dict[str, "DerivedCache"] = {}
+
+
+def index_counters() -> Dict[str, DerivedCacheInfo]:
+    """The counters of every registered index, by name — what a server
+    reports and a shard worker forwards with each response."""
+    return {name: cache.info() for name, cache in _registered.items()}
+
+
+def derived_caches() -> List["DerivedCache"]:
+    """Every registered index registry, in registration order."""
+    return list(_registered.values())
+
+
+class DerivedCache:
+    """The one maintenance policy of an index derived from a store.
+
+    Per store and ``key`` (the full-text index's case mode; ``None``
+    for the others) it holds one index and keeps it current:
+
+    * :meth:`get` hits without a lock when the index answers for the
+      store's ``generation``; otherwise, under one maintenance lock, it
+      patches the index forward through the store's mutation journal
+      (``index.patched(chain)``) or, when the journal does not reach it,
+      builds a new one (``build(store, key, *args)``);
+    * :meth:`carry` hands a compacted store its predecessor's indexes,
+      brought current and carried over (``index.carried(compacted,
+      renumbered)``);
+    * :meth:`seed` installs a ready index (a snapshot's) without a
+      build, :meth:`peek` returns a current one without doing anything,
+      :meth:`clear` drops them all and resets the counters.
+
+    An index object carries ``store`` and ``generation``; the registry
+    publishes ``generation`` last, so an index patched in place is
+    never seen current before it is.
+
+    The entries live in ``store.derived[name]`` (key → index), not in
+    the registry: an index holds its store, so a ``WeakKeyDictionary``
+    cannot cache it — the value would keep its own weak key alive and a
+    store, once indexed, would never be freed.  Store and entries form
+    an ordinary cycle that the collector frees once the last outside
+    reference to the store is gone (a compaction clears the retired
+    store's ``derived``, so that one goes by reference counting at
+    once); the registry only remembers (weakly) which stores to visit
+    for :meth:`info` and :meth:`clear`.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        build: Callable[..., object],
+        key_of: Callable[[object], Hashable] = lambda index: None,
+    ):
+        self.name = name
+        self._build = build
+        self._key_of = key_of
         self._stores: "WeakSet[MonetXML]" = WeakSet()
+        #: Serializes patches and builds: readers share the ``Database``
+        #: read lock, so several can find the same index stale after
+        #: one write.
+        self._lock = threading.Lock()
+        self.builds = self.hits = self.patches = 0
+        _registered[name] = self
 
-    def get(self, store, default=None):
-        derived = getattr(store, "derived", None)
-        return default if derived is None else derived.get(self._name, default)
+    def get(self, store: MonetXML, key: Hashable = None, *args):
+        """The index of ``store`` under ``key``, current; ``args`` go to
+        the build when there is none to bring current."""
+        index = store.derived.get(self.name, _NO_ENTRIES).get(key)
+        if index is not None and index.generation == store.generation:
+            self.hits += 1
+            return index
+        with self._lock:
+            index = self._current(store, key)
+            if index is None:
+                index = self._build(store, key, *args)
+                self._install(store, key, index)
+                self.builds += 1
+            return index
 
-    def __setitem__(self, store, entry) -> None:
-        store.derived[self._name] = entry
+    def _current(self, store: MonetXML, key: Hashable):
+        """The index brought current through the journal, or ``None``
+        when there is none or the journal no longer reaches it.  Call
+        with the lock held; this never builds."""
+        entries = store.derived.get(self.name, _NO_ENTRIES)
+        index = entries.get(key)
+        if index is None:
+            return None
+        generation = store.generation
+        if index.generation == generation:
+            self.hits += 1
+            return index
+        chain = journal_chain(store, index.generation)
+        if chain is None:
+            return None
+        try:
+            index = index.patched(chain)
+        except BaseException:
+            # Maybe half applied: never serve it, never patch it again.
+            del entries[key]
+            raise
+        index.generation = generation  # published last
+        entries[key] = index
+        self.patches += 1
+        return index
+
+    def _install(self, store: MonetXML, key: Hashable, index) -> None:
+        store.derived.setdefault(self.name, {})[key] = index
         self._stores.add(store)
 
-    def __delitem__(self, store) -> None:
-        del store.derived[self._name]
-        self._stores.discard(store)
+    def seed(self, store: MonetXML, index) -> None:
+        """Install a ready index for ``store`` without a build.
 
-    def values(self) -> List[object]:
-        entries = (self.get(store) for store in list(self._stores))
-        return [entry for entry in entries if entry is not None]
+        The snapshot loader's and compaction's hook: every later
+        :meth:`get` is a hit.  No counter moves, keeping the "zero
+        constructions on warm start" property testable.
+        """
+        if index.store is not store:
+            raise ValueError("cannot seed the cache with an index of another store")
+        with self._lock:
+            index.generation = store.generation
+            self._install(store, self._key_of(index), index)
 
-    def __len__(self) -> int:
-        return len(self.values())
+    def carry(
+        self,
+        store: MonetXML,
+        compacted: MonetXML,
+        renumbered: Callable[[np.ndarray], np.ndarray],
+    ) -> None:
+        """Seed ``compacted`` with ``store``'s indexes, carried over.
+
+        ``compacted`` and ``renumbered`` are what
+        :func:`~repro.monet.mutate.compact_store` returned for
+        ``store``; every index ``store`` has is brought current first.
+        """
+        for key in list(store.derived.get(self.name, _NO_ENTRIES)):
+            with self._lock:
+                index = self._current(store, key)
+            if index is not None:
+                self.seed(compacted, index.carried(compacted, renumbered))
+
+    def peek(self, store: MonetXML, key: Hashable = None):
+        """The index if it is current for ``store``, else ``None``.
+
+        A pure peek — never builds, never patches, moves no counter.
+        Objects without a ``derived`` dict have no entry.
+        """
+        entries = getattr(store, "derived", {}).get(self.name, _NO_ENTRIES)
+        index = entries.get(key)
+        if index is not None and index.generation == store.generation:
+            return index
+        return None
 
     def clear(self) -> None:
-        for store in list(self._stores):
-            store.derived.pop(self._name, None)
-        self._stores.clear()
+        """Drop every index and reset the counters (test isolation)."""
+        with self._lock:
+            for store in list(self._stores):
+                store.derived.pop(self.name, None)
+            self._stores.clear()
+            self.builds = self.hits = self.patches = 0
+
+    def info(self) -> DerivedCacheInfo:
+        return DerivedCacheInfo(
+            builds=self.builds,
+            hits=self.hits,
+            currsize=sum(
+                len(store.derived.get(self.name, _NO_ENTRIES))
+                for store in list(self._stores)
+            ),
+            patches=self.patches,
+        )
+
+
+_NO_ENTRIES: Dict[Hashable, object] = {}

@@ -57,7 +57,7 @@ from ..datamodel.errors import (
     UnknownDocumentError,
 )
 from ..datamodel.parser import parse_into
-from .engine import MonetXML, int32_column
+from .engine import MonetXML, int32_column, journal_chain
 from .pathsummary import PathSummary
 from .transform import ColumnSink
 
@@ -99,34 +99,6 @@ class MutationRecord:
     to_generation: int
     added_strings: Tuple[Tuple[int, int, str], ...] = field(default=())
     removed_strings: Tuple[Tuple[int, int, str], ...] = field(default=())
-
-
-def journal_chain(
-    store: MonetXML, generation: int
-) -> Optional[List[MutationRecord]]:
-    """Mutation records bridging ``generation`` → the store's current one.
-
-    ``None`` when no contiguous chain exists (journal evicted, store
-    without a journal, or a gap) — the caller must rebuild.
-    """
-    current = getattr(store, "generation", 0)
-    if generation == current:
-        return []
-    chain = []
-    expected = generation
-    for record in getattr(store, "journal", ()):
-        from_generation = getattr(record, "from_generation", None)
-        if from_generation is None:
-            return None
-        if not chain and from_generation != expected:
-            continue
-        if chain and from_generation != expected:
-            return None
-        chain.append(record)
-        expected = record.to_generation
-    if not chain or expected != current:
-        return None
-    return chain
 
 
 # ---------------------------------------------------------------------------

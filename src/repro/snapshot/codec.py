@@ -35,12 +35,12 @@ bundle without the field is read at 8.  Older bundles' ``edges/*``,
 ``ranks/*`` and ``lca/*`` sections, and the meta fields that sized
 the latter, are never read: there is one read path.
 
-:func:`read_snapshot` returns a :class:`Snapshot` whose store has the
-per-store generation-keyed caches **pre-seeded**
-(:func:`repro.core.lca_index.seed_lca_index`,
-:func:`repro.fulltext.index.seed_fulltext_index`), so a
+:func:`read_snapshot` returns a :class:`Snapshot` whose store has its
+maintained indexes **pre-seeded** (each through its
+:class:`~repro.monet.engine.DerivedCache` registry), so a
 :class:`~repro.core.engine.NearestConceptEngine` over it answers its
-first query with zero index constructions.
+first query with zero index constructions; :func:`carry_indexes` hands
+a compacted store every registered index of its predecessor.
 """
 
 from __future__ import annotations
@@ -51,28 +51,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.lca_index import (
-    LcaIndex,
-    carry_lca_index,
-    seed_lca_index,
-    tree_depths,
-)
+from ..core.lca_index import LCA_INDEXES, LcaIndex, tree_depths
 from ..datamodel.errors import StorageError
-from ..fulltext.index import (
-    FullTextIndex,
-    carry_fulltext_indexes,
-    get_fulltext_index,
-    seed_fulltext_index,
-)
-from ..monet.engine import MonetXML, int32_column, joined_column
+from ..fulltext.index import FULLTEXT_INDEXES, FullTextIndex, get_fulltext_index
+from ..monet.engine import MonetXML, derived_caches, int32_column, joined_column
 from ..monet.pathsummary import PathSummary
 from ..monet.relations import Runs, group_runs
-from ..valueindex import (
-    ValueIndex,
-    carry_value_index,
-    get_value_index,
-    seed_value_index,
-)
+from ..valueindex import VALUE_INDEXES, ValueIndex, get_value_index
 from .deltas import apply_delta_ops, read_delta_ops
 from .format import SnapshotReader, SnapshotWriter
 
@@ -199,16 +184,16 @@ def carry_indexes(
 
     ``compacted`` and ``renumbered`` are what
     :func:`~repro.monet.mutate.compact_store` returned for ``store``.
-    Each index ``store`` has is brought current through its journal and
-    renumbered through the monotone OID map, so neither the compacted
-    store's first reads nor its bundle (:func:`write_snapshot`) build
-    one.  ``store`` is retired: it lets go of its indexes, the only
-    references back to it that it owns, so it is freed as soon as its
-    last holder drops it rather than at the next full collection.
+    Each registered index ``store`` has is brought current through its
+    journal and carried through the monotone OID map
+    (:meth:`~repro.monet.engine.DerivedCache.carry`), so neither the
+    compacted store's first reads nor its bundle (:func:`write_snapshot`)
+    build one.  ``store`` is retired: it lets go of its indexes, the
+    only references back to it that it owns, so it is freed as soon as
+    its last holder drops it rather than at the next full collection.
     """
-    carry_lca_index(store, compacted)
-    carry_fulltext_indexes(store, compacted, renumbered)
-    carry_value_index(store, compacted, renumbered)
+    for cache in derived_caches():
+        cache.carry(store, compacted, renumbered)
     store.derived.clear()
 
 
@@ -559,10 +544,11 @@ def read_snapshot(
     """Load a bundle and seed the store's derived-index caches.
 
     ``source`` is a file path (optionally ``mmap``-backed) or an
-    in-memory buffer.  On return, :func:`~repro.core.lca_index.get_lca_index`
-    and :func:`~repro.fulltext.index.get_fulltext_index` answer from
-    the deserialized indexes — zero constructions — for any engine
-    bound to the returned store.
+    in-memory buffer.  On return, :func:`~repro.core.lca_index.get_lca_index`,
+    :func:`~repro.fulltext.index.get_fulltext_index` and (for a bundle
+    with ``vx/*`` sections) :func:`~repro.valueindex.get_value_index`
+    answer from the deserialized indexes — zero constructions — for any
+    engine bound to the returned store.
 
     Any ``delta/*`` sections (live mutations appended after the base
     build, see :mod:`repro.snapshot.deltas`) are replayed over the
@@ -587,10 +573,13 @@ def read_snapshot(
     _restore_registry(store, meta)
     fulltext = _rebuild_fulltext_index(reader, store, meta)
     value_index = _rebuild_value_index(reader, store, meta)
-    seed_lca_index(store, lca)
-    seed_fulltext_index(store, fulltext)
-    if value_index is not None:
-        seed_value_index(store, value_index)
+    for cache, index in (
+        (LCA_INDEXES, lca),
+        (FULLTEXT_INDEXES, fulltext),
+        (VALUE_INDEXES, value_index),
+    ):
+        if index is not None:
+            cache.seed(store, index)
     deltas = read_delta_ops(reader)
     if deltas:
         apply_delta_ops(store, deltas)

@@ -9,23 +9,19 @@ relation.
 """
 
 from .index import (
+    VALUE_INDEXES,
     ValueIndex,
-    ValueIndexCacheInfo,
     cached_value_index,
-    carry_value_index,
     clear_value_index_cache,
     get_value_index,
-    seed_value_index,
     value_index_cache_info,
 )
 
 __all__ = [
     "ValueIndex",
-    "ValueIndexCacheInfo",
+    "VALUE_INDEXES",
     "cached_value_index",
-    "carry_value_index",
     "get_value_index",
-    "seed_value_index",
     "clear_value_index_cache",
     "value_index_cache_info",
 ]

@@ -17,20 +17,20 @@ reading in string order — each answered by ``searchsorted``.  One
 probe spans all paths (equality, comparisons and their estimates) and
 each path has its own for pid-restricted lookups.
 
-The same generation-keyed cache discipline applies:
-:func:`get_value_index` reuses, patches forward over the mutation
-journal, or builds; :func:`seed_value_index` installs a deserialized
-index without a build.  A patch keeps every probe column already
-derived current — a put merges its few entries in with
+The index of a store is one of its maintained indexes
+(:data:`VALUE_INDEXES`, a :class:`~repro.monet.engine.DerivedCache`
+like the LCA and full-text indexes' registries): :func:`get_value_index`
+reuses, patches forward over the mutation journal
+(:meth:`ValueIndex.patched`), or builds.  A patch keeps every probe
+column already derived current — a put merges its few entries in with
 ``searchsorted``, a delete masks its OID span out — so existing values
 are never re-sorted or re-parsed, and compaction carries the index
-over with one elementwise OID map (:meth:`ValueIndex.renumbered`).
+over with one elementwise OID map (:meth:`ValueIndex.carried`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import (
     Callable,
@@ -49,14 +49,12 @@ import numpy as np
 
 from ..kernels.lca import sorted_unique
 from ..monet.engine import DerivedCache, MonetXML
-from ..monet.mutate import journal_chain
 
 __all__ = [
     "ValueIndex",
-    "ValueIndexCacheInfo",
+    "VALUE_INDEXES",
     "get_value_index",
-    "carry_value_index",
-    "seed_value_index",
+    "cached_value_index",
     "clear_value_index_cache",
     "value_index_cache_info",
 ]
@@ -347,8 +345,6 @@ class ValueIndex:
     """
 
     def __init__(self, store: MonetXML, declared: Sequence[str] = ()):
-        global _builds
-        _builds += 1
         strings = store.string_runs()
         paths: Dict[int, _PathValues] = {}
         for pid in strings.pids.tolist():
@@ -470,7 +466,7 @@ class ValueIndex:
         clone._bind(self.store, self.declared, paths, parts, generation)
         return clone
 
-    def renumbered(
+    def carried(
         self, store: MonetXML, renumbered: Callable[[np.ndarray], np.ndarray]
     ) -> "ValueIndex":
         """This index carried over to ``store``, the compaction of its own.
@@ -627,124 +623,25 @@ class ValueIndex:
 
 
 # ---------------------------------------------------------------------------
-# Per-store cache, keyed on store identity + generation.
+# The per-store registry (repro.monet.engine.DerivedCache).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValueIndexCacheInfo:
-    """Counters of the per-store index cache (for tests and benches)."""
-
-    builds: int
-    hits: int
-    currsize: int
-    patches: int = 0
-
-
-_cache = DerivedCache("value_index")  # store → ValueIndex
-_builds = 0
-_hits = 0
-_patches = 0
-
-
-def _maintained(store: MonetXML) -> Optional[ValueIndex]:
-    """The cached index brought current through the journal, or ``None``
-    when there is none or the journal no longer reaches it."""
-    global _hits, _patches
-    cached = _cache.get(store)
-    if cached is None:
-        return None
-    if cached.generation == getattr(store, "generation", 0):
-        _hits += 1
-        return cached
-    chain = journal_chain(store, cached.generation)
-    if chain is None:
-        return None
-    index = _cache[store] = cached.patched(chain)
-    _patches += 1
-    return index
+#: The value index of every store.  Values are matched exactly (plain
+#: ``==`` on the stored string), so there is no case-mode key.
+VALUE_INDEXES = DerivedCache(
+    "valueindex",
+    lambda store, _key, declared=(): ValueIndex(store, declared=declared),
+)
 
 
 def get_value_index(
     store: MonetXML, declared: Sequence[str] = ()
 ) -> ValueIndex:
-    """The cached :class:`ValueIndex` of a store, (re)built on demand.
-
-    Kept on the store object (it dies with it) under its
-    ``generation``: every engine / processor serving the same store
-    shares one index, and
-    :meth:`~repro.monet.engine.MonetXML.invalidate_caches`
-    transparently yields a fresh one on next use.  When the store's
-    mutation journal bridges the cached index's generation to the
-    current one, the index is patched forward instead of rebuilt.
-
-    Values are matched exactly (plain ``==`` on the stored string), so
-    there is no case-mode key — one index per store.
-    """
-    index = _maintained(store)
-    if index is None:
-        index = _cache[store] = ValueIndex(store, declared=declared)
-    return index
+    """The current :class:`ValueIndex` of a store, built on first use
+    (recording ``declared`` when this call builds it)."""
+    return VALUE_INDEXES.get(store, None, declared)
 
 
-def carry_value_index(
-    store: MonetXML,
-    compacted: MonetXML,
-    renumbered: Callable[[np.ndarray], np.ndarray],
-) -> None:
-    """Seed ``compacted`` with ``store``'s index, renumbered.
-
-    ``compacted`` and ``renumbered`` are what
-    :func:`~repro.monet.mutate.compact_store` returned for ``store``;
-    a cached index is brought current and carried over
-    (:meth:`ValueIndex.renumbered`), so the compacted store builds
-    nothing.
-    """
-    index = _maintained(store)
-    if index is not None:
-        seed_value_index(compacted, index.renumbered(compacted, renumbered))
-
-
-def seed_value_index(store: MonetXML, index: ValueIndex) -> None:
-    """Install a ready index into the per-store cache without a build.
-
-    The snapshot loader's hook: an index deserialized via
-    :meth:`ValueIndex.from_path_columns` is registered so every
-    subsequent :func:`get_value_index` call is a cache hit.  Neither
-    the build nor the hit counter moves, keeping the "zero
-    constructions on warm start" property testable.
-    """
-    if index.store is not store:
-        raise ValueError("cannot seed the cache with an index of another store")
-    index.generation = getattr(store, "generation", 0)
-    _cache[store] = index
-
-
-def cached_value_index(store: MonetXML) -> Optional[ValueIndex]:
-    """The cached index if it is current for the store, else ``None``.
-
-    A pure peek — never builds, never patches, moves no counters.  The
-    planner uses it to tell "a probe is free" from "a probe would first
-    pay a full build".
-    """
-    cached = _cache.get(store)
-    if cached is not None and cached.generation == getattr(store, "generation", 0):
-        return cached
-    return None
-
-
-def clear_value_index_cache() -> None:
-    """Drop every cached index and reset the counters (test isolation)."""
-    global _builds, _hits, _patches
-    _cache.clear()
-    _builds = 0
-    _hits = 0
-    _patches = 0
-
-
-def value_index_cache_info() -> ValueIndexCacheInfo:
-    return ValueIndexCacheInfo(
-        builds=_builds,
-        hits=_hits,
-        currsize=len(_cache),
-        patches=_patches,
-    )
+cached_value_index = VALUE_INDEXES.peek
+clear_value_index_cache = VALUE_INDEXES.clear
+value_index_cache_info = VALUE_INDEXES.info

@@ -108,6 +108,26 @@ def test_parallel_serving_zero_rebuilds_and_merged_stats(catalog_dir):
             assert len(_worker_pids(executor)) == 2
 
 
+def test_worker_value_index_builds_reach_the_stats(catalog_dir):
+    """An ``=`` query builds a value index inside each shard worker (the
+    bundle declares none); ``/v1/stats`` counts those builds with the
+    rest of the process tree, on the executor row and the merged row."""
+    root, _document = catalog_dir
+    query = "select $a from dblp/inproceedings/year/cdata $a where $a = '1999'"
+    with repro.open(snapshot="dblp", catalog=root, replicas=1) as database:
+        with ReproServer(database, port=0) as server:
+            _status, before = _get(server, "/v1/stats")
+            status, payload = _post(server, {"text": query}, path="/v1/query")
+            assert status == 200 and payload["rows"]
+            _status, after = _get(server, "/v1/stats")
+    executor = after["collections"]["default"]["executor"]["index_builds"]
+    assert set(executor) == {"lca", "fulltext", "valueindex"}
+    assert executor["valueindex"] >= 1
+    assert after["index_builds"]["valueindex"] >= (
+        before["index_builds"]["valueindex"] + executor["valueindex"]
+    )
+
+
 def test_worker_killed_mid_query_fails_cleanly_server_stays_up(catalog_dir):
     root, _document = catalog_dir
     with repro.open(snapshot="dblp", catalog=root, replicas=1) as database:

@@ -80,7 +80,9 @@ def test_open_sharded_collection_parallel(catalog_dir, reference):
         _assert_same_answers(reference, database)
         stats = database.stats()["executor"]
         assert stats["workers"] == 3  # one worker process per shard
-        assert stats["index_builds"] == {"lca": 0, "fulltext": 0}
+        assert stats["index_builds"] == {
+            "lca": 0, "fulltext": 0, "valueindex": 0
+        }
     # close() is idempotent.
     database.close()
 
@@ -196,7 +198,7 @@ def test_shards_option_validation():
 def test_one_bundle_serves_pool_and_replicas(xml_path, tmp_path):
     """A 2-shard collection is one ``.snap``; worker processes over it
     answer byte-identically to the serial executor, and no process
-    builds an LCA or full-text index."""
+    builds an index."""
     root = tmp_path / "catalog"
     Catalog(root).ingest("dblp", xml_path, shards=2)
     assert [path.name for path in root.glob("*.snap")] == ["dblp.snap"]
@@ -209,7 +211,7 @@ def test_one_bundle_serves_pool_and_replicas(xml_path, tmp_path):
             assert _worker_bundle(database) == root / "dblp.snap"
             _assert_matches_serial(serial, database)
             builds = database.stats()["executor"]["index_builds"]
-            assert builds == {"lca": 0, "fulltext": 0}
+            assert builds == {"lca": 0, "fulltext": 0, "valueindex": 0}
 
 
 def test_replicas_need_the_layout_their_bundle_records(document, tmp_path):

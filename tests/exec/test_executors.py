@@ -97,7 +97,7 @@ def test_parallel_pool_answers_and_reports_workers(bundle, pool, store):
     assert stats["mode"] == "cluster"
     assert stats["workers"] == 2
     # Bundles load pre-seeded: the workers never build an index.
-    assert stats["index_builds"] == {"lca": 0, "fulltext": 0}
+    assert stats["index_builds"] == {"lca": 0, "fulltext": 0, "valueindex": 0}
 
 
 def test_parallel_end_to_end_matches_engine(bundle, pool, store):

@@ -4,6 +4,7 @@ from array import array
 
 import pytest
 
+from repro.core.meet_general import group_by_pid
 from repro.datasets.figure1 import FIGURE1_OIDS as O
 from repro.fulltext.index import FullTextIndex, _unique_oid_column
 
@@ -52,7 +53,7 @@ class TestSearch:
         assert not hits and len(hits) == 0
 
     def test_by_pid_groups_by_element_path(self, index, figure1_store):
-        grouped = index.search("1999").by_pid()
+        grouped = group_by_pid(figure1_store, index.search("1999").oids())
         assert len(grouped) == 1
         (pid,) = grouped
         assert (
@@ -61,19 +62,16 @@ class TestSearch:
         )
         assert sorted(grouped[pid]) == [O["cdata_1999_a"], O["cdata_1999_b"]]
 
-    def test_by_pid_is_memoized_and_read_only(self, index):
-        hits = index.search("1999")
-        assert hits.by_pid() is hits.by_pid()
-        with pytest.raises(TypeError):
-            hits.by_pid()[999] = [1]
-
     def test_roll_ups_are_built_on_first_call_only(self, figure1_store):
         index = FullTextIndex(figure1_store)
         entry = index._terms["1999"]
         hits = index.search("1999")
-        assert list(hits.oid_column()) == sorted(hits.oids())
-        assert entry._grouped is None  # nobody asked for the grouping
-        assert index.search("1999").by_pid() is hits.by_pid() is entry.grouped
+        assert list(hits.oid_column()) == sorted(
+            [O["cdata_1999_a"], O["cdata_1999_b"]]
+        )
+        assert entry._oid_set is None  # nobody asked for the set
+        assert index.search("1999").oid_column() is hits.oid_column()
+        assert hits.oid_column() is entry.unique_oids
 
 
 def test_unique_oid_column_binds_int32_columns():
@@ -83,14 +81,6 @@ def test_unique_oid_column_binds_int32_columns():
 
 
 class TestCompoundSearch:
-    def test_search_any_unions(self, index):
-        hits = index.search_any(["Ben", "Bob"])
-        assert hits.oids() == {O["cdata_ben"], O["cdata_bob_byte"]}
-
-    def test_search_any_dedupes(self, index):
-        hits = index.search_any(["Bob", "Byte"])
-        assert len(hits.postings) == 1
-
     def test_search_prefix(self, index):
         hits = index.search_prefix("ha")
         # 'hack' (How to Hack) and 'hacking' (Hacking & RSI)

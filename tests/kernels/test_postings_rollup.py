@@ -138,11 +138,6 @@ class TestFulltextParity:
             assert _postings(index.search_prefix(prefix)) == (
                 _first_seen_union(matching)
             ), prefix
-        for pair in [tuple(words[:2]), tuple(words[2:4]), tuple(words[:3])]:
-            per_term = [_postings(index.search(term)) for term in pair]
-            assert _postings(index.search_any(pair)) == (
-                _first_seen_union(per_term)
-            ), pair
 
     def test_oid_column_is_plain_array(self, store):
         """Kernel outputs must not leak np.int64 into OID validation."""
@@ -151,6 +146,7 @@ class TestFulltextParity:
         word = list(TECH_NOUNS)[0]
         column = index.search(word).oid_column()
         assert isinstance(column, array)
-        merged = index.search_any(list(TECH_NOUNS)[:2]).oid_column()
+        merged = index.search_prefix(word[:2]).oid_column()
+        assert len(merged) >= len(column) > 0
         for oid in list(merged)[:5]:
             assert type(oid) is int

@@ -135,13 +135,11 @@ class TestIndexRoundTrip:
             fresh_hits = fresh.search(term)
             loaded_hits = loaded.search(term)
             assert loaded_hits.oids() == fresh_hits.oids()
-            # by_pid column types may differ (array vs memoryview
-            # slice); the grouped *values* must be identical.
-            assert {
-                pid: list(oids) for pid, oids in loaded_hits.by_pid().items()
-            } == {
-                pid: list(oids) for pid, oids in fresh_hits.by_pid().items()
-            }
+            # Column types may differ (array vs memoryview slice);
+            # the (pid, oid) *values* must be identical.
+            assert [list(column) for column in loaded_hits.columns] == [
+                list(column) for column in fresh_hits.columns
+            ]
             assert loaded.document_frequency(term) == (
                 fresh.document_frequency(term)
             )

@@ -10,17 +10,20 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.lca_index import LCA_INDEXES
+from repro.fulltext.index import FULLTEXT_INDEXES
 from repro.monet.transform import monet_transform
 from repro.datasets import PlaysConfig, plays_document
 from repro.query.ast import compare_values
 from repro.valueindex import (
+    VALUE_INDEXES,
     ValueIndex,
-    cached_value_index,
     clear_value_index_cache,
-    get_value_index,
-    seed_value_index,
     value_index_cache_info,
 )
+
+#: Every registered index, with the key its plain getter uses.
+REGISTRIES = [(LCA_INDEXES, None), (FULLTEXT_INDEXES, False), (VALUE_INDEXES, None)]
 
 
 @pytest.fixture()
@@ -203,34 +206,46 @@ class TestPatchedMaintenance:
         assert pruned.lookup_eq("Bit") == frozenset()
 
 
+def _unrecorded(cache, key, store):
+    """A ready index of ``store`` that ``cache`` holds no record of."""
+    index = cache.get(store, key)
+    cache.clear()
+    return index
+
+
 class TestCacheSuite:
+    """The one maintenance policy (:class:`repro.monet.engine.DerivedCache`),
+    checked on every registered index."""
+
     def test_get_builds_once_then_hits(self, figure1_store):
-        clear_value_index_cache()
-        first = get_value_index(figure1_store)
-        info = value_index_cache_info()
-        assert (info.builds, info.hits) == (1, 0)
-        assert get_value_index(figure1_store) is first
-        info = value_index_cache_info()
-        assert (info.builds, info.hits) == (1, 1)
-        assert info.currsize == 1
+        for cache, key in REGISTRIES:
+            cache.clear()
+            first = cache.get(figure1_store, key)
+            info = cache.info()
+            assert (info.builds, info.hits) == (1, 0), cache.name
+            assert cache.get(figure1_store, key) is first
+            info = cache.info()
+            assert (info.builds, info.hits, info.currsize) == (1, 1, 1), cache.name
 
     def test_seed_installs_without_build(self, figure1_store):
-        clear_value_index_cache()
-        index = ValueIndex.from_path_columns(figure1_store, [])
-        seed_value_index(figure1_store, index)
-        assert value_index_cache_info().builds == 0
-        assert cached_value_index(figure1_store) is index
-        assert get_value_index(figure1_store) is index
+        for cache, key in REGISTRIES:
+            index = _unrecorded(cache, key, figure1_store)
+            cache.seed(figure1_store, index)
+            assert cache.info().builds == 0, cache.name
+            assert cache.peek(figure1_store, key) is index
+            assert cache.get(figure1_store, key) is index
 
     def test_seed_rejects_foreign_store(self, figure1_store, plays_store):
-        index = ValueIndex.from_path_columns(plays_store, [])
-        with pytest.raises(ValueError):
-            seed_value_index(figure1_store, index)
+        for cache, key in REGISTRIES:
+            index = _unrecorded(cache, key, plays_store)
+            with pytest.raises(ValueError):
+                cache.seed(figure1_store, index)
 
     def test_cached_peek_never_builds(self, plays_store):
-        clear_value_index_cache()
-        assert cached_value_index(plays_store) is None
-        assert value_index_cache_info().builds == 0
+        for cache, key in REGISTRIES:
+            cache.clear()
+            assert cache.peek(plays_store, key) is None, cache.name
+            assert cache.info().builds == 0, cache.name
 
 
 class TestNaNValues:

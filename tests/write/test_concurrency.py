@@ -17,6 +17,7 @@ import urllib.request
 from repro.api import Database, DatabaseOptions, NearestRequest, ReproServer
 from repro.core.engine import NearestConceptEngine
 from repro.core.lca_index import lca_index_cache_info
+from repro.fulltext.index import fulltext_index_cache_info
 from repro.snapshot import Catalog
 
 from .harness import (
@@ -185,17 +186,17 @@ def test_readers_never_see_torn_answers(tmp_path):
 def test_first_readers_after_a_write_share_one_roll_forward(tmp_path):
     """Eight readers released together on the first read after a write.
 
-    They all find the LCA index one generation behind under the shared
-    read lock; exactly one of them may roll it forward, the rest must
-    wait for the published generation, and every answer must equal the
-    rebuild-from-scratch oracle.
+    They all find the LCA and full-text indexes one generation behind
+    under the shared read lock; exactly one of them may roll each
+    forward, the rest must wait for the published generation, and every
+    answer must equal the rebuild-from-scratch oracle.
     """
     source, model = write_source(tmp_path, "dblp")
     db = open_live(source, backend="vector")
     terms, options = DATASETS["dblp"]["terms"][0], {"limit": 10}
     fragments = DATASETS["dblp"]["fragments"]
     live_nearest(db, terms, options)  # index built and bound
-    before = lca_index_cache_info()
+    before = lca_index_cache_info(), fulltext_index_cache_info()
 
     writes = [
         ("put", "doc-a", fragments[0]),
@@ -242,6 +243,8 @@ def test_first_readers_after_a_write_share_one_roll_forward(tmp_path):
     finally:
         sys.setswitchinterval(switch_interval)
         db.close()
-    after = lca_index_cache_info()
-    assert after.builds == before.builds
-    assert after.patches == before.patches + len(writes)
+    after = lca_index_cache_info(), fulltext_index_cache_info()
+    # (The oracle's fresh store builds a full-text index per write.)
+    assert after[0].builds == before[0].builds
+    for index_before, index_after in zip(before, after):
+        assert index_after.patches == index_before.patches + len(writes)

@@ -20,7 +20,7 @@ from repro.core.lca_index import (
 )
 from repro.datasets import figure1_document
 from repro.fulltext.index import get_fulltext_index
-from repro.monet.engine import DerivedCache
+from repro.monet.engine import derived_caches, index_counters
 from repro.monet.transform import monet_transform
 from repro.valueindex import get_value_index
 
@@ -32,7 +32,9 @@ def test_an_indexed_store_dies_with_its_last_reference():
     get_lca_index(store)
     get_fulltext_index(store)
     get_value_index(store)
-    assert set(store.derived) == {"lca_index", "fulltext_index", "value_index"}
+    assert set(store.derived) == set(index_counters()) == {
+        "lca", "fulltext", "valueindex"
+    }
     alive = weakref.ref(store)
     del store
     gc.collect()
@@ -107,7 +109,7 @@ def test_clearing_the_cache_reaches_live_stores():
     assert lca_index_cache_info().currsize == 1
     clear_lca_index_cache()
     assert lca_index_cache_info().currsize == 0
-    assert "lca_index" not in store.derived
+    assert "lca" not in store.derived
     assert get_lca_index(store) is not index
     assert lca_index_cache_info().builds == 1
 
@@ -116,7 +118,7 @@ def test_objects_without_a_derived_dict_have_no_entry():
     class SummaryOnly:
         summary = None
 
-    cache = DerivedCache("probe")
-    assert cache.get(SummaryOnly()) is None
-    assert cache.get(SummaryOnly(), 7) == 7
-    assert len(cache) == 0 and cache.values() == []
+    for cache in derived_caches():
+        assert cache.peek(SummaryOnly()) is None
+        assert cache.peek(SummaryOnly(), 7) is None
+
